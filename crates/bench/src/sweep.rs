@@ -4,9 +4,9 @@
 //! Every derived lower bound must sit at or below the loads of a real
 //! execution of the kernel at fast-memory size `S`. This module runs that
 //! check as a data-parallel matrix — kernels are prepared (CDAG
-//! construction + bound derivation + trace emission) concurrently, then
-//! each `(kernel, policy)` column is profiled in **one pass** — and
-//! renders the outcome as both a table and a machine-readable
+//! construction + trace emission) concurrently, then each
+//! `(kernel, policy)` column is profiled in **one pass** — and renders the
+//! outcome as both a table and a machine-readable
 //! `BENCH_pebble.json` so successive PRs have a recorded perf/soundness
 //! trajectory.
 //!
@@ -26,18 +26,18 @@
 //! least as strict a soundness check as the old play-based one; the
 //! bridge between the two models is property-tested in `iolb-cdag`.
 //!
-//! [`SweepKernel`] is fully data-driven (owned names, per-kernel split
-//! bindings, env derived from the program's own parameter list), so the
-//! same machinery validates the built-in paper kernels and arbitrary
-//! workloads parsed from `.iolb` files by the `iolb` CLI.
+//! [`SweepKernel`] is fully data-driven (owned names, the bounds derived
+//! once before the sweep, per-kernel split bindings, env derived from the
+//! program's own parameter list), so the same machinery validates the
+//! built-in paper kernels and arbitrary workloads parsed from `.iolb`
+//! files by the `iolb` CLI.
 //!
 //! [`Cdag::packed_program_order_trace`]: iolb_cdag::Cdag::packed_program_order_trace
 
 use iolb_cdag::{try_build_cdag, Cdag, SpillPolicy};
-use iolb_core::report::SplitBinding;
+use iolb_core::report::{self, SplitBinding};
 use iolb_core::{
-    best_engine_bound, report, Analysis, BoundProvenance, ClassicalBound, EngineCurve,
-    EngineRegistry,
+    best_engine_bound, BoundProvenance, ClassicalBound, EngineCurve, EngineRegistry, HourglassBound,
 };
 use iolb_govern::{catch_analysis_mut, AnalysisError, Budget, CancelToken, Degradation};
 use iolb_memsim::{CurveEngine, MissCurve, ShardedCurveEngine};
@@ -143,24 +143,58 @@ pub fn coarse_s_offsets() -> Vec<usize> {
     vec![0, 4, 16, 64, 256]
 }
 
-/// One kernel in the sweep: program + derivation inputs + concrete sizes.
+/// One kernel in the sweep: program, concrete sizes, and the bounds under
+/// validation — derived before the sweep, which only evaluates them.
 pub struct SweepKernel {
     /// Display name.
     pub name: String,
     /// The IR program.
     pub program: iolb_ir::Program,
-    /// Statement whose bounds are derived.
-    pub stmt: String,
     /// Concrete parameter values (same order as `program.params`).
     pub params: Vec<i64>,
-    /// Split-variable binding override; `None` auto-derives the midpoint
-    /// binding when §5.3 splitting turns out to be needed.
+    /// Classical bound of the analyzed statement, when one derives.
+    pub classical: Option<ClassicalBound>,
+    /// Hourglass bound of the analyzed statement, when it has the pattern.
+    pub hourglass: Option<HourglassBound>,
+    /// The §5.3 split binding the hourglass derivation applied (binds the
+    /// split variable in [`SweepKernel::env`]).
     pub split: Option<SplitBinding>,
     /// Offsets added to the kernel's minimum feasible S to form the S grid.
     pub s_offsets: Vec<usize>,
 }
 
 impl SweepKernel {
+    /// Derives the bounds of statement `stmt` ([`report::derive_stmt_bounds`],
+    /// no certification) and builds the kernel. `split_override` replaces
+    /// the midpoint binding when §5.3 splitting turns out to be needed.
+    ///
+    /// # Errors
+    /// [`AnalysisError::Refused`] for an unknown statement or a failed
+    /// derivation.
+    pub fn derive(
+        name: &str,
+        program: iolb_ir::Program,
+        stmt: &str,
+        params: Vec<i64>,
+        split_override: Option<SplitBinding>,
+        s_offsets: Vec<usize>,
+    ) -> Result<SweepKernel, AnalysisError> {
+        let id = program.stmt_id(stmt).ok_or_else(|| {
+            AnalysisError::Refused(format!("{name}: no statement named `{stmt}`"))
+        })?;
+        let bounds = report::derive_stmt_bounds(&program, id, &params, split_override, false)
+            .map_err(|e| AnalysisError::Refused(format!("{name}: {e}")))?;
+        Ok(SweepKernel {
+            name: name.to_string(),
+            program,
+            params,
+            classical: bounds.classical,
+            hourglass: bounds.hourglass,
+            split: bounds.split,
+            s_offsets,
+        })
+    }
+
     /// Named concrete parameters (`program.params` zipped with `params`).
     pub fn named_params(&self) -> Vec<(String, i64)> {
         self.program
@@ -172,15 +206,15 @@ impl SweepKernel {
     }
 
     /// The symbolic evaluation environment: every program parameter bound
-    /// to its concrete value, plus the split variable when `binding` is
-    /// given — all derived from data, no per-kernel hardcoding.
-    pub fn env(&self, binding: Option<&SplitBinding>) -> Vec<(Var, i128)> {
+    /// to its concrete value, plus the split variable when a split was
+    /// applied — all derived from data, no per-kernel hardcoding.
+    pub fn env(&self) -> Vec<(Var, i128)> {
         let mut env: Vec<(Var, i128)> = self
             .named_params()
             .iter()
             .map(|(n, v)| (Var::new(n), *v as i128))
             .collect();
-        if let Some(b) = binding {
+        if let Some(b) = &self.split {
             env.push((b.var, b.eval(&self.named_params())));
         }
         env
@@ -197,7 +231,11 @@ pub enum SweepSize {
 }
 
 /// The default validation matrix: every paper kernel at the chosen size
-/// tier, as one data table (no per-kernel match-arms at use sites).
+/// tier, as one data table (no per-kernel match-arms at use sites), with
+/// its bounds derived.
+///
+/// # Panics
+/// Panics when a built-in kernel's derivation fails.
 pub fn default_sweep_kernels_at(size: SweepSize) -> Vec<SweepKernel> {
     /// One row of the kernel table: name, program, statement, full-size
     /// params, small-size params.
@@ -255,16 +293,13 @@ pub fn default_sweep_kernels_at(size: SweepSize) -> Vec<SweepKernel> {
     ];
     specs
         .into_iter()
-        .map(|(name, program, stmt, full, small)| SweepKernel {
-            name: name.to_string(),
-            program,
-            stmt: stmt.to_string(),
-            params: match size {
+        .map(|(name, program, stmt, full, small)| {
+            let params = match size {
                 SweepSize::Full => full,
                 SweepSize::Small => small,
-            },
-            split: None,
-            s_offsets: s_offsets.clone(),
+            };
+            SweepKernel::derive(name, program, stmt, params, None, s_offsets.clone())
+                .unwrap_or_else(|e| panic!("built-in kernel: {e}"))
         })
         .collect()
 }
@@ -274,7 +309,7 @@ pub fn default_sweep_kernels() -> Vec<SweepKernel> {
     default_sweep_kernels_at(SweepSize::Full)
 }
 
-/// A prepared kernel: exact CDAG, derived bounds, and the packed
+/// A prepared kernel: exact CDAG, its bounds, and the packed
 /// program-order value-access trace — shared across both policy columns.
 struct Prepared {
     name: String,
@@ -287,7 +322,7 @@ struct Prepared {
     /// [`CROSS_CHECK_CAP`]).
     reference: Option<Vec<u64>>,
     classical: Option<ClassicalBound>,
-    hourglass: Option<iolb_core::HourglassBound>,
+    hourglass: Option<HourglassBound>,
     /// Graph-level engine bounds, one curve per selected engine, indexed
     /// in lockstep with `s_values`.
     engine_curves: Vec<EngineCurve>,
@@ -333,8 +368,8 @@ pub struct SweepRow {
     pub lb_provenance: BoundProvenance,
     /// Measured loads over the best bound (≥ 1 for sound bounds).
     pub ratio: f64,
-    /// One-time preparation cost of this cell's kernel (CDAG build + bound
-    /// derivation + trace emission, milliseconds) — shared across the
+    /// One-time preparation cost of this cell's kernel (CDAG build + trace
+    /// emission + graph-engine curves, milliseconds) — shared across the
     /// kernel's cells, not a per-cell cost.
     pub prep_ms: f64,
     /// Wall time of this cell's whole policy column (one stack-distance
@@ -476,7 +511,8 @@ pub fn try_run_sweep_opts(
     // Scoped worker accounting: `meta.threads` must describe THIS sweep,
     // not whatever parallel stage ran earlier in the process.
     let workers = rayon::worker_scope();
-    // Stage 1: per-kernel preparation (bounds + CDAG + trace) in parallel.
+    // Stage 1: per-kernel preparation (CDAG + trace + engine curves) in
+    // parallel. The symbolic bounds arrive derived on the kernel.
     let prepared: Vec<Prepared> = kernels
         .into_par_iter()
         .map(|k| -> Result<Prepared, AnalysisError> {
@@ -485,26 +521,7 @@ pub fn try_run_sweep_opts(
             // the payload with a generic "a scoped thread panicked".
             catch_analysis_mut(|| {
                 let t = Instant::now();
-                // Same observation sizes as the `iolb` CLI's derivation pass,
-                // so printed bounds and validated bounds can never diverge.
-                let analysis = Analysis::run(&k.program, &report::observation_sizes(&k.params))
-                    .map_err(|e| {
-                        AnalysisError::Refused(format!("{}: analysis failed: {e}", k.name))
-                    })?;
-                let stmt = k.program.stmt_id(&k.stmt).ok_or_else(|| {
-                    AnalysisError::Refused(format!("{}: no statement named `{}`", k.name, k.stmt))
-                })?;
-                let classical = analysis.try_classical_bound(stmt);
-                let (hg, binding) = match analysis.detect_hourglass(stmt) {
-                    None => (None, None),
-                    Some(pat) => {
-                        let (b, binding) =
-                            report::derive_with_split(&k.program, &pat, k.split.clone())
-                                .map_err(|e| AnalysisError::Refused(format!("{}: {e}", k.name)))?;
-                        (Some(b), binding)
-                    }
-                };
-                let env = k.env(binding.as_ref());
+                let env = k.env();
                 let cdag = try_build_cdag(&k.program, &k.params, budget, token)?;
                 // Trace length is known from the CSR alone — charge the
                 // budget *before* deciding whether to materialize at all.
@@ -535,8 +552,8 @@ pub fn try_run_sweep_opts(
                     s_values,
                     cdag,
                     reference,
-                    classical,
-                    hourglass: hg,
+                    classical: k.classical,
+                    hourglass: k.hourglass,
                     engine_curves,
                     prep_ms: t.elapsed().as_secs_f64() * 1e3,
                 })
@@ -1084,17 +1101,22 @@ mod tests {
     }
 
     /// The env of a sweep kernel is derived from program parameters plus
-    /// the split binding — the GEHD2-style data path.
+    /// the applied split binding — the GEHD2-style data path.
     #[test]
     fn env_is_data_driven() {
-        let kernels = default_sweep_kernels_at(SweepSize::Small);
-        let gehd2 = kernels.iter().find(|k| k.name == "GEHD2").unwrap();
-        let env = gehd2.env(None);
-        assert_eq!(env, vec![(Var::new("N"), 11)]);
+        let mut kernels = default_sweep_kernels_at(SweepSize::Small);
+        let gehd2 = kernels.iter_mut().find(|k| k.name == "GEHD2").unwrap();
+        // GEHD2 needs §5.3 splitting: the derivation applied the midpoint.
         let binding =
             iolb_core::report::midpoint_split_binding(&gehd2.program, iolb_ir::DimId(0)).unwrap();
-        let env = gehd2.env(Some(&binding));
+        let applied = gehd2.split.as_ref().expect("GEHD2 is split");
+        assert_eq!((applied.var, &applied.expr), (binding.var, &binding.expr));
         // Midpoint of j ∈ [0, N−2) at N = 11: ⌊9/2⌋ = 4.
-        assert_eq!(env[1], (iolb_core::theorems::split_var(), 4));
+        assert_eq!(
+            gehd2.env(),
+            vec![(Var::new("N"), 11), (iolb_core::theorems::split_var(), 4)]
+        );
+        gehd2.split = None;
+        assert_eq!(gehd2.env(), vec![(Var::new("N"), 11)]);
     }
 }

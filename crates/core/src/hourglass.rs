@@ -25,12 +25,12 @@
 //! `K = W`: `Q ≥ (W−S)·⌊|V|/(2W)⌋` (Theorem 5's second bound).
 
 use crate::s_var;
-use iolb_cdag::{build_cdag, NodeId};
+use iolb_cdag::build_cdag;
 use iolb_ir::count::{
     extent, instance_count, instance_count_bounded, poly_range_over_dims_bounded, BoundOverride,
 };
 use iolb_ir::deps::{Producer, ReadProjection};
-use iolb_ir::{DimId, ExecSink, Interpreter, Program, StmtId, Store};
+use iolb_ir::{for_each_instance, DimId, Program, StmtId};
 use iolb_symbolic::{Expr, Poly};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -291,45 +291,49 @@ pub fn certify(
     params: &[i64],
 ) -> Result<usize, String> {
     let cdag = build_cdag(program, params);
-    // Enumerate X's instances in execution order, keyed by (neutral, temporal).
-    struct Collector {
-        target: StmtId,
-        ivs: Vec<Vec<i64>>,
-    }
-    impl ExecSink for Collector {
-        fn on_stmt(&mut self, stmt: StmtId, iv: &[i64]) {
-            if stmt == self.target {
-                self.ivs.push(iv.to_vec());
-            }
-        }
-    }
-    let mut col = Collector {
-        target: pattern.stmt,
-        ivs: Vec::new(),
-    };
-    let mut store = Store::init(program, params, |_, f| 0.5 + f as f64);
-    Interpreter::new(program, params).run(&mut store, &mut col);
-
     let dims = &program.stmt(pattern.stmt).dims;
     let pos = |d: &DimId| dims.iter().position(|x| x == d).expect("dim of stmt");
     let tpos: Vec<usize> = pattern.temporal.iter().map(pos).collect();
     let npos: Vec<usize> = pattern.neutral.iter().map(pos).collect();
     let rpos: Vec<usize> = pattern.rb.iter().map(pos).collect();
 
-    // group: neutral values → temporal values in first-execution order, each
-    // with the list of rb values.
+    // Walk X's instances in execution order (no semantics needed) and
+    // group: neutral values → temporal values in first-execution order,
+    // each with the first and last rb values executed under it — the
+    // pair the chain check samples. Keys are copied out of reused
+    // buffers only when a group or run starts.
     type Key = Vec<i64>;
-    let mut groups: BTreeMap<Key, Vec<(Key, Vec<Key>)>> = BTreeMap::new();
-    for iv in &col.ivs {
-        let nv: Key = npos.iter().map(|&p| iv[p]).collect();
-        let tv: Key = tpos.iter().map(|&p| iv[p]).collect();
-        let rv: Key = rpos.iter().map(|&p| iv[p]).collect();
-        let seq = groups.entry(nv).or_default();
-        match seq.last_mut() {
-            Some((last_t, rvs)) if *last_t == tv => rvs.push(rv),
-            _ => seq.push((tv, vec![rv])),
-        }
+    struct Run {
+        t: Key,
+        first_r: Key,
+        last_r: Key,
     }
+    let mut groups: BTreeMap<Key, Vec<Run>> = BTreeMap::new();
+    let (mut nv, mut tv, mut rv) = (Key::new(), Key::new(), Key::new());
+    let pick = |buf: &mut Key, of: &[DimId], env: &[i64]| {
+        buf.clear();
+        buf.extend(of.iter().map(|d| env[d.0 as usize]));
+    };
+    for_each_instance(program, params, |stmt, env| {
+        if stmt != pattern.stmt {
+            return;
+        }
+        pick(&mut nv, &pattern.neutral, env);
+        pick(&mut tv, &pattern.temporal, env);
+        pick(&mut rv, &pattern.rb, env);
+        let seq = match groups.get_mut(nv.as_slice()) {
+            Some(seq) => seq,
+            None => groups.entry(nv.clone()).or_default(),
+        };
+        match seq.last_mut() {
+            Some(run) if run.t == tv => run.last_r.clone_from(&rv),
+            _ => seq.push(Run {
+                t: tv.clone(),
+                first_r: rv.clone(),
+                last_r: rv.clone(),
+            }),
+        }
+    });
 
     let mut checked = 0usize;
     let mut budget = 60usize;
@@ -338,11 +342,10 @@ pub fn certify(
             if budget == 0 {
                 break;
             }
-            let (t0, rvs0) = &w[0];
-            let (t1, rvs1) = &w[1];
+            let (t0, t1) = (&w[0].t, &w[1].t);
             // Sample first/last rb values on both sides.
-            let samples0 = [rvs0.first().unwrap(), rvs0.last().unwrap()];
-            let samples1 = [rvs1.first().unwrap(), rvs1.last().unwrap()];
+            let samples0 = [&w[0].first_r, &w[0].last_r];
+            let samples1 = [&w[1].first_r, &w[1].last_r];
             for r0 in samples0 {
                 for r1 in samples1 {
                     let mk_iv = |tv: &Key, rv: &Key| -> Vec<i32> {
@@ -380,7 +383,6 @@ pub fn certify(
     if checked == 0 {
         return Err("no consecutive temporal pair found to certify".to_string());
     }
-    let _ = NodeId(0);
     Ok(checked)
 }
 

@@ -211,6 +211,63 @@ pub fn derive_with_split(
     }
 }
 
+/// The derived bounds of one statement at concrete parameters — what the
+/// validation sweep evaluates per grid point and the report prints.
+#[derive(Debug, Clone)]
+pub struct StmtBounds {
+    /// Classical K-partition bound, when a sound one derives.
+    pub classical: Option<ClassicalBound>,
+    /// Hourglass bound, when the statement has the pattern.
+    pub hourglass: Option<HourglassBound>,
+    /// The §5.3 split binding that was applied, if any.
+    pub split: Option<SplitBinding>,
+    /// Hourglass chains certified (0 without certification or pattern).
+    pub chains: usize,
+}
+
+/// Derives the classical and hourglass bounds of `stmt` from one
+/// dependence analysis at [`observation_sizes`]`(params)` — the single
+/// derivation both the report and the validation sweep use, so printed
+/// and validated bounds cannot diverge. With `certify`, a detected
+/// hourglass pattern must also pass [`hourglass::certify`] at `params`
+/// before its bound is derived.
+///
+/// # Errors
+/// `analysis: …` or `hourglass certification: …` descriptions, or a
+/// [`derive_with_split`] failure as is.
+pub fn derive_stmt_bounds(
+    program: &Program,
+    stmt: iolb_ir::StmtId,
+    params: &[i64],
+    split_override: Option<SplitBinding>,
+    certify: bool,
+) -> Result<StmtBounds, String> {
+    let observe = observation_sizes(params);
+    let analysis = Analysis::run(program, &observe).map_err(|e| format!("analysis: {e}"))?;
+    let classical = analysis.try_classical_bound(stmt);
+    let Some(pattern) = analysis.detect_hourglass(stmt) else {
+        return Ok(StmtBounds {
+            classical,
+            hourglass: None,
+            split: None,
+            chains: 0,
+        });
+    };
+    let chains = if certify {
+        hourglass::certify(program, &pattern, &observe[0])
+            .map_err(|e| format!("hourglass certification: {e}"))?
+    } else {
+        0
+    };
+    let (bound, split) = derive_with_split(program, &pattern, split_override)?;
+    Ok(StmtBounds {
+        classical,
+        hourglass: Some(bound),
+        split,
+        chains,
+    })
+}
+
 /// Observation size vectors for analyzing a kernel at concrete validation
 /// parameters: the parameters themselves plus a slightly smaller sibling —
 /// unifying projections across two sizes rejects coincidental producers.

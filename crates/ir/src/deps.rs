@@ -23,7 +23,7 @@
 //! observed producer set that unification explains.
 
 use crate::affine::{Aff, DimId};
-use crate::interp::{ExecSink, Interpreter, Store};
+use crate::interp::{bind_accesses, BoundStmt, ExecSink, Interpreter, Store};
 use crate::program::{ArrayId, Program, StmtId};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -97,100 +97,131 @@ pub fn observe_producers(program: &Program, params: &[i64]) -> Observations {
 
 /// [`observe_producers`] plus the pointwise read-alias pairs of the same
 /// run (two declared reads of one instance landing on the same cell).
+///
+/// Every per-access structure is dense: last writers are one `u32` per
+/// array cell, the current instance's declared read cells a short list
+/// scanned linearly, and observations flags per (statement, read,
+/// producer) and per (statement, read pair) — converted to the ordered
+/// [`Observations`] / [`AliasPairs`] once, after the run.
 pub fn observe_producers_with_aliases(
     program: &Program,
     params: &[i64],
 ) -> (Observations, AliasPairs) {
-    struct Observer<'p> {
-        program: &'p Program,
-        params: Vec<i64>,
-        strides: Vec<Vec<usize>>,
-        last_writer: BTreeMap<(u32, usize), StmtId>,
-        current: Option<StmtId>,
-        /// cell → read indices of the current instance reading that cell
-        expected: BTreeMap<(u32, usize), Vec<usize>>,
-        obs: Observations,
-        aliases: AliasPairs,
+    /// `last_writer` entry of a cell no statement has written: an input.
+    const INPUT: u32 = u32::MAX;
+
+    struct Observer {
+        accesses: Vec<BoundStmt>,
+        /// Per array, per flat cell: the statement that last wrote it.
+        last_writer: Vec<Vec<u32>>,
+        current: StmtId,
+        /// `(array, flat cell, read index)` of the current instance's
+        /// declared reads, in declaration order.
+        expected: Vec<(u32, usize, usize)>,
+        /// Producer codes per observed read: `0` is the input, `s + 1`
+        /// statement `s`.
+        codes: usize,
+        /// First read slot of each statement.
+        read_base: Vec<usize>,
+        /// `seen[(read_base[s] + r) * codes + code]`: read `r` of `s` was
+        /// fed by that producer.
+        seen: Vec<bool>,
+        /// `aliased[(read_base[s] + a) * max_reads + b]` with `a < b`.
+        aliased: Vec<bool>,
+        max_reads: usize,
     }
 
-    impl Observer<'_> {
-        fn flat(&self, access: &crate::program::Access, stmt: StmtId, iv: &[i64]) -> (u32, usize) {
-            let dims = &self.program.stmt(stmt).dims;
-            let dim_env = |d: DimId| {
-                let pos = dims
-                    .iter()
-                    .position(|x| *x == d)
-                    .expect("non-enclosing dim");
-                iv[pos]
-            };
-            let par_env = |p: crate::affine::ParamId| self.params[p.0 as usize];
-            let st = &self.strides[access.array.0 as usize];
-            let mut f = 0usize;
-            for (axis, a) in access.idx.iter().enumerate() {
-                let v = a.eval_with(&dim_env, &par_env);
-                f += st[axis] * v.max(0) as usize;
-            }
-            (access.array.0, f)
-        }
-    }
-
-    impl ExecSink for Observer<'_> {
+    impl ExecSink for Observer {
         fn on_stmt(&mut self, stmt: StmtId, iv: &[i64]) {
-            self.current = Some(stmt);
+            self.current = stmt;
             self.expected.clear();
-            for (i, r) in self.program.stmt(stmt).reads.iter().enumerate() {
-                let key = self.flat(r, stmt, iv);
-                self.expected.entry(key).or_default().push(i);
+            for (i, r) in self.accesses[stmt.0 as usize].reads.iter().enumerate() {
+                let f = r
+                    .axes(iv)
+                    .fold(0usize, |f, (v, stride)| f + stride * v.max(0) as usize);
+                self.expected.push((r.array, f, i));
             }
-            for idxs in self.expected.values() {
-                for (k, &a) in idxs.iter().enumerate() {
-                    for &b in &idxs[k + 1..] {
-                        self.aliases.insert((stmt, a.min(b), a.max(b)));
+            let base = self.read_base[stmt.0 as usize];
+            for (k, &(arr, cell, a)) in self.expected.iter().enumerate() {
+                for &(arr_b, cell_b, b) in &self.expected[k + 1..] {
+                    if (arr, cell) == (arr_b, cell_b) {
+                        self.aliased[(base + a) * self.max_reads + b] = true;
                     }
                 }
             }
         }
         fn on_read(&mut self, array: ArrayId, flat: usize) {
-            let stmt = self.current.expect("read outside a statement");
-            let producer = self
-                .last_writer
-                .get(&(array.0, flat))
-                .map(|s| Producer::Stmt(*s))
-                .unwrap_or(Producer::Input);
-            if let Some(idxs) = self.expected.get(&(array.0, flat)) {
-                for &i in idxs {
-                    self.obs.entry((stmt, i)).or_default().insert(producer);
+            let code = match self.last_writer[array.0 as usize][flat] {
+                INPUT => 0,
+                s => s as usize + 1,
+            };
+            let base = self.read_base[self.current.0 as usize];
+            for &(arr, cell, i) in &self.expected {
+                if (arr, cell) == (array.0, flat) {
+                    self.seen[(base + i) * self.codes + code] = true;
                 }
             }
         }
         fn on_write(&mut self, array: ArrayId, flat: usize) {
-            let stmt = self.current.expect("write outside a statement");
-            self.last_writer.insert((array.0, flat), stmt);
+            self.last_writer[array.0 as usize][flat] = self.current.0;
         }
     }
 
-    let mut strides = Vec::with_capacity(program.arrays.len());
-    for i in 0..program.arrays.len() {
-        let extents = program.array_extents(ArrayId(i as u32), params);
-        let mut st = vec![1usize; extents.len()];
-        for k in (0..extents.len().saturating_sub(1)).rev() {
-            st[k] = st[k + 1] * extents[k + 1];
-        }
-        strides.push(st);
+    let mut read_base = Vec::with_capacity(program.stmts.len());
+    let mut slots = 0;
+    for s in &program.stmts {
+        read_base.push(slots);
+        slots += s.reads.len();
     }
+    let codes = program.stmts.len() + 1;
+    let max_reads = program
+        .stmts
+        .iter()
+        .map(|s| s.reads.len())
+        .max()
+        .unwrap_or(0);
     let mut obs = Observer {
-        program,
-        params: params.to_vec(),
-        strides,
-        last_writer: BTreeMap::new(),
-        current: None,
-        expected: BTreeMap::new(),
-        obs: Observations::new(),
-        aliases: AliasPairs::new(),
+        accesses: bind_accesses(program, params),
+        last_writer: (0..program.arrays.len())
+            .map(|i| vec![INPUT; program.array_len(ArrayId(i as u32), params).max(1)])
+            .collect(),
+        current: StmtId(0),
+        expected: Vec::new(),
+        codes,
+        read_base,
+        seen: vec![false; slots * codes],
+        aliased: vec![false; slots * max_reads],
+        max_reads,
     };
     let mut store = Store::init(program, params, |a, f| 1.0 + a.0 as f64 + f as f64 * 0.125);
     Interpreter::new(program, params).run(&mut store, &mut obs);
-    (obs.obs, obs.aliases)
+
+    let mut observations = Observations::new();
+    let mut aliases = AliasPairs::new();
+    for (s_idx, stmt) in program.stmts.iter().enumerate() {
+        let sid = StmtId(s_idx as u32);
+        for r in 0..stmt.reads.len() {
+            let slot = obs.read_base[s_idx] + r;
+            let producers: BTreeSet<Producer> = obs.seen[slot * codes..(slot + 1) * codes]
+                .iter()
+                .enumerate()
+                .filter(|(_, &seen)| seen)
+                .map(|(code, _)| match code {
+                    0 => Producer::Input,
+                    c => Producer::Stmt(StmtId(c as u32 - 1)),
+                })
+                .collect();
+            if !producers.is_empty() {
+                observations.insert((sid, r), producers);
+            }
+            for b in r + 1..stmt.reads.len() {
+                if obs.aliased[slot * max_reads + b] {
+                    aliases.insert((sid, r, b));
+                }
+            }
+        }
+    }
+    (observations, aliases)
 }
 
 /// Unifies read `r` of `consumer` against write `w` of `producer`.

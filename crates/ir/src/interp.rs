@@ -134,20 +134,17 @@ impl Store {
         params: &[i64],
         mut init: impl FnMut(ArrayId, usize) -> f64,
     ) -> Store {
-        let mut data = Vec::with_capacity(program.arrays.len());
-        let mut strides = Vec::with_capacity(program.arrays.len());
-        for i in 0..program.arrays.len() {
-            let id = ArrayId(i as u32);
-            let extents = program.array_extents(id, params);
-            let len: usize = extents.iter().product::<usize>().max(1);
-            let mut st = vec![1usize; extents.len()];
-            for k in (0..extents.len().saturating_sub(1)).rev() {
-                st[k] = st[k + 1] * extents[k + 1];
-            }
-            data.push((0..len).map(|f| init(id, f)).collect());
-            strides.push(st);
+        let data = (0..program.arrays.len())
+            .map(|i| {
+                let id = ArrayId(i as u32);
+                let len = program.array_len(id, params).max(1);
+                (0..len).map(|f| init(id, f)).collect()
+            })
+            .collect();
+        Store {
+            data,
+            strides: array_strides(program, params),
         }
-        Store { data, strides }
     }
 
     /// Zero-initialized store.
@@ -538,6 +535,107 @@ fn walk_step(
     }
 }
 
+/// Row-major strides of every array at `params` (the [`Store`] layout).
+pub(crate) fn array_strides(program: &Program, params: &[i64]) -> Vec<Vec<usize>> {
+    (0..program.arrays.len())
+        .map(|i| {
+            let extents = program.array_extents(ArrayId(i as u32), params);
+            let mut st = vec![1usize; extents.len()];
+            for k in (0..extents.len().saturating_sub(1)).rev() {
+                st[k] = st[k + 1] * extents[k + 1];
+            }
+            st
+        })
+        .collect()
+}
+
+/// One axis of a [`BoundAccess`]: `cst + Σ coeff · iv[pos]`, scaled by
+/// `stride` into the flat index.
+struct BoundAxis {
+    cst: i64,
+    terms: Vec<(usize, i64)>,
+    stride: usize,
+}
+
+/// A declared access bound to one program instantiation: parameters are
+/// folded into each axis' constant and loop dims resolved to positions in
+/// the statement's iteration vector, so evaluating it at an instance is a
+/// few multiply-adds.
+pub(crate) struct BoundAccess {
+    /// Accessed array.
+    pub(crate) array: u32,
+    axes: Vec<BoundAxis>,
+}
+
+impl BoundAccess {
+    /// Subscript value and stride of every axis at iteration vector `iv`.
+    #[inline]
+    pub(crate) fn axes<'a>(&'a self, iv: &'a [i64]) -> impl Iterator<Item = (i64, usize)> + 'a {
+        self.axes.iter().map(move |a| {
+            let v = a
+                .terms
+                .iter()
+                .fold(a.cst, |acc, &(pos, c)| acc + c * iv[pos]);
+            (v, a.stride)
+        })
+    }
+}
+
+/// The declared reads and writes of one statement, bound.
+pub(crate) struct BoundStmt {
+    /// Declared reads, in declaration order.
+    pub(crate) reads: Vec<BoundAccess>,
+    /// Declared writes, in declaration order.
+    pub(crate) writes: Vec<BoundAccess>,
+}
+
+/// Every statement's declared accesses bound at `params`, indexed by
+/// statement id.
+///
+/// # Panics
+/// Panics when a declared subscript uses a loop dim that does not enclose
+/// its statement.
+pub(crate) fn bind_accesses(program: &Program, params: &[i64]) -> Vec<BoundStmt> {
+    let strides = array_strides(program, params);
+    program
+        .stmts
+        .iter()
+        .map(|s| {
+            let bind = |access: &crate::program::Access| BoundAccess {
+                array: access.array.0,
+                axes: access
+                    .idx
+                    .iter()
+                    .enumerate()
+                    .map(|(axis, a)| BoundAxis {
+                        cst: a
+                            .param_terms()
+                            .iter()
+                            .fold(a.cst(), |acc, (p, c)| acc + c * params[p.0 as usize]),
+                        terms: a
+                            .dim_terms()
+                            .iter()
+                            .map(|(d, c)| {
+                                let pos = s
+                                    .dims
+                                    .iter()
+                                    .position(|x| x == d)
+                                    .expect("access uses a non-enclosing dim");
+                                (pos, *c)
+                            })
+                            .collect(),
+                        stride: strides[access.array.0 as usize][axis],
+                    })
+                    .collect(),
+            };
+            BoundStmt {
+                reads: s.reads.iter().map(bind).collect(),
+                writes: s.writes.iter().map(bind).collect(),
+            }
+        })
+        .collect()
+}
+
 /// Certifies declared accesses against performed accesses.
 ///
 /// Runs the program once; for every statement instance, the set of distinct
@@ -548,17 +646,32 @@ fn walk_step(
 /// # Errors
 /// Returns a human-readable description of the first mismatch.
 pub fn validate_accesses(program: &Program, params: &[i64]) -> Result<u64, String> {
+    /// Per-instance cell lists, reused across instances. Each is sorted and
+    /// deduplicated before comparison, so equality is set equality.
     struct Validator<'p> {
         program: &'p Program,
-        params: Vec<i64>,
-        current: Option<(StmtId, Vec<i64>)>,
-        decl_reads: BTreeSet<(u32, usize)>,
-        decl_writes: BTreeSet<(u32, usize)>,
-        got_reads: BTreeSet<(u32, usize)>,
-        got_writes: BTreeSet<(u32, usize)>,
+        accesses: Vec<BoundStmt>,
+        current: Option<StmtId>,
+        iv: Vec<i64>,
+        decl_reads: Vec<(u32, usize)>,
+        decl_writes: Vec<(u32, usize)>,
+        got_reads: Vec<(u32, usize)>,
+        got_writes: Vec<(u32, usize)>,
         checked: u64,
         error: Option<String>,
-        strides: Vec<Vec<usize>>,
+    }
+
+    fn flat(access: &BoundAccess, iv: &[i64]) -> (u32, usize) {
+        let f = access.axes(iv).fold(0usize, |f, (v, stride)| {
+            assert!(v >= 0, "negative declared subscript");
+            f + stride * v as usize
+        });
+        (access.array, f)
+    }
+
+    fn normalize(cells: &mut Vec<(u32, usize)>) {
+        cells.sort_unstable();
+        cells.dedup();
     }
 
     impl Validator<'_> {
@@ -566,41 +679,31 @@ pub fn validate_accesses(program: &Program, params: &[i64]) -> Result<u64, Strin
             if self.error.is_some() {
                 return;
             }
-            if let Some((stmt, iv)) = self.current.take() {
+            if let Some(stmt) = self.current.take() {
+                for cells in [
+                    &mut self.decl_reads,
+                    &mut self.decl_writes,
+                    &mut self.got_reads,
+                    &mut self.got_writes,
+                ] {
+                    normalize(cells);
+                }
                 if self.decl_reads != self.got_reads || self.decl_writes != self.got_writes {
+                    let set =
+                        |cells: &[(u32, usize)]| cells.iter().copied().collect::<BTreeSet<_>>();
                     self.error = Some(format!(
                         "access mismatch in {}[{:?}]: declared reads {:?} performed {:?}; declared writes {:?} performed {:?}",
                         self.program.stmt(stmt).name,
-                        iv,
-                        self.decl_reads,
-                        self.got_reads,
-                        self.decl_writes,
-                        self.got_writes
+                        self.iv,
+                        set(&self.decl_reads),
+                        set(&self.got_reads),
+                        set(&self.decl_writes),
+                        set(&self.got_writes)
                     ));
                     return;
                 }
                 self.checked += 1;
             }
-        }
-
-        fn flat(&self, access: &crate::program::Access, stmt: StmtId, iv: &[i64]) -> (u32, usize) {
-            let dims = &self.program.stmt(stmt).dims;
-            let dim_env = |d: DimId| {
-                let pos = dims
-                    .iter()
-                    .position(|x| *x == d)
-                    .expect("access uses a non-enclosing dim");
-                iv[pos]
-            };
-            let par_env = |p: crate::affine::ParamId| self.params[p.0 as usize];
-            let st = &self.strides[access.array.0 as usize];
-            let mut f = 0usize;
-            for (axis, a) in access.idx.iter().enumerate() {
-                let v = a.eval_with(&dim_env, &par_env);
-                assert!(v >= 0, "negative declared subscript");
-                f += st[axis] * v as usize;
-            }
-            (access.array.0, f)
         }
     }
 
@@ -614,46 +717,37 @@ pub fn validate_accesses(program: &Program, params: &[i64]) -> Result<u64, Strin
             self.decl_writes.clear();
             self.got_reads.clear();
             self.got_writes.clear();
-            let s = self.program.stmt(stmt);
-            let reads: Vec<_> = s.reads.iter().map(|a| self.flat(a, stmt, iv)).collect();
-            let writes: Vec<_> = s.writes.iter().map(|a| self.flat(a, stmt, iv)).collect();
-            self.decl_reads.extend(reads);
-            self.decl_writes.extend(writes);
-            self.current = Some((stmt, iv.to_vec()));
+            let bound = &self.accesses[stmt.0 as usize];
+            self.decl_reads
+                .extend(bound.reads.iter().map(|a| flat(a, iv)));
+            self.decl_writes
+                .extend(bound.writes.iter().map(|a| flat(a, iv)));
+            self.iv.clear();
+            self.iv.extend_from_slice(iv);
+            self.current = Some(stmt);
         }
         fn on_read(&mut self, array: ArrayId, flat: usize) {
-            self.got_reads.insert((array.0, flat));
+            self.got_reads.push((array.0, flat));
         }
         fn on_write(&mut self, array: ArrayId, flat: usize) {
-            self.got_writes.insert((array.0, flat));
+            self.got_writes.push((array.0, flat));
         }
         fn on_finish(&mut self) {
             self.flush();
         }
     }
 
-    // Strides replicated from Store's layout logic.
-    let mut strides = Vec::with_capacity(program.arrays.len());
-    for i in 0..program.arrays.len() {
-        let extents = program.array_extents(ArrayId(i as u32), params);
-        let mut st = vec![1usize; extents.len()];
-        for k in (0..extents.len().saturating_sub(1)).rev() {
-            st[k] = st[k + 1] * extents[k + 1];
-        }
-        strides.push(st);
-    }
-
     let mut v = Validator {
         program,
-        params: params.to_vec(),
+        accesses: bind_accesses(program, params),
         current: None,
-        decl_reads: BTreeSet::new(),
-        decl_writes: BTreeSet::new(),
-        got_reads: BTreeSet::new(),
-        got_writes: BTreeSet::new(),
+        iv: Vec::new(),
+        decl_reads: Vec::new(),
+        decl_writes: Vec::new(),
+        got_reads: Vec::new(),
+        got_writes: Vec::new(),
         checked: 0,
         error: None,
-        strides,
     };
     let interp = Interpreter::new(program, params);
     let mut store = Store::init(program, params, |a, f| (a.0 as f64) + f as f64 * 0.25 + 1.0);
@@ -824,5 +918,30 @@ mod tests {
         let p = b.finish();
         let err = validate_accesses(&p, &[3]).unwrap_err();
         assert!(err.contains("access mismatch"), "got: {err}");
+    }
+
+    /// The mismatch report names the first deviating instance and prints
+    /// the declared and performed cells as sorted sets. Here the closure
+    /// also reads the undeclared cell `x[0]` (declared only at `i = 0`), and
+    /// reads it twice at `i = 2`: a repeated access is one set member.
+    #[test]
+    fn validation_pins_the_mismatch_message() {
+        let mut b = ProgramBuilder::new("undeclared", &["N"]);
+        let x = b.array("x", &[b.p("N")]);
+        let y = b.array("y", &[b.p("N")]);
+        let i = b.open("i", b.c(0), b.p("N"));
+        let rx = Access::new(x, vec![b.d(i)]);
+        let wy = Access::new(y, vec![b.d(i)]);
+        b.stmt("S", vec![rx], vec![wy], move |c| {
+            let v = c.rd(x, &[c.v(0)]) + c.rd(x, &[0]) + c.rd(x, &[0]);
+            c.wr(y, &[c.v(0)], v);
+        });
+        b.close();
+        let p = b.finish();
+        assert_eq!(
+            validate_accesses(&p, &[4]).unwrap_err(),
+            "access mismatch in S[[1]]: declared reads {(0, 1)} performed {(0, 0), (0, 1)}; \
+             declared writes {(1, 1)} performed {(1, 1)}"
+        );
     }
 }

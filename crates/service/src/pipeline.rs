@@ -21,9 +21,9 @@ use iolb_core::classical::ClassicalBound;
 use iolb_core::govern::{
     catch_analysis_mut, AnalysisError, Budget, CancelToken, CostEstimate, Degradation,
 };
-use iolb_core::hourglass::{self, HourglassBound};
-use iolb_core::report::{derive_with_split, observation_sizes, SplitBinding};
-use iolb_core::{Analysis, EngineRegistry};
+use iolb_core::hourglass::HourglassBound;
+use iolb_core::report::{derive_stmt_bounds, SplitBinding};
+use iolb_core::EngineRegistry;
 use iolb_ir::parse::{parse_kernel, print_kernel, KernelFile};
 use iolb_ir::Program;
 use iolb_symbolic::Var;
@@ -153,9 +153,10 @@ pub fn certify_stage(program: &Program, params: &[i64]) -> Result<u64, AnalysisE
         .map_err(|e| AnalysisError::Refused(format!("access certification failed: {e}")))
 }
 
-/// Everything the derivation stage produced: the bounds themselves (for
-/// the downstream sweep/tightness stages) plus display-ready summaries
-/// (for the front-ends' renderers).
+/// Everything the derivation stage produced: the bounds themselves (which
+/// the sweep and tightness stages evaluate as they are — nothing downstream
+/// derives again) plus display-ready summaries (for the front-ends'
+/// renderers).
 #[derive(Debug)]
 pub struct Derived {
     /// The analyzed statement's name.
@@ -166,14 +167,16 @@ pub struct Derived {
     pub hourglass: Option<HourglassBound>,
     /// The §5.3 split binding that was actually applied.
     pub applied_split: Option<SplitBinding>,
-    /// The file's own `split` directive (forwarded to the sweep so the
-    /// printed derivation and the validated bound cannot diverge).
+    /// The file's own `split` directive (the override the derivation
+    /// applied when §5.3 splitting was needed).
     pub dsl_split: Option<SplitBinding>,
     /// Hourglass chains certified (0 without a pattern).
     pub chains: usize,
 }
 
-/// σ-bound + hourglass derivation at small observation sizes.
+/// σ-bound + hourglass derivation ([`derive_stmt_bounds`], the helper the
+/// self-deriving sweep entries share), with the hourglass pattern
+/// certified on top.
 ///
 /// # Errors
 /// [`AnalysisError::Refused`] on analysis failures, unknown statements,
@@ -192,39 +195,26 @@ pub fn derive_stage(
         .stmt_id(&stmt_name)
         .ok_or_else(|| AnalysisError::Refused(format!("no statement named {stmt_name}")))?;
 
-    let observe = observation_sizes(params);
-    let analysis = Analysis::run(program, &observe)
-        .map_err(|e| AnalysisError::Refused(format!("analysis: {e}")))?;
-    let classical = analysis.try_classical_bound(stmt);
     let dsl_split = dsl_split_binding(kernel);
-    let (hourglass, applied_split, chains) = match analysis.detect_hourglass(stmt) {
-        Some(pat) => {
-            let chains = hourglass::certify(program, &pat, &observe[0])
-                .map_err(|e| AnalysisError::Refused(format!("hourglass certification: {e}")))?;
-            // The same split decision the sweep makes (shared helper +
-            // identical observation sizes), so the printed derivation and
-            // the validated bound cannot diverge.
-            let (b, applied) = derive_with_split(program, &pat, dsl_split.clone())
-                .map_err(AnalysisError::Refused)?;
-            (Some(b), applied, chains)
-        }
-        None => (None, None, 0),
-    };
+    let bounds = derive_stmt_bounds(program, stmt, params, dsl_split.clone(), true)
+        .map_err(AnalysisError::Refused)?;
     Ok(Derived {
         stmt_name,
-        classical,
-        hourglass,
-        applied_split,
+        classical: bounds.classical,
+        hourglass: bounds.hourglass,
+        applied_split: bounds.split,
         dsl_split,
-        chains,
+        chains: bounds.chains,
     })
 }
 
-/// Exact CDAG + MIN/LRU miss-curve validation over the S grid, with the
-/// request's graph-level engine selection evaluated per grid point. Takes
-/// the canonical source rather than a `Program` because the sweep needs
-/// an owned program and `Program` is not clonable (its statements carry
-/// closures) — one extra parse of already-canonical text.
+/// Exact CDAG + MIN/LRU miss-curve validation of the derived bounds over
+/// the S grid, with the request's graph-level engine selection evaluated
+/// per grid point. The sweep evaluates `derived`'s bounds as they are; it
+/// derives nothing. Takes the canonical source rather than a `Program`
+/// because the sweep needs an owned program and `Program` is not clonable
+/// (its statements carry closures) — one extra parse of already-canonical
+/// text.
 ///
 /// `strategy` picks the curve-pricing path: the streaming sharded
 /// engines fed straight from the CDAG (default; cross-checked against
@@ -233,6 +223,38 @@ pub fn derive_stage(
 ///
 /// # Errors
 /// The first typed error any sweep stage produced.
+#[allow(clippy::too_many_arguments)]
+pub fn sweep_derived_stage(
+    name: &str,
+    canon_src: &str,
+    params: &[i64],
+    derived: &Derived,
+    s_offsets: &[usize],
+    budget: &Budget,
+    token: &CancelToken,
+    registry: &EngineRegistry,
+    strategy: CurveStrategy,
+) -> Result<SweepReport, AnalysisError> {
+    let sweep = SweepKernel {
+        name: name.to_string(),
+        program: reparse(canon_src)?,
+        params: params.to_vec(),
+        classical: derived.classical.clone(),
+        hourglass: derived.hourglass.clone(),
+        split: derived.applied_split.clone(),
+        s_offsets: s_offsets.to_vec(),
+    };
+    try_run_sweep_opts(vec![sweep], budget, token, registry, strategy)
+}
+
+/// [`sweep_derived_stage`] for a caller without a [`Derived`]: derives
+/// the bounds of `stmt` first ([`SweepKernel::derive`], `split` overriding
+/// the midpoint binding), then sweeps. [`analyze_uncached`] does not use
+/// it — its sweep reuses the derivation stage's bounds.
+///
+/// # Errors
+/// The derivation's refusal, or the first typed error any sweep stage
+/// produced.
 #[allow(clippy::too_many_arguments)]
 pub fn sweep_stage(
     name: &str,
@@ -246,14 +268,14 @@ pub fn sweep_stage(
     registry: &EngineRegistry,
     strategy: CurveStrategy,
 ) -> Result<SweepReport, AnalysisError> {
-    let sweep = SweepKernel {
-        name: name.to_string(),
-        program: reparse(canon_src)?,
-        stmt: stmt.to_string(),
-        params: params.to_vec(),
+    let sweep = SweepKernel::derive(
+        name,
+        reparse(canon_src)?,
+        stmt,
+        params.to_vec(),
         split,
-        s_offsets: s_offsets.to_vec(),
-    };
+        s_offsets.to_vec(),
+    )?;
     try_run_sweep_opts(vec![sweep], budget, token, registry, strategy)
 }
 
@@ -309,8 +331,8 @@ fn dsl_split_binding(kernel: &KernelFile) -> Option<SplitBinding> {
     })
 }
 
-/// A second, independent parse of the same source (the [`Program`] is not
-/// clonable: its statements carry closures).
+/// A further parse of the same source, for a stage that needs an owned
+/// [`Program`] (it is not clonable: its statements carry closures).
 fn reparse(src: &str) -> Result<Program, AnalysisError> {
     Ok(parse_stage(src)?.program)
 }
@@ -463,12 +485,11 @@ pub fn analyze_uncached(
     };
 
     let registry = opts.registry().map_err(AnalysisError::Refused)?;
-    let mut report = sweep_stage(
+    let mut report = sweep_derived_stage(
         &outcome.name,
         src,
-        &derived.stmt_name,
         &params,
-        derived.dsl_split.clone(),
+        &derived,
         &s_offsets,
         &opts.budget,
         token,
