@@ -754,80 +754,23 @@ pub fn render_sweep_table(report: &SweepReport) -> String {
     out
 }
 
-/// Serializes the report as JSON (hand-rolled — the offline workspace has
-/// no serde; all emitted values are finite numbers or plain ASCII strings).
-///
-/// Deterministic by construction: rows are sorted by `(kernel, params, s,
-/// policy)` and keys have a fixed order, so the comparable sections are
-/// byte-stable across machines and thread counts. Volatile data (worker
-/// threads, wall times) lives only in the `meta` object, which the CI diff
-/// gate ignores.
-pub fn sweep_report_json(report: &SweepReport) -> String {
-    sweep_report_json_with(report, false)
+/// The emitters' one number format: four decimals, `null` when not finite.
+pub(crate) fn json_num(x: f64) -> String {
+    if x.is_finite() {
+        format!("{x:.4}")
+    } else {
+        "null".to_string()
+    }
 }
 
-/// [`sweep_report_json`] with optional redaction of the volatile `meta`
-/// object (zeroed for byte-stable golden snapshots).
-pub fn sweep_report_json_with(report: &SweepReport, redact_volatile: bool) -> String {
-    fn num(x: f64) -> String {
-        if x.is_finite() {
-            format!("{x:.4}")
-        } else {
-            "null".to_string()
-        }
-    }
-    let policy_name = |p: SpillPolicy| match p {
-        SpillPolicy::Lru => "lru",
-        SpillPolicy::MinNextUse => "min_next_use",
-    };
-    let mut rows: Vec<&SweepRow> = report.rows.iter().collect();
-    rows.sort_by(|a, b| {
-        (&a.kernel, &a.params, a.s, policy_name(a.policy)).cmp(&(
-            &b.kernel,
-            &b.params,
-            b.s,
-            policy_name(b.policy),
-        ))
-    });
-    let (threads, wall) = if redact_volatile {
-        (0, 0.0)
-    } else {
-        (report.threads, report.total_wall_ms)
-    };
-    let mut degradation: Vec<&DegradationRow> = report.degradation.iter().collect();
+/// The `degradation` and `failures` arrays both report schemas carry,
+/// sorted by kernel (failures then by class), one row per line.
+pub(crate) fn governance_json(degradation: &[DegradationRow], failures: &[FailureRow]) -> String {
+    let mut degradation: Vec<&DegradationRow> = degradation.iter().collect();
     degradation.sort_by(|a, b| a.kernel.cmp(&b.kernel));
-    let mut failures: Vec<&FailureRow> = report.failures.iter().collect();
+    let mut failures: Vec<&FailureRow> = failures.iter().collect();
     failures.sort_by(|a, b| (&a.kernel, &a.class).cmp(&(&b.kernel, &b.class)));
-    let opt = |v: Option<u64>| v.map_or("null".to_string(), |b| b.to_string());
-    let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"hourglass-iolb/pebble-sweep/v5\",\n");
-    if redact_volatile || report.scaling.is_empty() {
-        out.push_str(&format!(
-            "  \"meta\": {{\"threads\": {threads}, \"total_wall_ms\": {}}},\n",
-            num(wall)
-        ));
-    } else {
-        // The scaling series is volatile (wall times), so it lives in
-        // `meta` with the other volatile fields and is dropped whole under
-        // redaction — golden snapshots stay byte-stable.
-        let pts: Vec<String> = report
-            .scaling
-            .iter()
-            .map(|p| {
-                format!(
-                    "{{\"accesses\": {}, \"policy\": \"{}\", \"wall_ms\": {}}}",
-                    p.accesses,
-                    policy_name(p.policy),
-                    num(p.wall_ms)
-                )
-            })
-            .collect();
-        out.push_str(&format!(
-            "  \"meta\": {{\"threads\": {threads}, \"total_wall_ms\": {}, \"scaling\": [{}]}},\n",
-            num(wall),
-            pts.join(", ")
-        ));
-    }
+    let mut out = String::new();
     out.push_str("  \"degradation\": [\n");
     for (i, d) in degradation.iter().enumerate() {
         out.push_str(&format!(
@@ -849,6 +792,73 @@ pub fn sweep_report_json_with(report: &SweepReport, redact_volatile: bool) -> St
         ));
     }
     out.push_str("  ],\n");
+    out
+}
+
+/// Serializes the report as JSON (hand-rolled — the offline workspace has
+/// no serde; all emitted values are finite numbers or plain ASCII strings).
+///
+/// Deterministic by construction: rows are sorted by `(kernel, params, s,
+/// policy)` and keys have a fixed order, so the comparable sections are
+/// byte-stable across machines and thread counts. Volatile data (worker
+/// threads, wall times) lives only in the `meta` object, which the CI diff
+/// gate ignores.
+pub fn sweep_report_json(report: &SweepReport) -> String {
+    sweep_report_json_with(report, false)
+}
+
+/// [`sweep_report_json`] with optional redaction of the volatile `meta`
+/// object (zeroed for byte-stable golden snapshots).
+pub fn sweep_report_json_with(report: &SweepReport, redact_volatile: bool) -> String {
+    let policy_name = |p: SpillPolicy| match p {
+        SpillPolicy::Lru => "lru",
+        SpillPolicy::MinNextUse => "min_next_use",
+    };
+    let mut rows: Vec<&SweepRow> = report.rows.iter().collect();
+    rows.sort_by(|a, b| {
+        (&a.kernel, &a.params, a.s, policy_name(a.policy)).cmp(&(
+            &b.kernel,
+            &b.params,
+            b.s,
+            policy_name(b.policy),
+        ))
+    });
+    let (threads, wall) = if redact_volatile {
+        (0, 0.0)
+    } else {
+        (report.threads, report.total_wall_ms)
+    };
+    let opt = |v: Option<u64>| v.map_or("null".to_string(), |b| b.to_string());
+    let mut out = String::from("{\n");
+    out.push_str("  \"schema\": \"hourglass-iolb/pebble-sweep/v5\",\n");
+    if redact_volatile || report.scaling.is_empty() {
+        out.push_str(&format!(
+            "  \"meta\": {{\"threads\": {threads}, \"total_wall_ms\": {}}},\n",
+            json_num(wall)
+        ));
+    } else {
+        // The scaling series is volatile (wall times), so it lives in
+        // `meta` with the other volatile fields and is dropped whole under
+        // redaction — golden snapshots stay byte-stable.
+        let pts: Vec<String> = report
+            .scaling
+            .iter()
+            .map(|p| {
+                format!(
+                    "{{\"accesses\": {}, \"policy\": \"{}\", \"wall_ms\": {}}}",
+                    p.accesses,
+                    policy_name(p.policy),
+                    json_num(p.wall_ms)
+                )
+            })
+            .collect();
+        out.push_str(&format!(
+            "  \"meta\": {{\"threads\": {threads}, \"total_wall_ms\": {}, \"scaling\": [{}]}},\n",
+            json_num(wall),
+            pts.join(", ")
+        ));
+    }
+    out.push_str(&governance_json(&report.degradation, &report.failures));
     out.push_str("  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         let params: Vec<String> = r.params.iter().map(|p| p.to_string()).collect();
@@ -862,14 +872,14 @@ pub fn sweep_report_json_with(report: &SweepReport, redact_volatile: bool) -> St
             policy_name(r.policy),
             r.loads,
             r.computes,
-            num(r.lb_classical),
-            num(r.lb_hourglass),
+            json_num(r.lb_classical),
+            json_num(r.lb_hourglass),
             opt(r.lb_input),
             opt(r.lb_visit),
             opt(r.lb_spectral),
-            num(r.lb()),
+            json_num(r.lb()),
             r.lb_provenance.as_str(),
-            num(r.ratio),
+            json_num(r.ratio),
             r.sound(),
             if i + 1 == rows.len() { "" } else { "," }
         ));

@@ -42,7 +42,7 @@
 //! orderings are invariants (`upper ≤ program-order`, `upper ≤ LRU view`),
 //! and both are checked here.
 
-use crate::sweep::{json_str, DegradationRow, FailureRow};
+use crate::sweep::{governance_json, json_num, DegradationRow, FailureRow};
 use iolb_cdag::try_build_cdag;
 use iolb_core::report::TightnessPoint;
 use iolb_core::{ClassicalBound, HourglassBound};
@@ -657,13 +657,6 @@ pub fn render_tightness_table(report: &TightnessReport) -> String {
 /// times) confined to the `meta` object. `redact_volatile` zeroes `meta`
 /// for byte-stable golden snapshots.
 pub fn tightness_report_json(report: &TightnessReport, redact_volatile: bool) -> String {
-    fn num(x: f64) -> String {
-        if x.is_finite() {
-            format!("{x:.4}")
-        } else {
-            "null".to_string()
-        }
-    }
     let mut out = String::from("{\n");
     out.push_str("  \"schema\": \"hourglass-iolb/tightness/v3\",\n");
     let (threads, wall) = if redact_volatile {
@@ -673,33 +666,9 @@ pub fn tightness_report_json(report: &TightnessReport, redact_volatile: bool) ->
     };
     out.push_str(&format!(
         "  \"meta\": {{\"threads\": {threads}, \"total_wall_ms\": {}}},\n",
-        num(wall)
+        json_num(wall)
     ));
-    let mut degradation: Vec<&DegradationRow> = report.degradation.iter().collect();
-    degradation.sort_by(|a, b| a.kernel.cmp(&b.kernel));
-    let mut failures: Vec<&FailureRow> = report.failures.iter().collect();
-    failures.sort_by(|a, b| (&a.kernel, &a.class).cmp(&(&b.kernel, &b.class)));
-    out.push_str("  \"degradation\": [\n");
-    for (i, d) in degradation.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"kernel\": {}, \"level\": \"{}\"}}{}\n",
-            json_str(&d.kernel),
-            d.level.as_str(),
-            if i + 1 == degradation.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"failures\": [\n");
-    for (i, f) in failures.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"kernel\": {}, \"class\": {}, \"message\": {}}}{}\n",
-            json_str(&f.kernel),
-            json_str(&f.class),
-            json_str(&f.message),
-            if i + 1 == failures.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n");
+    out.push_str(&governance_json(&report.degradation, &report.failures));
     out.push_str("  \"kernels\": [\n");
     for (i, k) in report.kernels.iter().enumerate() {
         let params: Vec<String> = k.params.iter().map(|p| p.to_string()).collect();
@@ -712,17 +681,17 @@ pub fn tightness_report_json(report: &TightnessReport, redact_volatile: bool) ->
             out.push_str(&format!(
                 "      {{\"s\": {}, \"lb_classical\": {}, \"lb_hourglass\": {}, \"lb_inputs\": {}, \"lower_bound\": {}, \"upper_loads\": {}, \"upper_schedule\": \"{}\", \"program_order_loads\": {}, \"trace_lru_loads\": {}, \"ratio\": {}, \"hourglass_ratio\": {}}}{}\n",
                 t.s,
-                num(t.lb_classical),
-                num(t.lb_hourglass),
-                num(t.lb_inputs),
-                num(t.lower_bound()),
+                json_num(t.lb_classical),
+                json_num(t.lb_hourglass),
+                json_num(t.lb_inputs),
+                json_num(t.lower_bound()),
                 t.upper_loads,
                 t.upper_schedule,
                 t.program_order_loads,
                 t.trace_lru_loads,
-                num(t.ratio()),
+                json_num(t.ratio()),
                 t.hourglass_ratio()
-                    .map(num)
+                    .map(json_num)
                     .unwrap_or_else(|| "null".to_string()),
                 if j + 1 == k.points.len() { "" } else { "," }
             ));

@@ -109,13 +109,14 @@ pub fn run_with_code(args: &[String]) -> u8 {
     // parallel work in the process does not.
     let batch_workers = rayon::worker_scope();
     let indexed: Vec<(usize, PathBuf)> = opts.files.iter().cloned().enumerate().collect();
-    let base_aopts = opts.analysis_options();
+    let mut base_aopts = opts.analysis.clone();
+    let inject = base_aopts.inject.take();
     let results: Vec<(PathBuf, Result<FileOutcome, AnalysisError>)> = indexed
         .into_par_iter()
         .map(|(i, file)| {
             let mut aopts = base_aopts.clone();
             if i == 0 {
-                aopts.inject = opts.inject;
+                aopts.inject = inject;
             }
             // Panics are mapped to `Internal` *inside* the worker so the
             // payload survives the thread boundary.
@@ -229,7 +230,7 @@ pub fn run_with_code(args: &[String]) -> u8 {
 /// # Errors
 /// Every failure is a typed [`AnalysisError`].
 pub fn run_file(file: &Path, opts: &Options) -> Result<FileOutcome, AnalysisError> {
-    run_file_with(file, opts, &opts.budget.token())
+    run_file_with(file, opts, &opts.analysis.budget.token())
 }
 
 /// Analyzes one file through a fresh service pipeline under the given
@@ -247,11 +248,13 @@ pub fn run_file_with(
     token: &CancelToken,
 ) -> Result<FileOutcome, AnalysisError> {
     let pipeline = Pipeline::new();
-    let mut aopts = opts.analysis_options();
-    aopts.inject = opts.inject;
     let src = read_kernel(file)?;
-    let answer = pipeline.analyze_with_token(&src, &aopts, token)?;
-    Ok(file_outcome(&answer.outcome, file, aopts.derive_only))
+    let answer = pipeline.analyze_with_token(&src, &opts.analysis, token)?;
+    Ok(file_outcome(
+        &answer.outcome,
+        file,
+        opts.analysis.derive_only,
+    ))
 }
 
 /// One file through the batch's shared pipeline (its own token comes

@@ -178,7 +178,7 @@ impl EngineCurve {
 }
 
 /// The engine set one request selected. Construction is by name list, so
-/// the CLI flag, the daemon query/body option, and the options
+/// the CLI flag, the daemon request-body option, and the options
 /// fingerprint all share one vocabulary.
 pub struct EngineRegistry {
     engines: Vec<Box<dyn BoundEngine>>,

@@ -26,6 +26,7 @@ pub use inject::{run_injection, run_injection_matrix, InjectionOutcome, Injectio
 pub use oracle::{CaseReport, Oracle, Violation};
 pub use shrink::{shrink_case, ShrinkOutcome};
 
+use iolb_bench::sweep::json_str;
 use rayon::prelude::*;
 
 /// One fuzz run's configuration.
@@ -174,34 +175,17 @@ pub fn fuzz_report_json(report: &FuzzReport) -> String {
     out.push_str("  \"failures\": [\n");
     for (i, f) in report.failures.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"case\": {}, \"invariant\": \"{}\", \"detail\": \"{}\", \"minimized_stmts\": {}, \"minimized\": \"{}\", \"original\": \"{}\"}}{}\n",
+            "    {{\"case\": {}, \"invariant\": {}, \"detail\": {}, \"minimized_stmts\": {}, \"minimized\": {}, \"original\": {}}}{}\n",
             f.case_index,
-            esc(f.violation.invariant),
-            esc(&f.violation.detail),
+            json_str(f.violation.invariant),
+            json_str(&f.violation.detail),
             f.minimized_stmts,
-            esc(&f.minimized),
-            esc(&f.original),
+            json_str(&f.minimized),
+            json_str(&f.original),
             if i + 1 == report.failures.len() { "" } else { "," }
         ));
     }
     out.push_str("  ]\n}\n");
-    out
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
     out
 }
 
@@ -244,7 +228,7 @@ mod tests {
 
     #[test]
     fn json_escaping_handles_specials() {
-        assert_eq!(esc("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(esc("\u{1}"), "\\u0001");
+        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(json_str("\u{1}"), "\"\\u0001\"");
     }
 }

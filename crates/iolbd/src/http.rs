@@ -17,8 +17,9 @@ pub struct Request {
     pub method: String,
     /// Path without the query string (`/analyze`).
     pub path: String,
-    /// Decoded query parameters, in order of appearance.
-    pub query: Vec<(String, String)>,
+    /// The raw query string, when the target carried one (`POST /analyze`
+    /// refuses it: options travel in the typed body).
+    pub query: Option<String>,
     /// Raw request body (`Content-Length` bytes).
     pub body: Vec<u8>,
     /// Whether the connection should stay open after the response.
@@ -201,8 +202,8 @@ pub fn read_request<S: Read>(stream: &mut S, deadline_ms: u64) -> Result<ReadOut
     body.truncate(content_length);
 
     let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p.to_string(), parse_query(q)),
-        None => (target.to_string(), Vec::new()),
+        Some((p, q)) => (p.to_string(), Some(q.to_string())),
+        None => (target.to_string(), None),
     };
     Ok(ReadOutcome::Request(Request {
         method,
@@ -215,57 +216,6 @@ pub fn read_request<S: Read>(stream: &mut S, deadline_ms: u64) -> Result<ReadOut
 
 fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
-}
-
-/// Splits and percent-decodes a query string.
-fn parse_query(q: &str) -> Vec<(String, String)> {
-    q.split('&')
-        .filter(|pair| !pair.is_empty())
-        .map(|pair| match pair.split_once('=') {
-            Some((k, v)) => (percent_decode(k), percent_decode(v)),
-            None => (percent_decode(pair), String::new()),
-        })
-        .collect()
-}
-
-/// Percent-decoding with `+` as space. Invalid escapes pass through
-/// verbatim (the option parser will reject them with a real diagnostic).
-fn percent_decode(s: &str) -> String {
-    let bytes = s.as_bytes();
-    let mut out: Vec<u8> = Vec::with_capacity(bytes.len());
-    let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'+' => {
-                out.push(b' ');
-                i += 1;
-            }
-            b'%' => match (hex_val(bytes.get(i + 1)), hex_val(bytes.get(i + 2))) {
-                (Some(h), Some(l)) => {
-                    out.push(h * 16 + l);
-                    i += 3;
-                }
-                _ => {
-                    out.push(b'%');
-                    i += 1;
-                }
-            },
-            b => {
-                out.push(b);
-                i += 1;
-            }
-        }
-    }
-    String::from_utf8_lossy(&out).into_owned()
-}
-
-fn hex_val(b: Option<&u8>) -> Option<u8> {
-    match b? {
-        c @ b'0'..=b'9' => Some(c - b'0'),
-        c @ b'a'..=b'f' => Some(c - b'a' + 10),
-        c @ b'A'..=b'F' => Some(c - b'A' + 10),
-        _ => None,
-    }
 }
 
 /// Reason phrase for the status codes the daemon emits.
@@ -329,27 +279,6 @@ pub fn write_response<S: Write>(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn query_parsing_decodes() {
-        let q = parse_query("params=M%3D8,N=16&stmt=SU&derive-only&x=a+b");
-        assert_eq!(
-            q,
-            vec![
-                ("params".to_string(), "M=8,N=16".to_string()),
-                ("stmt".to_string(), "SU".to_string()),
-                ("derive-only".to_string(), String::new()),
-                ("x".to_string(), "a b".to_string()),
-            ]
-        );
-    }
-
-    #[test]
-    fn bad_escapes_pass_through() {
-        assert_eq!(percent_decode("100%"), "100%");
-        assert_eq!(percent_decode("%zz"), "%zz");
-        assert_eq!(percent_decode("%41"), "A");
-    }
 
     #[test]
     fn response_framing() {

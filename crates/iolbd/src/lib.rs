@@ -9,8 +9,10 @@
 //! Responses reuse the CLI's report schemas verbatim; the daemon's own
 //! envelope is `hourglass-iolb/serve/v1`.
 //!
-//! Per-request budgets and deadlines arrive as query parameters (the
-//! same switchboard as the CLI flags) and surface as typed
+//! `POST /analyze` takes one request form, the typed JSON body
+//! ([`AnalyzeRequest`]). Its per-request options, budgets and deadlines go
+//! through the same switchboard as the CLI flags
+//! ([`AnalysisOptions::set`]), and failures surface as typed
 //! [`AnalysisError`] classes mapped onto HTTP status codes:
 //!
 //! | class            | HTTP |
@@ -75,8 +77,8 @@ OPTIONS:
     -h, --help            this text
 
 Any analysis option the CLI accepts as a flag is accepted here (without
-the leading `--` it is the same key a request may pass in its query
-string) and becomes the per-request default: --s-grid, --engines,
+the leading `--` it is the same key a request may pass in its body's
+`options`) and becomes the per-request default: --s-grid, --engines,
 --no-tightness, --derive-only, --no-degrade, --curve-strategy,
 --max-instances, --max-cdag-nodes, --max-cdag-edges, --max-trace,
 --max-arena-bytes, --max-work, --deadline-ms.
@@ -84,10 +86,8 @@ string) and becomes the per-request default: --s-grid, --engines,
 ENDPOINTS:
     POST /analyze         body = typed JSON request ({\"source\": …,
                           \"options\": {…}, \"budgets\": {…},
-                          \"engines\": …}) when it starts with `{`;
-                          otherwise body = raw kernel text with options
-                          in the query string (deprecated alias — same
-                          bytes out either way)
+                          \"engines\": …}); a query string or a body
+                          that is not such an object is answered 400
     GET  /healthz         liveness probe
     GET  /stats           request counters, cache hit/miss/eviction
                           counters, queue depth, persistent-store and
@@ -133,10 +133,6 @@ impl Default for ServerOptions {
         }
     }
 }
-
-/// Keys that are presence-only flags on the command line (everything
-/// else consumes a value argument).
-const FLAG_KEYS: &[&str] = &["no-tightness", "derive-only", "no-degrade"];
 
 /// Parses daemon command-line arguments.
 ///
@@ -195,22 +191,15 @@ pub fn parse_server_args(args: &[String]) -> Result<ServerOptions, String> {
                     .map_err(|_| "bad --request-deadline-ms value".to_string())?;
             }
             "-h" | "--help" => return Err(USAGE.to_string()),
-            flag if flag.starts_with("--") => {
-                let key = &flag[2..];
-                if key == "inject" {
-                    return Err("--inject is per-request only (query parameter)".to_string());
-                }
-                let value = if FLAG_KEYS.contains(&key) {
-                    String::new()
-                } else {
-                    it.next()
-                        .ok_or_else(|| format!("{flag} needs a value"))?
-                        .clone()
-                };
-                o.defaults
-                    .set(key, &value)
-                    .map_err(|e| format!("{e}\n\n{USAGE}"))?;
+            "--inject" => {
+                return Err(
+                    "--inject is per-request only (the typed body's `options.inject`)".to_string(),
+                )
             }
+            flag if flag.starts_with("--") => o
+                .defaults
+                .set_flag(&flag[2..], &mut it)
+                .map_err(|e| format!("{e}\n\n{USAGE}"))?,
             other => return Err(format!("unexpected argument `{other}`\n\n{USAGE}")),
         }
     }
@@ -579,68 +568,34 @@ fn handle(state: &ServerState, req: &Request) -> HandlerResult {
     }
 }
 
-/// `POST /analyze`. Two request forms share one option switchboard:
-///
-/// * **typed JSON body** (the body's first non-whitespace byte is `{`) —
-///   an [`AnalyzeRequest`] carrying the kernel source plus `options` /
-///   `budgets` / `engines` members (`.iolb` sources cannot start with
-///   `{`, so the sniff is unambiguous);
-/// * **raw kernel body** with options in the query string — the original
-///   interface, kept as a deprecated alias.
-///
-/// Option precedence: daemon defaults, then query parameters, then body
-/// members — later wins. Both forms resolve to the same
-/// `(source, options)` pair, so a given request produces byte-identical
-/// response bodies either way (the golden-exchange test pins this).
+/// `POST /analyze`. The body is a typed JSON [`AnalyzeRequest`]: the
+/// kernel source plus `options` / `budgets` / `engines` members, each
+/// applied over the daemon defaults through the shared switchboard. A
+/// query string, or a body that is not such an object, is refused with a
+/// parse-class 400 that names the typed body; it is never analysed
+/// without its options.
 fn handle_analyze(state: &ServerState, req: &Request) -> HandlerResult {
     state.analyzed.fetch_add(1, Ordering::Relaxed);
+    let bad = |msg: String| (400, Vec::new(), error_body_raw("parse", 2, &msg));
+    if let Some(query) = &req.query {
+        return bad(format!(
+            "query string `{query}` is not accepted; {TYPED_BODY}"
+        ));
+    }
+    let parsed = match std::str::from_utf8(&req.body)
+        .map_err(|_| "request body is not UTF-8".to_string())
+        .and_then(AnalyzeRequest::parse)
+    {
+        Ok(r) => r,
+        Err(e) => return bad(format!("bad request body: {e}; {TYPED_BODY}")),
+    };
     let mut opts = state.defaults.clone();
-    for (key, value) in &req.query {
+    for (key, value) in &parsed.sets {
         if let Err(e) = opts.set(key, value) {
-            return (
-                400,
-                Vec::new(),
-                error_body_raw("parse", 2, &format!("bad query option: {e}")),
-            );
+            return bad(format!("bad body option: {e}"));
         }
     }
-    let body = match std::str::from_utf8(&req.body) {
-        Ok(s) => s,
-        Err(_) => {
-            return (
-                400,
-                Vec::new(),
-                error_body_raw("parse", 2, "kernel body is not UTF-8"),
-            );
-        }
-    };
-    let source;
-    let src = if body.trim_start().starts_with('{') {
-        let parsed = match AnalyzeRequest::parse(body) {
-            Ok(r) => r,
-            Err(e) => {
-                return (
-                    400,
-                    Vec::new(),
-                    error_body_raw("parse", 2, &format!("bad request body: {e}")),
-                );
-            }
-        };
-        for (key, value) in &parsed.sets {
-            if let Err(e) = opts.set(key, value) {
-                return (
-                    400,
-                    Vec::new(),
-                    error_body_raw("parse", 2, &format!("bad body option: {e}")),
-                );
-            }
-        }
-        source = parsed.source;
-        source.as_str()
-    } else {
-        body
-    };
-    match state.pipeline.serve(src, &opts) {
+    match state.pipeline.serve(&parsed.source, &opts) {
         Ok(answer) => {
             let cache_header = (
                 "X-Iolb-Cache".to_string(),
@@ -651,6 +606,10 @@ fn handle_analyze(state: &ServerState, req: &Request) -> HandlerResult {
         Err(e) => (status_for(&e), Vec::new(), error_body(&e)),
     }
 }
+
+/// The hint every refused `/analyze` request carries.
+const TYPED_BODY: &str = "POST /analyze takes a typed JSON body \
+     {\"source\": \"<kernel text>\", \"options\": {…}, \"budgets\": {…}, \"engines\": …}";
 
 /// HTTP status for each [`AnalysisError`] class.
 pub fn status_for(e: &AnalysisError) -> u16 {
@@ -720,7 +679,18 @@ fn stats_body(state: &ServerState) -> String {
 
 #[cfg(test)]
 mod tests {
-    use super::retry_after_secs;
+    #![allow(clippy::unwrap_used)] // test-only assertions
+    use super::{parse_server_args, retry_after_secs};
+
+    #[test]
+    fn analysis_flags_set_defaults_and_inject_points_at_the_body() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let o = parse_server_args(&args(&["--no-tightness", "--max-work", "9"])).unwrap();
+        assert!(o.defaults.no_tightness);
+        assert_eq!(o.defaults.budget.max_work, 9);
+        let err = parse_server_args(&args(&["--inject", "oom"])).unwrap_err();
+        assert!(err.contains("options.inject"), "{err}");
+    }
 
     #[test]
     fn retry_after_grows_with_queue_depth() {

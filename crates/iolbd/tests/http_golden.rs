@@ -7,6 +7,7 @@
 //! To regenerate after an intentional schema change:
 //! `UPDATE_GOLDEN=1 cargo test -p iolbd --test http_golden`.
 
+use iolb_service::AnalyzeRequest;
 use iolbd::{serve_listener, ServerOptions};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -40,12 +41,20 @@ fn start_daemon_with(opts: ServerOptions) -> (SocketAddr, std::thread::JoinHandl
     (addr, handle)
 }
 
-fn post(path_query: &str, body: &str) -> String {
+fn post(path: &str, body: &str) -> String {
     format!(
-        "POST {path_query} HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        "POST {path} HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
     )
 }
+
+/// `POST /analyze` with a typed body: `source` plus string-valued options.
+fn analyze(source: &str, options: &[(&str, &str)]) -> String {
+    post("/analyze", &AnalyzeRequest::body(source, options))
+}
+
+/// The bounds-only gemm request most exchanges below reuse.
+const GEMM_DERIVE: &[(&str, &str)] = &[("derive-only", "true"), ("params", "M=6,N=6,K=6")];
 
 fn get(path: &str) -> String {
     format!("GET {path} HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n")
@@ -123,42 +132,39 @@ fn check_golden(name: &str, actual: &str) {
 fn error_class_exchanges_match_golden_snapshots() {
     let (addr, handle) = start_daemon();
 
-    // parse → 400: the body is not a kernel.
+    // parse → 400: the source is not a kernel.
     check_golden(
         "analyze_parse_error.http",
-        &exchange(addr, &post("/analyze", "kernel junk {")),
+        &exchange(addr, &analyze("kernel junk {", &[])),
     );
     // refused → 422: parses, but names no such statement.
     check_golden(
         "analyze_refused.http",
-        &exchange(addr, &post("/analyze?stmt=nope", &kernel("jacobi2d.iolb"))),
+        &exchange(
+            addr,
+            &analyze(&kernel("jacobi2d.iolb"), &[("stmt", "nope")]),
+        ),
     );
     // budget → 413: admission control kills it before materialization.
     check_golden(
         "analyze_budget.http",
-        &exchange(addr, &post("/analyze?max-trace=10", &kernel("syrk.iolb"))),
+        &exchange(addr, &analyze(&kernel("syrk.iolb"), &[("max-trace", "10")])),
     );
     // deadline → 408: injected at the admission seam.
     check_golden(
         "analyze_deadline.http",
         &exchange(
             addr,
-            &post(
-                "/analyze?inject=deadline%40admission",
+            &analyze(
                 &kernel("gemm_tiled.iolb"),
+                &[("inject", "deadline@admission")],
             ),
         ),
     );
     // Success envelope (bounds only, so the exchange stays fast).
     check_golden(
         "analyze_derive_only.http",
-        &exchange(
-            addr,
-            &post(
-                "/analyze?derive-only&params=M=6,N=6,K=6",
-                &kernel("gemm_tiled.iolb"),
-            ),
-        ),
+        &exchange(addr, &analyze(&kernel("gemm_tiled.iolb"), GEMM_DERIVE)),
     );
 
     shutdown(addr, handle);
@@ -167,10 +173,7 @@ fn error_class_exchanges_match_golden_snapshots() {
 #[test]
 fn cache_hits_surface_in_header_and_stats() {
     let (addr, handle) = start_daemon();
-    let req = post(
-        "/analyze?derive-only&params=M=6,N=6,K=6",
-        &kernel("gemm_tiled.iolb"),
-    );
+    let req = analyze(&kernel("gemm_tiled.iolb"), GEMM_DERIVE);
     let cold = exchange(addr, &req);
     assert!(cold.contains("X-Iolb-Cache: miss"), "{cold}");
     let warm = exchange(addr, &req);
@@ -178,10 +181,7 @@ fn cache_hits_surface_in_header_and_stats() {
 
     // Same kernel, formatting variant: still a hit.
     let variant = format!("# a comment\n\n{}", kernel("gemm_tiled.iolb"));
-    let response = exchange(
-        addr,
-        &post("/analyze?derive-only&params=M=6,N=6,K=6", &variant),
-    );
+    let response = exchange(addr, &analyze(&variant, GEMM_DERIVE));
     assert!(response.contains("X-Iolb-Cache: hit"), "{response}");
 
     // Identical payloads beyond the headers.
@@ -207,50 +207,63 @@ fn cache_hits_surface_in_header_and_stats() {
 
 #[test]
 fn typed_body_and_query_alias_are_byte_identical() {
-    // Each form gets its own fresh daemon, so both exchanges are cold
-    // (identical X-Iolb-Cache headers) and byte equality covers the whole
-    // response — status line, headers, and payload.
+    // The typed body is the only request form (query strings are refused,
+    // see `query_strings_and_raw_bodies_are_refused_with_the_typed_body_hint`).
+    // A flag spelled as a JSON boolean and as a string answers
+    // identically. Each spelling gets its own fresh daemon, so both
+    // exchanges are cold (identical X-Iolb-Cache headers) and byte
+    // equality covers the whole response.
     let src = kernel("gemm_tiled.iolb");
-    let (addr, handle) = start_daemon();
-    let query_form = exchange(addr, &post("/analyze?derive-only&params=M=6,N=6,K=6", &src));
-    shutdown(addr, handle);
-
     let (addr, handle) = start_daemon();
     let body = format!(
         "{{\"source\": {}, \"options\": {{\"derive-only\": true, \"params\": \"M=6,N=6,K=6\"}}}}",
         iolb_bench::sweep::json_str(&src)
     );
-    let body_form = exchange(addr, &post("/analyze", &body));
+    let boolean_form = exchange(addr, &post("/analyze", &body));
     shutdown(addr, handle);
 
-    check_golden("analyze_typed_body.http", &body_form);
+    let (addr, handle) = start_daemon();
+    let string_form = exchange(addr, &analyze(&src, GEMM_DERIVE));
+    shutdown(addr, handle);
+
+    check_golden("analyze_typed_body.http", &boolean_form);
     assert_eq!(
-        query_form, body_form,
-        "typed JSON body and deprecated query alias must answer identically"
+        boolean_form, string_form,
+        "a flag as a JSON boolean and as a string must answer identically"
     );
 }
 
 #[test]
 fn typed_body_options_win_over_query_params() {
-    let (addr, handle) = start_daemon();
-    // The query names a nonexistent statement; the body overrides it back
-    // to a real one — later (body) wins, so the request succeeds.
+    // The typed body's options are applied over the daemon's defaults
+    // (query parameters never reach the switchboard). The defaults name a
+    // nonexistent statement; the body overrides it back to a real one, so
+    // the request succeeds.
+    let mut defaults = iolb_service::AnalysisOptions::default();
+    defaults.set("stmt", "nope").expect("stmt");
+    let (addr, handle) = start_daemon_with(ServerOptions {
+        defaults,
+        ..ServerOptions::default()
+    });
     let src = kernel("gemm_tiled.iolb");
-    let body = format!(
-        "{{\"source\": {}, \"options\": {{\"stmt\": \"SU\", \"derive-only\": true, \"params\": \"M=6,N=6,K=6\"}}}}",
-        iolb_bench::sweep::json_str(&src)
+    let response = exchange(
+        addr,
+        &analyze(
+            &src,
+            &[
+                ("stmt", "SU"),
+                ("derive-only", "true"),
+                ("params", "M=6,N=6,K=6"),
+            ],
+        ),
     );
-    let response = exchange(addr, &post("/analyze?stmt=nope", &body));
     assert!(response.starts_with("HTTP/1.1 200"), "{response}");
 
     // Malformed bodies and bad option values get the parse-class 400 with
-    // the shared switchboard's diagnostics, same vocabulary as the query.
+    // the shared switchboard's diagnostics.
     let bad = exchange(addr, &post("/analyze", "{\"options\": {}}"));
     assert!(bad.starts_with("HTTP/1.1 400"), "{bad}");
     assert!(bad.contains("source"), "{bad}");
-    let q = exchange(addr, &post("/analyze?engines=frobnicate", "x"));
-    assert!(q.starts_with("HTTP/1.1 400"), "{q}");
-    assert!(q.contains("unknown bound engine"), "{q}");
     let b = exchange(
         addr,
         &post(
@@ -264,13 +277,39 @@ fn typed_body_options_win_over_query_params() {
 }
 
 #[test]
+fn query_strings_and_raw_bodies_are_refused_with_the_typed_body_hint() {
+    // A query string or a raw kernel body must never be analysed without
+    // its options: each variant answers a parse-class 400 that names the
+    // typed body.
+    let (addr, handle) = start_daemon();
+    let src = kernel("gemm_tiled.iolb");
+    for request in [
+        post("/analyze?derive-only&params=M=6,N=6,K=6", &src),
+        post("/analyze", &src),
+        post("/analyze?stmt=SU", &AnalyzeRequest::body(&src, GEMM_DERIVE)),
+    ] {
+        let response = exchange(addr, &request);
+        assert!(response.starts_with("HTTP/1.1 400"), "{response}");
+        assert!(response.contains("\"class\": \"parse\""), "{response}");
+        assert!(
+            response.contains("POST /analyze takes a typed JSON body"),
+            "{response}"
+        );
+    }
+    shutdown(addr, handle);
+}
+
+#[test]
 fn keep_alive_serves_multiple_requests_per_connection() {
     let (addr, handle) = start_daemon();
     let mut stream = TcpStream::connect(addr).expect("connect");
     for i in 0..3 {
-        let body = kernel("cholesky.iolb");
+        let body = AnalyzeRequest::body(
+            &kernel("cholesky.iolb"),
+            &[("derive-only", "true"), ("params", "N=8")],
+        );
         let req = format!(
-            "POST /analyze?derive-only&params=N=8 HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\n\r\n{body}",
+            "POST /analyze HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\n\r\n{body}",
             body.len()
         );
         stream.write_all(req.as_bytes()).expect("send");
@@ -296,8 +335,8 @@ fn health_stats_and_routing() {
     assert!(exchange(addr, &get("/nope")).starts_with("HTTP/1.1 404"));
     assert!(exchange(addr, &get("/analyze")).starts_with("HTTP/1.1 405"));
     assert!(exchange(addr, &post("/healthz", "")).starts_with("HTTP/1.1 405"));
-    // Unknown query option → 400 with the option parser's diagnostic.
-    let response = exchange(addr, &post("/analyze?frobnicate=1", "x"));
+    // Unknown body option → 400 with the option parser's diagnostic.
+    let response = exchange(addr, &analyze("x", &[("frobnicate", "1")]));
     assert!(response.starts_with("HTTP/1.1 400"), "{response}");
     assert!(response.contains("unknown option"), "{response}");
     shutdown(addr, handle);

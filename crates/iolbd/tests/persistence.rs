@@ -8,6 +8,7 @@
 //! lives in `cargo xtask crash-smoke`; these tests cover the same
 //! contracts in-process where the assertions can be exact.
 
+use iolb_service::AnalyzeRequest;
 use iolbd::{serve_listener, ServerOptions};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -59,9 +60,9 @@ fn start_daemon(store: &StoreDir) -> (SocketAddr, std::thread::JoinHandle<()>) {
     (addr, handle)
 }
 
-fn post(path_query: &str, body: &str) -> String {
+fn post(path: &str, body: &str) -> String {
     format!(
-        "POST {path_query} HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        "POST {path} HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
     )
 }
@@ -108,7 +109,20 @@ fn store_stat(stats: &str, field: &str) -> u64 {
         .unwrap_or_else(|_| panic!("{field} not a number in stats: {stats}"))
 }
 
-const GEMM_QUERY: &str = "/analyze?derive-only&params=M=6,N=6,K=6";
+/// A bounds-only `POST /analyze` of the shipped kernel `file` at `params`.
+fn analyze(file: &str, params: &str) -> String {
+    post(
+        "/analyze",
+        &AnalyzeRequest::body(
+            &kernel(file),
+            &[("derive-only", "true"), ("params", params)],
+        ),
+    )
+}
+
+fn gemm_request() -> String {
+    analyze("gemm_tiled.iolb", "M=6,N=6,K=6")
+}
 
 #[test]
 fn restart_against_the_same_store_serves_byte_identical_warm_bodies() {
@@ -116,7 +130,7 @@ fn restart_against_the_same_store_serves_byte_identical_warm_bodies() {
 
     // First life: compute one report, journal it, drain out.
     let (addr, handle) = start_daemon(&dir);
-    let cold = exchange(addr, &post(GEMM_QUERY, &kernel("gemm_tiled.iolb")));
+    let cold = exchange(addr, &gemm_request());
     assert!(cold.contains("X-Iolb-Cache: miss"), "{cold}");
     let before = stats(addr);
     assert_eq!(store_stat(&before, "appends"), 1, "{before}");
@@ -127,7 +141,7 @@ fn restart_against_the_same_store_serves_byte_identical_warm_bodies() {
     // Second life: the store recovers the record and serves it as a hit
     // without recomputing — and the bytes are identical to the cold run.
     let (addr, handle) = start_daemon(&dir);
-    let warm = exchange(addr, &post(GEMM_QUERY, &kernel("gemm_tiled.iolb")));
+    let warm = exchange(addr, &gemm_request());
     assert!(warm.contains("X-Iolb-Cache: hit"), "{warm}");
     assert_eq!(
         body_of(&cold),
@@ -152,11 +166,8 @@ fn corrupt_journal_record_is_skipped_counted_and_recomputed_never_served() {
 
     // Journal two distinct reports.
     let (addr, handle) = start_daemon(&dir);
-    let gemm = exchange(addr, &post(GEMM_QUERY, &kernel("gemm_tiled.iolb")));
-    let chol = exchange(
-        addr,
-        &post("/analyze?derive-only&params=N=8", &kernel("cholesky.iolb")),
-    );
+    let gemm = exchange(addr, &gemm_request());
+    let chol = exchange(addr, &analyze("cholesky.iolb", "N=8"));
     assert!(gemm.contains("X-Iolb-Cache: miss"), "{gemm}");
     assert!(chol.contains("X-Iolb-Cache: miss"), "{chol}");
     shutdown(addr, handle);
@@ -179,14 +190,11 @@ fn corrupt_journal_record_is_skipped_counted_and_recomputed_never_served() {
     assert_eq!(store_stat(&s, "skipped_corrupt_records"), 1, "{s}");
     assert_eq!(store_stat(&s, "recovered_records"), 1, "{s}");
 
-    let chol_warm = exchange(
-        addr,
-        &post("/analyze?derive-only&params=N=8", &kernel("cholesky.iolb")),
-    );
+    let chol_warm = exchange(addr, &analyze("cholesky.iolb", "N=8"));
     assert!(chol_warm.contains("X-Iolb-Cache: hit"), "{chol_warm}");
     assert_eq!(body_of(&chol), body_of(&chol_warm));
 
-    let gemm_again = exchange(addr, &post(GEMM_QUERY, &kernel("gemm_tiled.iolb")));
+    let gemm_again = exchange(addr, &gemm_request());
     assert!(
         gemm_again.contains("X-Iolb-Cache: miss"),
         "corrupt record must recompute, not serve: {gemm_again}"
@@ -204,7 +212,7 @@ fn torn_journal_tail_is_truncated_counted_and_the_prefix_recovers() {
     let dir = StoreDir::new();
 
     let (addr, handle) = start_daemon(&dir);
-    let cold = exchange(addr, &post(GEMM_QUERY, &kernel("gemm_tiled.iolb")));
+    let cold = exchange(addr, &gemm_request());
     shutdown(addr, handle);
 
     // Simulate a crash mid-append: a record that starts but never
@@ -227,7 +235,7 @@ fn torn_journal_tail_is_truncated_counted_and_the_prefix_recovers() {
         intact,
         "recovery must truncate the torn tail back to the intact prefix"
     );
-    let warm = exchange(addr, &post(GEMM_QUERY, &kernel("gemm_tiled.iolb")));
+    let warm = exchange(addr, &gemm_request());
     assert!(warm.contains("X-Iolb-Cache: hit"), "{warm}");
     assert_eq!(body_of(&cold), body_of(&warm));
     shutdown(addr, handle);

@@ -87,7 +87,8 @@ fn malformed_of(result: Result<ReadOutcome, ReadError>) -> String {
     }
 }
 
-const POST: &[u8] = b"POST /analyze?stmt=SU HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello";
+const POST: &[u8] = b"POST /analyze HTTP/1.1\r\nContent-Length: 15\r\n\r\n{\"source\": \"k\"}";
+const BODY: &[u8] = b"{\"source\": \"k\"}";
 
 #[test]
 fn one_byte_reads_parse_cleanly() {
@@ -100,8 +101,8 @@ fn one_byte_reads_parse_cleanly() {
     };
     assert_eq!(req.method, "POST");
     assert_eq!(req.path, "/analyze");
-    assert_eq!(req.query, vec![("stmt".to_string(), "SU".to_string())]);
-    assert_eq!(req.body, b"hello");
+    assert_eq!(req.query, None);
+    assert_eq!(req.body, BODY);
     assert!(req.keep_alive);
 }
 
@@ -121,7 +122,7 @@ fn interleaved_timeout_windows_do_not_break_a_patient_request() {
     let ReadOutcome::Request(req) = outcome else {
         panic!("expected a request, got {outcome:?}");
     };
-    assert_eq!(req.body, b"hello");
+    assert_eq!(req.body, BODY);
 }
 
 #[test]

@@ -1,8 +1,9 @@
-//! Minimal JSON reader for typed request bodies — the offline workspace
-//! has no serde. Accepts the standard scalar/array/object shapes and the
-//! full standard escape set, including `\uXXXX` with surrogate pairs —
-//! stock emitters (python's `json.dumps`, serde) escape non-ASCII that
-//! way, so request bodies built by ordinary clients must parse.
+//! Minimal JSON reader — the offline workspace has no serde. It reads the
+//! typed request bodies here and the BENCH reports in `xtask`. Accepts the
+//! standard scalar/array/object shapes and the full standard escape set,
+//! including `\uXXXX` with surrogate pairs — stock emitters (python's
+//! `json.dumps`, serde) escape non-ASCII that way, so request bodies built
+//! by ordinary clients must parse.
 
 use std::fmt;
 
@@ -291,7 +292,8 @@ mod tests {
     fn parses_request_shapes() {
         let v = parse(
             r#"{"source": "kernel g {\n}", "options": {"s-grid": [0, 4], "no-tightness": true},
-                "budgets": {"max-work": 25000}, "engines": ["visit", "spectral"], "x": null}"#,
+                "budgets": {"max-work": 25000}, "engines": ["visit", "spectral"], "x": null,
+                "r": -1.25e2}"#,
         )
         .unwrap();
         assert_eq!(v.get("source").unwrap().str(), Some("kernel g {\n}"));
@@ -305,6 +307,7 @@ mod tests {
         );
         assert_eq!(v.get("engines").unwrap().arr().unwrap().len(), 2);
         assert_eq!(v.get("x"), Some(&Value::Null));
+        assert_eq!(v.get("r").unwrap().num(), Some(-125.0));
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub mod request;
 pub mod store;
 
 pub use cache::{fnv1a_128, CacheStats, LayerStats, ShardedCache};
-pub use options::AnalysisOptions;
+pub use options::{AnalysisOptions, FLAG_KEYS};
 pub use pipeline::{
     analyze_uncached, canonicalize, canonicalize_kernel, AnalysisOutcome, CachedAnalysis,
     CanonEntry, ClassicalSummary, DegradeInfo, Derived, HourglassSummary, Pipeline, ResultCache,

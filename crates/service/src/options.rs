@@ -1,5 +1,8 @@
-//! Analysis request options shared by every front-end (CLI flags, daemon
-//! query parameters) and folded into the result-cache key.
+//! Analysis request options shared by every front-end and folded into the
+//! result-cache key. [`AnalysisOptions::set`] is the one parser of option
+//! values: the `iolb` CLI flags, the `iolbd` default flags and the typed
+//! `POST /analyze` body's `options`/`budgets`/`engines` members all reach
+//! it as `(key, value)` pairs.
 
 use iolb_bench::sweep::CurveStrategy;
 use iolb_core::govern::{Budget, Fault};
@@ -62,6 +65,10 @@ impl Default for AnalysisOptions {
     }
 }
 
+/// Option keys that are presence-only flags on a command line: `--KEY`
+/// alone sets them. Every other key takes the next argument as its value.
+pub const FLAG_KEYS: &[&str] = &["no-tightness", "derive-only", "no-degrade"];
+
 /// Parses one `NAME=INT` list entry of a `params` value.
 fn parse_param_entry(kv: &str) -> Result<(String, i64), String> {
     let (k, val) = kv
@@ -93,8 +100,8 @@ fn parse_flag(key: &str, value: &str) -> Result<bool, String> {
 
 impl AnalysisOptions {
     /// Applies one `key = value` option pair. The keys are the CLI flag
-    /// names without the `--` prefix, so the daemon's query string and
-    /// the CLI's flag vector drive the same switchboard:
+    /// names without the `--` prefix, so command-line flags and the typed
+    /// request body drive the same switchboard:
     ///
     /// `params`, `stmt`, `s-grid`, `engines`, `no-tightness`,
     /// `derive-only`, `max-instances`, `max-cdag-nodes`, `max-cdag-edges`,
@@ -159,6 +166,27 @@ impl AnalysisOptions {
             other => return Err(format!("unknown option `{other}`")),
         }
         Ok(())
+    }
+
+    /// Applies one command-line flag through [`set`](AnalysisOptions::set):
+    /// `key` is the flag without its `--`; a presence flag ([`FLAG_KEYS`])
+    /// stands alone, every other key takes the next argument as its value.
+    ///
+    /// # Errors
+    /// A missing value, or the switchboard's diagnostic.
+    pub fn set_flag<'a>(
+        &mut self,
+        key: &str,
+        args: &mut impl Iterator<Item = &'a String>,
+    ) -> Result<(), String> {
+        let value = if FLAG_KEYS.contains(&key) {
+            ""
+        } else {
+            args.next()
+                .ok_or_else(|| format!("--{key} needs a value"))?
+                .as_str()
+        };
+        self.set(key, value)
     }
 
     /// The engine registry this request selected. The stored spec is

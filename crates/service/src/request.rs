@@ -1,7 +1,4 @@
-//! The typed `POST /analyze` request body.
-//!
-//! The daemon's original interface packed everything into query
-//! parameters. The typed form is a JSON object:
+//! The typed `POST /analyze` request body, the daemon's only request form:
 //!
 //! ```json
 //! {
@@ -14,14 +11,12 @@
 //!
 //! `source` is required; the three other members are optional. Every
 //! `options`/`budgets` entry is funneled through the same
-//! [`AnalysisOptions::set`] switchboard the query parameters and CLI
-//! flags drive, so the vocabularies (and their diagnostics) cannot
-//! diverge — the body form is sugar over the exact same option pairs,
-//! which is what makes the byte-identical golden-exchange guarantee
-//! against the deprecated query-parameter alias possible at all.
+//! [`AnalysisOptions::set`] switchboard the CLI flags drive, so the
+//! vocabularies (and their diagnostics) cannot diverge.
 
 use crate::json::{self, Value};
 use crate::options::AnalysisOptions;
+use iolb_bench::sweep::json_str;
 
 /// One parsed `POST /analyze` body: the kernel source plus the option
 /// pairs in application order.
@@ -83,8 +78,7 @@ impl AnalyzeRequest {
     /// Human-readable diagnostic: JSON syntax errors, a missing or
     /// non-string `source`, unknown top-level members, or malformed
     /// option values. Option *semantics* (unknown keys, bad integers) are
-    /// validated later by [`AnalyzeRequest::options`], exactly as for
-    /// query parameters.
+    /// validated later by the switchboard, as for CLI flags.
     pub fn parse(body: &str) -> Result<AnalyzeRequest, String> {
         let root = json::parse(body).map_err(|e| format!("request body: {e}"))?;
         let members = root
@@ -113,6 +107,20 @@ impl AnalyzeRequest {
             sets.push(("engines".to_string(), value_string("engines", v)?));
         }
         Ok(AnalyzeRequest { source, sets })
+    }
+
+    /// Renders a request body for `source` with string-valued `options`:
+    /// the client side of [`AnalyzeRequest::parse`].
+    pub fn body(source: &str, options: &[(&str, &str)]) -> String {
+        let options: Vec<String> = options
+            .iter()
+            .map(|(k, v)| format!("{}: {}", json_str(k), json_str(v)))
+            .collect();
+        format!(
+            "{{\"source\": {}, \"options\": {{{}}}}}",
+            json_str(source),
+            options.join(", ")
+        )
     }
 
     /// Resolves the request's option pairs into [`AnalysisOptions`]
@@ -155,8 +163,23 @@ mod tests {
         assert!(opts.no_tightness);
         assert_eq!(opts.budget.max_work, 25000);
         assert_eq!(opts.budget.deadline_ms, 250);
-        // Engine lists canonicalize exactly like `engines=` query values.
+        // Engine lists canonicalize exactly like `--engines` values.
         assert_eq!(opts.engines, "input-floor,spectral");
+    }
+
+    #[test]
+    fn rendered_body_round_trips() {
+        let src = "kernel g {\n  \"q\" \\ π\n}";
+        let body = AnalyzeRequest::body(src, &[("stmt", "SU"), ("derive-only", "1")]);
+        let req = AnalyzeRequest::parse(&body).unwrap();
+        assert_eq!(req.source, src);
+        assert_eq!(
+            req.sets,
+            vec![
+                ("stmt".to_string(), "SU".to_string()),
+                ("derive-only".to_string(), "1".to_string())
+            ]
+        );
     }
 
     #[test]

@@ -17,8 +17,9 @@
 //!    be skipped and counted, never served, and every body must still
 //!    come back correct (recomputed where the record was lost).
 
-use crate::json::{self, Value};
 use crate::serve_bench::{body_of, exchange, get, head, post, Daemon, ScratchDir};
+use iolb_service::json::{self, Value};
+use iolb_service::AnalyzeRequest;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -62,8 +63,12 @@ pub fn run_crash_smoke(opts: &CrashSmokeOpts) -> ExitCode {
     }
 }
 
-/// The replayed query: fast (bounds only) and fully deterministic.
-const QUERY: &str = "/analyze?derive-only";
+/// One replayed request: fast (bounds only) and fully deterministic.
+fn analyze(src: &str, options: &[(&str, &str)]) -> String {
+    let mut options = options.to_vec();
+    options.push(("derive-only", "true"));
+    post("/analyze", &AnalyzeRequest::body(src, &options))
+}
 
 fn list_kernels(dir: &Path) -> Result<Vec<(String, String)>, String> {
     let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
@@ -107,7 +112,7 @@ fn replay(addr: &str, batch: &[(String, String)]) -> Result<Vec<(String, String)
     batch
         .iter()
         .map(|(name, src)| {
-            let response = exchange(addr, &post(QUERY, src))?;
+            let response = exchange(addr, &analyze(src, &[]))?;
             if !response.starts_with("HTTP/1.1 200") {
                 return Err(format!("{name}: {}", head(&response)));
             }
@@ -180,8 +185,8 @@ fn crash_smoke(opts: &CrashSmokeOpts) -> Result<(), String> {
     let burst = std::thread::spawn(move || {
         for i in 0u64.. {
             let (_, src) = &burst_batch[(i % burst_batch.len() as u64) as usize];
-            let query = format!("{QUERY}&s-grid=0,{}", 8 + i);
-            if exchange(&burst_addr, &post(&query, src)).is_err() {
+            let grid = format!("0,{}", 8 + i);
+            if exchange(&burst_addr, &analyze(src, &[("s-grid", &grid)])).is_err() {
                 break; // the daemon just got killed — mission accomplished
             }
         }

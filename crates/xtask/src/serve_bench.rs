@@ -20,7 +20,8 @@
 //! deterministic and gated; the timing numbers are volatile and
 //! reported for trend-watching only.
 
-use crate::json::{self, Value};
+use iolb_service::json::{self, Value};
+use iolb_service::AnalyzeRequest;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
@@ -54,8 +55,8 @@ impl Default for ServeBenchOpts {
 }
 
 /// Fixed bench analysis options: a small S grid and no tightness tuning,
-/// so the batch completes in seconds. Both sides — daemon query string
-/// and CLI flags — are derived from these constants.
+/// so the batch completes in seconds. Both sides — the daemon's typed
+/// request body and the CLI flags — are derived from these constants.
 const S_GRID: &str = "0,16,64";
 
 pub fn parse_serve_bench_args(args: &[String]) -> Result<ServeBenchOpts, String> {
@@ -174,9 +175,9 @@ pub(crate) fn get(path: &str) -> String {
     format!("GET {path} HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n")
 }
 
-pub(crate) fn post(path_query: &str, body: &str) -> String {
+pub(crate) fn post(path: &str, body: &str) -> String {
     format!(
-        "POST {path_query} HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        "POST {path} HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
     )
 }
@@ -259,7 +260,7 @@ fn cli_reference(iolb: &Path, kernels_dir: &Path, tmp: &Path) -> Result<Value, S
 fn rows_match(cli: &Value, kernel: &str, daemon_body: &Value) -> Result<usize, String> {
     let cli_rows: Vec<&Value> = cli
         .get("rows")
-        .map(Value::arr)
+        .and_then(Value::arr)
         .unwrap_or(&[])
         .iter()
         .filter(|r| r.get("kernel").and_then(Value::str) == Some(kernel))
@@ -267,7 +268,7 @@ fn rows_match(cli: &Value, kernel: &str, daemon_body: &Value) -> Result<usize, S
     let daemon_rows = daemon_body
         .get("sweep")
         .and_then(|s| s.get("rows"))
-        .map(Value::arr)
+        .and_then(Value::arr)
         .unwrap_or(&[]);
     if cli_rows.len() != daemon_rows.len() {
         return Err(format!(
@@ -351,7 +352,8 @@ fn replay(
     };
     let start = Instant::now();
     for (i, (name, src)) in batch.iter().enumerate() {
-        let request = post(&format!("/analyze?s-grid={S_GRID}&no-tightness"), src);
+        let body = AnalyzeRequest::body(src, &[("s-grid", S_GRID), ("no-tightness", "true")]);
+        let request = post("/analyze", &body);
         let t = Instant::now();
         let response = exchange(addr, &request)?;
         phase.latencies_ms.push(t.elapsed().as_secs_f64() * 1e3);
@@ -518,12 +520,12 @@ pub fn gate_serve(base: &Value, new: &Value, violations: &mut Vec<String>) {
     // Coverage: every kernel the baseline served must still be served.
     let fresh_kernels: Vec<&str> = new
         .get("kernels")
-        .map(Value::arr)
+        .and_then(Value::arr)
         .unwrap_or(&[])
         .iter()
         .filter_map(Value::str)
         .collect();
-    for k in base.get("kernels").map(Value::arr).unwrap_or(&[]) {
+    for k in base.get("kernels").and_then(Value::arr).unwrap_or(&[]) {
         if let Some(name) = k.str() {
             if !fresh_kernels.contains(&name) {
                 violations.push(format!(
