@@ -5,7 +5,7 @@ use iolb_cdag::{build_cdag, PebbleGame, SpillPolicy};
 use iolb_symbolic::Var;
 
 fn bench(c: &mut Criterion) {
-    let program = iolb_kernels::mgs::program();
+    let program = iolb_bench::paper_kernel("MGS").parse().program;
     let params = [16i64, 8];
     let cdag = build_cdag(&program, &params);
     let analysis = iolb_core::Analysis::run(&program, &[params.to_vec()]).unwrap();

@@ -1,21 +1,24 @@
 //! Validation matrix: derived lower bounds vs the measured miss curves of
-//! each kernel's program-order execution, at enlarged sizes (MGS 64×32,
+//! each paper kernel's program-order execution (the kernels parsed from
+//! their shipped `kernels/*.iolb` files), at enlarged sizes (MGS 64×32,
 //! GEMM 48³, …) over the dense ~32-point S grid — every `(kernel, S,
 //! policy)` cell read off one stack-distance pass per policy column.
 //!
-//! Writes `BENCH_pebble.json` (schema `hourglass-iolb/pebble-sweep/v4`)
+//! Writes `BENCH_pebble.json` (schema `hourglass-iolb/pebble-sweep/v5`)
 //! into the working directory — or to the path given as the first
 //! argument, so CI can generate a fresh copy next to the committed
 //! baseline and diff the two — letting future runs compare loads, bound
 //! ratios, and soundness.
 
 use iolb_bench::scale::measure_scaling_series;
-use iolb_bench::sweep::{default_sweep_kernels, render_sweep_table, run_sweep, sweep_report_json};
+use iolb_bench::sweep::{
+    default_sweep_kernels_at, render_sweep_table, run_sweep, sweep_report_json, SweepSize,
+};
 
 fn main() {
     println!("Validation sweep: max(LB) must be ≤ the measured miss curve at every S");
     println!("{}", "=".repeat(100));
-    let mut report = run_sweep(default_sweep_kernels());
+    let mut report = run_sweep(default_sweep_kernels_at(SweepSize::Full));
     // Curve-engine scaling series (10⁶ → 10⁸ synthetic GEMM events,
     // streaming sharded passes): recorded in meta, gated by `xtask gate`
     // against >2× wall-time regressions of the largest point.

@@ -12,8 +12,7 @@ fn main() {
         "{:>8} {:>14} {:>14} {:>14} {:>10} {:>10}",
         "S", "LB(main)", "LB(small-S)", "MIN loads", "MIN/LB", "model/MIN"
     );
-    let report = iolb_core::report::analyze_kernel(&iolb_kernels::mgs::program(), "MGS", "SU")
-        .expect("derivation");
+    let report = iolb_bench::paper_kernel("MGS").report();
     let s_values = [80usize, 128, 192, 256, 384, 512, 768, 1024];
     let rows = iolb_bench::sweep_tiled_mgs(m, n, &s_values);
     for r in &rows {

@@ -13,37 +13,113 @@
 //!   including the S ≈ M regime crossover of §5.1.
 //!
 //! Criterion benches under `benches/` time the same artifacts.
+//!
+//! Every paper kernel comes from its shipped `kernels/*.iolb` file
+//! ([`PAPER_KERNELS`]). The builders of `iolb-kernels` serve only the
+//! Appendix A experiments: the tiled Fig. 8/9 programs and their f64
+//! inputs.
 
 pub mod scale;
 pub mod sweep;
 pub mod tightness;
 
-use iolb_core::report::{analyze_kernel, KernelReport};
-use iolb_ir::Program;
+use iolb_core::report::KernelReport;
+use iolb_ir::parse::{parse_kernel, KernelFile};
 
-/// The five paper kernels with their hourglass statement names.
-pub fn paper_kernels() -> Vec<(Program, &'static str, &'static str)> {
-    vec![
-        (iolb_kernels::mgs::program(), "MGS", "SU"),
-        (iolb_kernels::householder::a2v_program(), "QR HH A2V", "SU"),
-        (iolb_kernels::householder::v2q_program(), "QR HH V2Q", "SU"),
-        (iolb_kernels::gebd2::program(), "GEBD2", "SU"),
-        (iolb_kernels::gehd2::program(), "GEHD2", "SU1"),
-    ]
+/// One paper kernel as shipped in `kernels/`: the file is the only source
+/// of its IR, its analyzed statement (`analyze`) and its §5.3 binding
+/// (`split`); the row adds the display name and the two validation-sweep
+/// size tiers.
+pub struct PaperKernel {
+    /// Display name, as in the paper's tables.
+    pub name: &'static str,
+    /// The `.iolb` source text.
+    pub source: &'static str,
+    /// Parameters of the full (CI gate) sweep tier, in program order.
+    pub full: &'static [i64],
+    /// Parameters of the small (fast test) sweep tier, in program order.
+    pub small: &'static [i64],
 }
 
-/// Runs the derivation engine on all paper kernels.
+impl PaperKernel {
+    /// Parses the shipped file.
+    ///
+    /// # Panics
+    /// Panics when the file does not parse (a build-time constant).
+    pub fn parse(&self) -> KernelFile {
+        parse_kernel(self.source).unwrap_or_else(|e| panic!("{}: {e}", self.name))
+    }
+
+    /// Derives the kernel's classical and hourglass bounds at the file's
+    /// `default` parameters ([`KernelReport::from_file`]).
+    ///
+    /// # Panics
+    /// Panics when the derivation fails (the tables cannot be produced).
+    pub fn report(&self) -> KernelReport {
+        KernelReport::from_file(self.name, &self.parse())
+            .unwrap_or_else(|e| panic!("derivation failed for {}: {e}", self.name))
+    }
+}
+
+/// The six paper kernels. The first five carry the hourglass pattern
+/// (Figures 4/5, Theorems 5–9); GEMM, last, is the classical baseline the
+/// validation sweep adds.
+pub const PAPER_KERNELS: [PaperKernel; 6] = [
+    PaperKernel {
+        name: "MGS",
+        source: include_str!("../../../kernels/mgs.iolb"),
+        full: &[64, 32],
+        small: &[12, 6],
+    },
+    PaperKernel {
+        name: "QR HH A2V",
+        source: include_str!("../../../kernels/qr_hh_a2v.iolb"),
+        full: &[40, 20],
+        small: &[14, 6],
+    },
+    PaperKernel {
+        name: "QR HH V2Q",
+        source: include_str!("../../../kernels/qr_hh_v2q.iolb"),
+        full: &[40, 20],
+        small: &[14, 6],
+    },
+    PaperKernel {
+        name: "GEBD2",
+        source: include_str!("../../../kernels/gebd2.iolb"),
+        full: &[36, 18],
+        small: &[12, 6],
+    },
+    PaperKernel {
+        name: "GEHD2",
+        source: include_str!("../../../kernels/gehd2.iolb"),
+        full: &[25],
+        small: &[11],
+    },
+    PaperKernel {
+        name: "GEMM",
+        source: include_str!("../../../kernels/gemm.iolb"),
+        full: &[48, 48, 48],
+        small: &[8, 8, 8],
+    },
+];
+
+/// The row of [`PAPER_KERNELS`] with display name `name`.
+///
+/// # Panics
+/// Panics on a name the table does not have.
+pub fn paper_kernel(name: &str) -> &'static PaperKernel {
+    PAPER_KERNELS
+        .iter()
+        .find(|k| k.name == name)
+        .unwrap_or_else(|| panic!("no paper kernel named {name}"))
+}
+
+/// Runs the derivation engine on the five hourglass kernels.
 ///
 /// # Panics
 /// Panics when a derivation fails (the tables cannot be produced).
 pub fn derive_all() -> Vec<KernelReport> {
-    paper_kernels()
-        .iter()
-        .map(|(p, name, stmt)| {
-            analyze_kernel(p, name, stmt)
-                .unwrap_or_else(|e| panic!("derivation failed for {name}: {e}"))
-        })
-        .collect()
+    PAPER_KERNELS[..5].iter().map(PaperKernel::report).collect()
 }
 
 /// Measured-vs-model row for the Appendix A experiments.
@@ -72,8 +148,7 @@ pub fn sweep_tiled_mgs(m: usize, n: usize, s_values: &[usize]) -> Vec<TiledIoRow
     use iolb_symbolic::Var;
     let program = iolb_kernels::mgs::tiled_program();
     let a = iolb_kernels::Matrix::random(m, n, 0xA11CE);
-    let report =
-        analyze_kernel(&iolb_kernels::mgs::program(), "MGS", "SU").expect("MGS derivation");
+    let report = paper_kernel("MGS").report();
     s_values
         .iter()
         .map(|&s| {
@@ -108,8 +183,7 @@ pub fn sweep_tiled_a2v(m: usize, n: usize, s_values: &[usize]) -> Vec<TiledIoRow
     use iolb_symbolic::Var;
     let program = iolb_kernels::householder::a2v_tiled_program();
     let a = iolb_kernels::Matrix::random(m, n, 0xB0B);
-    let report = analyze_kernel(&iolb_kernels::householder::a2v_program(), "QR HH A2V", "SU")
-        .expect("A2V derivation");
+    let report = paper_kernel("QR HH A2V").report();
     s_values
         .iter()
         .map(|&s| {

@@ -29,8 +29,8 @@
 //! [`SweepKernel`] is fully data-driven (owned names, the bounds derived
 //! once before the sweep, per-kernel split bindings, env derived from the
 //! program's own parameter list), so the same machinery validates the
-//! built-in paper kernels and arbitrary workloads parsed from `.iolb`
-//! files by the `iolb` CLI.
+//! shipped paper kernels ([`crate::PAPER_KERNELS`]) and any other `.iolb`
+//! workload the `iolb` CLI parses.
 //!
 //! [`Cdag::packed_program_order_trace`]: iolb_cdag::Cdag::packed_program_order_trace
 
@@ -230,83 +230,35 @@ pub enum SweepSize {
     Small,
 }
 
-/// The default validation matrix: every paper kernel at the chosen size
-/// tier, as one data table (no per-kernel match-arms at use sites), with
-/// its bounds derived.
+/// The default validation matrix: every row of [`crate::PAPER_KERNELS`]
+/// at the chosen size tier, its `analyze` statement's bounds derived with
+/// the file's `split` directive.
 ///
 /// # Panics
-/// Panics when a built-in kernel's derivation fails.
+/// Panics when a shipped kernel's derivation fails.
 pub fn default_sweep_kernels_at(size: SweepSize) -> Vec<SweepKernel> {
-    /// One row of the kernel table: name, program, statement, full-size
-    /// params, small-size params.
-    type Spec = (
-        &'static str,
-        iolb_ir::Program,
-        &'static str,
-        Vec<i64>,
-        Vec<i64>,
-    );
     let s_offsets = dense_s_offsets();
-    let specs: Vec<Spec> = vec![
-        (
-            "MGS",
-            iolb_kernels::mgs::program(),
-            "SU",
-            vec![64, 32],
-            vec![12, 6],
-        ),
-        (
-            "QR HH A2V",
-            iolb_kernels::householder::a2v_program(),
-            "SU",
-            vec![40, 20],
-            vec![14, 6],
-        ),
-        (
-            "QR HH V2Q",
-            iolb_kernels::householder::v2q_program(),
-            "SU",
-            vec![40, 20],
-            vec![14, 6],
-        ),
-        (
-            "GEBD2",
-            iolb_kernels::gebd2::program(),
-            "SU",
-            vec![36, 18],
-            vec![12, 6],
-        ),
-        (
-            "GEHD2",
-            iolb_kernels::gehd2::program(),
-            "SU1",
-            vec![25],
-            vec![11],
-        ),
-        (
-            "GEMM",
-            iolb_kernels::gemm::program(),
-            "SU",
-            vec![48, 48, 48],
-            vec![8, 8, 8],
-        ),
-    ];
-    specs
-        .into_iter()
-        .map(|(name, program, stmt, full, small)| {
+    crate::PAPER_KERNELS
+        .iter()
+        .map(|k| {
+            let file = k.parse();
+            let stmt = file.analyze.clone().unwrap_or_default();
             let params = match size {
-                SweepSize::Full => full,
-                SweepSize::Small => small,
+                SweepSize::Full => k.full,
+                SweepSize::Small => k.small,
             };
-            SweepKernel::derive(name, program, stmt, params, None, s_offsets.clone())
-                .unwrap_or_else(|e| panic!("built-in kernel: {e}"))
+            let split = SplitBinding::from_directive(&file);
+            SweepKernel::derive(
+                k.name,
+                file.program,
+                &stmt,
+                params.to_vec(),
+                split,
+                s_offsets.clone(),
+            )
+            .unwrap_or_else(|e| panic!("shipped kernel: {e}"))
         })
         .collect()
-}
-
-/// [`default_sweep_kernels_at`] at the full (CI gate) sizes.
-pub fn default_sweep_kernels() -> Vec<SweepKernel> {
-    default_sweep_kernels_at(SweepSize::Full)
 }
 
 /// A prepared kernel: exact CDAG, its bounds, and the packed
@@ -472,10 +424,18 @@ pub fn try_run_sweep(
     budget: &Budget,
     token: &CancelToken,
 ) -> Result<SweepReport, AnalysisError> {
-    try_run_sweep_with(kernels, budget, token, &EngineRegistry::all())
+    try_run_sweep_opts(
+        kernels,
+        budget,
+        token,
+        &EngineRegistry::all(),
+        CurveStrategy::default(),
+    )
 }
 
-/// [`try_run_sweep`] with an explicit graph-level engine selection.
+/// [`try_run_sweep`] with an explicit graph-level engine selection and
+/// curve-pricing strategy — the full-control entry point the service
+/// pipeline drives.
 ///
 /// Engine curves are evaluated during stage-1 preparation on the exact
 /// CDAG at every grid `S`. They are deliberately *not* charged against the
@@ -483,20 +443,6 @@ pub fn try_run_sweep(
 /// is one sort of the compute in-degrees, the spectral profile refuses
 /// graphs above [`iolb_cdag::SPECTRAL_NODE_CAP`] nodes), so selecting
 /// them never changes the degradation level a kernel is admitted at.
-///
-/// # Errors
-/// The first typed error any stage produced.
-pub fn try_run_sweep_with(
-    kernels: Vec<SweepKernel>,
-    budget: &Budget,
-    token: &CancelToken,
-    registry: &EngineRegistry,
-) -> Result<SweepReport, AnalysisError> {
-    try_run_sweep_opts(kernels, budget, token, registry, CurveStrategy::default())
-}
-
-/// [`try_run_sweep_with`] with an explicit curve-pricing strategy — the
-/// full-control entry point the service pipeline drives.
 ///
 /// # Errors
 /// The first typed error any stage produced.
@@ -1001,11 +947,12 @@ mod tests {
         let mut kernels = default_sweep_kernels_at(SweepSize::Small);
         kernels.truncate(1);
         kernels[0].s_offsets = coarse_s_offsets();
-        let report = try_run_sweep_with(
+        let report = try_run_sweep_opts(
             kernels,
             &Budget::unlimited(),
             &CancelToken::unlimited(),
             &EngineRegistry::none(),
+            CurveStrategy::default(),
         )
         .expect("sweep");
         assert!(!report.rows.is_empty());

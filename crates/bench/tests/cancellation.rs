@@ -52,7 +52,7 @@ kernel gemm_mini(M, N, K) {
 /// A packed program-order trace long enough that the curve passes poll the
 /// token at least twice (polls land every 4096 positions).
 fn long_trace() -> Vec<u64> {
-    let program = iolb_kernels::gemm::program();
+    let program = iolb_bench::paper_kernel("GEMM").parse().program;
     let params = vec![16i64, 16, 16];
     let cdag = try_build_cdag(
         &program,
@@ -69,7 +69,7 @@ fn long_trace() -> Vec<u64> {
 
 #[test]
 fn cancel_mid_cdag_fill_is_typed_and_bounded() {
-    let program = iolb_kernels::gemm::program();
+    let program = iolb_bench::paper_kernel("GEMM").parse().program;
     let params = vec![12i64, 12, 12];
     let token = CancelToken::trip_after_checks(2);
     let err = try_build_cdag(&program, &params, &Budget::unlimited(), &token)
@@ -86,7 +86,7 @@ fn cancel_mid_cdag_fill_is_typed_and_bounded() {
 
 #[test]
 fn fault_injected_mid_cdag_fill_keeps_its_class() {
-    let program = iolb_kernels::gemm::program();
+    let program = iolb_bench::paper_kernel("GEMM").parse().program;
     let params = vec![12i64, 12, 12];
     let token = CancelToken::with_fault(Fault {
         kind: FaultKind::Oom,

@@ -22,12 +22,10 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-pub mod builtin;
 pub mod fuzzcmd;
 pub mod opts;
 pub mod render;
 
-pub use builtin::{builtin_kernels, emit_builtin, BuiltinKernel};
 pub use fuzzcmd::{run_fuzz_cmd, run_inject_cmd};
 pub use opts::{parse_args, parse_fuzz_args, FuzzOptions, Options, USAGE};
 pub use render::render_outcome;
@@ -63,15 +61,6 @@ pub struct FileOutcome {
 
 /// The CLI entry point (argument vector without the binary name).
 pub fn run(args: &[String]) -> ExitCode {
-    if args.first().map(String::as_str) == Some("emit-builtin") {
-        return match args.get(1) {
-            Some(dir) => emit_builtin(Path::new(dir)),
-            None => {
-                eprintln!("emit-builtin needs a target directory\n\n{USAGE}");
-                ExitCode::from(2)
-            }
-        };
-    }
     if args.first().map(String::as_str) == Some("fuzz") {
         return match parse_fuzz_args(&args[1..]) {
             Ok(opts) => run_fuzz_cmd(&opts),

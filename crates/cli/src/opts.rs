@@ -14,7 +14,6 @@ iolb — I/O lower bounds for affine kernels (hourglass-tightened)
 
 USAGE:
     iolb [OPTIONS] <FILE.iolb>...
-    iolb emit-builtin <DIR>      regenerate the built-in paper kernels as .iolb files
     iolb fuzz --seed <N> --cases <N> [--max-dims <D>] [--json PATH] [--corpus DIR]
                                  generate random kernels and run the differential
                                  soundness oracle on each (seed is required: runs are

@@ -1,43 +1,77 @@
-//! The six paper kernels through the DSL: print → parse round-trips
-//! structurally, and the derived bounds (classical σ-bound and hourglass)
-//! are identical between the builder-constructed program and its parsed
-//! twin — the acceptance gate for the textual front-end.
+//! The six paper kernels' shipped `kernels/*.iolb` files — the one source
+//! of their IR — against the builder reference in `iolb-kernels` (which
+//! carries the f64 ground truth the files cannot): every file round-trips
+//! through the pretty-printer with all its directives, matches its
+//! builder structurally, and derives the same bounds as the builder, both
+//! at the file's `default` parameters and at the fixed observation sizes
+//! the derivation used before it read the defaults.
 
-use iolb_core::hourglass::{self, SplitChoice};
-use iolb_core::Analysis;
-use iolb_ir::parse::{parse_kernel, print_kernel, structural_diff, KernelFile};
+use iolb_core::report::{derive_stmt_bounds, SplitBinding};
+use iolb_ir::parse::{assert_kernel_roundtrip, parse_kernel, structural_diff, KernelFile};
 use iolb_ir::Program;
 use iolb_symbolic::Var;
+use std::path::PathBuf;
 
-/// Derives (classical, hourglass) bound fingerprints for one program: the
+/// The builder reference: each shipped file's stem with the builder
+/// program it must equal.
+fn builder_reference() -> Vec<(&'static str, Program)> {
+    vec![
+        ("mgs", iolb_kernels::mgs::program()),
+        ("qr_hh_a2v", iolb_kernels::householder::a2v_program()),
+        ("qr_hh_v2q", iolb_kernels::householder::v2q_program()),
+        ("gebd2", iolb_kernels::gebd2::program()),
+        ("gehd2", iolb_kernels::gehd2::program()),
+        ("gemm", iolb_kernels::gemm::program()),
+    ]
+}
+
+fn shipped_path(stem: &str) -> PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../kernels")
+        .join(format!("{stem}.iolb"))
+}
+
+fn shipped(stem: &str) -> KernelFile {
+    let path = shipped_path(stem);
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    parse_kernel(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+/// The observation sizes the derivation used before it read the file
+/// defaults: (9,6)/(8,5) for two parameters, (9)/(8) for one, and (5,6,4)
+/// for GEMM's three.
+fn fixed_sizes(program: &Program) -> Vec<i64> {
+    match program.params.len() {
+        1 => vec![9],
+        2 => vec![9, 6],
+        _ => vec![5, 6, 4],
+    }
+}
+
+/// Derives (classical, hourglass) bound fingerprints of `program`'s
+/// statement `stmt` at `params` through [`derive_stmt_bounds`]: the
 /// rendered expressions plus a numeric evaluation at a fixed point.
-fn fingerprint(program: &Program, stmt_name: &str, split_var: Option<&str>) -> Vec<String> {
-    let observe: Vec<Vec<i64>> = match program.params.len() {
-        1 => vec![vec![8], vec![9]],
-        2 => vec![vec![9, 6], vec![8, 5]],
-        _ => vec![vec![5, 6, 4]],
-    };
-    let analysis = Analysis::run(program, &observe).expect("analysis");
-    let stmt = program.stmt_id(stmt_name).expect("stmt");
+fn fingerprint(
+    program: &Program,
+    stmt: &str,
+    params: &[i64],
+    split: Option<SplitBinding>,
+) -> Vec<String> {
+    let id = program.stmt_id(stmt).expect("stmt");
+    let bounds = derive_stmt_bounds(program, id, params, split, true).expect("derivation");
     let mut out = Vec::new();
-    match analysis.try_classical_bound(stmt) {
+    match &bounds.classical {
         Some(b) => out.push(format!(
             "classical σ={} m={} {} |V|={}",
             b.sigma, b.m, b.expr, b.volume
         )),
         None => out.push("classical none".to_string()),
     }
-    match analysis.detect_hourglass(stmt) {
-        Some(pat) => {
-            hourglass::certify(program, &pat, &observe[0]).expect("certify");
-            let split = match split_var {
-                Some(v) => SplitChoice::At(iolb_symbolic::Poly::var(Var::new(v))),
-                None => SplitChoice::None,
-            };
-            let b = hourglass::derive(program, &pat, &split);
+    match &bounds.hourglass {
+        Some(b) => {
             out.push(format!(
-                "hourglass W=[{},{}] R={} V={} main={} small={}",
-                b.w_min, b.w_max, b.r_factor, b.volume_tool, b.main_tool, b.small_s
+                "hourglass W=[{},{}] R={} V={} main={} small={} combined={}",
+                b.w_min, b.w_max, b.r_factor, b.volume_tool, b.main_tool, b.small_s, b.combined
             ));
             // A numeric spot-check on the combined floored form.
             let mut env: Vec<(Var, i128)> = program
@@ -46,8 +80,9 @@ fn fingerprint(program: &Program, stmt_name: &str, split_var: Option<&str>) -> V
                 .enumerate()
                 .map(|(i, n)| (Var::new(n), 40 - 7 * i as i128))
                 .collect();
-            if let Some(v) = split_var {
-                env.push((Var::new(v), 12));
+            if let Some(s) = &bounds.split {
+                out.push(format!("split {} = {}", s.var, s.expr));
+                env.push((s.var, 12));
             }
             out.push(format!("floor={}", b.eval_floor(&env, 64)));
         }
@@ -58,54 +93,39 @@ fn fingerprint(program: &Program, stmt_name: &str, split_var: Option<&str>) -> V
 
 #[test]
 fn paper_kernels_round_trip_with_identical_bounds() {
-    for (program, stmt, defaults, split, schedule) in iolb_cli::builtin_kernels() {
-        let name = program.name.clone();
-        let split_var = split.as_ref().map(|(v, _)| v.clone());
-        let file = KernelFile {
-            analyze: Some(stmt.to_string()),
-            defaults,
-            split,
-            schedule,
-            program,
-        };
-        let text = print_kernel(&file);
-        let reparsed = parse_kernel(&text)
-            .unwrap_or_else(|e| panic!("{name}: printed DSL does not parse: {e}\n{text}"));
-        assert!(
-            structural_diff(&file.program, &reparsed.program).is_none(),
-            "{name}: {:?}",
-            structural_diff(&file.program, &reparsed.program)
-        );
-        assert_eq!(reparsed.analyze.as_deref(), Some(stmt), "{name}");
+    for (stem, builder) in builder_reference() {
+        let file = shipped(stem);
+        assert_kernel_roundtrip(&file);
+        let stmt = file.analyze.as_deref().expect("analyze directive");
+        let defaults = file.default_params().expect("default directive");
+        let split = SplitBinding::from_directive(&file);
 
-        let builder_fp = fingerprint(&file.program, stmt, split_var.as_deref());
-        let parsed_fp = fingerprint(&reparsed.program, stmt, split_var.as_deref());
-        assert_eq!(builder_fp, parsed_fp, "{name}: bound fingerprints differ");
+        let parsed_fp = fingerprint(&file.program, stmt, &defaults, split.clone());
+        let builder_fp = fingerprint(&builder, stmt, &defaults, split.clone());
+        assert_eq!(builder_fp, parsed_fp, "{stem}: bound fingerprints differ");
+        let fixed_fp = fingerprint(&file.program, stmt, &fixed_sizes(&builder), split);
+        assert_eq!(
+            fixed_fp, parsed_fp,
+            "{stem}: bounds at the file defaults differ from the fixed observation sizes"
+        );
         assert!(
-            !builder_fp.is_empty(),
-            "{name}: fingerprint must cover at least the classical bound"
+            !parsed_fp.is_empty(),
+            "{stem}: fingerprint must cover at least the classical bound"
         );
     }
 }
 
 #[test]
 fn shipped_kernel_files_match_builtins() {
-    // The kernels/ directory is generated by `iolb emit-builtin`; a drift
-    // between the shipped text and the builder programs is a bug.
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("kernels");
-    for (program, _, _, _, _) in iolb_cli::builtin_kernels() {
-        let path = root.join(format!("{}.iolb", program.name));
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            panic!("{}: {e} (run `iolb emit-builtin kernels`)", path.display())
-        });
-        let parsed = parse_kernel(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    // The files are the source; the builders are the f64 reference. A
+    // drift between the two is a bug in one of them.
+    for (stem, builder) in builder_reference() {
+        let parsed = shipped(stem);
         assert!(
-            structural_diff(&program, &parsed.program).is_none(),
-            "{}: shipped file drifted from the builder kernel: {:?}",
-            path.display(),
-            structural_diff(&program, &parsed.program)
+            structural_diff(&builder, &parsed.program).is_none(),
+            "{}: shipped file differs from the builder reference: {:?}",
+            shipped_path(stem).display(),
+            structural_diff(&builder, &parsed.program)
         );
     }
 }

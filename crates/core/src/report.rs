@@ -3,7 +3,7 @@
 
 use crate::hourglass::{self, SplitChoice};
 use crate::{theorems, Analysis, ClassicalBound, HourglassBound};
-use iolb_ir::parse::ParamExpr;
+use iolb_ir::parse::{KernelFile, ParamExpr};
 use iolb_ir::Program;
 use iolb_numeric::Rational;
 use iolb_symbolic::{Expr, Poly, Var};
@@ -22,6 +22,14 @@ pub struct SplitBinding {
 }
 
 impl SplitBinding {
+    /// The kernel file's `split <var> = <expr>;` directive, if any.
+    pub fn from_directive(kernel: &KernelFile) -> Option<SplitBinding> {
+        kernel.split.as_ref().map(|(name, expr)| SplitBinding {
+            var: Var::new(name),
+            expr: expr.clone(),
+        })
+    }
+
     /// Evaluates the binding against named parameter values.
     pub fn eval(&self, params: &[(String, i64)]) -> i128 {
         self.expr.eval_floor(params)
@@ -130,58 +138,42 @@ pub struct KernelReport {
     pub split_binding: Option<SplitBinding>,
 }
 
-/// Derives both bounds for a kernel program.
-///
-/// `hourglass_stmt` names the broadcast statement; observation sizes are
-/// chosen from the parameter count. When the detected width collapses to a
-/// constant (GEHD2), §5.3 loop splitting at the symbolic point
-/// [`theorems::split_var`] is applied automatically.
-///
-/// # Errors
-/// Propagates dependence-analysis, detection or certification failures.
-pub fn analyze_kernel(
-    program: &Program,
-    name: &str,
-    hourglass_stmt: &str,
-) -> Result<KernelReport, String> {
-    analyze_kernel_with(program, name, hourglass_stmt, None)
-}
-
-/// [`analyze_kernel`] with an explicit split-variable binding (the DSL's
-/// `split Ms = …;` directive). Without one, a kernel that needs §5.3
-/// splitting gets the temporal-loop midpoint `⌊(lo + hi)/2⌋` — which is
-/// exactly the paper's `Ms = N/2 − 1` for GEHD2's `j ∈ [0, N−2)`.
-///
-/// # Errors
-/// Propagates dependence-analysis, detection or certification failures.
-pub fn analyze_kernel_with(
-    program: &Program,
-    name: &str,
-    hourglass_stmt: &str,
-    split_override: Option<SplitBinding>,
-) -> Result<KernelReport, String> {
-    let observe: Vec<Vec<i64>> = match program.params.len() {
-        1 => vec![vec![8], vec![9]],
-        2 => vec![vec![9, 6], vec![8, 5]],
-        _ => vec![vec![5, 6, 4]],
-    };
-    let analysis = Analysis::run(program, &observe)?;
-    let stmt = program
-        .stmt_id(hourglass_stmt)
-        .ok_or_else(|| format!("no statement {hourglass_stmt} in {name}"))?;
-    let old = analysis.classical_bound(stmt);
-    let pattern = analysis
-        .detect_hourglass(stmt)
-        .ok_or_else(|| format!("no hourglass pattern detected on {name}.{hourglass_stmt}"))?;
-    hourglass::certify(program, &pattern, &observe[0])?;
-    let (new, split_binding) = derive_with_split(program, &pattern, split_override)?;
-    Ok(KernelReport {
-        name: name.to_string(),
-        old,
-        new,
-        split: split_binding.is_some(),
-        split_binding,
-    })
+impl KernelReport {
+    /// Derives both bounds of a parsed kernel file at its `default`
+    /// parameters: the `analyze` statement through [`derive_stmt_bounds`]
+    /// (hourglass certification on), with the file's `split` directive
+    /// overriding the midpoint binding when §5.3 splitting is needed.
+    ///
+    /// # Errors
+    /// A missing `analyze` or `default` directive, an unknown statement,
+    /// a derivation failure, or a statement without a classical bound or
+    /// an hourglass pattern.
+    pub fn from_file(name: &str, kernel: &KernelFile) -> Result<KernelReport, String> {
+        let program = &kernel.program;
+        let stmt_name = kernel
+            .analyze
+            .as_deref()
+            .ok_or_else(|| format!("{name} has no `analyze` directive"))?;
+        let stmt = program
+            .stmt_id(stmt_name)
+            .ok_or_else(|| format!("no statement {stmt_name} in {name}"))?;
+        let params = kernel.default_params()?;
+        let split = SplitBinding::from_directive(kernel);
+        let bounds = derive_stmt_bounds(program, stmt, &params, split, true)?;
+        let old = bounds
+            .classical
+            .ok_or_else(|| format!("no classical bound derived on {name}.{stmt_name}"))?;
+        let new = bounds
+            .hourglass
+            .ok_or_else(|| format!("no hourglass pattern detected on {name}.{stmt_name}"))?;
+        Ok(KernelReport {
+            name: name.to_string(),
+            old,
+            new,
+            split: bounds.split.is_some(),
+            split_binding: bounds.split,
+        })
+    }
 }
 
 /// Derives the hourglass bound, applying §5.3 loop splitting when the
@@ -507,8 +499,14 @@ mod tests {
         b.close();
         b.close();
         b.close();
-        let p = b.finish();
-        let report = analyze_kernel(&p, "MGS", "SU").expect("derivation");
+        let kernel = KernelFile {
+            program: b.finish(),
+            analyze: Some("SU".to_string()),
+            defaults: vec![("M".to_string(), 9), ("N".to_string(), 6)],
+            split: None,
+            schedule: vec![],
+        };
+        let report = KernelReport::from_file("MGS", &kernel).expect("derivation");
         let fig4 = fig4_table(std::slice::from_ref(&report));
         assert!(fig4.contains("MGS") && fig4.contains("engine new"));
         let fig5 = fig5_table(std::slice::from_ref(&report));
@@ -534,7 +532,16 @@ mod tests {
 
     #[test]
     fn unknown_statement_is_an_error() {
-        let p = iolb_ir::ProgramBuilder::new("empty_report", &["N"]).finish();
-        assert!(analyze_kernel(&p, "none", "SU").is_err());
+        let kernel = KernelFile {
+            program: iolb_ir::ProgramBuilder::new("empty_report", &["N"]).finish(),
+            analyze: Some("SU".to_string()),
+            defaults: vec![("N".to_string(), 8)],
+            split: None,
+            schedule: vec![],
+        };
+        let err = KernelReport::from_file("none", &kernel)
+            .err()
+            .expect("refused");
+        assert!(err.contains("no statement SU"), "{err}");
     }
 }

@@ -1,13 +1,18 @@
 //! Property tests on derived bounds: shape invariants that must hold for
 //! any sensible I/O lower bound.
 
-use iolb_core::report::analyze_kernel;
+use iolb_core::report::KernelReport;
 use iolb_core::s_var;
 use iolb_symbolic::Var;
 use proptest::prelude::*;
 
-fn mgs_report() -> iolb_core::report::KernelReport {
-    analyze_kernel(&iolb_kernels::mgs::program(), "MGS", "SU").unwrap()
+/// The MGS report, derived once from the shipped file at its defaults.
+fn mgs_report() -> &'static KernelReport {
+    static REPORT: std::sync::OnceLock<KernelReport> = std::sync::OnceLock::new();
+    REPORT.get_or_init(|| {
+        let kernel = iolb_ir::parse_kernel(include_str!("../../../kernels/mgs.iolb")).unwrap();
+        KernelReport::from_file("MGS", &kernel).unwrap()
+    })
 }
 
 proptest! {

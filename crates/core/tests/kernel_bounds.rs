@@ -1,11 +1,25 @@
-//! End-to-end engine runs on the paper's five kernels: detection,
-//! certification, and parity of the derived bounds with the published
-//! formulas (Figure 5 rows, Theorems 5–9).
+//! End-to-end engine runs on the paper's five kernels, read from the
+//! shipped `kernels/*.iolb` files: detection, certification, and parity of
+//! the derived bounds with the published formulas (Figure 5 rows,
+//! Theorems 5–9).
 
-use iolb_core::report::{analyze_kernel, fig5_parity};
+use iolb_core::report::{derive_stmt_bounds, fig5_parity, KernelReport};
 use iolb_core::{s_var, theorems};
 use iolb_numeric::Rational;
 use iolb_symbolic::Var;
+
+const MGS: &str = include_str!("../../../kernels/mgs.iolb");
+const A2V: &str = include_str!("../../../kernels/qr_hh_a2v.iolb");
+const V2Q: &str = include_str!("../../../kernels/qr_hh_v2q.iolb");
+const GEBD2: &str = include_str!("../../../kernels/gebd2.iolb");
+const GEHD2: &str = include_str!("../../../kernels/gehd2.iolb");
+const GEMM: &str = include_str!("../../../kernels/gemm.iolb");
+
+/// Derives the report of one shipped kernel file at its defaults.
+fn analyze(name: &str, src: &str) -> KernelReport {
+    let kernel = iolb_ir::parse_kernel(src).unwrap();
+    KernelReport::from_file(name, &kernel).unwrap()
+}
 
 fn env(m: i128, n: i128, s: i128) -> Vec<(Var, i128)> {
     vec![
@@ -18,8 +32,7 @@ fn env(m: i128, n: i128, s: i128) -> Vec<(Var, i128)> {
 
 #[test]
 fn mgs_engine_matches_fig5_exactly() {
-    let p = iolb_kernels::mgs::program();
-    let r = analyze_kernel(&p, "MGS", "SU").unwrap();
+    let r = analyze("MGS", MGS);
     assert_eq!(r.old.sigma, iolb_numeric::Rational::new(3, 2));
     assert_eq!(r.old.m, Rational::int(3));
     assert!(!r.split);
@@ -39,8 +52,7 @@ fn mgs_engine_matches_fig5_exactly() {
 
 #[test]
 fn a2v_engine_matches_fig5_dominant() {
-    let p = iolb_kernels::householder::a2v_program();
-    let r = analyze_kernel(&p, "QR HH A2V", "SU").unwrap();
+    let r = analyze("QR HH A2V", A2V);
     // Width shrinks to M−N at k = N−1.
     let w = iolb_ir::count::eval_params(&r.new.w_min, &[("M", 100), ("N", 30)]);
     assert_eq!(w, iolb_numeric::Rational::int(70));
@@ -58,8 +70,7 @@ fn a2v_engine_matches_fig5_dominant() {
 
 #[test]
 fn v2q_engine_matches_fig5_dominant() {
-    let p = iolb_kernels::householder::v2q_program();
-    let r = analyze_kernel(&p, "QR HH V2Q", "SU").unwrap();
+    let r = analyze("QR HH V2Q", V2Q);
     let (m, n, s) = (3000i128, 900i128, 400i128);
     let got = r.new.main_tool.eval_ints_f64(&env(m, n, s));
     let (mf, nf, sf) = (m as f64, n as f64, s as f64);
@@ -73,8 +84,7 @@ fn v2q_engine_matches_fig5_dominant() {
 
 #[test]
 fn gebd2_engine_matches_theorem8_shape() {
-    let p = iolb_kernels::gebd2::program();
-    let r = analyze_kernel(&p, "GEBD2", "SU").unwrap();
+    let r = analyze("GEBD2", GEBD2);
     // Our transcription materializes the reflector's unit coefficient
     // explicitly, so W = M−N (the paper's LAPACK-style count gives M−N+1);
     // the bounds agree up to that lower-order shift.
@@ -92,8 +102,7 @@ fn gebd2_engine_matches_theorem8_shape() {
 
 #[test]
 fn gehd2_engine_splits_and_matches_fig5() {
-    let p = iolb_kernels::gehd2::program();
-    let r = analyze_kernel(&p, "GEHD2", "SU1").unwrap();
+    let r = analyze("GEHD2", GEHD2);
     assert!(r.split, "GEHD2 needs §5.3 loop splitting");
     // Engine new (tool volume) == (N−1)(N−2)(N−3)(N−Ms−1)/(12(N−Ms−1+S)).
     let (n, s) = (512i128, 64i128);
@@ -113,28 +122,30 @@ fn gehd2_engine_splits_and_matches_fig5() {
 
 #[test]
 fn gemm_has_no_hourglass_but_classical_bound() {
-    let p = iolb_kernels::gemm::program();
-    let analysis = iolb_core::Analysis::run(&p, &[vec![5, 6, 4]]).unwrap();
+    let kernel = iolb_ir::parse_kernel(GEMM).unwrap();
+    let p = &kernel.program;
     let su = p.stmt_id("SU").unwrap();
-    assert!(analysis.detect_hourglass(su).is_none());
-    let b = analysis.classical_bound(su);
+    let params = kernel.default_params().unwrap();
+    let bounds = derive_stmt_bounds(p, su, &params, None, true).unwrap();
+    assert!(bounds.hourglass.is_none());
+    assert!(KernelReport::from_file("GEMM", &kernel).is_err());
+    let b = bounds.classical.unwrap();
     assert_eq!(b.sigma, iolb_numeric::Rational::new(3, 2));
     assert_eq!(b.m, Rational::int(3));
 }
 
 #[test]
 fn fig5_parity_within_tolerance_at_scale() {
-    let kernels: Vec<(iolb_ir::Program, &str, &str)> = vec![
-        (iolb_kernels::mgs::program(), "MGS", "SU"),
-        (iolb_kernels::householder::a2v_program(), "QR HH A2V", "SU"),
-        (iolb_kernels::householder::v2q_program(), "QR HH V2Q", "SU"),
-        (iolb_kernels::gebd2::program(), "GEBD2", "SU"),
-        (iolb_kernels::gehd2::program(), "GEHD2", "SU1"),
-    ];
-    let reports: Vec<_> = kernels
-        .iter()
-        .map(|(p, name, stmt)| analyze_kernel(p, name, stmt).unwrap())
-        .collect();
+    let reports: Vec<_> = [
+        ("MGS", MGS),
+        ("QR HH A2V", A2V),
+        ("QR HH V2Q", V2Q),
+        ("GEBD2", GEBD2),
+        ("GEHD2", GEHD2),
+    ]
+    .iter()
+    .map(|(name, src)| analyze(name, src))
+    .collect();
     for parity in fig5_parity(&reports, 16384, 4096, 1024) {
         let new_ratio = parity.engine_new / parity.paper_new;
         assert!(
@@ -163,13 +174,8 @@ fn fig5_parity_within_tolerance_at_scale() {
 fn new_bounds_beat_old_bounds_parametrically() {
     // Figure 4's message: the hourglass improves every kernel by a
     // parametric factor. Check the ratio grows with S (for fixed M/N).
-    let kernels: Vec<(iolb_ir::Program, &str, &str)> = vec![
-        (iolb_kernels::mgs::program(), "MGS", "SU"),
-        (iolb_kernels::householder::a2v_program(), "QR HH A2V", "SU"),
-        (iolb_kernels::gebd2::program(), "GEBD2", "SU"),
-    ];
-    for (p, name, stmt) in &kernels {
-        let r = analyze_kernel(p, name, stmt).unwrap();
+    for (name, src) in [("MGS", MGS), ("QR HH A2V", A2V), ("GEBD2", GEBD2)] {
+        let r = analyze(name, src);
         let mut prev_ratio = 0.0;
         for s in [256i128, 1024, 4096] {
             let e = env(1 << 14, 1 << 12, s);

@@ -1,14 +1,19 @@
-//! The paper's linear-algebra kernels, from scratch.
+//! The paper's linear-algebra kernels, from scratch: the reference the
+//! shipped `kernels/*.iolb` files are checked against.
 //!
-//! Every kernel of the evaluation (§5) is provided in two synchronized
-//! forms:
+//! The `.iolb` files are the one source of the paper kernels' IR for the
+//! derivation engine, the figures and the validation sweep. This crate
+//! keeps, per kernel of the evaluation (§5):
 //!
-//! 1. an **IR program** ([`iolb_ir::Program`]) transcribed statement-for-
-//!    statement from the paper's listings — the input of the bound
-//!    derivation engine, certified by `validate_accesses`, and
-//! 2. a **native f64 implementation** used for numerical ground truth
-//!    (QR / bidiagonal / Hessenberg reconstruction checks) and performance
-//!    benchmarks.
+//! 1. a **builder IR program** ([`iolb_ir::Program`]) transcribed
+//!    statement-for-statement from the paper's listings; the CLI's
+//!    `paper_parity` test requires each shipped file to equal it
+//!    structurally, and
+//! 2. a **native f64 implementation**, the numerical ground truth (QR /
+//!    bidiagonal / Hessenberg reconstruction checks) the builder is run
+//!    against (`ir_matches_native`), also timed by the benchmarks.
+//!
+//! The tiled Fig. 8/9 programs of Appendix A exist only here.
 //!
 //! | module | paper artifact |
 //! |---|---|
@@ -31,76 +36,3 @@ pub mod mgs;
 pub mod sinks;
 
 pub use matrix::Matrix;
-
-/// A kernel registered for sweeping in benches and validation tests.
-pub struct KernelInfo {
-    /// Kernel name as used in the paper's tables.
-    pub name: &'static str,
-    /// IR constructor.
-    pub build: fn() -> iolb_ir::Program,
-    /// Parameter values for an (M, N) problem, in program-parameter order.
-    pub params: fn(m: i64, n: i64) -> Vec<i64>,
-    /// Name of the hourglass (broadcast) statement, when the kernel has one.
-    pub hourglass_stmt: Option<&'static str>,
-}
-
-/// All analyzable (untiled, unit-step) kernels.
-pub fn analyzable_kernels() -> Vec<KernelInfo> {
-    vec![
-        KernelInfo {
-            name: "MGS",
-            build: mgs::program,
-            params: |m, n| vec![m, n],
-            hourglass_stmt: Some("SU"),
-        },
-        KernelInfo {
-            name: "QR HH A2V",
-            build: householder::a2v_program,
-            params: |m, n| vec![m, n],
-            hourglass_stmt: Some("SU"),
-        },
-        KernelInfo {
-            name: "QR HH V2Q",
-            build: householder::v2q_program,
-            params: |m, n| vec![m, n],
-            hourglass_stmt: Some("SU"),
-        },
-        KernelInfo {
-            name: "GEBD2",
-            build: gebd2::program,
-            params: |m, n| vec![m, n],
-            hourglass_stmt: Some("SU"),
-        },
-        KernelInfo {
-            name: "GEHD2",
-            build: gehd2::program,
-            params: |_m, n| vec![n],
-            hourglass_stmt: Some("SU1"),
-        },
-        KernelInfo {
-            name: "GEMM",
-            build: gemm::program,
-            params: |m, n| vec![m, n, (m + n) / 2],
-            hourglass_stmt: None,
-        },
-    ]
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn registry_builds_and_validates() {
-        for k in analyzable_kernels() {
-            let p = (k.build)();
-            let params = (k.params)(8, 5);
-            let checked = iolb_ir::interp::validate_accesses(&p, &params)
-                .unwrap_or_else(|e| panic!("{}: {e}", k.name));
-            assert!(checked > 0, "{} executed no instance", k.name);
-            if let Some(h) = k.hourglass_stmt {
-                assert!(p.stmt_id(h).is_some(), "{} lacks statement {h}", k.name);
-            }
-        }
-    }
-}

@@ -195,7 +195,7 @@ pub fn derive_stage(
         .stmt_id(&stmt_name)
         .ok_or_else(|| AnalysisError::Refused(format!("no statement named {stmt_name}")))?;
 
-    let dsl_split = dsl_split_binding(kernel);
+    let dsl_split = SplitBinding::from_directive(kernel);
     let bounds = derive_stmt_bounds(program, stmt, params, dsl_split.clone(), true)
         .map_err(AnalysisError::Refused)?;
     Ok(Derived {
@@ -321,14 +321,6 @@ fn deepest_stmt(program: &Program) -> String {
         .default_analyze_stmt()
         .map(|id| program.stmt(id).name.clone())
         .unwrap_or_default()
-}
-
-/// The DSL `split` directive as a [`SplitBinding`] on the paper's `Ms`.
-fn dsl_split_binding(kernel: &KernelFile) -> Option<SplitBinding> {
-    kernel.split.as_ref().map(|(name, expr)| SplitBinding {
-        var: Var::new(name),
-        expr: expr.clone(),
-    })
 }
 
 /// A further parse of the same source, for a stage that needs an owned

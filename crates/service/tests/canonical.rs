@@ -55,8 +55,8 @@ fn assert_fixed_point(origin: &str, src: &str) -> (String, u128) {
 fn shipped_kernels_canonicalize_to_a_fixed_point() {
     for (origin, src) in shipped_kernels() {
         let (canon, _) = assert_fixed_point(&origin, &src);
-        // The shipped files are emit-builtin/pretty-printer output headed
-        // by '#' comments, so their canonical text is comment-free.
+        // The shipped files are headed by '#' comments, which the
+        // canonical text drops.
         assert!(
             !canon.contains('#'),
             "{origin}: canonical text kept a comment"

@@ -1,22 +1,26 @@
-//! Derives old and new bounds for all five paper kernels and prints the
-//! Figure-4/Figure-5 style tables.
+//! Derives old and new bounds for all five paper kernels, read from their
+//! shipped `kernels/*.iolb` files, and prints the Figure-4/Figure-5 style
+//! tables.
 //!
 //! Run with `cargo run --example derive_bounds`.
 
-use hourglass_iolb::core::report::{analyze_kernel, fig4_table, fig5_table};
-use hourglass_iolb::kernels;
+use hourglass_iolb::core::report::{fig4_table, fig5_table, KernelReport};
+use hourglass_iolb::ir::parse_kernel;
 
 fn main() {
-    let kernels: Vec<(iolb_ir::Program, &str, &str)> = vec![
-        (kernels::mgs::program(), "MGS", "SU"),
-        (kernels::householder::a2v_program(), "QR HH A2V", "SU"),
-        (kernels::householder::v2q_program(), "QR HH V2Q", "SU"),
-        (kernels::gebd2::program(), "GEBD2", "SU"),
-        (kernels::gehd2::program(), "GEHD2", "SU1"),
+    let files = [
+        ("MGS", include_str!("../kernels/mgs.iolb")),
+        ("QR HH A2V", include_str!("../kernels/qr_hh_a2v.iolb")),
+        ("QR HH V2Q", include_str!("../kernels/qr_hh_v2q.iolb")),
+        ("GEBD2", include_str!("../kernels/gebd2.iolb")),
+        ("GEHD2", include_str!("../kernels/gehd2.iolb")),
     ];
-    let reports: Vec<_> = kernels
+    let reports: Vec<_> = files
         .iter()
-        .map(|(p, name, stmt)| analyze_kernel(p, name, stmt).expect("derivation"))
+        .map(|(name, src)| {
+            let kernel = parse_kernel(src).expect("shipped file");
+            KernelReport::from_file(name, &kernel).expect("derivation")
+        })
         .collect();
     println!("{}", fig4_table(&reports));
     println!("{}", fig5_table(&reports));

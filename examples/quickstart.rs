@@ -4,15 +4,17 @@
 //! Run with `cargo run --example quickstart`.
 
 use hourglass_iolb::prelude::*;
-use hourglass_iolb::{cdag, core, kernels};
+use hourglass_iolb::{cdag, core};
 
 fn main() {
-    // 1. The kernel: right-looking Modified Gram-Schmidt (paper Fig. 1).
-    let program = kernels::mgs::program();
+    // 1. The kernel: right-looking Modified Gram-Schmidt (paper Fig. 1),
+    //    as shipped in kernels/mgs.iolb.
+    let kernel = parse_kernel(include_str!("../kernels/mgs.iolb")).expect("shipped file");
+    let program = &kernel.program;
 
-    // 2. Automatic derivation: classical K-partitioning ("old") plus the
-    //    hourglass-tightened bound ("new").
-    let report = analyze_kernel(&program, "MGS", "SU").expect("derivation");
+    // 2. Automatic derivation at the file's defaults: classical
+    //    K-partitioning ("old") plus the hourglass-tightened bound ("new").
+    let report = KernelReport::from_file("MGS", &kernel).expect("derivation");
     println!("kernel: MGS (Figure 1)");
     println!("  Brascamp-Lieb exponent σ = {}", report.old.sigma);
     println!("  old bound: {}", report.old.expr);
@@ -35,7 +37,7 @@ fn main() {
     // 4. Soundness check on an exact CDAG: a legal pebble-game play can
     //    never use fewer loads than the bound.
     let params = [24i64, 8];
-    let g = cdag::build_cdag(&program, &params);
+    let g = cdag::build_cdag(program, &params);
     let s = 16usize;
     let play = PebbleGame::new(&g, s)
         .play_program_order(SpillPolicy::MinNextUse)

@@ -11,7 +11,8 @@ use hourglass_iolb::prelude::*;
 fn main() {
     let (m, n) = (64usize, 32usize);
     let a = Matrix::random(m, n, 1);
-    let report = analyze_kernel(&kernels::mgs::program(), "MGS", "SU").expect("derivation");
+    let kernel = parse_kernel(include_str!("../kernels/mgs.iolb")).expect("shipped file");
+    let report = KernelReport::from_file("MGS", &kernel).expect("derivation");
     let tiled = kernels::mgs::tiled_program();
     println!("tiled MGS I/O sweep (M={m}, N={n}):");
     println!(

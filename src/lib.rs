@@ -13,7 +13,7 @@
 //! | [`ir`] | polyhedral-lite program IR, interpreter, dependence analysis |
 //! | [`cdag`] | computational DAGs, red-white pebble game |
 //! | [`memsim`] | two-level memory simulator (LRU / Belady-MIN) |
-//! | [`kernels`] | MGS, Householder A2V/V2Q, GEBD2, GEHD2, GEMM + tiled variants |
+//! | [`kernels`] | builder reference + native f64 MGS, Householder A2V/V2Q, GEBD2, GEHD2, GEMM, tiled variants |
 //! | [`core`] | the paper: classical K-partitioning + hourglass bound derivation |
 //!
 //! ## Quickstart
@@ -21,9 +21,9 @@
 //! ```
 //! use hourglass_iolb::prelude::*;
 //!
-//! // Derive the MGS bounds of the paper automatically.
-//! let program = hourglass_iolb::kernels::mgs::program();
-//! let report = analyze_kernel(&program, "MGS", "SU").unwrap();
+//! // Derive the MGS bounds of the paper from its shipped kernel file.
+//! let kernel = parse_kernel(include_str!("../kernels/mgs.iolb")).unwrap();
+//! let report = KernelReport::from_file("MGS", &kernel).unwrap();
 //! // σ = 3/2: the classical Brascamp–Lieb exponent…
 //! assert_eq!(report.old.sigma, Rational::new(3, 2));
 //! // …and the tightened hourglass bound M²(N−1)(N−2)/(8(S+M)).
@@ -46,9 +46,9 @@ pub use iolb_symbolic as symbolic;
 /// Commonly used items in one import.
 pub mod prelude {
     pub use iolb_cdag::{build_cdag, PebbleGame, SpillPolicy};
-    pub use iolb_core::report::analyze_kernel;
+    pub use iolb_core::report::KernelReport;
     pub use iolb_core::{Analysis, ClassicalBound, HourglassBound};
-    pub use iolb_ir::{Interpreter, Program, ProgramBuilder};
+    pub use iolb_ir::{parse_kernel, Interpreter, Program, ProgramBuilder};
     pub use iolb_memsim::{lru_stats, min_stats, Access, IoStats};
     pub use iolb_numeric::Rational;
     pub use iolb_symbolic::{Expr, Poly, Var};

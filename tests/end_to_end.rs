@@ -3,9 +3,15 @@
 //! → pebble-game soundness, all on the public facade API.
 
 use hourglass_iolb::cdag::{build_cdag, PebbleGame, SpillPolicy};
-use hourglass_iolb::core::{self, report::analyze_kernel};
+use hourglass_iolb::core;
 use hourglass_iolb::kernels::{self, Matrix};
 use hourglass_iolb::prelude::*;
+
+/// The MGS report, derived from the shipped kernel file at its defaults.
+fn mgs_report() -> KernelReport {
+    let kernel = parse_kernel(include_str!("../kernels/mgs.iolb")).unwrap();
+    KernelReport::from_file("MGS", &kernel).unwrap()
+}
 
 #[test]
 fn full_pipeline_mgs() {
@@ -24,7 +30,7 @@ fn full_pipeline_mgs() {
     assert!(q.matmul(&r).max_abs_diff(&a) < 1e-10);
 
     // Derivation reproduces the paper's formulas.
-    let report = analyze_kernel(&program, "MGS", "SU").unwrap();
+    let report = mgs_report();
     assert_eq!(report.old.sigma, Rational::new(3, 2));
     let env = [
         (Var::new("M"), 1024i128),
@@ -53,7 +59,7 @@ fn upper_and_lower_bounds_sandwich_tiled_mgs() {
     // Theorem 5 LB ≤ measured tiled I/O ≤ O(Appendix A.1 model): tightness.
     let (m, n) = (48usize, 24usize);
     let a = Matrix::random(m, n, 5);
-    let report = analyze_kernel(&kernels::mgs::program(), "MGS", "SU").unwrap();
+    let report = mgs_report();
     let tiled = kernels::mgs::tiled_program();
     for s in [256usize, 512, 1024] {
         let block = kernels::mgs::a1_block_size(m, s);
