@@ -25,12 +25,12 @@
 //! `K = W`: `Q ≥ (W−S)·⌊|V|/(2W)⌋` (Theorem 5's second bound).
 
 use crate::s_var;
-use iolb_cdag::build_cdag;
+use iolb_cdag::{Cdag, NodeId, NodeKind};
 use iolb_ir::count::{
     extent, instance_count, instance_count_bounded, poly_range_over_dims_bounded, BoundOverride,
 };
 use iolb_ir::deps::{Producer, ReadProjection};
-use iolb_ir::{for_each_instance, DimId, Program, StmtId};
+use iolb_ir::{DimId, Program, StmtId};
 use iolb_symbolic::{Expr, Poly};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -278,62 +278,66 @@ pub fn detect(
     best.map(|(_, p)| p)
 }
 
-/// Certifies the pattern's dependency-chain property on the exact CDAG at
-/// concrete parameters (Definition §3.2): consecutive executed temporal
-/// values must be chained through the reduction/broadcast for all sampled
-/// rb pairs.
+/// Certifies the pattern's dependency-chain property on `cdag`, the exact
+/// CDAG of `program` at the parameters to certify (Definition §3.2):
+/// consecutive executed temporal values must be chained through the
+/// reduction/broadcast for all sampled rb pairs.
+///
+/// X's compute nodes are read once, in execution order, and grouped by
+/// neutral values into runs of equal temporal values; the chain check
+/// samples the first and last node of consecutive runs (at most 60
+/// `has_path` checks). Returns the number of chains checked.
 ///
 /// # Errors
 /// Returns a description of the first missing chain.
 pub fn certify(
     program: &Program,
+    cdag: &Cdag,
     pattern: &HourglassPattern,
-    params: &[i64],
 ) -> Result<usize, String> {
-    let cdag = build_cdag(program, params);
     let dims = &program.stmt(pattern.stmt).dims;
-    let pos = |d: &DimId| dims.iter().position(|x| x == d).expect("dim of stmt");
-    let tpos: Vec<usize> = pattern.temporal.iter().map(pos).collect();
-    let npos: Vec<usize> = pattern.neutral.iter().map(pos).collect();
-    let rpos: Vec<usize> = pattern.rb.iter().map(pos).collect();
-
-    // Walk X's instances in execution order (no semantics needed) and
-    // group: neutral values → temporal values in first-execution order,
-    // each with the first and last rb values executed under it — the
-    // pair the chain check samples. Keys are copied out of reused
-    // buffers only when a group or run starts.
-    type Key = Vec<i64>;
-    struct Run {
-        t: Key,
-        first_r: Key,
-        last_r: Key,
-    }
-    let mut groups: BTreeMap<Key, Vec<Run>> = BTreeMap::new();
-    let (mut nv, mut tv, mut rv) = (Key::new(), Key::new(), Key::new());
-    let pick = |buf: &mut Key, of: &[DimId], env: &[i64]| {
-        buf.clear();
-        buf.extend(of.iter().map(|d| env[d.0 as usize]));
+    let positions = |of: &[DimId]| -> Vec<usize> {
+        of.iter()
+            .map(|d| dims.iter().position(|x| x == d).expect("dim of stmt"))
+            .collect()
     };
-    for_each_instance(program, params, |stmt, env| {
+    let (tpos, npos, rpos) = (
+        positions(&pattern.temporal),
+        positions(&pattern.neutral),
+        positions(&pattern.rb),
+    );
+    let iv_of = |v: NodeId| match cdag.kind(v) {
+        NodeKind::Compute { iv, .. } => iv,
+        NodeKind::Input { .. } => unreachable!("runs hold compute nodes"),
+    };
+    let pick = |iv: &[i32], at: &[usize]| -> Vec<i32> { at.iter().map(|&p| iv[p]).collect() };
+
+    // Neutral values → runs of equal temporal values in execution order,
+    // each holding its first and last node.
+    struct Run {
+        first: NodeId,
+        last: NodeId,
+    }
+    let mut groups: BTreeMap<Vec<i32>, Vec<Run>> = BTreeMap::new();
+    let mut key = Vec::new();
+    for v in cdag.compute_nodes() {
+        let NodeKind::Compute { stmt, iv } = cdag.kind(v) else {
+            continue;
+        };
         if stmt != pattern.stmt {
-            return;
+            continue;
         }
-        pick(&mut nv, &pattern.neutral, env);
-        pick(&mut tv, &pattern.temporal, env);
-        pick(&mut rv, &pattern.rb, env);
-        let seq = match groups.get_mut(nv.as_slice()) {
+        key.clear();
+        key.extend(npos.iter().map(|&p| iv[p]));
+        let seq = match groups.get_mut(key.as_slice()) {
             Some(seq) => seq,
-            None => groups.entry(nv.clone()).or_default(),
+            None => groups.entry(key.clone()).or_default(),
         };
         match seq.last_mut() {
-            Some(run) if run.t == tv => run.last_r.clone_from(&rv),
-            _ => seq.push(Run {
-                t: tv.clone(),
-                first_r: rv.clone(),
-                last_r: rv.clone(),
-            }),
+            Some(run) if tpos.iter().all(|&p| iv_of(run.first)[p] == iv[p]) => run.last = v,
+            _ => seq.push(Run { first: v, last: v }),
         }
-    });
+    }
 
     let mut checked = 0usize;
     let mut budget = 60usize;
@@ -342,36 +346,19 @@ pub fn certify(
             if budget == 0 {
                 break;
             }
-            let (t0, t1) = (&w[0].t, &w[1].t);
             // Sample first/last rb values on both sides.
-            let samples0 = [&w[0].first_r, &w[0].last_r];
-            let samples1 = [&w[1].first_r, &w[1].last_r];
-            for r0 in samples0 {
-                for r1 in samples1 {
-                    let mk_iv = |tv: &Key, rv: &Key| -> Vec<i32> {
-                        let mut iv = vec![0i32; dims.len()];
-                        for (p, v) in tpos.iter().zip(tv) {
-                            iv[*p] = *v as i32;
-                        }
-                        for (p, v) in npos.iter().zip(nv) {
-                            iv[*p] = *v as i32;
-                        }
-                        for (p, v) in rpos.iter().zip(rv) {
-                            iv[*p] = *v as i32;
-                        }
-                        iv
-                    };
-                    let a = cdag
-                        .node_of(pattern.stmt, &mk_iv(t0, r0))
-                        .ok_or_else(|| format!("instance {t0:?}/{nv:?}/{r0:?} not found"))?;
-                    let b = cdag
-                        .node_of(pattern.stmt, &mk_iv(t1, r1))
-                        .ok_or_else(|| format!("instance {t1:?}/{nv:?}/{r1:?} not found"))?;
-                    let (a, b) = if a < b { (a, b) } else { (b, a) };
-                    if !cdag.has_path(a, b) {
+            for a in [w[0].first, w[0].last] {
+                for b in [w[1].first, w[1].last] {
+                    let (lo, hi) = if a < b { (a, b) } else { (b, a) };
+                    if !cdag.has_path(lo, hi) {
+                        let (iv0, iv1) = (iv_of(a), iv_of(b));
                         return Err(format!(
-                            "no dependency chain {:?}@{t0:?},{nv:?},{r0:?} ⇝ @{t1:?},{r1:?}",
-                            program.stmt(pattern.stmt).name
+                            "no dependency chain {:?}@{:?},{nv:?},{:?} ⇝ @{:?},{:?}",
+                            program.stmt(pattern.stmt).name,
+                            pick(iv0, &tpos),
+                            pick(iv0, &rpos),
+                            pick(iv1, &tpos),
+                            pick(iv1, &rpos),
                         ));
                     }
                     checked += 1;
@@ -562,10 +549,18 @@ impl HourglassBound {
 mod tests {
     use super::*;
     use crate::Analysis;
+    use iolb_cdag::build_cdag;
     use iolb_symbolic::Var;
 
     /// The miniature MGS core (SR/SU only — enough to carry the hourglass).
     fn mini_mgs() -> iolb_ir::Program {
+        mgs_core(false)
+    }
+
+    /// [`mini_mgs`], optionally with a statement `SC` between the SR and SU
+    /// loops that overwrites `R[k][j]` without reading it: SU then reads its
+    /// broadcast value from SC, which cuts the chain through the reduction.
+    fn mgs_core(clobber: bool) -> iolb_ir::Program {
         let mut b = iolb_ir::ProgramBuilder::new("hg_mini_mgs", &["M", "N"]);
         let a = b.array("A", &[b.p("M"), b.p("N")]);
         let r = b.array("R", &[b.p("N"), b.p("N")]);
@@ -589,6 +584,11 @@ mod tests {
             },
         );
         b.close();
+        if clobber {
+            b.stmt("SC", vec![], vec![w_r.clone()], move |c| {
+                c.wr(r, &[c.v(0), c.v(1)], 0.0)
+            });
+        }
         let i2 = b.open("i", b.c(0), b.p("M"));
         let rd_aik2 = iolb_ir::Access::new(a, vec![b.d(i2), b.d(k)]);
         let rw_aij2 = iolb_ir::Access::new(a, vec![b.d(i2), b.d(j)]);
@@ -627,8 +627,28 @@ mod tests {
         let analysis = Analysis::run(&p, &[vec![6, 4]]).unwrap();
         let su = p.stmt_id("SU").unwrap();
         let pat = analysis.detect_hourglass(su).unwrap();
-        let checked = certify(&p, &pat, &[6, 4]).expect("chains exist");
-        assert!(checked > 0);
+        let checked = certify(&p, &build_cdag(&p, &[6, 4]), &pat).expect("chains exist");
+        // Neutral j ∈ 1..4 runs k ∈ 0..j: groups j = 2, 3 hold 1 and 2
+        // consecutive temporal pairs, each checked at 2 × 2 rb samples.
+        assert_eq!(checked, 12);
+    }
+
+    #[test]
+    fn certification_fails_when_another_statement_clobbers_the_chain() {
+        let p = mgs_core(true);
+        let su = p.stmt_id("SU").unwrap();
+        let dims = &p.stmt(su).dims;
+        // The mini MGS pattern, which detection no longer finds here.
+        let pat = HourglassPattern {
+            stmt: su,
+            temporal: vec![dims[0]],
+            neutral: vec![dims[1]],
+            rb: vec![dims[2]],
+            broadcast_read: 2,
+            reduction_stmt: p.stmt_id("SR").unwrap(),
+        };
+        let err = certify(&p, &build_cdag(&p, &[6, 4]), &pat).unwrap_err();
+        assert_eq!(err, "no dependency chain \"SU\"@[0],[2],[0] ⇝ @[1],[5]");
     }
 
     #[test]

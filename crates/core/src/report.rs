@@ -221,8 +221,8 @@ pub struct StmtBounds {
 /// dependence analysis at [`observation_sizes`]`(params)` — the single
 /// derivation both the report and the validation sweep use, so printed
 /// and validated bounds cannot diverge. With `certify`, a detected
-/// hourglass pattern must also pass [`hourglass::certify`] at `params`
-/// before its bound is derived.
+/// hourglass pattern must also pass [`hourglass::certify`] on the exact
+/// CDAG at `params` (built only in that case) before its bound is derived.
 ///
 /// # Errors
 /// `analysis: …` or `hourglass certification: …` descriptions, or a
@@ -246,7 +246,8 @@ pub fn derive_stmt_bounds(
         });
     };
     let chains = if certify {
-        hourglass::certify(program, &pattern, &observe[0])
+        let cdag = iolb_cdag::build_cdag(program, &observe[0]);
+        hourglass::certify(program, &cdag, &pattern)
             .map_err(|e| format!("hourglass certification: {e}"))?
     } else {
         0

@@ -129,7 +129,8 @@ fn hourglass_certification_passes_for_all_kernels() {
         let pat = analysis
             .detect_hourglass(stmt)
             .unwrap_or_else(|| panic!("{}: no pattern", case.name));
-        let checked = hourglass::certify(&case.program, &pat, &case.params)
+        let cdag = build_cdag(&case.program, &case.params);
+        let checked = hourglass::certify(&case.program, &cdag, &pat)
             .unwrap_or_else(|e| panic!("{}: certification failed: {e}", case.name));
         assert!(checked > 0, "{}", case.name);
     }

@@ -217,7 +217,7 @@ impl Oracle {
                     // certification (e.g. another statement clobbers the
                     // would-be chain) means the hourglass bound must not
                     // be applied — a refusal, not a violation.
-                    Some(pat) => match hourglass::certify(program, &pat, &observe[0]) {
+                    Some(pat) => match hourglass::certify(program, &cdag, &pat) {
                         Err(_) => None,
                         Ok(_) => match derive_with_split(program, &pat, None) {
                             Ok((b, binding)) => {
@@ -309,7 +309,7 @@ impl Oracle {
         if self.tightness {
             let job = TightnessJob {
                 name: program.name.clone(),
-                program: reparse(src)?,
+                program: program.clone(),
                 params: params.clone(),
                 env: env.clone(),
                 classical: classical.clone(),
@@ -353,14 +353,6 @@ fn deepest_stmt(program: &Program) -> String {
         .default_analyze_stmt()
         .map(|id| program.stmt(id).name.clone())
         .unwrap_or_default()
-}
-
-/// A second parse of the same source ([`Program`] carries closures and is
-/// not clonable).
-fn reparse(src: &str) -> Result<Program, Violation> {
-    Ok(parse_kernel(src)
-        .map_err(|e| Violation::new("parse", e.to_string()))?
-        .program)
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 //! domain.
 
 use crate::affine::{Aff, DimId};
-use crate::interp::{ExecSink, Interpreter, Store};
+use crate::interp::for_each_instance;
 use crate::program::{LoopStep, Program, StmtId};
 use iolb_symbolic::{summation::sum_half_open, Poly, Var};
 
@@ -197,20 +197,9 @@ fn subst_extreme(p: &Poly, v: Var, vmin: &Poly, vmax: &Poly, minimize: bool) -> 
 
 /// Exact per-statement instance counts via enumeration (certification).
 pub fn enumerate_instance_counts(program: &Program, params: &[i64]) -> Vec<u64> {
-    struct Counter {
-        counts: Vec<u64>,
-    }
-    impl ExecSink for Counter {
-        fn on_stmt(&mut self, stmt: StmtId, _iv: &[i64]) {
-            self.counts[stmt.0 as usize] += 1;
-        }
-    }
-    let mut sink = Counter {
-        counts: vec![0; program.stmts.len()],
-    };
-    let mut store = Store::init(program, params, |_, f| f as f64 * 0.5 + 1.0);
-    Interpreter::new(program, params).run(&mut store, &mut sink);
-    sink.counts
+    let mut counts = vec![0; program.stmts.len()];
+    for_each_instance(program, params, |stmt, _| counts[stmt.0 as usize] += 1);
+    counts
 }
 
 /// Evaluates a parameter-only polynomial at named parameter values.

@@ -15,6 +15,7 @@ use crate::affine::DimId;
 use crate::program::{ArrayId, Loop, LoopStep, Program, Step, StmtId};
 use iolb_govern::{AnalysisError, CancelToken, Seam};
 use std::collections::BTreeSet;
+use std::convert::Infallible;
 
 /// Receives execution events from the interpreter.
 ///
@@ -286,89 +287,23 @@ impl<'p> Interpreter<'p> {
     /// still go through [`ExecCtx`]'s erased sink reference, because the
     /// semantic closures are type-erased `Arc<dyn Fn>`s.)
     pub fn run<S: ExecSink>(&self, store: &mut Store, sink: &mut S) {
-        let mut dims = vec![0i64; self.program.num_dims as usize];
         let mut iv_buf = IvBuf::new();
-        for step in &self.program.body {
-            self.run_step(step, &mut dims, &mut iv_buf, store, sink);
-        }
+        let Ok(()) = walk(self.program, &self.params, &mut |id, dims| {
+            let stmt = self.program.stmt(id);
+            iv_buf.fill_from(&stmt.dims, dims);
+            let iv = iv_buf.as_slice();
+            sink.on_stmt(id, iv);
+            let mut ctx = ExecCtx {
+                stmt: id,
+                iv,
+                params: &self.params,
+                store,
+                sink,
+            };
+            (stmt.compute)(&mut ctx);
+            Ok::<(), Infallible>(())
+        });
         sink.on_finish();
-    }
-
-    fn run_step<S: ExecSink>(
-        &self,
-        step: &Step,
-        dims: &mut Vec<i64>,
-        iv_buf: &mut IvBuf,
-        store: &mut Store,
-        sink: &mut S,
-    ) {
-        match step {
-            Step::Stmt(id) => {
-                let stmt = self.program.stmt(*id);
-                iv_buf.fill_from(&stmt.dims, dims);
-                let iv = iv_buf.as_slice();
-                sink.on_stmt(*id, iv);
-                let mut ctx = ExecCtx {
-                    stmt: *id,
-                    iv,
-                    params: &self.params,
-                    store,
-                    sink,
-                };
-                (stmt.compute)(&mut ctx);
-            }
-            Step::Loop(l) => {
-                let (lo, hi, step_v) = self.loop_range(l, dims);
-                if hi <= lo {
-                    return;
-                }
-                if l.reverse {
-                    // Last valid value, stepping down.
-                    let count = (hi - 1 - lo) / step_v;
-                    let mut v = lo + count * step_v;
-                    loop {
-                        dims[l.dim.0 as usize] = v;
-                        for s in &l.body {
-                            self.run_step(s, dims, iv_buf, store, sink);
-                        }
-                        if v == lo {
-                            break;
-                        }
-                        v -= step_v;
-                    }
-                } else {
-                    let mut v = lo;
-                    while v < hi {
-                        dims[l.dim.0 as usize] = v;
-                        for s in &l.body {
-                            self.run_step(s, dims, iv_buf, store, sink);
-                        }
-                        v += step_v;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Effective `[lo, hi)` and step of a loop at the current outer values.
-    fn loop_range(&self, l: &Loop, dims: &[i64]) -> (i64, i64, i64) {
-        let lo =
-            l.lo.iter()
-                .map(|a| a.eval_envs(dims, &self.params))
-                .max()
-                .expect("loop has lower bounds");
-        let hi =
-            l.hi.iter()
-                .map(|a| a.eval_envs(dims, &self.params))
-                .min()
-                .expect("loop has upper bounds");
-        let step = match l.step {
-            LoopStep::One => 1,
-            LoopStep::Const(c) => c,
-            LoopStep::Param(p) => self.params[p.0 as usize],
-        };
-        assert!(step > 0, "loop step must be positive");
-        (lo, hi, step)
     }
 
     /// Convenience: fresh store from `init`, run with [`NullSink`].
@@ -377,6 +312,81 @@ impl<'p> Interpreter<'p> {
         self.run(&mut store, &mut NullSink);
         store
     }
+}
+
+/// The loop-tree walker every instance enumeration shares: visits each
+/// statement instance in schedule order with the full loop-dimension
+/// environment (indexed by [`DimId`]), stopping at the first error the
+/// visit returns. Ungoverned walks visit with `E = Infallible`.
+///
+/// # Panics
+/// Panics on a parameter count mismatch or a non-positive loop step.
+fn walk<E>(
+    program: &Program,
+    params: &[i64],
+    visit: &mut impl FnMut(StmtId, &[i64]) -> Result<(), E>,
+) -> Result<(), E> {
+    assert_eq!(
+        params.len(),
+        program.params.len(),
+        "parameter count mismatch"
+    );
+    let mut dims = vec![0i64; program.num_dims as usize];
+    walk_steps(&program.body, params, &mut dims, visit)
+}
+
+fn walk_steps<E>(
+    steps: &[Step],
+    params: &[i64],
+    dims: &mut [i64],
+    visit: &mut impl FnMut(StmtId, &[i64]) -> Result<(), E>,
+) -> Result<(), E> {
+    for step in steps {
+        match step {
+            Step::Stmt(id) => visit(*id, dims)?,
+            Step::Loop(l) => {
+                let (lo, hi, step_v) = loop_range(l, dims, params);
+                if hi <= lo {
+                    continue;
+                }
+                // Iterate `count` values; a reverse loop starts at the last
+                // valid value and steps down.
+                let count = (hi - 1 - lo) / step_v + 1;
+                let (mut v, delta) = if l.reverse {
+                    (lo + (count - 1) * step_v, -step_v)
+                } else {
+                    (lo, step_v)
+                };
+                for _ in 0..count {
+                    dims[l.dim.0 as usize] = v;
+                    walk_steps(&l.body, params, dims, visit)?;
+                    v += delta;
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Effective `[lo, hi)` and step of a loop at the current outer values.
+fn loop_range(l: &Loop, dims: &[i64], params: &[i64]) -> (i64, i64, i64) {
+    let lo =
+        l.lo.iter()
+            .map(|a| a.eval_envs(dims, params))
+            .max()
+            .expect("loop has lower bounds");
+    let hi =
+        l.hi.iter()
+            .map(|a| a.eval_envs(dims, params))
+            .min()
+            .expect("loop has upper bounds");
+    let step = match l.step {
+        LoopStep::One => 1,
+        LoopStep::Const(c) => c,
+        LoopStep::Param(p) => params[p.0 as usize],
+    };
+    assert!(step > 0, "loop step must be positive");
+    (lo, hi, step)
 }
 
 /// Enumerates every statement instance in schedule order *without executing
@@ -388,11 +398,10 @@ impl<'p> Interpreter<'p> {
 /// from the *declared* affine accesses (certified against the executed ones
 /// by [`validate_accesses`]), e.g. fast CDAG construction.
 pub fn for_each_instance(program: &Program, params: &[i64], mut f: impl FnMut(StmtId, &[i64])) {
-    let interp = Interpreter::new(program, params);
-    let mut dims = vec![0i64; program.num_dims as usize];
-    for step in &program.body {
-        walk_step(&interp, step, &mut dims, &mut f);
-    }
+    let Ok(()) = walk(program, params, &mut |id, dims| {
+        f(id, dims);
+        Ok::<(), Infallible>(())
+    });
 }
 
 /// Governed [`for_each_instance`]: polls `token` at seam `seam` (once at
@@ -410,129 +419,23 @@ pub fn try_for_each_instance(
     max_instances: u64,
     mut f: impl FnMut(StmtId, &[i64]),
 ) -> Result<u64, AnalysisError> {
-    let interp = Interpreter::new(program, params);
-    let mut dims = vec![0i64; program.num_dims as usize];
-    let mut gov = WalkGovernor {
-        token,
-        seam,
-        max_instances,
-        count: 0,
-    };
-    for step in &program.body {
-        try_walk_step(&interp, step, &mut dims, &mut gov, &mut f)?;
-    }
-    Ok(gov.count)
-}
-
-struct WalkGovernor<'t> {
-    token: &'t CancelToken,
-    seam: Seam,
-    max_instances: u64,
-    count: u64,
-}
-
-impl WalkGovernor<'_> {
-    #[inline]
-    fn tick(&mut self) -> Result<(), AnalysisError> {
-        if self.count & 0x3FF == 0 {
-            self.token.check(self.seam)?;
+    let mut count = 0u64;
+    walk(program, params, &mut |id, dims| {
+        if count & 0x3FF == 0 {
+            token.check(seam)?;
         }
-        self.count += 1;
-        if self.count > self.max_instances {
+        count += 1;
+        if count > max_instances {
             return Err(AnalysisError::BudgetExceeded {
                 resource: "instances",
-                needed: self.count,
-                limit: self.max_instances,
+                needed: count,
+                limit: max_instances,
             });
         }
+        f(id, dims);
         Ok(())
-    }
-}
-
-fn try_walk_step(
-    interp: &Interpreter<'_>,
-    step: &Step,
-    dims: &mut Vec<i64>,
-    gov: &mut WalkGovernor<'_>,
-    f: &mut impl FnMut(StmtId, &[i64]),
-) -> Result<(), AnalysisError> {
-    match step {
-        Step::Stmt(id) => {
-            gov.tick()?;
-            f(*id, dims);
-            Ok(())
-        }
-        Step::Loop(l) => {
-            let (lo, hi, step_v) = interp.loop_range(l, dims);
-            if hi <= lo {
-                return Ok(());
-            }
-            if l.reverse {
-                let count = (hi - 1 - lo) / step_v;
-                let mut v = lo + count * step_v;
-                loop {
-                    dims[l.dim.0 as usize] = v;
-                    for s in &l.body {
-                        try_walk_step(interp, s, dims, gov, f)?;
-                    }
-                    if v == lo {
-                        break;
-                    }
-                    v -= step_v;
-                }
-            } else {
-                let mut v = lo;
-                while v < hi {
-                    dims[l.dim.0 as usize] = v;
-                    for s in &l.body {
-                        try_walk_step(interp, s, dims, gov, f)?;
-                    }
-                    v += step_v;
-                }
-            }
-            Ok(())
-        }
-    }
-}
-
-fn walk_step(
-    interp: &Interpreter<'_>,
-    step: &Step,
-    dims: &mut Vec<i64>,
-    f: &mut impl FnMut(StmtId, &[i64]),
-) {
-    match step {
-        Step::Stmt(id) => f(*id, dims),
-        Step::Loop(l) => {
-            let (lo, hi, step_v) = interp.loop_range(l, dims);
-            if hi <= lo {
-                return;
-            }
-            if l.reverse {
-                let count = (hi - 1 - lo) / step_v;
-                let mut v = lo + count * step_v;
-                loop {
-                    dims[l.dim.0 as usize] = v;
-                    for s in &l.body {
-                        walk_step(interp, s, dims, f);
-                    }
-                    if v == lo {
-                        break;
-                    }
-                    v -= step_v;
-                }
-            } else {
-                let mut v = lo;
-                while v < hi {
-                    dims[l.dim.0 as usize] = v;
-                    for s in &l.body {
-                        walk_step(interp, s, dims, f);
-                    }
-                    v += step_v;
-                }
-            }
-        }
-    }
+    })?;
+    Ok(count)
 }
 
 /// Row-major strides of every array at `params` (the [`Store`] layout).
@@ -892,6 +795,122 @@ mod tests {
         let p = b.finish();
         let store = Interpreter::new(&p, &[5]).run_numeric(|_, _| 0.0);
         assert_eq!(store.data[0], vec![0.0]);
+    }
+
+    /// The `(stmt, iv)` sequence [`Interpreter::run`] reports to `on_stmt`.
+    fn run_sequence(p: &Program, params: &[i64]) -> Vec<(u32, Vec<i64>)> {
+        struct Rec(Vec<(u32, Vec<i64>)>);
+        impl ExecSink for Rec {
+            fn on_stmt(&mut self, stmt: StmtId, iv: &[i64]) {
+                self.0.push((stmt.0, iv.to_vec()));
+            }
+        }
+        let mut rec = Rec(Vec::new());
+        Interpreter::new(p, params).run(&mut Store::zeros(p, params), &mut rec);
+        rec.0
+    }
+
+    /// A statement's iteration vector read out of the full dim environment.
+    fn iv_of(p: &Program, stmt: StmtId, env: &[i64]) -> (u32, Vec<i64>) {
+        let iv = p.stmt(stmt).dims.iter().map(|d| env[d.0 as usize]);
+        (stmt.0, iv.collect())
+    }
+
+    #[test]
+    fn every_walk_enumerates_the_same_instances() {
+        use crate::program::LoopStep;
+        type Nest = (Program, Vec<i64>, Vec<(u32, Vec<i64>)>);
+        // for i in 0..2 { for j in i..N step 2, reversed { S } }
+        let reverse = {
+            let mut b = ProgramBuilder::new("rev_strided", &["N"]);
+            let i = b.open("i", b.c(0), b.c(2));
+            b.open_general("j", vec![b.d(i)], vec![b.p("N")], LoopStep::Const(2), true);
+            b.stmt("S", vec![], vec![], |_| {});
+            b.close();
+            b.close();
+            let iv = |i, j| (0, vec![i, j]);
+            (
+                b.finish(),
+                vec![5],
+                vec![iv(0, 4), iv(0, 2), iv(0, 0), iv(1, 3), iv(1, 1)],
+            )
+        };
+        // for i in 0..N step B { S }
+        let param_step = {
+            let mut b = ProgramBuilder::new("param_step", &["N", "B"]);
+            let step = LoopStep::Param(crate::affine::ParamId(1));
+            b.open_strided("i", b.c(0), b.p("N"), step);
+            b.stmt("S", vec![], vec![], |_| {});
+            b.close();
+            let ivs = [0, 3, 6, 9].map(|i| (0, vec![i]));
+            (b.finish(), vec![10, 3], ivs.to_vec())
+        };
+        // for j in max(1, 2)..min(6, N) { S }
+        let min_upper = {
+            let mut b = ProgramBuilder::new("min_upper", &["N"]);
+            let (lo, hi) = (vec![b.c(1), b.c(2)], vec![b.c(6), b.p("N")]);
+            b.open_general("j", lo, hi, LoopStep::One, false);
+            b.stmt("S", vec![], vec![], |_| {});
+            b.close();
+            (b.finish(), vec![4], vec![(0, vec![2]), (0, vec![3])])
+        };
+        // for i in N..0 { S }  T
+        let empty_body = {
+            let mut b = ProgramBuilder::new("empty_body", &["N"]);
+            b.open("i", b.p("N"), b.c(0));
+            b.stmt("S", vec![], vec![], |_| {});
+            b.close();
+            b.stmt("T", vec![], vec![], |_| {});
+            (b.finish(), vec![5], vec![(1, vec![])])
+        };
+        let nests: [Nest; 4] = [reverse, param_step, min_upper, empty_body];
+        for (p, params, expected) in &nests {
+            let name = &p.name;
+            assert_eq!(&run_sequence(p, params), expected, "{name}: run");
+            let mut walked = Vec::new();
+            for_each_instance(p, params, |s, env| walked.push(iv_of(p, s, env)));
+            assert_eq!(&walked, expected, "{name}: for_each_instance");
+
+            let n = expected.len() as u64;
+            let governed = |token: &CancelToken, max: u64| {
+                let mut seen = Vec::new();
+                let got =
+                    try_for_each_instance(p, params, token, Seam::Instances, max, |s, env| {
+                        seen.push(iv_of(p, s, env))
+                    });
+                (got, seen)
+            };
+            let token = CancelToken::unlimited();
+            assert_eq!(governed(&token, n), (Ok(n), expected.clone()), "{name}");
+            assert_eq!(token.checks_seen(), 1, "{name}: one poll, at instance 0");
+            // One instance over the ceiling: the exact overflow, after
+            // visiting every instance within it.
+            let (got, seen) = governed(&CancelToken::unlimited(), n - 1);
+            let overflow = AnalysisError::BudgetExceeded {
+                resource: "instances",
+                needed: n,
+                limit: n - 1,
+            };
+            assert_eq!(got, Err(overflow), "{name}");
+            assert_eq!(seen, expected[..expected.len() - 1], "{name}");
+            // The poll at instance 0 runs before the first visit.
+            let (got, seen) = governed(&CancelToken::trip_after_checks(1), u64::MAX);
+            assert_eq!(
+                (got, seen.len()),
+                (Err(AnalysisError::Cancelled), 0),
+                "{name}"
+            );
+        }
+
+        // Past instance 0 the walk polls every 1024 instances.
+        let mut b = ProgramBuilder::new("long", &["N"]);
+        b.open("i", b.c(0), b.p("N"));
+        b.stmt("S", vec![], vec![], |_| {});
+        b.close();
+        let p = b.finish();
+        let token = CancelToken::unlimited();
+        let walked = try_for_each_instance(&p, &[2049], &token, Seam::Instances, 2049, |_, _| {});
+        assert_eq!((walked, token.checks_seen()), (Ok(2049), 3));
     }
 
     #[test]

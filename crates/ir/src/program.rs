@@ -138,7 +138,9 @@ impl fmt::Debug for Loop {
     }
 }
 
-/// A complete affine program.
+/// A complete affine program. Cloning is cheap on the statements: their
+/// semantic closures are shared [`Arc`]s.
+#[derive(Clone)]
 pub struct Program {
     /// Program name.
     pub name: String,

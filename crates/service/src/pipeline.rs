@@ -211,10 +211,7 @@ pub fn derive_stage(
 /// Exact CDAG + MIN/LRU miss-curve validation of the derived bounds over
 /// the S grid, with the request's graph-level engine selection evaluated
 /// per grid point. The sweep evaluates `derived`'s bounds as they are; it
-/// derives nothing. Takes the canonical source rather than a `Program`
-/// because the sweep needs an owned program and `Program` is not clonable
-/// (its statements carry closures) — one extra parse of already-canonical
-/// text.
+/// derives nothing, and it sweeps a clone of `program`.
 ///
 /// `strategy` picks the curve-pricing path: the streaming sharded
 /// engines fed straight from the CDAG (default; cross-checked against
@@ -226,7 +223,7 @@ pub fn derive_stage(
 #[allow(clippy::too_many_arguments)]
 pub fn sweep_derived_stage(
     name: &str,
-    canon_src: &str,
+    program: &Program,
     params: &[i64],
     derived: &Derived,
     s_offsets: &[usize],
@@ -237,7 +234,7 @@ pub fn sweep_derived_stage(
 ) -> Result<SweepReport, AnalysisError> {
     let sweep = SweepKernel {
         name: name.to_string(),
-        program: reparse(canon_src)?,
+        program: program.clone(),
         params: params.to_vec(),
         classical: derived.classical.clone(),
         hourglass: derived.hourglass.clone(),
@@ -247,10 +244,11 @@ pub fn sweep_derived_stage(
     try_run_sweep_opts(vec![sweep], budget, token, registry, strategy)
 }
 
-/// [`sweep_derived_stage`] for a caller without a [`Derived`]: derives
-/// the bounds of `stmt` first ([`SweepKernel::derive`], `split` overriding
-/// the midpoint binding), then sweeps. [`analyze_uncached`] does not use
-/// it — its sweep reuses the derivation stage's bounds.
+/// [`sweep_derived_stage`] for a caller without a [`Derived`]: re-parses
+/// `canon_src`, derives the bounds of `stmt` ([`SweepKernel::derive`],
+/// `split` overriding the midpoint binding), then sweeps.
+/// [`analyze_uncached`] does not use it — its sweep reuses the derivation
+/// stage's bounds and the parsed program.
 ///
 /// # Errors
 /// The derivation's refusal, or the first typed error any sweep stage
@@ -270,7 +268,7 @@ pub fn sweep_stage(
 ) -> Result<SweepReport, AnalysisError> {
     let sweep = SweepKernel::derive(
         name,
-        reparse(canon_src)?,
+        parse_stage(canon_src)?.program,
         stmt,
         params.to_vec(),
         split,
@@ -280,14 +278,16 @@ pub fn sweep_stage(
 }
 
 /// Tightness: the best measured blocked upper bound per S (the file's
-/// `schedule` directives swept by the auto-tuner) vs the derived bound.
+/// `schedule` directives swept by the auto-tuner) vs the derived bound,
+/// measured on a clone of `kernel.program`. `_canon_src` is unused; the
+/// parameter stays because the traced benchmark runner still passes it.
 ///
 /// # Errors
 /// The first typed error the tuner produced.
 #[allow(clippy::too_many_arguments)]
 pub fn tightness_stage(
     name: &str,
-    canon_src: &str,
+    _canon_src: &str,
     kernel: &KernelFile,
     params: &[i64],
     env: Vec<(Var, i128)>,
@@ -298,7 +298,7 @@ pub fn tightness_stage(
 ) -> Result<KernelTightness, AnalysisError> {
     let job = TightnessJob {
         name: name.to_string(),
-        program: reparse(canon_src)?,
+        program: kernel.program.clone(),
         params: params.to_vec(),
         env,
         classical: derived.classical.clone(),
@@ -321,12 +321,6 @@ fn deepest_stmt(program: &Program) -> String {
         .default_analyze_stmt()
         .map(|id| program.stmt(id).name.clone())
         .unwrap_or_default()
-}
-
-/// A further parse of the same source, for a stage that needs an owned
-/// [`Program`] (it is not clonable: its statements carry closures).
-fn reparse(src: &str) -> Result<Program, AnalysisError> {
-    Ok(parse_stage(src)?.program)
 }
 
 // ---------------------------------------------------------------------------
@@ -479,7 +473,7 @@ pub fn analyze_uncached(
     let registry = opts.registry().map_err(AnalysisError::Refused)?;
     let mut report = sweep_derived_stage(
         &outcome.name,
-        src,
+        program,
         &params,
         &derived,
         &s_offsets,

@@ -15,9 +15,11 @@
 //! clean state afterwards — the CI proof that no fault aborts a batch.
 //!
 //! The CI bench/tightness regression gate: compares freshly generated
-//! `BENCH_pebble.json` / `BENCH_tightness.json` against the committed
-//! baselines and fails on
+//! `BENCH_pebble.json` / `BENCH_tightness.json` / `BENCH_serve.json`
+//! against the committed baselines and fails on
 //!
+//! * **a schema the emitters no longer write** — anything but
+//!   pebble-sweep/v5, tightness/v3 and serve-bench/v2, on either side;
 //! * **soundness loss** — any fresh pebble cell with `sound: false`;
 //! * **coverage loss** — a baseline cell/point missing from the fresh run
 //!   (a kernel or S value silently dropped from the suite);
@@ -86,12 +88,14 @@ USAGE:
                       [--out BENCH_serve.json] [--warm-passes 5]
     xtask crash-smoke [--iolbd PATH] [--kernels DIR]
 
-`gate` diffs <DIR>/BENCH_pebble.json and <DIR>/BENCH_tightness.json between
-the two directories and exits nonzero on soundness loss, coverage loss,
-tightness-ratio regression beyond the tolerance, a failed kernel row, or a
-kernel degraded below its baseline fidelity rung. When both sides carry a
-BENCH_serve.json it also gates the daemon bench: the fresh cold pass must
-match the CLI and the warm cache hit rate must stay at or above 0.99.
+`gate` diffs <DIR>/BENCH_pebble.json, <DIR>/BENCH_tightness.json and
+<DIR>/BENCH_serve.json between the two directories and exits nonzero on a
+schema other than pebble-sweep/v5, tightness/v3 or serve-bench/v2,
+soundness loss, coverage loss, tightness-ratio regression beyond the
+tolerance, a failed kernel row, a kernel degraded below its baseline
+fidelity rung, a curve-engine scaling regression, or engine-coverage loss.
+The fresh daemon bench must match the CLI on its cold pass and keep the
+warm cache hit rate at or above 0.99.
 
 `serve-bench` starts the `iolbd` daemon on an ephemeral loopback port,
 replays every kernel cold and warm, verifies the cold responses against
@@ -317,35 +321,15 @@ fn parse_gate_args(args: &[String]) -> Result<(PathBuf, PathBuf, f64), String> {
 /// `trace_min_loads` side column (v1) to optimal-curve upper bounds (v2);
 /// the keys the gate reads are stable across those bumps, so it accepts
 /// both generations on either side of the diff.
-const PEBBLE_SCHEMAS: &[&str] = &[
-    "hourglass-iolb/pebble-sweep/v2",
-    "hourglass-iolb/pebble-sweep/v3",
-    "hourglass-iolb/pebble-sweep/v4",
-    "hourglass-iolb/pebble-sweep/v5",
-];
-const TIGHTNESS_SCHEMAS: &[&str] = &[
-    "hourglass-iolb/tightness/v1",
-    "hourglass-iolb/tightness/v2",
-    "hourglass-iolb/tightness/v3",
-];
+/// The schemas the emitters write; the gate reads nothing else.
+const PEBBLE_SCHEMA: &str = "hourglass-iolb/pebble-sweep/v5";
+const TIGHTNESS_SCHEMA: &str = "hourglass-iolb/tightness/v3";
 
-/// Schemas that carry the resource-governance sections (`degradation` and
-/// `failures` arrays) introduced by pebble-sweep/v4 and tightness/v3.
-const GOVERNED_SCHEMAS: &[&str] = &[
-    "hourglass-iolb/pebble-sweep/v4",
-    "hourglass-iolb/pebble-sweep/v5",
-    "hourglass-iolb/tightness/v3",
-];
-
-/// The pebble schema that carries graph-level engine bound columns
-/// (`lb_input` / `lb_visit` / `lb_spectral`, null when inapplicable).
-const ENGINE_SCHEMA: &str = "hourglass-iolb/pebble-sweep/v5";
-
-fn check_schema(doc: &Value, which: &str, accepted: &[&str], violations: &mut Vec<String>) {
+fn check_schema(doc: &Value, which: &str, expected: &str, violations: &mut Vec<String>) {
     match doc.get("schema").and_then(Value::str) {
-        Some(s) if accepted.contains(&s) => {}
+        Some(s) if s == expected => {}
         Some(s) => violations.push(format!(
-            "{which}: unknown schema `{s}` (gate understands {accepted:?})"
+            "{which}: unknown schema `{s}` (gate understands `{expected}`)"
         )),
         None => violations.push(format!("{which}: missing `schema` field")),
     }
@@ -361,22 +345,14 @@ fn degradation_rank(level: &str) -> Option<u8> {
     }
 }
 
-/// Governance-section checks for v4/v3 reports: both arrays must exist
-/// and be well-formed, any fresh failure row is a regression, and no
-/// kernel may report a fidelity rung below its baseline (absent baseline
-/// entries default to `full`).
+/// Governance-section checks: both arrays must exist and be
+/// well-formed, any fresh failure row is a regression, and no kernel may
+/// report a fidelity rung below its baseline (absent baseline entries
+/// default to `full`).
 fn gate_governance(base: &Value, new: &Value, which: &str, violations: &mut Vec<String>) {
-    let Some(schema) = new.get("schema").and_then(Value::str) else {
-        return;
-    };
-    if !GOVERNED_SCHEMAS.contains(&schema) {
-        return;
-    }
     for field in ["degradation", "failures"] {
         if new.get(field).is_none() {
-            violations.push(format!(
-                "{which}: schema `{schema}` requires a `{field}` array"
-            ));
+            violations.push(format!("{which}: report requires a `{field}` array"));
         }
     }
     for row in new.get("failures").and_then(Value::arr).unwrap_or(&[]) {
@@ -418,8 +394,8 @@ fn run_gate(baseline: &Path, fresh: &Path, tol: f64) -> ExitCode {
     let mut violations: Vec<String> = Vec::new();
     match load_pair(baseline, fresh, "BENCH_pebble.json") {
         Ok((base, new)) => {
-            check_schema(&base, "pebble baseline", PEBBLE_SCHEMAS, &mut violations);
-            check_schema(&new, "pebble fresh", PEBBLE_SCHEMAS, &mut violations);
+            check_schema(&base, "pebble baseline", PEBBLE_SCHEMA, &mut violations);
+            check_schema(&new, "pebble fresh", PEBBLE_SCHEMA, &mut violations);
             gate_pebble(&base, &new, &mut violations);
             gate_governance(&base, &new, "pebble", &mut violations);
             gate_engine_coverage(&base, &new, &mut violations);
@@ -432,38 +408,32 @@ fn run_gate(baseline: &Path, fresh: &Path, tol: f64) -> ExitCode {
             check_schema(
                 &base,
                 "tightness baseline",
-                TIGHTNESS_SCHEMAS,
+                TIGHTNESS_SCHEMA,
                 &mut violations,
             );
-            check_schema(&new, "tightness fresh", TIGHTNESS_SCHEMAS, &mut violations);
+            check_schema(&new, "tightness fresh", TIGHTNESS_SCHEMA, &mut violations);
             gate_tightness(&base, &new, tol, &mut violations);
             gate_governance(&base, &new, "tightness", &mut violations);
         }
         Err(e) => violations.push(e),
     }
-    // The serve bench is gated only once a baseline exists, so trees
-    // predating the daemon still gate cleanly.
-    if baseline.join("BENCH_serve.json").exists() {
-        match load_pair(baseline, fresh, "BENCH_serve.json") {
-            Ok((base, new)) => {
-                check_schema(
-                    &base,
-                    "serve baseline",
-                    serve_bench::SERVE_SCHEMAS,
-                    &mut violations,
-                );
-                check_schema(
-                    &new,
-                    "serve fresh",
-                    serve_bench::SERVE_SCHEMAS,
-                    &mut violations,
-                );
-                serve_bench::gate_serve(&base, &new, &mut violations);
-            }
-            Err(e) => violations.push(e),
+    match load_pair(baseline, fresh, "BENCH_serve.json") {
+        Ok((base, new)) => {
+            check_schema(
+                &base,
+                "serve baseline",
+                serve_bench::SERVE_SCHEMA,
+                &mut violations,
+            );
+            check_schema(
+                &new,
+                "serve fresh",
+                serve_bench::SERVE_SCHEMA,
+                &mut violations,
+            );
+            serve_bench::gate_serve(&base, &new, &mut violations);
         }
-    } else {
-        println!("gate: no baseline BENCH_serve.json — serve bench not gated");
+        Err(e) => violations.push(e),
     }
     if violations.is_empty() {
         println!("gate ✓ — soundness and tightness no worse than the committed baselines (tolerance {tol})");
@@ -521,8 +491,7 @@ fn gate_pebble(base: &Value, new: &Value, violations: &mut Vec<String>) {
 }
 
 /// The curve-engine scaling points of a pebble report's `meta` section,
-/// as `(accesses, policy, wall_ms)` triples. Empty when the report (or
-/// its baseline generation) carries no scaling series.
+/// as `(accesses, policy, wall_ms)` triples.
 fn scaling_points(doc: &Value) -> Vec<(u64, String, f64)> {
     doc.get("meta")
         .and_then(|m| m.get("scaling"))
@@ -546,12 +515,12 @@ const SCALING_MIN_BASE_MS: f64 = 1.0;
 /// Gates the curve-engine scaling series: for each policy, the fresh wall
 /// time of the *largest* baseline point must stay within 2× of the
 /// baseline — a streaming/sharding regression shows up at the big end
-/// first. Baselines without a scaling series (pre-v5 meta) skip with a
-/// note; a fresh run that dropped a gated point is a coverage loss.
+/// first. A baseline without a scaling series is a violation; a fresh run
+/// that dropped a gated point is a coverage loss.
 fn gate_scaling(base: &Value, new: &Value, violations: &mut Vec<String>) {
     let base_pts = scaling_points(base);
     if base_pts.is_empty() {
-        println!("gate: no baseline scaling series — curve-engine scaling not gated");
+        violations.push("scaling: baseline has no curve-engine scaling series".to_string());
         return;
     }
     let fresh_pts = scaling_points(new);
@@ -584,13 +553,10 @@ fn gate_scaling(base: &Value, new: &Value, violations: &mut Vec<String>) {
     }
 }
 
-/// Engine coverage of a pebble-sweep/v5 report: kernel groups (kernel ×
-/// params) with at least one finite graph-level engine cell in some row,
-/// over all groups. `None` when the report predates v5.
-fn engine_coverage(doc: &Value) -> Option<(usize, usize)> {
-    if doc.get("schema").and_then(Value::str) != Some(ENGINE_SCHEMA) {
-        return None;
-    }
+/// Engine coverage of a pebble report: kernel groups (kernel × params)
+/// with at least one finite graph-level engine cell in some row, over all
+/// groups.
+fn engine_coverage(doc: &Value) -> (usize, usize) {
     let mut groups: Vec<(String, bool)> = Vec::new();
     for row in doc.get("rows").and_then(Value::arr).unwrap_or(&[]) {
         let key = format!(
@@ -611,21 +577,14 @@ fn engine_coverage(doc: &Value) -> Option<(usize, usize)> {
     }
     let total = groups.len();
     let covered = groups.iter().filter(|(_, c)| *c).count();
-    Some((covered, total))
+    (covered, total)
 }
 
 /// The engine-coverage floor: the fraction of kernel groups with at least
 /// one finite graph-level bound must not regress against the baseline.
-/// Pre-v5 baselines carry no engine columns, so cross-generation runs skip
-/// the floor with a note instead of failing.
 fn gate_engine_coverage(base: &Value, new: &Value, violations: &mut Vec<String>) {
-    let Some((fresh_cov, fresh_total)) = engine_coverage(new) else {
-        return; // pre-v5 fresh report: nothing to gate
-    };
-    let Some((base_cov, base_total)) = engine_coverage(base) else {
-        println!("gate: baseline pebble report predates engine columns (pre-v5) — coverage floor not gated");
-        return;
-    };
+    let (fresh_cov, fresh_total) = engine_coverage(new);
+    let (base_cov, base_total) = engine_coverage(base);
     if fresh_total == 0 || base_total == 0 {
         return; // empty row sections are already coverage-loss violations
     }
@@ -693,14 +652,14 @@ mod tests {
 
     fn pebble(rows: &str) -> Value {
         json::parse(&format!(
-            r#"{{"schema": "hourglass-iolb/pebble-sweep/v2", "meta": {{"threads": 1, "total_wall_ms": 1.0}}, "rows": [{rows}]}}"#
+            r#"{{"schema": "hourglass-iolb/pebble-sweep/v5", "meta": {{"threads": 1, "total_wall_ms": 1.0}}, "degradation": [], "failures": [], "rows": [{rows}]}}"#
         ))
         .unwrap()
     }
 
     fn tight(kernels: &str) -> Value {
         json::parse(&format!(
-            r#"{{"schema": "hourglass-iolb/tightness/v1", "meta": {{"threads": 1, "total_wall_ms": 1.0}}, "kernels": [{kernels}]}}"#
+            r#"{{"schema": "hourglass-iolb/tightness/v3", "meta": {{"threads": 1, "total_wall_ms": 1.0}}, "degradation": [], "failures": [], "kernels": [{kernels}]}}"#
         ))
         .unwrap()
     }
@@ -739,11 +698,15 @@ mod tests {
         {"accesses": 100000000, "policy": "opt", "wall_ms": 900.0}"#;
 
     #[test]
-    fn scaling_gate_skips_without_baseline_and_passes_within_budget() {
-        // Baseline without a scaling series: skip with a note, no violation.
+    fn scaling_gate_requires_a_baseline_series_and_passes_within_budget() {
+        // Baseline without a scaling series: a violation, not a skip.
         let mut v = Vec::new();
         gate_scaling(&pebble(CELL), &pebble_scaled(SERIES), &mut v);
-        assert!(v.is_empty(), "{v:?}");
+        assert!(
+            v.iter()
+                .any(|m| m.contains("no curve-engine scaling series")),
+            "{v:?}"
+        );
 
         // Fresh largest points within 2× of the baseline: clean.
         let ok = SERIES.replace("400.0", "780.0");
@@ -802,45 +765,49 @@ mod tests {
     }
 
     #[test]
-    fn schema_check_accepts_both_generations_and_rejects_strangers() {
+    fn schema_check_accepts_only_the_emitted_schemas() {
+        let doc = |s: &str| json::parse(&format!(r#"{{"schema": "{s}"}}"#)).unwrap();
         let mut v = Vec::new();
-        for s in super::PEBBLE_SCHEMAS {
-            check_schema(
-                &json::parse(&format!(r#"{{"schema": "{s}"}}"#)).unwrap(),
-                "pebble",
-                super::PEBBLE_SCHEMAS,
-                &mut v,
-            );
-        }
-        for s in super::TIGHTNESS_SCHEMAS {
-            check_schema(
-                &json::parse(&format!(r#"{{"schema": "{s}"}}"#)).unwrap(),
-                "tightness",
-                super::TIGHTNESS_SCHEMAS,
-                &mut v,
-            );
-        }
-        assert!(v.is_empty(), "{v:?}");
+        check_schema(&doc(PEBBLE_SCHEMA), "pebble", PEBBLE_SCHEMA, &mut v);
         check_schema(
-            &json::parse(r#"{"schema": "hourglass-iolb/pebble-sweep/v99"}"#).unwrap(),
-            "pebble",
-            super::PEBBLE_SCHEMAS,
+            &doc(TIGHTNESS_SCHEMA),
+            "tightness",
+            TIGHTNESS_SCHEMA,
             &mut v,
         );
+        check_schema(
+            &doc(serve_bench::SERVE_SCHEMA),
+            "serve",
+            serve_bench::SERVE_SCHEMA,
+            &mut v,
+        );
+        assert!(v.is_empty(), "{v:?}");
+        // Older generations are rejected like strangers.
+        for (old, current) in [
+            ("hourglass-iolb/pebble-sweep/v4", PEBBLE_SCHEMA),
+            ("hourglass-iolb/tightness/v2", TIGHTNESS_SCHEMA),
+            ("hourglass-iolb/serve-bench/v1", serve_bench::SERVE_SCHEMA),
+            ("hourglass-iolb/pebble-sweep/v99", PEBBLE_SCHEMA),
+        ] {
+            let mut v = Vec::new();
+            check_schema(&doc(old), "report", current, &mut v);
+            assert_eq!(v.len(), 1, "{old}: {v:?}");
+            assert!(v[0].contains("unknown schema"), "{v:?}");
+        }
+        let mut v = Vec::new();
         check_schema(
             &json::parse("{}").unwrap(),
             "tightness",
-            super::TIGHTNESS_SCHEMAS,
+            TIGHTNESS_SCHEMA,
             &mut v,
         );
-        assert_eq!(v.len(), 2, "{v:?}");
-        assert!(v[0].contains("unknown schema"));
-        assert!(v[1].contains("missing"));
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].contains("missing"));
     }
 
     fn governed(degradation: &str, failures: &str) -> Value {
         json::parse(&format!(
-            r#"{{"schema": "hourglass-iolb/pebble-sweep/v4", "meta": {{"threads": 1, "total_wall_ms": 1.0}}, "degradation": [{degradation}], "failures": [{failures}], "rows": []}}"#
+            r#"{{"schema": "hourglass-iolb/pebble-sweep/v5", "meta": {{"threads": 1, "total_wall_ms": 1.0}}, "degradation": [{degradation}], "failures": [{failures}], "rows": []}}"#
         ))
         .unwrap()
     }
@@ -894,25 +861,12 @@ mod tests {
             v.iter().any(|m| m.contains("unknown degradation level")),
             "{v:?}"
         );
+        // Both arrays are required, whatever the schema field says.
         let bare =
-            json::parse(r#"{"schema": "hourglass-iolb/pebble-sweep/v4", "rows": []}"#).unwrap();
+            json::parse(r#"{"schema": "hourglass-iolb/pebble-sweep/v3", "rows": []}"#).unwrap();
         let mut v = Vec::new();
         gate_governance(&clean, &bare, "pebble", &mut v);
         assert_eq!(v.len(), 2, "both governance arrays required: {v:?}");
-
-        // Pre-governance schemas are exempt.
-        let v3 =
-            json::parse(r#"{"schema": "hourglass-iolb/pebble-sweep/v3", "rows": []}"#).unwrap();
-        let mut v = Vec::new();
-        gate_governance(&clean, &v3, "pebble", &mut v);
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    fn pebble_v5(rows: &str) -> Value {
-        json::parse(&format!(
-            r#"{{"schema": "hourglass-iolb/pebble-sweep/v5", "degradation": [], "failures": [], "rows": [{rows}]}}"#
-        ))
-        .unwrap()
     }
 
     const V5_COVERED: &str = r#"{"kernel": "a", "params": [8], "s": 4, "policy": "lru", "loads": 10, "sound": true, "lb_input": 3, "lb_visit": null, "lb_spectral": null}"#;
@@ -920,35 +874,30 @@ mod tests {
 
     #[test]
     fn engine_coverage_counts_kernel_groups() {
-        assert_eq!(engine_coverage(&pebble_v5(V5_COVERED)), Some((1, 1)));
-        assert_eq!(engine_coverage(&pebble_v5(V5_UNCOVERED)), Some((0, 1)));
-        // Pre-v5 reports have no engine columns to count.
-        assert_eq!(engine_coverage(&pebble(CELL)), None);
+        assert_eq!(engine_coverage(&pebble(V5_COVERED)), (1, 1));
+        assert_eq!(engine_coverage(&pebble(V5_UNCOVERED)), (0, 1));
+        // A row without engine columns covers nothing.
+        assert_eq!(engine_coverage(&pebble(CELL)), (0, 1));
     }
 
     #[test]
-    fn engine_coverage_floor_gates_v5_and_skips_v4_baselines() {
+    fn engine_coverage_floor_flags_regressions() {
         // Coverage held: clean.
         let mut v = Vec::new();
-        gate_engine_coverage(&pebble_v5(V5_COVERED), &pebble_v5(V5_COVERED), &mut v);
+        gate_engine_coverage(&pebble(V5_COVERED), &pebble(V5_COVERED), &mut v);
         assert!(v.is_empty(), "{v:?}");
 
         // Coverage regressed: a covered group lost its finite bound.
         let mut v = Vec::new();
-        gate_engine_coverage(&pebble_v5(V5_COVERED), &pebble_v5(V5_UNCOVERED), &mut v);
+        gate_engine_coverage(&pebble(V5_COVERED), &pebble(V5_UNCOVERED), &mut v);
         assert!(
             v.iter().any(|m| m.contains("engine coverage regressed")),
             "{v:?}"
         );
 
-        // v4 baseline against a v5 fresh run: skipped, not failed.
+        // Coverage gained: clean.
         let mut v = Vec::new();
-        gate_engine_coverage(&pebble(CELL), &pebble_v5(V5_UNCOVERED), &mut v);
-        assert!(v.is_empty(), "cross-generation runs skip the floor: {v:?}");
-
-        // Pre-v5 fresh report: nothing to gate.
-        let mut v = Vec::new();
-        gate_engine_coverage(&pebble_v5(V5_COVERED), &pebble(CELL), &mut v);
+        gate_engine_coverage(&pebble(V5_UNCOVERED), &pebble(V5_COVERED), &mut v);
         assert!(v.is_empty(), "{v:?}");
     }
 

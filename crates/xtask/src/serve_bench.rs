@@ -501,10 +501,7 @@ fn serve_bench(opts: &ServeBenchOpts) -> Result<(), String> {
 /// absolutely (they do not regress by degrees), the timing fields are
 /// volatile and ignored — consistent with how the pebble/tightness gates
 /// treat wall times.
-pub const SERVE_SCHEMAS: &[&str] = &[
-    "hourglass-iolb/serve-bench/v1",
-    "hourglass-iolb/serve-bench/v2",
-];
+pub const SERVE_SCHEMA: &str = "hourglass-iolb/serve-bench/v2";
 
 pub fn gate_serve(base: &Value, new: &Value, violations: &mut Vec<String>) {
     if new.get("cold_matches_cli").and_then(Value::bool) != Some(true) {
@@ -534,32 +531,29 @@ pub fn gate_serve(base: &Value, new: &Value, violations: &mut Vec<String>) {
             }
         }
     }
-    // Store health (v2): a fresh run skipping more corrupt records than
-    // the baseline knew about means the journal is corrupting data at
-    // rest. Pre-v2 baselines carry no store section — noted, counted as
-    // zero skipped, and the rest of the gate still applies.
-    let skipped = |doc: &Value| {
-        doc.get("store")
+    // Store health: a fresh run skipping more corrupt records than the
+    // baseline knew about means the journal is corrupting data at rest.
+    let skipped = |doc: &Value, which: &str, violations: &mut Vec<String>| {
+        let n = doc
+            .get("store")
             .and_then(|s| s.get("skipped_corrupt_records"))
-            .and_then(Value::num)
+            .and_then(Value::num);
+        if n.is_none() {
+            violations.push(format!(
+                "serve: {which} report has no `store.skipped_corrupt_records`"
+            ));
+        }
+        n
     };
-    let base_skipped = skipped(base).unwrap_or_else(|| {
-        println!(
-            "gate: serve baseline has no store counters (pre-v2 schema) — \
-             baseline skipped_corrupt_records taken as 0"
-        );
-        0.0
-    });
-    match skipped(new) {
-        Some(fresh) if fresh <= base_skipped => {}
-        Some(fresh) => violations.push(format!(
-            "serve: skipped_corrupt_records {fresh:.0} above baseline {base_skipped:.0} — \
-             the persistent store is corrupting records"
-        )),
-        None => println!(
-            "gate: fresh serve report has no store counters (pre-v2 schema) — \
-             store health not gated"
-        ),
+    let base_skipped = skipped(base, "baseline", violations);
+    let fresh_skipped = skipped(new, "fresh", violations);
+    if let (Some(base_skipped), Some(fresh)) = (base_skipped, fresh_skipped) {
+        if fresh > base_skipped {
+            violations.push(format!(
+                "serve: skipped_corrupt_records {fresh:.0} above baseline {base_skipped:.0} — \
+                 the persistent store is corrupting records"
+            ));
+        }
     }
 }
 
@@ -633,26 +627,21 @@ mod tests {
             "{v:?}"
         );
 
-        // A pre-v2 baseline (no store section) is accepted — its skipped
-        // count is taken as zero, so a clean fresh run passes and a
-        // corrupting one still fails.
-        let pre_v2 = json::parse(
-            r#"{"schema": "hourglass-iolb/serve-bench/v1",
+        // A report without store counters fails on either side.
+        let storeless = json::parse(
+            r#"{"schema": "hourglass-iolb/serve-bench/v2",
                 "cold_matches_cli": true, "warm_hit_rate": 1.0,
                 "kernels": ["a", "b"]}"#,
         )
         .unwrap();
         let mut v = Vec::new();
-        gate_serve(&pre_v2, &clean, &mut v);
-        assert!(v.is_empty(), "{v:?}");
+        gate_serve(&storeless, &clean, &mut v);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].contains("baseline report has no"), "{v:?}");
         let mut v = Vec::new();
-        gate_serve(&pre_v2, &corrupting, &mut v);
-        assert!(v.iter().any(|m| m.contains("above baseline 0")), "{v:?}");
-
-        // A pre-v2 *fresh* report is noted, not failed, on the store axis.
-        let mut v = Vec::new();
-        gate_serve(&clean, &pre_v2, &mut v);
-        assert!(v.is_empty(), "{v:?}");
+        gate_serve(&clean, &storeless, &mut v);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].contains("fresh report has no"), "{v:?}");
     }
 
     #[test]

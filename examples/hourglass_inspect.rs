@@ -5,6 +5,7 @@
 //!
 //! Run with `cargo run --example hourglass_inspect`.
 
+use hourglass_iolb::cdag::build_cdag;
 use hourglass_iolb::core::{hourglass, Analysis};
 use hourglass_iolb::kernels;
 
@@ -26,7 +27,8 @@ fn main() {
             None => println!("no hourglass (expected for gemm)"),
             Some(pat) => {
                 let b = hourglass::derive(&program, &pat, &hourglass::SplitChoice::None);
-                let checked = hourglass::certify(&program, &pat, &params).expect("chain property");
+                let cdag = build_cdag(&program, &params);
+                let checked = hourglass::certify(&program, &cdag, &pat).expect("chain property");
                 println!(
                     "temporal {:?}  neutral {:?}  rb {:?}  reduction {}  W ∈ [{}, {}]  ({checked} chains certified)",
                     pat.temporal.iter().map(dim_name).collect::<Vec<_>>(),
