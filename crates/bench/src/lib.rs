@@ -146,7 +146,7 @@ pub struct TiledIoRow {
 /// Theorem 5 lower bound.
 pub fn sweep_tiled_mgs(m: usize, n: usize, s_values: &[usize]) -> Vec<TiledIoRow> {
     use iolb_symbolic::Var;
-    let program = iolb_kernels::mgs::tiled_program();
+    let program = iolb_kernels::mgs::tiled_executable();
     let a = iolb_kernels::Matrix::random(m, n, 0xA11CE);
     let report = paper_kernel("MGS").report();
     s_values
@@ -181,7 +181,7 @@ pub fn sweep_tiled_mgs(m: usize, n: usize, s_values: &[usize]) -> Vec<TiledIoRow
 /// Appendix A.2 sweep for the tiled A2V ordering (Fig. 9).
 pub fn sweep_tiled_a2v(m: usize, n: usize, s_values: &[usize]) -> Vec<TiledIoRow> {
     use iolb_symbolic::Var;
-    let program = iolb_kernels::householder::a2v_tiled_program();
+    let program = iolb_kernels::householder::a2v_tiled_executable();
     let a = iolb_kernels::Matrix::random(m, n, 0xB0B);
     let report = paper_kernel("QR HH A2V").report();
     s_values

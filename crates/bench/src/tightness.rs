@@ -23,10 +23,11 @@
 //!    the loads of the best possible demand replacement for that schedule
 //!    at **every** swept `S` at once, bitwise what a `BeladySim` replay
 //!    reports (replacing the old per-`(candidate, S)` MIN pebble replays);
-//! 4. the best curve point per `S` is the measured upper bound Q(S); each
-//!    winning schedule's final store is cross-checked bit-for-bit against
-//!    the untiled interpreter (belt and braces over the version check),
-//!    and its LRU curve is reported alongside as the demand-paging view.
+//! 4. the best curve point per `S` is the measured upper bound Q(S), and
+//!    the winning schedule's LRU curve is reported alongside as the
+//!    demand-paging view. The version check of step 2 is the whole
+//!    legality check: equal versions on every access is exactly
+//!    dependence preservation, so no winner is re-executed.
 //!
 //! The outcome per `(kernel, S)` is a [`TightnessPoint`]: lower bound,
 //! best measured upper bound, and their ratio — emitted as
@@ -47,9 +48,10 @@ use iolb_cdag::try_build_cdag;
 use iolb_core::report::TightnessPoint;
 use iolb_core::{ClassicalBound, HourglassBound};
 use iolb_govern::{catch_analysis_mut, AnalysisError, Budget, CancelToken, Degradation, Seam};
+use iolb_ir::interp::OutOfRange;
 use iolb_ir::parse::TileDirective;
 use iolb_ir::schedule::{tile_program, TileSpec};
-use iolb_ir::{for_each_instance, try_for_each_instance, ArrayId, Interpreter, Program};
+use iolb_ir::{for_each_instance, try_for_each_instance, DeclaredAccesses, Program, StmtId};
 use iolb_memsim::{MissCurve, ShardedCurveEngine};
 use iolb_symbolic::Var;
 use rayon::prelude::*;
@@ -121,8 +123,8 @@ struct Candidate {
 /// unlimited budget, no cancellation, errors stringified.
 ///
 /// # Errors
-/// Propagates tiling failures, reference-pass failures, and numeric
-/// cross-check mismatches.
+/// Propagates tiling failures, reference-pass failures (an out-of-range
+/// declared access among them), and measurement-invariant violations.
 pub fn run_tightness(jobs: Vec<TightnessJob>) -> Result<TightnessReport, String> {
     try_run_tightness(jobs, &Budget::unlimited(), &CancelToken::unlimited())
         .map_err(|e| e.to_string())
@@ -294,8 +296,9 @@ fn pack_key(stmt: u32, dims: &[i64], sel: &[iolb_ir::DimId]) -> Option<u128> {
     Some(key)
 }
 
-/// Reference data of one kernel's untiled execution: cell layout, the
-/// packed program-order trace, and per-instance expected cell versions.
+/// Reference data of one kernel's untiled enumeration: the declared
+/// accesses it evaluates, the packed program-order trace, and per-instance
+/// expected cell versions.
 ///
 /// A candidate enumeration is dependence-legal exactly when every instance
 /// touches every cell at the *same version* (write count) as in program
@@ -303,13 +306,11 @@ fn pack_key(stmt: u32, dims: &[i64], sel: &[iolb_ir::DimId]) -> Option<u128> {
 /// matching read versions pin each read into its original inter-write
 /// window (RAW + WAR) — and reads within one window commute freely, which
 /// is precisely the legal reorder space.
-struct TraceRef {
-    /// Array base offsets (cell id = `base[array] + flat`).
-    base: Vec<usize>,
-    /// Row-major strides per array.
-    strides: Vec<Vec<usize>>,
-    /// Total cell universe.
-    n_cells: usize,
+struct TraceRef<'p> {
+    /// The untiled program's declared accesses. Tiling keeps every
+    /// statement, its dims and their ids, so they evaluate the candidates'
+    /// instances too.
+    accesses: DeclaredAccesses<'p>,
     /// Packed untiled program-order trace.
     trace: Vec<u64>,
     /// Instance rank → first slot of its expected versions (reads in
@@ -323,43 +324,31 @@ struct TraceRef {
     n_instances: usize,
 }
 
-impl TraceRef {
+impl<'p> TraceRef<'p> {
     /// One pass over the untiled enumeration — governed: the instance walk
     /// polls `token` and is charged against `budget.max_instances`.
     ///
     /// # Errors
     /// Refuses instances outside the packable key domain (only when
     /// `with_ranks` — kernels without schedule directives never need the
-    /// instance map) and propagates budget/cancellation errors from the
-    /// governed walk.
+    /// instance map) and out-of-range declared accesses, and propagates
+    /// budget/cancellation errors from the governed walk.
     fn build(
-        program: &Program,
+        program: &'p Program,
         params: &[i64],
         with_ranks: bool,
         budget: &Budget,
         token: &CancelToken,
-    ) -> Result<TraceRef, AnalysisError> {
-        let n_arrays = program.arrays.len();
-        let strides: Vec<Vec<usize>> = (0..n_arrays)
-            .map(|i| program.array_strides(ArrayId(i as u32), params))
-            .collect();
-        let mut base = Vec::with_capacity(n_arrays);
-        let mut n_cells = 0usize;
-        for i in 0..n_arrays {
-            base.push(n_cells);
-            n_cells += program.array_len(ArrayId(i as u32), params).max(1);
-        }
+    ) -> Result<TraceRef<'p>, AnalysisError> {
         let mut r = TraceRef {
-            base,
-            strides,
-            n_cells,
+            accesses: DeclaredAccesses::bind(program, params),
             trace: Vec::new(),
             ver_off: vec![0],
             ver: Vec::new(),
             rank_of: HashMap::default(),
             n_instances: 0,
         };
-        let mut wc = vec![0u32; n_cells];
+        let mut wc = vec![0u32; r.accesses.num_cells()];
         let mut unpackable = None;
         try_for_each_instance(
             program,
@@ -379,15 +368,15 @@ impl TraceRef {
                 }
                 // The version CSR only exists to legality-check candidate
                 // enumerations; schedule-free kernels skip it entirely.
-                for access in &stmt.reads {
-                    let cell = r.cell_of(access, dims, params);
+                for i in 0..stmt.reads.len() {
+                    let cell = r.accesses.read(stmt_id, i, dims)?;
                     if with_ranks {
                         r.ver.push(wc[cell]);
                     }
                     r.trace.push((cell as u64) << 1);
                 }
-                for access in &stmt.writes {
-                    let cell = r.cell_of(access, dims, params);
+                for i in 0..stmt.writes.len() {
+                    let cell = r.accesses.write(stmt_id, i, dims)?;
                     if with_ranks {
                         r.ver.push(wc[cell]);
                         wc[cell] += 1;
@@ -398,6 +387,7 @@ impl TraceRef {
                     r.ver_off.push(r.ver.len() as u32);
                 }
                 r.n_instances += 1;
+                Ok(())
             },
         )?;
         match unpackable {
@@ -410,68 +400,63 @@ impl TraceRef {
         }
     }
 
-    /// Dense cell id of a declared access at one instance.
-    #[inline]
-    fn cell_of(&self, access: &iolb_ir::Access, dims: &[i64], params: &[i64]) -> usize {
-        let a = access.array.0 as usize;
-        let st = &self.strides[a];
-        let mut f = self.base[a];
-        for (axis, aff) in access.idx.iter().enumerate() {
-            let v = aff.eval_envs(dims, params);
-            debug_assert!(v >= 0, "negative declared subscript");
-            f += st[axis] * v as usize;
-        }
-        f
-    }
-
     /// Emits a candidate enumeration's trace into `out` while checking
     /// dependence legality against the reference versions. Returns whether
     /// the candidate is legal; an illegal candidate aborts emission early.
+    ///
+    /// # Errors
+    /// `Internal` when a ranked instance evaluates an access out of range:
+    /// it is one of the reference's instances, whose accesses all
+    /// evaluated in range, so this means tiling changed a statement.
     fn emit_candidate(
         &self,
         program: &Program,
         params: &[i64],
         out: &mut Vec<u64>,
         wc: &mut [u32],
-    ) -> bool {
+    ) -> Result<bool, AnalysisError> {
         out.clear();
         wc.fill(0);
-        let mut legal = true;
         let mut count = 0usize;
-        for_each_instance(program, params, |stmt_id, dims| {
-            if !legal {
-                return;
-            }
+        // `Ok(false)` once an instance is illegal; emission stops there.
+        let mut emit = |stmt_id: StmtId, dims: &[i64]| -> Result<bool, OutOfRange> {
             let stmt = program.stmt(stmt_id);
             let rank = pack_key(stmt_id.0, dims, &stmt.dims)
                 .and_then(|key| self.rank_of.get(&key).copied());
             let Some(rank) = rank else {
-                legal = false;
-                return;
+                return Ok(false);
             };
             let mut vp = self.ver_off[rank as usize] as usize;
-            for access in &stmt.reads {
-                let cell = self.cell_of(access, dims, params);
+            for i in 0..stmt.reads.len() {
+                let cell = self.accesses.read(stmt_id, i, dims)?;
                 if self.ver[vp] != wc[cell] {
-                    legal = false;
-                    return;
+                    return Ok(false);
                 }
                 vp += 1;
                 out.push((cell as u64) << 1);
             }
-            for access in &stmt.writes {
-                let cell = self.cell_of(access, dims, params);
+            for i in 0..stmt.writes.len() {
+                let cell = self.accesses.write(stmt_id, i, dims)?;
                 if self.ver[vp] != wc[cell] {
-                    legal = false;
-                    return;
+                    return Ok(false);
                 }
                 vp += 1;
                 wc[cell] += 1;
                 out.push(((cell as u64) << 1) | 1);
             }
             count += 1;
+            Ok(true)
+        };
+        let mut state = Ok(true);
+        for_each_instance(program, params, |stmt_id, dims| {
+            if state == Ok(true) {
+                state = emit(stmt_id, dims);
+            }
         });
-        legal && count == self.n_instances
+        let legal = state.map_err(|e| {
+            AnalysisError::Internal(format!("tiled candidate of {}: {e}", program.name))
+        })?;
+        Ok(legal && count == self.n_instances)
     }
 }
 
@@ -501,7 +486,7 @@ fn measure_kernel(
     // streaming engine through the slice `ChunkedTrace` bridge.
     let engine = ShardedCurveEngine::new();
     let mut trace_buf: Vec<u64> = Vec::with_capacity(tref.trace.len());
-    let mut wc = vec![0u32; tref.n_cells];
+    let mut wc = vec![0u32; tref.accesses.num_cells()];
     let mut best: Vec<Option<(u64, usize)>> = vec![None; s_values.len()];
     let mut program_order_loads: Vec<u64> = vec![0; s_values.len()];
     let mut tiled_programs: HashMap<usize, Program> = HashMap::new();
@@ -515,7 +500,7 @@ fn measure_kernel(
             Some(tiles) => {
                 let tiled = tile_program(&job.program, tiles)
                     .map_err(|e| AnalysisError::Refused(format!("{}: {e}", job.name)))?;
-                let legal = tref.emit_candidate(&tiled, &job.params, &mut trace_buf, &mut wc);
+                let legal = tref.emit_candidate(&tiled, &job.params, &mut trace_buf, &mut wc)?;
                 tiled_programs.insert(ci, tiled);
                 if !legal {
                     continue; // illegal interchange: disqualified, not an error
@@ -535,30 +520,20 @@ fn measure_kernel(
         }
     }
 
-    // Cross-check every winning tiled schedule against the untiled
-    // interpreter — identical final stores, bit for bit — and take the
-    // winner's LRU curve (the demand-paging view of the same trace).
+    // Take each winner's LRU curve (the demand-paging view of the same
+    // trace).
     let winning: Vec<usize> = {
         let mut w: Vec<usize> = best.iter().flatten().map(|&(_, ci)| ci).collect();
         w.sort_unstable();
         w.dedup();
         w
     };
-    let init = |a: ArrayId, f: usize| 1.0 + a.0 as f64 + f as f64 * 0.25;
-    let base_store = Interpreter::new(&job.program, &job.params).run_numeric(init);
     let mut lru_curves: HashMap<usize, MissCurve> = HashMap::new();
     for &ci in &winning {
         let trace: &[u64] = match tiled_programs.get(&ci) {
-            None => &tref.trace, // program order needs no cross-check
+            None => &tref.trace,
             Some(tiled) => {
-                let got = Interpreter::new(tiled, &job.params).run_numeric(init);
-                if got.data != base_store.data {
-                    return Err(AnalysisError::Internal(format!(
-                        "{}: schedule `{}` changed the numeric result — illegal interchange",
-                        job.name, cands[ci].desc
-                    )));
-                }
-                let legal = tref.emit_candidate(tiled, &job.params, &mut trace_buf, &mut wc);
+                let legal = tref.emit_candidate(tiled, &job.params, &mut trace_buf, &mut wc)?;
                 debug_assert!(legal, "winner was scored, so it must re-emit");
                 &trace_buf
             }

@@ -1,19 +1,17 @@
 //! Exact CDAG construction.
 //!
-//! Two synchronized paths produce the precise flow-dependence CDAG of the
-//! paper:
+//! [`try_build_cdag`] walks the loop tree enumerating statement instances
+//! and evaluates each statement's *declared* affine accesses through the
+//! checked `iolb_ir::DeclaredAccesses`: every read is wired to the *last
+//! writer* of its cell (or to an input node when the cell was never
+//! written). A statement's declared accesses are its semantics, so this is
+//! the precise flow-dependence CDAG of the paper — pure integer work over
+//! dense tables — and an out-of-range subscript is a typed refusal.
 //!
-//! * [`build_cdag`] — the fast path: walks the loop tree enumerating
-//!   statement instances (no store, no f64 execution) and evaluates each
-//!   statement's *declared* affine accesses. The declared accesses are
-//!   certified to match the executed ones instance-by-instance by
-//!   `iolb_ir::validate_accesses`, so this is exact for every certified
-//!   program — and it is pure integer work over dense tables.
-//! * [`build_cdag_executed`] — the original path: [`CdagBuilder`] is an
-//!   [`ExecSink`]; the interpreter executes the program and every performed
-//!   read is wired to the *last writer* of the cell (or to an input node
-//!   when the cell was never written). Ground truth for the fast path (a
-//!   test asserts both produce identical graphs on all paper kernels).
+//! [`CdagBuilder`] records the same graph from a stream of instance,
+//! read and write events; tests drive it from independent access
+//! evaluations (the fuzz oracle's walker, the builder kernels' executed
+//! f64 closures) to cross-check the fast path.
 //!
 //! Inputs and computes are allocated in separate id spaces during the run
 //! and merged at finish time: all inputs first (they carry the initial
@@ -22,7 +20,7 @@
 
 use crate::graph::Cdag;
 use iolb_govern::{AnalysisError, Budget, CancelToken, Seam};
-use iolb_ir::{try_for_each_instance, ArrayId, ExecSink, Interpreter, Program, StmtId, Store};
+use iolb_ir::{try_for_each_instance, ArrayId, DeclaredAccesses, Program, StmtId};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum End {
@@ -63,9 +61,10 @@ impl CellTable {
     }
 }
 
-/// Shared recording state of both construction paths.
-#[derive(Debug, Default)]
-struct Recorder {
+/// Records nodes and flow edges from a stream of instance / read / write
+/// events in schedule order.
+#[derive(Debug)]
+pub struct CdagBuilder {
     /// Per compute node: statement id.
     stmts: Vec<u32>,
     /// Iteration-vector arena (compute `c` owns `iv_off[c]..iv_off[c+1]`).
@@ -82,11 +81,24 @@ struct Recorder {
     input_node: CellTable,
 }
 
-impl Recorder {
-    fn new() -> Recorder {
-        Recorder {
+impl Default for CdagBuilder {
+    fn default() -> CdagBuilder {
+        CdagBuilder::new()
+    }
+}
+
+impl CdagBuilder {
+    /// Fresh builder.
+    pub fn new() -> CdagBuilder {
+        CdagBuilder {
+            stmts: Vec::new(),
             iv_off: vec![0],
-            ..Recorder::default()
+            iv_data: Vec::new(),
+            inputs: Vec::new(),
+            edges: Vec::new(),
+            instance_start: 0,
+            last_writer: CellTable::default(),
+            input_node: CellTable::default(),
         }
     }
 
@@ -95,16 +107,16 @@ impl Recorder {
         (self.stmts.len() - 1) as u32
     }
 
-    #[inline]
-    fn record_stmt(&mut self, stmt: StmtId, iv: impl Iterator<Item = i64>) {
+    /// A statement instance with iteration vector `iv` starts.
+    pub fn stmt(&mut self, stmt: StmtId, iv: &[i64]) {
         self.stmts.push(stmt.0);
-        self.iv_data.extend(iv.map(|x| x as i32));
+        self.iv_data.extend(iv.iter().map(|&x| x as i32));
         self.iv_off.push(self.iv_data.len() as u32);
         self.instance_start = self.edges.len();
     }
 
-    #[inline]
-    fn record_read(&mut self, array: ArrayId, flat: usize) {
+    /// The current instance reads `array[flat]`.
+    pub fn read(&mut self, array: ArrayId, flat: usize) {
         let cur = self.current();
         let from = match self.last_writer.get(array.0, flat) {
             w if w != NIL => End::Compute(w),
@@ -128,13 +140,14 @@ impl Recorder {
         }
     }
 
-    #[inline]
-    fn record_write(&mut self, array: ArrayId, flat: usize) {
+    /// The current instance writes `array[flat]`.
+    pub fn write(&mut self, array: ArrayId, flat: usize) {
         let cur = self.current();
         *self.last_writer.slot(array.0, flat) = cur;
     }
 
-    fn finish(self) -> Cdag {
+    /// Finalizes into a [`Cdag`].
+    pub fn finish(self) -> Cdag {
         let n_in = self.inputs.len();
         let n = n_in + self.stmts.len();
         let mut meta = Vec::with_capacity(n);
@@ -164,53 +177,11 @@ impl Recorder {
     }
 }
 
-/// [`ExecSink`] that records nodes and flow edges from an *executed* run.
-#[derive(Debug)]
-pub struct CdagBuilder {
-    rec: Recorder,
-}
-
-impl Default for CdagBuilder {
-    fn default() -> CdagBuilder {
-        CdagBuilder::new()
-    }
-}
-
-impl CdagBuilder {
-    /// Fresh builder.
-    pub fn new() -> CdagBuilder {
-        CdagBuilder {
-            rec: Recorder::new(),
-        }
-    }
-
-    /// Finalizes into a [`Cdag`].
-    pub fn finish(self) -> Cdag {
-        self.rec.finish()
-    }
-}
-
-impl ExecSink for CdagBuilder {
-    fn on_stmt(&mut self, stmt: StmtId, iv: &[i64]) {
-        self.rec.record_stmt(stmt, iv.iter().copied());
-    }
-
-    fn on_read(&mut self, array: ArrayId, flat: usize) {
-        self.rec.record_read(array, flat);
-    }
-
-    fn on_write(&mut self, array: ArrayId, flat: usize) {
-        self.rec.record_write(array, flat);
-    }
-}
-
-/// Runs `program` at `params` and returns its exact CDAG — fast path.
+/// Runs `program` at `params` and returns its exact CDAG.
 ///
 /// Enumerates instances with `iolb_ir::for_each_instance` and evaluates the
-/// *declared* affine accesses of each statement (reads wired before writes,
-/// matching the read-then-write convention of the executable semantics).
-/// Exact whenever the program's metadata is certified by
-/// `iolb_ir::validate_accesses` — all shipped kernels are.
+/// *declared* affine accesses of each statement, an instance's reads wired
+/// before its writes.
 ///
 /// All state is pre-sized flat storage — per-array cell tables sized from
 /// the array extents, one iteration-vector arena, and a packed edge list —
@@ -231,22 +202,21 @@ pub fn build_cdag(program: &Program, params: &[i64]) -> Cdag {
 /// parameters return `BudgetExceeded` instead of wrapping the table size
 /// or OOMing), counts instances against `budget.max_instances` during the
 /// walk, and checks node/edge totals against the budget after the fill.
+/// A declared access outside its array is [`AnalysisError::Refused`].
 pub fn try_build_cdag(
     program: &Program,
     params: &[i64],
     budget: &Budget,
     token: &CancelToken,
 ) -> Result<Cdag, AnalysisError> {
-    let n_arrays = program.arrays.len();
-    let mut lens: Vec<usize> = Vec::with_capacity(n_arrays);
     let mut cell_bytes = 0u64;
-    for i in 0..n_arrays {
+    for (i, decl) in program.arrays.iter().enumerate() {
         let len = program
             .try_array_len(ArrayId(i as u32), params)
             .ok_or_else(|| {
                 AnalysisError::Refused(format!(
                     "array {} has an unsizable extent at these parameters",
-                    program.arrays[i].name
+                    decl.name
                 ))
             })?
             .max(1);
@@ -258,20 +228,12 @@ pub fn try_build_cdag(
                 limit: budget.max_arena_bytes,
             });
         }
-        let len = usize::try_from(len).map_err(|_| AnalysisError::BudgetExceeded {
-            resource: "arena_bytes",
-            needed: u64::MAX,
-            limit: budget.max_arena_bytes,
-        })?;
-        lens.push(len);
     }
-    let strides: Vec<Vec<usize>> = (0..n_arrays)
-        .map(|i| program.array_strides(ArrayId(i as u32), params))
-        .collect();
+    let accesses = DeclaredAccesses::bind(program, params);
     // One packed state per cell, doubling as the edge's `from` endpoint:
     // NIL = untouched, `input_id << 1 | 1` = first touch was a read (input
     // node), `compute_id << 1` = last written by that compute.
-    let mut cells: Vec<Vec<u32>> = lens.iter().map(|&l| vec![NIL; l]).collect();
+    let mut cells: Vec<u32> = vec![NIL; accesses.num_cells()];
     let mut stmts: Vec<u32> = Vec::new();
     let mut iv_off: Vec<u32> = vec![0];
     let mut iv_data: Vec<i32> = Vec::new();
@@ -291,23 +253,14 @@ pub fn try_build_cdag(
             iv_data.extend(stmt.dims.iter().map(|d| dims[d.0 as usize] as i32));
             iv_off.push(iv_data.len() as u32);
             let cur = (stmts.len() - 1) as u32;
-            let flat_of = |access: &iolb_ir::Access| -> usize {
-                let st = &strides[access.array.0 as usize];
-                let mut f = 0usize;
-                for (axis, aff) in access.idx.iter().enumerate() {
-                    let v = aff.eval_envs(dims, params);
-                    debug_assert!(v >= 0, "negative declared subscript");
-                    f += st[axis] * v as usize;
-                }
-                f
-            };
             let instance_start = edges.len();
-            for access in &stmt.reads {
-                let f = flat_of(access);
-                let slot = &mut cells[access.array.0 as usize][f];
+            for (r, access) in stmt.reads.iter().enumerate() {
+                let cell = accesses.read(stmt_id, r, dims)?;
+                let slot = &mut cells[cell];
                 if *slot == NIL {
                     *slot = ((inputs.len() as u32) << 1) | 1;
-                    inputs.push((access.array.0, f as u32));
+                    let flat = cell - accesses.base(access.array);
+                    inputs.push((access.array.0, flat as u32));
                 }
                 let from = *slot;
                 // Duplicate declared reads of one producer within an instance
@@ -316,9 +269,10 @@ pub fn try_build_cdag(
                     edges.push((from, cur));
                 }
             }
-            for access in &stmt.writes {
-                cells[access.array.0 as usize][flat_of(access)] = cur << 1;
+            for w in 0..stmt.writes.len() {
+                cells[accesses.write(stmt_id, w, dims)?] = cur << 1;
             }
+            Ok(())
         },
     )?;
 
@@ -368,15 +322,6 @@ pub fn try_build_cdag(
     ))
 }
 
-/// Runs `program` at `params` through the interpreter and returns the CDAG
-/// of the *performed* accesses — the ground-truth construction.
-pub fn build_cdag_executed(program: &Program, params: &[i64]) -> Cdag {
-    let mut builder = CdagBuilder::new();
-    let mut store = Store::init(program, params, |a, f| 1.0 + a.0 as f64 + f as f64 * 0.25);
-    Interpreter::new(program, params).run(&mut store, &mut builder);
-    builder.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -390,10 +335,7 @@ mod tests {
         let i = b.open("i", b.c(1), b.p("N"));
         let xi = Access::new(x, vec![b.d(i)]);
         let xm = Access::new(x, vec![b.d(i) - 1]);
-        b.stmt("S", vec![xi.clone(), xm], vec![xi], move |c| {
-            let v = c.rd(x, &[c.v(0)]) + c.rd(x, &[c.v(0) - 1]);
-            c.wr(x, &[c.v(0)], v);
-        });
+        b.stmt("S", vec![xi.clone(), xm], vec![xi]);
         b.close();
         b.finish()
     }
@@ -436,13 +378,10 @@ mod tests {
         let x = b.array("x", &[b.p("N")]);
         let acc = b.scalar("acc");
         let wa = Access::new(acc, vec![]);
-        b.stmt("Z", vec![], vec![wa.clone()], move |c| c.wr(acc, &[], 0.0));
+        b.stmt("Z", vec![], vec![wa.clone()]);
         let i = b.open("i", b.c(0), b.p("N"));
         let xi = Access::new(x, vec![b.d(i)]);
-        b.stmt("S", vec![xi, wa.clone()], vec![wa], move |c| {
-            let v = c.rd(x, &[c.v(0)]) + c.rd(acc, &[]);
-            c.wr(acc, &[], v);
-        });
+        b.stmt("S", vec![xi, wa.clone()], vec![wa]);
         b.close();
         let p = b.finish();
         let g = build_cdag(&p, &[4]);
@@ -464,60 +403,9 @@ mod tests {
         let y = b.scalar("y");
         let rx = Access::new(x, vec![b.c(0)]);
         let wy = Access::new(y, vec![]);
-        b.stmt("S", vec![rx], vec![wy], move |c| {
-            let v = c.rd(x, &[0]) * c.rd(x, &[0]);
-            c.wr(y, &[], v);
-        });
+        b.stmt("S", vec![rx], vec![wy]);
         let p = b.finish();
         let g = build_cdag(&p, &[3]);
         assert_eq!(g.num_edges(), 1);
-    }
-
-    /// The declared-access fast path and the executed ground-truth path must
-    /// agree exactly on structure.
-    fn assert_same_graph(p: &iolb_ir::Program, params: &[i64]) {
-        let fast = build_cdag(p, params);
-        let slow = build_cdag_executed(p, params);
-        assert_eq!(fast.len(), slow.len(), "{}: node count", p.name);
-        assert_eq!(fast.num_edges(), slow.num_edges(), "{}: edge count", p.name);
-        assert_eq!(fast.num_computes(), slow.num_computes(), "{}", p.name);
-        for v in 0..fast.len() as u32 {
-            assert_eq!(
-                fast.preds(NodeId(v)),
-                slow.preds(NodeId(v)),
-                "{}: preds of {v}",
-                p.name
-            );
-            assert_eq!(
-                fast.kind(NodeId(v)),
-                slow.kind(NodeId(v)),
-                "{}: kind of {v}",
-                p.name
-            );
-        }
-    }
-
-    #[test]
-    fn declared_path_matches_executed_path() {
-        assert_same_graph(&prefix(), &[7]);
-    }
-
-    /// The fast path must agree with the executed ground truth on every
-    /// paper kernel, not just toys — this is what licenses `build_cdag`'s
-    /// reliance on certified declared accesses.
-    #[test]
-    fn declared_path_matches_executed_path_on_paper_kernels() {
-        let cases: Vec<(iolb_ir::Program, Vec<i64>)> = vec![
-            (iolb_kernels::mgs::program(), vec![10, 5]),
-            (iolb_kernels::mgs::tiled_program(), vec![10, 5, 2]),
-            (iolb_kernels::householder::a2v_program(), vec![10, 5]),
-            (iolb_kernels::householder::v2q_program(), vec![10, 5]),
-            (iolb_kernels::gebd2::program(), vec![8, 4]),
-            (iolb_kernels::gehd2::program(), vec![8]),
-            (iolb_kernels::gemm::program(), vec![5, 4, 3]),
-        ];
-        for (program, params) in &cases {
-            assert_same_graph(program, params);
-        }
     }
 }

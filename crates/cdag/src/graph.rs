@@ -51,8 +51,8 @@ pub enum NodeSpec {
 
 /// A computational DAG in CSR form.
 ///
-/// Compute nodes appear in *schedule order* (the order the interpreter
-/// executed them), so `0..n` restricted to compute nodes is always a valid
+/// Compute nodes appear in *schedule order* (the order the instance walk
+/// enumerated them), so `0..n` restricted to compute nodes is always a valid
 /// sequential schedule.
 ///
 /// Storage is fully flat: adjacency in two CSR pairs, node metadata in

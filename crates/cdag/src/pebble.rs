@@ -793,13 +793,10 @@ mod tests {
         let x = b.array("x", &[b.p("N")]);
         let acc = b.scalar("acc");
         let wa = Access::new(acc, vec![]);
-        b.stmt("Z", vec![], vec![wa.clone()], move |c| c.wr(acc, &[], 0.0));
+        b.stmt("Z", vec![], vec![wa.clone()]);
         let i = b.open("i", b.c(0), b.p("N"));
         let xi = Access::new(x, vec![b.d(i)]);
-        b.stmt("S", vec![xi, wa.clone()], vec![wa], move |c| {
-            let v = c.rd(x, &[c.v(0)]) + c.rd(acc, &[]);
-            c.wr(acc, &[], v);
-        });
+        b.stmt("S", vec![xi, wa.clone()], vec![wa]);
         b.close();
         let p = b.finish();
         let g = build_cdag(&p, &[n]);
@@ -833,15 +830,12 @@ mod tests {
         let x = b.array("x", &[b.p("N")]);
         let acc = b.scalar("acc");
         let wa = Access::new(acc, vec![]);
-        b.stmt("Z", vec![], vec![wa.clone()], move |c| c.wr(acc, &[], 0.0));
+        b.stmt("Z", vec![], vec![wa.clone()]);
         for pass in 0..2 {
             let i = b.open("i", b.c(0), b.p("N"));
             let xi = Access::new(x, vec![b.d(i)]);
             let name = format!("S{pass}");
-            b.stmt(&name, vec![xi, wa.clone()], vec![wa.clone()], move |c| {
-                let v = c.rd(x, &[c.v(0)]) + c.rd(acc, &[]);
-                c.wr(acc, &[], v);
-            });
+            b.stmt(&name, vec![xi, wa.clone()], vec![wa.clone()]);
             b.close();
         }
         let p = b.finish();

@@ -4,6 +4,7 @@
 
 use iolb_cli::{parse_args, run_file, FileOutcome, Options};
 use std::path::PathBuf;
+use std::process::Command;
 
 fn kernels_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../kernels")
@@ -281,4 +282,62 @@ fn fuzz_run_is_clean_and_its_json_is_seed_stamped_and_deterministic() {
         "seed is a required field"
     );
     assert!(json_a.contains("\"schema\": \"hourglass-iolb/fuzz/v1\""));
+}
+
+/// Out-of-range declared subscripts — past the end, before the start, a
+/// row wrap into the next row, and a constant in range at the request's
+/// `N = 6` but not at the `N = 5` the derivation also observes — are typed
+/// refusals: exit 3, one `[refused]` line naming the statement and the
+/// access, no panic.
+#[test]
+fn out_of_range_subscripts_exit_3_with_one_refusal() {
+    // (kernel, loop nest over `array A[..]; array B[..]`, refused access)
+    let cases = [
+        (
+            "past_end",
+            "array A[N]; array B[N]; for i in 0..N { S: B[i] = op(A[i + 1], B[i]); }",
+            "A[i + 1]",
+        ),
+        (
+            "before_start",
+            "array A[N]; array B[N]; for i in 0..N { S: B[i] = op(A[i - 1], B[i]); }",
+            "A[i - 1]",
+        ),
+        (
+            "row_wrap",
+            "array A[N][N]; array B[N][N]; \
+             for i in 0..N - 1 { for j in 0..N { S: B[i][j] = op(A[i][j + 1], B[i][j]); } }",
+            "A[i][j + 1]",
+        ),
+        (
+            "sibling_only",
+            "array A[N]; array B[N]; for i in 0..N { S: B[i] = op(A[5], B[i]); }",
+            "A[5]",
+        ),
+    ];
+    let dir = std::env::temp_dir().join(format!("iolb_oob_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    for (name, body, access) in cases {
+        let path = dir.join(format!("{name}.iolb"));
+        let source = format!("kernel {name}(N) {{ default N = 6; {body} }}");
+        std::fs::write(&path, source).expect("write kernel");
+        let out = Command::new(env!("CARGO_BIN_EXE_iolb"))
+            .arg(&path)
+            .output()
+            .expect("spawn iolb");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(3), "{name}: {stderr}");
+        let refusals: Vec<&str> = stderr
+            .lines()
+            .filter(|l| l.starts_with("[refused]"))
+            .collect();
+        assert_eq!(refusals.len(), 1, "{name}: {stderr}");
+        assert!(
+            refusals[0].contains("statement S") && refusals[0].contains(access),
+            "{name}: {}",
+            refusals[0]
+        );
+        assert!(!stderr.contains("panicked"), "{name}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).expect("clean temp dir");
 }

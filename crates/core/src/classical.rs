@@ -221,11 +221,7 @@ mod tests {
         let ra = iolb_ir::Access::new(a, vec![b.d(i), b.d(j)]);
         let rq = iolb_ir::Access::new(q, vec![b.d(i), b.d(k)]);
         let rr = iolb_ir::Access::new(r, vec![b.d(k), b.d(j)]);
-        b.stmt("SU", vec![ra.clone(), rq, rr], vec![ra], move |c| {
-            let (k, j, i) = (c.v(0), c.v(1), c.v(2));
-            let v = c.rd(a, &[i, j]) - c.rd(q, &[i, k]) * c.rd(r, &[k, j]);
-            c.wr(a, &[i, j], v);
-        });
+        b.stmt("SU", vec![ra.clone(), rq, rr], vec![ra]);
         b.close();
         b.close();
         b.close();

@@ -20,22 +20,11 @@ fn mini_mgs() -> iolb_ir::Program {
     let k = b.open("k", b.c(0), b.p("N"));
     let j = b.open("j", b.d(k) + 1, b.p("N"));
     let w_r = iolb_ir::Access::new(r, vec![b.d(k), b.d(j)]);
-    b.stmt("S0", vec![], vec![w_r.clone()], move |c| {
-        c.wr(r, &[c.v(0), c.v(1)], 0.0)
-    });
+    b.stmt("S0", vec![], vec![w_r.clone()]);
     let i1 = b.open("i", b.c(0), b.p("M"));
     let rd_aik = iolb_ir::Access::new(a, vec![b.d(i1), b.d(k)]);
     let rd_aij = iolb_ir::Access::new(a, vec![b.d(i1), b.d(j)]);
-    b.stmt(
-        "SR",
-        vec![rd_aik, rd_aij, w_r.clone()],
-        vec![w_r.clone()],
-        move |c| {
-            let (k, j, i) = (c.v(0), c.v(1), c.v(2));
-            let v = c.rd(a, &[i, k]) * c.rd(a, &[i, j]) + c.rd(r, &[k, j]);
-            c.wr(r, &[k, j], v);
-        },
-    );
+    b.stmt("SR", vec![rd_aik, rd_aij, w_r.clone()], vec![w_r.clone()]);
     b.close();
     let i2 = b.open("i", b.c(0), b.p("M"));
     let rd_aik2 = iolb_ir::Access::new(a, vec![b.d(i2), b.d(k)]);
@@ -44,11 +33,6 @@ fn mini_mgs() -> iolb_ir::Program {
         "SU",
         vec![rd_aik2, rw_aij2.clone(), w_r.clone()],
         vec![rw_aij2],
-        move |c| {
-            let (k, j, i) = (c.v(0), c.v(1), c.v(2));
-            let v = c.rd(a, &[i, j]) - c.rd(a, &[i, k]) * c.rd(r, &[k, j]);
-            c.wr(a, &[i, j], v);
-        },
     );
     b.close();
     b.close();

@@ -145,7 +145,10 @@ fn tiled_mgs_play_beats_program_order_at_matching_cache() {
     let s = 3 * m as usize + 4; // fits B+1 ≈ 2–3 columns
     let block = iolb_kernels::mgs::a1_block_size(m as usize, s) as i64;
     let untiled = build_cdag(&iolb_kernels::mgs::program(), &[m, n]);
-    let tiled = build_cdag(&iolb_kernels::mgs::tiled_program(), &[m, n, block]);
+    let tiled = build_cdag(
+        &iolb_kernels::mgs::tiled_executable().program,
+        &[m, n, block],
+    );
     let u = PebbleGame::new(&untiled, s).best_play().unwrap();
     let t = PebbleGame::new(&tiled, s).best_play().unwrap();
     assert!(

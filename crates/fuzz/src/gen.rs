@@ -522,7 +522,7 @@ mod tests {
             let k = iolb_ir::parse_kernel(&src)
                 .unwrap_or_else(|e| panic!("case {idx} does not parse: {e}\n{src}"));
             let params = k.default_params().expect("defaults cover all params");
-            iolb_ir::interp::validate_accesses(&k.program, &params)
+            iolb_ir::check_accesses(&k.program, &params)
                 .unwrap_or_else(|e| panic!("case {idx} fails certification: {e}\n{src}"));
             assert!(spec.num_stmts() >= 1);
         }

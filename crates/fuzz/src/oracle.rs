@@ -6,11 +6,13 @@
 //!
 //! 1. **round-trip** — `parse(print(parse(src)))` preserves the program
 //!    *and* every directive ([`iolb_ir::kernel_diff`]);
-//! 2. **certification** — the synthesized closures perform exactly the
-//!    declared accesses ([`iolb_ir::interp::validate_accesses`]);
-//! 3. **CDAG agreement** — the fast declared-access construction
-//!    ([`build_cdag`]) is node-for-node identical to the executed
-//!    ground-truth path ([`build_cdag_executed`]);
+//! 2. **certification** — every declared access of every instance stays
+//!    inside its array ([`iolb_ir::check_accesses`]);
+//! 3. **CDAG agreement** — the construction through the checked evaluator
+//!    ([`build_cdag`]) is node-for-node identical to a [`CdagBuilder`]
+//!    recording driven by a plain instance walk that evaluates each
+//!    subscript with [`Aff::eval_with`](iolb_ir::Aff::eval_with) — an
+//!    independent evaluation of the same accesses;
 //! 4. **hourglass self-consistency** — a detected pattern must certify on
 //!    the concrete observation sizes;
 //! 5. **bound soundness** — every derived floored bound (classical σ and
@@ -21,20 +23,21 @@
 //! 6. **schedule legality** — the tightness harness's invariants hold:
 //!    tiled enumerations preserving the instance version map are the only
 //!    ones measured, the winner never loses to program order or to its
-//!    own LRU view, identical final stores bit-for-bit, and every
-//!    measured upper bound also dominates the derived lower bounds
-//!    (`lower bound ≤ OPT ≤ any legal schedule`).
+//!    own LRU view, and every measured upper bound also dominates the
+//!    derived lower bounds (`lower bound ≤ OPT ≤ any legal schedule`).
 //!
 //! Analysis-stage *refusals* (no covering σ projection set, no split
 //! binding) are not violations — the pipeline is allowed to decline a
 //! bound; it is never allowed to overshoot one.
 
 use iolb_bench::tightness::{run_tightness, TightnessJob};
-use iolb_cdag::{build_cdag, build_cdag_executed};
+use iolb_cdag::{build_cdag, Cdag, CdagBuilder};
 use iolb_core::report::{derive_with_split, observation_sizes};
 use iolb_core::{hourglass, Analysis, EngineRegistry};
-use iolb_ir::interp::validate_accesses;
-use iolb_ir::{kernel_diff, parse_kernel, print_kernel, Program};
+use iolb_ir::{
+    check_accesses, for_each_instance, kernel_diff, parse_kernel, print_kernel, Access, ArrayId,
+    Program,
+};
 use iolb_memsim::CurveEngine;
 use iolb_symbolic::Var;
 
@@ -176,14 +179,13 @@ impl Oracle {
             .default_params()
             .map_err(|e| Violation::new("defaults", e))?;
 
-        // 2. Declared accesses == performed accesses on every instance.
-        let instances =
-            validate_accesses(program, &params).map_err(|e| Violation::new("certify", e))?;
+        // 2. Every declared access in range on every instance.
+        let instances = check_accesses(program, &params)
+            .map_err(|e| Violation::new("certify", e.to_string()))?;
 
-        // 3. Fast CDAG path vs executed ground truth.
+        // 3. The evaluator's CDAG vs an independently evaluated recording.
         let cdag = build_cdag(program, &params);
-        let executed = build_cdag_executed(program, &params);
-        if let Some(d) = cdag.diff(&executed) {
+        if let Some(d) = cdag.diff(&walked_cdag(program, &params)) {
             return Err(Violation::new("cdag-divergence", d));
         }
 
@@ -302,7 +304,7 @@ impl Oracle {
             (prev_opt, prev_lru) = (opt_loads, lru_loads);
         }
 
-        // 6. Tightness harness: schedule legality, store cross-check, and
+        // 6. Tightness harness: schedule legality and
         // `lower bound ≤ best measured schedule` (the `run_tightness`
         // internals reject version-map-breaking enumerations and error on
         // any inverted measurement invariant).
@@ -343,6 +345,41 @@ impl Oracle {
             engine_covered,
         })
     }
+}
+
+/// The CDAG [`CdagBuilder`] records from a plain [`for_each_instance`]
+/// walk, each subscript evaluated with [`Aff::eval_with`](iolb_ir::Aff::eval_with)
+/// and flattened by [`Program::array_strides`]: of the checked evaluator
+/// behind [`build_cdag`] it shares only the strides, not the subscript
+/// evaluation, the flat index or the range check. Runs after the range
+/// check, so every subscript is in range.
+fn walked_cdag(program: &Program, params: &[i64]) -> Cdag {
+    let strides: Vec<Vec<usize>> = (0..program.arrays.len())
+        .map(|a| program.array_strides(ArrayId(a as u32), params))
+        .collect();
+    let mut builder = CdagBuilder::new();
+    for_each_instance(program, params, |stmt, env| {
+        let flat = |a: &Access| -> usize {
+            let value =
+                |e: &iolb_ir::Aff| e.eval_with(&|d| env[d.0 as usize], &|p| params[p.0 as usize]);
+            let st = &strides[a.array.0 as usize];
+            a.idx
+                .iter()
+                .zip(st)
+                .map(|(e, s)| s * value(e) as usize)
+                .sum()
+        };
+        let s = program.stmt(stmt);
+        let iv: Vec<i64> = s.dims.iter().map(|d| env[d.0 as usize]).collect();
+        builder.stmt(stmt, &iv);
+        for a in &s.reads {
+            builder.read(a.array, flat(a));
+        }
+        for a in &s.writes {
+            builder.write(a.array, flat(a));
+        }
+    });
+    builder.finish()
 }
 
 /// The pipeline's fallback analysis target

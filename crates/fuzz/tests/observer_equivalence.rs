@@ -5,109 +5,56 @@
 
 use iolb_fuzz::gen::{generate_case, GenConfig};
 use iolb_ir::deps::{observe_producers_with_aliases, AliasPairs, Observations, Producer};
-use iolb_ir::interp::{ExecSink, Interpreter, Store};
-use iolb_ir::{ArrayId, DimId, ParamId, Program, StmtId};
+use iolb_ir::{for_each_instance, Access, Aff, ArrayId, Program, StmtId};
 use std::collections::BTreeMap;
 use std::path::Path;
 
-/// The map-based observer: last writers and the current instance's
-/// declared read cells in `BTreeMap`s, observations inserted per access.
+/// The map-based observer: a plain instance walk evaluating every
+/// subscript with [`Aff::eval_with`], last writers and the current
+/// instance's read cells in `BTreeMap`s, observations inserted per access.
+/// An instance reads every declared read before it writes.
 fn reference_observe(program: &Program, params: &[i64]) -> (Observations, AliasPairs) {
-    struct Observer<'p> {
-        program: &'p Program,
-        params: Vec<i64>,
-        strides: Vec<Vec<usize>>,
-        last_writer: BTreeMap<(u32, usize), StmtId>,
-        current: Option<StmtId>,
-        expected: BTreeMap<(u32, usize), Vec<usize>>,
-        obs: Observations,
-        aliases: AliasPairs,
-    }
-
-    impl Observer<'_> {
-        fn flat(&self, access: &iolb_ir::Access, stmt: StmtId, iv: &[i64]) -> (u32, usize) {
-            let dims = &self.program.stmt(stmt).dims;
-            let dim_env = |d: DimId| {
-                let pos = dims
-                    .iter()
-                    .position(|x| *x == d)
-                    .expect("non-enclosing dim");
-                iv[pos]
-            };
-            let par_env = |p: ParamId| self.params[p.0 as usize];
-            let st = &self.strides[access.array.0 as usize];
-            let mut f = 0usize;
-            for (axis, a) in access.idx.iter().enumerate() {
-                let v = a.eval_with(&dim_env, &par_env);
-                f += st[axis] * v.max(0) as usize;
-            }
-            (access.array.0, f)
-        }
-    }
-
-    impl ExecSink for Observer<'_> {
-        fn on_stmt(&mut self, stmt: StmtId, iv: &[i64]) {
-            self.current = Some(stmt);
-            self.expected.clear();
-            for (i, r) in self.program.stmt(stmt).reads.iter().enumerate() {
-                let key = self.flat(r, stmt, iv);
-                self.expected.entry(key).or_default().push(i);
-            }
-            for idxs in self.expected.values() {
-                for (k, &a) in idxs.iter().enumerate() {
-                    for &b in &idxs[k + 1..] {
-                        self.aliases.insert((stmt, a.min(b), a.max(b)));
-                    }
-                }
-            }
-        }
-        fn on_read(&mut self, array: ArrayId, flat: usize) {
-            let stmt = self.current.expect("read outside a statement");
-            let producer = self
-                .last_writer
-                .get(&(array.0, flat))
-                .map(|s| Producer::Stmt(*s))
-                .unwrap_or(Producer::Input);
-            if let Some(idxs) = self.expected.get(&(array.0, flat)) {
-                for &i in idxs {
-                    self.obs.entry((stmt, i)).or_default().insert(producer);
-                }
-            }
-        }
-        fn on_write(&mut self, array: ArrayId, flat: usize) {
-            let stmt = self.current.expect("write outside a statement");
-            self.last_writer.insert((array.0, flat), stmt);
-        }
-    }
-
-    let strides = (0..program.arrays.len())
-        .map(|i| {
-            let extents = program.array_extents(ArrayId(i as u32), params);
-            let mut st = vec![1usize; extents.len()];
-            for k in (0..extents.len().saturating_sub(1)).rev() {
-                st[k] = st[k + 1] * extents[k + 1];
-            }
-            st
-        })
+    let strides: Vec<Vec<usize>> = (0..program.arrays.len())
+        .map(|a| program.array_strides(ArrayId(a as u32), params))
         .collect();
-    let mut obs = Observer {
-        program,
-        params: params.to_vec(),
-        strides,
-        last_writer: BTreeMap::new(),
-        current: None,
-        expected: BTreeMap::new(),
-        obs: Observations::new(),
-        aliases: AliasPairs::new(),
-    };
-    let mut store = Store::init(program, params, |a, f| 1.0 + a.0 as f64 + f as f64 * 0.125);
-    Interpreter::new(program, params).run(&mut store, &mut obs);
-    (obs.obs, obs.aliases)
+    let mut last_writer: BTreeMap<(u32, usize), StmtId> = BTreeMap::new();
+    let mut obs = Observations::new();
+    let mut aliases = AliasPairs::new();
+    for_each_instance(program, params, |stmt, env| {
+        let cell = |a: &Access| -> (u32, usize) {
+            let value = |e: &Aff| e.eval_with(&|d| env[d.0 as usize], &|p| params[p.0 as usize]);
+            let st = &strides[a.array.0 as usize];
+            let flat = a.idx.iter().zip(st).map(|(e, s)| s * value(e) as usize);
+            (a.array.0, flat.sum())
+        };
+        let s = program.stmt(stmt);
+        let mut reads: BTreeMap<(u32, usize), Vec<usize>> = BTreeMap::new();
+        for (i, r) in s.reads.iter().enumerate() {
+            reads.entry(cell(r)).or_default().push(i);
+        }
+        for (key, idxs) in &reads {
+            let producer = last_writer
+                .get(key)
+                .map(|w| Producer::Stmt(*w))
+                .unwrap_or(Producer::Input);
+            for (k, &a) in idxs.iter().enumerate() {
+                obs.entry((stmt, a)).or_default().insert(producer);
+                for &b in &idxs[k + 1..] {
+                    aliases.insert((stmt, a, b));
+                }
+            }
+        }
+        for w in &s.writes {
+            last_writer.insert(cell(w), stmt);
+        }
+    });
+    (obs, aliases)
 }
 
 /// Asserts both observers agree; returns what they observed.
 fn assert_same(what: &str, program: &Program, params: &[i64]) -> (Observations, AliasPairs) {
-    let dense = observe_producers_with_aliases(program, params);
+    let dense = observe_producers_with_aliases(program, params)
+        .unwrap_or_else(|e| panic!("{what} {params:?}: {e}"));
     let reference = reference_observe(program, params);
     assert_eq!(
         dense.0, reference.0,

@@ -170,6 +170,26 @@ fn error_class_exchanges_match_golden_snapshots() {
     shutdown(addr, handle);
 }
 
+/// A declared subscript past its array is a typed refusal (422), not a
+/// 500 from a panicking worker.
+#[test]
+fn out_of_range_subscript_is_refused_with_422() {
+    let (addr, handle) = start_daemon();
+    let source = "kernel plus(N) { array A[N]; array B[N]; default N = 6; \
+                  for i in 0..N { S: B[i] = op(A[i + 1], B[i]); } }";
+    let response = exchange(addr, &analyze(source, &[]));
+    assert!(
+        response.starts_with("HTTP/1.1 422 Unprocessable Entity"),
+        "{response}"
+    );
+    assert!(
+        response.contains("\"class\": \"refused\"")
+            && response.contains("statement S at (i=5) reads A[i + 1]"),
+        "{response}"
+    );
+    shutdown(addr, handle);
+}
+
 #[test]
 fn cache_hits_surface_in_header_and_stats() {
     let (addr, handle) = start_daemon();

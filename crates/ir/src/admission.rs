@@ -66,7 +66,10 @@ fn stmt_instance_counts(
         token,
         Seam::Admission,
         budget.max_instances,
-        |stmt, _| counts[stmt.0 as usize] += 1,
+        |stmt, _| {
+            counts[stmt.0 as usize] += 1;
+            Ok(())
+        },
     )?;
     Ok(counts)
 }
@@ -152,10 +155,7 @@ mod tests {
         let i = b.open("i", b.c(0), b.p(n_name));
         let j = b.open("j", b.c(0), b.p(n_name));
         let acc = Access::new(a, vec![b.d(i), b.d(j)]);
-        b.stmt("S", vec![acc.clone()], vec![acc], move |c| {
-            let v = c.rd(a, &[c.v(0), c.v(1)]);
-            c.wr(a, &[c.v(0), c.v(1)], v + 1.0);
-        });
+        b.stmt("S", vec![acc.clone()], vec![acc]);
         b.close();
         b.close();
         b.finish()

@@ -224,10 +224,7 @@ mod tests {
         let j = b.open("j", b.d(k) + 1, b.p("N"));
         let i = b.open("i", b.c(0), b.p("M"));
         let acc = Access::new(a, vec![b.d(i), b.d(j)]);
-        b.stmt("SU", vec![acc.clone()], vec![acc], move |c| {
-            let v = c.rd(a, &[c.v(2), c.v(1)]);
-            c.wr(a, &[c.v(2), c.v(1)], v + 1.0);
-        });
+        b.stmt("SU", vec![acc.clone()], vec![acc]);
         b.close();
         b.close();
         b.close();

@@ -18,12 +18,13 @@
 //! * free non-common dims (a producer's private reduction loop) are dropped.
 //!
 //! Because the unification is structural, it is *certified empirically*:
-//! [`observe_producers`] executes the program and records, for every read,
-//! the actual set of producing statements; [`analyze`] only accepts an
-//! observed producer set that unification explains.
+//! [`observe_producers_with_aliases`] walks the program's instances, evaluating the
+//! declared accesses, and records for every read the actual set of
+//! producing statements; [`analyze`] only accepts an observed producer set
+//! that unification explains.
 
 use crate::affine::{Aff, DimId};
-use crate::interp::{bind_accesses, BoundStmt, ExecSink, Interpreter, Store};
+use crate::interp::{walk, DeclaredAccesses, OutOfRange};
 use crate::program::{ArrayId, Program, StmtId};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -88,84 +89,27 @@ pub type Observations = BTreeMap<(StmtId, usize), BTreeSet<Producer>>;
 /// same cell through both declared accesses.
 pub type AliasPairs = BTreeSet<(StmtId, usize, usize)>;
 
-/// Executes the program at `params` and records, for every declared read of
-/// every statement instance, which statement last wrote the cell (or
-/// [`Producer::Input`] if none had).
-pub fn observe_producers(program: &Program, params: &[i64]) -> Observations {
-    observe_producers_with_aliases(program, params).0
-}
-
-/// [`observe_producers`] plus the pointwise read-alias pairs of the same
-/// run (two declared reads of one instance landing on the same cell).
+/// Walks the program's instances at `params` and records, for every
+/// declared read of every statement instance, which statement last wrote
+/// the cell (or [`Producer::Input`] if none had), plus the pointwise
+/// read-alias pairs (two declared reads of one instance landing on the
+/// same cell).
 ///
 /// Every per-access structure is dense: last writers are one `u32` per
-/// array cell, the current instance's declared read cells a short list
-/// scanned linearly, and observations flags per (statement, read,
+/// cell of [`DeclaredAccesses`], the current instance's read cells a short
+/// list scanned linearly, and observations flags per (statement, read,
 /// producer) and per (statement, read pair) — converted to the ordered
-/// [`Observations`] / [`AliasPairs`] once, after the run.
+/// [`Observations`] / [`AliasPairs`] once, after the walk. An instance
+/// reads every declared read before it writes.
+///
+/// # Errors
+/// The first declared access outside its array.
 pub fn observe_producers_with_aliases(
     program: &Program,
     params: &[i64],
-) -> (Observations, AliasPairs) {
+) -> Result<(Observations, AliasPairs), OutOfRange> {
     /// `last_writer` entry of a cell no statement has written: an input.
     const INPUT: u32 = u32::MAX;
-
-    struct Observer {
-        accesses: Vec<BoundStmt>,
-        /// Per array, per flat cell: the statement that last wrote it.
-        last_writer: Vec<Vec<u32>>,
-        current: StmtId,
-        /// `(array, flat cell, read index)` of the current instance's
-        /// declared reads, in declaration order.
-        expected: Vec<(u32, usize, usize)>,
-        /// Producer codes per observed read: `0` is the input, `s + 1`
-        /// statement `s`.
-        codes: usize,
-        /// First read slot of each statement.
-        read_base: Vec<usize>,
-        /// `seen[(read_base[s] + r) * codes + code]`: read `r` of `s` was
-        /// fed by that producer.
-        seen: Vec<bool>,
-        /// `aliased[(read_base[s] + a) * max_reads + b]` with `a < b`.
-        aliased: Vec<bool>,
-        max_reads: usize,
-    }
-
-    impl ExecSink for Observer {
-        fn on_stmt(&mut self, stmt: StmtId, iv: &[i64]) {
-            self.current = stmt;
-            self.expected.clear();
-            for (i, r) in self.accesses[stmt.0 as usize].reads.iter().enumerate() {
-                let f = r
-                    .axes(iv)
-                    .fold(0usize, |f, (v, stride)| f + stride * v.max(0) as usize);
-                self.expected.push((r.array, f, i));
-            }
-            let base = self.read_base[stmt.0 as usize];
-            for (k, &(arr, cell, a)) in self.expected.iter().enumerate() {
-                for &(arr_b, cell_b, b) in &self.expected[k + 1..] {
-                    if (arr, cell) == (arr_b, cell_b) {
-                        self.aliased[(base + a) * self.max_reads + b] = true;
-                    }
-                }
-            }
-        }
-        fn on_read(&mut self, array: ArrayId, flat: usize) {
-            let code = match self.last_writer[array.0 as usize][flat] {
-                INPUT => 0,
-                s => s as usize + 1,
-            };
-            let base = self.read_base[self.current.0 as usize];
-            for &(arr, cell, i) in &self.expected {
-                if (arr, cell) == (array.0, flat) {
-                    self.seen[(base + i) * self.codes + code] = true;
-                }
-            }
-        }
-        fn on_write(&mut self, array: ArrayId, flat: usize) {
-            self.last_writer[array.0 as usize][flat] = self.current.0;
-        }
-    }
 
     let mut read_base = Vec::with_capacity(program.stmts.len());
     let mut slots = 0;
@@ -173,6 +117,8 @@ pub fn observe_producers_with_aliases(
         read_base.push(slots);
         slots += s.reads.len();
     }
+    // Producer codes per observed read: `0` is the input, `s + 1`
+    // statement `s`.
     let codes = program.stmts.len() + 1;
     let max_reads = program
         .stmts
@@ -180,29 +126,44 @@ pub fn observe_producers_with_aliases(
         .map(|s| s.reads.len())
         .max()
         .unwrap_or(0);
-    let mut obs = Observer {
-        accesses: bind_accesses(program, params),
-        last_writer: (0..program.arrays.len())
-            .map(|i| vec![INPUT; program.array_len(ArrayId(i as u32), params).max(1)])
-            .collect(),
-        current: StmtId(0),
-        expected: Vec::new(),
-        codes,
-        read_base,
-        seen: vec![false; slots * codes],
-        aliased: vec![false; slots * max_reads],
-        max_reads,
-    };
-    let mut store = Store::init(program, params, |a, f| 1.0 + a.0 as f64 + f as f64 * 0.125);
-    Interpreter::new(program, params).run(&mut store, &mut obs);
+    let accesses = DeclaredAccesses::bind(program, params);
+    let mut last_writer = vec![INPUT; accesses.num_cells()];
+    // `seen[(read_base[s] + r) * codes + code]`: read `r` of `s` was fed by
+    // that producer; `aliased[(read_base[s] + a) * max_reads + b]` with
+    // `a < b`.
+    let mut seen = vec![false; slots * codes];
+    let mut aliased = vec![false; slots * max_reads];
+    let mut cells: Vec<usize> = Vec::new();
+    walk(program, params, &mut |stmt, env| {
+        let base = read_base[stmt.0 as usize];
+        cells.clear();
+        for r in 0..program.stmt(stmt).reads.len() {
+            let cell = accesses.read(stmt, r, env)?;
+            let code = match last_writer[cell] {
+                INPUT => 0,
+                s => s as usize + 1,
+            };
+            seen[(base + r) * codes + code] = true;
+            for (a, &earlier) in cells.iter().enumerate() {
+                if earlier == cell {
+                    aliased[(base + a) * max_reads + r] = true;
+                }
+            }
+            cells.push(cell);
+        }
+        for w in 0..program.stmt(stmt).writes.len() {
+            last_writer[accesses.write(stmt, w, env)?] = stmt.0;
+        }
+        Ok(())
+    })?;
 
     let mut observations = Observations::new();
     let mut aliases = AliasPairs::new();
     for (s_idx, stmt) in program.stmts.iter().enumerate() {
         let sid = StmtId(s_idx as u32);
         for r in 0..stmt.reads.len() {
-            let slot = obs.read_base[s_idx] + r;
-            let producers: BTreeSet<Producer> = obs.seen[slot * codes..(slot + 1) * codes]
+            let slot = read_base[s_idx] + r;
+            let producers: BTreeSet<Producer> = seen[slot * codes..(slot + 1) * codes]
                 .iter()
                 .enumerate()
                 .filter(|(_, &seen)| seen)
@@ -215,13 +176,13 @@ pub fn observe_producers_with_aliases(
                 observations.insert((sid, r), producers);
             }
             for b in r + 1..stmt.reads.len() {
-                if obs.aliased[slot * max_reads + b] {
+                if aliased[slot * max_reads + b] {
                     aliases.insert((sid, r, b));
                 }
             }
         }
     }
-    (observations, aliases)
+    Ok((observations, aliases))
 }
 
 /// Unifies read `r` of `consumer` against write `w` of `producer`.
@@ -435,7 +396,8 @@ pub fn analyze_with_aliases(
 /// Convenience: observe at several parameter vectors, union, analyze.
 ///
 /// # Errors
-/// Propagates [`analyze`] failures.
+/// An out-of-range declared access at any of the parameter vectors (named
+/// with its parameter values), or an [`analyze`] failure.
 pub fn read_projections(
     program: &Program,
     param_sets: &[Vec<i64>],
@@ -443,7 +405,15 @@ pub fn read_projections(
     let mut merged = Observations::new();
     let mut aliases = AliasPairs::new();
     for ps in param_sets {
-        let (obs, al) = observe_producers_with_aliases(program, ps);
+        let (obs, al) = observe_producers_with_aliases(program, ps).map_err(|e| {
+            let at: Vec<String> = program
+                .params
+                .iter()
+                .zip(ps)
+                .map(|(name, v)| format!("{name}={v}"))
+                .collect();
+            format!("observing producers at {}: {e}", at.join(", "))
+        })?;
         for (k, v) in obs {
             merged.entry(k).or_default().extend(v);
         }
@@ -473,22 +443,11 @@ mod tests {
         let k = b.open("k", b.c(0), b.p("N"));
         let j = b.open("j", b.d(k) + 1, b.p("N"));
         let w_r = Access::new(r, vec![b.d(k), b.d(j)]);
-        b.stmt("S0", vec![], vec![w_r.clone()], move |c| {
-            c.wr(r, &[c.v(0), c.v(1)], 0.0)
-        });
+        b.stmt("S0", vec![], vec![w_r.clone()]);
         let i1 = b.open("i", b.c(0), b.p("M"));
         let rd_aik = Access::new(a, vec![b.d(i1), b.d(k)]);
         let rd_aij = Access::new(a, vec![b.d(i1), b.d(j)]);
-        b.stmt(
-            "SR",
-            vec![rd_aik, rd_aij, w_r.clone()],
-            vec![w_r.clone()],
-            move |c| {
-                let (k, j, i) = (c.v(0), c.v(1), c.v(2));
-                let v = c.rd(a, &[i, k]) * c.rd(a, &[i, j]) + c.rd(r, &[k, j]);
-                c.wr(r, &[k, j], v);
-            },
-        );
+        b.stmt("SR", vec![rd_aik, rd_aij, w_r.clone()], vec![w_r.clone()]);
         b.close();
         let i2 = b.open("i", b.c(0), b.p("M"));
         let rd_aik2 = Access::new(a, vec![b.d(i2), b.d(k)]);
@@ -497,11 +456,6 @@ mod tests {
             "SU",
             vec![rd_aik2, rw_aij2.clone(), w_r.clone()],
             vec![rw_aij2],
-            move |c| {
-                let (k, j, i) = (c.v(0), c.v(1), c.v(2));
-                let v = c.rd(a, &[i, j]) - c.rd(a, &[i, k]) * c.rd(r, &[k, j]);
-                c.wr(a, &[i, j], v);
-            },
         );
         b.close();
         b.close();
@@ -516,7 +470,7 @@ mod tests {
     #[test]
     fn observed_producers_are_plausible() {
         let p = mini_mgs();
-        let obs = observe_producers(&p, &[6, 4]);
+        let (obs, _) = observe_producers_with_aliases(&p, &[6, 4]).unwrap();
         let su = p.stmt_id("SU").unwrap();
         // SU.read[2] is R[k][j]: produced by SR (the accumulation).
         let prods = &obs[&(su, 2)];
@@ -581,14 +535,9 @@ mod tests {
         let y = b.array("y", &[b.p("N")]);
         let k = b.open("k", b.c(0), b.p("N"));
         let at = Access::new(t, vec![]);
-        b.stmt("S1", vec![], vec![at.clone()], move |c| {
-            c.wr(t, &[], c.v(0) as f64)
-        });
+        b.stmt("S1", vec![], vec![at.clone()]);
         let wy = Access::new(y, vec![b.d(k)]);
-        b.stmt("S2", vec![at], vec![wy], move |c| {
-            let v = c.rd(t, &[]);
-            c.wr(y, &[c.v(0)], v);
-        });
+        b.stmt("S2", vec![at], vec![wy]);
         b.close();
         let p = b.finish();
         let projs = read_projections(&p, &[vec![5]]).unwrap();

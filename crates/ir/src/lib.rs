@@ -7,13 +7,12 @@
 //! of the paper:
 //!
 //! * [`affine`] — affine expressions over loop dimensions and parameters,
-//! * [`program`] — loop-tree programs: statements carry both *declared*
-//!   affine accesses (metadata for the symbolic analyses) and a *semantic
-//!   closure* (executable f64 semantics). A consistency checker verifies the
-//!   two views agree on every executed instance,
-//! * [`interp`] — a sequential interpreter that executes the program in
-//!   schedule order and streams every array access into an [`interp::ExecSink`]
-//!   (trace collection, CDAG construction, cache simulation),
+//! * [`program`] — loop-tree programs whose statements are their declared
+//!   affine accesses: the one statement semantics every analysis reads,
+//! * [`interp`] — the schedule-order instance walker and the checked
+//!   declared-access evaluator ([`interp::DeclaredAccesses`]): every access
+//!   of every instance becomes a dense cell id, and a subscript outside its
+//!   array is a typed [`interp::OutOfRange`] refusal,
 //! * [`deps`] — structural dependence analysis: unification of read/write
 //!   subscripts plus last-writer resolution, yielding the dependence-path
 //!   projections `Φ` of the K-partitioning method,
@@ -42,8 +41,7 @@ pub mod schedule;
 
 pub use affine::{Aff, DimId, ParamId};
 pub use interp::{
-    for_each_instance, try_for_each_instance, ExecCtx, ExecSink, Interpreter, NullSink, Store,
-    TraceEvent, TraceSink,
+    check_accesses, for_each_instance, try_for_each_instance, DeclaredAccesses, OutOfRange,
 };
 pub use parse::{
     assert_kernel_roundtrip, kernel_diff, parse_kernel, parse_program, print_kernel, print_program,

@@ -1,23 +1,15 @@
-//! Loop-tree programs with doubly-described statements.
+//! Loop-tree programs whose statements are their declared accesses.
 //!
 //! A [`Program`] is a tree of loops and statements in *schedule order* (the
 //! sequential execution order of the source listing). Each [`Statement`]
-//! carries:
-//!
-//! 1. **declared accesses** — affine read/write subscripts, consumed by the
-//!    symbolic analyses (dependence projections, hourglass detection), and
-//! 2. **a semantic closure** — the actual f64 computation, executed by the
-//!    interpreter, which reports every concrete access it performs.
-//!
-//! [`crate::interp::validate_accesses`] checks the two views coincide
-//! instance-by-instance, so the symbolic side can be trusted to describe the
-//! executable side exactly (this replaces trusting an external polyhedral
-//! front-end).
+//! carries its **declared accesses** — affine read/write subscripts — and
+//! nothing else: like IOLB's polyhedral input, the analyses (dependence
+//! projections, hourglass detection, CDAG construction, traces) read the
+//! access functions alone, evaluated through the checked
+//! [`crate::interp::DeclaredAccesses`].
 
 use crate::affine::{Aff, DimId, ParamId};
-use crate::interp::ExecCtx;
 use std::fmt;
-use std::sync::Arc;
 
 /// Identifier of an array (or scalar: a 0-dimensional array).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -52,37 +44,19 @@ impl Access {
     }
 }
 
-/// The semantic closure type: executes one statement instance through the
-/// interpreter context (which records the performed accesses).
-pub type ComputeFn = Arc<dyn Fn(&mut ExecCtx<'_>) + Send + Sync>;
-
 /// A statement of the program.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct Statement {
     /// Statement name (`"SR"`, `"SU"`, …).
     pub name: String,
     /// Enclosing loop dimensions, outermost first.
     pub dims: Vec<DimId>,
-    /// Declared read accesses (order matches the closure's reads).
+    /// Declared read accesses, in source order.
     pub reads: Vec<Access>,
-    /// Declared write accesses.
+    /// Declared write accesses, in source order.
     pub writes: Vec<Access>,
-    /// Executable semantics.
-    pub compute: ComputeFn,
     /// Pre-order position in the program tree (schedule order key).
     pub position: u32,
-}
-
-impl fmt::Debug for Statement {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Statement")
-            .field("name", &self.name)
-            .field("dims", &self.dims)
-            .field("reads", &self.reads)
-            .field("writes", &self.writes)
-            .field("position", &self.position)
-            .finish_non_exhaustive()
-    }
 }
 
 /// Loop step: `1`, a compile-time constant, or a parameter (tiled loops
@@ -138,8 +112,7 @@ impl fmt::Debug for Loop {
     }
 }
 
-/// A complete affine program. Cloning is cheap on the statements: their
-/// semantic closures are shared [`Arc`]s.
+/// A complete affine program.
 #[derive(Clone)]
 pub struct Program {
     /// Program name.
@@ -299,13 +272,21 @@ impl Program {
         Some(len)
     }
 
-    /// Row-major strides of an array at concrete parameters (the layout used
-    /// by the interpreter's store and the trace sinks).
+    /// Row-major strides of an array at concrete parameters: the one
+    /// stride computation, which lays out
+    /// [`crate::interp::DeclaredAccesses`]' cells. A negative extent
+    /// counts as empty and a product past `usize::MAX` saturates.
+    ///
+    /// # Panics
+    /// Panics when an extent uses a loop dim.
     pub fn array_strides(&self, array: ArrayId, params: &[i64]) -> Vec<usize> {
-        let extents = self.array_extents(array, params);
+        let extents = &self.arrays[array.0 as usize].extents;
         let mut st = vec![1usize; extents.len()];
         for k in (0..extents.len().saturating_sub(1)).rev() {
-            st[k] = st[k + 1] * extents[k + 1];
+            let e = extents[k + 1].eval_with(&|_| panic!("array extent uses a loop dim"), &|p| {
+                params[p.0 as usize]
+            });
+            st[k] = st[k + 1].saturating_mul(e.max(0) as usize);
         }
         st
     }
@@ -320,11 +301,7 @@ impl Program {
 /// let y = b.array("y", &[b.p("N")]);
 /// let i = b.open("i", b.c(0), b.p("N"));
 /// let (xi, yi) = (Access::new(x, vec![b.d(i)]), Access::new(y, vec![b.d(i)]));
-/// b.stmt("S", vec![xi, yi.clone()], vec![yi], move |c| {
-///     let iv = c.v(0);
-///     let v = 2.0 * c.rd(x, &[iv]) + c.rd(y, &[iv]);
-///     c.wr(y, &[iv], v);
-/// });
+/// b.stmt("S", vec![xi, yi.clone()], vec![yi]);
 /// b.close();
 /// let prog = b.finish();
 /// assert_eq!(prog.stmts.len(), 1);
@@ -482,21 +459,14 @@ impl ProgramBuilder {
             .push(Step::Loop(l));
     }
 
-    /// Adds a statement at the current nesting.
-    pub fn stmt(
-        &mut self,
-        name: &str,
-        reads: Vec<Access>,
-        writes: Vec<Access>,
-        compute: impl Fn(&mut ExecCtx<'_>) + Send + Sync + 'static,
-    ) -> StmtId {
+    /// Adds a statement with its declared accesses at the current nesting.
+    pub fn stmt(&mut self, name: &str, reads: Vec<Access>, writes: Vec<Access>) -> StmtId {
         let id = StmtId(self.stmts.len() as u32);
         self.stmts.push(Statement {
             name: name.to_string(),
             dims: self.current_dims(),
             reads,
             writes,
-            compute: Arc::new(compute),
             position: self.next_pos,
         });
         self.next_pos += 1;
@@ -545,9 +515,7 @@ mod tests {
         let a = b.array("A", &[b.p("M")]);
         let s = b.scalar("acc");
         let k = b.open("k", b.c(0), b.p("N"));
-        b.stmt("S0", vec![], vec![Access::new(s, vec![])], move |c| {
-            c.wr(s, &[], 0.0)
-        });
+        b.stmt("S0", vec![], vec![Access::new(s, vec![])]);
         let i = b.open("i", b.c(0), b.p("M"));
         let rd = Access::new(a, vec![b.d(i)]);
         let _ = k;
@@ -555,10 +523,6 @@ mod tests {
             "S1",
             vec![rd, Access::new(s, vec![])],
             vec![Access::new(s, vec![])],
-            move |c| {
-                let v = c.rd(a, &[c.v(1)]) + c.rd(s, &[]);
-                c.wr(s, &[], v);
-            },
         );
         b.close();
         b.close();

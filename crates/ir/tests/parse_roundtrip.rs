@@ -137,7 +137,7 @@ impl Builder {
         if self.g.below(4) == 0 {
             writes.push(self.access());
         }
-        self.b.stmt(&name, reads, writes, |_c| ());
+        self.b.stmt(&name, reads, writes);
     }
 }
 

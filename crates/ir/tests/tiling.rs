@@ -100,7 +100,7 @@ impl Builder {
         let name = format!("S{}", self.stmt_ct);
         self.stmt_ct += 1;
         let w = Access::new(self.a2, vec![Aff::zero(), Aff::zero()]);
-        self.b.stmt(&name, vec![], vec![w], |_c| ());
+        self.b.stmt(&name, vec![], vec![w]);
     }
 }
 

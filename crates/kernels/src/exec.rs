@@ -2,12 +2,14 @@
 //! results, so numerics tests can compare the IR semantics against the
 //! native implementations bit-for-bit (same operation order).
 
+use crate::interp::{Executable, Interpreter, NullSink, Store};
 use crate::matrix::Matrix;
-use iolb_ir::{ArrayId, Interpreter, Program, Store};
+use iolb_ir::{ArrayId, Program};
 
-/// Runs `program` with named array inputs (row-major); unnamed arrays start
-/// at zero. Returns the final store.
-pub fn run_with_inputs(program: &Program, params: &[i64], inputs: &[(&str, &Matrix)]) -> Store {
+/// Runs `exe` with named array inputs (row-major); unnamed arrays start at
+/// zero. Returns the final store.
+pub fn run_with_inputs(exe: &Executable, params: &[i64], inputs: &[(&str, &Matrix)]) -> Store {
+    let program = &exe.program;
     let lookup = |a: ArrayId| -> Option<&Matrix> {
         let name = &program.arrays[a.0 as usize].name;
         inputs.iter().find(|(n, _)| n == name).map(|(_, m)| *m)
@@ -16,7 +18,7 @@ pub fn run_with_inputs(program: &Program, params: &[i64], inputs: &[(&str, &Matr
         Some(m) => m.data[f],
         None => 0.0,
     });
-    Interpreter::new(program, params).run(&mut store, &mut iolb_ir::NullSink);
+    Interpreter::new(exe, params).run(&mut store, &mut NullSink);
     store
 }
 

@@ -7,12 +7,14 @@
 //! `for g in 0..min(1, N-1-k)` — the standard polyhedral encoding of the
 //! `k ≤ N-2` condition, keeping the program affine.
 
+use crate::interp::{Executable, Semantics};
 use crate::matrix::Matrix;
 use iolb_ir::{Access, LoopStep, Program, ProgramBuilder};
 
 /// GEBD2 IR: parameters `M, N` (assumes `M ≥ N` like LAPACK).
-pub fn program() -> Program {
+pub fn executable() -> Executable {
     let mut b = ProgramBuilder::new("gebd2", &["M", "N"]);
+    let mut sem = Semantics::default();
     let a = b.array("A", &[b.p("M"), b.p("N")]);
     let tauq = b.array("tauq", &[b.p("N")]);
     let taup = b.array("taup", &[b.p("N")]);
@@ -24,16 +26,14 @@ pub fn program() -> Program {
     let k = b.open("k", b.c(0), b.p("N"));
     // ---- left reflector from A[k:M, k] ----
     let w_n2 = Access::new(norma2, vec![]);
-    b.stmt("Bn0", vec![], vec![w_n2.clone()], move |c| {
+    sem.def(b.stmt("Bn0", vec![], vec![w_n2.clone()]), move |c| {
         c.wr(norma2, &[], 0.0)
     });
     {
         let i = b.open("i", b.d(k) + 1, b.p("M"));
         let r_aik = Access::new(a, vec![b.d(i), b.d(k)]);
-        b.stmt(
-            "Bn1",
-            vec![r_aik, w_n2.clone()],
-            vec![w_n2.clone()],
+        sem.def(
+            b.stmt("Bn1", vec![r_aik, w_n2.clone()], vec![w_n2.clone()]),
             move |c| {
                 let (k, i) = (c.v(0), c.v(1));
                 let x = c.rd(a, &[i, k]);
@@ -45,10 +45,12 @@ pub fn program() -> Program {
     }
     let w_nrm = Access::new(norma, vec![]);
     let rw_akk = Access::new(a, vec![b.d(k), b.d(k)]);
-    b.stmt(
-        "Bnorm",
-        vec![rw_akk.clone(), w_n2.clone()],
-        vec![w_nrm.clone()],
+    sem.def(
+        b.stmt(
+            "Bnorm",
+            vec![rw_akk.clone(), w_n2.clone()],
+            vec![w_nrm.clone()],
+        ),
         move |c| {
             let k = c.v(0);
             let akk = c.rd(a, &[k, k]);
@@ -56,10 +58,12 @@ pub fn program() -> Program {
             c.wr(norma, &[], (akk * akk + n2).sqrt());
         },
     );
-    b.stmt(
-        "Bakk",
-        vec![rw_akk.clone(), w_nrm.clone()],
-        vec![rw_akk.clone()],
+    sem.def(
+        b.stmt(
+            "Bakk",
+            vec![rw_akk.clone(), w_nrm.clone()],
+            vec![rw_akk.clone()],
+        ),
         move |c| {
             let k = c.v(0);
             let akk = c.rd(a, &[k, k]);
@@ -68,10 +72,12 @@ pub fn program() -> Program {
         },
     );
     let w_tauqk = Access::new(tauq, vec![b.d(k)]);
-    b.stmt(
-        "Btauq",
-        vec![w_n2.clone(), rw_akk.clone()],
-        vec![w_tauqk.clone()],
+    sem.def(
+        b.stmt(
+            "Btauq",
+            vec![w_n2.clone(), rw_akk.clone()],
+            vec![w_tauqk.clone()],
+        ),
         move |c| {
             let k = c.v(0);
             let akk = c.rd(a, &[k, k]);
@@ -82,10 +88,8 @@ pub fn program() -> Program {
     {
         let i = b.open("i", b.d(k) + 1, b.p("M"));
         let rw_aik = Access::new(a, vec![b.d(i), b.d(k)]);
-        b.stmt(
-            "Bscale",
-            vec![rw_aik.clone(), rw_akk.clone()],
-            vec![rw_aik],
+        sem.def(
+            b.stmt("Bscale", vec![rw_aik.clone(), rw_akk.clone()], vec![rw_aik]),
             move |c| {
                 let (k, i) = (c.v(0), c.v(1));
                 let v = c.rd(a, &[i, k]) / c.rd(a, &[k, k]);
@@ -94,10 +98,12 @@ pub fn program() -> Program {
         );
         b.close();
     }
-    b.stmt(
-        "Bflip",
-        vec![rw_akk.clone(), w_nrm.clone()],
-        vec![rw_akk.clone()],
+    sem.def(
+        b.stmt(
+            "Bflip",
+            vec![rw_akk.clone(), w_nrm.clone()],
+            vec![rw_akk.clone()],
+        ),
         move |c| {
             let k = c.v(0);
             let akk = c.rd(a, &[k, k]);
@@ -110,10 +116,8 @@ pub fn program() -> Program {
         let j = b.open("j", b.d(k) + 1, b.p("N"));
         let rw_akj = Access::new(a, vec![b.d(k), b.d(j)]);
         let w_tmpj = Access::new(tmp, vec![b.d(j)]);
-        b.stmt(
-            "Bt0",
-            vec![rw_akj.clone()],
-            vec![w_tmpj.clone()],
+        sem.def(
+            b.stmt("Bt0", vec![rw_akj.clone()], vec![w_tmpj.clone()]),
             move |c| {
                 let (k, j) = (c.v(0), c.v(1));
                 let v = c.rd(a, &[k, j]);
@@ -124,10 +128,12 @@ pub fn program() -> Program {
             let i = b.open("i", b.d(k) + 1, b.p("M"));
             let r_aik = Access::new(a, vec![b.d(i), b.d(k)]);
             let r_aij = Access::new(a, vec![b.d(i), b.d(j)]);
-            b.stmt(
-                "SR",
-                vec![r_aik, r_aij, w_tmpj.clone()],
-                vec![w_tmpj.clone()],
+            sem.def(
+                b.stmt(
+                    "SR",
+                    vec![r_aik, r_aij, w_tmpj.clone()],
+                    vec![w_tmpj.clone()],
+                ),
                 move |c| {
                     let (k, j, i) = (c.v(0), c.v(1), c.v(2));
                     let v = c.rd(tmp, &[j]) + c.rd(a, &[i, k]) * c.rd(a, &[i, j]);
@@ -136,20 +142,24 @@ pub fn program() -> Program {
             );
             b.close();
         }
-        b.stmt(
-            "Bt1",
-            vec![w_tauqk.clone(), w_tmpj.clone()],
-            vec![w_tmpj.clone()],
+        sem.def(
+            b.stmt(
+                "Bt1",
+                vec![w_tauqk.clone(), w_tmpj.clone()],
+                vec![w_tmpj.clone()],
+            ),
             move |c| {
                 let (k, j) = (c.v(0), c.v(1));
                 let v = c.rd(tauq, &[k]) * c.rd(tmp, &[j]);
                 c.wr(tmp, &[j], v);
             },
         );
-        b.stmt(
-            "Brow",
-            vec![rw_akj.clone(), w_tmpj.clone()],
-            vec![rw_akj.clone()],
+        sem.def(
+            b.stmt(
+                "Brow",
+                vec![rw_akj.clone(), w_tmpj.clone()],
+                vec![rw_akj.clone()],
+            ),
             move |c| {
                 let (k, j) = (c.v(0), c.v(1));
                 let v = c.rd(a, &[k, j]) - c.rd(tmp, &[j]);
@@ -160,10 +170,12 @@ pub fn program() -> Program {
             let i = b.open("i", b.d(k) + 1, b.p("M"));
             let r_aik = Access::new(a, vec![b.d(i), b.d(k)]);
             let rw_aij = Access::new(a, vec![b.d(i), b.d(j)]);
-            b.stmt(
-                "SU",
-                vec![r_aik, rw_aij.clone(), w_tmpj.clone()],
-                vec![rw_aij],
+            sem.def(
+                b.stmt(
+                    "SU",
+                    vec![r_aik, rw_aij.clone(), w_tmpj.clone()],
+                    vec![rw_aij],
+                ),
                 move |c| {
                     let (k, j, i) = (c.v(0), c.v(1), c.v(2));
                     let v = c.rd(a, &[i, j]) - c.rd(a, &[i, k]) * c.rd(tmp, &[j]);
@@ -184,16 +196,14 @@ pub fn program() -> Program {
             false,
         );
         let _ = g;
-        b.stmt("Cn0", vec![], vec![w_n2.clone()], move |c| {
+        sem.def(b.stmt("Cn0", vec![], vec![w_n2.clone()]), move |c| {
             c.wr(norma2, &[], 0.0)
         });
         {
             let j = b.open("j", b.d(k) + 2, b.p("N"));
             let r_akj = Access::new(a, vec![b.d(k), b.d(j)]);
-            b.stmt(
-                "Cn1",
-                vec![r_akj, w_n2.clone()],
-                vec![w_n2.clone()],
+            sem.def(
+                b.stmt("Cn1", vec![r_akj, w_n2.clone()], vec![w_n2.clone()]),
                 move |c| {
                     let (k, j) = (c.v(0), c.v(2));
                     let x = c.rd(a, &[k, j]);
@@ -204,10 +214,12 @@ pub fn program() -> Program {
             b.close();
         }
         let rw_ak1 = Access::new(a, vec![b.d(k), b.d(k) + 1]);
-        b.stmt(
-            "Cnorm",
-            vec![rw_ak1.clone(), w_n2.clone()],
-            vec![w_nrm.clone()],
+        sem.def(
+            b.stmt(
+                "Cnorm",
+                vec![rw_ak1.clone(), w_n2.clone()],
+                vec![w_nrm.clone()],
+            ),
             move |c| {
                 let k = c.v(0);
                 let x = c.rd(a, &[k, k + 1]);
@@ -215,10 +227,12 @@ pub fn program() -> Program {
                 c.wr(norma, &[], (x * x + n2).sqrt());
             },
         );
-        b.stmt(
-            "Cak",
-            vec![rw_ak1.clone(), w_nrm.clone()],
-            vec![rw_ak1.clone()],
+        sem.def(
+            b.stmt(
+                "Cak",
+                vec![rw_ak1.clone(), w_nrm.clone()],
+                vec![rw_ak1.clone()],
+            ),
             move |c| {
                 let k = c.v(0);
                 let x = c.rd(a, &[k, k + 1]);
@@ -227,10 +241,12 @@ pub fn program() -> Program {
             },
         );
         let w_taupk = Access::new(taup, vec![b.d(k)]);
-        b.stmt(
-            "Ctaup",
-            vec![w_n2.clone(), rw_ak1.clone()],
-            vec![w_taupk.clone()],
+        sem.def(
+            b.stmt(
+                "Ctaup",
+                vec![w_n2.clone(), rw_ak1.clone()],
+                vec![w_taupk.clone()],
+            ),
             move |c| {
                 let k = c.v(0);
                 let x = c.rd(a, &[k, k + 1]);
@@ -241,10 +257,8 @@ pub fn program() -> Program {
         {
             let j = b.open("j", b.d(k) + 2, b.p("N"));
             let rw_akj = Access::new(a, vec![b.d(k), b.d(j)]);
-            b.stmt(
-                "Cscale",
-                vec![rw_akj.clone(), rw_ak1.clone()],
-                vec![rw_akj],
+            sem.def(
+                b.stmt("Cscale", vec![rw_akj.clone(), rw_ak1.clone()], vec![rw_akj]),
                 move |c| {
                     let (k, j) = (c.v(0), c.v(2));
                     let v = c.rd(a, &[k, j]) / c.rd(a, &[k, k + 1]);
@@ -253,10 +267,12 @@ pub fn program() -> Program {
             );
             b.close();
         }
-        b.stmt(
-            "Cflip",
-            vec![rw_ak1.clone(), w_nrm.clone()],
-            vec![rw_ak1.clone()],
+        sem.def(
+            b.stmt(
+                "Cflip",
+                vec![rw_ak1.clone(), w_nrm.clone()],
+                vec![rw_ak1.clone()],
+            ),
             move |c| {
                 let k = c.v(0);
                 let x = c.rd(a, &[k, k + 1]);
@@ -269,10 +285,8 @@ pub fn program() -> Program {
             let i = b.open("i", b.d(k) + 1, b.p("M"));
             let rw_ai1 = Access::new(a, vec![b.d(i), b.d(k) + 1]);
             let w_tmp2 = Access::new(tmp2, vec![b.d(i)]);
-            b.stmt(
-                "Ct0",
-                vec![rw_ai1.clone()],
-                vec![w_tmp2.clone()],
+            sem.def(
+                b.stmt("Ct0", vec![rw_ai1.clone()], vec![w_tmp2.clone()]),
                 move |c| {
                     let (k, i) = (c.v(0), c.v(2));
                     let v = c.rd(a, &[i, k + 1]);
@@ -283,10 +297,12 @@ pub fn program() -> Program {
                 let j = b.open("j", b.d(k) + 2, b.p("N"));
                 let r_akj = Access::new(a, vec![b.d(k), b.d(j)]);
                 let r_aij = Access::new(a, vec![b.d(i), b.d(j)]);
-                b.stmt(
-                    "CSR",
-                    vec![r_akj, r_aij, w_tmp2.clone()],
-                    vec![w_tmp2.clone()],
+                sem.def(
+                    b.stmt(
+                        "CSR",
+                        vec![r_akj, r_aij, w_tmp2.clone()],
+                        vec![w_tmp2.clone()],
+                    ),
                     move |c| {
                         let (k, i, j) = (c.v(0), c.v(2), c.v(3));
                         let v = c.rd(tmp2, &[i]) + c.rd(a, &[i, j]) * c.rd(a, &[k, j]);
@@ -295,20 +311,24 @@ pub fn program() -> Program {
                 );
                 b.close();
             }
-            b.stmt(
-                "Ct1",
-                vec![w_taupk.clone(), w_tmp2.clone()],
-                vec![w_tmp2.clone()],
+            sem.def(
+                b.stmt(
+                    "Ct1",
+                    vec![w_taupk.clone(), w_tmp2.clone()],
+                    vec![w_tmp2.clone()],
+                ),
                 move |c| {
                     let (k, i) = (c.v(0), c.v(2));
                     let v = c.rd(taup, &[k]) * c.rd(tmp2, &[i]);
                     c.wr(tmp2, &[i], v);
                 },
             );
-            b.stmt(
-                "Ccol",
-                vec![rw_ai1.clone(), w_tmp2.clone()],
-                vec![rw_ai1.clone()],
+            sem.def(
+                b.stmt(
+                    "Ccol",
+                    vec![rw_ai1.clone(), w_tmp2.clone()],
+                    vec![rw_ai1.clone()],
+                ),
                 move |c| {
                     let (k, i) = (c.v(0), c.v(2));
                     let v = c.rd(a, &[i, k + 1]) - c.rd(tmp2, &[i]);
@@ -319,10 +339,12 @@ pub fn program() -> Program {
                 let j = b.open("j", b.d(k) + 2, b.p("N"));
                 let r_akj = Access::new(a, vec![b.d(k), b.d(j)]);
                 let rw_aij = Access::new(a, vec![b.d(i), b.d(j)]);
-                b.stmt(
-                    "CSU",
-                    vec![r_akj, rw_aij.clone(), w_tmp2.clone()],
-                    vec![rw_aij],
+                sem.def(
+                    b.stmt(
+                        "CSU",
+                        vec![r_akj, rw_aij.clone(), w_tmp2.clone()],
+                        vec![rw_aij],
+                    ),
                     move |c| {
                         let (k, i, j) = (c.v(0), c.v(2), c.v(3));
                         let v = c.rd(a, &[i, j]) - c.rd(tmp2, &[i]) * c.rd(a, &[k, j]);
@@ -336,7 +358,12 @@ pub fn program() -> Program {
         b.close();
     }
     b.close();
-    b.finish()
+    Executable::new(b.finish(), sem)
+}
+
+/// The declared-access program of [`executable`].
+pub fn program() -> Program {
+    executable().program
 }
 
 /// Native GEBD2; returns `(A with reflectors + bidiagonal, tauq, taup)`.
@@ -459,11 +486,11 @@ mod tests {
     #[test]
     fn ir_matches_native() {
         let a0 = Matrix::random(8, 5, 53);
-        let p = program();
+        let p = executable();
         let store = run_with_inputs(&p, &[8, 5], &[("A", &a0)]);
-        let out_ir = extract_matrix(&p, &[8, 5], &store, "A");
-        let tauq_ir = extract_vector(&p, &[8, 5], &store, "tauq");
-        let taup_ir = extract_vector(&p, &[8, 5], &store, "taup");
+        let out_ir = extract_matrix(&p.program, &[8, 5], &store, "A");
+        let tauq_ir = extract_vector(&p.program, &[8, 5], &store, "tauq");
+        let taup_ir = extract_vector(&p.program, &[8, 5], &store, "taup");
         let (out, tauq, taup) = native(&a0);
         assert!(out_ir.max_abs_diff(&out) < 1e-12);
         for (x, y) in tauq_ir.iter().zip(&tauq) {
@@ -476,8 +503,8 @@ mod tests {
 
     #[test]
     fn ir_accesses_are_consistent() {
-        let p = program();
-        assert!(iolb_ir::interp::validate_accesses(&p, &[7, 5]).unwrap() > 0);
-        assert!(iolb_ir::interp::validate_accesses(&p, &[6, 6]).unwrap() > 0);
+        let p = executable();
+        assert!(crate::interp::validate_accesses(&p, &[7, 5]).unwrap() > 0);
+        assert!(crate::interp::validate_accesses(&p, &[6, 6]).unwrap() > 0);
     }
 }

@@ -6,12 +6,14 @@
 //! the outer loop at a symbolic point `M` before applying the hourglass
 //! derivation (handled by `iolb-core`).
 
+use crate::interp::{Executable, Semantics};
 use crate::matrix::Matrix;
 use iolb_ir::{Access, Program, ProgramBuilder};
 
 /// GEHD2 IR: single parameter `N`.
-pub fn program() -> Program {
+pub fn executable() -> Executable {
     let mut b = ProgramBuilder::new("gehd2", &["N"]);
+    let mut sem = Semantics::default();
     let a = b.array("A", &[b.p("N"), b.p("N")]);
     let tmp = b.array("tmp", &[b.p("N")]);
     let norma2 = b.scalar("norma2");
@@ -20,16 +22,14 @@ pub fn program() -> Program {
 
     let j = b.open("j", b.c(0), b.p("N") - 2);
     let w_n2 = Access::new(norma2, vec![]);
-    b.stmt("Gn0", vec![], vec![w_n2.clone()], move |c| {
+    sem.def(b.stmt("Gn0", vec![], vec![w_n2.clone()]), move |c| {
         c.wr(norma2, &[], 0.0)
     });
     {
         let i = b.open("i", b.d(j) + 2, b.p("N"));
         let r_aij = Access::new(a, vec![b.d(i), b.d(j)]);
-        b.stmt(
-            "Gn1",
-            vec![r_aij, w_n2.clone()],
-            vec![w_n2.clone()],
+        sem.def(
+            b.stmt("Gn1", vec![r_aij, w_n2.clone()], vec![w_n2.clone()]),
             move |c| {
                 let (j, i) = (c.v(0), c.v(1));
                 let x = c.rd(a, &[i, j]);
@@ -41,10 +41,12 @@ pub fn program() -> Program {
     }
     let w_nrm = Access::new(norma, vec![]);
     let rw_sub = Access::new(a, vec![b.d(j) + 1, b.d(j)]);
-    b.stmt(
-        "Gnorm",
-        vec![rw_sub.clone(), w_n2.clone()],
-        vec![w_nrm.clone()],
+    sem.def(
+        b.stmt(
+            "Gnorm",
+            vec![rw_sub.clone(), w_n2.clone()],
+            vec![w_nrm.clone()],
+        ),
         move |c| {
             let j = c.v(0);
             let x = c.rd(a, &[j + 1, j]);
@@ -52,10 +54,12 @@ pub fn program() -> Program {
             c.wr(norma, &[], (x * x + n2).sqrt());
         },
     );
-    b.stmt(
-        "Ga",
-        vec![rw_sub.clone(), w_nrm.clone()],
-        vec![rw_sub.clone()],
+    sem.def(
+        b.stmt(
+            "Ga",
+            vec![rw_sub.clone(), w_nrm.clone()],
+            vec![rw_sub.clone()],
+        ),
         move |c| {
             let j = c.v(0);
             let x = c.rd(a, &[j + 1, j]);
@@ -64,10 +68,12 @@ pub fn program() -> Program {
         },
     );
     let w_tau = Access::new(tau, vec![]);
-    b.stmt(
-        "Gtau",
-        vec![w_n2.clone(), rw_sub.clone()],
-        vec![w_tau.clone()],
+    sem.def(
+        b.stmt(
+            "Gtau",
+            vec![w_n2.clone(), rw_sub.clone()],
+            vec![w_tau.clone()],
+        ),
         move |c| {
             let j = c.v(0);
             let x = c.rd(a, &[j + 1, j]);
@@ -78,10 +84,8 @@ pub fn program() -> Program {
     {
         let i = b.open("i", b.d(j) + 2, b.p("N"));
         let rw_aij = Access::new(a, vec![b.d(i), b.d(j)]);
-        b.stmt(
-            "Gscale",
-            vec![rw_aij.clone(), rw_sub.clone()],
-            vec![rw_aij],
+        sem.def(
+            b.stmt("Gscale", vec![rw_aij.clone(), rw_sub.clone()], vec![rw_aij]),
             move |c| {
                 let (j, i) = (c.v(0), c.v(1));
                 let v = c.rd(a, &[i, j]) / c.rd(a, &[j + 1, j]);
@@ -90,10 +94,12 @@ pub fn program() -> Program {
         );
         b.close();
     }
-    b.stmt(
-        "Gflip",
-        vec![rw_sub.clone(), w_nrm.clone()],
-        vec![rw_sub.clone()],
+    sem.def(
+        b.stmt(
+            "Gflip",
+            vec![rw_sub.clone(), w_nrm.clone()],
+            vec![rw_sub.clone()],
+        ),
         move |c| {
             let j = c.v(0);
             let x = c.rd(a, &[j + 1, j]);
@@ -106,7 +112,7 @@ pub fn program() -> Program {
         let i = b.open("i", b.d(j) + 1, b.p("N"));
         let r_a1i = Access::new(a, vec![b.d(j) + 1, b.d(i)]);
         let w_tmpi = Access::new(tmp, vec![b.d(i)]);
-        b.stmt("Gt0", vec![r_a1i], vec![w_tmpi.clone()], move |c| {
+        sem.def(b.stmt("Gt0", vec![r_a1i], vec![w_tmpi.clone()]), move |c| {
             let (j, i) = (c.v(0), c.v(1));
             let v = c.rd(a, &[j + 1, i]);
             c.wr(tmp, &[i], v);
@@ -115,10 +121,12 @@ pub fn program() -> Program {
             let kk = b.open("k", b.d(j) + 2, b.p("N"));
             let r_akj = Access::new(a, vec![b.d(kk), b.d(j)]);
             let r_aki = Access::new(a, vec![b.d(kk), b.d(i)]);
-            b.stmt(
-                "SR1",
-                vec![r_akj, r_aki, w_tmpi.clone()],
-                vec![w_tmpi.clone()],
+            sem.def(
+                b.stmt(
+                    "SR1",
+                    vec![r_akj, r_aki, w_tmpi.clone()],
+                    vec![w_tmpi.clone()],
+                ),
                 move |c| {
                     let (j, i, k) = (c.v(0), c.v(1), c.v(2));
                     let v = c.rd(tmp, &[i]) + c.rd(a, &[k, j]) * c.rd(a, &[k, i]);
@@ -132,10 +140,12 @@ pub fn program() -> Program {
     {
         let i = b.open("i", b.d(j) + 1, b.p("N"));
         let w_tmpi = Access::new(tmp, vec![b.d(i)]);
-        b.stmt(
-            "Gt1",
-            vec![w_tmpi.clone(), w_tau.clone()],
-            vec![w_tmpi.clone()],
+        sem.def(
+            b.stmt(
+                "Gt1",
+                vec![w_tmpi.clone(), w_tau.clone()],
+                vec![w_tmpi.clone()],
+            ),
             move |c| {
                 let i = c.v(1);
                 let v = c.rd(tmp, &[i]) * c.rd(tau, &[]);
@@ -148,10 +158,8 @@ pub fn program() -> Program {
         let i = b.open("i", b.d(j) + 1, b.p("N"));
         let rw_a1i = Access::new(a, vec![b.d(j) + 1, b.d(i)]);
         let r_tmpi = Access::new(tmp, vec![b.d(i)]);
-        b.stmt(
-            "Gr1",
-            vec![rw_a1i.clone(), r_tmpi],
-            vec![rw_a1i],
+        sem.def(
+            b.stmt("Gr1", vec![rw_a1i.clone(), r_tmpi], vec![rw_a1i]),
             move |c| {
                 let (j, i) = (c.v(0), c.v(1));
                 let v = c.rd(a, &[j + 1, i]) - c.rd(tmp, &[i]);
@@ -166,10 +174,8 @@ pub fn program() -> Program {
         let r_aij = Access::new(a, vec![b.d(i), b.d(j)]);
         let rw_aik = Access::new(a, vec![b.d(i), b.d(kk)]);
         let r_tmpk = Access::new(tmp, vec![b.d(kk)]);
-        b.stmt(
-            "SU1",
-            vec![r_aij, rw_aik.clone(), r_tmpk],
-            vec![rw_aik],
+        sem.def(
+            b.stmt("SU1", vec![r_aij, rw_aik.clone(), r_tmpk], vec![rw_aik]),
             move |c| {
                 let (j, i, k) = (c.v(0), c.v(1), c.v(2));
                 let v = c.rd(a, &[i, k]) - c.rd(a, &[i, j]) * c.rd(tmp, &[k]);
@@ -184,7 +190,7 @@ pub fn program() -> Program {
         let i = b.open("i", b.c(0), b.p("N"));
         let r_ai1 = Access::new(a, vec![b.d(i), b.d(j) + 1]);
         let w_tmpi = Access::new(tmp, vec![b.d(i)]);
-        b.stmt("Gt2", vec![r_ai1], vec![w_tmpi.clone()], move |c| {
+        sem.def(b.stmt("Gt2", vec![r_ai1], vec![w_tmpi.clone()]), move |c| {
             let (j, i) = (c.v(0), c.v(1));
             let v = c.rd(a, &[i, j + 1]);
             c.wr(tmp, &[i], v);
@@ -193,10 +199,12 @@ pub fn program() -> Program {
             let kk = b.open("k", b.d(j) + 2, b.p("N"));
             let r_aik = Access::new(a, vec![b.d(i), b.d(kk)]);
             let r_akj = Access::new(a, vec![b.d(kk), b.d(j)]);
-            b.stmt(
-                "SR2",
-                vec![r_aik, r_akj, w_tmpi.clone()],
-                vec![w_tmpi.clone()],
+            sem.def(
+                b.stmt(
+                    "SR2",
+                    vec![r_aik, r_akj, w_tmpi.clone()],
+                    vec![w_tmpi.clone()],
+                ),
                 move |c| {
                     let (j, i, k) = (c.v(0), c.v(1), c.v(2));
                     let v = c.rd(tmp, &[i]) + c.rd(a, &[i, k]) * c.rd(a, &[k, j]);
@@ -210,10 +218,12 @@ pub fn program() -> Program {
     {
         let i = b.open("i", b.c(0), b.p("N"));
         let w_tmpi = Access::new(tmp, vec![b.d(i)]);
-        b.stmt(
-            "Gt3",
-            vec![w_tmpi.clone(), w_tau.clone()],
-            vec![w_tmpi.clone()],
+        sem.def(
+            b.stmt(
+                "Gt3",
+                vec![w_tmpi.clone(), w_tau.clone()],
+                vec![w_tmpi.clone()],
+            ),
             move |c| {
                 let i = c.v(1);
                 let v = c.rd(tmp, &[i]) * c.rd(tau, &[]);
@@ -226,10 +236,8 @@ pub fn program() -> Program {
         let i = b.open("i", b.c(0), b.p("N"));
         let rw_ai1 = Access::new(a, vec![b.d(i), b.d(j) + 1]);
         let r_tmpi = Access::new(tmp, vec![b.d(i)]);
-        b.stmt(
-            "Gr2",
-            vec![rw_ai1.clone(), r_tmpi],
-            vec![rw_ai1],
+        sem.def(
+            b.stmt("Gr2", vec![rw_ai1.clone(), r_tmpi], vec![rw_ai1]),
             move |c| {
                 let (j, i) = (c.v(0), c.v(1));
                 let v = c.rd(a, &[i, j + 1]) - c.rd(tmp, &[i]);
@@ -244,10 +252,8 @@ pub fn program() -> Program {
         let r_tmpi = Access::new(tmp, vec![b.d(i)]);
         let rw_aik = Access::new(a, vec![b.d(i), b.d(kk)]);
         let r_akj = Access::new(a, vec![b.d(kk), b.d(j)]);
-        b.stmt(
-            "SU2",
-            vec![r_tmpi, rw_aik.clone(), r_akj],
-            vec![rw_aik],
+        sem.def(
+            b.stmt("SU2", vec![r_tmpi, rw_aik.clone(), r_akj], vec![rw_aik]),
             move |c| {
                 let (j, i, k) = (c.v(0), c.v(1), c.v(2));
                 let v = c.rd(a, &[i, k]) - c.rd(tmp, &[i]) * c.rd(a, &[k, j]);
@@ -258,7 +264,12 @@ pub fn program() -> Program {
         b.close();
     }
     b.close();
-    b.finish()
+    Executable::new(b.finish(), sem)
+}
+
+/// The declared-access program of [`executable`].
+pub fn program() -> Program {
+    executable().program
 }
 
 /// Native GEHD2 (mirrors Figure 7); returns `(A with reflectors +
@@ -360,17 +371,17 @@ mod tests {
     #[test]
     fn ir_matches_native() {
         let a0 = Matrix::random(7, 7, 62);
-        let p = program();
+        let p = executable();
         let store = run_with_inputs(&p, &[7], &[("A", &a0)]);
-        let out_ir = extract_matrix(&p, &[7], &store, "A");
+        let out_ir = extract_matrix(&p.program, &[7], &store, "A");
         let (out, _) = native(&a0);
         assert!(out_ir.max_abs_diff(&out) < 1e-12);
     }
 
     #[test]
     fn ir_accesses_are_consistent() {
-        let p = program();
-        assert!(iolb_ir::interp::validate_accesses(&p, &[7]).unwrap() > 0);
+        let p = executable();
+        assert!(crate::interp::validate_accesses(&p, &[7]).unwrap() > 0);
     }
 
     #[test]
@@ -380,9 +391,9 @@ mod tests {
             let a0 = Matrix::random(n, n, 63);
             let (out, _) = native(&a0);
             assert_eq!(out.max_abs_diff(&a0), 0.0);
-            let p = program();
+            let p = executable();
             let store = run_with_inputs(&p, &[n as i64], &[("A", &a0)]);
-            let out_ir = extract_matrix(&p, &[n as i64], &store, "A");
+            let out_ir = extract_matrix(&p.program, &[n as i64], &store, "A");
             assert_eq!(out_ir.max_abs_diff(&a0), 0.0);
         }
     }

@@ -8,12 +8,14 @@
 //! Both exhibit the hourglass on their `SR`/`SU` statements with parametric
 //! width `M − 1 − k ≥ M − N`.
 
+use crate::interp::{Executable, Semantics};
 use crate::matrix::Matrix;
 use iolb_ir::{Access, LoopStep, Program, ProgramBuilder};
 
 /// A2V (LAPACK GEQR2, Figure 3): in-place `A → V\R`, producing `tau`.
-pub fn a2v_program() -> Program {
+pub fn a2v_executable() -> Executable {
     let mut b = ProgramBuilder::new("qr_hh_a2v", &["M", "N"]);
+    let mut sem = Semantics::default();
     let a = b.array("A", &[b.p("M"), b.p("N")]);
     let tau = b.array("tau", &[b.p("N")]);
     let norma2 = b.scalar("norma2");
@@ -21,16 +23,14 @@ pub fn a2v_program() -> Program {
 
     let k = b.open("k", b.c(0), b.p("N"));
     let w_n2 = Access::new(norma2, vec![]);
-    b.stmt("Hn0", vec![], vec![w_n2.clone()], move |c| {
+    sem.def(b.stmt("Hn0", vec![], vec![w_n2.clone()]), move |c| {
         c.wr(norma2, &[], 0.0)
     });
     {
         let i = b.open("i", b.d(k) + 1, b.p("M"));
         let r_aik = Access::new(a, vec![b.d(i), b.d(k)]);
-        b.stmt(
-            "Hn1",
-            vec![r_aik, w_n2.clone()],
-            vec![w_n2.clone()],
+        sem.def(
+            b.stmt("Hn1", vec![r_aik, w_n2.clone()], vec![w_n2.clone()]),
             move |c| {
                 let (k, i) = (c.v(0), c.v(1));
                 let x = c.rd(a, &[i, k]);
@@ -42,10 +42,12 @@ pub fn a2v_program() -> Program {
     }
     let w_nrm = Access::new(norma, vec![]);
     let rw_akk = Access::new(a, vec![b.d(k), b.d(k)]);
-    b.stmt(
-        "Hnorm",
-        vec![rw_akk.clone(), w_n2.clone()],
-        vec![w_nrm.clone()],
+    sem.def(
+        b.stmt(
+            "Hnorm",
+            vec![rw_akk.clone(), w_n2.clone()],
+            vec![w_nrm.clone()],
+        ),
         move |c| {
             let k = c.v(0);
             let akk = c.rd(a, &[k, k]);
@@ -53,10 +55,12 @@ pub fn a2v_program() -> Program {
             c.wr(norma, &[], v);
         },
     );
-    b.stmt(
-        "Hakk",
-        vec![rw_akk.clone(), w_nrm.clone()],
-        vec![rw_akk.clone()],
+    sem.def(
+        b.stmt(
+            "Hakk",
+            vec![rw_akk.clone(), w_nrm.clone()],
+            vec![rw_akk.clone()],
+        ),
         move |c| {
             let k = c.v(0);
             let akk = c.rd(a, &[k, k]);
@@ -65,10 +69,12 @@ pub fn a2v_program() -> Program {
         },
     );
     let w_tauk = Access::new(tau, vec![b.d(k)]);
-    b.stmt(
-        "Htau",
-        vec![w_n2.clone(), rw_akk.clone()],
-        vec![w_tauk.clone()],
+    sem.def(
+        b.stmt(
+            "Htau",
+            vec![w_n2.clone(), rw_akk.clone()],
+            vec![w_tauk.clone()],
+        ),
         move |c| {
             let k = c.v(0);
             let akk = c.rd(a, &[k, k]);
@@ -79,10 +85,8 @@ pub fn a2v_program() -> Program {
     {
         let i = b.open("i", b.d(k) + 1, b.p("M"));
         let rw_aik = Access::new(a, vec![b.d(i), b.d(k)]);
-        b.stmt(
-            "Hscale",
-            vec![rw_aik.clone(), rw_akk.clone()],
-            vec![rw_aik],
+        sem.def(
+            b.stmt("Hscale", vec![rw_aik.clone(), rw_akk.clone()], vec![rw_aik]),
             move |c| {
                 let (k, i) = (c.v(0), c.v(1));
                 let v = c.rd(a, &[i, k]) / c.rd(a, &[k, k]);
@@ -91,10 +95,12 @@ pub fn a2v_program() -> Program {
         );
         b.close();
     }
-    b.stmt(
-        "Hflip",
-        vec![rw_akk.clone(), w_nrm.clone()],
-        vec![rw_akk.clone()],
+    sem.def(
+        b.stmt(
+            "Hflip",
+            vec![rw_akk.clone(), w_nrm.clone()],
+            vec![rw_akk.clone()],
+        ),
         move |c| {
             let k = c.v(0);
             let akk = c.rd(a, &[k, k]);
@@ -106,10 +112,8 @@ pub fn a2v_program() -> Program {
         let j = b.open("j", b.d(k) + 1, b.p("N"));
         let rw_akj = Access::new(a, vec![b.d(k), b.d(j)]);
         let w_tauj = Access::new(tau, vec![b.d(j)]);
-        b.stmt(
-            "Ht0",
-            vec![rw_akj.clone()],
-            vec![w_tauj.clone()],
+        sem.def(
+            b.stmt("Ht0", vec![rw_akj.clone()], vec![w_tauj.clone()]),
             move |c| {
                 let (k, j) = (c.v(0), c.v(1));
                 let v = c.rd(a, &[k, j]);
@@ -120,10 +124,12 @@ pub fn a2v_program() -> Program {
             let i = b.open("i", b.d(k) + 1, b.p("M"));
             let r_aik = Access::new(a, vec![b.d(i), b.d(k)]);
             let r_aij = Access::new(a, vec![b.d(i), b.d(j)]);
-            b.stmt(
-                "SR",
-                vec![r_aik, r_aij, w_tauj.clone()],
-                vec![w_tauj.clone()],
+            sem.def(
+                b.stmt(
+                    "SR",
+                    vec![r_aik, r_aij, w_tauj.clone()],
+                    vec![w_tauj.clone()],
+                ),
                 move |c| {
                     let (k, j, i) = (c.v(0), c.v(1), c.v(2));
                     let v = c.rd(tau, &[j]) + c.rd(a, &[i, k]) * c.rd(a, &[i, j]);
@@ -132,20 +138,24 @@ pub fn a2v_program() -> Program {
             );
             b.close();
         }
-        b.stmt(
-            "Ht1",
-            vec![w_tauk.clone(), w_tauj.clone()],
-            vec![w_tauj.clone()],
+        sem.def(
+            b.stmt(
+                "Ht1",
+                vec![w_tauk.clone(), w_tauj.clone()],
+                vec![w_tauj.clone()],
+            ),
             move |c| {
                 let (k, j) = (c.v(0), c.v(1));
                 let v = c.rd(tau, &[k]) * c.rd(tau, &[j]);
                 c.wr(tau, &[j], v);
             },
         );
-        b.stmt(
-            "Hrow",
-            vec![rw_akj.clone(), w_tauj.clone()],
-            vec![rw_akj.clone()],
+        sem.def(
+            b.stmt(
+                "Hrow",
+                vec![rw_akj.clone(), w_tauj.clone()],
+                vec![rw_akj.clone()],
+            ),
             move |c| {
                 let (k, j) = (c.v(0), c.v(1));
                 let v = c.rd(a, &[k, j]) - c.rd(tau, &[j]);
@@ -156,10 +166,12 @@ pub fn a2v_program() -> Program {
             let i = b.open("i", b.d(k) + 1, b.p("M"));
             let r_aik = Access::new(a, vec![b.d(i), b.d(k)]);
             let rw_aij = Access::new(a, vec![b.d(i), b.d(j)]);
-            b.stmt(
-                "SU",
-                vec![r_aik, rw_aij.clone(), w_tauj.clone()],
-                vec![rw_aij],
+            sem.def(
+                b.stmt(
+                    "SU",
+                    vec![r_aik, rw_aij.clone(), w_tauj.clone()],
+                    vec![rw_aij],
+                ),
                 move |c| {
                     let (k, j, i) = (c.v(0), c.v(1), c.v(2));
                     let v = c.rd(a, &[i, j]) - c.rd(a, &[i, k]) * c.rd(tau, &[j]);
@@ -171,12 +183,18 @@ pub fn a2v_program() -> Program {
         b.close();
     }
     b.close();
-    b.finish()
+    Executable::new(b.finish(), sem)
+}
+
+/// The declared-access program of [`a2v_executable`].
+pub fn a2v_program() -> Program {
+    a2v_executable().program
 }
 
 /// V2Q (LAPACK ORG2R, Figure 6): in-place `V\· → Q` given `tau` (M ≥ N).
-pub fn v2q_program() -> Program {
+pub fn v2q_executable() -> Executable {
     let mut b = ProgramBuilder::new("qr_hh_v2q", &["M", "N"]);
+    let mut sem = Semantics::default();
     let a = b.array("A", &[b.p("M"), b.p("N")]);
     let tau = b.array("tau", &[b.p("N")]);
 
@@ -184,17 +202,19 @@ pub fn v2q_program() -> Program {
     {
         let j = b.open("j", b.d(k) + 1, b.p("N"));
         let w_tauj = Access::new(tau, vec![b.d(j)]);
-        b.stmt("Vt0", vec![], vec![w_tauj.clone()], move |c| {
+        sem.def(b.stmt("Vt0", vec![], vec![w_tauj.clone()]), move |c| {
             c.wr(tau, &[c.v(1)], 0.0)
         });
         {
             let i = b.open("i", b.d(k) + 1, b.p("M"));
             let r_aik = Access::new(a, vec![b.d(i), b.d(k)]);
             let r_aij = Access::new(a, vec![b.d(i), b.d(j)]);
-            b.stmt(
-                "SR",
-                vec![r_aik, r_aij, w_tauj.clone()],
-                vec![w_tauj.clone()],
+            sem.def(
+                b.stmt(
+                    "SR",
+                    vec![r_aik, r_aij, w_tauj.clone()],
+                    vec![w_tauj.clone()],
+                ),
                 move |c| {
                     let (k, j, i) = (c.v(0), c.v(1), c.v(2));
                     let v = c.rd(tau, &[j]) + c.rd(a, &[i, k]) * c.rd(a, &[i, j]);
@@ -209,10 +229,8 @@ pub fn v2q_program() -> Program {
         let j = b.open("j", b.d(k) + 1, b.p("N"));
         let w_tauj = Access::new(tau, vec![b.d(j)]);
         let r_tauk = Access::new(tau, vec![b.d(k)]);
-        b.stmt(
-            "Vt1",
-            vec![w_tauj.clone(), r_tauk],
-            vec![w_tauj.clone()],
+        sem.def(
+            b.stmt("Vt1", vec![w_tauj.clone(), r_tauk], vec![w_tauj.clone()]),
             move |c| {
                 let (k, j) = (c.v(0), c.v(1));
                 let v = c.rd(tau, &[j]) * c.rd(tau, &[k]);
@@ -223,16 +241,19 @@ pub fn v2q_program() -> Program {
     }
     let r_tauk = Access::new(tau, vec![b.d(k)]);
     let w_akk = Access::new(a, vec![b.d(k), b.d(k)]);
-    b.stmt("Vdiag", vec![r_tauk.clone()], vec![w_akk], move |c| {
-        let k = c.v(0);
-        let v = 1.0 - c.rd(tau, &[k]);
-        c.wr(a, &[k, k], v);
-    });
+    sem.def(
+        b.stmt("Vdiag", vec![r_tauk.clone()], vec![w_akk]),
+        move |c| {
+            let k = c.v(0);
+            let v = 1.0 - c.rd(tau, &[k]);
+            c.wr(a, &[k, k], v);
+        },
+    );
     {
         let j = b.open("j", b.d(k) + 1, b.p("N"));
         let r_tauj = Access::new(tau, vec![b.d(j)]);
         let w_akj = Access::new(a, vec![b.d(k), b.d(j)]);
-        b.stmt("Vrow", vec![r_tauj], vec![w_akj], move |c| {
+        sem.def(b.stmt("Vrow", vec![r_tauj], vec![w_akj]), move |c| {
             let (k, j) = (c.v(0), c.v(1));
             let v = -c.rd(tau, &[j]);
             c.wr(a, &[k, j], v);
@@ -245,10 +266,8 @@ pub fn v2q_program() -> Program {
         let r_aik = Access::new(a, vec![b.d(i), b.d(k)]);
         let rw_aij = Access::new(a, vec![b.d(i), b.d(j)]);
         let r_tauj = Access::new(tau, vec![b.d(j)]);
-        b.stmt(
-            "SU",
-            vec![r_aik, rw_aij.clone(), r_tauj],
-            vec![rw_aij],
+        sem.def(
+            b.stmt("SU", vec![r_aik, rw_aij.clone(), r_tauj], vec![rw_aij]),
             move |c| {
                 let (k, j, i) = (c.v(0), c.v(1), c.v(2));
                 let v = c.rd(a, &[i, j]) - c.rd(a, &[i, k]) * c.rd(tau, &[j]);
@@ -262,10 +281,8 @@ pub fn v2q_program() -> Program {
         let i = b.open("i", b.d(k) + 1, b.p("M"));
         let rw_aik = Access::new(a, vec![b.d(i), b.d(k)]);
         let r_tauk = Access::new(tau, vec![b.d(k)]);
-        b.stmt(
-            "Vscale",
-            vec![rw_aik.clone(), r_tauk],
-            vec![rw_aik],
+        sem.def(
+            b.stmt("Vscale", vec![rw_aik.clone(), r_tauk], vec![rw_aik]),
             move |c| {
                 let (k, i) = (c.v(0), c.v(1));
                 let v = -c.rd(a, &[i, k]) * c.rd(tau, &[k]);
@@ -275,13 +292,19 @@ pub fn v2q_program() -> Program {
         b.close();
     }
     b.close();
-    b.finish()
+    Executable::new(b.finish(), sem)
+}
+
+/// The declared-access program of [`v2q_executable`].
+pub fn v2q_program() -> Program {
+    v2q_executable().program
 }
 
 /// Tiled A2V (Figure 9): parameters `M, N, B`; left-looking blocked
 /// ordering with I/O `≈ ½(M²N² − MN³/3)/S` at `B = ⌊S/M⌋ − 1`.
-pub fn a2v_tiled_program() -> Program {
+pub fn a2v_tiled_executable() -> Executable {
     let mut b = ProgramBuilder::new("qr_hh_a2v_tiled", &["M", "N", "B"]);
+    let mut sem = Semantics::default();
     let a = b.array("A", &[b.p("M"), b.p("N")]);
     let tau = b.array("tau", &[b.p("N")]);
     let tmp = b.scalar("tmp");
@@ -297,10 +320,12 @@ pub fn a2v_tiled_program() -> Program {
         ($b:ident, $jd:ident, $kd:ident, $pj:expr, $pk:expr, $prefix:literal) => {{
             let rw_ajk = Access::new(a, vec![$b.d($jd), $b.d($kd)]);
             let w_tmp = Access::new(tmp, vec![]);
-            $b.stmt(
-                concat!($prefix, "t0"),
-                vec![rw_ajk.clone()],
-                vec![w_tmp.clone()],
+            sem.def(
+                $b.stmt(
+                    concat!($prefix, "t0"),
+                    vec![rw_ajk.clone()],
+                    vec![w_tmp.clone()],
+                ),
                 move |c| {
                     let (j, k) = (c.v($pj), c.v($pk));
                     let v = c.rd(a, &[j, k]);
@@ -311,10 +336,12 @@ pub fn a2v_tiled_program() -> Program {
                 let i = $b.open("i", $b.d($jd) + 1, $b.p("M"));
                 let r_aij = Access::new(a, vec![$b.d(i), $b.d($jd)]);
                 let r_aik = Access::new(a, vec![$b.d(i), $b.d($kd)]);
-                $b.stmt(
-                    concat!($prefix, "t1"),
-                    vec![r_aij, r_aik, w_tmp.clone()],
-                    vec![w_tmp.clone()],
+                sem.def(
+                    $b.stmt(
+                        concat!($prefix, "t1"),
+                        vec![r_aij, r_aik, w_tmp.clone()],
+                        vec![w_tmp.clone()],
+                    ),
                     move |c| {
                         let (j, k, i) = (c.v($pj), c.v($pk), c.v(3));
                         let v = c.rd(tmp, &[]) + c.rd(a, &[i, j]) * c.rd(a, &[i, k]);
@@ -324,20 +351,24 @@ pub fn a2v_tiled_program() -> Program {
                 $b.close();
             }
             let r_tauj = Access::new(tau, vec![$b.d($jd)]);
-            $b.stmt(
-                concat!($prefix, "t2"),
-                vec![r_tauj, w_tmp.clone()],
-                vec![w_tmp.clone()],
+            sem.def(
+                $b.stmt(
+                    concat!($prefix, "t2"),
+                    vec![r_tauj, w_tmp.clone()],
+                    vec![w_tmp.clone()],
+                ),
                 move |c| {
                     let j = c.v($pj);
                     let v = c.rd(tau, &[j]) * c.rd(tmp, &[]);
                     c.wr(tmp, &[], v);
                 },
             );
-            $b.stmt(
-                concat!($prefix, "row"),
-                vec![rw_ajk.clone(), w_tmp.clone()],
-                vec![rw_ajk.clone()],
+            sem.def(
+                $b.stmt(
+                    concat!($prefix, "row"),
+                    vec![rw_ajk.clone(), w_tmp.clone()],
+                    vec![rw_ajk.clone()],
+                ),
                 move |c| {
                     let (j, k) = (c.v($pj), c.v($pk));
                     let v = c.rd(a, &[j, k]) - c.rd(tmp, &[]);
@@ -348,10 +379,12 @@ pub fn a2v_tiled_program() -> Program {
                 let i = $b.open("i", $b.d($jd) + 1, $b.p("M"));
                 let r_aij = Access::new(a, vec![$b.d(i), $b.d($jd)]);
                 let rw_aik = Access::new(a, vec![$b.d(i), $b.d($kd)]);
-                $b.stmt(
-                    concat!($prefix, "su"),
-                    vec![r_aij, rw_aik.clone(), w_tmp.clone()],
-                    vec![rw_aik],
+                sem.def(
+                    $b.stmt(
+                        concat!($prefix, "su"),
+                        vec![r_aij, rw_aik.clone(), w_tmp.clone()],
+                        vec![rw_aik],
+                    ),
                     move |c| {
                         let (j, k, i) = (c.v($pj), c.v($pk), c.v(3));
                         let v = c.rd(a, &[i, k]) - c.rd(a, &[i, j]) * c.rd(tmp, &[]);
@@ -395,16 +428,14 @@ pub fn a2v_tiled_program() -> Program {
         }
         // Reflector generation for column k (same as the A2V head).
         let w_n2 = Access::new(norma2, vec![]);
-        b.stmt("Yn0", vec![], vec![w_n2.clone()], move |c| {
+        sem.def(b.stmt("Yn0", vec![], vec![w_n2.clone()]), move |c| {
             c.wr(norma2, &[], 0.0)
         });
         {
             let i = b.open("i", b.d(kk) + 1, b.p("M"));
             let r_aik = Access::new(a, vec![b.d(i), b.d(kk)]);
-            b.stmt(
-                "Yn1",
-                vec![r_aik, w_n2.clone()],
-                vec![w_n2.clone()],
+            sem.def(
+                b.stmt("Yn1", vec![r_aik, w_n2.clone()], vec![w_n2.clone()]),
                 move |c| {
                     let (k, i) = (c.v(1), c.v(2));
                     let x = c.rd(a, &[i, k]);
@@ -416,10 +447,12 @@ pub fn a2v_tiled_program() -> Program {
         }
         let w_nrm = Access::new(norma, vec![]);
         let rw_akk = Access::new(a, vec![b.d(kk), b.d(kk)]);
-        b.stmt(
-            "Ynorm",
-            vec![rw_akk.clone(), w_n2.clone()],
-            vec![w_nrm.clone()],
+        sem.def(
+            b.stmt(
+                "Ynorm",
+                vec![rw_akk.clone(), w_n2.clone()],
+                vec![w_nrm.clone()],
+            ),
             move |c| {
                 let k = c.v(1);
                 let akk = c.rd(a, &[k, k]);
@@ -427,10 +460,12 @@ pub fn a2v_tiled_program() -> Program {
                 c.wr(norma, &[], v);
             },
         );
-        b.stmt(
-            "Yakk",
-            vec![rw_akk.clone(), w_nrm.clone()],
-            vec![rw_akk.clone()],
+        sem.def(
+            b.stmt(
+                "Yakk",
+                vec![rw_akk.clone(), w_nrm.clone()],
+                vec![rw_akk.clone()],
+            ),
             move |c| {
                 let k = c.v(1);
                 let akk = c.rd(a, &[k, k]);
@@ -439,10 +474,8 @@ pub fn a2v_tiled_program() -> Program {
             },
         );
         let w_tauk = Access::new(tau, vec![b.d(kk)]);
-        b.stmt(
-            "Ytau",
-            vec![w_n2.clone(), rw_akk.clone()],
-            vec![w_tauk],
+        sem.def(
+            b.stmt("Ytau", vec![w_n2.clone(), rw_akk.clone()], vec![w_tauk]),
             move |c| {
                 let k = c.v(1);
                 let akk = c.rd(a, &[k, k]);
@@ -453,10 +486,8 @@ pub fn a2v_tiled_program() -> Program {
         {
             let i = b.open("i", b.d(kk) + 1, b.p("M"));
             let rw_aik = Access::new(a, vec![b.d(i), b.d(kk)]);
-            b.stmt(
-                "Yscale",
-                vec![rw_aik.clone(), rw_akk.clone()],
-                vec![rw_aik],
+            sem.def(
+                b.stmt("Yscale", vec![rw_aik.clone(), rw_akk.clone()], vec![rw_aik]),
                 move |c| {
                     let (k, i) = (c.v(1), c.v(2));
                     let v = c.rd(a, &[i, k]) / c.rd(a, &[k, k]);
@@ -465,10 +496,12 @@ pub fn a2v_tiled_program() -> Program {
             );
             b.close();
         }
-        b.stmt(
-            "Yflip",
-            vec![rw_akk.clone(), w_nrm.clone()],
-            vec![rw_akk.clone()],
+        sem.def(
+            b.stmt(
+                "Yflip",
+                vec![rw_akk.clone(), w_nrm.clone()],
+                vec![rw_akk.clone()],
+            ),
             move |c| {
                 let k = c.v(1);
                 let akk = c.rd(a, &[k, k]);
@@ -479,7 +512,7 @@ pub fn a2v_tiled_program() -> Program {
         b.close();
     }
     b.close();
-    b.finish()
+    Executable::new(b.finish(), sem)
 }
 
 /// Native A2V; returns `(V\R in place, tau)`.
@@ -664,10 +697,10 @@ mod tests {
     #[test]
     fn a2v_ir_matches_native() {
         let a0 = Matrix::random(8, 5, 9);
-        let p = a2v_program();
+        let p = a2v_executable();
         let store = run_with_inputs(&p, &[8, 5], &[("A", &a0)]);
-        let vr_ir = extract_matrix(&p, &[8, 5], &store, "A");
-        let tau_ir = extract_vector(&p, &[8, 5], &store, "tau");
+        let vr_ir = extract_matrix(&p.program, &[8, 5], &store, "A");
+        let tau_ir = extract_vector(&p.program, &[8, 5], &store, "tau");
         let (vr, tau) = a2v_native(&a0);
         assert!(vr_ir.max_abs_diff(&vr) < 1e-12);
         for (a, b) in tau_ir.iter().zip(&tau) {
@@ -679,7 +712,7 @@ mod tests {
     fn v2q_ir_matches_native() {
         let a0 = Matrix::random(8, 5, 10);
         let (vr, tau) = a2v_native(&a0);
-        let p = v2q_program();
+        let p = v2q_executable();
         let tau_m = Matrix {
             rows: 1,
             cols: 5,
@@ -688,8 +721,8 @@ mod tests {
         // tau is 1-D; pass through a 1×N matrix view of the data.
         let store = {
             let lookupable = [("A", &vr)];
-            let mut store = iolb_ir::Store::init(&p, &[8, 5], |arr, f| {
-                let name = &p.arrays[arr.0 as usize].name;
+            let mut store = crate::interp::Store::init(&p.program, &[8, 5], |arr, f| {
+                let name = &p.program.arrays[arr.0 as usize].name;
                 if name == "A" {
                     lookupable[0].1.data[f]
                 } else if name == "tau" {
@@ -698,10 +731,11 @@ mod tests {
                     0.0
                 }
             });
-            iolb_ir::Interpreter::new(&p, &[8, 5]).run(&mut store, &mut iolb_ir::NullSink);
+            crate::interp::Interpreter::new(&p, &[8, 5])
+                .run(&mut store, &mut crate::interp::NullSink);
             store
         };
-        let q_ir = extract_matrix(&p, &[8, 5], &store, "A");
+        let q_ir = extract_matrix(&p.program, &[8, 5], &store, "A");
         let q = v2q_native(&vr, &tau);
         assert!(q_ir.max_abs_diff(&q) < 1e-12);
     }
@@ -722,11 +756,11 @@ mod tests {
     #[test]
     fn tiled_a2v_ir_matches_tiled_native() {
         let a0 = Matrix::random(9, 6, 29);
-        let p = a2v_tiled_program();
+        let p = a2v_tiled_executable();
         for block in [2i64, 3] {
             let store = run_with_inputs(&p, &[9, 6, block], &[("A", &a0)]);
-            let vr_ir = extract_matrix(&p, &[9, 6, block], &store, "A");
-            let tau_ir = extract_vector(&p, &[9, 6, block], &store, "tau");
+            let vr_ir = extract_matrix(&p.program, &[9, 6, block], &store, "A");
+            let tau_ir = extract_vector(&p.program, &[9, 6, block], &store, "tau");
             let (vr, tau) = a2v_tiled_native(&a0, block as usize);
             assert!(vr_ir.max_abs_diff(&vr) < 1e-12, "B={block}");
             for (x, y) in tau_ir.iter().zip(&tau) {
@@ -737,9 +771,9 @@ mod tests {
 
     #[test]
     fn all_ir_variants_validate() {
-        assert!(iolb_ir::interp::validate_accesses(&a2v_program(), &[8, 5]).unwrap() > 0);
-        assert!(iolb_ir::interp::validate_accesses(&v2q_program(), &[8, 5]).unwrap() > 0);
-        assert!(iolb_ir::interp::validate_accesses(&a2v_tiled_program(), &[8, 5, 2]).unwrap() > 0);
+        assert!(crate::interp::validate_accesses(&a2v_executable(), &[8, 5]).unwrap() > 0);
+        assert!(crate::interp::validate_accesses(&v2q_executable(), &[8, 5]).unwrap() > 0);
+        assert!(crate::interp::validate_accesses(&a2v_tiled_executable(), &[8, 5, 2]).unwrap() > 0);
     }
 
     #[test]
@@ -752,9 +786,9 @@ mod tests {
             move |arr: iolb_ir::ArrayId, f: usize| if arr.0 == 0 { a.data[f] } else { 0.0 }
         };
         let untiled =
-            crate::sinks::measure_lru_io(&a2v_program(), &[m as i64, n as i64], s, mk_init(&a0));
+            crate::sinks::measure_lru_io(&a2v_executable(), &[m as i64, n as i64], s, mk_init(&a0));
         let tiled = crate::sinks::measure_lru_io(
-            &a2v_tiled_program(),
+            &a2v_tiled_executable(),
             &[m as i64, n as i64, block],
             s,
             mk_init(&a0),

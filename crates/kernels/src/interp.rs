@@ -1,0 +1,453 @@
+//! The builder reference's f64 semantics and their interpreter.
+//!
+//! Production analyses read a statement as its declared accesses alone
+//! (`iolb_ir::interp`). The builder kernels of this crate additionally
+//! carry hand-written f64 closures — the numerical ground truth — and this
+//! module executes them in schedule order, carrying real array contents
+//! and streaming every performed access into an [`ExecSink`]:
+//!
+//! * **numerics** — running a kernel and checking its mathematical output
+//!   against the native implementations,
+//! * **trace collection** — feeding the two-level cache simulator
+//!   ([`crate::sinks`]),
+//! * **certification** — [`validate_accesses`] checks the declared affine
+//!   accesses against the performed ones on every executed instance, which
+//!   is what lets the `.iolb` files (declared accesses only) stand for the
+//!   builders.
+//!
+//! Cells are laid out as [`DeclaredAccesses`] lays them out: the sinks'
+//! dense cell ids and the store's per-array lengths are read off it.
+
+use iolb_ir::interp::DeclaredAccesses;
+use iolb_ir::{for_each_instance, ArrayId, Program, StmtId};
+use std::collections::BTreeSet;
+use std::sync::Arc;
+
+/// Receives execution events from the interpreter.
+///
+/// `on_stmt` fires before the instance's accesses; `on_read`/`on_write`
+/// report flat per-array element indices.
+pub trait ExecSink {
+    /// A statement instance is about to execute with iteration vector `iv`.
+    fn on_stmt(&mut self, _stmt: StmtId, _iv: &[i64]) {}
+    /// The current instance read `array[flat]`.
+    fn on_read(&mut self, _array: ArrayId, _flat: usize) {}
+    /// The current instance wrote `array[flat]`.
+    fn on_write(&mut self, _array: ArrayId, _flat: usize) {}
+    /// Execution finished.
+    fn on_finish(&mut self) {}
+}
+
+/// Sink that ignores everything (pure numeric runs).
+#[derive(Debug, Default)]
+pub struct NullSink;
+
+impl ExecSink for NullSink {}
+
+/// Sink that materializes the full access trace with global cell ids.
+///
+/// Events are packed `(cell << 1) | write` to keep long traces compact
+/// (8 bytes per access).
+#[derive(Debug)]
+pub struct TraceSink {
+    /// Packed events.
+    pub packed: Vec<u64>,
+    base: Vec<usize>,
+    /// Total number of distinct cells across all arrays.
+    pub num_cells: usize,
+}
+
+impl TraceSink {
+    /// Creates a trace sink for the given program instantiation.
+    pub fn new(program: &Program, params: &[i64]) -> TraceSink {
+        let (base, num_cells) = cell_bases(program, params);
+        TraceSink {
+            packed: Vec::new(),
+            base,
+            num_cells,
+        }
+    }
+}
+
+/// Every array's first dense cell id and the total cell count at `params`,
+/// as [`DeclaredAccesses`] numbers the cells.
+pub(crate) fn cell_bases(program: &Program, params: &[i64]) -> (Vec<usize>, usize) {
+    let cells = DeclaredAccesses::bind(program, params);
+    let base = (0..program.arrays.len())
+        .map(|a| cells.base(ArrayId(a as u32)))
+        .collect();
+    (base, cells.num_cells())
+}
+
+impl ExecSink for TraceSink {
+    fn on_read(&mut self, array: ArrayId, flat: usize) {
+        let cell = self.base[array.0 as usize] + flat;
+        self.packed.push((cell as u64) << 1);
+    }
+    fn on_write(&mut self, array: ArrayId, flat: usize) {
+        let cell = self.base[array.0 as usize] + flat;
+        self.packed.push(((cell as u64) << 1) | 1);
+    }
+}
+
+/// Array contents for one execution.
+#[derive(Debug, Clone)]
+pub struct Store {
+    /// Flat row-major contents per array.
+    pub data: Vec<Vec<f64>>,
+    strides: Vec<Vec<usize>>,
+}
+
+impl Store {
+    /// Allocates and fills all arrays using `init(array, flat) -> f64`.
+    pub fn init(
+        program: &Program,
+        params: &[i64],
+        mut init: impl FnMut(ArrayId, usize) -> f64,
+    ) -> Store {
+        let cells = DeclaredAccesses::bind(program, params);
+        let ids = (0..program.arrays.len()).map(|i| ArrayId(i as u32));
+        let data = ids
+            .clone()
+            .map(|id| (0..cells.array_cells(id)).map(|f| init(id, f)).collect())
+            .collect();
+        Store {
+            data,
+            strides: ids.map(|id| program.array_strides(id, params)).collect(),
+        }
+    }
+
+    /// Flattens a multi-dimensional index.
+    ///
+    /// # Panics
+    /// Panics (debug) on rank mismatch.
+    pub fn flatten(&self, array: ArrayId, idx: &[i64]) -> usize {
+        let st = &self.strides[array.0 as usize];
+        debug_assert_eq!(st.len(), idx.len(), "array rank mismatch");
+        let mut f = 0usize;
+        for (i, &x) in idx.iter().enumerate() {
+            debug_assert!(x >= 0, "negative subscript");
+            f += st[i] * x as usize;
+        }
+        f
+    }
+}
+
+/// Statement execution context handed to semantic closures.
+pub struct ExecCtx<'a> {
+    iv: &'a [i64],
+    params: &'a [i64],
+    store: &'a mut Store,
+    sink: &'a mut dyn ExecSink,
+}
+
+impl ExecCtx<'_> {
+    /// Value of the `i`-th enclosing loop (outermost first).
+    pub fn v(&self, i: usize) -> i64 {
+        self.iv[i]
+    }
+
+    /// Value of parameter `i`.
+    pub fn p(&self, i: usize) -> i64 {
+        self.params[i]
+    }
+
+    /// Reads `array[idx]`, reporting the access.
+    pub fn rd(&mut self, array: ArrayId, idx: &[i64]) -> f64 {
+        let f = self.store.flatten(array, idx);
+        self.sink.on_read(array, f);
+        self.store.data[array.0 as usize][f]
+    }
+
+    /// Writes `array[idx]`, reporting the access.
+    pub fn wr(&mut self, array: ArrayId, idx: &[i64], v: f64) {
+        let f = self.store.flatten(array, idx);
+        self.sink.on_write(array, f);
+        self.store.data[array.0 as usize][f] = v;
+    }
+}
+
+/// The f64 semantics of one statement: executes one instance through the
+/// interpreter context (which records the performed accesses).
+pub type ComputeFn = Arc<dyn Fn(&mut ExecCtx<'_>) + Send + Sync>;
+
+/// Statement semantics collected while a builder kernel's program is
+/// built, in statement order.
+#[derive(Default)]
+pub struct Semantics(Vec<ComputeFn>);
+
+impl Semantics {
+    /// Defines the semantics of `stmt`, the statement just added.
+    ///
+    /// # Panics
+    /// Panics when statements are defined out of order.
+    pub fn def(
+        &mut self,
+        stmt: StmtId,
+        compute: impl Fn(&mut ExecCtx<'_>) + Send + Sync + 'static,
+    ) {
+        assert_eq!(
+            stmt.0 as usize,
+            self.0.len(),
+            "semantics must be defined in statement order"
+        );
+        self.0.push(Arc::new(compute));
+    }
+}
+
+/// A program with f64 semantics for each of its statements.
+#[derive(Clone)]
+pub struct Executable {
+    /// The program (declared accesses and schedule).
+    pub program: Program,
+    /// Per-statement semantics, indexed by [`StmtId`].
+    pub semantics: Vec<ComputeFn>,
+}
+
+impl Executable {
+    /// Pairs a built program with its statements' semantics.
+    ///
+    /// # Panics
+    /// Panics unless every statement has exactly one definition.
+    pub fn new(program: Program, semantics: Semantics) -> Executable {
+        assert_eq!(
+            program.stmts.len(),
+            semantics.0.len(),
+            "{}: one semantic closure per statement",
+            program.name
+        );
+        Executable {
+            program,
+            semantics: semantics.0,
+        }
+    }
+}
+
+/// Schedule-order interpreter for one program instantiation.
+pub struct Interpreter<'p> {
+    exe: &'p Executable,
+    params: Vec<i64>,
+}
+
+impl<'p> Interpreter<'p> {
+    /// Binds `exe` to concrete parameter values (same order as
+    /// `exe.program.params`).
+    pub fn new(exe: &'p Executable, params: &[i64]) -> Interpreter<'p> {
+        assert_eq!(
+            params.len(),
+            exe.program.params.len(),
+            "parameter count mismatch"
+        );
+        Interpreter {
+            exe,
+            params: params.to_vec(),
+        }
+    }
+
+    /// Executes the program over `store`, streaming events into `sink`.
+    pub fn run<S: ExecSink>(&self, store: &mut Store, sink: &mut S) {
+        let program = &self.exe.program;
+        let mut iv: Vec<i64> = Vec::new();
+        for_each_instance(program, &self.params, |id, dims| {
+            iv.clear();
+            iv.extend(program.stmt(id).dims.iter().map(|d| dims[d.0 as usize]));
+            sink.on_stmt(id, &iv);
+            let mut ctx = ExecCtx {
+                iv: &iv,
+                params: &self.params,
+                store,
+                sink,
+            };
+            (self.exe.semantics[id.0 as usize])(&mut ctx);
+        });
+        sink.on_finish();
+    }
+
+    /// Convenience: fresh store from `init`, run with [`NullSink`].
+    pub fn run_numeric(&self, init: impl FnMut(ArrayId, usize) -> f64) -> Store {
+        let mut store = Store::init(&self.exe.program, &self.params, init);
+        self.run(&mut store, &mut NullSink);
+        store
+    }
+}
+
+/// Certifies declared accesses against performed accesses.
+///
+/// Runs the program once; for every statement instance, the set of distinct
+/// `(array, cell)` pairs touched by the semantic closure must equal the set
+/// described by the declared affine accesses evaluated at the instance's
+/// iteration vector. Returns the number of certified instances.
+///
+/// # Errors
+/// Returns a human-readable description of the first mismatch or of a
+/// declared access outside its array.
+pub fn validate_accesses(exe: &Executable, params: &[i64]) -> Result<u64, String> {
+    type Cells = BTreeSet<(u32, usize)>;
+    /// Every executed instance: statement, iteration vector, and the
+    /// performed read and write cells.
+    #[derive(Default)]
+    struct Run(Vec<(StmtId, Vec<i64>, Cells, Cells)>);
+    impl ExecSink for Run {
+        fn on_stmt(&mut self, stmt: StmtId, iv: &[i64]) {
+            self.0.push((stmt, iv.to_vec(), Cells::new(), Cells::new()));
+        }
+        fn on_read(&mut self, array: ArrayId, flat: usize) {
+            let current = self.0.last_mut().expect("reads happen inside an instance");
+            current.2.insert((array.0, flat));
+        }
+        fn on_write(&mut self, array: ArrayId, flat: usize) {
+            let current = self.0.last_mut().expect("writes happen inside an instance");
+            current.3.insert((array.0, flat));
+        }
+    }
+
+    let program = &exe.program;
+    let mut run = Run::default();
+    let mut store = Store::init(program, params, |a, f| (a.0 as f64) + f as f64 * 0.25 + 1.0);
+    Interpreter::new(exe, params).run(&mut store, &mut run);
+
+    let declared = DeclaredAccesses::bind(program, params);
+    let mut env = vec![0; program.num_dims as usize];
+    for (stmt, iv, got_reads, got_writes) in &run.0 {
+        let s = program.stmt(*stmt);
+        for (d, &v) in s.dims.iter().zip(iv) {
+            env[d.0 as usize] = v;
+        }
+        let mut reads = Cells::new();
+        for (r, a) in s.reads.iter().enumerate() {
+            let cell = declared.read(*stmt, r, &env).map_err(|e| e.to_string())?;
+            reads.insert((a.array.0, cell - declared.base(a.array)));
+        }
+        let mut writes = Cells::new();
+        for (w, a) in s.writes.iter().enumerate() {
+            let cell = declared.write(*stmt, w, &env).map_err(|e| e.to_string())?;
+            writes.insert((a.array.0, cell - declared.base(a.array)));
+        }
+        if reads != *got_reads || writes != *got_writes {
+            return Err(format!(
+                "access mismatch in {}[{iv:?}]: declared reads {reads:?} performed {got_reads:?}; \
+                 declared writes {writes:?} performed {got_writes:?}",
+                s.name
+            ));
+        }
+    }
+    Ok(run.0.len() as u64)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use iolb_ir::{Access, ProgramBuilder, TileSpec};
+
+    /// `for i in 0..N { y[i] = 2*x[i] }`
+    fn scale_prog() -> Executable {
+        let mut b = ProgramBuilder::new("scale", &["N"]);
+        let mut sem = Semantics::default();
+        let x = b.array("x", &[b.p("N")]);
+        let y = b.array("y", &[b.p("N")]);
+        let i = b.open("i", b.c(0), b.p("N"));
+        let rx = Access::new(x, vec![b.d(i)]);
+        let wy = Access::new(y, vec![b.d(i)]);
+        sem.def(b.stmt("S", vec![rx], vec![wy]), move |c| {
+            let v = 2.0 * c.rd(x, &[c.v(0)]);
+            c.wr(y, &[c.v(0)], v);
+        });
+        b.close();
+        Executable::new(b.finish(), sem)
+    }
+
+    #[test]
+    fn numeric_execution() {
+        let p = scale_prog();
+        let interp = Interpreter::new(&p, &[5]);
+        let store = interp.run_numeric(|a, f| if a.0 == 0 { f as f64 } else { 0.0 });
+        assert_eq!(store.data[1], vec![0.0, 2.0, 4.0, 6.0, 8.0]);
+    }
+
+    #[test]
+    fn trace_records_all_accesses() {
+        let p = scale_prog();
+        let interp = Interpreter::new(&p, &[3]);
+        let mut sink = TraceSink::new(&p.program, &[3]);
+        let mut store = Store::init(&p.program, &[3], |_, _| 0.0);
+        interp.run(&mut store, &mut sink);
+        // 3 instances × (read x[i], write y[i]); x cells are 0..3, y 3..6,
+        // packed `cell << 1 | write`.
+        assert_eq!(sink.packed, vec![0, 7, 2, 9, 4, 11]);
+        assert_eq!(sink.num_cells, 6);
+    }
+
+    #[test]
+    fn validation_accepts_consistent_program() {
+        let p = scale_prog();
+        let n = validate_accesses(&p, &[7]).expect("consistent");
+        assert_eq!(n, 7);
+    }
+
+    /// A legal tiling of the builder GEMM computes the same final store as
+    /// program order, bit for bit.
+    #[test]
+    fn tiled_numeric_store_matches_untiled_when_legal() {
+        let p = crate::gemm::executable();
+        let tiles = [
+            TileSpec::new("i", 2),
+            TileSpec::new("j", 3),
+            TileSpec::new("k", 1),
+        ];
+        // Tiling keeps every statement and its iteration vector, so the
+        // semantics carry over unchanged.
+        let tiled = Executable {
+            program: iolb_ir::tile_program(&p.program, &tiles).unwrap(),
+            semantics: p.semantics.clone(),
+        };
+        let params = [6, 5, 4];
+        let init = |a: ArrayId, f: usize| (a.0 as f64) * 3.0 + f as f64 * 0.5 + 1.0;
+        let base = Interpreter::new(&p, &params).run_numeric(init);
+        let got = Interpreter::new(&tiled, &params).run_numeric(init);
+        assert_eq!(base.data, got.data, "legal tiling is semantics-preserving");
+    }
+
+    /// `S` declares the read `x[i]` and the write `y[i]`; `compute` is what
+    /// it actually does.
+    fn liar(compute: impl Fn(&mut ExecCtx<'_>) + Send + Sync + 'static) -> Executable {
+        let mut b = ProgramBuilder::new("liar", &["N"]);
+        let mut sem = Semantics::default();
+        let x = b.array("x", &[b.p("N")]);
+        let y = b.array("y", &[b.p("N")]);
+        let i = b.open("i", b.c(0), b.p("N"));
+        let rx = Access::new(x, vec![b.d(i)]);
+        let wy = Access::new(y, vec![b.d(i)]);
+        sem.def(b.stmt("S", vec![rx], vec![wy]), compute);
+        b.close();
+        Executable::new(b.finish(), sem)
+    }
+
+    #[test]
+    fn validation_rejects_lying_metadata() {
+        // Declared read x[i], but closure reads x[0].
+        let p = liar(|c| {
+            let v = c.rd(ArrayId(0), &[0]);
+            c.wr(ArrayId(1), &[c.v(0)], v);
+        });
+        let err = validate_accesses(&p, &[3]).unwrap_err();
+        assert!(err.contains("access mismatch"), "got: {err}");
+    }
+
+    /// The mismatch report names the first deviating instance and prints
+    /// the declared and performed cells as sorted sets. Here the closure
+    /// also reads the undeclared cell `x[0]` (declared only at `i = 0`), and
+    /// reads it twice at `i = 2`: a repeated access is one set member.
+    #[test]
+    fn validation_pins_the_mismatch_message() {
+        let p = liar(|c| {
+            let (x, y) = (ArrayId(0), ArrayId(1));
+            let v = c.rd(x, &[c.v(0)]) + c.rd(x, &[0]) + c.rd(x, &[0]);
+            c.wr(y, &[c.v(0)], v);
+        });
+        assert_eq!(
+            validate_accesses(&p, &[4]).unwrap_err(),
+            "access mismatch in S[[1]]: declared reads {(0, 1)} performed {(0, 0), (0, 1)}; \
+             declared writes {(1, 1)} performed {(1, 1)}"
+        );
+    }
+}

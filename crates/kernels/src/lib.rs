@@ -2,18 +2,22 @@
 //! shipped `kernels/*.iolb` files are checked against.
 //!
 //! The `.iolb` files are the one source of the paper kernels' IR for the
-//! derivation engine, the figures and the validation sweep. This crate
-//! keeps, per kernel of the evaluation (§5):
+//! derivation engine, the figures and the validation sweep, and production
+//! reads a statement as its declared accesses alone. This crate keeps, per
+//! kernel of the evaluation (§5):
 //!
-//! 1. a **builder IR program** ([`iolb_ir::Program`]) transcribed
-//!    statement-for-statement from the paper's listings; the CLI's
-//!    `paper_parity` test requires each shipped file to equal it
-//!    structurally, and
+//! 1. a **builder program with f64 semantics** ([`interp::Executable`]):
+//!    the IR transcribed statement-for-statement from the paper's listings,
+//!    each statement's hand-written closure beside it. The CLI's
+//!    `paper_parity` test requires each shipped file to equal the builder
+//!    structurally, and [`interp::validate_accesses`] checks every closure
+//!    performs exactly its statement's declared accesses;
 //! 2. a **native f64 implementation**, the numerical ground truth (QR /
 //!    bidiagonal / Hessenberg reconstruction checks) the builder is run
 //!    against (`ir_matches_native`), also timed by the benchmarks.
 //!
-//! The tiled Fig. 8/9 programs of Appendix A exist only here.
+//! [`interp`] is the one interpreter of those semantics. The tiled
+//! Fig. 8/9 programs of Appendix A exist only here and run through it.
 //!
 //! | module | paper artifact |
 //! |---|---|
@@ -23,7 +27,7 @@
 //! | [`gehd2`] | reduction to Hessenberg form (Fig. 7) |
 //! | [`gemm`] | matrix multiply — the classical K-partitioning baseline (no hourglass) |
 //!
-//! [`sinks::MemSimSink`] bridges the IR interpreter to the two-level cache
+//! [`sinks::MemSimSink`] bridges the interpreter to the two-level cache
 //! simulator so any kernel/schedule's I/O can be measured directly.
 
 pub mod exec;
@@ -31,8 +35,10 @@ pub mod gebd2;
 pub mod gehd2;
 pub mod gemm;
 pub mod householder;
+pub mod interp;
 pub mod matrix;
 pub mod mgs;
 pub mod sinks;
 
+pub use interp::{Executable, Interpreter};
 pub use matrix::Matrix;

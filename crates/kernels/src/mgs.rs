@@ -1,19 +1,21 @@
 //! Modified Gram-Schmidt: the paper's running example.
 //!
-//! * [`program`] — the right-looking variant of Figure 1, transcribed
+//! * [`executable`] — the right-looking variant of Figure 1, transcribed
 //!   statement-for-statement (statements `SR`/`SU` form the hourglass).
-//! * [`tiled_program`] / [`tiled_native`] — the left-looking tiled ordering
+//! * [`tiled_executable`] / [`tiled_native`] — the left-looking tiled ordering
 //!   of Figure 8 (Appendix A.1) with block size `B`, whose measured I/O is
 //!   `≈ ½·M²N²/S` when `B = ⌊S/M⌋ − 1` — the upper bound that matches the
 //!   new hourglass lower bound of Theorem 5.
 //! * [`native`] / analytic I/O models for the appendix formulas.
 
+use crate::interp::{Executable, Semantics};
 use crate::matrix::Matrix;
 use iolb_ir::{Access, LoopStep, Program, ProgramBuilder};
 
 /// Right-looking MGS (Figure 1): `A (M×N) → Q (M×N), R (N×N)`.
-pub fn program() -> Program {
+pub fn executable() -> Executable {
     let mut b = ProgramBuilder::new("mgs", &["M", "N"]);
+    let mut sem = Semantics::default();
     let a = b.array("A", &[b.p("M"), b.p("N")]);
     let q = b.array("Q", &[b.p("M"), b.p("N")]);
     let r = b.array("R", &[b.p("N"), b.p("N")]);
@@ -21,16 +23,14 @@ pub fn program() -> Program {
 
     let k = b.open("k", b.c(0), b.p("N"));
     let w_nrm = Access::new(nrm, vec![]);
-    b.stmt("nrm0", vec![], vec![w_nrm.clone()], move |c| {
+    sem.def(b.stmt("nrm0", vec![], vec![w_nrm.clone()]), move |c| {
         c.wr(nrm, &[], 0.0)
     });
     {
         let i = b.open("i", b.c(0), b.p("M"));
         let r_aik = Access::new(a, vec![b.d(i), b.d(k)]);
-        b.stmt(
-            "nrm1",
-            vec![r_aik, w_nrm.clone()],
-            vec![w_nrm.clone()],
+        sem.def(
+            b.stmt("nrm1", vec![r_aik, w_nrm.clone()], vec![w_nrm.clone()]),
             move |c| {
                 let (k, i) = (c.v(0), c.v(1));
                 let x = c.rd(a, &[i, k]);
@@ -41,35 +41,39 @@ pub fn program() -> Program {
         b.close();
     }
     let w_rkk = Access::new(r, vec![b.d(k), b.d(k)]);
-    b.stmt("rkk", vec![w_nrm.clone()], vec![w_rkk.clone()], move |c| {
-        let v = c.rd(nrm, &[]).sqrt();
-        c.wr(r, &[c.v(0), c.v(0)], v);
-    });
+    sem.def(
+        b.stmt("rkk", vec![w_nrm.clone()], vec![w_rkk.clone()]),
+        move |c| {
+            let v = c.rd(nrm, &[]).sqrt();
+            c.wr(r, &[c.v(0), c.v(0)], v);
+        },
+    );
     {
         let i = b.open("i", b.c(0), b.p("M"));
         let r_aik = Access::new(a, vec![b.d(i), b.d(k)]);
         let w_qik = Access::new(q, vec![b.d(i), b.d(k)]);
-        b.stmt("qdiv", vec![r_aik, w_rkk.clone()], vec![w_qik], move |c| {
-            let (k, i) = (c.v(0), c.v(1));
-            let v = c.rd(a, &[i, k]) / c.rd(r, &[k, k]);
-            c.wr(q, &[i, k], v);
-        });
+        sem.def(
+            b.stmt("qdiv", vec![r_aik, w_rkk.clone()], vec![w_qik]),
+            move |c| {
+                let (k, i) = (c.v(0), c.v(1));
+                let v = c.rd(a, &[i, k]) / c.rd(r, &[k, k]);
+                c.wr(q, &[i, k], v);
+            },
+        );
         b.close();
     }
     {
         let j = b.open("j", b.d(k) + 1, b.p("N"));
         let w_rkj = Access::new(r, vec![b.d(k), b.d(j)]);
-        b.stmt("r0", vec![], vec![w_rkj.clone()], move |c| {
+        sem.def(b.stmt("r0", vec![], vec![w_rkj.clone()]), move |c| {
             c.wr(r, &[c.v(0), c.v(1)], 0.0)
         });
         {
             let i = b.open("i", b.c(0), b.p("M"));
             let r_qik = Access::new(q, vec![b.d(i), b.d(k)]);
             let r_aij = Access::new(a, vec![b.d(i), b.d(j)]);
-            b.stmt(
-                "SR",
-                vec![r_qik, r_aij, w_rkj.clone()],
-                vec![w_rkj.clone()],
+            sem.def(
+                b.stmt("SR", vec![r_qik, r_aij, w_rkj.clone()], vec![w_rkj.clone()]),
                 move |c| {
                     let (k, j, i) = (c.v(0), c.v(1), c.v(2));
                     let v = c.rd(r, &[k, j]) + c.rd(q, &[i, k]) * c.rd(a, &[i, j]);
@@ -82,10 +86,12 @@ pub fn program() -> Program {
             let i = b.open("i", b.c(0), b.p("M"));
             let r_qik = Access::new(q, vec![b.d(i), b.d(k)]);
             let rw_aij = Access::new(a, vec![b.d(i), b.d(j)]);
-            b.stmt(
-                "SU",
-                vec![r_qik, rw_aij.clone(), w_rkj.clone()],
-                vec![rw_aij],
+            sem.def(
+                b.stmt(
+                    "SU",
+                    vec![r_qik, rw_aij.clone(), w_rkj.clone()],
+                    vec![rw_aij],
+                ),
                 move |c| {
                     let (k, j, i) = (c.v(0), c.v(1), c.v(2));
                     let v = c.rd(a, &[i, j]) - c.rd(q, &[i, k]) * c.rd(r, &[k, j]);
@@ -97,13 +103,19 @@ pub fn program() -> Program {
         b.close();
     }
     b.close();
-    b.finish()
+    Executable::new(b.finish(), sem)
+}
+
+/// The declared-access program of [`executable`].
+pub fn program() -> Program {
+    executable().program
 }
 
 /// Left-looking tiled MGS (Figure 8): parameters `M, N, B`; Q is produced
 /// in place of `A`.
-pub fn tiled_program() -> Program {
+pub fn tiled_executable() -> Executable {
     let mut b = ProgramBuilder::new("mgs_tiled", &["M", "N", "B"]);
+    let mut sem = Semantics::default();
     let a = b.array("A", &[b.p("M"), b.p("N")]);
     let r = b.array("R", &[b.p("N"), b.p("N")]);
     let bstep = LoopStep::Param(b.pid("B"));
@@ -120,17 +132,19 @@ pub fn tiled_program() -> Program {
             false,
         );
         let w_rij = Access::new(r, vec![b.d(i), b.d(j)]);
-        b.stmt("Tr0", vec![], vec![w_rij.clone()], move |c| {
+        sem.def(b.stmt("Tr0", vec![], vec![w_rij.clone()]), move |c| {
             c.wr(r, &[c.v(1), c.v(2)], 0.0)
         });
         {
             let kk = b.open("k", b.c(0), b.p("M"));
             let r_aki = Access::new(a, vec![b.d(kk), b.d(i)]);
             let r_akj = Access::new(a, vec![b.d(kk), b.d(j)]);
-            b.stmt(
-                "Tr1",
-                vec![r_aki, r_akj, w_rij.clone()],
-                vec![w_rij.clone()],
+            sem.def(
+                b.stmt(
+                    "Tr1",
+                    vec![r_aki, r_akj, w_rij.clone()],
+                    vec![w_rij.clone()],
+                ),
                 move |c| {
                     let (i, j, k) = (c.v(1), c.v(2), c.v(3));
                     let v = c.rd(r, &[i, j]) + c.rd(a, &[k, i]) * c.rd(a, &[k, j]);
@@ -143,10 +157,12 @@ pub fn tiled_program() -> Program {
             let kk = b.open("k", b.c(0), b.p("M"));
             let r_aki = Access::new(a, vec![b.d(kk), b.d(i)]);
             let rw_akj = Access::new(a, vec![b.d(kk), b.d(j)]);
-            b.stmt(
-                "Tu",
-                vec![r_aki, rw_akj.clone(), w_rij.clone()],
-                vec![rw_akj],
+            sem.def(
+                b.stmt(
+                    "Tu",
+                    vec![r_aki, rw_akj.clone(), w_rij.clone()],
+                    vec![rw_akj],
+                ),
                 move |c| {
                     let (i, j, k) = (c.v(1), c.v(2), c.v(3));
                     let v = c.rd(a, &[k, j]) - c.rd(a, &[k, i]) * c.rd(r, &[i, j]);
@@ -170,17 +186,19 @@ pub fn tiled_program() -> Program {
         {
             let i = b.open("i", b.d(j0), b.d(j));
             let w_rij = Access::new(r, vec![b.d(i), b.d(j)]);
-            b.stmt("Ts0", vec![], vec![w_rij.clone()], move |c| {
+            sem.def(b.stmt("Ts0", vec![], vec![w_rij.clone()]), move |c| {
                 c.wr(r, &[c.v(2), c.v(1)], 0.0)
             });
             {
                 let kk = b.open("k", b.c(0), b.p("M"));
                 let r_aki = Access::new(a, vec![b.d(kk), b.d(i)]);
                 let r_akj = Access::new(a, vec![b.d(kk), b.d(j)]);
-                b.stmt(
-                    "Ts1",
-                    vec![r_aki, r_akj, w_rij.clone()],
-                    vec![w_rij.clone()],
+                sem.def(
+                    b.stmt(
+                        "Ts1",
+                        vec![r_aki, r_akj, w_rij.clone()],
+                        vec![w_rij.clone()],
+                    ),
                     move |c| {
                         let (j, i, k) = (c.v(1), c.v(2), c.v(3));
                         let v = c.rd(r, &[i, j]) + c.rd(a, &[k, i]) * c.rd(a, &[k, j]);
@@ -193,10 +211,12 @@ pub fn tiled_program() -> Program {
                 let kk = b.open("k", b.c(0), b.p("M"));
                 let r_aki = Access::new(a, vec![b.d(kk), b.d(i)]);
                 let rw_akj = Access::new(a, vec![b.d(kk), b.d(j)]);
-                b.stmt(
-                    "Tsu",
-                    vec![r_aki, rw_akj.clone(), w_rij.clone()],
-                    vec![rw_akj],
+                sem.def(
+                    b.stmt(
+                        "Tsu",
+                        vec![r_aki, rw_akj.clone(), w_rij.clone()],
+                        vec![rw_akj],
+                    ),
                     move |c| {
                         let (j, i, k) = (c.v(1), c.v(2), c.v(3));
                         let v = c.rd(a, &[k, j]) - c.rd(a, &[k, i]) * c.rd(r, &[i, j]);
@@ -208,16 +228,14 @@ pub fn tiled_program() -> Program {
             b.close();
         }
         let w_rjj = Access::new(r, vec![b.d(j), b.d(j)]);
-        b.stmt("Td0", vec![], vec![w_rjj.clone()], move |c| {
+        sem.def(b.stmt("Td0", vec![], vec![w_rjj.clone()]), move |c| {
             c.wr(r, &[c.v(1), c.v(1)], 0.0)
         });
         {
             let kk = b.open("k", b.c(0), b.p("M"));
             let r_akj = Access::new(a, vec![b.d(kk), b.d(j)]);
-            b.stmt(
-                "Td1",
-                vec![r_akj, w_rjj.clone()],
-                vec![w_rjj.clone()],
+            sem.def(
+                b.stmt("Td1", vec![r_akj, w_rjj.clone()], vec![w_rjj.clone()]),
                 move |c| {
                     let (j, k) = (c.v(1), c.v(2));
                     let x = c.rd(a, &[k, j]);
@@ -227,18 +245,19 @@ pub fn tiled_program() -> Program {
             );
             b.close();
         }
-        b.stmt("Tdsq", vec![w_rjj.clone()], vec![w_rjj.clone()], move |c| {
-            let j = c.v(1);
-            let v = c.rd(r, &[j, j]).sqrt();
-            c.wr(r, &[j, j], v);
-        });
+        sem.def(
+            b.stmt("Tdsq", vec![w_rjj.clone()], vec![w_rjj.clone()]),
+            move |c| {
+                let j = c.v(1);
+                let v = c.rd(r, &[j, j]).sqrt();
+                c.wr(r, &[j, j], v);
+            },
+        );
         {
             let kk = b.open("k", b.c(0), b.p("M"));
             let rw_akj = Access::new(a, vec![b.d(kk), b.d(j)]);
-            b.stmt(
-                "Tdd",
-                vec![rw_akj.clone(), w_rjj.clone()],
-                vec![rw_akj],
+            sem.def(
+                b.stmt("Tdd", vec![rw_akj.clone(), w_rjj.clone()], vec![rw_akj]),
                 move |c| {
                     let (j, k) = (c.v(1), c.v(2));
                     let v = c.rd(a, &[k, j]) / c.rd(r, &[j, j]);
@@ -250,7 +269,7 @@ pub fn tiled_program() -> Program {
         b.close();
     }
     b.close();
-    b.finish()
+    Executable::new(b.finish(), sem)
 }
 
 /// Native right-looking MGS; returns `(Q, R)`.
@@ -361,10 +380,10 @@ mod tests {
     #[test]
     fn ir_matches_native() {
         let a = Matrix::random(9, 6, 7);
-        let p = program();
+        let p = executable();
         let store = run_with_inputs(&p, &[9, 6], &[("A", &a)]);
-        let q_ir = extract_matrix(&p, &[9, 6], &store, "Q");
-        let r_ir = extract_matrix(&p, &[9, 6], &store, "R");
+        let q_ir = extract_matrix(&p.program, &[9, 6], &store, "Q");
+        let r_ir = extract_matrix(&p.program, &[9, 6], &store, "R");
         let (q, r) = native(&a);
         assert!(q_ir.max_abs_diff(&q) < 1e-13);
         assert!(r_ir.max_abs_diff(&r) < 1e-13);
@@ -372,8 +391,8 @@ mod tests {
 
     #[test]
     fn ir_accesses_are_consistent() {
-        let p = program();
-        let n = iolb_ir::interp::validate_accesses(&p, &[7, 5]).unwrap();
+        let p = executable();
+        let n = crate::interp::validate_accesses(&p, &[7, 5]).unwrap();
         assert!(n > 0);
     }
 
@@ -391,11 +410,11 @@ mod tests {
     #[test]
     fn tiled_ir_matches_tiled_native() {
         let a = Matrix::random(8, 6, 11);
-        let p = tiled_program();
+        let p = tiled_executable();
         for block in [2i64, 3, 6] {
             let store = run_with_inputs(&p, &[8, 6, block], &[("A", &a)]);
-            let q_ir = extract_matrix(&p, &[8, 6, block], &store, "A");
-            let r_ir = extract_matrix(&p, &[8, 6, block], &store, "R");
+            let q_ir = extract_matrix(&p.program, &[8, 6, block], &store, "A");
+            let r_ir = extract_matrix(&p.program, &[8, 6, block], &store, "R");
             let (q, r) = tiled_native(&a, block as usize);
             assert!(q_ir.max_abs_diff(&q) < 1e-13, "B={block}");
             assert!(r_ir.max_abs_diff(&r) < 1e-13, "B={block}");
@@ -404,8 +423,8 @@ mod tests {
 
     #[test]
     fn tiled_ir_accesses_are_consistent() {
-        let p = tiled_program();
-        let n = iolb_ir::interp::validate_accesses(&p, &[8, 6, 3]).unwrap();
+        let p = tiled_executable();
+        let n = crate::interp::validate_accesses(&p, &[8, 6, 3]).unwrap();
         assert!(n > 0);
     }
 
@@ -415,12 +434,12 @@ mod tests {
         let (m, n, s) = (24usize, 12usize, 128usize);
         let block = a1_block_size(m, s) as i64;
         let a = Matrix::random(m, n, 5);
-        let untiled = crate::sinks::measure_lru_io(&program(), &[m as i64, n as i64], s, {
+        let untiled = crate::sinks::measure_lru_io(&executable(), &[m as i64, n as i64], s, {
             let a = a.clone();
             move |arr, f| if arr.0 == 0 { a.data[f] } else { 0.0 }
         });
         let tiled =
-            crate::sinks::measure_lru_io(&tiled_program(), &[m as i64, n as i64, block], s, {
+            crate::sinks::measure_lru_io(&tiled_executable(), &[m as i64, n as i64, block], s, {
                 let a = a.clone();
                 move |arr, f| if arr.0 == 0 { a.data[f] } else { 0.0 }
             });

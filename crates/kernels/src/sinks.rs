@@ -1,4 +1,4 @@
-//! Bridges from the IR interpreter to the cache simulator.
+//! Bridges from the builder-reference interpreter to the cache simulator.
 //!
 //! Two shapes, both single-materialization at worst:
 //!
@@ -10,7 +10,8 @@
 //!   from the packed words — the old intermediate `Vec<Access>` decode pass
 //!   is gone.
 
-use iolb_ir::{ArrayId, ExecSink, Program};
+use crate::interp::{cell_bases, ExecSink, Executable, Interpreter, Store, TraceSink};
+use iolb_ir::{ArrayId, Program};
 use iolb_memsim::LruSim;
 
 /// [`ExecSink`] that streams every access straight into an LRU cache
@@ -25,15 +26,10 @@ pub struct MemSimSink {
 impl MemSimSink {
     /// Creates a streaming simulator for a program instantiation.
     pub fn new(program: &Program, params: &[i64], capacity: usize) -> MemSimSink {
-        let mut base = Vec::with_capacity(program.arrays.len());
-        let mut acc = 0usize;
-        for i in 0..program.arrays.len() {
-            base.push(acc);
-            acc += program.array_len(ArrayId(i as u32), params).max(1);
-        }
+        let (base, num_cells) = cell_bases(program, params);
         MemSimSink {
             // Pre-size the cell table: ids are dense in [0, total cells).
-            sim: LruSim::with_cells(capacity, acc),
+            sim: LruSim::with_cells(capacity, num_cells),
             base,
         }
     }
@@ -53,48 +49,48 @@ impl ExecSink for MemSimSink {
     }
 }
 
-/// Runs `program` at `params` with input init `f(array, flat)` and returns
+/// Runs `exe` at `params` with input init `f(array, flat)` and returns
 /// the LRU I/O statistics for fast-memory capacity `s` (streaming — no
 /// trace materialization).
 pub fn measure_lru_io(
-    program: &Program,
+    exe: &Executable,
     params: &[i64],
     s: usize,
     init: impl FnMut(ArrayId, usize) -> f64,
 ) -> iolb_memsim::IoStats {
-    let mut sink = MemSimSink::new(program, params, s);
-    let mut store = iolb_ir::Store::init(program, params, init);
-    iolb_ir::Interpreter::new(program, params).run(&mut store, &mut sink);
+    let mut sink = MemSimSink::new(&exe.program, params, s);
+    let mut store = Store::init(&exe.program, params, init);
+    Interpreter::new(exe, params).run(&mut store, &mut sink);
     sink.finish()
 }
 
-/// Runs `program` and returns the Belady-MIN (optimal replacement) I/O
+/// Runs `exe` and returns the Belady-MIN (optimal replacement) I/O
 /// statistics for capacity `s` — materializes the packed trace once and
 /// simulates straight from it.
 pub fn measure_min_io(
-    program: &Program,
+    exe: &Executable,
     params: &[i64],
     s: usize,
     init: impl FnMut(ArrayId, usize) -> f64,
 ) -> iolb_memsim::IoStats {
-    let mut sink = iolb_ir::TraceSink::new(program, params);
-    let mut store = iolb_ir::Store::init(program, params, init);
-    iolb_ir::Interpreter::new(program, params).run(&mut store, &mut sink);
+    let mut sink = TraceSink::new(&exe.program, params);
+    let mut store = Store::init(&exe.program, params, init);
+    Interpreter::new(exe, params).run(&mut store, &mut sink);
     iolb_memsim::BeladySim::new(s).run_packed(&sink.packed)
 }
 
-/// Runs `program` once and returns `(LRU, MIN)` statistics for capacity `s`
+/// Runs `exe` once and returns `(LRU, MIN)` statistics for capacity `s`
 /// from the same packed trace — one interpreter execution, one trace, both
 /// policies.
 pub fn measure_lru_min_io(
-    program: &Program,
+    exe: &Executable,
     params: &[i64],
     s: usize,
     init: impl FnMut(ArrayId, usize) -> f64,
 ) -> (iolb_memsim::IoStats, iolb_memsim::IoStats) {
-    let mut sink = iolb_ir::TraceSink::new(program, params);
-    let mut store = iolb_ir::Store::init(program, params, init);
-    iolb_ir::Interpreter::new(program, params).run(&mut store, &mut sink);
+    let mut sink = TraceSink::new(&exe.program, params);
+    let mut store = Store::init(&exe.program, params, init);
+    Interpreter::new(exe, params).run(&mut store, &mut sink);
     let mut lru = LruSim::with_cells(s, sink.num_cells);
     lru.run_packed(&sink.packed);
     let lru_stats = lru.finish();
@@ -105,26 +101,33 @@ pub fn measure_lru_min_io(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interp::Semantics;
     use iolb_ir::{Access as IrAccess, ProgramBuilder};
 
     /// Two sequential passes over x[0..N].
-    fn two_pass() -> iolb_ir::Program {
+    fn two_pass() -> Executable {
         let mut b = ProgramBuilder::new("two_pass_sink", &["N"]);
+        let mut sem = Semantics::default();
         let x = b.array("x", &[b.p("N")]);
         let acc = b.scalar("acc");
         let wa = IrAccess::new(acc, vec![]);
-        b.stmt("Z", vec![], vec![wa.clone()], move |c| c.wr(acc, &[], 0.0));
+        sem.def(b.stmt("Z", vec![], vec![wa.clone()]), move |c| {
+            c.wr(acc, &[], 0.0)
+        });
         for pass in 0..2 {
             let i = b.open("i", b.c(0), b.p("N"));
             let xi = IrAccess::new(x, vec![b.d(i)]);
             let nm = format!("S{pass}");
-            b.stmt(&nm, vec![xi, wa.clone()], vec![wa.clone()], move |c| {
-                let v = c.rd(x, &[c.v(0)]) + c.rd(acc, &[]);
-                c.wr(acc, &[], v);
-            });
+            sem.def(
+                b.stmt(&nm, vec![xi, wa.clone()], vec![wa.clone()]),
+                move |c| {
+                    let v = c.rd(x, &[c.v(0)]) + c.rd(acc, &[]);
+                    c.wr(acc, &[], v);
+                },
+            );
             b.close();
         }
-        b.finish()
+        Executable::new(b.finish(), sem)
     }
 
     #[test]

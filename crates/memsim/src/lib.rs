@@ -245,8 +245,9 @@ impl LruSim {
         self.stats
     }
 
-    /// Runs a packed trace (`(cell << 1) | write` per event, the `iolb-ir`
-    /// `TraceSink` encoding) without decoding into [`Access`] structs.
+    /// Runs a packed trace (`(cell << 1) | write` per event, the encoding
+    /// of the CDAG program-order trace and the tuner's candidate traces)
+    /// without decoding into [`Access`] structs.
     pub fn run_packed(&mut self, packed: &[u64]) -> IoStats {
         self.stats.accesses += packed.len() as u64;
         for &p in packed {
@@ -463,8 +464,8 @@ impl BeladySim {
     }
 
     /// Simulates a packed trace (`(cell << 1) | write` per event, the
-    /// `iolb-ir` `TraceSink` encoding) without decoding it into
-    /// [`Access`] structs first.
+    /// encoding of the CDAG program-order trace and the tuner's candidate
+    /// traces) without decoding it into [`Access`] structs first.
     pub fn run_packed(&mut self, packed: &[u64]) -> IoStats {
         self.run_by(packed.len(), |t| {
             let p = packed[t];

@@ -141,16 +141,16 @@ pub fn admission_stage(
     Ok((estimate, degradation))
 }
 
-/// Access certification: the synthesized semantics must perform exactly
-/// the declared accesses (what lets everything downstream trust the
-/// declared affine structure). Returns the number of certified dynamic
+/// Access certification: one walk evaluates every declared access of
+/// every instance through the checked evaluator, so everything downstream
+/// reads only in-range cells. Returns the number of certified dynamic
 /// statement instances.
 ///
 /// # Errors
-/// [`AnalysisError::Refused`] when any instance deviates.
+/// [`AnalysisError::Refused`] naming the first out-of-range access: its
+/// statement, instance, access, axis, value and extent.
 pub fn certify_stage(program: &Program, params: &[i64]) -> Result<u64, AnalysisError> {
-    iolb_ir::interp::validate_accesses(program, params)
-        .map_err(|e| AnalysisError::Refused(format!("access certification failed: {e}")))
+    Ok(iolb_ir::check_accesses(program, params)?)
 }
 
 /// Everything the derivation stage produced: the bounds themselves (which

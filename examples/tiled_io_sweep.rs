@@ -13,7 +13,7 @@ fn main() {
     let a = Matrix::random(m, n, 1);
     let kernel = parse_kernel(include_str!("../kernels/mgs.iolb")).expect("shipped file");
     let report = KernelReport::from_file("MGS", &kernel).expect("derivation");
-    let tiled = kernels::mgs::tiled_program();
+    let tiled = kernels::mgs::tiled_executable();
     println!("tiled MGS I/O sweep (M={m}, N={n}):");
     println!(
         "{:>7} {:>4} {:>12} {:>12} {:>12} {:>12}",

@@ -10,10 +10,10 @@
 //! |---|---|
 //! | [`numeric`] | exact rationals, rational matrices, exact simplex LP |
 //! | [`symbolic`] | multivariate polynomials, Faulhaber summation, bound expressions |
-//! | [`ir`] | polyhedral-lite program IR, interpreter, dependence analysis |
+//! | [`ir`] | polyhedral-lite program IR, checked declared-access evaluator, dependence analysis |
 //! | [`cdag`] | computational DAGs, red-white pebble game |
 //! | [`memsim`] | two-level memory simulator (LRU / Belady-MIN) |
-//! | [`kernels`] | builder reference + native f64 MGS, Householder A2V/V2Q, GEBD2, GEHD2, GEMM, tiled variants |
+//! | [`kernels`] | builder reference (f64 semantics + interpreter) and native f64 MGS, Householder A2V/V2Q, GEBD2, GEHD2, GEMM, tiled variants |
 //! | [`core`] | the paper: classical K-partitioning + hourglass bound derivation |
 //!
 //! ## Quickstart
@@ -48,7 +48,7 @@ pub mod prelude {
     pub use iolb_cdag::{build_cdag, PebbleGame, SpillPolicy};
     pub use iolb_core::report::KernelReport;
     pub use iolb_core::{Analysis, ClassicalBound, HourglassBound};
-    pub use iolb_ir::{parse_kernel, Interpreter, Program, ProgramBuilder};
+    pub use iolb_ir::{parse_kernel, Program, ProgramBuilder};
     pub use iolb_memsim::{lru_stats, min_stats, Access, IoStats};
     pub use iolb_numeric::Rational;
     pub use iolb_symbolic::{Expr, Poly, Var};

@@ -3,8 +3,8 @@
 //! declared access metadata must match execution at several sizes.
 
 use hourglass_iolb::ir::count::{enumerate_instance_counts, eval_params, instance_count};
-use hourglass_iolb::ir::interp::validate_accesses;
 use hourglass_iolb::kernels;
+use hourglass_iolb::kernels::interp::{validate_accesses, Executable};
 use iolb_numeric::Rational;
 
 /// One case: program, parameter grids, and the matching symbolic envs.
@@ -78,21 +78,38 @@ fn symbolic_counts_match_enumeration_everywhere() {
     }
 }
 
+/// Every builder program's f64 closures perform exactly its declared
+/// accesses — the tiled Appendix A programs included — at two parameter
+/// sets each.
 #[test]
 fn all_kernels_validate_declared_accesses() {
-    let cases: Vec<(iolb_ir::Program, Vec<i64>)> = vec![
-        (kernels::mgs::program(), vec![9, 6]),
-        (kernels::mgs::tiled_program(), vec![9, 6, 2]),
-        (kernels::householder::a2v_program(), vec![9, 6]),
-        (kernels::householder::a2v_tiled_program(), vec![9, 6, 2]),
-        (kernels::householder::v2q_program(), vec![9, 6]),
-        (kernels::gebd2::program(), vec![9, 6]),
-        (kernels::gehd2::program(), vec![9]),
-        (kernels::gemm::program(), vec![4, 5, 3]),
+    let cases: Vec<(Executable, [Vec<i64>; 2])> = vec![
+        (kernels::mgs::executable(), [vec![9, 6], vec![7, 5]]),
+        (
+            kernels::mgs::tiled_executable(),
+            [vec![9, 6, 2], vec![8, 6, 3]],
+        ),
+        (
+            kernels::householder::a2v_executable(),
+            [vec![9, 6], vec![8, 5]],
+        ),
+        (
+            kernels::householder::a2v_tiled_executable(),
+            [vec![9, 6, 2], vec![8, 5, 4]],
+        ),
+        (
+            kernels::householder::v2q_executable(),
+            [vec![9, 6], vec![8, 5]],
+        ),
+        (kernels::gebd2::executable(), [vec![9, 6], vec![6, 6]]),
+        (kernels::gehd2::executable(), [vec![9], vec![7]]),
+        (kernels::gemm::executable(), [vec![4, 5, 3], vec![5, 4, 6]]),
     ];
-    for (program, params) in cases {
-        let n = validate_accesses(&program, &params)
-            .unwrap_or_else(|e| panic!("{}: {e}", program.name));
-        assert!(n > 0, "{}", program.name);
+    for (exe, param_sets) in &cases {
+        for params in param_sets {
+            let n = validate_accesses(exe, params)
+                .unwrap_or_else(|e| panic!("{} at {params:?}: {e}", exe.program.name));
+            assert!(n > 0, "{} at {params:?}", exe.program.name);
+        }
     }
 }

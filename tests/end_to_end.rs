@@ -1,9 +1,11 @@
-//! Workspace-level end-to-end test: IR → interpreter → numerics → CDAG →
-//! dependence analysis → hourglass detection/certification → derived bound
-//! → pebble-game soundness, all on the public facade API.
+//! Workspace-level end-to-end test: builder reference → interpreter →
+//! numerics → CDAG → dependence analysis → hourglass
+//! detection/certification → derived bound → pebble-game soundness, all on
+//! the public facade API.
 
 use hourglass_iolb::cdag::{build_cdag, PebbleGame, SpillPolicy};
 use hourglass_iolb::core;
+use hourglass_iolb::kernels::interp::{validate_accesses, Executable, Interpreter, Semantics};
 use hourglass_iolb::kernels::{self, Matrix};
 use hourglass_iolb::prelude::*;
 
@@ -15,17 +17,18 @@ fn mgs_report() -> KernelReport {
 
 #[test]
 fn full_pipeline_mgs() {
-    let program = kernels::mgs::program();
+    let exe = kernels::mgs::executable();
+    let program = &exe.program;
 
     // Declared accesses match executed accesses.
-    let checked = hourglass_iolb::ir::interp::validate_accesses(&program, &[10, 6]).unwrap();
+    let checked = validate_accesses(&exe, &[10, 6]).unwrap();
     assert!(checked > 0);
 
     // Numerics: the IR really computes a QR factorization.
     let a = Matrix::random(10, 6, 99);
-    let store = kernels::exec::run_with_inputs(&program, &[10, 6], &[("A", &a)]);
-    let q = kernels::exec::extract_matrix(&program, &[10, 6], &store, "Q");
-    let r = kernels::exec::extract_matrix(&program, &[10, 6], &store, "R");
+    let store = kernels::exec::run_with_inputs(&exe, &[10, 6], &[("A", &a)]);
+    let q = kernels::exec::extract_matrix(program, &[10, 6], &store, "Q");
+    let r = kernels::exec::extract_matrix(program, &[10, 6], &store, "R");
     assert!(q.orthonormality_error() < 1e-10);
     assert!(q.matmul(&r).max_abs_diff(&a) < 1e-10);
 
@@ -42,7 +45,7 @@ fn full_pipeline_mgs() {
     assert!((new / expect - 1.0).abs() < 1e-12);
 
     // Pebble soundness through the facade.
-    let g = build_cdag(&program, &[16, 8]);
+    let g = build_cdag(program, &[16, 8]);
     for s in [8usize, 16, 40] {
         let play = PebbleGame::new(&g, s)
             .play_program_order(SpillPolicy::MinNextUse)
@@ -60,7 +63,7 @@ fn upper_and_lower_bounds_sandwich_tiled_mgs() {
     let (m, n) = (48usize, 24usize);
     let a = Matrix::random(m, n, 5);
     let report = mgs_report();
-    let tiled = kernels::mgs::tiled_program();
+    let tiled = kernels::mgs::tiled_executable();
     for s in [256usize, 512, 1024] {
         let block = kernels::mgs::a1_block_size(m, s);
         let params = [m as i64, n as i64, block as i64];
@@ -88,16 +91,16 @@ fn memsim_agrees_with_pebble_game_ordering() {
     // The LRU cache simulation of the full trace and an LRU pebble play on
     // the CDAG implement the same model from two angles; both must sit
     // above the derived bound and shrink as S grows.
-    let program = kernels::mgs::program();
+    let exe = kernels::mgs::executable();
     let params = [16i64, 8];
-    let g = build_cdag(&program, &params);
+    let g = build_cdag(&exe.program, &params);
     let mut prev_play = u64::MAX;
     let mut prev_sim = u64::MAX;
     for s in [12usize, 24, 48, 96] {
         let play = PebbleGame::new(&g, s)
             .play_program_order(SpillPolicy::Lru)
             .unwrap();
-        let sim = kernels::sinks::measure_lru_io(&program, &params, s, |_, f| f as f64);
+        let sim = kernels::sinks::measure_lru_io(&exe, &params, s, |_, f| f as f64);
         assert!(play.loads <= prev_play);
         assert!(sim.loads <= prev_sim);
         prev_play = play.loads;
@@ -109,22 +112,26 @@ fn memsim_agrees_with_pebble_game_ordering() {
 fn prelude_surface_is_usable() {
     // Build a custom program through the public builder and derive a bound.
     let mut b = ProgramBuilder::new("user_kernel", &["N"]);
+    let mut sem = Semantics::default();
     let x = b.array("x", &[b.p("N")]);
     let acc = b.scalar("acc");
     let wa = hourglass_iolb::ir::Access::new(acc, vec![]);
-    b.stmt("Z", vec![], vec![wa.clone()], move |c| c.wr(acc, &[], 0.0));
+    sem.def(b.stmt("Z", vec![], vec![wa.clone()]), move |c| {
+        c.wr(acc, &[], 0.0)
+    });
     let i = b.open("i", b.c(0), b.p("N"));
     let xi = hourglass_iolb::ir::Access::new(x, vec![b.d(i)]);
-    b.stmt("S", vec![xi, wa.clone()], vec![wa], move |c| {
+    sem.def(b.stmt("S", vec![xi, wa.clone()], vec![wa]), move |c| {
         let v = c.rd(x, &[c.v(0)]) + c.rd(acc, &[]);
         c.wr(acc, &[], v);
     });
     b.close();
-    let p = b.finish();
-    let interp = Interpreter::new(&p, &[10]);
+    let exe = Executable::new(b.finish(), sem);
+    let interp = Interpreter::new(&exe, &[10]);
     let store = interp.run_numeric(|a, f| if a.0 == 0 { f as f64 } else { 0.0 });
     assert_eq!(store.data[1][0], 45.0);
-    let analysis = Analysis::run(&p, &[vec![10]]).unwrap();
+    let p = &exe.program;
+    let analysis = Analysis::run(p, &[vec![10]]).unwrap();
     let su = p.stmt_id("S").unwrap();
     let bound = analysis.classical_bound(su);
     assert!(bound.sigma >= Rational::ONE);
