@@ -1,5 +1,5 @@
-//! APXA1: times the tiled-MGS I/O measurement (interpreter + LRU cache
-//! simulation) that regenerates the Appendix A.1 table.
+//! APXA1: times the tiled-MGS I/O measurement (declared-access trace +
+//! LRU and OPT curve passes) that regenerates the Appendix A.1 table.
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn bench(c: &mut Criterion) {
@@ -8,7 +8,7 @@ fn bench(c: &mut Criterion) {
     let (m, n) = (48usize, 24usize);
     for s in [256usize, 512, 1024] {
         g.bench_with_input(BenchmarkId::from_parameter(s), &s, |b, &s| {
-            b.iter(|| iolb_bench::sweep_tiled_mgs(m, n, &[s]))
+            b.iter(|| iolb_bench::sweep_tiled(&iolb_bench::TILED_MGS, m, n, &[s]))
         });
     }
     g.finish();

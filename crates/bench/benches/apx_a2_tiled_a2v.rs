@@ -8,7 +8,7 @@ fn bench(c: &mut Criterion) {
     let (m, n) = (48usize, 24usize);
     for s in [256usize, 512, 1024] {
         g.bench_with_input(BenchmarkId::from_parameter(s), &s, |b, &s| {
-            b.iter(|| iolb_bench::sweep_tiled_a2v(m, n, &[s]))
+            b.iter(|| iolb_bench::sweep_tiled(&iolb_bench::TILED_A2V, m, n, &[s]))
         });
     }
     g.finish();

@@ -14,7 +14,7 @@ fn main() {
     );
     let report = iolb_bench::paper_kernel("MGS").report();
     let s_values = [80usize, 128, 192, 256, 384, 512, 768, 1024];
-    let rows = iolb_bench::sweep_tiled_mgs(m, n, &s_values);
+    let rows = iolb_bench::sweep_tiled(&iolb_bench::TILED_MGS, m, n, &s_values);
     for r in &rows {
         let env = [
             (Var::new("M"), m as i128),

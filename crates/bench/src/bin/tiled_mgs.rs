@@ -3,7 +3,7 @@
 fn main() {
     let (m, n) = (96usize, 48usize);
     let s_values: Vec<usize> = vec![224, 320, 448, 640, 896, 1280, 1792];
-    let rows = iolb_bench::sweep_tiled_mgs(m, n, &s_values);
+    let rows = iolb_bench::sweep_tiled(&iolb_bench::TILED_MGS, m, n, &s_values);
     print!(
         "{}",
         iolb_bench::render_tiled_table("Appendix A.1 — tiled MGS I/O", m, n, &rows)

@@ -15,16 +15,23 @@
 //! Criterion benches under `benches/` time the same artifacts.
 //!
 //! Every paper kernel comes from its shipped `kernels/*.iolb` file
-//! ([`PAPER_KERNELS`]). The builders of `iolb-kernels` serve only the
-//! Appendix A experiments: the tiled Fig. 8/9 programs and their f64
-//! inputs.
+//! ([`PAPER_KERNELS`]), and the Appendix A tiled Fig. 8/9 orders from
+//! `kernels/tiled/*.iolb` ([`TILED_MGS`], [`TILED_A2V`]), priced by
+//! [`sweep_tiled`] on the curve engine. No table or sweep runs the
+//! builders of `iolb-kernels`: they are the test reference the files are
+//! checked against (`benches/kernels_native.rs` times their native f64
+//! implementations).
 
 pub mod scale;
 pub mod sweep;
 pub mod tightness;
 
 use iolb_core::report::KernelReport;
+use iolb_govern::{AnalysisError, CancelToken};
 use iolb_ir::parse::{parse_kernel, KernelFile};
+use iolb_ir::{for_each_instance, DeclaredAccesses, Program};
+use iolb_memsim::{MissCurve, ShardedCurveEngine};
+use iolb_symbolic::Var;
 
 /// One paper kernel as shipped in `kernels/`: the file is the only source
 /// of its IR, its analyzed statement (`analyze`) and its §5.3 binding
@@ -122,6 +129,72 @@ pub fn derive_all() -> Vec<KernelReport> {
     PAPER_KERNELS[..5].iter().map(PaperKernel::report).collect()
 }
 
+/// One Appendix A tiled order: its shipped `.iolb` file (parameters
+/// `M, N, B`), the paper kernel whose hourglass bound it sandwiches, and
+/// the appendix's block size and I/O formulas.
+pub struct TiledOrder {
+    /// The `.iolb` source text.
+    pub source: &'static str,
+    /// Display name of the [`PAPER_KERNELS`] row giving the lower bound.
+    pub kernel: &'static str,
+    /// Block size `B` for `(M, S)`.
+    pub block_size: fn(usize, usize) -> usize,
+    /// Read-cost model for `(M, N, B)`.
+    pub reads_model: fn(usize, usize, usize) -> f64,
+    /// Headline I/O for `(M, N, S)`.
+    pub headline: fn(usize, usize, usize) -> f64,
+}
+
+/// Appendix A.1: the tiled left-looking MGS order of Fig. 8.
+pub const TILED_MGS: TiledOrder = TiledOrder {
+    source: include_str!("../../../kernels/tiled/mgs_tiled.iolb"),
+    kernel: "MGS",
+    block_size: a1_block_size,
+    reads_model: a1_reads_model,
+    headline: a1_io_headline,
+};
+
+/// Appendix A.2: the tiled A2V order of Fig. 9.
+pub const TILED_A2V: TiledOrder = TiledOrder {
+    source: include_str!("../../../kernels/tiled/qr_hh_a2v_tiled.iolb"),
+    kernel: "QR HH A2V",
+    // A.2 sizes its blocks under A.1's constraint `M(B+1) < S`.
+    block_size: a1_block_size,
+    reads_model: a2_reads_model,
+    headline: a2_io_headline,
+};
+
+/// Appendix A.1 block size: largest `B` with `M(B+1) < S` (at least 1).
+pub fn a1_block_size(m: usize, s: usize) -> usize {
+    (s / m).saturating_sub(1).max(1)
+}
+
+/// Appendix A.1 read-cost model for the tiled ordering at block size `B`:
+/// `½·MN²/B` (panel reloads) + `MN` (block loads).
+pub fn a1_reads_model(m: usize, n: usize, block: usize) -> f64 {
+    let (m, n, b) = (m as f64, n as f64, block as f64);
+    0.5 * m * n * n / b + m * n
+}
+
+/// Appendix A.1 headline I/O: `½·M²N²/S`.
+pub fn a1_io_headline(m: usize, n: usize, s: usize) -> f64 {
+    let (m, n, s) = (m as f64, n as f64, s as f64);
+    0.5 * m * m * n * n / s
+}
+
+/// Appendix A.2 read-cost model at block size `B`:
+/// `(½MN² − N³/6)/B` (reflector reloads) + `2MN` (block moves).
+pub fn a2_reads_model(m: usize, n: usize, block: usize) -> f64 {
+    let (m, n, b) = (m as f64, n as f64, block as f64);
+    (0.5 * m * n * n - n * n * n / 6.0) / b + 2.0 * m * n
+}
+
+/// Appendix A.2 headline I/O: `½(M²N² − MN³/3)/S`.
+pub fn a2_io_headline(m: usize, n: usize, s: usize) -> f64 {
+    let (m, n, s) = (m as f64, n as f64, s as f64);
+    0.5 * (m * m * n * n - m * n * n * n / 3.0) / s
+}
+
 /// Measured-vs-model row for the Appendix A experiments.
 #[derive(Debug, Clone)]
 pub struct TiledIoRow {
@@ -141,60 +214,42 @@ pub struct TiledIoRow {
     pub lower_bound: f64,
 }
 
-/// Sweeps the tiled MGS ordering (Fig. 8) over `S`, measuring I/O in the
-/// two-level simulator and comparing against Appendix A.1's model and the
-/// Theorem 5 lower bound.
-pub fn sweep_tiled_mgs(m: usize, n: usize, s_values: &[usize]) -> Vec<TiledIoRow> {
-    use iolb_symbolic::Var;
-    let program = iolb_kernels::mgs::tiled_executable();
-    let a = iolb_kernels::Matrix::random(m, n, 0xA11CE);
-    let report = paper_kernel("MGS").report();
-    s_values
-        .iter()
-        .map(|&s| {
-            let block = iolb_kernels::mgs::a1_block_size(m, s);
-            let params = vec![m as i64, n as i64, block as i64];
-            let init = |a0: &iolb_kernels::Matrix| {
-                let d = a0.data.clone();
-                move |arr: iolb_ir::ArrayId, f: usize| if arr.0 == 0 { d[f] } else { 0.0 }
-            };
-            let lru = iolb_kernels::sinks::measure_lru_io(&program, &params, s, init(&a));
-            let min = iolb_kernels::sinks::measure_min_io(&program, &params, s, init(&a));
-            let env = [
-                (Var::new("M"), m as i128),
-                (Var::new("N"), n as i128),
-                (iolb_core::s_var(), s as i128),
-            ];
-            TiledIoRow {
-                s,
-                block,
-                lru_loads: lru.loads,
-                min_loads: min.loads,
-                model: iolb_kernels::mgs::a1_reads_model(m, n, block),
-                headline: iolb_kernels::mgs::a1_io_headline(m, n, s),
-                lower_bound: report.new.combined.eval_ints_f64(&env),
-            }
-        })
-        .collect()
+/// The packed declared-access cell trace of `program` in program order.
+///
+/// # Panics
+/// Panics on an out-of-range access (the shipped files are build-time
+/// constants).
+fn declared_trace(program: &Program, params: &[i64]) -> Vec<u64> {
+    let accesses = DeclaredAccesses::bind(program, params);
+    let mut trace = Vec::new();
+    for_each_instance(program, params, |stmt, dims| {
+        tightness::push_instance_trace(program, &accesses, stmt, dims, &mut trace)
+            .unwrap_or_else(|e| panic!("{}: {e}", program.name));
+    });
+    trace
 }
 
-/// Appendix A.2 sweep for the tiled A2V ordering (Fig. 9).
-pub fn sweep_tiled_a2v(m: usize, n: usize, s_values: &[usize]) -> Vec<TiledIoRow> {
-    use iolb_symbolic::Var;
-    let program = iolb_kernels::householder::a2v_tiled_executable();
-    let a = iolb_kernels::Matrix::random(m, n, 0xB0B);
-    let report = paper_kernel("QR HH A2V").report();
+/// Sweeps a tiled order over `S`: at each `S` the order runs at block size
+/// `B(M, S)`, its declared-access trace is priced under LRU and Belady-MIN
+/// by the curve engine, and both are set against the appendix model and
+/// the paper kernel's hourglass lower bound.
+pub fn sweep_tiled(order: &TiledOrder, m: usize, n: usize, s_values: &[usize]) -> Vec<TiledIoRow> {
+    let program = parse_kernel(order.source)
+        .unwrap_or_else(|e| panic!("{}: {e}", order.kernel))
+        .program;
+    let report = paper_kernel(order.kernel).report();
+    let engine = ShardedCurveEngine::new();
+    let token = CancelToken::unlimited();
     s_values
         .iter()
         .map(|&s| {
-            let block = iolb_kernels::householder::a2_block_size(m, s);
-            let params = vec![m as i64, n as i64, block as i64];
-            let init = |a0: &iolb_kernels::Matrix| {
-                let d = a0.data.clone();
-                move |arr: iolb_ir::ArrayId, f: usize| if arr.0 == 0 { d[f] } else { 0.0 }
+            let block = (order.block_size)(m, s);
+            let trace = declared_trace(&program, &[m as i64, n as i64, block as i64]);
+            let price = |curve: Result<MissCurve, AnalysisError>| {
+                curve
+                    .unwrap_or_else(|e| panic!("{} at S={s}: {e}", program.name))
+                    .loads(s)
             };
-            let lru = iolb_kernels::sinks::measure_lru_io(&program, &params, s, init(&a));
-            let min = iolb_kernels::sinks::measure_min_io(&program, &params, s, init(&a));
             let env = [
                 (Var::new("M"), m as i128),
                 (Var::new("N"), n as i128),
@@ -203,10 +258,10 @@ pub fn sweep_tiled_a2v(m: usize, n: usize, s_values: &[usize]) -> Vec<TiledIoRow
             TiledIoRow {
                 s,
                 block,
-                lru_loads: lru.loads,
-                min_loads: min.loads,
-                model: iolb_kernels::householder::a2_reads_model(m, n, block),
-                headline: iolb_kernels::householder::a2_io_headline(m, n, s),
+                lru_loads: price(engine.try_lru(&trace, s, &token)),
+                min_loads: price(engine.try_opt(&trace, s, &token)),
+                model: (order.reads_model)(m, n, block),
+                headline: (order.headline)(m, n, s),
                 lower_bound: report.new.combined.eval_ints_f64(&env),
             }
         })
@@ -250,11 +305,12 @@ mod tests {
 
     #[test]
     fn tiled_mgs_sweep_is_sandwiched() {
-        let rows = sweep_tiled_mgs(48, 24, &[256, 512, 1024]);
+        let rows = sweep_tiled(&TILED_MGS, 48, 24, &[256, 512, 1024]);
         for r in &rows {
             // LB ≤ measured; measured within a constant of the model.
             assert!(r.lower_bound <= r.min_loads as f64, "S={}", r.s);
             assert!(r.min_loads <= r.lru_loads);
+            assert!((r.min_loads as f64) < 3.0 * r.model, "S={}", r.s);
             let ratio = r.lru_loads as f64 / r.model;
             assert!(
                 ratio < 4.0,
@@ -266,5 +322,57 @@ mod tests {
         }
         // I/O decreases as S grows.
         assert!(rows.windows(2).all(|w| w[1].lru_loads <= w[0].lru_loads));
+    }
+
+    /// LRU loads of `program`'s declared-access trace at capacity `s`.
+    fn lru_loads(program: &Program, params: &[i64], s: usize) -> u64 {
+        ShardedCurveEngine::new()
+            .try_lru(
+                &declared_trace(program, params),
+                s,
+                &CancelToken::unlimited(),
+            )
+            .unwrap()
+            .loads(s)
+    }
+
+    /// The tiled order at `B = ⌊S/M⌋ − 1` against the shipped untiled
+    /// kernel, at M=24, N=12, S=128 (B = 4).
+    fn assert_tiled_beats_untiled(order: &TiledOrder) {
+        let (m, n, s) = (24usize, 12usize, 128usize);
+        let block = (order.block_size)(m, s) as i64;
+        let untiled = lru_loads(
+            &paper_kernel(order.kernel).parse().program,
+            &[m as i64, n as i64],
+            s,
+        );
+        let tiled = lru_loads(
+            &parse_kernel(order.source).unwrap().program,
+            &[m as i64, n as i64, block],
+            s,
+        );
+        assert!(tiled < untiled, "tiled {tiled} < untiled {untiled}");
+    }
+
+    #[test]
+    fn tiled_mgs_beats_untiled_under_lru() {
+        assert_tiled_beats_untiled(&TILED_MGS);
+    }
+
+    #[test]
+    fn tiled_a2v_beats_untiled_under_lru() {
+        assert_tiled_beats_untiled(&TILED_A2V);
+    }
+
+    #[test]
+    fn appendix_models_are_consistent() {
+        // With B = ⌊S/M⌋−1 ≈ S/M, the panel-reload term of the reads model
+        // approaches the headline ½M²N²/S (the MN block-move term is lower
+        // order in the paper's regime).
+        let (m, n, s) = (64usize, 32, 512);
+        let b = a1_block_size(m, s);
+        let panel = a1_reads_model(m, n, b) - (m * n) as f64;
+        let headline = a1_io_headline(m, n, s);
+        assert!((panel / headline) < 2.0 && (panel / headline) > 0.5);
     }
 }

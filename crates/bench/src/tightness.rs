@@ -366,24 +366,16 @@ impl<'p> TraceRef<'p> {
                         None => unpackable = Some(stmt.name.clone()),
                     }
                 }
+                let first = r.trace.len();
+                push_instance_trace(program, &r.accesses, stmt_id, dims, &mut r.trace)?;
                 // The version CSR only exists to legality-check candidate
                 // enumerations; schedule-free kernels skip it entirely.
-                for i in 0..stmt.reads.len() {
-                    let cell = r.accesses.read(stmt_id, i, dims)?;
-                    if with_ranks {
-                        r.ver.push(wc[cell]);
-                    }
-                    r.trace.push((cell as u64) << 1);
-                }
-                for i in 0..stmt.writes.len() {
-                    let cell = r.accesses.write(stmt_id, i, dims)?;
-                    if with_ranks {
-                        r.ver.push(wc[cell]);
-                        wc[cell] += 1;
-                    }
-                    r.trace.push(((cell as u64) << 1) | 1);
-                }
                 if with_ranks {
+                    for &event in &r.trace[first..] {
+                        let cell = (event >> 1) as usize;
+                        r.ver.push(wc[cell]);
+                        wc[cell] += (event & 1) as u32;
+                    }
                     r.ver_off.push(r.ver.len() as u32);
                 }
                 r.n_instances += 1;
@@ -426,23 +418,15 @@ impl<'p> TraceRef<'p> {
             let Some(rank) = rank else {
                 return Ok(false);
             };
-            let mut vp = self.ver_off[rank as usize] as usize;
-            for i in 0..stmt.reads.len() {
-                let cell = self.accesses.read(stmt_id, i, dims)?;
-                if self.ver[vp] != wc[cell] {
+            let first = out.len();
+            push_instance_trace(program, &self.accesses, stmt_id, dims, out)?;
+            let expected = &self.ver[self.ver_off[rank as usize] as usize..];
+            for (&event, &version) in out[first..].iter().zip(expected) {
+                let cell = (event >> 1) as usize;
+                if version != wc[cell] {
                     return Ok(false);
                 }
-                vp += 1;
-                out.push((cell as u64) << 1);
-            }
-            for i in 0..stmt.writes.len() {
-                let cell = self.accesses.write(stmt_id, i, dims)?;
-                if self.ver[vp] != wc[cell] {
-                    return Ok(false);
-                }
-                vp += 1;
-                wc[cell] += 1;
-                out.push(((cell as u64) << 1) | 1);
+                wc[cell] += (event & 1) as u32;
             }
             count += 1;
             Ok(true)
@@ -458,6 +442,30 @@ impl<'p> TraceRef<'p> {
         })?;
         Ok(legal && count == self.n_instances)
     }
+}
+
+/// Appends one instance's declared accesses to `out` in the packed trace
+/// encoding (`cell << 1`, low bit set for a write): reads in declared
+/// order, then writes. The tuner's reference and candidate traces and the
+/// Appendix A sweep ([`crate::sweep_tiled`]) are all emitted through it.
+///
+/// # Errors
+/// The first out-of-range access.
+pub fn push_instance_trace(
+    program: &Program,
+    accesses: &DeclaredAccesses,
+    stmt: StmtId,
+    dims: &[i64],
+    out: &mut Vec<u64>,
+) -> Result<(), OutOfRange> {
+    let s = program.stmt(stmt);
+    for i in 0..s.reads.len() {
+        out.push((accesses.read(stmt, i, dims)? as u64) << 1);
+    }
+    for i in 0..s.writes.len() {
+        out.push(((accesses.write(stmt, i, dims)? as u64) << 1) | 1);
+    }
+    Ok(())
 }
 
 fn measure_kernel(

@@ -18,28 +18,18 @@
 //!
 //! ## Engine
 //!
-//! The red set is dense and index-addressed — no hashing anywhere on the
-//! play path:
-//!
-//! * **LRU** keeps red nodes on an intrusive doubly-linked list over flat
-//!   `prev`/`next` slabs (the same design as `memsim::LruSim`): touch and
-//!   evict are O(1), with eviction skipping at most the few pinned nodes of
-//!   the current compute step, not scanning the whole red set;
-//! * **MinNextUse** buckets red nodes by their next-use position
-//!   (`MinRedSet`): hierarchical bitmaps answer "farthest next use" in a
-//!   few word ops, a whole bucket drains in O(1) when the schedule reaches
-//!   its position, and dead (never-used-again) nodes live in their own
-//!   bitmap evicted first;
-//! * next-use chains are the successor CSR mapped through the schedule
-//!   permutation (only for the MIN policy — LRU plays never materialize
-//!   them).
-//!
-//! The straightforward ordered-map engine the workspace started with is kept
-//! verbatim in [`reference`](mod@reference); property tests assert both engines produce
-//! identical [`PlayStats`] on randomized CDAGs.
+//! One ordered-map play: a `HashMap` from red node to its spill key and a
+//! `BTreeSet` of `(key, node)` pairs in spill order. The LRU key is a
+//! touch clock (the smallest unpinned pair is spilled); the MIN key is the
+//! schedule position of the node's next use, `u64::MAX` when it is never
+//! used again (the largest unpinned pair is spilled, so ties go to the
+//! larger node id). Pinned nodes — the current step's predecessors and the
+//! node itself — are skipped by a linear scan. Plays are a test and
+//! validation reference: production prices schedules with the miss-curve
+//! engines of `iolb-memsim`, which reach every `S` in one pass.
 
 use crate::graph::{Cdag, NodeId, NodeKind};
-use iolb_memsim::MaxPosSet;
+use std::collections::{BTreeSet, HashMap};
 
 /// Spill (red-pebble replacement) policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -106,261 +96,6 @@ impl std::fmt::Display for PebbleError {
 
 impl std::error::Error for PebbleError {}
 
-const NIL: u32 = u32::MAX;
-
-/// Intrusive doubly-linked recency list over a flat node-indexed slab.
-///
-/// `head` is most recently used, `tail` least recently used. Only nodes
-/// currently red are linked; membership is tracked by the caller.
-struct LruList {
-    prev: Vec<u32>,
-    next: Vec<u32>,
-    head: u32,
-    tail: u32,
-}
-
-impl LruList {
-    fn new(n: usize) -> LruList {
-        LruList {
-            prev: vec![NIL; n],
-            next: vec![NIL; n],
-            head: NIL,
-            tail: NIL,
-        }
-    }
-
-    fn push_front(&mut self, v: u32) {
-        self.prev[v as usize] = NIL;
-        self.next[v as usize] = self.head;
-        if self.head != NIL {
-            self.prev[self.head as usize] = v;
-        }
-        self.head = v;
-        if self.tail == NIL {
-            self.tail = v;
-        }
-    }
-
-    fn unlink(&mut self, v: u32) {
-        let (p, n) = (self.prev[v as usize], self.next[v as usize]);
-        if p != NIL {
-            self.next[p as usize] = n;
-        } else {
-            self.head = n;
-        }
-        if n != NIL {
-            self.prev[n as usize] = p;
-        } else {
-            self.tail = p;
-        }
-    }
-
-    /// Least-recently-used node that is not pinned (walks past the pinned
-    /// suffix of the list — at most `indegree + 1` hops).
-    fn lru_unpinned(&self, pinned: &[bool]) -> Option<u32> {
-        let mut v = self.tail;
-        while v != NIL && pinned[v as usize] {
-            v = self.prev[v as usize];
-        }
-        (v != NIL).then_some(v)
-    }
-}
-
-/// The MIN policy's red set, bucketed by next-use position.
-///
-/// A red node's spill key is the schedule position of its next use (or
-/// "dead" when it is never used again). Keys are at most the schedule
-/// length, and the nodes sharing a key `t` are necessarily predecessors of
-/// the node computed at `t` — at most `max_in_degree` of them — so the
-/// whole priority structure collapses into:
-///
-/// * `buckets` — a flat slab of `[len, node₀ … node_{K−1}]` rows, one per
-///   next-use position (one cache line per bucket operation),
-/// * `alive` — a [`MaxPosSet`] over positions with a non-empty bucket,
-/// * `dead` — a [`MaxPosSet`] over node ids of never-used-again reds.
-///
-/// Nodes are never removed individually from buckets: when the play
-/// reaches position `t`, *every* member of bucket `t` is a red predecessor
-/// about to be touched, so the whole bucket is drained at once
-/// ([`drain_bucket`](MinRedSet::drain_bucket)) and members re-enter with
-/// their fresh keys — no per-node key tracking at all.
-///
-/// Victim selection reproduces the ordered-map reference engine exactly:
-/// largest `(key, node)` pair with dead nodes comparing as `+∞`, ties
-/// broken towards the larger node id.
-struct MinRedSet {
-    alive: MaxPosSet,
-    dead: MaxPosSet,
-    /// Bucket slab, stride `k + 1`: row `t` is
-    /// `buckets[t * (k+1)] = len`, then `len` node ids.
-    buckets: Vec<u32>,
-    k1: usize,
-    /// Scratch for pinned entries parked during one eviction (reused so the
-    /// hot path never allocates).
-    parked: Vec<u32>,
-}
-
-const DEAD_KEY: u32 = u32::MAX;
-
-impl MinRedSet {
-    fn new(n_nodes: usize, schedule_len: usize, max_indeg: usize) -> MinRedSet {
-        let k1 = max_indeg.max(1) + 1;
-        MinRedSet {
-            alive: MaxPosSet::new(schedule_len),
-            dead: MaxPosSet::new(n_nodes),
-            buckets: vec![0; schedule_len * k1],
-            k1,
-            parked: Vec::with_capacity(8),
-        }
-    }
-
-    /// Inserts a node that is not currently in the set.
-    #[inline]
-    fn insert(&mut self, node: u32, key: u32) {
-        if key == DEAD_KEY {
-            self.dead.set(node as usize);
-            return;
-        }
-        let row = key as usize * self.k1;
-        let l = self.buckets[row] as usize;
-        debug_assert!(l + 1 < self.k1, "bucket overflow at position {key}");
-        self.buckets[row + 1 + l] = node;
-        self.buckets[row] = (l + 1) as u32;
-        if l == 0 {
-            self.alive.set(key as usize);
-        }
-    }
-
-    /// Empties bucket `t` in O(1). Sound exactly when the play has reached
-    /// position `t`: every member's next use is *now*, and each will be
-    /// re-inserted with its next key as the step touches it.
-    #[inline]
-    fn drain_bucket(&mut self, t: usize) {
-        let row = t * self.k1;
-        if self.buckets[row] != 0 {
-            self.buckets[row] = 0;
-            self.alive.clear(t);
-        }
-    }
-
-    /// Removes and returns the victim the reference engine would pick:
-    /// largest `(key, node)` among unpinned members. `None` when every
-    /// member is pinned.
-    fn evict_unpinned(&mut self, pinned: &[bool]) -> Option<u32> {
-        // Dead nodes first (key +∞), largest id first. Pinned ones are
-        // temporarily cleared from the bitmap and restored after.
-        self.parked.clear();
-        let mut victim = None;
-        while let Some(node) = self.dead.max() {
-            self.dead.clear(node);
-            if pinned[node] {
-                self.parked.push(node as u32);
-                continue;
-            }
-            victim = Some(node as u32);
-            break;
-        }
-        for i in 0..self.parked.len() {
-            self.dead.set(self.parked[i] as usize);
-        }
-        if victim.is_some() {
-            return victim;
-        }
-        // Alive buckets in descending position; inside a bucket, the
-        // largest unpinned node id. Fully-pinned buckets are temporarily
-        // cleared and restored.
-        self.parked.clear();
-        let mut victim = None;
-        while let Some(t) = self.alive.max() {
-            let row = t * self.k1;
-            let l = self.buckets[row] as usize;
-            let nodes = &self.buckets[row + 1..row + 1 + l];
-            let mut best: Option<usize> = None;
-            for (i, &x) in nodes.iter().enumerate() {
-                if !pinned[x as usize] && best.is_none_or(|b: usize| x > nodes[b]) {
-                    best = Some(i);
-                }
-            }
-            match best {
-                Some(i) => {
-                    victim = Some(self.buckets[row + 1 + i]);
-                    self.buckets[row + 1 + i] = self.buckets[row + l];
-                    self.buckets[row] = (l - 1) as u32;
-                    if l == 1 {
-                        self.alive.clear(t);
-                    }
-                    break;
-                }
-                None => {
-                    self.alive.clear(t);
-                    self.parked.push(t as u32);
-                }
-            }
-        }
-        for i in 0..self.parked.len() {
-            self.alive.set(self.parked[i] as usize);
-        }
-        victim
-    }
-}
-
-/// Flat CSR of next-use positions: `uses` of node `v` live at
-/// `pos[off[v]..off[v + 1]]`, ascending.
-struct NextUses {
-    off: Vec<u32>,
-    pos: Vec<u32>,
-    ptr: Vec<u32>,
-}
-
-impl NextUses {
-    /// `p` is used exactly at the schedule positions of its successors
-    /// (every edge `p → w` is one use), so the chains are the successor CSR
-    /// mapped through the node→position permutation. For the program-order
-    /// schedule the successor rows are already position-sorted; arbitrary
-    /// schedules sort each (small) row.
-    fn build(cdag: &Cdag, order: &[NodeId]) -> NextUses {
-        let n = cdag.len();
-        let mut pos_of = vec![0u32; n];
-        for (t, &v) in order.iter().enumerate() {
-            pos_of[v.0 as usize] = t as u32;
-        }
-        let mut off = vec![0u32; n + 1];
-        for v in 0..n {
-            off[v + 1] = off[v] + cdag.succs(NodeId(v as u32)).len() as u32;
-        }
-        let mut pos = vec![0u32; off[n] as usize];
-        for v in 0..n {
-            let row = &mut pos[off[v] as usize..off[v + 1] as usize];
-            for (slot, &w) in row.iter_mut().zip(cdag.succs(NodeId(v as u32))) {
-                *slot = pos_of[w as usize];
-            }
-            if !row.is_sorted() {
-                row.sort_unstable();
-            }
-        }
-        // Each node's read cursor starts at its own row.
-        let ptr = off[..n].to_vec();
-        NextUses { off, pos, ptr }
-    }
-
-    /// First use of `v` strictly after `now` ([`DEAD_KEY`] when dead). The
-    /// per-node cursor only moves forward, so the total advance over a play
-    /// is bounded by the schedule's edge count.
-    fn next_after(&mut self, v: usize, now: u32) -> u32 {
-        let end = self.off[v + 1];
-        let mut i = self.ptr[v];
-        while i < end && self.pos[i as usize] <= now {
-            i += 1;
-        }
-        self.ptr[v] = i;
-        if i < end {
-            self.pos[i as usize]
-        } else {
-            DEAD_KEY
-        }
-    }
-}
-
 /// A red-white pebble game on one CDAG with red budget `S`.
 #[derive(Debug)]
 pub struct PebbleGame<'g> {
@@ -391,254 +126,20 @@ impl<'g> PebbleGame<'g> {
     /// Fails when the schedule is not a permutation of the compute nodes,
     /// is not topological, or when `S` cannot hold a node's inputs.
     pub fn play(&self, order: &[NodeId], policy: SpillPolicy) -> Result<PlayStats, PebbleError> {
-        self.check_schedule(order)?;
-        match policy {
-            SpillPolicy::Lru => self.play_lru(order),
-            SpillPolicy::MinNextUse => self.play_min(order),
-        }
-    }
-
-    /// Schedule sanity: a permutation of the compute nodes.
-    fn check_schedule(&self, order: &[NodeId]) -> Result<(), PebbleError> {
-        let n = self.cdag.len();
-        let mut seen = vec![false; n];
-        for &v in order {
-            if !matches!(self.cdag.kind(v), NodeKind::Compute { .. }) {
-                return Err(PebbleError::InvalidSchedule(format!(
-                    "{v:?} is not a compute node"
-                )));
-            }
-            if seen[v.0 as usize] {
-                return Err(PebbleError::InvalidSchedule(format!(
-                    "{v:?} scheduled twice"
-                )));
-            }
-            seen[v.0 as usize] = true;
-        }
-        if order.len() != self.cdag.num_computes() {
-            return Err(PebbleError::InvalidSchedule(format!(
-                "{} of {} compute nodes scheduled",
-                order.len(),
-                self.cdag.num_computes()
-            )));
-        }
-        Ok(())
-    }
-
-    fn play_lru(&self, order: &[NodeId]) -> Result<PlayStats, PebbleError> {
-        let n = self.cdag.len();
-        let mut white = vec![false; n];
-        for v in self.cdag.input_nodes() {
-            white[v.0 as usize] = true;
-        }
-        let mut in_red = vec![false; n];
-        let mut pinned = vec![false; n];
-        let mut list = LruList::new(n);
-        let mut red_len = 0usize;
-        let mut stats = PlayStats {
-            loads: 0,
-            computes: 0,
-            peak_red: 0,
-        };
-
-        for &v in order {
-            let vi = v.0 as usize;
-            let preds = self.cdag.preds(v);
-            let needed = preds.len() + 1;
-            if needed > self.budget {
-                return Err(PebbleError::CapacityTooSmall {
-                    node: v,
-                    needed,
-                    budget: self.budget,
-                });
-            }
-            // Pin inputs of v (and v) against spilling while staging.
-            for &p in preds {
-                pinned[p as usize] = true;
-            }
-            pinned[vi] = true;
-
-            for &p in preds {
-                let pi = p as usize;
-                if !white[pi] {
-                    return Err(PebbleError::PredecessorNotComputed {
-                        node: v,
-                        pred: NodeId(p),
-                    });
-                }
-                if in_red[pi] {
-                    list.unlink(p);
-                    list.push_front(p);
-                } else {
-                    // Load rule: red onto a white node.
-                    while red_len >= self.budget {
-                        let victim = list.lru_unpinned(&pinned).ok_or_else(all_pinned)?;
-                        list.unlink(victim);
-                        in_red[victim as usize] = false;
-                        red_len -= 1;
-                    }
-                    stats.loads += 1;
-                    in_red[pi] = true;
-                    red_len += 1;
-                    list.push_front(p);
-                }
-            }
-            // Compute rule: white + red on v.
-            while red_len >= self.budget {
-                let victim = list.lru_unpinned(&pinned).ok_or_else(all_pinned)?;
-                list.unlink(victim);
-                in_red[victim as usize] = false;
-                red_len -= 1;
-            }
-            white[vi] = true;
-            in_red[vi] = true;
-            red_len += 1;
-            list.push_front(v.0);
-            stats.computes += 1;
-            stats.peak_red = stats.peak_red.max(red_len);
-
-            for &p in preds {
-                pinned[p as usize] = false;
-            }
-            pinned[vi] = false;
-        }
-        Ok(stats)
-    }
-
-    fn play_min(&self, order: &[NodeId]) -> Result<PlayStats, PebbleError> {
-        let n = self.cdag.len();
-        let mut uses = NextUses::build(self.cdag, order);
-        let mut white = vec![false; n];
-        for v in self.cdag.input_nodes() {
-            white[v.0 as usize] = true;
-        }
-        let mut in_red = vec![false; n];
-        let mut pinned = vec![false; n];
-        let mut red = MinRedSet::new(n, order.len(), self.cdag.max_in_degree());
-        let mut red_len = 0usize;
-        let mut stats = PlayStats {
-            loads: 0,
-            computes: 0,
-            peak_red: 0,
-        };
-
-        for (t, &v) in order.iter().enumerate() {
-            let vi = v.0 as usize;
-            let preds = self.cdag.preds(v);
-            let needed = preds.len() + 1;
-            if needed > self.budget {
-                return Err(PebbleError::CapacityTooSmall {
-                    node: v,
-                    needed,
-                    budget: self.budget,
-                });
-            }
-            for &p in preds {
-                pinned[p as usize] = true;
-            }
-            pinned[vi] = true;
-            // Every member of bucket t is a red predecessor of this step;
-            // drop them all at once, they re-enter with fresh keys below.
-            red.drain_bucket(t);
-
-            for &p in preds {
-                let pi = p as usize;
-                if !white[pi] {
-                    return Err(PebbleError::PredecessorNotComputed {
-                        node: v,
-                        pred: NodeId(p),
-                    });
-                }
-                let key = uses.next_after(pi, t as u32);
-                if in_red[pi] {
-                    red.insert(p, key);
-                } else {
-                    // Load rule: red onto a white node.
-                    while red_len >= self.budget {
-                        let victim = red.evict_unpinned(&pinned).ok_or_else(all_pinned)?;
-                        in_red[victim as usize] = false;
-                        red_len -= 1;
-                    }
-                    stats.loads += 1;
-                    in_red[pi] = true;
-                    red_len += 1;
-                    red.insert(p, key);
-                }
-            }
-            // Compute rule: white + red on v.
-            let key = uses.next_after(vi, t as u32);
-            while red_len >= self.budget {
-                let victim = red.evict_unpinned(&pinned).ok_or_else(all_pinned)?;
-                in_red[victim as usize] = false;
-                red_len -= 1;
-            }
-            white[vi] = true;
-            in_red[vi] = true;
-            red_len += 1;
-            red.insert(v.0, key);
-            stats.computes += 1;
-            stats.peak_red = stats.peak_red.max(red_len);
-
-            for &p in preds {
-                pinned[p as usize] = false;
-            }
-            pinned[vi] = false;
-        }
-        Ok(stats)
-    }
-
-    /// Best play across the built-in policies.
-    pub fn best_play(&self) -> Result<PlayStats, PebbleError> {
-        let lru = self.play_program_order(SpillPolicy::Lru)?;
-        let min = self.play_program_order(SpillPolicy::MinNextUse)?;
-        Ok(if min.loads <= lru.loads { min } else { lru })
-    }
-}
-
-fn all_pinned() -> PebbleError {
-    // All red pebbles pinned: cannot happen when needed ≤ budget.
-    PebbleError::InvalidSchedule("all red pebbles pinned".to_string())
-}
-
-/// The straightforward ordered-map pebble engine the fast engine is
-/// validated against.
-///
-/// This is the workspace's original implementation, kept verbatim as an
-/// executable specification: `HashMap` for the key index, `BTreeSet` for
-/// the priority order, linear pinned-skip scans. Property tests assert
-/// [`play`](reference::play) and [`PebbleGame::play`] return identical
-/// [`PlayStats`] on randomized CDAGs under both policies.
-pub mod reference {
-    use super::{PebbleError, PlayStats, SpillPolicy};
-    use crate::graph::{Cdag, NodeId, NodeKind};
-    use std::collections::{BTreeSet, HashMap};
-
-    /// Plays `order` on `cdag` with red budget `budget` — specification
-    /// implementation.
-    ///
-    /// # Errors
-    /// Same contract as [`super::PebbleGame::play`].
-    pub fn play(
-        cdag: &Cdag,
-        budget: usize,
-        order: &[NodeId],
-        policy: SpillPolicy,
-    ) -> Result<PlayStats, PebbleError> {
-        assert!(budget > 0, "red budget must be positive");
+        let (cdag, budget) = (self.cdag, self.budget);
         let n = cdag.len();
-        let mut pos = vec![u32::MAX; n];
-        for (t, &v) in order.iter().enumerate() {
+        let mut scheduled = vec![false; n];
+        for &v in order {
             if !matches!(cdag.kind(v), NodeKind::Compute { .. }) {
                 return Err(PebbleError::InvalidSchedule(format!(
                     "{v:?} is not a compute node"
                 )));
             }
-            if pos[v.0 as usize] != u32::MAX {
+            if std::mem::replace(&mut scheduled[v.0 as usize], true) {
                 return Err(PebbleError::InvalidSchedule(format!(
                     "{v:?} scheduled twice"
                 )));
             }
-            pos[v.0 as usize] = t as u32;
         }
         if order.len() != cdag.num_computes() {
             return Err(PebbleError::InvalidSchedule(format!(
@@ -648,6 +149,7 @@ pub mod reference {
             )));
         }
 
+        // Every edge p → v is one use of p, at v's schedule position.
         let mut uses: Vec<Vec<u32>> = vec![Vec::new(); n];
         for (t, &v) in order.iter().enumerate() {
             for &p in cdag.preds(v) {
@@ -655,47 +157,29 @@ pub mod reference {
             }
         }
         let mut use_ptr = vec![0usize; n];
-        let next_use =
-            |uses: &Vec<Vec<u32>>, use_ptr: &mut Vec<usize>, v: usize, now: u32| -> u64 {
-                let list = &uses[v];
-                let mut i = use_ptr[v];
-                while i < list.len() && list[i] <= now {
-                    i += 1;
-                }
-                use_ptr[v] = i;
-                if i < list.len() {
-                    list[i] as u64
-                } else {
-                    u64::MAX
-                }
-            };
+        // First use of `v` strictly after `now`; the cursor only advances.
+        let mut next_use = |v: usize, now: u32| -> u64 {
+            let list = &uses[v];
+            let mut i = use_ptr[v];
+            while i < list.len() && list[i] <= now {
+                i += 1;
+            }
+            use_ptr[v] = i;
+            list.get(i).map_or(u64::MAX, |&t| t as u64)
+        };
 
         let mut white = vec![false; n];
         for v in cdag.input_nodes() {
             white[v.0 as usize] = true;
         }
-        let mut red_key: HashMap<u32, u64> = HashMap::new();
-        let mut red_set: BTreeSet<(u64, u32)> = BTreeSet::new();
-        let mut pinned: Vec<bool> = vec![false; n];
+        let mut red = RedSet::default();
+        let mut pinned = vec![false; n];
         let mut stats = PlayStats {
             loads: 0,
             computes: 0,
             peak_red: 0,
         };
         let mut clock: u64 = 0;
-
-        // Priority key per policy; eviction takes the *worst* key.
-        // LRU: key = last-use clock, evict smallest.
-        // MIN: key = next-use position, evict largest (u64::MAX = dead).
-        let touch = |red_key: &mut HashMap<u32, u64>,
-                     red_set: &mut BTreeSet<(u64, u32)>,
-                     v: u32,
-                     key: u64| {
-            if let Some(old) = red_key.insert(v, key) {
-                red_set.remove(&(old, v));
-            }
-            red_set.insert((key, v));
-        };
 
         for (t, &v) in order.iter().enumerate() {
             let vi = v.0 as usize;
@@ -722,28 +206,28 @@ pub mod reference {
                     });
                 }
                 clock += 1;
-                let key = match policy {
+                let k = match policy {
                     SpillPolicy::Lru => clock,
-                    SpillPolicy::MinNextUse => next_use(&uses, &mut use_ptr, pi, t as u32),
+                    SpillPolicy::MinNextUse => next_use(pi, t as u32),
                 };
-                if red_key.contains_key(&p) {
-                    touch(&mut red_key, &mut red_set, p, key);
-                } else {
-                    make_room(budget, &mut red_key, &mut red_set, &pinned, policy)?;
+                if !red.contains(p) {
+                    // Load rule: red onto a white node.
+                    red.make_room(budget, &pinned, policy)?;
                     stats.loads += 1;
-                    touch(&mut red_key, &mut red_set, p, key);
                 }
+                red.touch(p, k);
             }
+            // Compute rule: white + red on v.
             clock += 1;
-            let key = match policy {
+            let k = match policy {
                 SpillPolicy::Lru => clock,
-                SpillPolicy::MinNextUse => next_use(&uses, &mut use_ptr, vi, t as u32),
+                SpillPolicy::MinNextUse => next_use(vi, t as u32),
             };
-            make_room(budget, &mut red_key, &mut red_set, &pinned, policy)?;
+            red.make_room(budget, &pinned, policy)?;
             white[vi] = true;
-            touch(&mut red_key, &mut red_set, v.0, key);
+            red.touch(v.0, k);
             stats.computes += 1;
-            stats.peak_red = stats.peak_red.max(red_set.len());
+            stats.peak_red = stats.peak_red.max(red.len());
 
             for &p in preds {
                 pinned[p as usize] = false;
@@ -753,29 +237,60 @@ pub mod reference {
         Ok(stats)
     }
 
+    /// Best play across the built-in policies.
+    pub fn best_play(&self) -> Result<PlayStats, PebbleError> {
+        let lru = self.play_program_order(SpillPolicy::Lru)?;
+        let min = self.play_program_order(SpillPolicy::MinNextUse)?;
+        Ok(if min.loads <= lru.loads { min } else { lru })
+    }
+}
+
+/// The red pebbles with their spill keys, ordered for eviction.
+#[derive(Default)]
+struct RedSet {
+    key: HashMap<u32, u64>,
+    order: BTreeSet<(u64, u32)>,
+}
+
+impl RedSet {
+    fn contains(&self, v: u32) -> bool {
+        self.key.contains_key(&v)
+    }
+
+    fn len(&self) -> usize {
+        self.order.len()
+    }
+
+    /// Places (or keeps) a red pebble on `v` under spill key `key`.
+    fn touch(&mut self, v: u32, key: u64) {
+        if let Some(old) = self.key.insert(v, key) {
+            self.order.remove(&(old, v));
+        }
+        self.order.insert((key, v));
+    }
+
+    /// Spills unpinned pebbles until one more fits under `budget`: the
+    /// smallest key under LRU, the largest under MIN.
     fn make_room(
+        &mut self,
         budget: usize,
-        red_key: &mut HashMap<u32, u64>,
-        red_set: &mut BTreeSet<(u64, u32)>,
         pinned: &[bool],
         policy: SpillPolicy,
     ) -> Result<(), PebbleError> {
-        while red_set.len() >= budget {
+        while self.order.len() >= budget {
+            let unpinned = |&&(_, v): &&(u64, u32)| !pinned[v as usize];
             let victim = match policy {
-                SpillPolicy::Lru => red_set.iter().find(|(_, v)| !pinned[*v as usize]).copied(),
-                SpillPolicy::MinNextUse => red_set
-                    .iter()
-                    .rev()
-                    .find(|(_, v)| !pinned[*v as usize])
-                    .copied(),
+                SpillPolicy::Lru => self.order.iter().find(unpinned),
+                SpillPolicy::MinNextUse => self.order.iter().rev().find(unpinned),
             };
-            let Some((key, v)) = victim else {
+            // All red pebbles pinned: cannot happen when needed ≤ budget.
+            let Some(&(key, v)) = victim else {
                 return Err(PebbleError::InvalidSchedule(
                     "all red pebbles pinned".to_string(),
                 ));
             };
-            red_set.remove(&(key, v));
-            red_key.remove(&v);
+            self.order.remove(&(key, v));
+            self.key.remove(&v);
         }
         Ok(())
     }
@@ -891,21 +406,6 @@ mod tests {
                 .unwrap();
             assert!(stats.loads <= prev, "loads should not grow with S");
             prev = stats.loads;
-        }
-    }
-
-    #[test]
-    fn engines_agree_on_reductions() {
-        for n in [4i64, 9, 16] {
-            let (_, g) = reduction(n);
-            let order: Vec<NodeId> = g.compute_nodes().collect();
-            for s in 3..8 {
-                for policy in [SpillPolicy::Lru, SpillPolicy::MinNextUse] {
-                    let fast = PebbleGame::new(&g, s).play(&order, policy).unwrap();
-                    let slow = reference::play(&g, s, &order, policy).unwrap();
-                    assert_eq!(fast, slow, "N={n} S={s} {policy:?}");
-                }
-            }
         }
     }
 }

@@ -4,7 +4,9 @@
 //! through the pretty-printer with all its directives, matches its
 //! builder structurally, and derives the same bounds as the builder, both
 //! at the file's `default` parameters and at the fixed observation sizes
-//! the derivation used before it read the defaults.
+//! the derivation used before it read the defaults. The Appendix A tiled
+//! orders under `kernels/tiled/` round-trip and match their builders
+//! structurally too.
 
 use iolb_core::report::{derive_stmt_bounds, SplitBinding};
 use iolb_ir::parse::{assert_kernel_roundtrip, parse_kernel, structural_diff, KernelFile};
@@ -22,6 +24,21 @@ fn builder_reference() -> Vec<(&'static str, Program)> {
         ("gebd2", iolb_kernels::gebd2::program()),
         ("gehd2", iolb_kernels::gehd2::program()),
         ("gemm", iolb_kernels::gemm::program()),
+    ]
+}
+
+/// The Appendix A tiled orders: each file's path under `kernels/` (no
+/// extension) with the builder program it must equal.
+fn tiled_reference() -> Vec<(&'static str, Program)> {
+    vec![
+        (
+            "tiled/mgs_tiled",
+            iolb_kernels::mgs::tiled_executable().program,
+        ),
+        (
+            "tiled/qr_hh_a2v_tiled",
+            iolb_kernels::householder::a2v_tiled_executable().program,
+        ),
     ]
 }
 
@@ -119,8 +136,9 @@ fn paper_kernels_round_trip_with_identical_bounds() {
 fn shipped_kernel_files_match_builtins() {
     // The files are the source; the builders are the f64 reference. A
     // drift between the two is a bug in one of them.
-    for (stem, builder) in builder_reference() {
+    for (stem, builder) in builder_reference().into_iter().chain(tiled_reference()) {
         let parsed = shipped(stem);
+        assert_kernel_roundtrip(&parsed);
         assert!(
             structural_diff(&builder, &parsed.program).is_none(),
             "{}: shipped file differs from the builder reference: {:?}",

@@ -143,7 +143,7 @@ fn tiled_mgs_play_beats_program_order_at_matching_cache() {
     // holds a block of columns.
     let (m, n): (i64, i64) = (16, 8);
     let s = 3 * m as usize + 4; // fits B+1 ≈ 2–3 columns
-    let block = iolb_kernels::mgs::a1_block_size(m as usize, s) as i64;
+    let block = (s as i64 / m - 1).max(1); // Appendix A.1's B = ⌊S/M⌋ − 1
     let untiled = build_cdag(&iolb_kernels::mgs::program(), &[m, n]);
     let tiled = build_cdag(
         &iolb_kernels::mgs::tiled_executable().program,

@@ -632,24 +632,6 @@ pub fn a2v_tiled_native(a0: &Matrix, block: usize) -> (Matrix, Vec<f64>) {
     (a, tau)
 }
 
-/// Appendix A.2 block size (same constraint as A.1): `B = ⌊S/M⌋ − 1`.
-pub fn a2_block_size(m: usize, s: usize) -> usize {
-    (s / m).saturating_sub(1).max(1)
-}
-
-/// Appendix A.2 read-cost model at block size `B`:
-/// `(½MN² − N³/6)/B` (reflector reloads) + `2MN` (block moves).
-pub fn a2_reads_model(m: usize, n: usize, block: usize) -> f64 {
-    let (m, n, b) = (m as f64, n as f64, block as f64);
-    (0.5 * m * n * n - n * n * n / 6.0) / b + 2.0 * m * n
-}
-
-/// Appendix A.2 headline I/O: `½(M²N² − MN³/3)/S`.
-pub fn a2_io_headline(m: usize, n: usize, s: usize) -> f64 {
-    let (m, n, s) = (m as f64, n as f64, s as f64);
-    0.5 * (m * m * n * n - m * n * n * n / 3.0) / s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -774,30 +756,5 @@ mod tests {
         assert!(crate::interp::validate_accesses(&a2v_executable(), &[8, 5]).unwrap() > 0);
         assert!(crate::interp::validate_accesses(&v2q_executable(), &[8, 5]).unwrap() > 0);
         assert!(crate::interp::validate_accesses(&a2v_tiled_executable(), &[8, 5, 2]).unwrap() > 0);
-    }
-
-    #[test]
-    fn tiled_io_beats_untiled_under_lru() {
-        let (m, n, s) = (24usize, 12usize, 128usize);
-        let block = a2_block_size(m, s) as i64;
-        let a0 = Matrix::random(m, n, 6);
-        let mk_init = |a0: &Matrix| {
-            let a = a0.clone();
-            move |arr: iolb_ir::ArrayId, f: usize| if arr.0 == 0 { a.data[f] } else { 0.0 }
-        };
-        let untiled =
-            crate::sinks::measure_lru_io(&a2v_executable(), &[m as i64, n as i64], s, mk_init(&a0));
-        let tiled = crate::sinks::measure_lru_io(
-            &a2v_tiled_executable(),
-            &[m as i64, n as i64, block],
-            s,
-            mk_init(&a0),
-        );
-        assert!(
-            tiled.loads < untiled.loads,
-            "tiled {} < untiled {}",
-            tiled.loads,
-            untiled.loads
-        );
     }
 }

@@ -8,15 +8,12 @@
 //!
 //! * **numerics** — running a kernel and checking its mathematical output
 //!   against the native implementations,
-//! * **trace collection** — feeding the two-level cache simulator
-//!   ([`crate::sinks`]),
 //! * **certification** — [`validate_accesses`] checks the declared affine
 //!   accesses against the performed ones on every executed instance, which
 //!   is what lets the `.iolb` files (declared accesses only) stand for the
 //!   builders.
 //!
-//! Cells are laid out as [`DeclaredAccesses`] lays them out: the sinks'
-//! dense cell ids and the store's per-array lengths are read off it.
+//! The store's per-array lengths are read off [`DeclaredAccesses`].
 
 use iolb_ir::interp::DeclaredAccesses;
 use iolb_ir::{for_each_instance, ArrayId, Program, StmtId};
@@ -43,52 +40,6 @@ pub trait ExecSink {
 pub struct NullSink;
 
 impl ExecSink for NullSink {}
-
-/// Sink that materializes the full access trace with global cell ids.
-///
-/// Events are packed `(cell << 1) | write` to keep long traces compact
-/// (8 bytes per access).
-#[derive(Debug)]
-pub struct TraceSink {
-    /// Packed events.
-    pub packed: Vec<u64>,
-    base: Vec<usize>,
-    /// Total number of distinct cells across all arrays.
-    pub num_cells: usize,
-}
-
-impl TraceSink {
-    /// Creates a trace sink for the given program instantiation.
-    pub fn new(program: &Program, params: &[i64]) -> TraceSink {
-        let (base, num_cells) = cell_bases(program, params);
-        TraceSink {
-            packed: Vec::new(),
-            base,
-            num_cells,
-        }
-    }
-}
-
-/// Every array's first dense cell id and the total cell count at `params`,
-/// as [`DeclaredAccesses`] numbers the cells.
-pub(crate) fn cell_bases(program: &Program, params: &[i64]) -> (Vec<usize>, usize) {
-    let cells = DeclaredAccesses::bind(program, params);
-    let base = (0..program.arrays.len())
-        .map(|a| cells.base(ArrayId(a as u32)))
-        .collect();
-    (base, cells.num_cells())
-}
-
-impl ExecSink for TraceSink {
-    fn on_read(&mut self, array: ArrayId, flat: usize) {
-        let cell = self.base[array.0 as usize] + flat;
-        self.packed.push((cell as u64) << 1);
-    }
-    fn on_write(&mut self, array: ArrayId, flat: usize) {
-        let cell = self.base[array.0 as usize] + flat;
-        self.packed.push(((cell as u64) << 1) | 1);
-    }
-}
 
 /// Array contents for one execution.
 #[derive(Debug, Clone)]
@@ -366,15 +317,25 @@ mod tests {
 
     #[test]
     fn trace_records_all_accesses() {
+        /// Records `(array, flat, is_write)` per performed access.
+        #[derive(Default)]
+        struct Recorder(Vec<(u32, usize, bool)>);
+        impl ExecSink for Recorder {
+            fn on_read(&mut self, array: ArrayId, flat: usize) {
+                self.0.push((array.0, flat, false));
+            }
+            fn on_write(&mut self, array: ArrayId, flat: usize) {
+                self.0.push((array.0, flat, true));
+            }
+        }
         let p = scale_prog();
         let interp = Interpreter::new(&p, &[3]);
-        let mut sink = TraceSink::new(&p.program, &[3]);
+        let mut sink = Recorder::default();
         let mut store = Store::init(&p.program, &[3], |_, _| 0.0);
         interp.run(&mut store, &mut sink);
-        // 3 instances × (read x[i], write y[i]); x cells are 0..3, y 3..6,
-        // packed `cell << 1 | write`.
-        assert_eq!(sink.packed, vec![0, 7, 2, 9, 4, 11]);
-        assert_eq!(sink.num_cells, 6);
+        // 3 instances × (read x[i], write y[i]).
+        let expected: Vec<_> = (0..3).flat_map(|i| [(0, i, false), (1, i, true)]).collect();
+        assert_eq!(sink.0, expected);
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //!    against (`ir_matches_native`), also timed by the benchmarks.
 //!
 //! [`interp`] is the one interpreter of those semantics. The tiled
-//! Fig. 8/9 programs of Appendix A exist only here and run through it.
+//! Fig. 8/9 programs of Appendix A are the builder reference of
+//! `kernels/tiled/*.iolb`, which `iolb-bench` prices.
 //!
 //! | module | paper artifact |
 //! |---|---|
@@ -26,9 +27,6 @@
 //! | [`gebd2`] | reduction to bidiagonal form (LAPACK GEBD2) |
 //! | [`gehd2`] | reduction to Hessenberg form (Fig. 7) |
 //! | [`gemm`] | matrix multiply — the classical K-partitioning baseline (no hourglass) |
-//!
-//! [`sinks::MemSimSink`] bridges the interpreter to the two-level cache
-//! simulator so any kernel/schedule's I/O can be measured directly.
 
 pub mod exec;
 pub mod gebd2;
@@ -38,7 +36,6 @@ pub mod householder;
 pub mod interp;
 pub mod matrix;
 pub mod mgs;
-pub mod sinks;
 
 pub use interp::{Executable, Interpreter};
 pub use matrix::Matrix;

@@ -3,10 +3,11 @@
 //! * [`executable`] — the right-looking variant of Figure 1, transcribed
 //!   statement-for-statement (statements `SR`/`SU` form the hourglass).
 //! * [`tiled_executable`] / [`tiled_native`] — the left-looking tiled ordering
-//!   of Figure 8 (Appendix A.1) with block size `B`, whose measured I/O is
-//!   `≈ ½·M²N²/S` when `B = ⌊S/M⌋ − 1` — the upper bound that matches the
-//!   new hourglass lower bound of Theorem 5.
-//! * [`native`] / analytic I/O models for the appendix formulas.
+//!   of Figure 8 (Appendix A.1) with block size `B`, the reference for
+//!   `kernels/tiled/mgs_tiled.iolb`, whose measured I/O is `≈ ½·M²N²/S`
+//!   when `B = ⌊S/M⌋ − 1` — the upper bound that matches the new
+//!   hourglass lower bound of Theorem 5.
+//! * [`native`] — the numerical ground truth.
 
 use crate::interp::{Executable, Semantics};
 use crate::matrix::Matrix;
@@ -345,24 +346,6 @@ pub fn tiled_native(a0: &Matrix, block: usize) -> (Matrix, Matrix) {
     (a, r)
 }
 
-/// Appendix A.1 block size: largest `B` with `M(B+1) < S` (at least 1).
-pub fn a1_block_size(m: usize, s: usize) -> usize {
-    (s / m).saturating_sub(1).max(1)
-}
-
-/// Appendix A.1 read-cost model for the tiled ordering at block size `B`:
-/// `½·MN²/B` (panel reloads) + `MN` (block loads).
-pub fn a1_reads_model(m: usize, n: usize, block: usize) -> f64 {
-    let (m, n, b) = (m as f64, n as f64, block as f64);
-    0.5 * m * n * n / b + m * n
-}
-
-/// Appendix A.1 headline I/O: `½·M²N²/S`.
-pub fn a1_io_headline(m: usize, n: usize, s: usize) -> f64 {
-    let (m, n, s) = (m as f64, n as f64, s as f64);
-    0.5 * m * m * n * n / s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -426,40 +409,5 @@ mod tests {
         let p = tiled_executable();
         let n = crate::interp::validate_accesses(&p, &[8, 6, 3]).unwrap();
         assert!(n > 0);
-    }
-
-    #[test]
-    fn tiled_io_beats_untiled_under_lru() {
-        // M=24, N=12, S=128: B = ⌊S/M⌋−1 = 4.
-        let (m, n, s) = (24usize, 12usize, 128usize);
-        let block = a1_block_size(m, s) as i64;
-        let a = Matrix::random(m, n, 5);
-        let untiled = crate::sinks::measure_lru_io(&executable(), &[m as i64, n as i64], s, {
-            let a = a.clone();
-            move |arr, f| if arr.0 == 0 { a.data[f] } else { 0.0 }
-        });
-        let tiled =
-            crate::sinks::measure_lru_io(&tiled_executable(), &[m as i64, n as i64, block], s, {
-                let a = a.clone();
-                move |arr, f| if arr.0 == 0 { a.data[f] } else { 0.0 }
-            });
-        assert!(
-            tiled.loads < untiled.loads,
-            "tiled {} < untiled {}",
-            tiled.loads,
-            untiled.loads
-        );
-    }
-
-    #[test]
-    fn appendix_models_are_consistent() {
-        // With B = ⌊S/M⌋−1 ≈ S/M, the panel-reload term of the reads model
-        // approaches the headline ½M²N²/S (the MN block-move term is lower
-        // order in the paper's regime).
-        let (m, n, s) = (64usize, 32, 512);
-        let b = a1_block_size(m, s);
-        let panel = a1_reads_model(m, n, b) - (m * n) as f64;
-        let headline = a1_io_headline(m, n, s);
-        assert!((panel / headline) < 2.0 && (panel / headline) > 0.5);
     }
 }

@@ -23,9 +23,9 @@
 //!   this cost model rather than merely next-access-greedy.
 //!
 //! Cell ids are expected to be *dense* (array base offset + flat element
-//! index, as produced by the IR trace sinks); every structure here is a flat
-//! slab indexed by cell or by trace position — the hot paths perform no
-//! hashing and no ordered-map rebalancing.
+//! index, as `iolb_ir::DeclaredAccesses` numbers cells); every structure
+//! here is a flat slab indexed by cell or by trace position — the hot
+//! paths perform no hashing and no ordered-map rebalancing.
 //!
 //! Measured `loads` of any schedule are an upper bound witness: lower bounds
 //! derived by `iolb-core` must sit below them.
@@ -336,9 +336,8 @@ impl LruSim {
 /// `set` / `clear` in a handful of word operations (three u64 levels ≈
 /// positions up to 2²⁴ in two cache lines of summaries).
 ///
-/// This is the replacement-policy workhorse shared by the simulators here
-/// and the pebble-game engine in `iolb-cdag`: "farthest next use" queries
-/// reduce to `max` over a set of positions.
+/// This is the simulators' replacement-policy workhorse: "farthest next
+/// use" queries reduce to `max` over a set of positions.
 #[derive(Debug, Default)]
 pub struct MaxPosSet {
     l0: Vec<u64>,

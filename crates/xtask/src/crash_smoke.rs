@@ -17,10 +17,10 @@
 //!    be skipped and counted, never served, and every body must still
 //!    come back correct (recomputed where the record was lost).
 
-use crate::serve_bench::{body_of, exchange, get, head, post, Daemon, ScratchDir};
+use crate::serve_bench::{body_of, exchange, get, head, list_kernels, post, Daemon, ScratchDir};
 use iolb_service::json::{self, Value};
 use iolb_service::AnalyzeRequest;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 /// `crash-smoke` options.
@@ -68,31 +68,6 @@ fn analyze(src: &str, options: &[(&str, &str)]) -> String {
     let mut options = options.to_vec();
     options.push(("derive-only", "true"));
     post("/analyze", &AnalyzeRequest::body(src, &options))
-}
-
-fn list_kernels(dir: &Path) -> Result<Vec<(String, String)>, String> {
-    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
-        .map_err(|e| format!("{}: {e}", dir.display()))?
-        .filter_map(Result::ok)
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|x| x == "iolb"))
-        .collect();
-    files.sort();
-    if files.is_empty() {
-        return Err(format!("no .iolb kernels in {}", dir.display()));
-    }
-    files
-        .into_iter()
-        .map(|p| {
-            let name = p
-                .file_stem()
-                .and_then(|s| s.to_str())
-                .unwrap_or("?")
-                .to_string();
-            let src = std::fs::read_to_string(&p).map_err(|e| format!("{}: {e}", p.display()))?;
-            Ok((name, src))
-        })
-        .collect()
 }
 
 fn store_stat(addr: &str, field: &str) -> Result<u64, String> {

@@ -205,7 +205,9 @@ pub(crate) fn body_of(response: &str) -> Option<&str> {
     response.split_once("\r\n\r\n").map(|(_, b)| b)
 }
 
-fn list_kernels(dir: &Path) -> Result<Vec<(String, String)>, String> {
+/// The `*.iolb` files directly in `dir`, sorted by path, as `(file stem,
+/// source)` pairs. Subdirectories are not searched.
+pub(crate) fn list_kernels(dir: &Path) -> Result<Vec<(String, String)>, String> {
     let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
         .map_err(|e| format!("{}: {e}", dir.display()))?
         .filter_map(Result::ok)
@@ -232,19 +234,21 @@ fn list_kernels(dir: &Path) -> Result<Vec<(String, String)>, String> {
 
 /// Runs the CLI over the whole batch with the bench options and returns
 /// its combined sweep report.
-fn cli_reference(iolb: &Path, kernels_dir: &Path, tmp: &Path) -> Result<Value, String> {
+fn cli_reference(
+    iolb: &Path,
+    kernels_dir: &Path,
+    batch: &[(String, String)],
+    tmp: &Path,
+) -> Result<Value, String> {
     let out = tmp.join("serve_bench_cli.json");
     let mut cmd = Command::new(iolb);
     cmd.args(["--s-grid", S_GRID, "--no-tightness", "--json"])
         .arg(&out);
-    let mut files: Vec<PathBuf> = std::fs::read_dir(kernels_dir)
-        .map_err(|e| format!("{}: {e}", kernels_dir.display()))?
-        .filter_map(Result::ok)
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|x| x == "iolb"))
-        .collect();
-    files.sort();
-    cmd.args(&files);
+    cmd.args(
+        batch
+            .iter()
+            .map(|(name, _)| kernels_dir.join(format!("{name}.iolb"))),
+    );
     let status = cmd
         .status()
         .map_err(|e| format!("cannot run {}: {e}", iolb.display()))?;
@@ -403,7 +407,7 @@ fn serve_bench(opts: &ServeBenchOpts) -> Result<(), String> {
     );
 
     // Reference: the CLI on the same batch with the same options.
-    let cli = cli_reference(&opts.iolb, &opts.kernels, &std::env::temp_dir())?;
+    let cli = cli_reference(&opts.iolb, &opts.kernels, &batch, &std::env::temp_dir())?;
 
     // The bench daemon runs with a scratch persistent store, so the
     // report carries the store counters a production deployment would

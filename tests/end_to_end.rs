@@ -58,53 +58,21 @@ fn full_pipeline_mgs() {
 }
 
 #[test]
-fn upper_and_lower_bounds_sandwich_tiled_mgs() {
-    // Theorem 5 LB ≤ measured tiled I/O ≤ O(Appendix A.1 model): tightness.
-    let (m, n) = (48usize, 24usize);
-    let a = Matrix::random(m, n, 5);
-    let report = mgs_report();
-    let tiled = kernels::mgs::tiled_executable();
-    for s in [256usize, 512, 1024] {
-        let block = kernels::mgs::a1_block_size(m, s);
-        let params = [m as i64, n as i64, block as i64];
-        let data = a.data.clone();
-        let min = kernels::sinks::measure_min_io(&tiled, &params, s, move |arr, f| {
-            if arr.0 == 0 {
-                data[f]
-            } else {
-                0.0
-            }
-        });
-        let lb = report.new.combined.eval_ints_f64(&[
-            (Var::new("M"), m as i128),
-            (Var::new("N"), n as i128),
-            (core::s_var(), s as i128),
-        ]);
-        let model = kernels::mgs::a1_reads_model(m, n, block);
-        assert!(lb <= min.loads as f64, "S={s}");
-        assert!((min.loads as f64) < 3.0 * model, "S={s}");
-    }
-}
-
-#[test]
 fn memsim_agrees_with_pebble_game_ordering() {
-    // The LRU cache simulation of the full trace and an LRU pebble play on
-    // the CDAG implement the same model from two angles; both must sit
-    // above the derived bound and shrink as S grows.
+    // An LRU pebble play on the CDAG must shrink as S grows. The cache-
+    // simulator side, the LRU curve of MGS's declared-access trace, is
+    // held monotone in S by `iolb_bench::sweep`'s
+    // `small_sweep_is_sound_and_min_beats_lru`.
     let exe = kernels::mgs::executable();
     let params = [16i64, 8];
     let g = build_cdag(&exe.program, &params);
     let mut prev_play = u64::MAX;
-    let mut prev_sim = u64::MAX;
     for s in [12usize, 24, 48, 96] {
         let play = PebbleGame::new(&g, s)
             .play_program_order(SpillPolicy::Lru)
             .unwrap();
-        let sim = kernels::sinks::measure_lru_io(&exe, &params, s, |_, f| f as f64);
         assert!(play.loads <= prev_play);
-        assert!(sim.loads <= prev_sim);
         prev_play = play.loads;
-        prev_sim = sim.loads;
     }
 }
 
