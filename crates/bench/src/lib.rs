@@ -26,12 +26,14 @@ pub mod scale;
 pub mod sweep;
 pub mod tightness;
 
+use iolb_cdag::SpillPolicy;
 use iolb_core::report::KernelReport;
-use iolb_govern::{AnalysisError, CancelToken};
+use iolb_govern::CancelToken;
 use iolb_ir::parse::{parse_kernel, KernelFile};
 use iolb_ir::{for_each_instance, DeclaredAccesses, Program};
-use iolb_memsim::{MissCurve, ShardedCurveEngine};
+use iolb_memsim::MissCurve;
 use iolb_symbolic::Var;
+use std::collections::BTreeMap;
 
 /// One paper kernel as shipped in `kernels/`: the file is the only source
 /// of its IR, its analyzed statement (`analyze`) and its §5.3 binding
@@ -232,24 +234,40 @@ fn declared_trace(program: &Program, params: &[i64]) -> Vec<u64> {
 /// Sweeps a tiled order over `S`: at each `S` the order runs at block size
 /// `B(M, S)`, its declared-access trace is priced under LRU and Belady-MIN
 /// by the curve engine, and both are set against the appendix model and
-/// the paper kernel's hourglass lower bound.
+/// the paper kernel's hourglass lower bound. The S values sharing a block
+/// size share one trace and one pass per policy
+/// ([`sweep::price_curves`]), at the group's largest S.
 pub fn sweep_tiled(order: &TiledOrder, m: usize, n: usize, s_values: &[usize]) -> Vec<TiledIoRow> {
     let program = parse_kernel(order.source)
         .unwrap_or_else(|e| panic!("{}: {e}", order.kernel))
         .program;
     let report = paper_kernel(order.kernel).report();
-    let engine = ShardedCurveEngine::new();
     let token = CancelToken::unlimited();
+    let mut horizons: BTreeMap<usize, usize> = BTreeMap::new();
+    for &s in s_values {
+        let horizon = horizons.entry((order.block_size)(m, s)).or_insert(s);
+        *horizon = (*horizon).max(s);
+    }
+    let curves: BTreeMap<usize, [MissCurve; 2]> = horizons
+        .into_iter()
+        .map(|(block, horizon)| {
+            let trace = declared_trace(&program, &[m as i64, n as i64, block as i64]);
+            let curves = sweep::price_curves(
+                &trace,
+                [SpillPolicy::Lru, SpillPolicy::MinNextUse],
+                horizon,
+                sweep::CROSS_CHECK_CAP,
+                &token,
+            )
+            .unwrap_or_else(|e| panic!("{} at B={block}: {e}", program.name));
+            (block, curves)
+        })
+        .collect();
     s_values
         .iter()
         .map(|&s| {
             let block = (order.block_size)(m, s);
-            let trace = declared_trace(&program, &[m as i64, n as i64, block as i64]);
-            let price = |curve: Result<MissCurve, AnalysisError>| {
-                curve
-                    .unwrap_or_else(|e| panic!("{} at S={s}: {e}", program.name))
-                    .loads(s)
-            };
+            let [lru, min] = &curves[&block];
             let env = [
                 (Var::new("M"), m as i128),
                 (Var::new("N"), n as i128),
@@ -258,8 +276,8 @@ pub fn sweep_tiled(order: &TiledOrder, m: usize, n: usize, s_values: &[usize]) -
             TiledIoRow {
                 s,
                 block,
-                lru_loads: price(engine.try_lru(&trace, s, &token)),
-                min_loads: price(engine.try_opt(&trace, s, &token)),
+                lru_loads: lru.loads(s),
+                min_loads: min.loads(s),
                 model: (order.reads_model)(m, n, block),
                 headline: (order.headline)(m, n, s),
                 lower_bound: report.new.combined.eval_ints_f64(&env),
@@ -326,14 +344,15 @@ mod tests {
 
     /// LRU loads of `program`'s declared-access trace at capacity `s`.
     fn lru_loads(program: &Program, params: &[i64], s: usize) -> u64 {
-        ShardedCurveEngine::new()
-            .try_lru(
-                &declared_trace(program, params),
-                s,
-                &CancelToken::unlimited(),
-            )
-            .unwrap()
-            .loads(s)
+        let [lru] = sweep::price_curves(
+            &declared_trace(program, params),
+            [SpillPolicy::Lru],
+            s,
+            sweep::CROSS_CHECK_CAP,
+            &CancelToken::unlimited(),
+        )
+        .unwrap();
+        lru.loads(s)
     }
 
     /// The tiled order at `B = ⌊S/M⌋ − 1` against the shipped untiled

@@ -13,10 +13,10 @@
 //! `BENCH_pebble.json` meta and `xtask gate` watches for wall-time
 //! regressions.
 
-use crate::sweep::ScalingPoint;
+use crate::sweep::{price_curves, ScalingPoint};
 use iolb_cdag::SpillPolicy;
 use iolb_govern::CancelToken;
-use iolb_memsim::{ChunkedTrace, ShardedCurveEngine};
+use iolb_memsim::ChunkedTrace;
 use std::time::Instant;
 
 /// The untiled GEMM element-access trace (`C` initialized, then
@@ -109,18 +109,16 @@ pub fn measure_scaling_series() -> Vec<ScalingPoint> {
 /// [`measure_scaling_series`] over explicit targets (tests use small ones).
 pub fn scaling_series(targets: &[u64]) -> Vec<ScalingPoint> {
     let token = CancelToken::unlimited();
-    let engine = ShardedCurveEngine::new();
     let mut out = Vec::with_capacity(targets.len() * 2);
     for &target in targets {
         let trace = GemmTrace::with_at_least_accesses(target);
         let accesses = trace.len();
         for policy in [SpillPolicy::Lru, SpillPolicy::MinNextUse] {
             let t = Instant::now();
-            let curve = match policy {
-                SpillPolicy::Lru => engine.try_lru(&trace, SCALING_HORIZON, &token),
-                SpillPolicy::MinNextUse => engine.try_opt(&trace, SCALING_HORIZON, &token),
-            }
-            .expect("ungoverned scaling pass");
+            // Cap 0: every point streams through the sharded engine, the
+            // one whose throughput the series records.
+            let [curve] = price_curves(&trace, [policy], SCALING_HORIZON, 0, &token)
+                .expect("ungoverned scaling pass");
             assert_eq!(curve.accesses(), accesses);
             out.push(ScalingPoint {
                 accesses,
@@ -135,7 +133,7 @@ pub fn scaling_series(targets: &[u64]) -> Vec<ScalingPoint> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iolb_memsim::CurveEngine;
+    use iolb_memsim::{CurveEngine, ShardedCurveEngine};
 
     /// The nested-loop construction the `stack_distance` criterion bench
     /// builds (its `gemm_trace()` at n = 24, reproduced here verbatim).

@@ -4,8 +4,8 @@
 //! Every derived lower bound must sit at or below the loads of a real
 //! execution of the kernel at fast-memory size `S`. This module runs that
 //! check as a data-parallel matrix — kernels are prepared (CDAG
-//! construction + trace emission) concurrently, then each
-//! `(kernel, policy)` column is profiled in **one pass** — and renders the
+//! construction) concurrently, then each kernel's trace is priced in
+//! **one pass** per policy column ([`price_curves`]) — and renders the
 //! outcome as both a table and a machine-readable
 //! `BENCH_pebble.json` so successive PRs have a recorded perf/soundness
 //! trajectory.
@@ -40,35 +40,107 @@ use iolb_core::{
     best_engine_bound, BoundProvenance, ClassicalBound, EngineCurve, EngineRegistry, HourglassBound,
 };
 use iolb_govern::{catch_analysis_mut, AnalysisError, Budget, CancelToken, Degradation};
-use iolb_memsim::{CurveEngine, MissCurve, ShardedCurveEngine};
+use iolb_memsim::{ChunkedTrace, CurveEngine, MissCurve, ShardedCurveEngine};
 use iolb_symbolic::Var;
 use rayon::prelude::*;
 use std::time::Instant;
 
-/// How stage 2 prices a policy column.
+/// Which engines stage 2 may price a kernel's curves on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CurveStrategy {
-    /// Sharded streaming passes fed straight from the CDAG pull source
-    /// ([`Cdag::program_order_trace`]) — the trace is never materialized
-    /// for pricing. Columns whose trace fits under
-    /// [`CROSS_CHECK_CAP`] events are additionally re-priced by the
-    /// materialized single-threaded reference engine and the two curves
-    /// must be bitwise equal ([`AnalysisError::Internal`] otherwise).
+    /// The size rule ([`price_curves`] at [`CROSS_CHECK_CAP`]): a trace of
+    /// at most `CROSS_CHECK_CAP` events is materialized and priced once on
+    /// [`CurveEngine`]; a longer one streams once through
+    /// [`ShardedCurveEngine`] straight from the CDAG pull source
+    /// ([`Cdag::program_order_trace`]) and is never materialized. The name
+    /// (and its `streaming` fingerprint text) predates the rule and is kept
+    /// so persisted store keys stay valid.
     ///
     /// [`Cdag::program_order_trace`]: iolb_cdag::Cdag::program_order_trace
     #[default]
     Streaming,
-    /// The legacy fully-materialized single-threaded engine only (the
-    /// reference path, forced).
+    /// Every trace materialized and priced on [`CurveEngine`], whatever its
+    /// length.
     Materialized,
 }
 
-/// Largest trace (events) the streaming strategy re-prices through the
-/// materialized reference engine as a bitwise cross-check. Every shipped
-/// validation kernel sits far below this, so the reference runs on all of
-/// them in CI; out-of-core traces skip it (materializing them is exactly
-/// what the streaming path exists to avoid).
+impl CurveStrategy {
+    /// The largest trace (events) this strategy materializes.
+    fn cap(self) -> u64 {
+        match self {
+            CurveStrategy::Streaming => CROSS_CHECK_CAP,
+            CurveStrategy::Materialized => u64::MAX,
+        }
+    }
+}
+
+/// The sweep's two policy columns, in row order.
+const POLICIES: [SpillPolicy; 2] = [SpillPolicy::Lru, SpillPolicy::MinNextUse];
+
+/// Largest trace (events) production materializes and prices on
+/// [`CurveEngine`]; longer traces stream through [`ShardedCurveEngine`].
+/// On one worker the materialized engine is the faster of the two (release
+/// build on a 2-vCPU shared Xeon host, mgs M=512,N=32, 2.1·10⁶ events: LRU
+/// 112–151 vs 341–368 ms, OPT 536–566 vs 919–1030 ms), and a trace at the
+/// cap is 32 MiB packed. The name is
+/// kept from when it bounded a run-time cross-check of the two engines;
+/// that equivalence is now a test (`crates/bench/tests/curve_engines.rs`).
 pub const CROSS_CHECK_CAP: u64 = 1 << 22;
+
+/// Prices the miss curve of `trace` under each of `policies`, exact at
+/// capacities `1..=horizon`, once per policy on the engine the trace's
+/// length calls for: a trace of at most `cap` events is materialized
+/// (borrowed when the source is already resident,
+/// [`ChunkedTrace::as_packed`]) and priced on one [`CurveEngine`]; a
+/// longer one streams through [`ShardedCurveEngine`] without being
+/// materialized. Both engines give bitwise-equal curves. The validation
+/// sweep, the tightness tuner and [`crate::sweep_tiled`] all price through
+/// here, at [`CROSS_CHECK_CAP`]; the scaling series passes cap 0 to time
+/// the sharded engine.
+///
+/// # Errors
+/// Cancellation or deadline from `token` (polled at [`Seam::LruPass`] /
+/// [`Seam::OptPass`]), or an engine's typed refusal.
+///
+/// [`Seam::LruPass`]: iolb_govern::Seam::LruPass
+/// [`Seam::OptPass`]: iolb_govern::Seam::OptPass
+pub fn price_curves<const N: usize>(
+    trace: &(impl ChunkedTrace + ?Sized),
+    policies: [SpillPolicy; N],
+    horizon: usize,
+    cap: u64,
+    token: &CancelToken,
+) -> Result<[MissCurve; N], AnalysisError> {
+    let mut curves = Vec::with_capacity(N);
+    if trace.len() > cap {
+        let engine = ShardedCurveEngine::new();
+        for policy in policies {
+            curves.push(match policy {
+                SpillPolicy::Lru => engine.try_lru(trace, horizon, token)?,
+                SpillPolicy::MinNextUse => engine.try_opt(trace, horizon, token)?,
+            });
+        }
+    } else {
+        let owned: Vec<u64>;
+        let packed = match trace.as_packed() {
+            Some(packed) => packed,
+            None => {
+                let mut buf = vec![0; trace.len() as usize];
+                trace.fill(0, &mut buf);
+                owned = buf;
+                &owned
+            }
+        };
+        let mut engine = CurveEngine::new();
+        for policy in policies {
+            curves.push(match policy {
+                SpillPolicy::Lru => engine.try_lru_packed(packed, horizon, token)?,
+                SpillPolicy::MinNextUse => engine.try_opt_packed(packed, horizon, token)?,
+            });
+        }
+    }
+    Ok(curves.try_into().expect("one curve per policy"))
+}
 
 /// Escapes a string for embedding in the hand-rolled JSON emitters
 /// (quotes, backslashes, and control characters; everything else is
@@ -261,18 +333,14 @@ pub fn default_sweep_kernels_at(size: SweepSize) -> Vec<SweepKernel> {
         .collect()
 }
 
-/// A prepared kernel: exact CDAG, its bounds, and the packed
-/// program-order value-access trace — shared across both policy columns.
+/// A prepared kernel: exact CDAG (the source of its program-order
+/// value-access trace) and its bounds.
 struct Prepared {
     name: String,
     params: Vec<i64>,
     env: Vec<(Var, i128)>,
     s_values: Vec<usize>,
     cdag: Cdag,
-    /// Materialized packed trace for the reference engine — `None` when
-    /// the streaming strategy skipped materialization (trace above
-    /// [`CROSS_CHECK_CAP`]).
-    reference: Option<Vec<u64>>,
     classical: Option<ClassicalBound>,
     hourglass: Option<HourglassBound>,
     /// Graph-level engine bounds, one curve per selected engine, indexed
@@ -320,12 +388,14 @@ pub struct SweepRow {
     pub lb_provenance: BoundProvenance,
     /// Measured loads over the best bound (≥ 1 for sound bounds).
     pub ratio: f64,
-    /// One-time preparation cost of this cell's kernel (CDAG build + trace
-    /// emission + graph-engine curves, milliseconds) — shared across the
-    /// kernel's cells, not a per-cell cost.
+    /// One-time preparation cost of this cell's kernel (CDAG build +
+    /// graph-engine curves, milliseconds) — shared across the kernel's
+    /// cells, not a per-cell cost.
     pub prep_ms: f64,
-    /// Wall time of this cell's whole policy column (one stack-distance
-    /// pass produced every S point of the column, milliseconds).
+    /// Wall time of pricing this cell's kernel's curves (the trace's
+    /// materialization when the size rule takes it, then one
+    /// stack-distance pass per policy that produced every S point,
+    /// milliseconds) — shared across the kernel's cells.
     pub wall_ms: f64,
 }
 
@@ -435,7 +505,9 @@ pub fn try_run_sweep(
 
 /// [`try_run_sweep`] with an explicit graph-level engine selection and
 /// curve-pricing strategy — the full-control entry point the service
-/// pipeline drives.
+/// pipeline drives. Each kernel's curves are priced once through
+/// [`price_curves`], at [`CROSS_CHECK_CAP`] under
+/// [`CurveStrategy::Streaming`].
 ///
 /// Engine curves are evaluated during stage-1 preparation on the exact
 /// CDAG at every grid `S`. They are deliberately *not* charged against the
@@ -453,12 +525,25 @@ pub fn try_run_sweep_opts(
     registry: &EngineRegistry,
     strategy: CurveStrategy,
 ) -> Result<SweepReport, AnalysisError> {
+    sweep_at_cap(kernels, budget, token, registry, strategy.cap())
+}
+
+/// [`try_run_sweep_opts`] with the size rule's cap as a plain argument, so
+/// tests reach the streaming branch on traces far below
+/// [`CROSS_CHECK_CAP`].
+fn sweep_at_cap(
+    kernels: Vec<SweepKernel>,
+    budget: &Budget,
+    token: &CancelToken,
+    registry: &EngineRegistry,
+    cap: u64,
+) -> Result<SweepReport, AnalysisError> {
     let t_total = Instant::now();
     // Scoped worker accounting: `meta.threads` must describe THIS sweep,
     // not whatever parallel stage ran earlier in the process.
     let workers = rayon::worker_scope();
-    // Stage 1: per-kernel preparation (CDAG + trace + engine curves) in
-    // parallel. The symbolic bounds arrive derived on the kernel.
+    // Stage 1: per-kernel preparation (CDAG + engine curves) in parallel.
+    // The symbolic bounds arrive derived on the kernel.
     let prepared: Vec<Prepared> = kernels
         .into_par_iter()
         .map(|k| -> Result<Prepared, AnalysisError> {
@@ -470,7 +555,7 @@ pub fn try_run_sweep_opts(
                 let env = k.env();
                 let cdag = try_build_cdag(&k.program, &k.params, budget, token)?;
                 // Trace length is known from the CSR alone — charge the
-                // budget *before* deciding whether to materialize at all.
+                // budget before anything prices or materializes it.
                 let trace_len = (cdag.num_edges() + cdag.num_computes()) as u64;
                 if trace_len > budget.max_trace_len {
                     return Err(AnalysisError::BudgetExceeded {
@@ -479,15 +564,6 @@ pub fn try_run_sweep_opts(
                         limit: budget.max_trace_len,
                     });
                 }
-                let reference = match strategy {
-                    CurveStrategy::Materialized => true,
-                    CurveStrategy::Streaming => trace_len <= CROSS_CHECK_CAP,
-                }
-                .then(|| {
-                    let mut trace = Vec::new();
-                    cdag.packed_program_order_trace(&mut trace);
-                    trace
-                });
                 let min_s = cdag.max_in_degree() + 1;
                 let s_values: Vec<usize> = k.s_offsets.iter().map(|&off| min_s + off).collect();
                 let engine_curves = registry.evaluate(&cdag, &s_values);
@@ -497,7 +573,6 @@ pub fn try_run_sweep_opts(
                     env,
                     s_values,
                     cdag,
-                    reference,
                     classical: k.classical,
                     hourglass: k.hourglass,
                     engine_curves,
@@ -509,75 +584,28 @@ pub fn try_run_sweep_opts(
         .into_iter()
         .collect::<Result<Vec<Prepared>, AnalysisError>>()?;
 
-    // Stage 2: one stack-distance pass per (kernel, policy) column. The
-    // streaming strategy prices each column shard-parallel straight from
-    // the CDAG pull source; whenever the materialized reference exists the
-    // legacy engine re-prices the column and the curves must be bitwise
-    // equal — the cross-check that keeps the two implementations pinned
-    // to each other on every shipped kernel.
-    let columns: Vec<(usize, SpillPolicy)> = (0..prepared.len())
-        .flat_map(|ki| [(ki, SpillPolicy::Lru), (ki, SpillPolicy::MinNextUse)])
-        .collect();
-    let curves: Vec<(MissCurve, f64)> = columns
+    // Stage 2: each kernel's LRU and OPT curves, priced once per policy
+    // on the engine its trace length calls for.
+    let curves: Vec<([MissCurve; 2], f64)> = prepared
         .par_iter()
-        .map(|&(ki, policy)| -> Result<(MissCurve, f64), AnalysisError> {
+        .map(|p| -> Result<([MissCurve; 2], f64), AnalysisError> {
             catch_analysis_mut(|| {
-                let p = &prepared[ki];
                 let horizon = p.s_values.iter().copied().max().unwrap_or(1);
                 let t = Instant::now();
-                let curve = match strategy {
-                    CurveStrategy::Materialized => {
-                        let trace = p.reference.as_deref().expect("materialized strategy");
-                        let mut engine = CurveEngine::new();
-                        match policy {
-                            SpillPolicy::Lru => engine.try_lru_packed(trace, horizon, token)?,
-                            SpillPolicy::MinNextUse => {
-                                engine.try_opt_packed(trace, horizon, token)?
-                            }
-                        }
-                    }
-                    CurveStrategy::Streaming => {
-                        let source = p.cdag.program_order_trace();
-                        let sharded = ShardedCurveEngine::new();
-                        let curve = match policy {
-                            SpillPolicy::Lru => sharded.try_lru(&source, horizon, token)?,
-                            SpillPolicy::MinNextUse => sharded.try_opt(&source, horizon, token)?,
-                        };
-                        if let Some(trace) = p.reference.as_deref() {
-                            let mut engine = CurveEngine::new();
-                            let want = match policy {
-                                SpillPolicy::Lru => engine.try_lru_packed(trace, horizon, token)?,
-                                SpillPolicy::MinNextUse => {
-                                    engine.try_opt_packed(trace, horizon, token)?
-                                }
-                            };
-                            if want != curve {
-                                return Err(AnalysisError::Internal(format!(
-                                    "{}: streaming {:?} curve diverges from the \
-                                     materialized reference",
-                                    p.name, policy
-                                )));
-                            }
-                        }
-                        curve
-                    }
-                };
-                Ok((curve, t.elapsed().as_secs_f64() * 1e3))
+                let curves =
+                    price_curves(&p.cdag.program_order_trace(), POLICIES, horizon, cap, token)?;
+                Ok((curves, t.elapsed().as_secs_f64() * 1e3))
             })
         })
-        .collect::<Vec<Result<(MissCurve, f64), AnalysisError>>>()
+        .collect::<Vec<Result<([MissCurve; 2], f64), AnalysisError>>>()
         .into_iter()
-        .collect::<Result<Vec<(MissCurve, f64)>, AnalysisError>>()?;
+        .collect::<Result<Vec<([MissCurve; 2], f64)>, AnalysisError>>()?;
 
     // Assemble rows in (kernel, S, {LRU, MIN}) order from the curves.
     let mut rows = Vec::new();
-    for (ki, p) in prepared.iter().enumerate() {
+    for (p, (kernel_curves, wall_ms)) in prepared.iter().zip(&curves) {
         for (si, &s) in p.s_values.iter().enumerate() {
-            for (ci, policy) in [
-                (2 * ki, SpillPolicy::Lru),
-                (2 * ki + 1, SpillPolicy::MinNextUse),
-            ] {
-                let (curve, wall_ms) = &curves[ci];
+            for (curve, policy) in kernel_curves.iter().zip(POLICIES) {
                 let loads = curve.loads(s);
                 let lb_classical = p
                     .classical
@@ -837,6 +865,7 @@ pub fn sweep_report_json_with(report: &SweepReport, redact_volatile: bool) -> St
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iolb_govern::{Fault, FaultKind, Seam};
 
     /// Small-size sweep: the full matrix machinery on fast cases, asserting
     /// soundness (bound ≤ measured loads) and the MIN ≤ LRU invariant per
@@ -981,8 +1010,8 @@ mod tests {
     /// Satellite pin: `meta.threads` is scoped to the sweep invocation.
     /// A wide parallel stage running earlier in the process inflates the
     /// process-global high-water but must not leak into the report — a
-    /// one-kernel sweep can engage at most 2 workers (its two policy
-    /// columns), whatever ran before it.
+    /// one-kernel sweep prices one kernel per stage, so it can engage at
+    /// most 2 workers, whatever ran before it.
     #[test]
     fn threads_are_scoped_to_the_sweep_invocation() {
         let _inflate: Vec<u64> = (0..64u64)
@@ -1002,33 +1031,65 @@ mod tests {
         );
     }
 
-    /// The streaming sharded strategy and the legacy materialized strategy
-    /// price every cell identically (the in-pass cross-check enforces
-    /// bitwise curve equality; this pins the row-level outcome too).
+    /// Two small kernels on the coarse grid, the sharded branch's fixture.
+    fn two_small_kernels() -> Vec<SweepKernel> {
+        let mut kernels = default_sweep_kernels_at(SweepSize::Small);
+        kernels.truncate(2);
+        for k in &mut kernels {
+            k.s_offsets = coarse_s_offsets();
+        }
+        kernels
+    }
+
+    /// Production reaches the streaming branch of the size rule only above
+    /// `CROSS_CHECK_CAP` events, far beyond any tier-1 trace; cap 0 sends
+    /// every trace through it, and the rows must match the materialized
+    /// branch's row for row.
     #[test]
     fn curve_strategies_agree_cell_for_cell() {
-        let run = |strategy| {
-            let mut kernels = default_sweep_kernels_at(SweepSize::Small);
-            kernels.truncate(2);
-            for k in &mut kernels {
-                k.s_offsets = coarse_s_offsets();
-            }
-            try_run_sweep_opts(
-                kernels,
+        let registry = EngineRegistry::all();
+        let run = |cap| {
+            sweep_at_cap(
+                two_small_kernels(),
                 &Budget::unlimited(),
                 &CancelToken::unlimited(),
-                &EngineRegistry::all(),
-                strategy,
+                &registry,
+                cap,
             )
             .expect("sweep")
         };
-        let streaming = run(CurveStrategy::Streaming);
-        let materialized = run(CurveStrategy::Materialized);
-        assert_eq!(streaming.rows.len(), materialized.rows.len());
-        for (a, b) in streaming.rows.iter().zip(&materialized.rows) {
+        let streamed = run(0);
+        let materialized = run(u64::MAX);
+        assert_eq!(streamed.rows.len(), materialized.rows.len());
+        for (a, b) in streamed.rows.iter().zip(&materialized.rows) {
             assert_eq!(
                 (a.kernel.as_str(), a.s, a.policy, a.loads),
                 (b.kernel.as_str(), b.s, b.policy, b.loads)
+            );
+        }
+    }
+
+    /// A deadline armed at either curve-pass seam surfaces as its typed
+    /// error through the sweep's streaming branch (the materialized branch
+    /// is covered by `tests/cancellation.rs`).
+    #[test]
+    fn streaming_branch_faults_are_typed() {
+        for seam in [Seam::LruPass, Seam::OptPass] {
+            let token = CancelToken::with_fault(Fault {
+                kind: FaultKind::Deadline,
+                seam,
+            });
+            let err = sweep_at_cap(
+                two_small_kernels(),
+                &Budget::unlimited(),
+                &token,
+                &EngineRegistry::all(),
+                0,
+            )
+            .expect_err("a deadline at a curve-pass seam must abort the sweep");
+            assert!(
+                matches!(err, AnalysisError::Deadline { .. }),
+                "{seam:?}: got {err}"
             );
         }
     }

@@ -17,8 +17,9 @@
 //!    exactly dependence preservation (RAW/WAR/WAW all surface as a
 //!    mismatch), so illegal interchanges are rejected without ever
 //!    building a CDAG permutation or playing a pebble game;
-//! 3. a single OPT stack-distance pass ([`iolb_memsim::ShardedCurveEngine`],
-//!    fed through the slice `ChunkedTrace` bridge)
+//! 3. a single OPT stack-distance pass on the in-memory trace
+//!    ([`crate::sweep::price_curves`]: [`iolb_memsim::CurveEngine`] up to
+//!    [`crate::sweep::CROSS_CHECK_CAP`] events, the sharded engine above)
 //!    turns the candidate's trace into its exact Belady-MIN miss curve —
 //!    the loads of the best possible demand replacement for that schedule
 //!    at **every** swept `S` at once, bitwise what a `BeladySim` replay
@@ -43,8 +44,10 @@
 //! orderings are invariants (`upper ≤ program-order`, `upper ≤ LRU view`),
 //! and both are checked here.
 
-use crate::sweep::{governance_json, json_num, DegradationRow, FailureRow};
-use iolb_cdag::try_build_cdag;
+use crate::sweep::{
+    governance_json, json_num, price_curves, DegradationRow, FailureRow, CROSS_CHECK_CAP,
+};
+use iolb_cdag::{try_build_cdag, SpillPolicy};
 use iolb_core::report::TightnessPoint;
 use iolb_core::{ClassicalBound, HourglassBound};
 use iolb_govern::{catch_analysis_mut, AnalysisError, Budget, CancelToken, Degradation, Seam};
@@ -52,7 +55,7 @@ use iolb_ir::interp::OutOfRange;
 use iolb_ir::parse::TileDirective;
 use iolb_ir::schedule::{tile_program, TileSpec};
 use iolb_ir::{for_each_instance, try_for_each_instance, DeclaredAccesses, Program, StmtId};
-use iolb_memsim::{MissCurve, ShardedCurveEngine};
+use iolb_memsim::MissCurve;
 use iolb_symbolic::Var;
 use rayon::prelude::*;
 use std::collections::HashMap;
@@ -490,9 +493,8 @@ fn measure_kernel(
     // the shared buffer, then read every S point off one OPT curve.
     // Program order (index 0) is the reference itself, so every cell ends
     // up populated. Candidate traces are necessarily materialized (the
-    // version legality check writes them), so they feed the sharded
-    // streaming engine through the slice `ChunkedTrace` bridge.
-    let engine = ShardedCurveEngine::new();
+    // version legality check writes them), so the size rule prices them in
+    // place.
     let mut trace_buf: Vec<u64> = Vec::with_capacity(tref.trace.len());
     let mut wc = vec![0u32; tref.accesses.num_cells()];
     let mut best: Vec<Option<(u64, usize)>> = vec![None; s_values.len()];
@@ -516,7 +518,13 @@ fn measure_kernel(
                 &trace_buf
             }
         };
-        let curve = engine.try_opt(trace, s_max, token)?;
+        let [curve] = price_curves(
+            trace,
+            [SpillPolicy::MinNextUse],
+            s_max,
+            CROSS_CHECK_CAP,
+            token,
+        )?;
         for (si, &s) in s_values.iter().enumerate() {
             let loads = curve.loads(s);
             if ci == 0 {
@@ -546,7 +554,8 @@ fn measure_kernel(
                 &trace_buf
             }
         };
-        lru_curves.insert(ci, engine.try_lru(trace, s_max, token)?);
+        let [lru] = price_curves(trace, [SpillPolicy::Lru], s_max, CROSS_CHECK_CAP, token)?;
+        lru_curves.insert(ci, lru);
     }
 
     let mut points = Vec::with_capacity(s_values.len());

@@ -1,11 +1,9 @@
-//! Cancellation-seam coverage (issue satellite 3): a cancel/deadline/fault
-//! landing *mid-pass* at every governed seam must surface as the right
-//! typed error within a bounded number of polls, leave no corrupted state
-//! behind, and never abort the process.
+//! Cancellation-seam coverage: a cancel/deadline/fault landing *mid-pass*
+//! at every governed seam must surface as the right typed error within a
+//! bounded number of polls, leave no corrupted state behind, and never
+//! abort the process.
 
-use iolb_bench::sweep::{
-    default_sweep_kernels_at, try_run_sweep, try_run_sweep_opts, CurveStrategy, SweepSize,
-};
+use iolb_bench::sweep::{default_sweep_kernels_at, try_run_sweep, SweepSize};
 use iolb_bench::tightness::{try_run_tightness, TightnessJob};
 use iolb_cdag::try_build_cdag;
 use iolb_govern::{catch_analysis_mut, AnalysisError, Budget, CancelToken, Fault, FaultKind, Seam};
@@ -232,9 +230,11 @@ fn sweep_respects_trace_budget_and_external_cancel() {
     assert!(matches!(err, AnalysisError::Cancelled), "got {err}");
 }
 
-/// The default sweep path prices curves through the *sharded* engines, so
-/// a fault armed at a curve-pass seam must surface from inside the shard
-/// workers — through `try_run_sweep`, not just the engine unit tests.
+/// A fault armed at a curve-pass seam must surface through `try_run_sweep`,
+/// not just the engine unit tests. These traces sit under
+/// `CROSS_CHECK_CAP`, so the default path prices them on the materialized
+/// engine; the sweep's unit test `streaming_branch_faults_are_typed` arms
+/// the same faults on the sharded branch.
 #[test]
 fn sweep_faults_at_shard_seams_are_typed() {
     let token = CancelToken::with_fault(Fault {
@@ -260,44 +260,4 @@ fn sweep_faults_at_shard_seams_are_typed() {
     )
     .expect_err("deadline at the OPT shard seam must abort the sweep");
     assert!(matches!(err, AnalysisError::Deadline { .. }), "got {err}");
-}
-
-/// Issue acceptance: the streaming sharded path is bitwise-equal to the
-/// materialized reference on *every* shipped kernel — same rows, same
-/// measured loads, cell for cell. (Traces at `SweepSize::Small` sit under
-/// `CROSS_CHECK_CAP`, so the streaming run additionally re-prices each
-/// curve on the materialized engine internally and would already have
-/// failed with `Internal` on any divergence; this test pins the
-/// report-level equality end to end.)
-#[test]
-fn all_shipped_kernels_price_identically_under_both_strategies() {
-    let registry = iolb_core::EngineRegistry::all();
-    let run = |strategy| {
-        try_run_sweep_opts(
-            default_sweep_kernels_at(SweepSize::Small),
-            &Budget::unlimited(),
-            &CancelToken::unlimited(),
-            &registry,
-            strategy,
-        )
-        .expect("sweep")
-    };
-    let streaming = run(CurveStrategy::Streaming);
-    let materialized = run(CurveStrategy::Materialized);
-    assert_eq!(streaming.rows.len(), materialized.rows.len());
-    assert!(
-        streaming.rows.len() >= 5,
-        "all shipped kernels present, got {}",
-        streaming.rows.len()
-    );
-    for (s, m) in streaming.rows.iter().zip(&materialized.rows) {
-        assert_eq!(s.kernel, m.kernel);
-        assert_eq!(s.s, m.s);
-        assert_eq!(s.policy, m.policy);
-        assert_eq!(
-            s.loads, m.loads,
-            "{} S={} {:?}: streaming vs materialized loads",
-            s.kernel, s.s, s.policy
-        );
-    }
 }

@@ -38,11 +38,12 @@ OPTIONS:
     --engines SPEC        graph-level bound engines for the sweep report:
                           `all` (default), `none`, or a comma list drawn
                           from input-floor, visit, spectral
-    --curve-strategy MODE curve-pricing path of the validation sweep:
-                          `streaming` (default — sharded passes fed
-                          straight from the CDAG, cross-checked against
-                          the materialized engine on small traces) or
-                          `materialized` (force the reference engine)
+    --curve-strategy MODE curve engine of the validation sweep:
+                          `streaming` (default — traces up to 2^22
+                          accesses are materialized and priced once on the
+                          single-pass engine, longer ones stream through
+                          the sharded engine) or `materialized` (every
+                          trace on the single-pass engine)
     -h, --help            this text
 
 RESOURCE GOVERNANCE (admission control refuses or down-scopes a kernel

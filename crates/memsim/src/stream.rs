@@ -59,11 +59,17 @@ pub trait ChunkedTrace: Sync {
     /// # Panics
     /// Implementations may panic when the window exceeds the trace.
     fn fill(&self, start: u64, buf: &mut [u64]);
+
+    /// The whole trace as one resident slice, when the source already holds
+    /// it in memory (so pricing it materialized needs no copy).
+    fn as_packed(&self) -> Option<&[u64]> {
+        None
+    }
 }
 
 /// A materialized packed trace is trivially chunked — the bridge that
-/// lets every existing `Vec<u64>` trace (tightness candidates, fuzz
-/// cases) flow through the sharded engines.
+/// lets any `Vec<u64>` trace (a tightness candidate above the size rule's
+/// cap, a fuzz case) flow through the sharded engines.
 impl ChunkedTrace for [u64] {
     fn len(&self) -> u64 {
         <[u64]>::len(self) as u64
@@ -72,6 +78,10 @@ impl ChunkedTrace for [u64] {
     fn fill(&self, start: u64, buf: &mut [u64]) {
         let s = start as usize;
         buf.copy_from_slice(&self[s..s + buf.len()]);
+    }
+
+    fn as_packed(&self) -> Option<&[u64]> {
+        Some(self)
     }
 }
 
@@ -83,6 +93,10 @@ impl ChunkedTrace for Vec<u64> {
     fn fill(&self, start: u64, buf: &mut [u64]) {
         ChunkedTrace::fill(self.as_slice(), start, buf);
     }
+
+    fn as_packed(&self) -> Option<&[u64]> {
+        Some(self)
+    }
 }
 
 impl<T: ChunkedTrace + ?Sized> ChunkedTrace for &T {
@@ -92,6 +106,10 @@ impl<T: ChunkedTrace + ?Sized> ChunkedTrace for &T {
 
     fn fill(&self, start: u64, buf: &mut [u64]) {
         (**self).fill(start, buf)
+    }
+
+    fn as_packed(&self) -> Option<&[u64]> {
+        (**self).as_packed()
     }
 }
 

@@ -37,9 +37,9 @@ pub struct AnalysisOptions {
     pub budget: Budget,
     /// Refuse instead of stepping down the degradation ladder.
     pub no_degrade: bool,
-    /// Curve-pricing path of the validation sweep: streaming sharded
-    /// engines (default, cross-checked on small traces) or the legacy
-    /// materialized reference engine, forced.
+    /// Curve engines of the validation sweep: the size rule (default;
+    /// the materialized engine up to `CROSS_CHECK_CAP` events, the
+    /// sharded engine above) or the materialized engine for every trace.
     pub curve_strategy: CurveStrategy,
     /// One-shot injected fault (testing). Requests carrying a fault
     /// bypass the result cache entirely: the point is to exercise the

@@ -213,10 +213,10 @@ pub fn derive_stage(
 /// per grid point. The sweep evaluates `derived`'s bounds as they are; it
 /// derives nothing, and it sweeps a clone of `program`.
 ///
-/// `strategy` picks the curve-pricing path: the streaming sharded
-/// engines fed straight from the CDAG (default; cross-checked against
-/// the materialized reference on small traces) or the legacy
-/// materialized engine, forced.
+/// `strategy` picks the curve engines: the size rule (default; traces up
+/// to `CROSS_CHECK_CAP` events on the materialized engine, longer ones
+/// streamed through the sharded engine) or the materialized engine for
+/// every trace.
 ///
 /// # Errors
 /// The first typed error any sweep stage produced.
