@@ -6,12 +6,17 @@
 //! on one engine only (the size rule of `iolb_bench::sweep::price_curves`),
 //! so this test is what keeps the two pinned to each other on the real
 //! kernels.
+//!
+//! A release-only test (`#[ignore]`d; run it with `cargo test --release -p
+//! iolb-bench --test curve_engines -- --ignored`) prices the four `regime`
+//! kernels at their full sizes through `price_curves` and checks every
+//! dense-grid point against `LruSim` / `BeladySim` replays.
 
-use iolb_bench::sweep::dense_s_offsets;
-use iolb_cdag::try_build_cdag;
+use iolb_bench::sweep::{dense_s_offsets, price_curves, CROSS_CHECK_CAP};
+use iolb_cdag::{try_build_cdag, SpillPolicy};
 use iolb_govern::{Budget, CancelToken};
 use iolb_ir::parse_kernel;
-use iolb_memsim::{CurveEngine, ShardedCurveEngine};
+use iolb_memsim::{BeladySim, CurveEngine, LruSim, ShardedCurveEngine};
 use std::path::{Path, PathBuf};
 
 /// `kernels/tiled/*.iolb` declare no defaults; they run at the size of the
@@ -84,4 +89,65 @@ fn shipped_kernels_price_identically_on_both_engines() {
         }
     }
     assert_eq!(priced, 13, "11 shipped kernels and 2 tiled orders");
+}
+
+/// The kernels and sizes where the hourglass bound wins (`S ≪ M`): the
+/// traces run to 1–2·10⁶ events, so their OPT stacks fill the whole
+/// dense-grid horizon.
+const REGIME: [(&str, [(&str, i64); 2]); 4] = [
+    ("mgs", [("M", 512), ("N", 32)]),
+    ("qr_hh_a2v", [("M", 256), ("N", 32)]),
+    ("qr_hh_v2q", [("M", 256), ("N", 32)]),
+    ("gebd2", [("M", 128), ("N", 32)]),
+];
+
+#[test]
+#[ignore = "release-only: replays two simulators per grid point on 10^6-event traces"]
+fn regime_kernels_price_like_the_simulators_at_every_grid_point() {
+    let kernels = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../kernels");
+    let token = CancelToken::unlimited();
+    for (name, sizes) in REGIME {
+        let path = kernels.join(format!("{name}.iolb"));
+        let src = std::fs::read_to_string(&path).expect("readable kernel file");
+        let kernel = parse_kernel(&src).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let mut params = kernel
+            .default_params()
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        for (param, value) in sizes {
+            let i = kernel.program.params.iter().position(|p| p == param);
+            params[i.unwrap_or_else(|| panic!("{name} has no parameter {param}"))] = value;
+        }
+        let cdag = try_build_cdag(&kernel.program, &params, &Budget::unlimited(), &token)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let mut packed = Vec::new();
+        cdag.packed_program_order_trace(&mut packed);
+        assert!(
+            packed.len() as u64 <= CROSS_CHECK_CAP,
+            "{name}: priced materialized"
+        );
+        // The sweep's dense grid and horizon.
+        let min_s = cdag.max_in_degree() + 1;
+        let s_values: Vec<usize> = dense_s_offsets().iter().map(|off| min_s + off).collect();
+        let horizon = *s_values.last().unwrap();
+        let [lru, opt] = price_curves(
+            &cdag.program_order_trace(),
+            [SpillPolicy::Lru, SpillPolicy::MinNextUse],
+            horizon,
+            CROSS_CHECK_CAP,
+            &token,
+        )
+        .unwrap_or_else(|e| panic!("{name}: {e}"));
+        for s in s_values {
+            assert_eq!(
+                lru.loads(s),
+                LruSim::new(s).run_packed(&packed).loads,
+                "{name} {params:?}: LRU loads at S={s}"
+            );
+            assert_eq!(
+                opt.loads(s),
+                BeladySim::new(s).run_packed(&packed).loads,
+                "{name} {params:?}: OPT loads at S={s}"
+            );
+        }
+    }
 }

@@ -78,21 +78,24 @@ impl IoStats {
 
 pub(crate) const NIL: u32 = u32::MAX;
 
+/// Cell-id universe size of a trace: one past its largest cell id, 0 for
+/// an empty trace. One read of the trace, taken before any cell-sized
+/// table is allocated.
+pub(crate) fn cell_universe(len: usize, at: &impl Fn(usize) -> (usize, bool)) -> usize {
+    (0..len).map(|t| at(t).0 + 1).max().unwrap_or(0)
+}
+
 /// Reverse-pass next-use threading shared by [`BeladySim`] and the
 /// stack-distance profilers in [`curve`]: after the call, `chain[t]` is
 /// the next position accessing the same cell as position `t` ([`NIL`]
-/// when there is none). Returns the cell-id universe size.
+/// when there is none). `cells` is the trace's [`cell_universe`].
 pub(crate) fn thread_next_use(
     len: usize,
+    cells: usize,
     at: &impl Fn(usize) -> (usize, bool),
     chain: &mut Vec<u32>,
     head: &mut Vec<u32>,
-) -> usize {
-    let mut max_cell = 0usize;
-    for t in 0..len {
-        max_cell = max_cell.max(at(t).0);
-    }
-    let cells = if len == 0 { 0 } else { max_cell + 1 };
+) {
     chain.clear();
     chain.resize(len, NIL);
     head.clear();
@@ -102,7 +105,6 @@ pub(crate) fn thread_next_use(
         chain[t] = head[cell];
         head[cell] = t as u32;
     }
-    cells
 }
 
 /// Fully-associative LRU cache of `capacity` elements, O(1) per access.
@@ -476,7 +478,8 @@ impl BeladySim {
     /// (`at(t) -> (cell, write)` must be pure).
     fn run_by(&mut self, len: usize, at: impl Fn(usize) -> (usize, bool)) -> IoStats {
         // Reverse pass: chain[t] = next position accessing the same cell.
-        let cells = thread_next_use(len, &at, &mut self.chain, &mut self.head);
+        let cells = cell_universe(len, &at);
+        thread_next_use(len, cells, &at, &mut self.chain, &mut self.head);
 
         // Forward pass state, all dense by cell or position.
         self.next_pos.clear();

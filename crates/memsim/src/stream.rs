@@ -29,14 +29,16 @@
 //!   backward sweep threads cross-chunk next-use positions through them,
 //!   and a forward pass runs the Mattson displacement stack chunk by
 //!   chunk in `u64` priority space, carrying the (≤ horizon) stack
-//!   between chunks. The histogram is bitwise the materialized engine's.
+//!   between chunks. The stack is repaired by the materialized engine's
+//!   block-scanning `chain_swaps`, and the histogram is bitwise the
+//!   materialized engine's.
 //!
 //! Both passes poll the governance token at the [`Seam::LruPass`] /
 //! [`Seam::OptPass`] seams inside every shard (every 4096 positions) and
 //! in the merge, so cancellation and deadlines land in bounded time no
 //! matter which worker is hot.
 
-use crate::curve::{Fenwick, MissCurve};
+use crate::curve::{chain_swaps, Fenwick, MissCurve, StackWord};
 use iolb_govern::{AnalysisError, CancelToken, Seam};
 use rayon::prelude::*;
 use std::collections::HashMap;
@@ -117,7 +119,7 @@ impl<T: ChunkedTrace + ?Sized> ChunkedTrace for &T {
 const NONE64: u64 = u64::MAX;
 /// Priority of a value never read again before overwrite (64-bit twin of
 /// the materialized engine's `DEAD`).
-const DEAD64: u64 = u64::MAX;
+const DEAD64: u64 = <u64 as StackWord>::DEAD;
 /// Empty priority slot (real next-use positions are ≥ 1: a next use is
 /// strictly later than the access that set it).
 const EMPTY64: u64 = 0;
@@ -385,11 +387,15 @@ impl ShardedCurveEngine {
                         idx_of[cell] = 0;
                         pri[0] = new_pri;
                     } else {
-                        let (carry, carry_pri) =
-                            displace_top(&mut stack, &mut pri, &mut idx_of, cell as u64, new_pri);
                         let hi = stack.len() - 1;
-                        let (carry, carry_pri) =
-                            chain_swaps(&mut stack, &mut pri, &mut idx_of, 1, hi, carry, carry_pri);
+                        let (carry, carry_pri) = chain_swaps(
+                            &mut stack,
+                            &mut pri,
+                            &mut idx_of,
+                            cell as u64,
+                            new_pri,
+                            hi,
+                        );
                         if stack.len() < pri.len() {
                             let bottom = stack.len();
                             stack.push(carry);
@@ -409,16 +415,13 @@ impl ShardedCurveEngine {
                     if slot == 0 {
                         pri[0] = new_pri;
                     } else {
-                        let (carry, carry_pri) =
-                            displace_top(&mut stack, &mut pri, &mut idx_of, cell as u64, new_pri);
                         let (carry, carry_pri) = chain_swaps(
                             &mut stack,
                             &mut pri,
                             &mut idx_of,
-                            1,
+                            cell as u64,
+                            new_pri,
                             slot - 1,
-                            carry,
-                            carry_pri,
                         );
                         stack[slot] = carry;
                         idx_of[carry as usize] = slot as u32;
@@ -537,54 +540,10 @@ fn opt_chunk_pass(
     })
 }
 
-/// Puts `cell` on top of the stack, returning the displaced old top as
-/// the initial carry (64-bit twin of the materialized engine's helper).
-#[inline]
-fn displace_top(
-    stack: &mut [u64],
-    pri: &mut [u64],
-    idx_of: &mut [u32],
-    cell: u64,
-    new_pri: u64,
-) -> (u64, u64) {
-    let carry = stack[0];
-    let carry_pri = pri[0];
-    stack[0] = cell;
-    idx_of[cell as usize] = 0;
-    pri[0] = new_pri;
-    (carry, carry_pri)
-}
-
-/// Runs the Mattson displacement chain over slots `[lo, hi]`; a dead
-/// carry short-circuits (nothing is strictly farther).
-#[inline]
-fn chain_swaps(
-    stack: &mut [u64],
-    pri: &mut [u64],
-    idx_of: &mut [u32],
-    lo: usize,
-    hi: usize,
-    mut carry: u64,
-    mut carry_pri: u64,
-) -> (u64, u64) {
-    for k in lo..=hi {
-        if carry_pri == DEAD64 {
-            break;
-        }
-        if pri[k] > carry_pri {
-            let (c, p) = (stack[k], pri[k]);
-            stack[k] = carry;
-            idx_of[carry as usize] = k as u32;
-            pri[k] = carry_pri;
-            (carry, carry_pri) = (c, p);
-        }
-    }
-    (carry, carry_pri)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::curve::tests::{arb_wide_trace, wide_replays, WIDE_CASES, WIDE_HORIZONS};
     use crate::{Access, CurveEngine};
     use proptest::prelude::*;
 
@@ -728,6 +687,31 @@ mod tests {
                 sharded.try_opt(&packed, horizon, &token).unwrap(),
                 e.opt_packed(&packed, horizon)
             );
+        }
+    }
+
+    proptest! {
+        // Each case replays both simulators at 150 capacities.
+        #![proptest_config(ProptestConfig::with_cases(WIDE_CASES))]
+
+        /// Block-scan coverage on the `u64` stack: on stacks many scan
+        /// blocks deep and with shard boundaries all through the trace,
+        /// both curves equal the simulator replays at every capacity.
+        #[test]
+        fn wide_stacks_match_replays_across_shards(t in arb_wide_trace(), chunk in 1usize..64) {
+            let packed = pack(&t);
+            let replays = wide_replays(&t);
+            let token = CancelToken::unlimited();
+            let sharded = ShardedCurveEngine::with_chunk_len(chunk);
+            for horizon in WIDE_HORIZONS {
+                let lru = sharded.try_lru(&packed, horizon, &token).unwrap();
+                let opt = sharded.try_opt(&packed, horizon, &token).unwrap();
+                for s in 1..=horizon {
+                    let (lru_loads, opt_loads) = replays[s - 1];
+                    prop_assert_eq!(lru.loads(s), lru_loads, "lru h={} S={}", horizon, s);
+                    prop_assert_eq!(opt.loads(s), opt_loads, "opt h={} S={}", horizon, s);
+                }
+            }
         }
     }
 }
