@@ -142,24 +142,24 @@ fn drive_store(seam: Seam, token: &CancelToken) -> Result<(), AnalysisError> {
         options_fp: "inject".to_string(),
         engines_fp: "all".to_string(),
     };
-    let body = "persisted body";
+    let body = std::sync::Arc::new("persisted body".to_string());
     let unlimited = CancelToken::unlimited();
     match seam {
-        Seam::StoreAppend => ReportStore::open(&dir)?.append(&key, body, token),
+        Seam::StoreAppend => ReportStore::open(&dir)?.append(&key, &body, token),
         Seam::StoreFlush => {
             let store = ReportStore::open(&dir)?;
-            store.append(&key, body, &unlimited)?;
+            store.append(&key, &body, &unlimited)?;
             store.flush(token)
         }
         Seam::StoreCompact => {
             let store = ReportStore::open(&dir)?;
-            store.append(&key, body, &unlimited)?;
+            store.append(&key, &body, &unlimited)?;
             store.compact(token)
         }
         Seam::StoreRecover => {
             {
                 let store = ReportStore::open(&dir)?;
-                store.append(&key, body, &unlimited)?;
+                store.append(&key, &body, &unlimited)?;
                 store.flush(&unlimited)?;
             }
             ReportStore::open_with(&dir, 0, Box::new(RealIo), token).map(|_| ())

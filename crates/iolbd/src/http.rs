@@ -235,19 +235,33 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Serializes one response (the wire bytes, ready to write). All daemon
-/// payloads are JSON.
+/// Room for the fixed response head: the longest status line plus the
+/// `Content-Type`, `Content-Length` and `Connection` lines.
+const HEAD_BYTES: usize = 128;
+
+/// Serializes one response (the wire bytes, ready to write) into one
+/// buffer sized once for head and body. All daemon payloads are JSON.
 pub fn render_response(
     status: u16,
     extra_headers: &[(String, String)],
     body: &str,
     keep_alive: bool,
 ) -> String {
-    let mut out = format!("HTTP/1.1 {status} {}\r\n", reason(status));
-    out.push_str("Content-Type: application/json\r\n");
-    out.push_str(&format!("Content-Length: {}\r\n", body.len()));
+    use std::fmt::Write as _;
+    let extra: usize = extra_headers
+        .iter()
+        .map(|(n, v)| n.len() + v.len() + 4)
+        .sum();
+    let mut out = String::with_capacity(HEAD_BYTES + extra + body.len());
+    // Writing into a `String` cannot fail.
+    let _ = write!(
+        out,
+        "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n",
+        reason(status),
+        body.len()
+    );
     for (name, value) in extra_headers {
-        out.push_str(&format!("{name}: {value}\r\n"));
+        let _ = write!(out, "{name}: {value}\r\n");
     }
     out.push_str(if keep_alive {
         "Connection: keep-alive\r\n"
@@ -259,7 +273,9 @@ pub fn render_response(
     out
 }
 
-/// Writes a rendered response to the stream.
+/// Writes a rendered response to the stream with one `write_all`: the
+/// daemon does not set `TCP_NODELAY`, so a head written apart from its body
+/// could stall on Nagle's algorithm and the peer's delayed ACK.
 ///
 /// # Errors
 /// The transport error, when the peer is gone.
@@ -293,5 +309,13 @@ mod tests {
         assert!(r.contains("X-Iolb-Cache: hit\r\n"));
         assert!(r.contains("Connection: keep-alive\r\n"));
         assert!(r.ends_with("\r\n\r\n{}"));
+        // The buffer is sized once: the longest head fits its reserve.
+        let body = "x".repeat(MAX_BODY);
+        let r = render_response(499, &[], &body, true);
+        assert!(
+            r.len() <= HEAD_BYTES + body.len(),
+            "head {} bytes",
+            r.len() - body.len()
+        );
     }
 }

@@ -532,14 +532,16 @@ fn serve_connection(state: &ServerState, mut stream: TcpStream) -> Option<TcpStr
     }
 }
 
-type HandlerResult = (u16, Vec<(String, String)>, String);
+/// Status, extra headers and body of one response. The body is shared, so
+/// a cached `serve/v1` answer reaches the wire without being copied first.
+type HandlerResult = (u16, Vec<(String, String)>, Arc<String>);
 
 /// Routes one request.
 fn handle(state: &ServerState, req: &Request) -> HandlerResult {
     match (req.method.as_str(), req.path.as_str()) {
         ("POST", "/analyze") => handle_analyze(state, req),
-        ("GET", "/healthz") => (200, Vec::new(), "{\"ok\": true}".to_string()),
-        ("GET", "/stats") => (200, Vec::new(), stats_body(state)),
+        ("GET", "/healthz") => (200, Vec::new(), "{\"ok\": true}".to_string().into()),
+        ("GET", "/stats") => (200, Vec::new(), stats_body(state).into()),
         ("POST", "/shutdown") => {
             state.shutdown.store(true, Ordering::SeqCst);
             // Wake the accept loop so it observes the flag.
@@ -547,23 +549,23 @@ fn handle(state: &ServerState, req: &Request) -> HandlerResult {
             (
                 200,
                 Vec::new(),
-                "{\"ok\": true, \"shutting_down\": true}".to_string(),
+                "{\"ok\": true, \"shutting_down\": true}".to_string().into(),
             )
         }
         (_, "/analyze" | "/shutdown") => (
             405,
             Vec::new(),
-            error_body_raw("refused", 3, "method not allowed (use POST)"),
+            error_body_raw("refused", 3, "method not allowed (use POST)").into(),
         ),
         (_, "/healthz" | "/stats") => (
             405,
             Vec::new(),
-            error_body_raw("refused", 3, "method not allowed (use GET)"),
+            error_body_raw("refused", 3, "method not allowed (use GET)").into(),
         ),
         (_, path) => (
             404,
             Vec::new(),
-            error_body_raw("refused", 3, &format!("no such endpoint {path}")),
+            error_body_raw("refused", 3, &format!("no such endpoint {path}")).into(),
         ),
     }
 }
@@ -576,7 +578,7 @@ fn handle(state: &ServerState, req: &Request) -> HandlerResult {
 /// without its options.
 fn handle_analyze(state: &ServerState, req: &Request) -> HandlerResult {
     state.analyzed.fetch_add(1, Ordering::Relaxed);
-    let bad = |msg: String| (400, Vec::new(), error_body_raw("parse", 2, &msg));
+    let bad = |msg: String| (400, Vec::new(), error_body_raw("parse", 2, &msg).into());
     if let Some(query) = &req.query {
         return bad(format!(
             "query string `{query}` is not accepted; {TYPED_BODY}"
@@ -601,9 +603,9 @@ fn handle_analyze(state: &ServerState, req: &Request) -> HandlerResult {
                 "X-Iolb-Cache".to_string(),
                 if answer.cached() { "hit" } else { "miss" }.to_string(),
             );
-            (200, vec![cache_header], answer.body.as_ref().clone())
+            (200, vec![cache_header], answer.body)
         }
-        Err(e) => (status_for(&e), Vec::new(), error_body(&e)),
+        Err(e) => (status_for(&e), Vec::new(), error_body(&e).into()),
     }
 }
 

@@ -10,7 +10,8 @@
 //! * **parse layer** — raw source hash → canonical text + canonical
 //!   hash, so a byte-identical resubmission skips the parser entirely;
 //! * **report layer** — (canonical hash, option fingerprint) → finished
-//!   [`AnalysisOutcome`](crate::pipeline::AnalysisOutcome).
+//!   [`AnalysisOutcome`](crate::pipeline::AnalysisOutcome), plus its
+//!   rendered `serve/v1` body once the daemon has served it.
 //!
 //! Both layers are sharded (16 independent mutexes chosen by key hash)
 //! so concurrent requests on the rayon pool never serialize on one lock,

@@ -9,7 +9,7 @@
 //! content-hash [`ResultCache`]: raw source → canonical text (the
 //! pretty-printed round-trip, so formatting variants share an entry),
 //! and (canonical hash × option fingerprint) → finished
-//! [`AnalysisOutcome`].
+//! [`AnalysisOutcome`] plus, once served, its rendered `serve/v1` body.
 //!
 //! Front-ends stay thin: the `iolb` CLI renders outcomes as text/JSON,
 //! the `iolbd` daemon serves them over HTTP. Both drive the same

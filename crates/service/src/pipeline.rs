@@ -28,7 +28,7 @@ use iolb_ir::parse::{parse_kernel, print_kernel, KernelFile};
 use iolb_ir::Program;
 use iolb_symbolic::Var;
 use std::cell::Cell;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 // ---------------------------------------------------------------------------
 // stages
@@ -527,16 +527,43 @@ pub struct CanonEntry {
     pub hash: u128,
 }
 
-/// Default bound on finished report entries (reports are the heavy layer:
-/// a full sweep + tightness outcome per entry). The parse layer stores
-/// only canonical text and stays unbounded.
+/// Default bound on finished report entries. Reports are the heavy
+/// layer: an entry holds a full sweep + tightness outcome and, once
+/// `serve` has asked for it, its rendered `serve/v1` body (about 12 KB on
+/// the shipped kernels). The parse layer stores only canonical text and
+/// stays unbounded.
 pub const DEFAULT_REPORT_CAPACITY: usize = 512;
 
+/// One finished entry of the report layer: the outcome, and its
+/// `serve/v1` body once [`Pipeline::serve`] has asked for it. The body is
+/// rendered at most once per entry — on the miss `serve` computed, or on
+/// the first `serve` of an entry [`Pipeline::analyze`] computed — and every
+/// later hit hands out the same `Arc`. `analyze` never renders it.
+struct ReportEntry {
+    outcome: Arc<AnalysisOutcome>,
+    body: OnceLock<Arc<String>>,
+}
+
+impl ReportEntry {
+    /// The entry's `serve/v1` body, rendered on the first call. The body
+    /// lives as long as the entry (and in the store's index), so the
+    /// formatter's spare capacity is given back.
+    fn body(&self) -> Arc<String> {
+        Arc::clone(self.body.get_or_init(|| {
+            let mut body = crate::render::outcome_body(&self.outcome);
+            body.shrink_to_fit();
+            Arc::new(body)
+        }))
+    }
+}
+
 /// The two-layer result cache (see the [`crate::cache`] docs for the
-/// sharding, in-flight-dedup, and LRU-capacity story).
+/// sharding, in-flight-dedup, and LRU-capacity story). A report-layer
+/// entry keeps the outcome and, after the first `serve`, its rendered
+/// body, so a memory hit hands out stored bytes and renders nothing.
 pub struct ResultCache {
     parse: ShardedCache<u128, CanonEntry>,
-    report: ShardedCache<(u128, String), AnalysisOutcome>,
+    report: ShardedCache<(u128, String), ReportEntry>,
 }
 
 impl Default for ResultCache {
@@ -585,8 +612,10 @@ pub struct CachedAnalysis {
 }
 
 /// A served analysis answer: the rendered `serve/v1` body plus where the
-/// bytes came from. Bodies are shared `Arc`s — a store hit returns the
-/// exact recovered bytes.
+/// bytes came from. Bodies are shared `Arc`s, never re-rendered on a hit: a
+/// memory hit returns the report entry's own body and a store hit the
+/// exact recovered bytes. With a store attached, a computed body is the
+/// same allocation the store's index keeps.
 #[derive(Debug, Clone)]
 pub struct ServedAnalysis {
     /// The rendered response body.
@@ -673,6 +702,63 @@ impl Pipeline {
         }
     }
 
+    /// The token a request runs under: the injected fault when one is
+    /// armed, else the budget's own deadline token.
+    fn request_token(opts: &AnalysisOptions) -> CancelToken {
+        match opts.inject {
+            Some(fault) => CancelToken::with_fault(fault),
+            None => opts.budget.token(),
+        }
+    }
+
+    /// The one path from a request to its answer, shared by
+    /// [`Pipeline::analyze_with_token`] and [`Pipeline::serve`]:
+    /// fault-injection requests run uncached (their purpose is to exercise
+    /// the pipeline); everything else goes raw hash → canonical entry →
+    /// report entry, computing on a miss. With a `store`, a key the report
+    /// layer does not hold is looked up there first, by a non-counting
+    /// peek, so a disk answer leaves the memory counters untouched (the
+    /// store keeps its own hit counter).
+    fn lookup(
+        &self,
+        src: &str,
+        opts: &AnalysisOptions,
+        token: &CancelToken,
+        store: Option<&ReportStore>,
+    ) -> Result<Lookup, AnalysisError> {
+        if opts.inject.is_some() {
+            let outcome = catch_analysis_mut(|| analyze_uncached(src, opts, token))?;
+            return Ok(Lookup::Injected(Arc::new(outcome)));
+        }
+        let raw_hash = crate::cache::fnv1a_128(src.as_bytes());
+        let canon = self.cache.parse.get_or_compute(raw_hash, || {
+            let (text, hash) = canonicalize(src)?;
+            Ok::<_, AnalysisError>(CanonEntry { text, hash })
+        })?;
+        let key = (canon.hash, opts.fingerprint());
+        if let Some(store) = store {
+            if self.cache.report.peek(&key).is_none() {
+                if let Some(body) = store.get(key.0, &key.1) {
+                    return Ok(Lookup::Stored(body));
+                }
+            }
+        }
+        let computed = Cell::new(false);
+        let entry = self.cache.report.get_or_compute(key.clone(), || {
+            computed.set(true);
+            let outcome = catch_analysis_mut(|| analyze_uncached(&canon.text, opts, token))?;
+            Ok::<_, AnalysisError>(ReportEntry {
+                outcome: Arc::new(outcome),
+                body: OnceLock::new(),
+            })
+        })?;
+        Ok(Lookup::Entry {
+            key,
+            entry,
+            computed: computed.get(),
+        })
+    }
+
     /// [`Pipeline::analyze_with_token`] with a token built from the
     /// options: the injected fault when one is armed, else the budget's
     /// own deadline token.
@@ -684,18 +770,15 @@ impl Pipeline {
         src: &str,
         opts: &AnalysisOptions,
     ) -> Result<CachedAnalysis, AnalysisError> {
-        let token = match opts.inject {
-            Some(fault) => CancelToken::with_fault(fault),
-            None => opts.budget.token(),
-        };
-        self.analyze_with_token(src, opts, &token)
+        self.analyze_with_token(src, opts, &Pipeline::request_token(opts))
     }
 
     /// Analyzes one kernel text under the given options and cancellation
     /// token, answering from the cache when the canonicalized text ×
     /// option fingerprint has been analyzed before. Fault-injection
     /// requests bypass the cache entirely (their purpose is to exercise
-    /// the pipeline). Errors are never cached.
+    /// the pipeline). Errors are never cached, and no `serve/v1` body is
+    /// rendered.
     ///
     /// # Errors
     /// Every failure is a typed [`AnalysisError`]; panics inside the
@@ -706,28 +789,14 @@ impl Pipeline {
         opts: &AnalysisOptions,
         token: &CancelToken,
     ) -> Result<CachedAnalysis, AnalysisError> {
-        if opts.inject.is_some() {
-            let outcome = catch_analysis_mut(|| analyze_uncached(src, opts, token))?;
-            return Ok(CachedAnalysis {
-                outcome: Arc::new(outcome),
-                cached: false,
-            });
-        }
-        let raw_hash = crate::cache::fnv1a_128(src.as_bytes());
-        let canon = self.cache.parse.get_or_compute(raw_hash, || {
-            let (text, hash) = canonicalize(src)?;
-            Ok::<_, AnalysisError>(CanonEntry { text, hash })
-        })?;
-        let key = (canon.hash, opts.fingerprint());
-        let computed = Cell::new(false);
-        let outcome = self.cache.report.get_or_compute(key, || {
-            computed.set(true);
-            catch_analysis_mut(|| analyze_uncached(&canon.text, opts, token))
-        })?;
-        Ok(CachedAnalysis {
-            outcome,
-            cached: !computed.get(),
-        })
+        let (outcome, cached) = match self.lookup(src, opts, token, None)? {
+            Lookup::Injected(outcome) => (outcome, false),
+            Lookup::Entry {
+                entry, computed, ..
+            } => (Arc::clone(&entry.outcome), !computed),
+            Lookup::Stored(_) => unreachable!("a lookup without a store never answers from one"),
+        };
+        Ok(CachedAnalysis { outcome, cached })
     }
 
     /// [`Pipeline::analyze`] rendered to the canonical `serve/v1` body,
@@ -736,7 +805,8 @@ impl Pipeline {
     /// byte-identical without re-running the pipeline, and every freshly
     /// computed report is appended write-behind (append failures are
     /// counted in the store's stats but never fail the request — the
-    /// answer is already in hand).
+    /// answer is already in hand). The body is rendered once per report
+    /// entry; a memory hit returns the stored `Arc`.
     ///
     /// # Errors
     /// Every failure is a typed [`AnalysisError`].
@@ -745,61 +815,38 @@ impl Pipeline {
         src: &str,
         opts: &AnalysisOptions,
     ) -> Result<ServedAnalysis, AnalysisError> {
-        let token = match opts.inject {
-            Some(fault) => CancelToken::with_fault(fault),
-            None => opts.budget.token(),
-        };
-        if opts.inject.is_some() {
-            // Fault-injection requests bypass every layer, including the
-            // store: their purpose is to exercise the pipeline.
-            let outcome = catch_analysis_mut(|| analyze_uncached(src, opts, &token))?;
-            return Ok(ServedAnalysis {
-                body: Arc::new(crate::render::outcome_body(&outcome)),
-                source: ServeSource::Computed,
-            });
-        }
-        let raw_hash = crate::cache::fnv1a_128(src.as_bytes());
-        let canon = self.cache.parse.get_or_compute(raw_hash, || {
-            let (text, hash) = canonicalize(src)?;
-            Ok::<_, AnalysisError>(CanonEntry { text, hash })
-        })?;
-        let fingerprint = opts.fingerprint();
-        if let Some(store) = &self.store {
-            // Peek (non-counting) so a disk answer leaves the memory
-            // counters untouched; the store keeps its own hit counter.
-            if self
-                .cache
-                .report
-                .peek(&(canon.hash, fingerprint.clone()))
-                .is_none()
-            {
-                if let Some(body) = store.get(canon.hash, &fingerprint) {
-                    return Ok(ServedAnalysis {
-                        body,
-                        source: ServeSource::Store,
-                    });
-                }
+        let token = Pipeline::request_token(opts);
+        let (key, entry, computed) = match self.lookup(src, opts, &token, self.store.as_ref())? {
+            Lookup::Injected(outcome) => {
+                return Ok(ServedAnalysis {
+                    body: Arc::new(crate::render::outcome_body(&outcome)),
+                    source: ServeSource::Computed,
+                })
             }
-        }
-        let computed = Cell::new(false);
-        let outcome =
-            self.cache
-                .report
-                .get_or_compute((canon.hash, fingerprint.clone()), || {
-                    computed.set(true);
-                    catch_analysis_mut(|| analyze_uncached(&canon.text, opts, &token))
-                })?;
-        let body = Arc::new(crate::render::outcome_body(&outcome));
-        if !computed.get() {
+            Lookup::Stored(body) => {
+                return Ok(ServedAnalysis {
+                    body,
+                    source: ServeSource::Store,
+                })
+            }
+            Lookup::Entry {
+                key,
+                entry,
+                computed,
+            } => (key, entry, computed),
+        };
+        let body = entry.body();
+        if !computed {
             return Ok(ServedAnalysis {
                 body,
                 source: ServeSource::Memory,
             });
         }
         if let Some(store) = &self.store {
+            let (canon_hash, options_fp) = key;
             let key = StoreKey {
-                canon_hash: canon.hash,
-                options_fp: fingerprint,
+                canon_hash,
+                options_fp,
                 engines_fp: opts.engines.clone(),
             };
             // Write-behind with an unlimited token: the request's own
@@ -815,4 +862,19 @@ impl Pipeline {
             source: ServeSource::Computed,
         })
     }
+}
+
+/// What [`Pipeline::lookup`] found for one request.
+enum Lookup {
+    /// A fault-injection request: the pipeline ran outside every layer.
+    Injected(Arc<AnalysisOutcome>),
+    /// The store held the body and the report layer held no entry.
+    Stored(Arc<String>),
+    /// The report layer's entry under `key`, and whether this request
+    /// computed it.
+    Entry {
+        key: (u128, String),
+        entry: Arc<ReportEntry>,
+        computed: bool,
+    },
 }

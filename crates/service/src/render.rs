@@ -1,10 +1,15 @@
 //! Deterministic serve-envelope rendering.
 //!
 //! The `hourglass-iolb/serve/v1` success body lives here — below the
-//! daemon — because the persistent [`ReportStore`](crate::ReportStore)
-//! stores *rendered bodies*: byte-identical serving across a restart is
-//! the store's contract, and the render is the canonical byte form of an
-//! [`AnalysisOutcome`] (volatile meta redacted, fixed field order).
+//! daemon — because the caches keep *rendered bodies*: byte-identical
+//! serving across a restart is the persistent
+//! [`ReportStore`](crate::ReportStore)'s contract, and the render is the
+//! canonical byte form of an [`AnalysisOutcome`] (volatile meta redacted,
+//! fixed field order). It runs once per report entry, not per request:
+//! [`Pipeline::serve`](crate::Pipeline::serve) keeps the body next to the
+//! cached outcome and hands the same bytes to every later hit, and the
+//! store's index shares that allocation. Fault-injection requests, which
+//! bypass every layer, render fresh.
 
 use crate::pipeline::AnalysisOutcome;
 use iolb_bench::sweep::{json_str, sweep_report_json_with};

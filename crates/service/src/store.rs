@@ -452,12 +452,16 @@ impl ReportStore {
     /// never tears the journal. Failed appends are counted and leave the
     /// on-disk state exactly as it was.
     ///
+    /// The index keeps the caller's `Arc`, not a copy: a body the memory
+    /// layer also holds stays one allocation, and [`ReportStore::get`]
+    /// hands that same allocation back.
+    ///
     /// # Errors
     /// The token's typed error, or `Internal` on disk failure.
     pub fn append(
         &self,
         key: &StoreKey,
-        body: &str,
+        body: &Arc<String>,
         token: &CancelToken,
     ) -> Result<(), AnalysisError> {
         let result = (|| {
@@ -474,10 +478,7 @@ impl ReportStore {
             Ok(()) => {
                 self.appends.fetch_add(1, Ordering::Relaxed);
                 let mut index = self.index.lock().unwrap_or_else(|e| e.into_inner());
-                index.insert(
-                    (key.canon_hash, key.options_fp.clone()),
-                    Arc::new(body.to_string()),
-                );
+                index.insert((key.canon_hash, key.options_fp.clone()), Arc::clone(body));
                 Ok(())
             }
             Err(e) => {
@@ -650,6 +651,10 @@ mod tests {
         CancelToken::unlimited()
     }
 
+    fn body(text: &str) -> Arc<String> {
+        Arc::new(text.to_string())
+    }
+
     #[test]
     fn crc32_matches_reference_vectors() {
         assert_eq!(crc32(b""), 0);
@@ -665,7 +670,7 @@ mod tests {
                 store
                     .append(
                         &key(n),
-                        &format!("body for {n} with unicode ⊗"),
+                        &body(&format!("body for {n} with unicode ⊗")),
                         &unlimited(),
                     )
                     .unwrap();
@@ -692,8 +697,8 @@ mod tests {
         let dir = scratch("torn");
         {
             let store = ReportStore::open(&dir).unwrap();
-            store.append(&key(1), "one", &unlimited()).unwrap();
-            store.append(&key(2), "two", &unlimited()).unwrap();
+            store.append(&key(1), &body("one"), &unlimited()).unwrap();
+            store.append(&key(2), &body("two"), &unlimited()).unwrap();
         }
         // Simulate a crash mid-append: half a record at the journal tail.
         let journal = dir.join(JOURNAL_FILE);
@@ -713,7 +718,7 @@ mod tests {
         // The tail was truncated off the file itself.
         assert_eq!(std::fs::metadata(&journal).unwrap().len(), good_len as u64);
         // And appends continue from the clean point.
-        store.append(&key(3), "three", &unlimited()).unwrap();
+        store.append(&key(3), &body("three"), &unlimited()).unwrap();
         drop(store);
         let store = ReportStore::open(&dir).unwrap();
         assert_eq!(store.recovery().recovered_records, 3);
@@ -725,9 +730,15 @@ mod tests {
         let dir = scratch("flip");
         {
             let store = ReportStore::open(&dir).unwrap();
-            store.append(&key(1), "first body", &unlimited()).unwrap();
-            store.append(&key(2), "second body", &unlimited()).unwrap();
-            store.append(&key(3), "third body", &unlimited()).unwrap();
+            store
+                .append(&key(1), &body("first body"), &unlimited())
+                .unwrap();
+            store
+                .append(&key(2), &body("second body"), &unlimited())
+                .unwrap();
+            store
+                .append(&key(3), &body("third body"), &unlimited())
+                .unwrap();
         }
         let journal = dir.join(JOURNAL_FILE);
         let mut bytes = std::fs::read(&journal).unwrap();
@@ -768,14 +779,16 @@ mod tests {
         let dir = scratch("compact");
         {
             let store = ReportStore::open_with(&dir, 0, Box::new(RealIo), &unlimited()).unwrap();
-            store.append(&key(1), "old", &unlimited()).unwrap();
-            store.append(&key(1), "new", &unlimited()).unwrap();
-            store.append(&key(2), "two", &unlimited()).unwrap();
+            store.append(&key(1), &body("old"), &unlimited()).unwrap();
+            store.append(&key(1), &body("new"), &unlimited()).unwrap();
+            store.append(&key(2), &body("two"), &unlimited()).unwrap();
             store.compact(&unlimited()).unwrap();
             assert_eq!(store.stats().compactions, 1);
             // Journal is empty after compaction; appends keep working.
             assert_eq!(std::fs::metadata(dir.join(JOURNAL_FILE)).unwrap().len(), 0);
-            store.append(&key(3), "post-compact", &unlimited()).unwrap();
+            store
+                .append(&key(3), &body("post-compact"), &unlimited())
+                .unwrap();
         }
         let store = ReportStore::open(&dir).unwrap();
         let r = store.recovery();
@@ -792,7 +805,7 @@ mod tests {
         let dir = scratch("cadence");
         let store = ReportStore::open_with(&dir, 3, Box::new(RealIo), &unlimited()).unwrap();
         for n in 0..3u128 {
-            store.append(&key(n), "x", &unlimited()).unwrap();
+            store.append(&key(n), &body("x"), &unlimited()).unwrap();
         }
         assert!(store.maybe_compact(&unlimited()).unwrap());
         assert!(!store.maybe_compact(&unlimited()).unwrap());
@@ -806,7 +819,7 @@ mod tests {
         {
             let store = ReportStore::open_with(&dir, 0, Box::new(RealIo), &unlimited()).unwrap();
             for n in 0..4u128 {
-                store.append(&key(n), "snap", &unlimited()).unwrap();
+                store.append(&key(n), &body("snap"), &unlimited()).unwrap();
             }
             store.compact(&unlimited()).unwrap();
         }
@@ -856,11 +869,15 @@ mod tests {
             kind: std::io::ErrorKind::StorageFull,
         };
         let store = ReportStore::open_with(&dir, 0, Box::new(io), &unlimited()).unwrap();
-        store.append(&key(1), "ok", &unlimited()).unwrap();
-        let err = store.append(&key(2), "fails", &unlimited()).unwrap_err();
+        store.append(&key(1), &body("ok"), &unlimited()).unwrap();
+        let err = store
+            .append(&key(2), &body("fails"), &unlimited())
+            .unwrap_err();
         assert!(matches!(err, AnalysisError::Internal(_)), "{err:?}");
         // Third append works again; the failed one was never indexed.
-        store.append(&key(3), "ok again", &unlimited()).unwrap();
+        store
+            .append(&key(3), &body("ok again"), &unlimited())
+            .unwrap();
         let stats = store.stats();
         assert_eq!(stats.append_errors, 1);
         assert_eq!(stats.appends, 2);
@@ -879,8 +896,10 @@ mod tests {
                 kind: std::io::ErrorKind::Other,
             };
             let store = ReportStore::open_with(&dir, 0, Box::new(io), &unlimited()).unwrap();
-            store.append(&key(1), "intact", &unlimited()).unwrap();
-            assert!(store.append(&key(2), "torn", &unlimited()).is_err());
+            store
+                .append(&key(1), &body("intact"), &unlimited())
+                .unwrap();
+            assert!(store.append(&key(2), &body("torn"), &unlimited()).is_err());
         }
         let store = ReportStore::open(&dir).unwrap();
         let r = store.recovery();
@@ -907,7 +926,7 @@ mod tests {
         let dir = scratch("norename");
         {
             let store = ReportStore::open_with(&dir, 0, Box::new(NoRename), &unlimited()).unwrap();
-            store.append(&key(1), "kept", &unlimited()).unwrap();
+            store.append(&key(1), &body("kept"), &unlimited()).unwrap();
             assert!(store.compact(&unlimited()).is_err());
             assert_eq!(store.stats().compactions, 0);
         }
@@ -923,7 +942,7 @@ mod tests {
         for (seam, run) in [
             (
                 Seam::StoreAppend,
-                Box::new(|t: &CancelToken| store.append(&key(7), "b", t))
+                Box::new(|t: &CancelToken| store.append(&key(7), &body("b"), t))
                     as Box<dyn Fn(&CancelToken) -> Result<(), AnalysisError>>,
             ),
             (Seam::StoreFlush, Box::new(|t: &CancelToken| store.flush(t))),
