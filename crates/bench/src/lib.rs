@@ -17,9 +17,9 @@
 //! Every paper kernel comes from its shipped `kernels/*.iolb` file
 //! ([`PAPER_KERNELS`]), and the Appendix A tiled Fig. 8/9 orders from
 //! `kernels/tiled/*.iolb` ([`TILED_MGS`], [`TILED_A2V`]), priced by
-//! [`sweep_tiled`] on the curve engine. No table or sweep runs the
-//! builders of `iolb-kernels`: they are the test reference the files are
-//! checked against (`benches/kernels_native.rs` times their native f64
+//! [`sweep_tiled`] on the curve engine. No table or sweep runs
+//! `iolb-kernels`: its f64 semantics check the same files numerically in
+//! tests (`benches/kernels_native.rs` times its native f64
 //! implementations).
 
 pub mod scale;

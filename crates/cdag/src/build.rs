@@ -10,8 +10,8 @@
 //!
 //! [`CdagBuilder`] records the same graph from a stream of instance,
 //! read and write events; tests drive it from independent access
-//! evaluations (the fuzz oracle's walker, the builder kernels' executed
-//! f64 closures) to cross-check the fast path.
+//! evaluations (the fuzz oracle's walker, the kernel files' executed f64
+//! closures) to cross-check the fast path.
 //!
 //! Inputs and computes are allocated in separate id spaces during the run
 //! and merged at finish time: all inputs first (they carry the initial

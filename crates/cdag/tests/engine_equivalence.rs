@@ -125,12 +125,17 @@ proptest! {
 #[test]
 fn engines_agree_on_all_paper_kernels() {
     let cases: Vec<(iolb_ir::Program, Vec<i64>)> = vec![
-        (iolb_kernels::mgs::program(), vec![12, 6]),
-        (iolb_kernels::householder::a2v_program(), vec![12, 6]),
-        (iolb_kernels::householder::v2q_program(), vec![12, 6]),
-        (iolb_kernels::gebd2::program(), vec![10, 5]),
-        (iolb_kernels::gehd2::program(), vec![9]),
-        (iolb_kernels::gemm::program(), vec![6, 6, 6]),
+        (iolb_kernels::program("mgs"), vec![12, 6]),
+        (iolb_kernels::program("qr_hh_a2v"), vec![12, 6]),
+        (iolb_kernels::program("qr_hh_v2q"), vec![12, 6]),
+        (iolb_kernels::program("gebd2"), vec![10, 5]),
+        (iolb_kernels::program("gehd2"), vec![9]),
+        (iolb_kernels::program("gemm"), vec![6, 6, 6]),
+        (iolb_kernels::program("tiled/mgs_tiled"), vec![12, 6, 2]),
+        (
+            iolb_kernels::program("tiled/qr_hh_a2v_tiled"),
+            vec![12, 6, 2],
+        ),
     ];
     for (program, params) in cases {
         let g = iolb_cdag::build_cdag(&program, &params);

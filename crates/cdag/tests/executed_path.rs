@@ -1,12 +1,12 @@
 //! `build_cdag` (declared accesses through the checked evaluator) against
-//! the CDAG of the *performed* accesses: the builder kernels' f64 closures
+//! the CDAG of the *performed* accesses: the kernel files' f64 closures
 //! run through the `iolb-kernels` interpreter, every performed read wired
 //! to the last writer of its cell by [`CdagBuilder`]. The two must agree
 //! node for node, edge for edge.
 
 use iolb_cdag::{build_cdag, Cdag, CdagBuilder, NodeId};
-use iolb_ir::{Access, ArrayId, ProgramBuilder, StmtId};
-use iolb_kernels::interp::{ExecSink, Executable, Interpreter, Semantics, Store};
+use iolb_ir::{parse_program, ArrayId, StmtId};
+use iolb_kernels::interp::{array_ids, ExecSink, Executable, Interpreter, Semantics, Store};
 
 /// [`CdagBuilder`] fed by the interpreter's performed accesses.
 struct Executed(CdagBuilder);
@@ -59,38 +59,36 @@ fn assert_same_graph(exe: &Executable, params: &[i64]) {
 /// prefix-sum: `for i in 1..N { x[i] = x[i] + x[i-1] }`
 #[test]
 fn declared_path_matches_executed_path() {
-    let mut b = ProgramBuilder::new("prefix_cdag", &["N"]);
-    let mut sem = Semantics::default();
-    let x = b.array("x", &[b.p("N")]);
-    let i = b.open("i", b.c(1), b.p("N"));
-    let xi = Access::new(x, vec![b.d(i)]);
-    let xm = Access::new(x, vec![b.d(i) - 1]);
-    sem.def(b.stmt("S", vec![xi.clone(), xm], vec![xi]), move |c| {
-        let v = c.rd(x, &[c.v(0)]) + c.rd(x, &[c.v(0) - 1]);
-        c.wr(x, &[c.v(0)], v);
-    });
-    b.close();
-    assert_same_graph(&Executable::new(b.finish(), sem), &[7]);
+    let program = parse_program(
+        "kernel prefix_cdag(N) { array x[N]; for i in 1..N { S: x[i] = op(x[i], x[i - 1]); } }",
+    )
+    .unwrap();
+    let exe = Executable::attach(program, |p| {
+        let [x] = array_ids(p, ["x"])?;
+        Ok(Semantics::default().on("S", move |c| {
+            let v = c.rd(x, &[c.v(0)]) + c.rd(x, &[c.v(0) - 1]);
+            c.wr(x, &[c.v(0)], v);
+        }))
+    })
+    .unwrap();
+    assert_same_graph(&exe, &[7]);
 }
 
 /// The fast path must agree with the executed ground truth on every
-/// paper kernel, not just toys.
+/// shipped paper kernel file, not just toys.
 #[test]
 fn declared_path_matches_executed_path_on_paper_kernels() {
-    let cases: Vec<(Executable, Vec<i64>)> = vec![
-        (iolb_kernels::mgs::executable(), vec![10, 5]),
-        (iolb_kernels::mgs::tiled_executable(), vec![10, 5, 2]),
-        (iolb_kernels::householder::a2v_executable(), vec![10, 5]),
-        (iolb_kernels::householder::v2q_executable(), vec![10, 5]),
-        (
-            iolb_kernels::householder::a2v_tiled_executable(),
-            vec![10, 5, 2],
-        ),
-        (iolb_kernels::gebd2::executable(), vec![8, 4]),
-        (iolb_kernels::gehd2::executable(), vec![8]),
-        (iolb_kernels::gemm::executable(), vec![5, 4, 3]),
+    let cases: [(&str, &[i64]); 8] = [
+        ("mgs", &[10, 5]),
+        ("tiled/mgs_tiled", &[10, 5, 2]),
+        ("qr_hh_a2v", &[10, 5]),
+        ("qr_hh_v2q", &[10, 5]),
+        ("tiled/qr_hh_a2v_tiled", &[10, 5, 2]),
+        ("gebd2", &[8, 4]),
+        ("gehd2", &[8]),
+        ("gemm", &[5, 4, 3]),
     ];
-    for (exe, params) in &cases {
-        assert_same_graph(exe, params);
+    for (stem, params) in cases {
+        assert_same_graph(&iolb_kernels::executable(stem), params);
     }
 }

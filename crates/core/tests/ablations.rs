@@ -7,7 +7,7 @@ use iolb_numeric::Rational;
 use iolb_symbolic::Var;
 
 fn mgs_bound() -> (iolb_ir::Program, iolb_core::HourglassBound) {
-    let p = iolb_kernels::mgs::program();
+    let p = iolb_kernels::program("mgs");
     let analysis = Analysis::run(&p, &[vec![9, 6]]).unwrap();
     let su = p.stmt_id("SU").unwrap();
     let pat = analysis.detect_hourglass(su).unwrap();
@@ -66,7 +66,7 @@ fn k_equals_2s_is_near_optimal() {
 /// MGS old bound's leading constant would be ~0.19 instead of 1.
 #[test]
 fn disjointness_refinement_factor() {
-    let p = iolb_kernels::mgs::program();
+    let p = iolb_kernels::program("mgs");
     let analysis = Analysis::run(&p, &[vec![9, 6]]).unwrap();
     let su = p.stmt_id("SU").unwrap();
     let b = analysis.classical_bound(su);
@@ -108,7 +108,7 @@ fn width_variant_ordering() {
         "constant width: variants agree"
     );
 
-    let p = iolb_kernels::householder::a2v_program();
+    let p = iolb_kernels::program("qr_hh_a2v");
     let analysis = Analysis::run(&p, &[vec![9, 6]]).unwrap();
     let su = p.stmt_id("SU").unwrap();
     let pat = analysis.detect_hourglass(su).unwrap();
@@ -145,7 +145,7 @@ fn small_s_branch_crossover() {
 /// must dominate in its own regime.
 #[test]
 fn gehd2_split_point_ablation() {
-    let p = iolb_kernels::gehd2::program();
+    let p = iolb_kernels::program("gehd2");
     let analysis = Analysis::run(&p, &[vec![9]]).unwrap();
     let su = p.stmt_id("SU1").unwrap();
     let pat = analysis.detect_hourglass(su).unwrap();

@@ -22,42 +22,42 @@ fn cases() -> Vec<Case> {
     vec![
         Case {
             name: "MGS",
-            program: iolb_kernels::mgs::program(),
+            program: iolb_kernels::program("mgs"),
             hourglass_stmt: Some("SU"),
             params: vec![12, 6],
             env: vec![(Var::new("M"), 12), (Var::new("N"), 6)],
         },
         Case {
             name: "QR HH A2V",
-            program: iolb_kernels::householder::a2v_program(),
+            program: iolb_kernels::program("qr_hh_a2v"),
             hourglass_stmt: Some("SU"),
             params: vec![14, 6],
             env: vec![(Var::new("M"), 14), (Var::new("N"), 6)],
         },
         Case {
             name: "QR HH V2Q",
-            program: iolb_kernels::householder::v2q_program(),
+            program: iolb_kernels::program("qr_hh_v2q"),
             hourglass_stmt: Some("SU"),
             params: vec![14, 6],
             env: vec![(Var::new("M"), 14), (Var::new("N"), 6)],
         },
         Case {
             name: "GEBD2",
-            program: iolb_kernels::gebd2::program(),
+            program: iolb_kernels::program("gebd2"),
             hourglass_stmt: Some("SU"),
             params: vec![12, 6],
             env: vec![(Var::new("M"), 12), (Var::new("N"), 6)],
         },
         Case {
             name: "GEHD2",
-            program: iolb_kernels::gehd2::program(),
+            program: iolb_kernels::program("gehd2"),
             hourglass_stmt: Some("SU1"),
             params: vec![11],
             env: vec![(Var::new("N"), 11), (theorems::split_var(), 5)],
         },
         Case {
             name: "GEMM",
-            program: iolb_kernels::gemm::program(),
+            program: iolb_kernels::program("gemm"),
             hourglass_stmt: None,
             params: vec![8, 8, 8],
             env: vec![(Var::new("M"), 8), (Var::new("N"), 8), (Var::new("K"), 8)],
@@ -144,11 +144,8 @@ fn tiled_mgs_play_beats_program_order_at_matching_cache() {
     let (m, n): (i64, i64) = (16, 8);
     let s = 3 * m as usize + 4; // fits B+1 ≈ 2–3 columns
     let block = (s as i64 / m - 1).max(1); // Appendix A.1's B = ⌊S/M⌋ − 1
-    let untiled = build_cdag(&iolb_kernels::mgs::program(), &[m, n]);
-    let tiled = build_cdag(
-        &iolb_kernels::mgs::tiled_executable().program,
-        &[m, n, block],
-    );
+    let untiled = build_cdag(&iolb_kernels::program("mgs"), &[m, n]);
+    let tiled = build_cdag(&iolb_kernels::program("tiled/mgs_tiled"), &[m, n, block]);
     let u = PebbleGame::new(&untiled, s).best_play().unwrap();
     let t = PebbleGame::new(&tiled, s).best_play().unwrap();
     assert!(

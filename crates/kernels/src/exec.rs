@@ -2,24 +2,16 @@
 //! results, so numerics tests can compare the IR semantics against the
 //! native implementations bit-for-bit (same operation order).
 
-use crate::interp::{Executable, Interpreter, NullSink, Store};
+use crate::interp::{Executable, Interpreter, Store};
 use crate::matrix::Matrix;
 use iolb_ir::{ArrayId, Program};
 
 /// Runs `exe` with named array inputs (row-major); unnamed arrays start at
 /// zero. Returns the final store.
-pub fn run_with_inputs(exe: &Executable, params: &[i64], inputs: &[(&str, &Matrix)]) -> Store {
-    let program = &exe.program;
-    let lookup = |a: ArrayId| -> Option<&Matrix> {
-        let name = &program.arrays[a.0 as usize].name;
-        inputs.iter().find(|(n, _)| n == name).map(|(_, m)| *m)
-    };
-    let mut store = Store::init(program, params, |a, f| match lookup(a) {
-        Some(m) => m.data[f],
-        None => 0.0,
-    });
-    Interpreter::new(exe, params).run(&mut store, &mut NullSink);
-    store
+pub fn run_with_inputs(exe: &Executable, params: &[i64], inputs: &[(&str, &[f64])]) -> Store {
+    let arrays = &exe.program.arrays;
+    let input = |a: ArrayId| inputs.iter().find(|(n, _)| *n == arrays[a.0 as usize].name);
+    Interpreter::new(exe, params).run_numeric(|a, f| input(a).map_or(0.0, |(_, v)| v[f]))
 }
 
 /// Extracts a named 2-D array from a store as a [`Matrix`].

@@ -3,367 +3,145 @@
 //! routine). The left-update statements `SR`/`SU` carry the hourglass with
 //! width `M − k ≥ M − N + 1`, matching Theorem 8.
 //!
-//! The IR guards the right-reflector block with a 0/1 dummy loop
-//! `for g in 0..min(1, N-1-k)` — the standard polyhedral encoding of the
-//! `k ≤ N-2` condition, keeping the program affine.
+//! `kernels/gebd2.iolb` guards the right-reflector block with a 0/1 dummy
+//! loop `for g in 0..min(1, -k + N - 1)` — the standard polyhedral
+//! encoding of the `k ≤ N-2` condition, keeping the program affine.
 
-use crate::interp::{Executable, Semantics};
+use crate::interp::{array_ids, Semantics};
 use crate::matrix::Matrix;
-use iolb_ir::{Access, LoopStep, Program, ProgramBuilder};
+use iolb_ir::Program;
 
-/// GEBD2 IR: parameters `M, N` (assumes `M ≥ N` like LAPACK).
-pub fn executable() -> Executable {
-    let mut b = ProgramBuilder::new("gebd2", &["M", "N"]);
-    let mut sem = Semantics::default();
-    let a = b.array("A", &[b.p("M"), b.p("N")]);
-    let tauq = b.array("tauq", &[b.p("N")]);
-    let taup = b.array("taup", &[b.p("N")]);
-    let tmp = b.array("tmp", &[b.p("N")]);
-    let tmp2 = b.array("tmp2", &[b.p("M")]);
-    let norma2 = b.scalar("norma2");
-    let norma = b.scalar("norma");
-
-    let k = b.open("k", b.c(0), b.p("N"));
-    // ---- left reflector from A[k:M, k] ----
-    let w_n2 = Access::new(norma2, vec![]);
-    sem.def(b.stmt("Bn0", vec![], vec![w_n2.clone()]), move |c| {
-        c.wr(norma2, &[], 0.0)
-    });
-    {
-        let i = b.open("i", b.d(k) + 1, b.p("M"));
-        let r_aik = Access::new(a, vec![b.d(i), b.d(k)]);
-        sem.def(
-            b.stmt("Bn1", vec![r_aik, w_n2.clone()], vec![w_n2.clone()]),
-            move |c| {
-                let (k, i) = (c.v(0), c.v(1));
-                let x = c.rd(a, &[i, k]);
-                let v = c.rd(norma2, &[]) + x * x;
-                c.wr(norma2, &[], v);
-            },
-        );
-        b.close();
-    }
-    let w_nrm = Access::new(norma, vec![]);
-    let rw_akk = Access::new(a, vec![b.d(k), b.d(k)]);
-    sem.def(
-        b.stmt(
-            "Bnorm",
-            vec![rw_akk.clone(), w_n2.clone()],
-            vec![w_nrm.clone()],
-        ),
-        move |c| {
+/// GEBD2 semantics: parameters `M, N` (assumes `M ≥ N` like LAPACK).
+pub fn semantics(p: &Program) -> Result<Semantics, String> {
+    let names = ["A", "tauq", "taup", "tmp", "tmp2", "norma2", "norma"];
+    let [a, tauq, taup, tmp, tmp2, norma2, norma] = array_ids(p, names)?;
+    Ok(Semantics::default()
+        // ---- left reflector from A[k:M, k] ----
+        .on("Bn0", move |c| c.wr(norma2, &[], 0.0))
+        .on("Bn1", move |c| {
+            let (k, i) = (c.v(0), c.v(1));
+            let x = c.rd(a, &[i, k]);
+            let v = c.rd(norma2, &[]) + x * x;
+            c.wr(norma2, &[], v);
+        })
+        .on("Bnorm", move |c| {
             let k = c.v(0);
             let akk = c.rd(a, &[k, k]);
             let n2 = c.rd(norma2, &[]);
             c.wr(norma, &[], (akk * akk + n2).sqrt());
-        },
-    );
-    sem.def(
-        b.stmt(
-            "Bakk",
-            vec![rw_akk.clone(), w_nrm.clone()],
-            vec![rw_akk.clone()],
-        ),
-        move |c| {
+        })
+        .on("Bakk", move |c| {
             let k = c.v(0);
             let akk = c.rd(a, &[k, k]);
             let nr = c.rd(norma, &[]);
             c.wr(a, &[k, k], if akk > 0.0 { akk + nr } else { akk - nr });
-        },
-    );
-    let w_tauqk = Access::new(tauq, vec![b.d(k)]);
-    sem.def(
-        b.stmt(
-            "Btauq",
-            vec![w_n2.clone(), rw_akk.clone()],
-            vec![w_tauqk.clone()],
-        ),
-        move |c| {
+        })
+        .on("Btauq", move |c| {
             let k = c.v(0);
             let akk = c.rd(a, &[k, k]);
             let n2 = c.rd(norma2, &[]);
             c.wr(tauq, &[k], 2.0 / (1.0 + n2 / (akk * akk)));
-        },
-    );
-    {
-        let i = b.open("i", b.d(k) + 1, b.p("M"));
-        let rw_aik = Access::new(a, vec![b.d(i), b.d(k)]);
-        sem.def(
-            b.stmt("Bscale", vec![rw_aik.clone(), rw_akk.clone()], vec![rw_aik]),
-            move |c| {
-                let (k, i) = (c.v(0), c.v(1));
-                let v = c.rd(a, &[i, k]) / c.rd(a, &[k, k]);
-                c.wr(a, &[i, k], v);
-            },
-        );
-        b.close();
-    }
-    sem.def(
-        b.stmt(
-            "Bflip",
-            vec![rw_akk.clone(), w_nrm.clone()],
-            vec![rw_akk.clone()],
-        ),
-        move |c| {
+        })
+        .on("Bscale", move |c| {
+            let (k, i) = (c.v(0), c.v(1));
+            let v = c.rd(a, &[i, k]) / c.rd(a, &[k, k]);
+            c.wr(a, &[i, k], v);
+        })
+        .on("Bflip", move |c| {
             let k = c.v(0);
             let akk = c.rd(a, &[k, k]);
             let nr = c.rd(norma, &[]);
             c.wr(a, &[k, k], if akk > 0.0 { -nr } else { nr });
-        },
-    );
-    // ---- apply left reflector to columns k+1..N (the hourglass) ----
-    {
-        let j = b.open("j", b.d(k) + 1, b.p("N"));
-        let rw_akj = Access::new(a, vec![b.d(k), b.d(j)]);
-        let w_tmpj = Access::new(tmp, vec![b.d(j)]);
-        sem.def(
-            b.stmt("Bt0", vec![rw_akj.clone()], vec![w_tmpj.clone()]),
-            move |c| {
-                let (k, j) = (c.v(0), c.v(1));
-                let v = c.rd(a, &[k, j]);
-                c.wr(tmp, &[j], v);
-            },
-        );
-        {
-            let i = b.open("i", b.d(k) + 1, b.p("M"));
-            let r_aik = Access::new(a, vec![b.d(i), b.d(k)]);
-            let r_aij = Access::new(a, vec![b.d(i), b.d(j)]);
-            sem.def(
-                b.stmt(
-                    "SR",
-                    vec![r_aik, r_aij, w_tmpj.clone()],
-                    vec![w_tmpj.clone()],
-                ),
-                move |c| {
-                    let (k, j, i) = (c.v(0), c.v(1), c.v(2));
-                    let v = c.rd(tmp, &[j]) + c.rd(a, &[i, k]) * c.rd(a, &[i, j]);
-                    c.wr(tmp, &[j], v);
-                },
-            );
-            b.close();
-        }
-        sem.def(
-            b.stmt(
-                "Bt1",
-                vec![w_tauqk.clone(), w_tmpj.clone()],
-                vec![w_tmpj.clone()],
-            ),
-            move |c| {
-                let (k, j) = (c.v(0), c.v(1));
-                let v = c.rd(tauq, &[k]) * c.rd(tmp, &[j]);
-                c.wr(tmp, &[j], v);
-            },
-        );
-        sem.def(
-            b.stmt(
-                "Brow",
-                vec![rw_akj.clone(), w_tmpj.clone()],
-                vec![rw_akj.clone()],
-            ),
-            move |c| {
-                let (k, j) = (c.v(0), c.v(1));
-                let v = c.rd(a, &[k, j]) - c.rd(tmp, &[j]);
-                c.wr(a, &[k, j], v);
-            },
-        );
-        {
-            let i = b.open("i", b.d(k) + 1, b.p("M"));
-            let r_aik = Access::new(a, vec![b.d(i), b.d(k)]);
-            let rw_aij = Access::new(a, vec![b.d(i), b.d(j)]);
-            sem.def(
-                b.stmt(
-                    "SU",
-                    vec![r_aik, rw_aij.clone(), w_tmpj.clone()],
-                    vec![rw_aij],
-                ),
-                move |c| {
-                    let (k, j, i) = (c.v(0), c.v(1), c.v(2));
-                    let v = c.rd(a, &[i, j]) - c.rd(a, &[i, k]) * c.rd(tmp, &[j]);
-                    c.wr(a, &[i, j], v);
-                },
-            );
-            b.close();
-        }
-        b.close();
-    }
-    // ---- right reflector from A[k, k+1:N], guarded by k ≤ N-2 ----
-    {
-        let g = b.open_general(
-            "g",
-            vec![b.c(0)],
-            vec![b.c(1), b.p("N") - b.d(k) - 1],
-            LoopStep::One,
-            false,
-        );
-        let _ = g;
-        sem.def(b.stmt("Cn0", vec![], vec![w_n2.clone()]), move |c| {
-            c.wr(norma2, &[], 0.0)
-        });
-        {
-            let j = b.open("j", b.d(k) + 2, b.p("N"));
-            let r_akj = Access::new(a, vec![b.d(k), b.d(j)]);
-            sem.def(
-                b.stmt("Cn1", vec![r_akj, w_n2.clone()], vec![w_n2.clone()]),
-                move |c| {
-                    let (k, j) = (c.v(0), c.v(2));
-                    let x = c.rd(a, &[k, j]);
-                    let v = c.rd(norma2, &[]) + x * x;
-                    c.wr(norma2, &[], v);
-                },
-            );
-            b.close();
-        }
-        let rw_ak1 = Access::new(a, vec![b.d(k), b.d(k) + 1]);
-        sem.def(
-            b.stmt(
-                "Cnorm",
-                vec![rw_ak1.clone(), w_n2.clone()],
-                vec![w_nrm.clone()],
-            ),
-            move |c| {
-                let k = c.v(0);
-                let x = c.rd(a, &[k, k + 1]);
-                let n2 = c.rd(norma2, &[]);
-                c.wr(norma, &[], (x * x + n2).sqrt());
-            },
-        );
-        sem.def(
-            b.stmt(
-                "Cak",
-                vec![rw_ak1.clone(), w_nrm.clone()],
-                vec![rw_ak1.clone()],
-            ),
-            move |c| {
-                let k = c.v(0);
-                let x = c.rd(a, &[k, k + 1]);
-                let nr = c.rd(norma, &[]);
-                c.wr(a, &[k, k + 1], if x > 0.0 { x + nr } else { x - nr });
-            },
-        );
-        let w_taupk = Access::new(taup, vec![b.d(k)]);
-        sem.def(
-            b.stmt(
-                "Ctaup",
-                vec![w_n2.clone(), rw_ak1.clone()],
-                vec![w_taupk.clone()],
-            ),
-            move |c| {
-                let k = c.v(0);
-                let x = c.rd(a, &[k, k + 1]);
-                let n2 = c.rd(norma2, &[]);
-                c.wr(taup, &[k], 2.0 / (1.0 + n2 / (x * x)));
-            },
-        );
-        {
-            let j = b.open("j", b.d(k) + 2, b.p("N"));
-            let rw_akj = Access::new(a, vec![b.d(k), b.d(j)]);
-            sem.def(
-                b.stmt("Cscale", vec![rw_akj.clone(), rw_ak1.clone()], vec![rw_akj]),
-                move |c| {
-                    let (k, j) = (c.v(0), c.v(2));
-                    let v = c.rd(a, &[k, j]) / c.rd(a, &[k, k + 1]);
-                    c.wr(a, &[k, j], v);
-                },
-            );
-            b.close();
-        }
-        sem.def(
-            b.stmt(
-                "Cflip",
-                vec![rw_ak1.clone(), w_nrm.clone()],
-                vec![rw_ak1.clone()],
-            ),
-            move |c| {
-                let k = c.v(0);
-                let x = c.rd(a, &[k, k + 1]);
-                let nr = c.rd(norma, &[]);
-                c.wr(a, &[k, k + 1], if x > 0.0 { -nr } else { nr });
-            },
-        );
+        })
+        // ---- apply left reflector to columns k+1..N (the hourglass) ----
+        .on("Bt0", move |c| {
+            let (k, j) = (c.v(0), c.v(1));
+            let v = c.rd(a, &[k, j]);
+            c.wr(tmp, &[j], v);
+        })
+        .on("SR", move |c| {
+            let (k, j, i) = (c.v(0), c.v(1), c.v(2));
+            let v = c.rd(tmp, &[j]) + c.rd(a, &[i, k]) * c.rd(a, &[i, j]);
+            c.wr(tmp, &[j], v);
+        })
+        .on("Bt1", move |c| {
+            let (k, j) = (c.v(0), c.v(1));
+            let v = c.rd(tauq, &[k]) * c.rd(tmp, &[j]);
+            c.wr(tmp, &[j], v);
+        })
+        .on("Brow", move |c| {
+            let (k, j) = (c.v(0), c.v(1));
+            let v = c.rd(a, &[k, j]) - c.rd(tmp, &[j]);
+            c.wr(a, &[k, j], v);
+        })
+        .on("SU", move |c| {
+            let (k, j, i) = (c.v(0), c.v(1), c.v(2));
+            let v = c.rd(a, &[i, j]) - c.rd(a, &[i, k]) * c.rd(tmp, &[j]);
+            c.wr(a, &[i, j], v);
+        })
+        // ---- right reflector from A[k, k+1:N], guarded by k ≤ N-2 ----
+        .on("Cn0", move |c| c.wr(norma2, &[], 0.0))
+        .on("Cn1", move |c| {
+            let (k, j) = (c.v(0), c.v(2));
+            let x = c.rd(a, &[k, j]);
+            let v = c.rd(norma2, &[]) + x * x;
+            c.wr(norma2, &[], v);
+        })
+        .on("Cnorm", move |c| {
+            let k = c.v(0);
+            let x = c.rd(a, &[k, k + 1]);
+            let n2 = c.rd(norma2, &[]);
+            c.wr(norma, &[], (x * x + n2).sqrt());
+        })
+        .on("Cak", move |c| {
+            let k = c.v(0);
+            let x = c.rd(a, &[k, k + 1]);
+            let nr = c.rd(norma, &[]);
+            c.wr(a, &[k, k + 1], if x > 0.0 { x + nr } else { x - nr });
+        })
+        .on("Ctaup", move |c| {
+            let k = c.v(0);
+            let x = c.rd(a, &[k, k + 1]);
+            let n2 = c.rd(norma2, &[]);
+            c.wr(taup, &[k], 2.0 / (1.0 + n2 / (x * x)));
+        })
+        .on("Cscale", move |c| {
+            let (k, j) = (c.v(0), c.v(2));
+            let v = c.rd(a, &[k, j]) / c.rd(a, &[k, k + 1]);
+            c.wr(a, &[k, j], v);
+        })
+        .on("Cflip", move |c| {
+            let k = c.v(0);
+            let x = c.rd(a, &[k, k + 1]);
+            let nr = c.rd(norma, &[]);
+            c.wr(a, &[k, k + 1], if x > 0.0 { -nr } else { nr });
+        })
         // Apply right reflector to rows k+1..M.
-        {
-            let i = b.open("i", b.d(k) + 1, b.p("M"));
-            let rw_ai1 = Access::new(a, vec![b.d(i), b.d(k) + 1]);
-            let w_tmp2 = Access::new(tmp2, vec![b.d(i)]);
-            sem.def(
-                b.stmt("Ct0", vec![rw_ai1.clone()], vec![w_tmp2.clone()]),
-                move |c| {
-                    let (k, i) = (c.v(0), c.v(2));
-                    let v = c.rd(a, &[i, k + 1]);
-                    c.wr(tmp2, &[i], v);
-                },
-            );
-            {
-                let j = b.open("j", b.d(k) + 2, b.p("N"));
-                let r_akj = Access::new(a, vec![b.d(k), b.d(j)]);
-                let r_aij = Access::new(a, vec![b.d(i), b.d(j)]);
-                sem.def(
-                    b.stmt(
-                        "CSR",
-                        vec![r_akj, r_aij, w_tmp2.clone()],
-                        vec![w_tmp2.clone()],
-                    ),
-                    move |c| {
-                        let (k, i, j) = (c.v(0), c.v(2), c.v(3));
-                        let v = c.rd(tmp2, &[i]) + c.rd(a, &[i, j]) * c.rd(a, &[k, j]);
-                        c.wr(tmp2, &[i], v);
-                    },
-                );
-                b.close();
-            }
-            sem.def(
-                b.stmt(
-                    "Ct1",
-                    vec![w_taupk.clone(), w_tmp2.clone()],
-                    vec![w_tmp2.clone()],
-                ),
-                move |c| {
-                    let (k, i) = (c.v(0), c.v(2));
-                    let v = c.rd(taup, &[k]) * c.rd(tmp2, &[i]);
-                    c.wr(tmp2, &[i], v);
-                },
-            );
-            sem.def(
-                b.stmt(
-                    "Ccol",
-                    vec![rw_ai1.clone(), w_tmp2.clone()],
-                    vec![rw_ai1.clone()],
-                ),
-                move |c| {
-                    let (k, i) = (c.v(0), c.v(2));
-                    let v = c.rd(a, &[i, k + 1]) - c.rd(tmp2, &[i]);
-                    c.wr(a, &[i, k + 1], v);
-                },
-            );
-            {
-                let j = b.open("j", b.d(k) + 2, b.p("N"));
-                let r_akj = Access::new(a, vec![b.d(k), b.d(j)]);
-                let rw_aij = Access::new(a, vec![b.d(i), b.d(j)]);
-                sem.def(
-                    b.stmt(
-                        "CSU",
-                        vec![r_akj, rw_aij.clone(), w_tmp2.clone()],
-                        vec![rw_aij],
-                    ),
-                    move |c| {
-                        let (k, i, j) = (c.v(0), c.v(2), c.v(3));
-                        let v = c.rd(a, &[i, j]) - c.rd(tmp2, &[i]) * c.rd(a, &[k, j]);
-                        c.wr(a, &[i, j], v);
-                    },
-                );
-                b.close();
-            }
-            b.close();
-        }
-        b.close();
-    }
-    b.close();
-    Executable::new(b.finish(), sem)
-}
-
-/// The declared-access program of [`executable`].
-pub fn program() -> Program {
-    executable().program
+        .on("Ct0", move |c| {
+            let (k, i) = (c.v(0), c.v(2));
+            let v = c.rd(a, &[i, k + 1]);
+            c.wr(tmp2, &[i], v);
+        })
+        .on("CSR", move |c| {
+            let (k, i, j) = (c.v(0), c.v(2), c.v(3));
+            let v = c.rd(tmp2, &[i]) + c.rd(a, &[i, j]) * c.rd(a, &[k, j]);
+            c.wr(tmp2, &[i], v);
+        })
+        .on("Ct1", move |c| {
+            let (k, i) = (c.v(0), c.v(2));
+            let v = c.rd(taup, &[k]) * c.rd(tmp2, &[i]);
+            c.wr(tmp2, &[i], v);
+        })
+        .on("Ccol", move |c| {
+            let (k, i) = (c.v(0), c.v(2));
+            let v = c.rd(a, &[i, k + 1]) - c.rd(tmp2, &[i]);
+            c.wr(a, &[i, k + 1], v);
+        })
+        .on("CSU", move |c| {
+            let (k, i, j) = (c.v(0), c.v(2), c.v(3));
+            let v = c.rd(a, &[i, j]) - c.rd(tmp2, &[i]) * c.rd(a, &[k, j]);
+            c.wr(a, &[i, j], v);
+        }))
 }
 
 /// Native GEBD2; returns `(A with reflectors + bidiagonal, tauq, taup)`.
@@ -486,8 +264,8 @@ mod tests {
     #[test]
     fn ir_matches_native() {
         let a0 = Matrix::random(8, 5, 53);
-        let p = executable();
-        let store = run_with_inputs(&p, &[8, 5], &[("A", &a0)]);
+        let p = crate::executable("gebd2");
+        let store = run_with_inputs(&p, &[8, 5], &[("A", &a0.data)]);
         let out_ir = extract_matrix(&p.program, &[8, 5], &store, "A");
         let tauq_ir = extract_vector(&p.program, &[8, 5], &store, "tauq");
         let taup_ir = extract_vector(&p.program, &[8, 5], &store, "taup");
@@ -503,7 +281,7 @@ mod tests {
 
     #[test]
     fn ir_accesses_are_consistent() {
-        let p = executable();
+        let p = crate::executable("gebd2");
         assert!(crate::interp::validate_accesses(&p, &[7, 5]).unwrap() > 0);
         assert!(crate::interp::validate_accesses(&p, &[6, 6]).unwrap() > 0);
     }

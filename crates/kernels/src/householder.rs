@@ -6,513 +6,214 @@
 //! V2Q expands `(V, tau)` into the thin `M×N` orthogonal factor, running the
 //! outer loop *backwards* so `tau[j]` cells can be reused as temporaries.
 //! Both exhibit the hourglass on their `SR`/`SU` statements with parametric
-//! width `M − 1 − k ≥ M − N`.
+//! width `M − 1 − k ≥ M − N`. The statements are those of
+//! `kernels/qr_hh_a2v.iolb`, `kernels/qr_hh_v2q.iolb` and
+//! `kernels/tiled/qr_hh_a2v_tiled.iolb`.
 
-use crate::interp::{Executable, Semantics};
+use crate::interp::{array_ids, Semantics};
 use crate::matrix::Matrix;
-use iolb_ir::{Access, LoopStep, Program, ProgramBuilder};
+use iolb_ir::{ArrayId, Program};
 
 /// A2V (LAPACK GEQR2, Figure 3): in-place `A → V\R`, producing `tau`.
-pub fn a2v_executable() -> Executable {
-    let mut b = ProgramBuilder::new("qr_hh_a2v", &["M", "N"]);
-    let mut sem = Semantics::default();
-    let a = b.array("A", &[b.p("M"), b.p("N")]);
-    let tau = b.array("tau", &[b.p("N")]);
-    let norma2 = b.scalar("norma2");
-    let norma = b.scalar("norma");
-
-    let k = b.open("k", b.c(0), b.p("N"));
-    let w_n2 = Access::new(norma2, vec![]);
-    sem.def(b.stmt("Hn0", vec![], vec![w_n2.clone()]), move |c| {
-        c.wr(norma2, &[], 0.0)
-    });
-    {
-        let i = b.open("i", b.d(k) + 1, b.p("M"));
-        let r_aik = Access::new(a, vec![b.d(i), b.d(k)]);
-        sem.def(
-            b.stmt("Hn1", vec![r_aik, w_n2.clone()], vec![w_n2.clone()]),
-            move |c| {
-                let (k, i) = (c.v(0), c.v(1));
-                let x = c.rd(a, &[i, k]);
-                let v = c.rd(norma2, &[]) + x * x;
-                c.wr(norma2, &[], v);
-            },
-        );
-        b.close();
-    }
-    let w_nrm = Access::new(norma, vec![]);
-    let rw_akk = Access::new(a, vec![b.d(k), b.d(k)]);
-    sem.def(
-        b.stmt(
-            "Hnorm",
-            vec![rw_akk.clone(), w_n2.clone()],
-            vec![w_nrm.clone()],
-        ),
-        move |c| {
+pub fn a2v_semantics(p: &Program) -> Result<Semantics, String> {
+    let [a, tau, norma2, norma] = array_ids(p, ["A", "tau", "norma2", "norma"])?;
+    Ok(Semantics::default()
+        .on("Hn0", move |c| c.wr(norma2, &[], 0.0))
+        .on("Hn1", move |c| {
+            let (k, i) = (c.v(0), c.v(1));
+            let x = c.rd(a, &[i, k]);
+            let v = c.rd(norma2, &[]) + x * x;
+            c.wr(norma2, &[], v);
+        })
+        .on("Hnorm", move |c| {
             let k = c.v(0);
             let akk = c.rd(a, &[k, k]);
             let v = (akk * akk + c.rd(norma2, &[])).sqrt();
             c.wr(norma, &[], v);
-        },
-    );
-    sem.def(
-        b.stmt(
-            "Hakk",
-            vec![rw_akk.clone(), w_nrm.clone()],
-            vec![rw_akk.clone()],
-        ),
-        move |c| {
+        })
+        .on("Hakk", move |c| {
             let k = c.v(0);
             let akk = c.rd(a, &[k, k]);
             let nr = c.rd(norma, &[]);
             c.wr(a, &[k, k], if akk > 0.0 { akk + nr } else { akk - nr });
-        },
-    );
-    let w_tauk = Access::new(tau, vec![b.d(k)]);
-    sem.def(
-        b.stmt(
-            "Htau",
-            vec![w_n2.clone(), rw_akk.clone()],
-            vec![w_tauk.clone()],
-        ),
-        move |c| {
+        })
+        .on("Htau", move |c| {
             let k = c.v(0);
             let akk = c.rd(a, &[k, k]);
             let v = 2.0 / (1.0 + c.rd(norma2, &[]) / (akk * akk));
             c.wr(tau, &[k], v);
-        },
-    );
-    {
-        let i = b.open("i", b.d(k) + 1, b.p("M"));
-        let rw_aik = Access::new(a, vec![b.d(i), b.d(k)]);
-        sem.def(
-            b.stmt("Hscale", vec![rw_aik.clone(), rw_akk.clone()], vec![rw_aik]),
-            move |c| {
-                let (k, i) = (c.v(0), c.v(1));
-                let v = c.rd(a, &[i, k]) / c.rd(a, &[k, k]);
-                c.wr(a, &[i, k], v);
-            },
-        );
-        b.close();
-    }
-    sem.def(
-        b.stmt(
-            "Hflip",
-            vec![rw_akk.clone(), w_nrm.clone()],
-            vec![rw_akk.clone()],
-        ),
-        move |c| {
+        })
+        .on("Hscale", move |c| {
+            let (k, i) = (c.v(0), c.v(1));
+            let v = c.rd(a, &[i, k]) / c.rd(a, &[k, k]);
+            c.wr(a, &[i, k], v);
+        })
+        .on("Hflip", move |c| {
             let k = c.v(0);
             let akk = c.rd(a, &[k, k]);
             let nr = c.rd(norma, &[]);
             c.wr(a, &[k, k], if akk > 0.0 { -nr } else { nr });
-        },
-    );
-    {
-        let j = b.open("j", b.d(k) + 1, b.p("N"));
-        let rw_akj = Access::new(a, vec![b.d(k), b.d(j)]);
-        let w_tauj = Access::new(tau, vec![b.d(j)]);
-        sem.def(
-            b.stmt("Ht0", vec![rw_akj.clone()], vec![w_tauj.clone()]),
-            move |c| {
-                let (k, j) = (c.v(0), c.v(1));
-                let v = c.rd(a, &[k, j]);
-                c.wr(tau, &[j], v);
-            },
-        );
-        {
-            let i = b.open("i", b.d(k) + 1, b.p("M"));
-            let r_aik = Access::new(a, vec![b.d(i), b.d(k)]);
-            let r_aij = Access::new(a, vec![b.d(i), b.d(j)]);
-            sem.def(
-                b.stmt(
-                    "SR",
-                    vec![r_aik, r_aij, w_tauj.clone()],
-                    vec![w_tauj.clone()],
-                ),
-                move |c| {
-                    let (k, j, i) = (c.v(0), c.v(1), c.v(2));
-                    let v = c.rd(tau, &[j]) + c.rd(a, &[i, k]) * c.rd(a, &[i, j]);
-                    c.wr(tau, &[j], v);
-                },
-            );
-            b.close();
-        }
-        sem.def(
-            b.stmt(
-                "Ht1",
-                vec![w_tauk.clone(), w_tauj.clone()],
-                vec![w_tauj.clone()],
-            ),
-            move |c| {
-                let (k, j) = (c.v(0), c.v(1));
-                let v = c.rd(tau, &[k]) * c.rd(tau, &[j]);
-                c.wr(tau, &[j], v);
-            },
-        );
-        sem.def(
-            b.stmt(
-                "Hrow",
-                vec![rw_akj.clone(), w_tauj.clone()],
-                vec![rw_akj.clone()],
-            ),
-            move |c| {
-                let (k, j) = (c.v(0), c.v(1));
-                let v = c.rd(a, &[k, j]) - c.rd(tau, &[j]);
-                c.wr(a, &[k, j], v);
-            },
-        );
-        {
-            let i = b.open("i", b.d(k) + 1, b.p("M"));
-            let r_aik = Access::new(a, vec![b.d(i), b.d(k)]);
-            let rw_aij = Access::new(a, vec![b.d(i), b.d(j)]);
-            sem.def(
-                b.stmt(
-                    "SU",
-                    vec![r_aik, rw_aij.clone(), w_tauj.clone()],
-                    vec![rw_aij],
-                ),
-                move |c| {
-                    let (k, j, i) = (c.v(0), c.v(1), c.v(2));
-                    let v = c.rd(a, &[i, j]) - c.rd(a, &[i, k]) * c.rd(tau, &[j]);
-                    c.wr(a, &[i, j], v);
-                },
-            );
-            b.close();
-        }
-        b.close();
-    }
-    b.close();
-    Executable::new(b.finish(), sem)
-}
-
-/// The declared-access program of [`a2v_executable`].
-pub fn a2v_program() -> Program {
-    a2v_executable().program
+        })
+        .on("Ht0", move |c| {
+            let (k, j) = (c.v(0), c.v(1));
+            let v = c.rd(a, &[k, j]);
+            c.wr(tau, &[j], v);
+        })
+        .on("SR", move |c| {
+            let (k, j, i) = (c.v(0), c.v(1), c.v(2));
+            let v = c.rd(tau, &[j]) + c.rd(a, &[i, k]) * c.rd(a, &[i, j]);
+            c.wr(tau, &[j], v);
+        })
+        .on("Ht1", move |c| {
+            let (k, j) = (c.v(0), c.v(1));
+            let v = c.rd(tau, &[k]) * c.rd(tau, &[j]);
+            c.wr(tau, &[j], v);
+        })
+        .on("Hrow", move |c| {
+            let (k, j) = (c.v(0), c.v(1));
+            let v = c.rd(a, &[k, j]) - c.rd(tau, &[j]);
+            c.wr(a, &[k, j], v);
+        })
+        .on("SU", move |c| {
+            let (k, j, i) = (c.v(0), c.v(1), c.v(2));
+            let v = c.rd(a, &[i, j]) - c.rd(a, &[i, k]) * c.rd(tau, &[j]);
+            c.wr(a, &[i, j], v);
+        }))
 }
 
 /// V2Q (LAPACK ORG2R, Figure 6): in-place `V\· → Q` given `tau` (M ≥ N).
-pub fn v2q_executable() -> Executable {
-    let mut b = ProgramBuilder::new("qr_hh_v2q", &["M", "N"]);
-    let mut sem = Semantics::default();
-    let a = b.array("A", &[b.p("M"), b.p("N")]);
-    let tau = b.array("tau", &[b.p("N")]);
-
-    let k = b.open_rev("k", b.c(0), b.p("N"));
-    {
-        let j = b.open("j", b.d(k) + 1, b.p("N"));
-        let w_tauj = Access::new(tau, vec![b.d(j)]);
-        sem.def(b.stmt("Vt0", vec![], vec![w_tauj.clone()]), move |c| {
-            c.wr(tau, &[c.v(1)], 0.0)
-        });
-        {
-            let i = b.open("i", b.d(k) + 1, b.p("M"));
-            let r_aik = Access::new(a, vec![b.d(i), b.d(k)]);
-            let r_aij = Access::new(a, vec![b.d(i), b.d(j)]);
-            sem.def(
-                b.stmt(
-                    "SR",
-                    vec![r_aik, r_aij, w_tauj.clone()],
-                    vec![w_tauj.clone()],
-                ),
-                move |c| {
-                    let (k, j, i) = (c.v(0), c.v(1), c.v(2));
-                    let v = c.rd(tau, &[j]) + c.rd(a, &[i, k]) * c.rd(a, &[i, j]);
-                    c.wr(tau, &[j], v);
-                },
-            );
-            b.close();
-        }
-        b.close();
-    }
-    {
-        let j = b.open("j", b.d(k) + 1, b.p("N"));
-        let w_tauj = Access::new(tau, vec![b.d(j)]);
-        let r_tauk = Access::new(tau, vec![b.d(k)]);
-        sem.def(
-            b.stmt("Vt1", vec![w_tauj.clone(), r_tauk], vec![w_tauj.clone()]),
-            move |c| {
-                let (k, j) = (c.v(0), c.v(1));
-                let v = c.rd(tau, &[j]) * c.rd(tau, &[k]);
-                c.wr(tau, &[j], v);
-            },
-        );
-        b.close();
-    }
-    let r_tauk = Access::new(tau, vec![b.d(k)]);
-    let w_akk = Access::new(a, vec![b.d(k), b.d(k)]);
-    sem.def(
-        b.stmt("Vdiag", vec![r_tauk.clone()], vec![w_akk]),
-        move |c| {
+pub fn v2q_semantics(p: &Program) -> Result<Semantics, String> {
+    let [a, tau] = array_ids(p, ["A", "tau"])?;
+    Ok(Semantics::default()
+        .on("Vt0", move |c| c.wr(tau, &[c.v(1)], 0.0))
+        .on("SR", move |c| {
+            let (k, j, i) = (c.v(0), c.v(1), c.v(2));
+            let v = c.rd(tau, &[j]) + c.rd(a, &[i, k]) * c.rd(a, &[i, j]);
+            c.wr(tau, &[j], v);
+        })
+        .on("Vt1", move |c| {
+            let (k, j) = (c.v(0), c.v(1));
+            let v = c.rd(tau, &[j]) * c.rd(tau, &[k]);
+            c.wr(tau, &[j], v);
+        })
+        .on("Vdiag", move |c| {
             let k = c.v(0);
             let v = 1.0 - c.rd(tau, &[k]);
             c.wr(a, &[k, k], v);
-        },
-    );
-    {
-        let j = b.open("j", b.d(k) + 1, b.p("N"));
-        let r_tauj = Access::new(tau, vec![b.d(j)]);
-        let w_akj = Access::new(a, vec![b.d(k), b.d(j)]);
-        sem.def(b.stmt("Vrow", vec![r_tauj], vec![w_akj]), move |c| {
+        })
+        .on("Vrow", move |c| {
             let (k, j) = (c.v(0), c.v(1));
             let v = -c.rd(tau, &[j]);
             c.wr(a, &[k, j], v);
-        });
-        b.close();
-    }
-    {
-        let j = b.open("j", b.d(k) + 1, b.p("N"));
-        let i = b.open("i", b.d(k) + 1, b.p("M"));
-        let r_aik = Access::new(a, vec![b.d(i), b.d(k)]);
-        let rw_aij = Access::new(a, vec![b.d(i), b.d(j)]);
-        let r_tauj = Access::new(tau, vec![b.d(j)]);
-        sem.def(
-            b.stmt("SU", vec![r_aik, rw_aij.clone(), r_tauj], vec![rw_aij]),
-            move |c| {
-                let (k, j, i) = (c.v(0), c.v(1), c.v(2));
-                let v = c.rd(a, &[i, j]) - c.rd(a, &[i, k]) * c.rd(tau, &[j]);
-                c.wr(a, &[i, j], v);
-            },
-        );
-        b.close();
-        b.close();
-    }
-    {
-        let i = b.open("i", b.d(k) + 1, b.p("M"));
-        let rw_aik = Access::new(a, vec![b.d(i), b.d(k)]);
-        let r_tauk = Access::new(tau, vec![b.d(k)]);
-        sem.def(
-            b.stmt("Vscale", vec![rw_aik.clone(), r_tauk], vec![rw_aik]),
-            move |c| {
-                let (k, i) = (c.v(0), c.v(1));
-                let v = -c.rd(a, &[i, k]) * c.rd(tau, &[k]);
-                c.wr(a, &[i, k], v);
-            },
-        );
-        b.close();
-    }
-    b.close();
-    Executable::new(b.finish(), sem)
+        })
+        .on("SU", move |c| {
+            let (k, j, i) = (c.v(0), c.v(1), c.v(2));
+            let v = c.rd(a, &[i, j]) - c.rd(a, &[i, k]) * c.rd(tau, &[j]);
+            c.wr(a, &[i, j], v);
+        })
+        .on("Vscale", move |c| {
+            let (k, i) = (c.v(0), c.v(1));
+            let v = -c.rd(a, &[i, k]) * c.rd(tau, &[k]);
+            c.wr(a, &[i, k], v);
+        }))
 }
 
-/// The declared-access program of [`v2q_executable`].
-pub fn v2q_program() -> Program {
-    v2q_executable().program
+/// The "reflect column k by reflector j" statements of the tiled A2V,
+/// labelled `[t0, t1, t2, row, su]`. `pj`/`pk` are the `c.v` positions of
+/// `j` and `k`, which the two phases nest in opposite orders; the inner
+/// `i` loop is position 3.
+fn reflect_block(
+    sem: Semantics,
+    [t0, t1, t2, row, su]: [&'static str; 5],
+    [a, tau, tmp]: [ArrayId; 3],
+    pj: usize,
+    pk: usize,
+) -> Semantics {
+    sem.on(t0, move |c| {
+        let (j, k) = (c.v(pj), c.v(pk));
+        let v = c.rd(a, &[j, k]);
+        c.wr(tmp, &[], v);
+    })
+    .on(t1, move |c| {
+        let (j, k, i) = (c.v(pj), c.v(pk), c.v(3));
+        let v = c.rd(tmp, &[]) + c.rd(a, &[i, j]) * c.rd(a, &[i, k]);
+        c.wr(tmp, &[], v);
+    })
+    .on(t2, move |c| {
+        let j = c.v(pj);
+        let v = c.rd(tau, &[j]) * c.rd(tmp, &[]);
+        c.wr(tmp, &[], v);
+    })
+    .on(row, move |c| {
+        let (j, k) = (c.v(pj), c.v(pk));
+        let v = c.rd(a, &[j, k]) - c.rd(tmp, &[]);
+        c.wr(a, &[j, k], v);
+    })
+    .on(su, move |c| {
+        let (j, k, i) = (c.v(pj), c.v(pk), c.v(3));
+        let v = c.rd(a, &[i, k]) - c.rd(a, &[i, j]) * c.rd(tmp, &[]);
+        c.wr(a, &[i, k], v);
+    })
 }
 
 /// Tiled A2V (Figure 9): parameters `M, N, B`; left-looking blocked
 /// ordering with I/O `≈ ½(M²N² − MN³/3)/S` at `B = ⌊S/M⌋ − 1`.
-pub fn a2v_tiled_executable() -> Executable {
-    let mut b = ProgramBuilder::new("qr_hh_a2v_tiled", &["M", "N", "B"]);
-    let mut sem = Semantics::default();
-    let a = b.array("A", &[b.p("M"), b.p("N")]);
-    let tau = b.array("tau", &[b.p("N")]);
-    let tmp = b.scalar("tmp");
-    let norma2 = b.scalar("norma2");
-    let norma = b.scalar("norma");
-    let bstep = LoopStep::Param(b.pid("B"));
-
-    // Emits the "reflect column k by reflector j" block; dims positions are
-    // passed in because the two phases nest (j, k) in opposite orders.
-    // (pos_j, pos_i) give c.v positions of j and k; the inner i loop is
-    // opened here.
-    macro_rules! reflect_block {
-        ($b:ident, $jd:ident, $kd:ident, $pj:expr, $pk:expr, $prefix:literal) => {{
-            let rw_ajk = Access::new(a, vec![$b.d($jd), $b.d($kd)]);
-            let w_tmp = Access::new(tmp, vec![]);
-            sem.def(
-                $b.stmt(
-                    concat!($prefix, "t0"),
-                    vec![rw_ajk.clone()],
-                    vec![w_tmp.clone()],
-                ),
-                move |c| {
-                    let (j, k) = (c.v($pj), c.v($pk));
-                    let v = c.rd(a, &[j, k]);
-                    c.wr(tmp, &[], v);
-                },
-            );
-            {
-                let i = $b.open("i", $b.d($jd) + 1, $b.p("M"));
-                let r_aij = Access::new(a, vec![$b.d(i), $b.d($jd)]);
-                let r_aik = Access::new(a, vec![$b.d(i), $b.d($kd)]);
-                sem.def(
-                    $b.stmt(
-                        concat!($prefix, "t1"),
-                        vec![r_aij, r_aik, w_tmp.clone()],
-                        vec![w_tmp.clone()],
-                    ),
-                    move |c| {
-                        let (j, k, i) = (c.v($pj), c.v($pk), c.v(3));
-                        let v = c.rd(tmp, &[]) + c.rd(a, &[i, j]) * c.rd(a, &[i, k]);
-                        c.wr(tmp, &[], v);
-                    },
-                );
-                $b.close();
-            }
-            let r_tauj = Access::new(tau, vec![$b.d($jd)]);
-            sem.def(
-                $b.stmt(
-                    concat!($prefix, "t2"),
-                    vec![r_tauj, w_tmp.clone()],
-                    vec![w_tmp.clone()],
-                ),
-                move |c| {
-                    let j = c.v($pj);
-                    let v = c.rd(tau, &[j]) * c.rd(tmp, &[]);
-                    c.wr(tmp, &[], v);
-                },
-            );
-            sem.def(
-                $b.stmt(
-                    concat!($prefix, "row"),
-                    vec![rw_ajk.clone(), w_tmp.clone()],
-                    vec![rw_ajk.clone()],
-                ),
-                move |c| {
-                    let (j, k) = (c.v($pj), c.v($pk));
-                    let v = c.rd(a, &[j, k]) - c.rd(tmp, &[]);
-                    c.wr(a, &[j, k], v);
-                },
-            );
-            {
-                let i = $b.open("i", $b.d($jd) + 1, $b.p("M"));
-                let r_aij = Access::new(a, vec![$b.d(i), $b.d($jd)]);
-                let rw_aik = Access::new(a, vec![$b.d(i), $b.d($kd)]);
-                sem.def(
-                    $b.stmt(
-                        concat!($prefix, "su"),
-                        vec![r_aij, rw_aik.clone(), w_tmp.clone()],
-                        vec![rw_aik],
-                    ),
-                    move |c| {
-                        let (j, k, i) = (c.v($pj), c.v($pk), c.v(3));
-                        let v = c.rd(a, &[i, k]) - c.rd(a, &[i, j]) * c.rd(tmp, &[]);
-                        c.wr(a, &[i, k], v);
-                    },
-                );
-                $b.close();
-            }
-        }};
-    }
-
-    let k0 = b.open_strided("k0", b.c(0), b.p("N"), bstep);
-    let _ = k0;
-    // Phase 1: apply all reflectors j < k0 to the block's columns.
-    {
-        let j = b.open("j", b.c(0), b.d(k0));
-        let kk = b.open_general(
-            "k",
-            vec![b.d(k0)],
-            vec![b.d(k0) + b.p("B"), b.p("N")],
-            LoopStep::One,
-            false,
-        );
-        reflect_block!(b, j, kk, 1, 2, "X");
-        b.close();
-        b.close();
-    }
-    // Phase 2: panel factorization inside the block.
-    {
-        let kk = b.open_general(
-            "k",
-            vec![b.d(k0)],
-            vec![b.d(k0) + b.p("B"), b.p("N")],
-            LoopStep::One,
-            false,
-        );
-        {
-            let j = b.open("j", b.d(k0), b.d(kk));
-            reflect_block!(b, j, kk, 2, 1, "Y");
-            b.close();
-        }
-        // Reflector generation for column k (same as the A2V head).
-        let w_n2 = Access::new(norma2, vec![]);
-        sem.def(b.stmt("Yn0", vec![], vec![w_n2.clone()]), move |c| {
-            c.wr(norma2, &[], 0.0)
-        });
-        {
-            let i = b.open("i", b.d(kk) + 1, b.p("M"));
-            let r_aik = Access::new(a, vec![b.d(i), b.d(kk)]);
-            sem.def(
-                b.stmt("Yn1", vec![r_aik, w_n2.clone()], vec![w_n2.clone()]),
-                move |c| {
-                    let (k, i) = (c.v(1), c.v(2));
-                    let x = c.rd(a, &[i, k]);
-                    let v = c.rd(norma2, &[]) + x * x;
-                    c.wr(norma2, &[], v);
-                },
-            );
-            b.close();
-        }
-        let w_nrm = Access::new(norma, vec![]);
-        let rw_akk = Access::new(a, vec![b.d(kk), b.d(kk)]);
-        sem.def(
-            b.stmt(
-                "Ynorm",
-                vec![rw_akk.clone(), w_n2.clone()],
-                vec![w_nrm.clone()],
-            ),
-            move |c| {
-                let k = c.v(1);
-                let akk = c.rd(a, &[k, k]);
-                let v = (akk * akk + c.rd(norma2, &[])).sqrt();
-                c.wr(norma, &[], v);
-            },
-        );
-        sem.def(
-            b.stmt(
-                "Yakk",
-                vec![rw_akk.clone(), w_nrm.clone()],
-                vec![rw_akk.clone()],
-            ),
-            move |c| {
-                let k = c.v(1);
-                let akk = c.rd(a, &[k, k]);
-                let nr = c.rd(norma, &[]);
-                c.wr(a, &[k, k], if akk > 0.0 { akk + nr } else { akk - nr });
-            },
-        );
-        let w_tauk = Access::new(tau, vec![b.d(kk)]);
-        sem.def(
-            b.stmt("Ytau", vec![w_n2.clone(), rw_akk.clone()], vec![w_tauk]),
-            move |c| {
-                let k = c.v(1);
-                let akk = c.rd(a, &[k, k]);
-                let v = 2.0 / (1.0 + c.rd(norma2, &[]) / (akk * akk));
-                c.wr(tau, &[k], v);
-            },
-        );
-        {
-            let i = b.open("i", b.d(kk) + 1, b.p("M"));
-            let rw_aik = Access::new(a, vec![b.d(i), b.d(kk)]);
-            sem.def(
-                b.stmt("Yscale", vec![rw_aik.clone(), rw_akk.clone()], vec![rw_aik]),
-                move |c| {
-                    let (k, i) = (c.v(1), c.v(2));
-                    let v = c.rd(a, &[i, k]) / c.rd(a, &[k, k]);
-                    c.wr(a, &[i, k], v);
-                },
-            );
-            b.close();
-        }
-        sem.def(
-            b.stmt(
-                "Yflip",
-                vec![rw_akk.clone(), w_nrm.clone()],
-                vec![rw_akk.clone()],
-            ),
-            move |c| {
-                let k = c.v(1);
-                let akk = c.rd(a, &[k, k]);
-                let nr = c.rd(norma, &[]);
-                c.wr(a, &[k, k], if akk > 0.0 { -nr } else { nr });
-            },
-        );
-        b.close();
-    }
-    b.close();
-    Executable::new(b.finish(), sem)
+pub fn a2v_tiled_semantics(p: &Program) -> Result<Semantics, String> {
+    let [a, tau, tmp, norma2, norma] = array_ids(p, ["A", "tau", "tmp", "norma2", "norma"])?;
+    // Phase 1 applies all reflectors j < k0 to the block's columns (loops
+    // k0, j, k); phase 2 factors the panel inside the block (k0, k, j).
+    let sem = reflect_block(
+        Semantics::default(),
+        ["Xt0", "Xt1", "Xt2", "Xrow", "Xsu"],
+        [a, tau, tmp],
+        1,
+        2,
+    );
+    let sem = reflect_block(
+        sem,
+        ["Yt0", "Yt1", "Yt2", "Yrow", "Ysu"],
+        [a, tau, tmp],
+        2,
+        1,
+    );
+    // Reflector generation for column k (same as the A2V head).
+    Ok(sem
+        .on("Yn0", move |c| c.wr(norma2, &[], 0.0))
+        .on("Yn1", move |c| {
+            let (k, i) = (c.v(1), c.v(2));
+            let x = c.rd(a, &[i, k]);
+            let v = c.rd(norma2, &[]) + x * x;
+            c.wr(norma2, &[], v);
+        })
+        .on("Ynorm", move |c| {
+            let k = c.v(1);
+            let akk = c.rd(a, &[k, k]);
+            let v = (akk * akk + c.rd(norma2, &[])).sqrt();
+            c.wr(norma, &[], v);
+        })
+        .on("Yakk", move |c| {
+            let k = c.v(1);
+            let akk = c.rd(a, &[k, k]);
+            let nr = c.rd(norma, &[]);
+            c.wr(a, &[k, k], if akk > 0.0 { akk + nr } else { akk - nr });
+        })
+        .on("Ytau", move |c| {
+            let k = c.v(1);
+            let akk = c.rd(a, &[k, k]);
+            let v = 2.0 / (1.0 + c.rd(norma2, &[]) / (akk * akk));
+            c.wr(tau, &[k], v);
+        })
+        .on("Yscale", move |c| {
+            let (k, i) = (c.v(1), c.v(2));
+            let v = c.rd(a, &[i, k]) / c.rd(a, &[k, k]);
+            c.wr(a, &[i, k], v);
+        })
+        .on("Yflip", move |c| {
+            let k = c.v(1);
+            let akk = c.rd(a, &[k, k]);
+            let nr = c.rd(norma, &[]);
+            c.wr(a, &[k, k], if akk > 0.0 { -nr } else { nr });
+        }))
 }
 
 /// Native A2V; returns `(V\R in place, tau)`.
@@ -636,6 +337,7 @@ pub fn a2v_tiled_native(a0: &Matrix, block: usize) -> (Matrix, Vec<f64>) {
 mod tests {
     use super::*;
     use crate::exec::{extract_matrix, extract_vector, run_with_inputs};
+    use crate::interp::validate_accesses;
     use crate::matrix::dense_q_from_reflectors;
 
     #[test]
@@ -679,8 +381,8 @@ mod tests {
     #[test]
     fn a2v_ir_matches_native() {
         let a0 = Matrix::random(8, 5, 9);
-        let p = a2v_executable();
-        let store = run_with_inputs(&p, &[8, 5], &[("A", &a0)]);
+        let p = crate::executable("qr_hh_a2v");
+        let store = run_with_inputs(&p, &[8, 5], &[("A", &a0.data)]);
         let vr_ir = extract_matrix(&p.program, &[8, 5], &store, "A");
         let tau_ir = extract_vector(&p.program, &[8, 5], &store, "tau");
         let (vr, tau) = a2v_native(&a0);
@@ -694,29 +396,8 @@ mod tests {
     fn v2q_ir_matches_native() {
         let a0 = Matrix::random(8, 5, 10);
         let (vr, tau) = a2v_native(&a0);
-        let p = v2q_executable();
-        let tau_m = Matrix {
-            rows: 1,
-            cols: 5,
-            data: tau.clone(),
-        };
-        // tau is 1-D; pass through a 1×N matrix view of the data.
-        let store = {
-            let lookupable = [("A", &vr)];
-            let mut store = crate::interp::Store::init(&p.program, &[8, 5], |arr, f| {
-                let name = &p.program.arrays[arr.0 as usize].name;
-                if name == "A" {
-                    lookupable[0].1.data[f]
-                } else if name == "tau" {
-                    tau_m.data[f]
-                } else {
-                    0.0
-                }
-            });
-            crate::interp::Interpreter::new(&p, &[8, 5])
-                .run(&mut store, &mut crate::interp::NullSink);
-            store
-        };
+        let p = crate::executable("qr_hh_v2q");
+        let store = run_with_inputs(&p, &[8, 5], &[("A", &vr.data), ("tau", &tau)]);
         let q_ir = extract_matrix(&p.program, &[8, 5], &store, "A");
         let q = v2q_native(&vr, &tau);
         assert!(q_ir.max_abs_diff(&q) < 1e-12);
@@ -735,26 +416,33 @@ mod tests {
         }
     }
 
+    /// `B = 3` does not divide `N = 7`: the last block is narrower, and
+    /// only the `min(k0 + B, N)` bound stops it at `N`.
     #[test]
     fn tiled_a2v_ir_matches_tiled_native() {
-        let a0 = Matrix::random(9, 6, 29);
-        let p = a2v_tiled_executable();
-        for block in [2i64, 3] {
-            let store = run_with_inputs(&p, &[9, 6, block], &[("A", &a0)]);
-            let vr_ir = extract_matrix(&p.program, &[9, 6, block], &store, "A");
-            let tau_ir = extract_vector(&p.program, &[9, 6, block], &store, "tau");
+        let p = crate::executable("tiled/qr_hh_a2v_tiled");
+        for params @ [m, n, block] in [[9, 6, 2], [9, 6, 3], [9, 7, 3]] {
+            let a0 = Matrix::random(m as usize, n as usize, 29);
+            let store = run_with_inputs(&p, &params, &[("A", &a0.data)]);
+            let vr_ir = extract_matrix(&p.program, &params, &store, "A");
+            let tau_ir = extract_vector(&p.program, &params, &store, "tau");
             let (vr, tau) = a2v_tiled_native(&a0, block as usize);
-            assert!(vr_ir.max_abs_diff(&vr) < 1e-12, "B={block}");
+            assert!(vr_ir.max_abs_diff(&vr) < 1e-12, "{params:?}");
             for (x, y) in tau_ir.iter().zip(&tau) {
-                assert!((x - y).abs() < 1e-12, "B={block}");
+                assert!((x - y).abs() < 1e-12, "{params:?}");
             }
         }
     }
 
     #[test]
     fn all_ir_variants_validate() {
-        assert!(crate::interp::validate_accesses(&a2v_executable(), &[8, 5]).unwrap() > 0);
-        assert!(crate::interp::validate_accesses(&v2q_executable(), &[8, 5]).unwrap() > 0);
-        assert!(crate::interp::validate_accesses(&a2v_tiled_executable(), &[8, 5, 2]).unwrap() > 0);
+        for (stem, params) in [
+            ("qr_hh_a2v", &[8, 5][..]),
+            ("qr_hh_v2q", &[8, 5]),
+            ("tiled/qr_hh_a2v_tiled", &[8, 5, 2]),
+            ("tiled/qr_hh_a2v_tiled", &[9, 7, 3]),
+        ] {
+            assert!(validate_accesses(&crate::executable(stem), params).unwrap() > 0);
+        }
     }
 }

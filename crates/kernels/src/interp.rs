@@ -1,17 +1,16 @@
-//! The builder reference's f64 semantics and their interpreter.
+//! The paper kernels' f64 semantics and their interpreter.
 //!
 //! Production analyses read a statement as its declared accesses alone
-//! (`iolb_ir::interp`). The builder kernels of this crate additionally
-//! carry hand-written f64 closures — the numerical ground truth — and this
-//! module executes them in schedule order, carrying real array contents
-//! and streaming every performed access into an [`ExecSink`]:
+//! (`iolb_ir::interp`). This crate attaches hand-written f64 closures —
+//! the numerical ground truth — to the statements of the parsed `.iolb`
+//! files by label ([`Executable::attach`]), and this module executes them
+//! in schedule order, carrying real array contents and streaming every
+//! performed access into an [`ExecSink`]:
 //!
-//! * **numerics** — running a kernel and checking its mathematical output
-//!   against the native implementations,
+//! * **numerics** — running a kernel file and checking its mathematical
+//!   output against the native implementations,
 //! * **certification** — [`validate_accesses`] checks the declared affine
-//!   accesses against the performed ones on every executed instance, which
-//!   is what lets the `.iolb` files (declared accesses only) stand for the
-//!   builders.
+//!   accesses against the performed ones on every executed instance.
 //!
 //! The store's per-array lengths are read off [`DeclaredAccesses`].
 
@@ -31,8 +30,6 @@ pub trait ExecSink {
     fn on_read(&mut self, _array: ArrayId, _flat: usize) {}
     /// The current instance wrote `array[flat]`.
     fn on_write(&mut self, _array: ArrayId, _flat: usize) {}
-    /// Execution finished.
-    fn on_finish(&mut self) {}
 }
 
 /// Sink that ignores everything (pure numeric runs).
@@ -87,7 +84,6 @@ impl Store {
 /// Statement execution context handed to semantic closures.
 pub struct ExecCtx<'a> {
     iv: &'a [i64],
-    params: &'a [i64],
     store: &'a mut Store,
     sink: &'a mut dyn ExecSink,
 }
@@ -96,11 +92,6 @@ impl ExecCtx<'_> {
     /// Value of the `i`-th enclosing loop (outermost first).
     pub fn v(&self, i: usize) -> i64 {
         self.iv[i]
-    }
-
-    /// Value of parameter `i`.
-    pub fn p(&self, i: usize) -> i64 {
-        self.params[i]
     }
 
     /// Reads `array[idx]`, reporting the access.
@@ -122,28 +113,41 @@ impl ExecCtx<'_> {
 /// interpreter context (which records the performed accesses).
 pub type ComputeFn = Arc<dyn Fn(&mut ExecCtx<'_>) + Send + Sync>;
 
-/// Statement semantics collected while a builder kernel's program is
-/// built, in statement order.
+/// A kernel's f64 semantics, keyed by statement label.
 #[derive(Default)]
-pub struct Semantics(Vec<ComputeFn>);
+pub struct Semantics(Vec<(&'static str, ComputeFn)>);
 
 impl Semantics {
-    /// Defines the semantics of `stmt`, the statement just added.
-    ///
-    /// # Panics
-    /// Panics when statements are defined out of order.
-    pub fn def(
-        &mut self,
-        stmt: StmtId,
+    /// Adds the semantics of the statement labelled `label`.
+    pub fn on(
+        mut self,
+        label: &'static str,
         compute: impl Fn(&mut ExecCtx<'_>) + Send + Sync + 'static,
-    ) {
-        assert_eq!(
-            stmt.0 as usize,
-            self.0.len(),
-            "semantics must be defined in statement order"
-        );
-        self.0.push(Arc::new(compute));
+    ) -> Semantics {
+        self.0.push((label, Arc::new(compute)));
+        self
     }
+}
+
+/// A semantics table: builds a kernel's [`Semantics`] for a program,
+/// resolving the arrays its closures touch with [`array_ids`].
+pub type Table = fn(&Program) -> Result<Semantics, String>;
+
+/// The ids of `names` in `program`, in order.
+///
+/// # Errors
+/// Names the first array the program does not declare.
+pub fn array_ids<const N: usize>(
+    program: &Program,
+    names: [&str; N],
+) -> Result<[ArrayId; N], String> {
+    let mut ids = [ArrayId(0); N];
+    for (id, name) in ids.iter_mut().zip(names) {
+        *id = program
+            .array_id(name)
+            .ok_or_else(|| format!("{}: no array `{name}`", program.name))?;
+    }
+    Ok(ids)
 }
 
 /// A program with f64 semantics for each of its statements.
@@ -152,25 +156,48 @@ pub struct Executable {
     /// The program (declared accesses and schedule).
     pub program: Program,
     /// Per-statement semantics, indexed by [`StmtId`].
-    pub semantics: Vec<ComputeFn>,
+    semantics: Vec<ComputeFn>,
 }
 
 impl Executable {
-    /// Pairs a built program with its statements' semantics.
+    /// Binds the semantics `table` builds for `program` to its statements
+    /// by label.
     ///
-    /// # Panics
-    /// Panics unless every statement has exactly one definition.
-    pub fn new(program: Program, semantics: Semantics) -> Executable {
-        assert_eq!(
-            program.stmts.len(),
-            semantics.0.len(),
-            "{}: one semantic closure per statement",
-            program.name
-        );
-        Executable {
-            program,
-            semantics: semantics.0,
+    /// # Errors
+    /// Refuses a table entry whose label matches no statement or repeats an
+    /// earlier one, and a statement the table leaves without semantics;
+    /// the message names the label. A table naming an array the program
+    /// lacks fails with that array's name.
+    pub fn attach(
+        program: Program,
+        table: impl FnOnce(&Program) -> Result<Semantics, String>,
+    ) -> Result<Executable, String> {
+        let Semantics(defs) = table(&program)?;
+        let mut semantics: Vec<Option<ComputeFn>> = vec![None; program.stmts.len()];
+        for (label, compute) in defs {
+            let id = program.stmt_id(label).ok_or_else(|| {
+                format!(
+                    "{}: semantics for `{label}` match no statement",
+                    program.name
+                )
+            })?;
+            if semantics[id.0 as usize].replace(compute).is_some() {
+                return Err(format!(
+                    "{}: duplicate semantics for `{label}`",
+                    program.name
+                ));
+            }
         }
+        let semantics = semantics
+            .into_iter()
+            .zip(&program.stmts)
+            .map(|(compute, s)| {
+                compute.ok_or_else(|| {
+                    format!("{}: statement `{}` has no semantics", program.name, s.name)
+                })
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(Executable { program, semantics })
     }
 }
 
@@ -205,13 +232,11 @@ impl<'p> Interpreter<'p> {
             sink.on_stmt(id, &iv);
             let mut ctx = ExecCtx {
                 iv: &iv,
-                params: &self.params,
                 store,
                 sink,
             };
             (self.exe.semantics[id.0 as usize])(&mut ctx);
         });
-        sink.on_finish();
     }
 
     /// Convenience: fresh store from `init`, run with [`NullSink`].
@@ -288,23 +313,26 @@ pub fn validate_accesses(exe: &Executable, params: &[i64]) -> Result<u64, String
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iolb_ir::{Access, ProgramBuilder, TileSpec};
+    use iolb_ir::{parse_program, TileSpec};
 
-    /// `for i in 0..N { y[i] = 2*x[i] }`
+    /// `S` declares the read `x[i]` and the write `y[i]`.
+    fn xy() -> Program {
+        parse_program(
+            "kernel xy(N) { array x[N]; array y[N]; for i in 0..N { S: y[i] = op(x[i]); } }",
+        )
+        .unwrap()
+    }
+
+    /// `xy` whose `S` doubles: `y[i] = 2*x[i]`.
     fn scale_prog() -> Executable {
-        let mut b = ProgramBuilder::new("scale", &["N"]);
-        let mut sem = Semantics::default();
-        let x = b.array("x", &[b.p("N")]);
-        let y = b.array("y", &[b.p("N")]);
-        let i = b.open("i", b.c(0), b.p("N"));
-        let rx = Access::new(x, vec![b.d(i)]);
-        let wy = Access::new(y, vec![b.d(i)]);
-        sem.def(b.stmt("S", vec![rx], vec![wy]), move |c| {
-            let v = 2.0 * c.rd(x, &[c.v(0)]);
-            c.wr(y, &[c.v(0)], v);
-        });
-        b.close();
-        Executable::new(b.finish(), sem)
+        Executable::attach(xy(), |p| {
+            let [x, y] = array_ids(p, ["x", "y"])?;
+            Ok(Semantics::default().on("S", move |c| {
+                let v = 2.0 * c.rd(x, &[c.v(0)]);
+                c.wr(y, &[c.v(0)], v);
+            }))
+        })
+        .unwrap()
     }
 
     #[test]
@@ -345,22 +373,21 @@ mod tests {
         assert_eq!(n, 7);
     }
 
-    /// A legal tiling of the builder GEMM computes the same final store as
+    /// A legal tiling of the GEMM file computes the same final store as
     /// program order, bit for bit.
     #[test]
     fn tiled_numeric_store_matches_untiled_when_legal() {
-        let p = crate::gemm::executable();
+        let program = crate::program("gemm");
         let tiles = [
             TileSpec::new("i", 2),
             TileSpec::new("j", 3),
             TileSpec::new("k", 1),
         ];
-        // Tiling keeps every statement and its iteration vector, so the
-        // semantics carry over unchanged.
-        let tiled = Executable {
-            program: iolb_ir::tile_program(&p.program, &tiles).unwrap(),
-            semantics: p.semantics.clone(),
-        };
+        // Tiling keeps every statement's label and iteration vector, so the
+        // semantics attach unchanged.
+        let tiled = iolb_ir::tile_program(&program, &tiles).unwrap();
+        let tiled = Executable::attach(tiled, crate::gemm::semantics).unwrap();
+        let p = Executable::attach(program, crate::gemm::semantics).unwrap();
         let params = [6, 5, 4];
         let init = |a: ArrayId, f: usize| (a.0 as f64) * 3.0 + f as f64 * 0.5 + 1.0;
         let base = Interpreter::new(&p, &params).run_numeric(init);
@@ -368,19 +395,32 @@ mod tests {
         assert_eq!(base.data, got.data, "legal tiling is semantics-preserving");
     }
 
-    /// `S` declares the read `x[i]` and the write `y[i]`; `compute` is what
-    /// it actually does.
+    /// Each refusal of `attach` names the offending label.
+    #[test]
+    fn attach_refuses_missing_extra_and_duplicate_labels() {
+        let table = |labels: &'static [&'static str]| {
+            move |_: &Program| {
+                Ok(labels
+                    .iter()
+                    .fold(Semantics::default(), |sem, l| sem.on(l, |_| {})))
+            }
+        };
+        let refusal = |labels| Executable::attach(xy(), table(labels)).err().unwrap();
+        assert_eq!(refusal(&[]), "xy: statement `S` has no semantics");
+        assert_eq!(
+            refusal(&["S", "T"]),
+            "xy: semantics for `T` match no statement"
+        );
+        assert_eq!(refusal(&["S", "S"]), "xy: duplicate semantics for `S`");
+        let unknown =
+            Executable::attach(xy(), |p| array_ids(p, ["z"]).map(|_| Semantics::default()));
+        assert_eq!(unknown.err().unwrap(), "xy: no array `z`");
+        assert!(Executable::attach(xy(), table(&["S"])).is_ok());
+    }
+
+    /// `xy` whose `S` runs `compute`, whatever it actually accesses.
     fn liar(compute: impl Fn(&mut ExecCtx<'_>) + Send + Sync + 'static) -> Executable {
-        let mut b = ProgramBuilder::new("liar", &["N"]);
-        let mut sem = Semantics::default();
-        let x = b.array("x", &[b.p("N")]);
-        let y = b.array("y", &[b.p("N")]);
-        let i = b.open("i", b.c(0), b.p("N"));
-        let rx = Access::new(x, vec![b.d(i)]);
-        let wy = Access::new(y, vec![b.d(i)]);
-        sem.def(b.stmt("S", vec![rx], vec![wy]), compute);
-        b.close();
-        Executable::new(b.finish(), sem)
+        Executable::attach(xy(), |_| Ok(Semantics::default().on("S", compute))).unwrap()
     }
 
     #[test]

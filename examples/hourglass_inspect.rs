@@ -11,12 +11,12 @@ use hourglass_iolb::kernels;
 
 fn main() {
     let cases: Vec<(iolb_ir::Program, &str, Vec<i64>)> = vec![
-        (kernels::mgs::program(), "SU", vec![9, 6]),
-        (kernels::householder::a2v_program(), "SU", vec![9, 6]),
-        (kernels::householder::v2q_program(), "SU", vec![9, 6]),
-        (kernels::gebd2::program(), "SU", vec![9, 6]),
-        (kernels::gehd2::program(), "SU1", vec![9]),
-        (kernels::gemm::program(), "SU", vec![5, 6, 4]),
+        (kernels::program("mgs"), "SU", vec![9, 6]),
+        (kernels::program("qr_hh_a2v"), "SU", vec![9, 6]),
+        (kernels::program("qr_hh_v2q"), "SU", vec![9, 6]),
+        (kernels::program("gebd2"), "SU", vec![9, 6]),
+        (kernels::program("gehd2"), "SU1", vec![9]),
+        (kernels::program("gemm"), "SU", vec![5, 6, 4]),
     ];
     for (program, stmt_name, params) in cases {
         let analysis = Analysis::run(&program, std::slice::from_ref(&params)).expect("analysis");

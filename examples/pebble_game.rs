@@ -8,7 +8,7 @@ use hourglass_iolb::cdag::{build_cdag, PebbleGame, SpillPolicy};
 use hourglass_iolb::kernels;
 
 fn main() {
-    let program = kernels::mgs::program();
+    let program = kernels::program("mgs");
     let params = [20i64, 10];
     let g = build_cdag(&program, &params);
     println!(

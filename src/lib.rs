@@ -13,7 +13,7 @@
 //! | [`ir`] | polyhedral-lite program IR, checked declared-access evaluator, dependence analysis |
 //! | [`cdag`] | computational DAGs, red-white pebble game |
 //! | [`memsim`] | two-level memory simulator (LRU / Belady-MIN) |
-//! | [`kernels`] | builder reference (f64 semantics + interpreter) and native f64 MGS, Householder A2V/V2Q, GEBD2, GEHD2, GEMM, tiled variants |
+//! | [`kernels`] | f64 semantics (attached to the shipped kernel files by statement label) + interpreter, and native f64 MGS, Householder A2V/V2Q, GEBD2, GEHD2, GEMM, tiled variants |
 //! | [`core`] | the paper: classical K-partitioning + hourglass bound derivation |
 //!
 //! ## Quickstart

@@ -4,7 +4,7 @@
 
 use hourglass_iolb::ir::count::{enumerate_instance_counts, eval_params, instance_count};
 use hourglass_iolb::kernels;
-use hourglass_iolb::kernels::interp::{validate_accesses, Executable};
+use hourglass_iolb::kernels::interp::validate_accesses;
 use iolb_numeric::Rational;
 
 /// One case: program, parameter grids, and the matching symbolic envs.
@@ -18,32 +18,32 @@ type CountCase = (
 fn symbolic_counts_match_enumeration_everywhere() {
     let cases: Vec<CountCase> = vec![
         (
-            kernels::mgs::program(),
+            kernels::program("mgs"),
             vec![vec![7, 5], vec![10, 6]],
             vec![vec![("M", 7), ("N", 5)], vec![("M", 10), ("N", 6)]],
         ),
         (
-            kernels::householder::a2v_program(),
+            kernels::program("qr_hh_a2v"),
             vec![vec![8, 5], vec![11, 7]],
             vec![vec![("M", 8), ("N", 5)], vec![("M", 11), ("N", 7)]],
         ),
         (
-            kernels::householder::v2q_program(),
+            kernels::program("qr_hh_v2q"),
             vec![vec![8, 5]],
             vec![vec![("M", 8), ("N", 5)]],
         ),
         (
-            kernels::gebd2::program(),
+            kernels::program("gebd2"),
             vec![vec![8, 5]],
             vec![vec![("M", 8), ("N", 5)]],
         ),
         (
-            kernels::gehd2::program(),
+            kernels::program("gehd2"),
             vec![vec![8]],
             vec![vec![("N", 8)]],
         ),
         (
-            kernels::gemm::program(),
+            kernels::program("gemm"),
             vec![vec![4, 5, 3]],
             vec![vec![("M", 4), ("N", 5), ("K", 3)]],
         ),
@@ -78,38 +78,27 @@ fn symbolic_counts_match_enumeration_everywhere() {
     }
 }
 
-/// Every builder program's f64 closures perform exactly its declared
-/// accesses — the tiled Appendix A programs included — at two parameter
-/// sets each.
+/// Every shipped paper kernel file's f64 closures perform exactly its
+/// declared accesses — the tiled Appendix A files included — at two
+/// parameter sets each.
 #[test]
 fn all_kernels_validate_declared_accesses() {
-    let cases: Vec<(Executable, [Vec<i64>; 2])> = vec![
-        (kernels::mgs::executable(), [vec![9, 6], vec![7, 5]]),
-        (
-            kernels::mgs::tiled_executable(),
-            [vec![9, 6, 2], vec![8, 6, 3]],
-        ),
-        (
-            kernels::householder::a2v_executable(),
-            [vec![9, 6], vec![8, 5]],
-        ),
-        (
-            kernels::householder::a2v_tiled_executable(),
-            [vec![9, 6, 2], vec![8, 5, 4]],
-        ),
-        (
-            kernels::householder::v2q_executable(),
-            [vec![9, 6], vec![8, 5]],
-        ),
-        (kernels::gebd2::executable(), [vec![9, 6], vec![6, 6]]),
-        (kernels::gehd2::executable(), [vec![9], vec![7]]),
-        (kernels::gemm::executable(), [vec![4, 5, 3], vec![5, 4, 6]]),
+    let cases: [(&str, [&[i64]; 2]); 8] = [
+        ("mgs", [&[9, 6], &[7, 5]]),
+        ("tiled/mgs_tiled", [&[9, 6, 2], &[8, 6, 3]]),
+        ("qr_hh_a2v", [&[9, 6], &[8, 5]]),
+        ("tiled/qr_hh_a2v_tiled", [&[9, 6, 2], &[8, 5, 4]]),
+        ("qr_hh_v2q", [&[9, 6], &[8, 5]]),
+        ("gebd2", [&[9, 6], &[6, 6]]),
+        ("gehd2", [&[9], &[7]]),
+        ("gemm", [&[4, 5, 3], &[5, 4, 6]]),
     ];
-    for (exe, param_sets) in &cases {
+    for (stem, param_sets) in cases {
+        let exe = kernels::executable(stem);
         for params in param_sets {
-            let n = validate_accesses(exe, params)
-                .unwrap_or_else(|e| panic!("{} at {params:?}: {e}", exe.program.name));
-            assert!(n > 0, "{} at {params:?}", exe.program.name);
+            let n = validate_accesses(&exe, params)
+                .unwrap_or_else(|e| panic!("{stem} at {params:?}: {e}"));
+            assert!(n > 0, "{stem} at {params:?}");
         }
     }
 }

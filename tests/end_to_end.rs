@@ -1,11 +1,13 @@
-//! Workspace-level end-to-end test: builder reference → interpreter →
-//! numerics → CDAG → dependence analysis → hourglass
-//! detection/certification → derived bound → pebble-game soundness, all on
-//! the public facade API.
+//! Workspace-level end-to-end test: shipped kernel file + its f64
+//! semantics → interpreter → numerics → CDAG → dependence analysis →
+//! hourglass detection/certification → derived bound → pebble-game
+//! soundness, all on the public facade API.
 
 use hourglass_iolb::cdag::{build_cdag, PebbleGame, SpillPolicy};
 use hourglass_iolb::core;
-use hourglass_iolb::kernels::interp::{validate_accesses, Executable, Interpreter, Semantics};
+use hourglass_iolb::kernels::interp::{
+    array_ids, validate_accesses, Executable, Interpreter, Semantics,
+};
 use hourglass_iolb::kernels::{self, Matrix};
 use hourglass_iolb::prelude::*;
 
@@ -17,7 +19,7 @@ fn mgs_report() -> KernelReport {
 
 #[test]
 fn full_pipeline_mgs() {
-    let exe = kernels::mgs::executable();
+    let exe = kernels::executable("mgs");
     let program = &exe.program;
 
     // Declared accesses match executed accesses.
@@ -26,7 +28,7 @@ fn full_pipeline_mgs() {
 
     // Numerics: the IR really computes a QR factorization.
     let a = Matrix::random(10, 6, 99);
-    let store = kernels::exec::run_with_inputs(&exe, &[10, 6], &[("A", &a)]);
+    let store = kernels::exec::run_with_inputs(&exe, &[10, 6], &[("A", &a.data)]);
     let q = kernels::exec::extract_matrix(program, &[10, 6], &store, "Q");
     let r = kernels::exec::extract_matrix(program, &[10, 6], &store, "R");
     assert!(q.orthonormality_error() < 1e-10);
@@ -63,9 +65,8 @@ fn memsim_agrees_with_pebble_game_ordering() {
     // simulator side, the LRU curve of MGS's declared-access trace, is
     // held monotone in S by `iolb_bench::sweep`'s
     // `small_sweep_is_sound_and_min_beats_lru`.
-    let exe = kernels::mgs::executable();
     let params = [16i64, 8];
-    let g = build_cdag(&exe.program, &params);
+    let g = build_cdag(&kernels::program("mgs"), &params);
     let mut prev_play = u64::MAX;
     for s in [12usize, 24, 48, 96] {
         let play = PebbleGame::new(&g, s)
@@ -78,23 +79,27 @@ fn memsim_agrees_with_pebble_game_ordering() {
 
 #[test]
 fn prelude_surface_is_usable() {
-    // Build a custom program through the public builder and derive a bound.
+    // Build a custom program through the public builder, run it with f64
+    // semantics attached by label, and derive a bound.
     let mut b = ProgramBuilder::new("user_kernel", &["N"]);
-    let mut sem = Semantics::default();
     let x = b.array("x", &[b.p("N")]);
     let acc = b.scalar("acc");
     let wa = hourglass_iolb::ir::Access::new(acc, vec![]);
-    sem.def(b.stmt("Z", vec![], vec![wa.clone()]), move |c| {
-        c.wr(acc, &[], 0.0)
-    });
+    b.stmt("Z", vec![], vec![wa.clone()]);
     let i = b.open("i", b.c(0), b.p("N"));
     let xi = hourglass_iolb::ir::Access::new(x, vec![b.d(i)]);
-    sem.def(b.stmt("S", vec![xi, wa.clone()], vec![wa]), move |c| {
-        let v = c.rd(x, &[c.v(0)]) + c.rd(acc, &[]);
-        c.wr(acc, &[], v);
-    });
+    b.stmt("S", vec![xi, wa.clone()], vec![wa]);
     b.close();
-    let exe = Executable::new(b.finish(), sem);
+    let exe = Executable::attach(b.finish(), |p| {
+        let [x, acc] = array_ids(p, ["x", "acc"])?;
+        Ok(Semantics::default()
+            .on("Z", move |c| c.wr(acc, &[], 0.0))
+            .on("S", move |c| {
+                let v = c.rd(x, &[c.v(0)]) + c.rd(acc, &[]);
+                c.wr(acc, &[], v);
+            }))
+    })
+    .unwrap();
     let interp = Interpreter::new(&exe, &[10]);
     let store = interp.run_numeric(|a, f| if a.0 == 0 { f as f64 } else { 0.0 });
     assert_eq!(store.data[1][0], 45.0);
