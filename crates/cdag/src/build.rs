@@ -6,7 +6,9 @@
 //! writer* of its cell (or to an input node when the cell was never
 //! written). A statement's declared accesses are its semantics, so this is
 //! the precise flow-dependence CDAG of the paper — pure integer work over
-//! dense tables — and an out-of-range subscript is a typed refusal.
+//! dense tables — and an out-of-range subscript is a typed refusal. The
+//! rule itself is [`Wiring`], which the tightness auto-tuner also runs to
+//! read the input count and in-degrees without building a graph.
 //!
 //! [`CdagBuilder`] records the same graph from a stream of instance,
 //! read and write events; tests drive it from independent access
@@ -177,6 +179,63 @@ impl CdagBuilder {
     }
 }
 
+/// The CDAG's wiring rule over dense cell ids: a read depends on the last
+/// instance that wrote its cell, or on the cell's input node when none has
+/// (the first read of an untouched cell creates that node), and an
+/// instance's repeated reads of one producer are a single edge.
+/// [`try_build_cdag`] builds its edges with it; callers that need only the
+/// input count and the in-degrees use it without building a graph.
+#[derive(Debug)]
+pub struct Wiring {
+    /// Per cell: `NIL` untouched, `input_id << 1 | 1` once first touched
+    /// by a read, `compute_id << 1` once written by that compute.
+    cells: Vec<u32>,
+    /// Each input node's cell, by input id.
+    inputs: Vec<usize>,
+    /// The last wired instance's distinct producers.
+    preds: Vec<u32>,
+}
+
+impl Wiring {
+    /// No cell touched yet, out of `num_cells`.
+    pub fn new(num_cells: usize) -> Wiring {
+        Wiring {
+            cells: vec![NIL; num_cells],
+            inputs: Vec::new(),
+            preds: Vec::new(),
+        }
+    }
+
+    /// Wires compute `cur` (ids count from 0 in schedule order) from its
+    /// packed accesses (`cell << 1`, low bit set for a write; its reads
+    /// before its writes) and returns its distinct producers in first-read
+    /// order, packed `input_id << 1 | 1` or `compute_id << 1`.
+    pub fn instance(&mut self, cur: u32, events: &[u64]) -> &[u32] {
+        self.preds.clear();
+        for &event in events {
+            let cell = (event >> 1) as usize;
+            if event & 1 == 1 {
+                self.cells[cell] = cur << 1;
+                continue;
+            }
+            let slot = &mut self.cells[cell];
+            if *slot == NIL {
+                *slot = ((self.inputs.len() as u32) << 1) | 1;
+                self.inputs.push(cell);
+            }
+            if !self.preds.contains(slot) {
+                self.preds.push(*slot);
+            }
+        }
+        &self.preds
+    }
+
+    /// Each input node's cell, by input id.
+    pub fn inputs(&self) -> &[usize] {
+        &self.inputs
+    }
+}
+
 /// Runs `program` at `params` and returns its exact CDAG.
 ///
 /// Enumerates instances with `iolb_ir::for_each_instance` and evaluates the
@@ -230,14 +289,11 @@ pub fn try_build_cdag(
         }
     }
     let accesses = DeclaredAccesses::bind(program, params);
-    // One packed state per cell, doubling as the edge's `from` endpoint:
-    // NIL = untouched, `input_id << 1 | 1` = first touch was a read (input
-    // node), `compute_id << 1` = last written by that compute.
-    let mut cells: Vec<u32> = vec![NIL; accesses.num_cells()];
+    let mut wiring = Wiring::new(accesses.num_cells());
+    let mut events: Vec<u64> = Vec::new();
     let mut stmts: Vec<u32> = Vec::new();
     let mut iv_off: Vec<u32> = vec![0];
     let mut iv_data: Vec<i32> = Vec::new();
-    let mut inputs: Vec<(u32, u32)> = Vec::new();
     // Packed `from` endpoint: `input_id << 1 | 1` or `compute_id << 1`.
     let mut edges: Vec<(u32, u32)> = Vec::new();
 
@@ -253,28 +309,35 @@ pub fn try_build_cdag(
             iv_data.extend(stmt.dims.iter().map(|d| dims[d.0 as usize] as i32));
             iv_off.push(iv_data.len() as u32);
             let cur = (stmts.len() - 1) as u32;
-            let instance_start = edges.len();
-            for (r, access) in stmt.reads.iter().enumerate() {
-                let cell = accesses.read(stmt_id, r, dims)?;
-                let slot = &mut cells[cell];
-                if *slot == NIL {
-                    *slot = ((inputs.len() as u32) << 1) | 1;
-                    let flat = cell - accesses.base(access.array);
-                    inputs.push((access.array.0, flat as u32));
-                }
-                let from = *slot;
-                // Duplicate declared reads of one producer within an instance
-                // are a single edge.
-                if !edges[instance_start..].iter().any(|&(e, _)| e == from) {
-                    edges.push((from, cur));
-                }
+            events.clear();
+            for r in 0..stmt.reads.len() {
+                events.push((accesses.read(stmt_id, r, dims)? as u64) << 1);
             }
             for w in 0..stmt.writes.len() {
-                cells[accesses.write(stmt_id, w, dims)?] = cur << 1;
+                events.push(((accesses.write(stmt_id, w, dims)? as u64) << 1) | 1);
             }
+            edges.extend(
+                wiring
+                    .instance(cur, &events)
+                    .iter()
+                    .map(|&from| (from, cur)),
+            );
             Ok(())
         },
     )?;
+    // Each input node's `(array, flat offset)`: arrays own consecutive
+    // cell ranges in id order.
+    let bases: Vec<usize> = (0..program.arrays.len() as u32)
+        .map(|a| accesses.base(ArrayId(a)))
+        .collect();
+    let inputs: Vec<(u32, u32)> = wiring
+        .inputs()
+        .iter()
+        .map(|&cell| {
+            let a = bases.partition_point(|&b| b <= cell) - 1;
+            (a as u32, (cell - bases[a]) as u32)
+        })
+        .collect();
 
     // Second-line totals check (admission bounds these ahead of time; the
     // instance ceiling above bounds them during the fill).
@@ -403,7 +466,7 @@ mod tests {
         let y = b.scalar("y");
         let rx = Access::new(x, vec![b.c(0)]);
         let wy = Access::new(y, vec![]);
-        b.stmt("S", vec![rx], vec![wy]);
+        b.stmt("S", vec![rx.clone(), rx], vec![wy]);
         let p = b.finish();
         let g = build_cdag(&p, &[3]);
         assert_eq!(g.num_edges(), 1);

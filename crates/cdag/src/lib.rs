@@ -27,6 +27,6 @@ pub mod graph;
 pub mod pebble;
 
 pub use bound::{input_floor, SpectralProfile, VisitProfile, SPECTRAL_NODE_CAP};
-pub use build::{build_cdag, try_build_cdag, CdagBuilder};
+pub use build::{build_cdag, try_build_cdag, CdagBuilder, Wiring};
 pub use graph::{Cdag, NodeId, NodeKind, NodeSpec, ProgramOrderTrace};
 pub use pebble::{PebbleError, PebbleGame, PlayStats, SpillPolicy};

@@ -193,6 +193,8 @@ pub fn parse_fuzz_args(args: &[String]) -> Result<FuzzOptions, String> {
                     .ok_or("--max-dims needs a value")?
                     .parse()
                     .map_err(|_| "bad --max-dims value".to_string())?;
+                // The generator's clamp: deeper nests enumerate too many
+                // instances for one fuzz case (`GenConfig::max_dims`).
                 if !(1..=8).contains(&max_dims) {
                     return Err("--max-dims must be in 1..=8".to_string());
                 }

@@ -24,7 +24,9 @@
 //!    tiled enumerations preserving the instance version map are the only
 //!    ones measured, the winner never loses to program order or to its
 //!    own LRU view, and every measured upper bound also dominates the
-//!    derived lower bounds (`lower bound ≤ OPT ≤ any legal schedule`).
+//!    derived lower bounds (`lower bound ≤ OPT ≤ any legal schedule`);
+//!    the minimum S and input floor the tuner counts in its own reference
+//!    pass equal this CDAG's.
 //!
 //! Analysis-stage *refusals* (no covering σ projection set, no split
 //! binding) are not violations — the pipeline is allowed to decline a
@@ -321,7 +323,30 @@ impl Oracle {
             };
             let report =
                 run_tightness(vec![job]).map_err(|e| Violation::new("tightness-invariant", e))?;
-            for t in report.kernels.iter().flat_map(|k| &k.points) {
+            // The tuner counts min S and the input floor in its own
+            // reference pass; both must be this CDAG's.
+            let points: Vec<_> = report.kernels.iter().flat_map(|k| &k.points).collect();
+            let tuner_s: Vec<usize> = points.iter().map(|t| t.s).collect();
+            if tuner_s != s_values {
+                return Err(Violation::new(
+                    "tuner-cdag-counts",
+                    format!("tuner S grid {tuner_s:?} is not min S {min_s} + the offsets"),
+                ));
+            }
+            if let Some(t) = points
+                .iter()
+                .find(|t| t.lb_inputs != cdag.num_inputs() as f64)
+            {
+                return Err(Violation::new(
+                    "tuner-cdag-counts",
+                    format!(
+                        "tuner input floor {} is not the CDAG's {} inputs",
+                        t.lb_inputs,
+                        cdag.num_inputs()
+                    ),
+                ));
+            }
+            for t in points {
                 let lb = t.lb_classical.max(t.lb_hourglass) + inject;
                 if lb > t.upper_loads as f64 + EPS {
                     return Err(Violation::new(
@@ -427,6 +452,18 @@ kernel mini_gemm(N) {
         assert!(report.instances > 0);
         assert!(report.tiled);
         assert!(!report.analysis_skipped);
+    }
+
+    /// One instance reads back two cells one statement instance wrote:
+    /// the tuner's in-degree counts that producer once, as the CDAG does.
+    #[test]
+    fn multi_write_kernel_agrees_with_the_tuner_counts() {
+        let src = "kernel pair(N) { array A[N]; array B[N]; array C[N]; default N = 5; \
+                   schedule { tile i; } \
+                   for i in 0..N { S: A[i], B[i] = op(C[i]); } \
+                   for i in 0..N { T: C[i] = op(A[i], B[i], C[i]); } }";
+        let oracle = Oracle::with(vec![0, 4], true);
+        oracle.check_source(src).expect("sound");
     }
 
     #[test]

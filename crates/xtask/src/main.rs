@@ -25,7 +25,11 @@
 //!   (a kernel or S value silently dropped from the suite);
 //! * **tightness regression** — a fresh `(kernel, S)` ratio exceeding the
 //!   baseline ratio by more than the relative tolerance, or any fresh
-//!   ratio that is not finite.
+//!   ratio that is not finite;
+//! * **tightness change** — a fresh point whose `upper_loads`,
+//!   `upper_schedule`, `program_order_loads` or `trace_lru_loads` differs
+//!   from the baseline point's (these are exact; a better tuner commits a
+//!   regenerated baseline).
 //!
 //! Wall times, thread counts, and other volatile `meta` data are ignored;
 //! the comparable sections of both reports are deterministic, so on an
@@ -92,8 +96,9 @@ USAGE:
 <DIR>/BENCH_serve.json between the two directories and exits nonzero on a
 schema other than pebble-sweep/v5, tightness/v3 or serve-bench/v2,
 soundness loss, coverage loss, tightness-ratio regression beyond the
-tolerance, a failed kernel row, a kernel degraded below its baseline
-fidelity rung, a curve-engine scaling regression, or engine-coverage loss.
+tolerance, a changed tightness upper bound, schedule or load count, a
+failed kernel row, a kernel degraded below its baseline fidelity rung, a
+curve-engine scaling regression, or engine-coverage loss.
 The fresh daemon bench must match the CLI on its cold pass and keep the
 warm cache hit rate at or above 0.99.
 
@@ -598,9 +603,20 @@ fn gate_engine_coverage(base: &Value, new: &Value, violations: &mut Vec<String>)
     }
 }
 
+/// The measured fields of a tightness point the gate requires to equal
+/// the baseline's: they are deterministic counts and names, so any change
+/// (a lower `upper_loads` included) is a changed tuner, which commits a
+/// regenerated baseline.
+const TIGHTNESS_EXACT: [&str; 4] = [
+    "upper_loads",
+    "upper_schedule",
+    "program_order_loads",
+    "trace_lru_loads",
+];
+
 fn gate_tightness(base: &Value, new: &Value, tol: f64, violations: &mut Vec<String>) {
-    // (kernel, s) → ratio maps for both sides.
-    let collect = |doc: &Value| -> Vec<(String, f64, Option<f64>)> {
+    // (kernel, s, point) for both sides.
+    let collect = |doc: &Value| -> Vec<(String, f64, Value)> {
         let mut out = Vec::new();
         for k in doc.get("kernels").and_then(Value::arr).unwrap_or(&[]) {
             let name = k
@@ -610,38 +626,54 @@ fn gate_tightness(base: &Value, new: &Value, tol: f64, violations: &mut Vec<Stri
                 .to_string();
             for p in k.get("points").and_then(Value::arr).unwrap_or(&[]) {
                 let s = p.get("s").and_then(Value::num).unwrap_or(-1.0);
-                let ratio = p.get("ratio").and_then(Value::num);
-                out.push((name.clone(), s, ratio));
+                out.push((name.clone(), s, p.clone()));
             }
         }
         out
     };
+    let ratio = |p: &Value| p.get("ratio").and_then(Value::num);
+    let show = |v: Option<&Value>| match v {
+        Some(Value::Num(n)) => n.to_string(),
+        Some(Value::Str(s)) => format!("{s:?}"),
+        Some(other) => format!("{other:?}"),
+        None => "missing".to_string(),
+    };
     let fresh_pts = collect(new);
     // Every fresh ratio must be a finite number.
-    for (kernel, s, ratio) in &fresh_pts {
-        match ratio {
+    for (kernel, s, p) in &fresh_pts {
+        match ratio(p) {
             Some(r) if r.is_finite() => {}
             _ => violations.push(format!("tightness: {kernel} S={s}: ratio is not finite")),
         }
     }
-    // Per baseline point: present in fresh and not regressed beyond tol.
-    for (kernel, s, base_ratio) in collect(base) {
-        let Some(base_ratio) = base_ratio else {
+    // Per baseline point: present in fresh, its measured fields unchanged,
+    // and its ratio not regressed beyond tol.
+    for (kernel, s, base_p) in collect(base) {
+        let Some((_, _, fresh_p)) = fresh_pts.iter().find(|(k, fs, _)| *k == kernel && *fs == s)
+        else {
+            violations.push(format!(
+                "tightness: baseline point missing from fresh run: {kernel} S={s}"
+            ));
             continue;
         };
-        match fresh_pts.iter().find(|(k, fs, _)| *k == kernel && *fs == s) {
-            None => violations.push(format!(
-                "tightness: baseline point missing from fresh run: {kernel} S={s}"
-            )),
-            Some((_, _, Some(fresh_ratio))) => {
-                let limit = base_ratio * (1.0 + tol) + 1e-9;
-                if *fresh_ratio > limit {
-                    violations.push(format!(
-                        "tightness: {kernel} S={s}: ratio regressed {base_ratio:.4} → {fresh_ratio:.4} (limit {limit:.4})"
-                    ));
-                }
+        for field in TIGHTNESS_EXACT {
+            let (was, now) = (base_p.get(field), fresh_p.get(field));
+            if was != now {
+                violations.push(format!(
+                    "tightness: {kernel} S={s}: {field} changed {} → {}",
+                    show(was),
+                    show(now)
+                ));
             }
-            Some((_, _, None)) => {} // already reported as non-finite
+        }
+        let (Some(base_ratio), Some(fresh_ratio)) = (ratio(&base_p), ratio(fresh_p)) else {
+            continue; // a missing fresh ratio is already reported as non-finite
+        };
+        let limit = base_ratio * (1.0 + tol) + 1e-9;
+        if fresh_ratio > limit {
+            violations.push(format!(
+                "tightness: {kernel} S={s}: ratio regressed {base_ratio:.4} → {fresh_ratio:.4} (limit {limit:.4})"
+            ));
         }
     }
 }
@@ -737,7 +769,7 @@ mod tests {
         );
     }
 
-    const POINT: &str = r#"{"kernel": "a", "params": [8], "points": [{"s": 4, "ratio": 2.0}]}"#;
+    const POINT: &str = r#"{"kernel": "a", "params": [8], "points": [{"s": 4, "upper_loads": 90, "upper_schedule": "tile i=2", "program_order_loads": 120, "trace_lru_loads": 100, "ratio": 2.0}]}"#;
 
     #[test]
     fn tightness_gate_applies_tolerance() {
@@ -749,6 +781,23 @@ mod tests {
         let mut v = Vec::new();
         gate_tightness(&tight(POINT), &tight(&bad), 0.02, &mut v);
         assert!(v.iter().any(|m| m.contains("regressed")), "{v:?}");
+    }
+
+    #[test]
+    fn tightness_gate_requires_exact_loads_and_schedule() {
+        // A lower upper bound is not an improvement the gate takes on
+        // trust: the measured fields must equal the baseline's.
+        let lower = POINT.replace("\"upper_loads\": 90", "\"upper_loads\": 89");
+        let mut v = Vec::new();
+        gate_tightness(&tight(POINT), &tight(&lower), 0.02, &mut v);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].contains("upper_loads changed"), "{v:?}");
+
+        let renamed = POINT.replace("tile i=2", "tile i=4");
+        let mut v = Vec::new();
+        gate_tightness(&tight(POINT), &tight(&renamed), 0.02, &mut v);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].contains("upper_schedule changed"), "{v:?}");
     }
 
     #[test]
