@@ -34,7 +34,10 @@
 //!
 //! [`Cdag::packed_program_order_trace`]: iolb_cdag::Cdag::packed_program_order_trace
 
-use iolb_cdag::{try_build_cdag, Cdag, SpillPolicy};
+use iolb_cdag::SpillPolicy;
+/// The exact CDAG and its governed builder, re-exported for callers that
+/// build the graph once and hand it to [`SweepKernel::cdag`].
+pub use iolb_cdag::{try_build_cdag, Cdag};
 use iolb_core::report::{self, SplitBinding};
 use iolb_core::{
     best_engine_bound, BoundProvenance, ClassicalBound, EngineCurve, EngineRegistry, HourglassBound,
@@ -216,7 +219,9 @@ pub fn coarse_s_offsets() -> Vec<usize> {
 }
 
 /// One kernel in the sweep: program, concrete sizes, and the bounds under
-/// validation — derived before the sweep, which only evaluates them.
+/// validation — derived before the sweep, which only evaluates them — plus,
+/// optionally, the exact CDAG at those sizes when the caller already built
+/// it.
 pub struct SweepKernel {
     /// Display name.
     pub name: String,
@@ -233,6 +238,11 @@ pub struct SweepKernel {
     pub split: Option<SplitBinding>,
     /// Offsets added to the kernel's minimum feasible S to form the S grid.
     pub s_offsets: Vec<usize>,
+    /// The exact CDAG of `program` at `params`, built by the caller under
+    /// the sweep's budget and token ([`try_build_cdag`]); the sweep then
+    /// skips its own build and drops the graph when it returns. `None`
+    /// makes the sweep build it.
+    pub cdag: Option<Cdag>,
 }
 
 impl SweepKernel {
@@ -254,7 +264,7 @@ impl SweepKernel {
         let id = program.stmt_id(stmt).ok_or_else(|| {
             AnalysisError::Refused(format!("{name}: no statement named `{stmt}`"))
         })?;
-        let bounds = report::derive_stmt_bounds(&program, id, &params, split_override, false)
+        let bounds = report::derive_stmt_bounds(&program, id, &params, split_override, false, None)
             .map_err(|e| AnalysisError::Refused(format!("{name}: {e}")))?;
         Ok(SweepKernel {
             name: name.to_string(),
@@ -264,6 +274,7 @@ impl SweepKernel {
             hourglass: bounds.hourglass,
             split: bounds.split,
             s_offsets,
+            cdag: None,
         })
     }
 
@@ -388,9 +399,10 @@ pub struct SweepRow {
     pub lb_provenance: BoundProvenance,
     /// Measured loads over the best bound (≥ 1 for sound bounds).
     pub ratio: f64,
-    /// One-time preparation cost of this cell's kernel (CDAG build +
-    /// graph-engine curves, milliseconds) — shared across the kernel's
-    /// cells, not a per-cell cost.
+    /// One-time preparation cost of this cell's kernel (the CDAG build
+    /// unless the kernel arrived with its CDAG, + graph-engine curves,
+    /// milliseconds) — shared across the kernel's cells, not a per-cell
+    /// cost.
     pub prep_ms: f64,
     /// Wall time of pricing this cell's kernel's curves (the trace's
     /// materialization when the size rule takes it, then one
@@ -480,7 +492,8 @@ pub fn run_sweep(kernels: Vec<SweepKernel>) -> SweepReport {
 ///
 /// Preparation refusals surface as [`AnalysisError::Refused`], CDAG
 /// materialization is admission-checked cell table by cell table
-/// (`try_build_cdag`), the emitted trace is charged against
+/// ([`try_build_cdag`], or by the caller that built
+/// [`SweepKernel::cdag`]), the emitted trace is charged against
 /// `budget.max_trace_len`, and both curve passes poll the token — a
 /// deadline or an external cancel lands within a bounded number of trace
 /// positions. The first error aborts the whole sweep; per-kernel fault
@@ -543,7 +556,8 @@ fn sweep_at_cap(
     // not whatever parallel stage ran earlier in the process.
     let workers = rayon::worker_scope();
     // Stage 1: per-kernel preparation (CDAG + engine curves) in parallel.
-    // The symbolic bounds arrive derived on the kernel.
+    // The symbolic bounds arrive derived on the kernel, and so does the
+    // CDAG when the caller already built it.
     let prepared: Vec<Prepared> = kernels
         .into_par_iter()
         .map(|k| -> Result<Prepared, AnalysisError> {
@@ -553,7 +567,10 @@ fn sweep_at_cap(
             catch_analysis_mut(|| {
                 let t = Instant::now();
                 let env = k.env();
-                let cdag = try_build_cdag(&k.program, &k.params, budget, token)?;
+                let cdag = match k.cdag {
+                    Some(cdag) => cdag,
+                    None => try_build_cdag(&k.program, &k.params, budget, token)?,
+                };
                 // Trace length is known from the CSR alone — charge the
                 // budget before anything prices or materializes it.
                 let trace_len = (cdag.num_edges() + cdag.num_computes()) as u64;

@@ -18,15 +18,22 @@ fn iolb(args: &[&str]) -> Output {
         .expect("spawn iolb")
 }
 
-/// A fast two-file batch (faulted target first, control kernel second)
-/// with `--inject CLASS@SEAM`, writing the combined JSON report.
-/// Tightness stays on: the `instances` seam is polled by its trace build.
-fn inject_batch(spec: &str, json: &std::path::Path) -> Output {
-    let target = kernels_dir().join("syrk.iolb");
-    let control = kernels_dir().join("cholesky.iolb");
+/// A fast two-file batch (faulted target first, control kernel second,
+/// both at `params`) with `--inject CLASS@SEAM`, writing the combined JSON
+/// report. Tightness stays on: the `instances` seam is polled by its trace
+/// build.
+fn inject_batch(
+    spec: &str,
+    json: &std::path::Path,
+    params: &str,
+    target: &str,
+    control: &str,
+) -> Output {
+    let target = kernels_dir().join(format!("{target}.iolb"));
+    let control = kernels_dir().join(format!("{control}.iolb"));
     iolb(&[
         "--params",
-        "N=12",
+        params,
         "--s-grid",
         "0,16",
         "--inject",
@@ -46,54 +53,68 @@ fn injected_faults_at_every_seam_yield_class_exit_and_partial_results() {
         ("oom", 4u8, "budget"),
         ("deadline", 5u8, "deadline"),
     ];
-    // Seams the single-file pipeline under these options reaches. (The
-    // tuner seam needs a `schedule` kernel + tightness; it is covered by
-    // the in-process matrix via `iolb fuzz --inject` below.)
-    let seams = [
-        "admission",
-        "instances",
-        "cdag_fill",
-        "lru_pass",
-        "opt_pass",
+    // (params, faulted target, control kernel, seams). The first batch
+    // covers the seams the single-file pipeline under these options
+    // reaches. (The tuner seam needs a `schedule` kernel + tightness; it is
+    // covered by the in-process matrix via `iolb fuzz --inject` below.)
+    // The second faults an hourglass kernel's one CDAG build: that build
+    // certifies the accesses, the hourglass check runs on it and the sweep
+    // prices it, all under the request's token.
+    let batches: [(&str, &str, &str, &[&str]); 2] = [
+        (
+            "N=12",
+            "syrk",
+            "cholesky",
+            &[
+                "admission",
+                "instances",
+                "cdag_fill",
+                "lru_pass",
+                "opt_pass",
+            ],
+        ),
+        ("M=10,N=6", "mgs", "qr_hh_a2v", &["cdag_fill"]),
     ];
     let tmp = std::env::temp_dir();
-    for (class, code, row_class) in classes {
-        for seam in seams {
-            let spec = format!("{class}@{seam}");
-            let json = tmp.join(format!("iolb_inject_{class}_{seam}.json"));
-            let out = inject_batch(&spec, &json);
-            let stdout = String::from_utf8_lossy(&out.stdout);
-            let stderr = String::from_utf8_lossy(&out.stderr);
+    for (params, target, control, seams) in batches {
+        for (class, code, row_class) in classes {
+            for seam in seams {
+                let spec = format!("{class}@{seam}");
+                let json = tmp.join(format!("iolb_inject_{target}_{class}_{seam}.json"));
+                let out = inject_batch(&spec, &json, params, target, control);
+                let stdout = String::from_utf8_lossy(&out.stdout);
+                let stderr = String::from_utf8_lossy(&out.stderr);
 
-            // Survival: a real exit code, not a signal/abort.
-            assert_eq!(
-                out.status.code(),
-                Some(code as i32),
-                "{spec}: wrong exit\nstdout:\n{stdout}\nstderr:\n{stderr}"
-            );
-            // The unaffected kernel still produced its full section.
-            assert!(
-                stdout.contains("── cholesky"),
-                "{spec}: control kernel output missing\n{stdout}"
-            );
-            // The failure is a structured per-kernel row in the report.
-            let report = std::fs::read_to_string(&json)
-                .unwrap_or_else(|e| panic!("{spec}: report not written: {e}"));
-            assert!(
-                report.contains(&format!(
-                    "{{\"kernel\": \"syrk\", \"class\": \"{row_class}\""
-                )) || report.contains(&format!("\"class\": \"{row_class}\"")),
-                "{spec}: no {row_class} failure row in report:\n{report}"
-            );
-            assert!(
-                report.contains("\"kernel\": \"cholesky\""),
-                "{spec}: control kernel rows missing from report"
-            );
-            assert!(
-                stderr.contains(&format!("[{row_class}]")),
-                "{spec}: stderr lacks the class tag\n{stderr}"
-            );
-            let _ = std::fs::remove_file(&json);
+                // Survival: a real exit code, not a signal/abort.
+                assert_eq!(
+                    out.status.code(),
+                    Some(code as i32),
+                    "{target} {spec}: wrong exit\nstdout:\n{stdout}\nstderr:\n{stderr}"
+                );
+                // The unaffected kernel still produced its full section.
+                assert!(
+                    stdout.contains(&format!("── {control}")),
+                    "{target} {spec}: control kernel output missing\n{stdout}"
+                );
+                // The failure is a structured per-kernel row in the report.
+                let report = std::fs::read_to_string(&json)
+                    .unwrap_or_else(|e| panic!("{target} {spec}: report not written: {e}"));
+                assert!(
+                    report.contains(&format!(
+                        "{{\"kernel\": \"{target}\", \"class\": \"{row_class}\""
+                    )),
+                    "{target} {spec}: no {row_class} failure row in report:\n{report}"
+                );
+                assert!(
+                    report.contains(&format!("\"kernel\": \"{control}\"")),
+                    "{target} {spec}: control kernel rows missing from report"
+                );
+                assert!(
+                    stderr.contains(&format!("[{row_class}]")),
+                    "{target} {spec}: stderr lacks the class tag\n{stderr}"
+                );
+                let _ = std::fs::remove_file(&json);
+            }
         }
     }
 }

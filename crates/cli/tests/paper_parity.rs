@@ -53,7 +53,7 @@ fn fingerprint(
     split: Option<SplitBinding>,
 ) -> Vec<String> {
     let id = program.stmt_id(stmt).expect("stmt");
-    let bounds = derive_stmt_bounds(program, id, params, split, true).expect("derivation");
+    let bounds = derive_stmt_bounds(program, id, params, split, true, None).expect("derivation");
     let mut out = Vec::new();
     match &bounds.classical {
         Some(b) => out.push(format!(

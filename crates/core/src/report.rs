@@ -3,6 +3,7 @@
 
 use crate::hourglass::{self, SplitChoice};
 use crate::{theorems, Analysis, ClassicalBound, HourglassBound};
+use iolb_cdag::Cdag;
 use iolb_ir::parse::{KernelFile, ParamExpr};
 use iolb_ir::Program;
 use iolb_numeric::Rational;
@@ -159,7 +160,7 @@ impl KernelReport {
             .ok_or_else(|| format!("no statement {stmt_name} in {name}"))?;
         let params = kernel.default_params()?;
         let split = SplitBinding::from_directive(kernel);
-        let bounds = derive_stmt_bounds(program, stmt, &params, split, true)?;
+        let bounds = derive_stmt_bounds(program, stmt, &params, split, true, None)?;
         let old = bounds
             .classical
             .ok_or_else(|| format!("no classical bound derived on {name}.{stmt_name}"))?;
@@ -222,7 +223,9 @@ pub struct StmtBounds {
 /// derivation both the report and the validation sweep use, so printed
 /// and validated bounds cannot diverge. With `certify`, a detected
 /// hourglass pattern must also pass [`hourglass::certify`] on the exact
-/// CDAG at `params` (built only in that case) before its bound is derived.
+/// CDAG at `params` before its bound is derived: `cdag` when the caller
+/// already holds that graph, else one built here (only in that case).
+/// Without `certify`, `cdag` is unused.
 ///
 /// # Errors
 /// `analysis: …` or `hourglass certification: …` descriptions, or a
@@ -233,6 +236,7 @@ pub fn derive_stmt_bounds(
     params: &[i64],
     split_override: Option<SplitBinding>,
     certify: bool,
+    cdag: Option<&Cdag>,
 ) -> Result<StmtBounds, String> {
     let observe = observation_sizes(params);
     let analysis = Analysis::run(program, &observe).map_err(|e| format!("analysis: {e}"))?;
@@ -246,8 +250,15 @@ pub fn derive_stmt_bounds(
         });
     };
     let chains = if certify {
-        let cdag = iolb_cdag::build_cdag(program, &observe[0]);
-        hourglass::certify(program, &cdag, &pattern)
+        let built;
+        let cdag = match cdag {
+            Some(cdag) => cdag,
+            None => {
+                built = iolb_cdag::build_cdag(program, &observe[0]);
+                &built
+            }
+        };
+        hourglass::certify(program, cdag, &pattern)
             .map_err(|e| format!("hourglass certification: {e}"))?
     } else {
         0

@@ -126,7 +126,7 @@ fn gemm_has_no_hourglass_but_classical_bound() {
     let p = &kernel.program;
     let su = p.stmt_id("SU").unwrap();
     let params = kernel.default_params().unwrap();
-    let bounds = derive_stmt_bounds(p, su, &params, None, true).unwrap();
+    let bounds = derive_stmt_bounds(p, su, &params, None, true, None).unwrap();
     assert!(bounds.hourglass.is_none());
     assert!(KernelReport::from_file("GEMM", &kernel).is_err());
     let b = bounds.classical.unwrap();

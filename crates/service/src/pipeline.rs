@@ -2,7 +2,10 @@
 //!
 //! This is the service core that used to be welded into the `iolb` CLI:
 //! parse → canonicalize → admission → access certification → σ/hourglass
-//! derivation → CDAG + miss-curve sweep → tightness measurement. Every
+//! derivation → CDAG + miss-curve sweep → tightness measurement. When the
+//! sweep runs, [`analyze_uncached`] builds the request's one CDAG right
+//! after admission: that build certifies the accesses, and the hourglass
+//! certification and the sweep both use it. Every
 //! stage is threaded through the `govern` seams ([`Budget`] ceilings and
 //! a polled [`CancelToken`]), every front-end (CLI batch, `iolbd`
 //! daemon) drives the same [`Pipeline::analyze_with_token`], and the
@@ -14,7 +17,8 @@ use crate::cache::{CacheStats, ShardedCache};
 use crate::options::AnalysisOptions;
 use crate::store::{ReportStore, StoreKey};
 use iolb_bench::sweep::{
-    coarse_s_offsets, try_run_sweep_opts, CurveStrategy, SweepKernel, SweepReport,
+    coarse_s_offsets, try_build_cdag, try_run_sweep_opts, Cdag, CurveStrategy, SweepKernel,
+    SweepReport,
 };
 use iolb_bench::tightness::{try_run_tightness, KernelTightness, TightnessJob};
 use iolb_core::classical::ClassicalBound;
@@ -146,6 +150,13 @@ pub fn admission_stage(
 /// reads only in-range cells. Returns the number of certified dynamic
 /// statement instances.
 ///
+/// [`analyze_uncached`] runs this walk only when no sweep follows
+/// (`derive_only`, or the bounds-only rung). Otherwise its CDAG build
+/// ([`try_build_cdag`]) certifies instead: it evaluates the same accesses
+/// through the same checked evaluator in the same order (reads, then
+/// writes), refuses the first out-of-range one with the same error, and
+/// its compute-node count is the instance count.
+///
 /// # Errors
 /// [`AnalysisError::Refused`] naming the first out-of-range access: its
 /// statement, instance, access, axis, value and extent.
@@ -156,7 +167,8 @@ pub fn certify_stage(program: &Program, params: &[i64]) -> Result<u64, AnalysisE
 /// Everything the derivation stage produced: the bounds themselves (which
 /// the sweep and tightness stages evaluate as they are — nothing downstream
 /// derives again) plus display-ready summaries (for the front-ends'
-/// renderers).
+/// renderers). `chains` were certified on the request's shared CDAG when
+/// [`analyze_uncached`] built one, else on a graph the derivation built.
 #[derive(Debug)]
 pub struct Derived {
     /// The analyzed statement's name.
@@ -176,7 +188,9 @@ pub struct Derived {
 
 /// σ-bound + hourglass derivation ([`derive_stmt_bounds`], the helper the
 /// self-deriving sweep entries share), with the hourglass pattern
-/// certified on top.
+/// certified on top, on an exact CDAG at `params` that the derivation
+/// builds for it (ungoverned). [`analyze_uncached`] derives on its shared
+/// CDAG instead whenever it built one.
 ///
 /// # Errors
 /// [`AnalysisError::Refused`] on analysis failures, unknown statements,
@@ -185,6 +199,17 @@ pub fn derive_stage(
     kernel: &KernelFile,
     params: &[i64],
     stmt_override: Option<&str>,
+) -> Result<Derived, AnalysisError> {
+    derive_on(kernel, params, stmt_override, None)
+}
+
+/// [`derive_stage`], certifying the hourglass pattern on `cdag` (the exact
+/// CDAG at `params`) when given one.
+fn derive_on(
+    kernel: &KernelFile,
+    params: &[i64],
+    stmt_override: Option<&str>,
+    cdag: Option<&Cdag>,
 ) -> Result<Derived, AnalysisError> {
     let program = &kernel.program;
     let stmt_name = stmt_override
@@ -196,7 +221,7 @@ pub fn derive_stage(
         .ok_or_else(|| AnalysisError::Refused(format!("no statement named {stmt_name}")))?;
 
     let dsl_split = SplitBinding::from_directive(kernel);
-    let bounds = derive_stmt_bounds(program, stmt, params, dsl_split.clone(), true)
+    let bounds = derive_stmt_bounds(program, stmt, params, dsl_split.clone(), true, cdag)
         .map_err(AnalysisError::Refused)?;
     Ok(Derived {
         stmt_name,
@@ -208,10 +233,12 @@ pub fn derive_stage(
     })
 }
 
-/// Exact CDAG + MIN/LRU miss-curve validation of the derived bounds over
-/// the S grid, with the request's graph-level engine selection evaluated
-/// per grid point. The sweep evaluates `derived`'s bounds as they are; it
-/// derives nothing, and it sweeps a clone of `program`.
+/// MIN/LRU miss-curve validation of the derived bounds on `cdag`, the
+/// exact CDAG of `program` at `params` built under `budget` and `token`,
+/// over the S grid, with the request's graph-level engine selection
+/// evaluated per grid point. The sweep evaluates `derived`'s bounds as
+/// they are; it derives nothing and builds no graph, it sweeps a clone of
+/// `program`, and it drops `cdag` when it returns.
 ///
 /// `strategy` picks the curve engines: the size rule (default; traces up
 /// to `CROSS_CHECK_CAP` events on the materialized engine, longer ones
@@ -226,6 +253,7 @@ pub fn sweep_derived_stage(
     program: &Program,
     params: &[i64],
     derived: &Derived,
+    cdag: Cdag,
     s_offsets: &[usize],
     budget: &Budget,
     token: &CancelToken,
@@ -240,15 +268,17 @@ pub fn sweep_derived_stage(
         hourglass: derived.hourglass.clone(),
         split: derived.applied_split.clone(),
         s_offsets: s_offsets.to_vec(),
+        cdag: Some(cdag),
     };
     try_run_sweep_opts(vec![sweep], budget, token, registry, strategy)
 }
 
-/// [`sweep_derived_stage`] for a caller without a [`Derived`]: re-parses
-/// `canon_src`, derives the bounds of `stmt` ([`SweepKernel::derive`],
-/// `split` overriding the midpoint binding), then sweeps.
-/// [`analyze_uncached`] does not use it — its sweep reuses the derivation
-/// stage's bounds and the parsed program.
+/// [`sweep_derived_stage`] for a caller without a [`Derived`] or a CDAG:
+/// re-parses `canon_src`, derives the bounds of `stmt`
+/// ([`SweepKernel::derive`], `split` overriding the midpoint binding),
+/// then sweeps, building the CDAG itself. [`analyze_uncached`] does not
+/// use it — its sweep reuses the derivation stage's bounds, the parsed
+/// program and the request's CDAG.
 ///
 /// # Errors
 /// The derivation's refusal, or the first typed error any sweep stage
@@ -409,6 +439,13 @@ pub struct AnalysisOutcome {
 
 /// Runs the full uncached chain on (canonical) kernel text.
 ///
+/// When the sweep will run, the request's exact CDAG is built once, right
+/// after admission, under the request's budget and token: the build
+/// certifies the accesses (in place of [`certify_stage`]), the derivation
+/// certifies the hourglass pattern on it, and the sweep prices it and
+/// drops it before the tuner runs. Without a sweep, [`certify_stage`] and
+/// [`derive_stage`] run as they are.
+///
 /// # Errors
 /// Every failure is a typed [`AnalysisError`].
 pub fn analyze_uncached(
@@ -422,8 +459,21 @@ pub fn analyze_uncached(
     let named: Vec<(String, i64)> = program.params.iter().cloned().zip(params.clone()).collect();
 
     let (estimate, degradation) = admission_stage(program, &params, opts, token)?;
-    let certified = certify_stage(program, &params)?;
-    let derived = derive_stage(&kernel, &params, opts.stmt_override.as_deref())?;
+    let cdag = if opts.derive_only || degradation == Degradation::BoundsOnly {
+        None
+    } else {
+        Some(try_build_cdag(program, &params, &opts.budget, token)?)
+    };
+    let certified = match &cdag {
+        Some(cdag) => cdag.num_computes() as u64,
+        None => certify_stage(program, &params)?,
+    };
+    let derived = derive_on(
+        &kernel,
+        &params,
+        opts.stmt_override.as_deref(),
+        cdag.as_ref(),
+    )?;
 
     let classical = derived.classical.as_ref().map(|b| ClassicalSummary {
         sigma: b.sigma.to_string(),
@@ -462,9 +512,9 @@ pub fn analyze_uncached(
         tightness: None,
         sound: true,
     };
-    if opts.derive_only || degradation == Degradation::BoundsOnly {
+    let Some(cdag) = cdag else {
         return Ok(outcome);
-    }
+    };
     let s_offsets = match degradation {
         Degradation::Coarse => coarse_s_offsets(),
         _ => opts.s_offsets.clone(),
@@ -476,6 +526,7 @@ pub fn analyze_uncached(
         program,
         &params,
         &derived,
+        cdag,
         &s_offsets,
         &opts.budget,
         token,
