@@ -44,7 +44,7 @@ fn main() {
             unsound += 1;
         }
     }
-    let json = sweep_report_json(&report);
+    let json = sweep_report_json(&report, false);
     let path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "BENCH_pebble.json".to_string());

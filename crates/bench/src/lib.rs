@@ -22,6 +22,7 @@
 //! tests (`benches/kernels_native.rs` times its native f64
 //! implementations).
 
+pub mod json;
 pub mod scale;
 pub mod sweep;
 pub mod tightness;

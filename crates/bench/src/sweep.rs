@@ -34,6 +34,8 @@
 //!
 //! [`Cdag::packed_program_order_trace`]: iolb_cdag::Cdag::packed_program_order_trace
 
+use crate::json::Layout::{Inline, Lines};
+use crate::json::{members, Writer};
 use iolb_cdag::SpillPolicy;
 /// The exact CDAG and its governed builder, re-exported for callers that
 /// build the graph once and hand it to [`SweepKernel::cdag`].
@@ -143,27 +145,6 @@ pub fn price_curves<const N: usize>(
         }
     }
     Ok(curves.try_into().expect("one curve per policy"))
-}
-
-/// Escapes a string for embedding in the hand-rolled JSON emitters
-/// (quotes, backslashes, and control characters; everything else is
-/// passed through verbatim).
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// One kernel that failed inside a governed batch: the typed error is
@@ -745,62 +726,49 @@ pub fn render_sweep_table(report: &SweepReport) -> String {
     out
 }
 
-/// The emitters' one number format: four decimals, `null` when not finite.
-pub(crate) fn json_num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.4}")
-    } else {
-        "null".to_string()
-    }
+/// Opens a report document: its `schema`, then the volatile `meta` object
+/// (zero under redaction), which the caller closes.
+pub(crate) fn write_head(w: &mut Writer, schema: &str, threads: usize, wall: f64, redact: bool) {
+    let (threads, wall) = if redact { (0, 0.0) } else { (threads, wall) };
+    members!(w.obj(Lines), "schema": str(schema), "meta": obj(Inline));
+    members!(w, "threads": int(threads), "total_wall_ms": num(wall));
 }
 
-/// The `degradation` and `failures` arrays both report schemas carry,
-/// sorted by kernel (failures then by class), one row per line.
-pub(crate) fn governance_json(degradation: &[DegradationRow], failures: &[FailureRow]) -> String {
-    let mut degradation: Vec<&DegradationRow> = degradation.iter().collect();
+/// Writes the `degradation` and `failures` arrays both report schemas
+/// carry, sorted by kernel (failures then by class), one row per line.
+pub(crate) fn write_governance(w: &mut Writer, rows: &[DegradationRow], failures: &[FailureRow]) {
+    let mut degradation: Vec<&DegradationRow> = rows.iter().collect();
     degradation.sort_by(|a, b| a.kernel.cmp(&b.kernel));
     let mut failures: Vec<&FailureRow> = failures.iter().collect();
     failures.sort_by(|a, b| (&a.kernel, &a.class).cmp(&(&b.kernel, &b.class)));
-    let mut out = String::new();
-    out.push_str("  \"degradation\": [\n");
-    for (i, d) in degradation.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"kernel\": {}, \"level\": \"{}\"}}{}\n",
-            json_str(&d.kernel),
-            d.level.as_str(),
-            if i + 1 == degradation.len() { "" } else { "," }
-        ));
+    w.key("degradation").arr(Lines);
+    for d in degradation {
+        members!(w, {"kernel": str(&d.kernel), "level": str(d.level.as_str())});
     }
-    out.push_str("  ],\n");
-    out.push_str("  \"failures\": [\n");
-    for (i, f) in failures.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"kernel\": {}, \"class\": {}, \"message\": {}}}{}\n",
-            json_str(&f.kernel),
-            json_str(&f.class),
-            json_str(&f.message),
-            if i + 1 == failures.len() { "" } else { "," }
-        ));
+    w.end().key("failures").arr(Lines);
+    for f in failures {
+        members!(w, {"kernel": str(&f.kernel), "class": str(&f.class), "message": str(&f.message)});
     }
-    out.push_str("  ],\n");
-    out
+    w.end();
 }
 
-/// Serializes the report as JSON (hand-rolled — the offline workspace has
-/// no serde; all emitted values are finite numbers or plain ASCII strings).
+/// Serializes the report as JSON through the [`crate::json`] writer.
 ///
 /// Deterministic by construction: rows are sorted by `(kernel, params, s,
 /// policy)` and keys have a fixed order, so the comparable sections are
 /// byte-stable across machines and thread counts. Volatile data (worker
 /// threads, wall times) lives only in the `meta` object, which the CI diff
-/// gate ignores.
-pub fn sweep_report_json(report: &SweepReport) -> String {
-    sweep_report_json_with(report, false)
+/// gate ignores; `redact_volatile` zeroes it for byte-stable golden
+/// snapshots.
+pub fn sweep_report_json(report: &SweepReport, redact_volatile: bool) -> String {
+    let mut w = Writer::default();
+    write_sweep_report(&mut w, report, redact_volatile);
+    w.finish()
 }
 
-/// [`sweep_report_json`] with optional redaction of the volatile `meta`
-/// object (zeroed for byte-stable golden snapshots).
-pub fn sweep_report_json_with(report: &SweepReport, redact_volatile: bool) -> String {
+/// Writes the `pebble-sweep/v5` document at the writer's position (the
+/// `serve/v1` envelope nests it one level deep).
+pub fn write_sweep_report(w: &mut Writer, report: &SweepReport, redact: bool) {
     let policy_name = |p: SpillPolicy| match p {
         SpillPolicy::Lru => "lru",
         SpillPolicy::MinNextUse => "min_next_use",
@@ -814,69 +782,34 @@ pub fn sweep_report_json_with(report: &SweepReport, redact_volatile: bool) -> St
             policy_name(b.policy),
         ))
     });
-    let (threads, wall) = if redact_volatile {
-        (0, 0.0)
-    } else {
-        (report.threads, report.total_wall_ms)
-    };
-    let opt = |v: Option<u64>| v.map_or("null".to_string(), |b| b.to_string());
-    let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"hourglass-iolb/pebble-sweep/v5\",\n");
-    if redact_volatile || report.scaling.is_empty() {
-        out.push_str(&format!(
-            "  \"meta\": {{\"threads\": {threads}, \"total_wall_ms\": {}}},\n",
-            json_num(wall)
-        ));
-    } else {
-        // The scaling series is volatile (wall times), so it lives in
-        // `meta` with the other volatile fields and is dropped whole under
-        // redaction — golden snapshots stay byte-stable.
-        let pts: Vec<String> = report
-            .scaling
-            .iter()
-            .map(|p| {
-                format!(
-                    "{{\"accesses\": {}, \"policy\": \"{}\", \"wall_ms\": {}}}",
-                    p.accesses,
-                    policy_name(p.policy),
-                    json_num(p.wall_ms)
-                )
-            })
-            .collect();
-        out.push_str(&format!(
-            "  \"meta\": {{\"threads\": {threads}, \"total_wall_ms\": {}, \"scaling\": [{}]}},\n",
-            json_num(wall),
-            pts.join(", ")
-        ));
+    let (threads, wall) = (report.threads, report.total_wall_ms);
+    write_head(w, "hourglass-iolb/pebble-sweep/v5", threads, wall, redact);
+    // The scaling series is volatile (wall times), so it lives in `meta`
+    // with the other volatile fields and is dropped whole under redaction
+    // — golden snapshots stay byte-stable.
+    if !redact && !report.scaling.is_empty() {
+        w.key("scaling").arr(Inline);
+        for p in &report.scaling {
+            members!(w, {"accesses": int(p.accesses), "policy": str(policy_name(p.policy)),
+                "wall_ms": num(p.wall_ms)});
+        }
+        w.end();
     }
-    out.push_str(&governance_json(&report.degradation, &report.failures));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let params: Vec<String> = r.params.iter().map(|p| p.to_string()).collect();
-        out.push_str(&format!(
-            "    {{\"kernel\": \"{}\", \"params\": [{}], \"nodes\": {}, \"edges\": {}, \"s\": {}, \"policy\": \"{}\", \"loads\": {}, \"computes\": {}, \"lb_classical\": {}, \"lb_hourglass\": {}, \"lb_input\": {}, \"lb_visit\": {}, \"lb_spectral\": {}, \"lb\": {}, \"lb_provenance\": \"{}\", \"ratio_loads_over_lb\": {}, \"sound\": {}}}{}\n",
-            r.kernel,
-            params.join(", "),
-            r.nodes,
-            r.edges,
-            r.s,
-            policy_name(r.policy),
-            r.loads,
-            r.computes,
-            json_num(r.lb_classical),
-            json_num(r.lb_hourglass),
-            opt(r.lb_input),
-            opt(r.lb_visit),
-            opt(r.lb_spectral),
-            json_num(r.lb()),
-            r.lb_provenance.as_str(),
-            json_num(r.ratio),
-            r.sound(),
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
+    w.end();
+    write_governance(w, &report.degradation, &report.failures);
+    w.key("rows").arr(Lines);
+    for r in rows {
+        members!(w, {"kernel": str(&r.kernel), "params": ints(&r.params),
+            "nodes": int(r.nodes), "edges": int(r.edges), "s": int(r.s),
+            "policy": str(policy_name(r.policy)), "loads": int(r.loads),
+            "computes": int(r.computes), "lb_classical": num(r.lb_classical),
+            "lb_hourglass": num(r.lb_hourglass), "lb_input": opt(r.lb_input, Writer::int),
+            "lb_visit": opt(r.lb_visit, Writer::int),
+            "lb_spectral": opt(r.lb_spectral, Writer::int), "lb": num(r.lb()),
+            "lb_provenance": str(r.lb_provenance.as_str()), "ratio_loads_over_lb": num(r.ratio),
+            "sound": bool(r.sound())});
     }
-    out.push_str("  ]\n}\n");
-    out
+    w.end().end();
 }
 
 #[cfg(test)]
@@ -950,7 +883,7 @@ mod tests {
             );
         }
         // JSON smoke: parsers only need balance + key presence here.
-        let json = sweep_report_json(&report);
+        let json = sweep_report_json(&report, false);
         assert!(json.contains("\"schema\": \"hourglass-iolb/pebble-sweep/v5\""));
         assert!(json.contains("\"lb_provenance\": \""));
         assert!(json.contains("\"lb_input\": "));
@@ -981,7 +914,7 @@ mod tests {
             !rows_section.contains("_ms") && !rows_section.contains("threads"),
             "volatile field outside meta"
         );
-        let redacted = sweep_report_json_with(&report, true);
+        let redacted = sweep_report_json(&report, true);
         assert!(redacted.contains("\"meta\": {\"threads\": 0, \"total_wall_ms\": 0.0000}"));
     }
 
@@ -1124,13 +1057,13 @@ mod tests {
             policy: SpillPolicy::Lru,
             wall_ms: 12.5,
         }];
-        let json = sweep_report_json(&report);
+        let json = sweep_report_json(&report, false);
         assert!(json.contains(
             "\"scaling\": [{\"accesses\": 1000188, \"policy\": \"lru\", \"wall_ms\": 12.5000}]"
         ));
         let rows_section = json.split("\"rows\"").nth(1).expect("rows array");
         assert!(!rows_section.contains("scaling"));
-        let redacted = sweep_report_json_with(&report, true);
+        let redacted = sweep_report_json(&report, true);
         assert!(redacted.contains("\"meta\": {\"threads\": 0, \"total_wall_ms\": 0.0000}"));
         assert!(!redacted.contains("scaling"));
     }

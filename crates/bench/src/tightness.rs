@@ -51,8 +51,10 @@
 //! orderings are invariants (`upper ≤ program-order`, `upper ≤ LRU view`),
 //! and both are checked here.
 
+use crate::json::Layout::{Inline, Lines};
+use crate::json::{members, Writer};
 use crate::sweep::{
-    governance_json, json_num, price_curves, DegradationRow, FailureRow, CROSS_CHECK_CAP,
+    price_curves, write_governance, write_head, DegradationRow, FailureRow, CROSS_CHECK_CAP,
 };
 use iolb_cdag::{SpillPolicy, Wiring};
 use iolb_core::report::TightnessPoint;
@@ -104,7 +106,7 @@ pub struct KernelTightness {
 }
 
 /// Full tightness report across a kernel suite.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TightnessReport {
     /// Per-kernel outcomes, sorted by kernel name.
     pub kernels: Vec<KernelTightness>,
@@ -867,95 +869,39 @@ fn measure_kernel(
     })
 }
 
-/// Renders the tightness report as an aligned table.
-pub fn render_tightness_table(report: &TightnessReport) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<14} {:>12} {:>6} {:>12} {:>12} {:>12} {:>7} {:>8}  {:<22}\n",
-        "kernel", "size", "S", "LB", "upper", "prog-order", "ratio", "hg-rat", "best schedule"
-    ));
-    for k in &report.kernels {
-        for t in &k.points {
-            out.push_str(&format!(
-                "{:<14} {:>12} {:>6} {:>12.0} {:>12} {:>12} {:>7.2} {:>8}  {:<22}\n",
-                k.kernel,
-                format!("{:?}", k.params),
-                t.s,
-                t.lower_bound(),
-                t.upper_loads,
-                t.program_order_loads,
-                t.ratio(),
-                t.hourglass_ratio()
-                    .map(|r| format!("{r:.2}"))
-                    .unwrap_or_else(|| "-".to_string()),
-                t.upper_schedule,
-            ));
-        }
-    }
-    out.push_str(&format!(
-        "{} kernels on {} threads in {:.1} ms\n",
-        report.kernels.len(),
-        report.threads,
-        report.total_wall_ms
-    ));
-    out
-}
-
 /// Serializes the tightness report as deterministic JSON: kernels sorted
 /// by name, points by S, fixed key order, volatile data (threads, wall
 /// times) confined to the `meta` object. `redact_volatile` zeroes `meta`
 /// for byte-stable golden snapshots.
 pub fn tightness_report_json(report: &TightnessReport, redact_volatile: bool) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"hourglass-iolb/tightness/v3\",\n");
-    let (threads, wall) = if redact_volatile {
-        (0, 0.0)
-    } else {
-        (report.threads, report.total_wall_ms)
-    };
-    out.push_str(&format!(
-        "  \"meta\": {{\"threads\": {threads}, \"total_wall_ms\": {}}},\n",
-        json_num(wall)
-    ));
-    out.push_str(&governance_json(&report.degradation, &report.failures));
-    out.push_str("  \"kernels\": [\n");
-    for (i, k) in report.kernels.iter().enumerate() {
-        let params: Vec<String> = k.params.iter().map(|p| p.to_string()).collect();
-        out.push_str(&format!(
-            "    {{\"kernel\": \"{}\", \"params\": [{}], \"points\": [\n",
-            k.kernel,
-            params.join(", ")
-        ));
-        for (j, t) in k.points.iter().enumerate() {
-            out.push_str(&format!(
-                "      {{\"s\": {}, \"lb_classical\": {}, \"lb_hourglass\": {}, \"lb_inputs\": {}, \"lower_bound\": {}, \"upper_loads\": {}, \"upper_schedule\": \"{}\", \"program_order_loads\": {}, \"trace_lru_loads\": {}, \"ratio\": {}, \"hourglass_ratio\": {}}}{}\n",
-                t.s,
-                json_num(t.lb_classical),
-                json_num(t.lb_hourglass),
-                json_num(t.lb_inputs),
-                json_num(t.lower_bound()),
-                t.upper_loads,
-                t.upper_schedule,
-                t.program_order_loads,
-                t.trace_lru_loads,
-                json_num(t.ratio()),
-                t.hourglass_ratio()
-                    .map(json_num)
-                    .unwrap_or_else(|| "null".to_string()),
-                if j + 1 == k.points.len() { "" } else { "," }
-            ));
+    let mut w = Writer::default();
+    write_tightness_report(&mut w, report, redact_volatile);
+    w.finish()
+}
+
+/// Writes the `tightness/v3` document at the writer's position (the
+/// `serve/v1` envelope nests it one level deep).
+pub fn write_tightness_report(w: &mut Writer, report: &TightnessReport, redact: bool) {
+    let (threads, wall) = (report.threads, report.total_wall_ms);
+    write_head(w, "hourglass-iolb/tightness/v3", threads, wall, redact);
+    w.end();
+    write_governance(w, &report.degradation, &report.failures);
+    w.key("kernels").arr(Lines);
+    for k in &report.kernels {
+        members!(w.obj(Inline), "kernel": str(&k.kernel), "params": ints(&k.params),
+            "points": arr(Lines));
+        for t in &k.points {
+            members!(w, {"s": int(t.s), "lb_classical": num(t.lb_classical),
+                "lb_hourglass": num(t.lb_hourglass), "lb_inputs": num(t.lb_inputs),
+                "lower_bound": num(t.lower_bound()), "upper_loads": int(t.upper_loads),
+                "upper_schedule": str(&t.upper_schedule),
+                "program_order_loads": int(t.program_order_loads),
+                "trace_lru_loads": int(t.trace_lru_loads), "ratio": num(t.ratio()),
+                "hourglass_ratio": opt(t.hourglass_ratio(), Writer::num)});
         }
-        out.push_str(&format!(
-            "    ]}}{}\n",
-            if i + 1 == report.kernels.len() {
-                ""
-            } else {
-                ","
-            }
-        ));
+        w.end().end();
     }
-    out.push_str("  ]\n}\n");
-    out
+    w.end().end();
 }
 
 #[cfg(test)]

@@ -169,7 +169,7 @@ pub fn run_with_code(args: &[String]) -> u8 {
             combined.total_wall_ms += o.total_wall_ms;
             combined.threads = combined.threads.max(o.threads);
         }
-        if let Err(e) = std::fs::write(path, sweep_report_json(&combined)) {
+        if let Err(e) = std::fs::write(path, sweep_report_json(&combined, false)) {
             eprintln!("writing {}: {e}", path.display());
             return 2;
         }

@@ -15,7 +15,7 @@
 //! To regenerate after an intentional schema change:
 //! `UPDATE_GOLDEN=1 cargo test -p iolb-cli --test golden_json`.
 
-use iolb_bench::sweep::{sweep_report_json_with, DegradationRow, FailureRow, SweepReport};
+use iolb_bench::sweep::{sweep_report_json, DegradationRow, FailureRow, SweepReport};
 use iolb_bench::tightness::{tightness_report_json, TightnessReport};
 use iolb_cli::{parse_args, run_file};
 use iolb_core::govern::Degradation;
@@ -65,10 +65,7 @@ fn report_schemas_match_golden_snapshots() {
     assert_eq!(outcome.degradation, Degradation::Full);
 
     let sweep = outcome.report.expect("validation ran");
-    check_golden(
-        "pebble_sweep_v5.json",
-        &sweep_report_json_with(&sweep, true),
-    );
+    check_golden("pebble_sweep_v5.json", &sweep_report_json(&sweep, true));
 
     let tightness = TightnessReport {
         kernels: vec![outcome.tightness.expect("tightness measured")],
@@ -167,7 +164,7 @@ fn degraded_and_failed_batch_matches_golden() {
     }
     check_golden(
         "pebble_sweep_v5_governed_batch.json",
-        &sweep_report_json_with(&combined, true),
+        &sweep_report_json(&combined, true),
     );
 
     let tightness = TightnessReport {

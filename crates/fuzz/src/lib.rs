@@ -26,7 +26,8 @@ pub use inject::{run_injection, run_injection_matrix, InjectionOutcome, Injectio
 pub use oracle::{CaseReport, Oracle, Violation};
 pub use shrink::{shrink_case, ShrinkOutcome};
 
-use iolb_bench::sweep::json_str;
+use iolb_bench::json::Layout::{Inline, Lines};
+use iolb_bench::json::{members, Writer};
 use rayon::prelude::*;
 
 /// One fuzz run's configuration.
@@ -157,36 +158,21 @@ pub fn run_fuzz(config: &FuzzConfig) -> FuzzReport {
 /// time, thread counts) is emitted at all, so identical runs produce
 /// byte-identical reports.
 pub fn fuzz_report_json(report: &FuzzReport) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"hourglass-iolb/fuzz/v1\",\n");
-    out.push_str(&format!("  \"seed\": {},\n", report.config.seed));
-    out.push_str(&format!("  \"cases\": {},\n", report.config.cases));
-    out.push_str(&format!("  \"max_dims\": {},\n", report.config.max_dims));
-    out.push_str(&format!(
-        "  \"stats\": {{\"instances\": {}, \"classical_bounds\": {}, \"hourglass_bounds\": {}, \"analysis_skipped\": {}, \"tiled\": {}, \"engine_covered\": {}}},\n",
-        report.stats.instances,
-        report.stats.classical,
-        report.stats.hourglass,
-        report.stats.analysis_skipped,
-        report.stats.tiled,
-        report.stats.engine_covered
-    ));
-    out.push_str(&format!("  \"violations\": {},\n", report.failures.len()));
-    out.push_str("  \"failures\": [\n");
-    for (i, f) in report.failures.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"case\": {}, \"invariant\": {}, \"detail\": {}, \"minimized_stmts\": {}, \"minimized\": {}, \"original\": {}}}{}\n",
-            f.case_index,
-            json_str(f.violation.invariant),
-            json_str(&f.violation.detail),
-            f.minimized_stmts,
-            json_str(&f.minimized),
-            json_str(&f.original),
-            if i + 1 == report.failures.len() { "" } else { "," }
-        ));
+    let (config, stats) = (&report.config, &report.stats);
+    let mut w = Writer::default();
+    members!(w.obj(Lines), "schema": str("hourglass-iolb/fuzz/v1"), "seed": int(config.seed),
+        "cases": int(config.cases), "max_dims": int(config.max_dims), "stats": obj(Inline));
+    members!(&mut w, "instances": int(stats.instances), "classical_bounds": int(stats.classical),
+        "hourglass_bounds": int(stats.hourglass), "analysis_skipped": int(stats.analysis_skipped),
+        "tiled": int(stats.tiled), "engine_covered": int(stats.engine_covered));
+    members!(w.end(), "violations": int(report.failures.len()), "failures": arr(Lines));
+    for f in &report.failures {
+        members!(w, {"case": int(f.case_index), "invariant": str(f.violation.invariant),
+            "detail": str(&f.violation.detail), "minimized_stmts": int(f.minimized_stmts),
+            "minimized": str(&f.minimized), "original": str(&f.original)});
     }
-    out.push_str("  ]\n}\n");
-    out
+    w.end().end();
+    w.finish()
 }
 
 #[cfg(test)]
@@ -228,6 +214,12 @@ mod tests {
 
     #[test]
     fn json_escaping_handles_specials() {
+        // Reproducer sources carry quotes, backslashes and newlines.
+        let json_str = |s: &str| {
+            let mut w = Writer::default();
+            w.str(s);
+            w.finish()
+        };
         assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
         assert_eq!(json_str("\u{1}"), "\"\\u0001\"");
     }

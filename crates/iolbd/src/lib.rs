@@ -30,8 +30,9 @@
 pub mod http;
 
 use http::{read_request, write_response, ReadError, ReadOutcome, Request};
-use iolb_bench::sweep::json_str;
 use iolb_core::govern::AnalysisError;
+use iolb_service::json::Layout::{Inline, Lines};
+use iolb_service::json::{members, Writer};
 use iolb_service::{AnalysisOptions, AnalyzeRequest, Pipeline, ReportStore};
 use rayon::prelude::*;
 use std::collections::VecDeque;
@@ -45,7 +46,7 @@ use std::time::{Duration, Instant};
 // Re-exported: the serve/v1 success envelope moved into the service crate
 // (the persistent store works on rendered bodies), but it remains part of
 // this crate's public surface.
-pub use iolb_service::{embed, outcome_body};
+pub use iolb_service::outcome_body;
 
 /// Daemon usage text.
 pub const USAGE: &str = "\
@@ -631,11 +632,11 @@ pub fn error_body(e: &AnalysisError) -> String {
 }
 
 fn error_body_raw(class: &str, exit_class: u8, message: &str) -> String {
-    format!(
-        "{{\n  \"schema\": \"hourglass-iolb/serve/v1\",\n  \"error\": {{\"class\": {}, \"exit_class\": {exit_class}, \"message\": {}}}\n}}\n",
-        json_str(class),
-        json_str(message)
-    )
+    let mut w = Writer::default();
+    members!(w.obj(Lines), "schema": str("hourglass-iolb/serve/v1"), "error": obj(Inline));
+    members!(&mut w, "class": str(class), "exit_class": int(exit_class), "message": str(message));
+    w.end().end();
+    w.finish()
 }
 
 /// `/stats` body (`serve-stats/v3`): request counters, both cache
@@ -643,40 +644,32 @@ fn error_body_raw(class: &str, exit_class: u8, message: &str) -> String {
 /// attached — the persistent store's append/hit/compaction counters plus
 /// what recovery found at startup.
 fn stats_body(state: &ServerState) -> String {
-    let cache = state.pipeline.cache().stats();
-    let store = match state.pipeline.store() {
-        Some(s) => {
-            let st = s.stats();
-            format!(
-                "{{\n    \"entries\": {},\n    \"appends\": {},\n    \"append_errors\": {},\n    \"persisted_hits\": {},\n    \"compactions\": {},\n    \"recovered_records\": {},\n    \"snapshot_records\": {},\n    \"skipped_corrupt_records\": {},\n    \"torn_tail_bytes\": {}\n  }}",
-                st.entries,
-                st.appends,
-                st.append_errors,
-                st.persisted_hits,
-                st.compactions,
-                st.recovery.recovered_records,
-                st.recovery.snapshot_records,
-                st.recovery.skipped_corrupt_records,
-                st.recovery.torn_tail_bytes,
-            )
-        }
-        None => "null".to_string(),
-    };
-    format!(
-        "{{\n  \"schema\": \"hourglass-iolb/serve-stats/v3\",\n  \"requests\": {},\n  \"analyzed\": {},\n  \"overloaded\": {},\n  \"queue_depth\": {},\n  \"cache\": {{\n    \"parse\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}}},\n    \"report\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}}}\n  }},\n  \"report_entries\": {},\n  \"report_capacity\": {},\n  \"store\": {store}\n}}\n",
-        state.requests.load(Ordering::Relaxed),
-        state.analyzed.load(Ordering::Relaxed),
-        state.overloaded.load(Ordering::Relaxed),
-        state.queued.load(Ordering::Relaxed),
-        cache.parse.hits,
-        cache.parse.misses,
-        cache.parse.evictions,
-        cache.report.hits,
-        cache.report.misses,
-        cache.report.evictions,
-        state.pipeline.cache().report_entries(),
-        state.pipeline.cache().report_capacity(),
-    )
+    let cache = state.pipeline.cache();
+    let layers = cache.stats();
+    let load = |n: &AtomicU64| n.load(Ordering::Relaxed);
+    let mut w = Writer::default();
+    members!(w.obj(Lines), "schema": str("hourglass-iolb/serve-stats/v3"),
+        "requests": int(load(&state.requests)), "analyzed": int(load(&state.analyzed)),
+        "overloaded": int(load(&state.overloaded)), "queue_depth": int(load(&state.queued)),
+        "cache": obj(Lines));
+    for (k, l) in [("parse", layers.parse), ("report", layers.report)] {
+        members!(w.key(k), {"hits": int(l.hits), "misses": int(l.misses), "evictions": int(l.evictions)});
+    }
+    members!(w.end(), "report_entries": int(cache.report_entries()),
+        "report_capacity": int(cache.report_capacity()));
+    w.key("store").opt(state.pipeline.store(), |w, s| {
+        let st = s.stats();
+        members!(w.obj(Lines), "entries": int(st.entries), "appends": int(st.appends),
+            "append_errors": int(st.append_errors), "persisted_hits": int(st.persisted_hits),
+            "compactions": int(st.compactions),
+            "recovered_records": int(st.recovery.recovered_records),
+            "snapshot_records": int(st.recovery.snapshot_records),
+            "skipped_corrupt_records": int(st.recovery.skipped_corrupt_records),
+            "torn_tail_bytes": int(st.recovery.torn_tail_bytes));
+        w.end()
+    });
+    w.end();
+    w.finish()
 }
 
 #[cfg(test)]

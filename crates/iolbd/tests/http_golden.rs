@@ -1,12 +1,15 @@
 //! Golden snapshots of the daemon's HTTP exchanges — one per
 //! [`AnalysisError`] class the service maps onto a status code (parse →
-//! 400, refused → 422, budget → 413, deadline → 408) plus one success
-//! envelope. The daemon redacts all volatile report data, so every
-//! response here is byte-stable across machines and thread counts.
+//! 400, refused → 422, budget → 413, deadline → 408), the success
+//! envelopes with and without the nested reports, both `/stats` shapes,
+//! and the client's request body. The daemon redacts all volatile report
+//! data, so every response here is byte-stable across machines and
+//! thread counts.
 //!
 //! To regenerate after an intentional schema change:
 //! `UPDATE_GOLDEN=1 cargo test -p iolbd --test http_golden`.
 
+use iolb_service::json::Layout::Inline;
 use iolb_service::AnalyzeRequest;
 use iolbd::{serve_listener, ServerOptions};
 use std::io::{Read, Write};
@@ -235,10 +238,11 @@ fn typed_body_and_query_alias_are_byte_identical() {
     // equality covers the whole response.
     let src = kernel("gemm_tiled.iolb");
     let (addr, handle) = start_daemon();
-    let body = format!(
-        "{{\"source\": {}, \"options\": {{\"derive-only\": true, \"params\": \"M=6,N=6,K=6\"}}}}",
-        iolb_bench::sweep::json_str(&src)
-    );
+    let mut w = iolb_service::json::Writer::default();
+    w.obj(Inline).key("source").str(&src);
+    w.key("options").obj(Inline).key("derive-only").bool(true);
+    w.key("params").str("M=6,N=6,K=6").end().end();
+    let body = w.finish();
     let boolean_form = exchange(addr, &post("/analyze", &body));
     shutdown(addr, handle);
 
@@ -382,4 +386,59 @@ fn slow_request_hits_the_wall_deadline_with_a_golden_408() {
     assert!(response.contains("Connection: close"), "{response}");
     check_golden("analyze_request_timeout.http", &response);
     shutdown(addr, handle);
+}
+
+/// The full `serve/v1` success envelope — the sweep and tightness
+/// documents nested one level deep — for gemm_tiled at the CLI golden
+/// size, and for gehd2 (split, hourglass and degrade members) down-scoped
+/// to the coarse grid by the work budget; then `/stats` without a store.
+#[test]
+fn full_envelopes_and_stats_match_golden_snapshots() {
+    let (addr, handle) = start_daemon();
+    check_golden(
+        "analyze_full.http",
+        &exchange(
+            addr,
+            &analyze(
+                &kernel("gemm_tiled.iolb"),
+                &[("params", "M=10,N=10,K=10"), ("s-grid", "0,16,64")],
+            ),
+        ),
+    );
+    check_golden(
+        "analyze_coarse.http",
+        &exchange(
+            addr,
+            &analyze(
+                &kernel("gehd2.iolb"),
+                &[("params", "N=8"), ("max-work", "30000")],
+            ),
+        ),
+    );
+    check_golden("stats.http", &exchange(addr, &get("/stats")));
+    shutdown(addr, handle);
+}
+
+/// The client side's request body, with escapes and non-ASCII text.
+#[test]
+fn request_body_matches_golden_snapshot() {
+    let src = "kernel g(N) {\n\t\"q\" \\ π ≤ 4\u{1}\r\n}";
+    let body = AnalyzeRequest::body(src, &[("params", "N=8"), ("s-grid", "0,16,64")]);
+    check_golden("analyze_request.json", &body);
+    assert_eq!(AnalyzeRequest::parse(&body).unwrap().source, src);
+}
+
+/// `/stats` with a `--store` attached: the multi-line `store` object.
+#[test]
+fn stats_with_store_match_golden_snapshot() {
+    let dir = std::env::temp_dir().join(format!("iolbd_http_golden_{}", std::process::id()));
+    let (addr, handle) = start_daemon_with(ServerOptions {
+        store: Some(dir.to_string_lossy().into_owned()),
+        ..ServerOptions::default()
+    });
+    let response = exchange(addr, &analyze(&kernel("gemm_tiled.iolb"), GEMM_DERIVE));
+    assert!(response.starts_with("HTTP/1.1 200"), "{response}");
+    check_golden("stats_store.http", &exchange(addr, &get("/stats")));
+    shutdown(addr, handle);
+    let _ = std::fs::remove_dir_all(&dir);
 }

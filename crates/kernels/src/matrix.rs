@@ -77,11 +77,6 @@ impl Matrix {
         Matrix::from_fn(self.cols, self.rows, |i, j| self[(j, i)])
     }
 
-    /// Frobenius norm.
-    pub fn frob(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
     /// Largest absolute entry of `self - other`.
     ///
     /// # Panics

@@ -153,14 +153,6 @@ impl LruSim {
         }
     }
 
-    /// Creates a simulator that additionally pre-sizes the cell table for
-    /// ids `< num_cells` (avoids growth stalls on the streaming path).
-    pub fn with_cells(capacity: usize, num_cells: usize) -> LruSim {
-        let mut sim = LruSim::new(capacity);
-        sim.slot_of = vec![NIL; num_cells];
-        sim
-    }
-
     #[inline]
     fn slot_entry(&mut self, cell: usize) -> u32 {
         if cell >= self.slot_of.len() {

@@ -37,11 +37,6 @@ pub fn gcd_i128(mut a: i128, mut b: i128) -> i128 {
     a
 }
 
-/// Greatest common divisor for `i64` (convenience for IR coefficients).
-pub fn gcd_i64(a: i64, b: i64) -> i64 {
-    gcd_i128(a as i128, b as i128) as i64
-}
-
 /// Exact binomial coefficient `C(n, k)` as `i128`.
 ///
 /// Panics on overflow; the Faulhaber machinery only needs small `n`.

@@ -18,7 +18,6 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod cache;
-pub mod json;
 pub mod options;
 pub mod pipeline;
 pub mod render;
@@ -26,13 +25,14 @@ pub mod request;
 pub mod store;
 
 pub use cache::{fnv1a_128, CacheStats, LayerStats, ShardedCache};
+pub use iolb_bench::json;
 pub use options::{AnalysisOptions, FLAG_KEYS};
 pub use pipeline::{
     analyze_uncached, canonicalize, canonicalize_kernel, AnalysisOutcome, CachedAnalysis,
     CanonEntry, ClassicalSummary, DegradeInfo, Derived, HourglassSummary, Pipeline, ResultCache,
     ServeSource, ServedAnalysis, SplitSummary, DEFAULT_REPORT_CAPACITY,
 };
-pub use render::{embed, outcome_body};
+pub use render::outcome_body;
 pub use request::AnalyzeRequest;
 pub use store::{
     RealIo, RecoveryStats, ReportStore, StoreIo, StoreKey, StoreStats, JOURNAL_FILE, SNAPSHOT_FILE,

@@ -12,83 +12,50 @@
 //! bypass every layer, render fresh.
 
 use crate::pipeline::AnalysisOutcome;
-use iolb_bench::sweep::{json_str, sweep_report_json_with};
-use iolb_bench::tightness::{tightness_report_json, TightnessReport};
-
-/// Indents every non-first line of an embedded JSON document so the
-/// envelope stays readable.
-pub fn embed(doc: &str, indent: &str) -> String {
-    doc.trim_end().replace('\n', &format!("\n{indent}"))
-}
+use iolb_bench::json::Layout::{Inline, Lines};
+use iolb_bench::json::{members, Writer};
+use iolb_bench::sweep::write_sweep_report;
+use iolb_bench::tightness::{write_tightness_report, TightnessReport};
 
 /// The success envelope: outcome summary + the CLI's own report schemas
-/// embedded verbatim (volatile meta redacted, so a given kernel ×
+/// written one level deep (volatile meta redacted, so a given kernel ×
 /// options always serializes to identical bytes — cached, persisted, or
 /// freshly computed).
 pub fn outcome_body(o: &AnalysisOutcome) -> String {
-    let params: Vec<String> = o
-        .params
-        .iter()
-        .map(|(n, v)| format!("{}: {v}", json_str(n)))
-        .collect();
-    let classical = match &o.classical {
-        Some(c) => format!(
-            "{{\"sigma\": {}, \"m\": {}, \"expr\": {}}}",
-            json_str(&c.sigma),
-            json_str(&c.m),
-            json_str(&c.expr)
-        ),
-        None => "null".to_string(),
-    };
-    let split = match &o.split {
-        Some(s) => format!(
-            "{{\"var\": {}, \"expr\": {}}}",
-            json_str(&s.var),
-            json_str(&s.expr)
-        ),
-        None => "null".to_string(),
-    };
-    let hourglass = match &o.hourglass {
-        Some(h) => format!(
-            "{{\"chains\": {}, \"w_min\": {}, \"w_max\": {}, \"main_tool\": {}}}",
-            h.chains,
-            json_str(&h.w_min),
-            json_str(&h.w_max),
-            json_str(&h.main_tool)
-        ),
-        None => "null".to_string(),
-    };
-    let degrade = match &o.degrade {
-        Some(d) => format!(
-            "{{\"work_needed\": {}, \"max_work\": {}, \"coarse_points\": {}}}",
-            d.work_needed, d.max_work, d.coarse_points
-        ),
-        None => "null".to_string(),
-    };
-    let sweep = match &o.sweep {
-        Some(r) => embed(&sweep_report_json_with(r, true), "  "),
-        None => "null".to_string(),
-    };
-    let tightness = match &o.tightness {
-        Some(k) => {
-            let report = TightnessReport {
-                kernels: vec![k.clone()],
-                degradation: Vec::new(),
-                failures: Vec::new(),
-                total_wall_ms: 0.0,
-                threads: 0,
-            };
-            embed(&tightness_report_json(&report, true), "  ")
-        }
-        None => "null".to_string(),
-    };
-    format!(
-        "{{\n  \"schema\": \"hourglass-iolb/serve/v1\",\n  \"kernel\": {},\n  \"stmt\": {},\n  \"params\": {{{}}},\n  \"certified_instances\": {},\n  \"degradation\": {},\n  \"sound\": {},\n  \"classical\": {classical},\n  \"split\": {split},\n  \"hourglass\": {hourglass},\n  \"degrade\": {degrade},\n  \"sweep\": {sweep},\n  \"tightness\": {tightness}\n}}\n",
-        json_str(&o.name),
-        json_str(&o.stmt),
-        params.join(", "),
-        o.certified_instances,
-        json_str(o.degradation.as_str()),
-        o.sound,
-    )
+    let mut w = Writer::default();
+    members!(w.obj(Lines), "schema": str("hourglass-iolb/serve/v1"), "kernel": str(&o.name),
+        "stmt": str(&o.stmt), "params": obj(Inline));
+    for (n, v) in &o.params {
+        w.key(n).int(v);
+    }
+    members!(w.end(), "certified_instances": int(o.certified_instances),
+        "degradation": str(o.degradation.as_str()), "sound": bool(o.sound));
+    w.key("classical").opt(
+        o.classical.as_ref(),
+        |w, c| members!(w, {"sigma": str(&c.sigma), "m": str(&c.m), "expr": str(&c.expr)}),
+    );
+    w.key("split").opt(
+        o.split.as_ref(),
+        |w, s| members!(w, {"var": str(&s.var), "expr": str(&s.expr)}),
+    );
+    w.key("hourglass").opt(o.hourglass.as_ref(), |w, h| {
+        members!(w, {"chains": int(h.chains), "w_min": str(&h.w_min), "w_max": str(&h.w_max),
+            "main_tool": str(&h.main_tool)})
+    });
+    w.key("degrade").opt(o.degrade.as_ref(), |w, d| {
+        members!(w, {"work_needed": int(d.work_needed), "max_work": int(d.max_work),
+            "coarse_points": int(d.coarse_points)})
+    });
+    w.key("sweep").opt(o.sweep.as_ref(), |w, r| {
+        write_sweep_report(w, r, true);
+        w
+    });
+    w.key("tightness").opt(o.tightness.as_ref(), |w, k| {
+        let mut report = TightnessReport::default();
+        report.kernels.push(k.clone());
+        write_tightness_report(w, &report, true);
+        w
+    });
+    w.end();
+    w.finish()
 }

@@ -14,9 +14,8 @@
 //! [`AnalysisOptions::set`] switchboard the CLI flags drive, so the
 //! vocabularies (and their diagnostics) cannot diverge.
 
-use crate::json::{self, Value};
+use crate::json::{self, members, Layout::Inline, Value, Writer};
 use crate::options::AnalysisOptions;
-use iolb_bench::sweep::json_str;
 
 /// One parsed `POST /analyze` body: the kernel source plus the option
 /// pairs in application order.
@@ -112,15 +111,13 @@ impl AnalyzeRequest {
     /// Renders a request body for `source` with string-valued `options`:
     /// the client side of [`AnalyzeRequest::parse`].
     pub fn body(source: &str, options: &[(&str, &str)]) -> String {
-        let options: Vec<String> = options
-            .iter()
-            .map(|(k, v)| format!("{}: {}", json_str(k), json_str(v)))
-            .collect();
-        format!(
-            "{{\"source\": {}, \"options\": {{{}}}}}",
-            json_str(source),
-            options.join(", ")
-        )
+        let mut w = Writer::default();
+        members!(w.obj(Inline), "source": str(source), "options": obj(Inline));
+        for (k, v) in options {
+            w.key(k).str(v);
+        }
+        w.end().end();
+        w.finish()
     }
 
     /// Resolves the request's option pairs into [`AnalysisOptions`]

@@ -6,7 +6,7 @@
 //! in-flight deduplication guarantees misses = distinct (kernel ×
 //! options) keys no matter how the threads interleave.
 
-use iolb_bench::sweep::sweep_report_json_with;
+use iolb_bench::sweep::sweep_report_json;
 use iolb_service::{AnalysisOptions, Pipeline, ShardedCache};
 use std::path::PathBuf;
 
@@ -40,7 +40,7 @@ fn fingerprint(pipeline: &Pipeline, src: &str, opts: &AnalysisOptions) -> String
     let sweep = o
         .sweep
         .as_ref()
-        .map(|r| sweep_report_json_with(r, true))
+        .map(|r| sweep_report_json(r, true))
         .unwrap_or_default();
     format!(
         "{}|{:?}|{}|{}|{}",

@@ -20,7 +20,8 @@
 //! deterministic and gated; the timing numbers are volatile and
 //! reported for trend-watching only.
 
-use iolb_service::json::{self, Value};
+use iolb_service::json::Layout::{Inline, Lines};
+use iolb_service::json::{self, members, Value, Writer};
 use iolb_service::AnalyzeRequest;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -319,7 +320,7 @@ impl Phase {
         }
     }
 
-    fn json(&self, label: &str) -> String {
+    fn write(&self, w: &mut Writer, label: &str) {
         let mut sorted = self.latencies_ms.clone();
         sorted.sort_by(f64::total_cmp);
         let requests = sorted.len();
@@ -328,13 +329,9 @@ impl Phase {
         } else {
             0.0
         };
-        format!(
-            r#""{label}": {{"requests": {requests}, "wall_ms": {:.3}, "p50_ms": {:.3}, "p99_ms": {:.3}, "throughput_rps": {:.1}}}"#,
-            self.wall_ms,
-            percentile(&sorted, 0.50),
-            percentile(&sorted, 0.99),
-            throughput,
-        )
+        let (p50, p99) = (percentile(&sorted, 0.50), percentile(&sorted, 0.99));
+        members!(w.key(label), {"requests": int(requests), "wall_ms": fixed(self.wall_ms, 3),
+            "p50_ms": fixed(p50, 3), "p99_ms": fixed(p99, 3), "throughput_rps": fixed(throughput, 1)});
     }
 }
 
@@ -449,49 +446,29 @@ fn serve_bench(opts: &ServeBenchOpts) -> Result<(), String> {
     let stats_doc = body_of(&stats_raw)
         .ok_or("malformed /stats response")
         .and_then(|b| json::parse(b).map_err(|_| "/stats body is not JSON"))?;
-    let store_num = |field: &str| -> Result<u64, String> {
-        stats_doc
-            .get("store")
-            .and_then(|s| s.get(field))
-            .and_then(Value::num)
-            .map(|n| n as u64)
-            .ok_or_else(|| format!("/stats store.{field} missing — daemon ran without --store?"))
-    };
-    let store_json = format!(
-        "\"store\": {{\"entries\": {}, \"appends\": {}, \"append_errors\": {}, \
-         \"persisted_hits\": {}, \"compactions\": {}, \"recovered_records\": {}, \
-         \"snapshot_records\": {}, \"skipped_corrupt_records\": {}, \"torn_tail_bytes\": {}}}",
-        store_num("entries")?,
-        store_num("appends")?,
-        store_num("append_errors")?,
-        store_num("persisted_hits")?,
-        store_num("compactions")?,
-        store_num("recovered_records")?,
-        store_num("snapshot_records")?,
-        store_num("skipped_corrupt_records")?,
-        store_num("torn_tail_bytes")?,
-    );
+    // The report carries the daemon's store counters as /stats has them.
+    let store = stats_doc.get("store").and_then(Value::obj);
+    let store = store.ok_or("/stats store missing — daemon ran without --store?")?;
+    let mut w = Writer::default();
+    members!(w.obj(Lines), "schema": str(SERVE_SCHEMA), "meta": obj(Inline),
+        "kernels": int(batch.len()), "warm_passes": int(opts.warm_passes), "s_grid": str(S_GRID));
+    members!(w.end(), "cold_matches_cli": bool(true), "warm_hit_rate": num(warm.hit_rate()));
+    cold.write(&mut w, "cold");
+    warm.write(&mut w, "warm");
+    w.key("store").obj(Inline);
+    for (field, n) in store {
+        w.key(field)
+            .int(n.num().ok_or("/stats store counter is not a number")? as u64);
+    }
+    w.end().key("kernels").arr(Inline);
+    for (name, _) in &batch {
+        w.str(name);
+    }
+    w.end().end();
+    let report = w.finish();
 
     daemon.shutdown()?;
 
-    let kernel_names: Vec<String> = batch
-        .iter()
-        .map(|(name, _)| format!("\"{name}\""))
-        .collect();
-    let report = format!(
-        "{{\n  \"schema\": \"hourglass-iolb/serve-bench/v2\",\n  \
-         \"meta\": {{\"kernels\": {}, \"warm_passes\": {}, \"s_grid\": \"{S_GRID}\"}},\n  \
-         \"cold_matches_cli\": true,\n  \
-         \"warm_hit_rate\": {:.4},\n  \
-         {},\n  {},\n  {store_json},\n  \
-         \"kernels\": [{}]\n}}\n",
-        batch.len(),
-        opts.warm_passes,
-        warm.hit_rate(),
-        cold.json("cold"),
-        warm.json("warm"),
-        kernel_names.join(", "),
-    );
     std::fs::write(&opts.out, &report).map_err(|e| format!("{}: {e}", opts.out.display()))?;
     println!(
         "serve-bench ✓ — warm hit rate {:.2}%, wrote {}",
