@@ -85,9 +85,9 @@ const POLICIES: [SpillPolicy; 2] = [SpillPolicy::Lru, SpillPolicy::MinNextUse];
 /// Largest trace (events) production materializes and prices on
 /// [`CurveEngine`]; longer traces stream through [`ShardedCurveEngine`].
 /// On one worker the materialized engine is the faster of the two (release
-/// build on a 2-vCPU shared Xeon host, mgs M=512,N=32, 2.1·10⁶ events: LRU
-/// 112–151 vs 341–368 ms, OPT 536–566 vs 919–1030 ms), and a trace at the
-/// cap is 32 MiB packed. The name is
+/// build on a 2-vCPU shared Xeon host, mgs M=512,N=32, 2.1·10⁶ events,
+/// medians of 5 in two rounds: LRU 12–17 vs 247–296 ms, OPT 58–79 vs
+/// 423–457 ms), and a trace at the cap is 32 MiB packed. The name is
 /// kept from when it bounded a run-time cross-check of the two engines;
 /// that equivalence is now a test (`crates/bench/tests/curve_engines.rs`).
 pub const CROSS_CHECK_CAP: u64 = 1 << 22;

@@ -71,6 +71,9 @@ pub struct VisitProfile {
     outdeg_max: u64,
     /// Number of compute nodes.
     n_c: usize,
+    /// Largest guaranteed in-set over every segment length `T`: the bound
+    /// is 0 at every capacity `s ≥ peak`.
+    peak: u64,
 }
 
 impl VisitProfile {
@@ -93,11 +96,17 @@ impl VisitProfile {
             .max()
             .unwrap_or(0)
             .max(1);
-        VisitProfile {
+        let mut profile = VisitProfile {
             prefix,
             outdeg_max,
             n_c: cdag.num_computes(),
-        }
+            peak: 0,
+        };
+        profile.peak = (1..=profile.n_c)
+            .map(|t| profile.min_inset(t))
+            .max()
+            .unwrap_or(0);
+        profile
     }
 
     /// Guaranteed in-set size of *any* set of exactly `t` computes.
@@ -107,8 +116,12 @@ impl VisitProfile {
     }
 
     /// Lower bound on loads at capacity `s`: the best segment length `T`
-    /// of `⌊n_c/T⌋ · max(0, min_inset(T) − s)`.
+    /// of `⌊n_c/T⌋ · max(0, min_inset(T) − s)`. Every slack is 0 once `s`
+    /// reaches the profile's peak in-set, so the scan is skipped there.
     pub fn bound(&self, s: usize) -> u64 {
+        if self.peak <= s as u64 {
+            return 0;
+        }
         let mut best = 0u64;
         for t in 1..=self.n_c {
             let slack = self.min_inset(t).saturating_sub(s as u64);
@@ -451,6 +464,68 @@ mod tests {
         // Empty graph.
         let empty = Cdag::from_edges(vec![], vec![]);
         assert_eq!(VisitProfile::new(&empty).bound(1), 0);
+    }
+
+    /// [`VisitProfile::bound`] without the peak short-circuit: the scan
+    /// over every segment length.
+    fn unshortened_bound(p: &VisitProfile, s: usize) -> u64 {
+        (1..=p.n_c)
+            .map(|t| (p.n_c / t) as u64 * p.min_inset(t).saturating_sub(s as u64))
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// `inputs` inputs, then one compute per entry of `preds`, reading the
+    /// earlier nodes that entry picks (taken modulo the compute's index).
+    fn random_dag(inputs: usize, preds: &[Vec<usize>]) -> Cdag {
+        let mut kinds: Vec<NodeSpec> = (0..inputs).map(input).collect();
+        let mut edges = Vec::new();
+        for (c, picks) in preds.iter().enumerate() {
+            let v = inputs + c;
+            kinds.push(compute(c as i32));
+            for &p in picks {
+                edges.push(((p % v) as u32, v as u32));
+            }
+        }
+        Cdag::from_edges(kinds, edges)
+    }
+
+    #[test]
+    fn visit_short_circuit_runs_both_branches_on_a_fan_in() {
+        // Every compute reads 6 private inputs (out-degree 1): the
+        // guaranteed in-set of T computes is 5T, so the peak is 5·n_c.
+        let (n_c, fan) = (12usize, 6usize);
+        let preds: Vec<Vec<usize>> = (0..n_c)
+            .map(|c| (c * fan..(c + 1) * fan).collect())
+            .collect();
+        let g = random_dag(n_c * fan, &preds);
+        let p = VisitProfile::new(&g);
+        assert_eq!(p.peak, 5 * n_c as u64);
+        for s in [1, 4, 16, 59, 60, 61, 64, 256] {
+            assert_eq!(p.bound(s), unshortened_bound(&p, s), "S={s}");
+        }
+        assert!(p.bound(59) > 0, "below the peak the scan runs");
+        assert_eq!(p.bound(60), 0, "at the peak the scan is skipped");
+    }
+
+    proptest::proptest! {
+        /// The short-circuit is exact: on random CDAGs the bound equals the
+        /// full scan at capacities on both sides of the profile's peak.
+        #[test]
+        fn visit_short_circuit_matches_the_full_scan(
+            inputs in 1usize..24,
+            preds in proptest::collection::vec(
+                proptest::collection::vec(0usize..64, 0..6),
+                1..40,
+            ),
+        ) {
+            let g = random_dag(inputs, &preds);
+            let p = VisitProfile::new(&g);
+            let peak = p.peak as usize;
+            for s in [1, 2, 3, 5, 8, 13, 21, 34, peak.saturating_sub(1).max(1), peak.max(1), peak + 1] {
+                proptest::prop_assert_eq!(p.bound(s), unshortened_bound(&p, s), "S={}", s);
+            }
+        }
     }
 
     #[test]

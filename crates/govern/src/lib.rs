@@ -327,7 +327,8 @@ pub enum Seam {
     Instances,
     /// `build_cdag` cell-table / CSR fill.
     CdagFill,
-    /// LRU stack-distance pass (Fenwick accumulation).
+    /// LRU stack-distance pass (recency ring, or the sharded engine's
+    /// Fenwick merge).
     LruPass,
     /// OPT stack-distance pass (displacement-chain repair).
     OptPass,

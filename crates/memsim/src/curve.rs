@@ -11,9 +11,10 @@
 //! `loads(S)` for **all** capacities at once, replacing a per-`S` replay
 //! loop of [`LruSim`]/[`BeladySim`] with a single traversal:
 //!
-//! * [`CurveEngine::lru`] — LRU stack distances via a Fenwick tree over
-//!   last-access positions (the classical reuse-distance profiler):
-//!   O(log n) per access;
+//! * [`CurveEngine::lru`] — LRU stack distances on a recency ring that
+//!   holds only the top `horizon` entries of the LRU stack, plus one state
+//!   byte per cell: O(min(d, horizon)) time for an access at distance `d`
+//!   and O(cells + horizon) memory;
 //! * [`CurveEngine::opt`] — OPT stack distances via a priority-by-next-use
 //!   stack simulation. Next uses come from the same reverse-pass chain
 //!   threading as [`BeladySim`], a value's *pending overwrite* kills it
@@ -22,7 +23,7 @@
 //!   horizon-bounded dense slab, scanned a block of slots at a time.
 //!
 //! Both passes accept a capacity *horizon*: distances beyond it are lumped
-//! into a single always-miss bucket, which bounds the OPT stack (and the
+//! into a single always-miss bucket, which bounds both stacks (and the
 //! distance histogram) by the largest capacity the caller will query —
 //! the S grids swept by `iolb-bench` are far smaller than the traces.
 //!
@@ -109,7 +110,9 @@ impl MissCurve {
 }
 
 /// Fenwick (binary indexed) tree over trace positions; marks last-access
-/// positions so a range count yields "distinct cells accessed since".
+/// positions so a range count yields "distinct cells accessed since". The
+/// sharded streaming engine ([`crate::stream`]) resolves its LRU reuses
+/// with it.
 ///
 /// Counters are 64-bit: the old `u32` tree silently wrapped once a trace
 /// crossed 2³² accesses (`wrapping_add` hid the overflow). Debug builds
@@ -165,6 +168,12 @@ const DEAD: u32 = <u32 as StackWord>::DEAD;
 /// priority; real next-use positions are ≥ 1 because a next use is
 /// strictly later than the access that set it).
 const EMPTY: u32 = 0;
+/// LRU cell state: never accessed.
+const UNSEEN: u8 = 0;
+/// LRU cell state: sank below the horizon and fell off the recency ring.
+const EVICTED: u8 = 1;
+/// LRU cell state: on the recency ring.
+const RESIDENT: u8 = 2;
 /// `idx_of` marker: cell sank below the horizon and was dropped.
 const DROPPED: u32 = u32::MAX - 1;
 
@@ -203,9 +212,10 @@ pub struct CurveEngine {
     // Next-use chain threading (shared machinery with `BeladySim`).
     chain: Vec<u32>,
     head: Vec<u32>,
-    // LRU pass.
-    bit: Fenwick,
-    last_pos: Vec<u32>,
+    // LRU pass: the recency ring and each cell's [`UNSEEN`] /
+    // [`EVICTED`] / [`RESIDENT`] state.
+    ring: Vec<u32>,
+    state: Vec<u8>,
     // OPT pass.
     stack: Vec<u32>,
     pri: Vec<u32>,
@@ -284,10 +294,14 @@ impl CurveEngine {
         self.opt_by(packed.len(), horizon, packed_at(packed), Some(token))
     }
 
-    /// LRU stack distances: the distance of an access is one plus the
-    /// number of distinct cells accessed since the previous access of the
-    /// same cell — counted by marking each cell's last-access position in
-    /// a Fenwick tree and summing the window between two touches.
+    /// LRU stack distances on a recency ring holding the top `horizon`
+    /// entries of the LRU stack, most recent on top. A resident cell is
+    /// found by walking down from the top, each entry passed moving one
+    /// slot deeper, so an access at depth `k` costs `k + 1` slot moves and
+    /// records distance `k + 1`. A cell that is not on the ring has never
+    /// been accessed ([`UNSEEN`]: a cold miss) or sank below the horizon
+    /// ([`EVICTED`]: a distance beyond it); either way it is pushed on top,
+    /// and once the ring holds `horizon` cells the bottom one falls off.
     fn lru_by(
         &mut self,
         len: usize,
@@ -298,12 +312,19 @@ impl CurveEngine {
         assert!(horizon >= 1, "curve horizon must be positive");
         let cells = cell_universe(len, &at);
         guard_sentinels(len, cells)?;
-        self.bit.reset(len);
-        self.last_pos.clear();
-        self.last_pos.resize(cells, NIL);
+        // The stack never holds more than `cells` entries, so a horizon
+        // past the universe needs no larger ring (and never evicts).
+        let slots = horizon.min(cells).max(1).next_power_of_two();
+        let mask = slots - 1;
+        self.ring.clear();
+        self.ring.resize(slots, 0);
+        self.state.clear();
+        self.state.resize(cells, UNSEEN);
         self.hist.clear();
         self.hist.resize(horizon + 1, 0);
         let (mut cold, mut beyond) = (0u64, 0u64);
+        // Ring index of the top entry, and the number of entries held.
+        let (mut top, mut held) = (0usize, 0usize);
 
         for t in 0..len {
             if t & 0xFFF == 0 {
@@ -312,28 +333,32 @@ impl CurveEngine {
                 }
             }
             let (cell, write) = at(t);
-            let lp = self.last_pos[cell];
-            if lp == NIL {
-                if !write {
-                    cold += 1;
-                }
-            } else {
-                // Distinct cells accessed strictly between the touches:
-                // exactly the last-access marks in (lp, t).
-                let between = self.bit.prefix(t - 1) - self.bit.prefix(lp as usize);
-                let d = between as usize + 1;
-                debug_assert!(between < len as u64, "reuse window wider than trace");
-                if !write {
-                    if d <= horizon {
-                        self.hist[d] += 1;
-                    } else {
-                        beyond += 1;
+            match self.state[cell] {
+                RESIDENT => {
+                    let k = move_to_top(&mut self.ring, top, cell as u32);
+                    if !write {
+                        self.hist[k + 1] += 1;
                     }
                 }
-                self.bit.add(lp as usize, -1);
+                seen => {
+                    if !write {
+                        if seen == UNSEEN {
+                            cold += 1;
+                        } else {
+                            beyond += 1;
+                        }
+                    }
+                    if held == horizon {
+                        let bottom = self.ring[top.wrapping_sub(horizon - 1) & mask];
+                        self.state[bottom as usize] = EVICTED;
+                    } else {
+                        held += 1;
+                    }
+                    top = (top + 1) & mask;
+                    self.ring[top] = cell as u32;
+                    self.state[cell] = RESIDENT;
+                }
             }
-            self.bit.add(t, 1);
-            self.last_pos[cell] = t as u32;
         }
         Ok(MissCurve::from_histogram(
             cold, beyond, &self.hist, len as u64,
@@ -459,6 +484,29 @@ impl CurveEngine {
     }
 }
 
+/// Moves `cell`, which must be on the recency ring, to the top entry at
+/// ring index `top`, each entry above it moving one slot deeper, and
+/// returns the depth it was found at (0 = top). Depth `k` sits at ring
+/// index `top − k`, wrapping from index 0 to the last one.
+#[inline]
+fn move_to_top(ring: &mut [u32], top: usize, cell: u32) -> usize {
+    let (near, far) = ring.split_at_mut(top + 1);
+    let mut carry = cell;
+    for (k, slot) in near
+        .iter_mut()
+        .rev()
+        .chain(far.iter_mut().rev())
+        .enumerate()
+    {
+        let was = std::mem::replace(slot, carry);
+        if was == cell {
+            return k;
+        }
+        carry = was;
+    }
+    unreachable!("cell {cell} is marked resident but is not on the recency ring")
+}
+
 /// Width of the OPT priority stack's entries: `u32` cell ids and
 /// priorities in the materialized engine, `u64` in the streaming one
 /// ([`crate::stream`]). Both engines repair their stacks with the one
@@ -564,6 +612,9 @@ fn ungoverned(r: Result<MissCurve, AnalysisError>) -> MissCurve {
 }
 
 /// Convenience: full-horizon LRU miss curve (exact at every capacity).
+/// The horizon is the trace length, so an access costs O(d) at distance
+/// `d`; the tests use it as the whole-curve reference, and production
+/// prices at the S grid's horizon instead.
 pub fn lru_miss_curve(trace: &[Access]) -> MissCurve {
     CurveEngine::new().lru(trace, trace.len().max(1))
 }
@@ -711,6 +762,84 @@ pub(crate) mod tests {
         let t2 = vec![Access::write(9), Access::read(9)];
         let c = e.lru(&t2, 2);
         assert_eq!(c.loads(1), 0, "write allocates, read hits");
+    }
+
+    /// First-touch reads of `t`: the cold loads of every capacity.
+    fn first_touch_reads(t: &[Access]) -> u64 {
+        let mut seen = std::collections::HashSet::new();
+        t.iter().filter(|a| seen.insert(a.cell) && !a.write).count() as u64
+    }
+
+    #[test]
+    fn ring_write_to_a_resident_cell_moves_it_and_counts_nothing() {
+        // 0 1 2 w0 1: the write lifts 0 over 2 and 1, so the last read of
+        // 1 is at distance 3, not 2; the write itself is no load.
+        let t = vec![
+            Access::read(0),
+            Access::read(1),
+            Access::read(2),
+            Access::write(0),
+            Access::read(1),
+        ];
+        let c = CurveEngine::new().lru(&t, 4);
+        assert_eq!(c.cold_loads(), 3);
+        assert_eq!(c.loads(1), 4);
+        assert_eq!(c.loads(2), 4);
+        assert_eq!(c.loads(3), 3);
+        assert_eq!(c.loads(4), 3);
+    }
+
+    #[test]
+    fn ring_evicts_at_exactly_the_horizon_and_rereads_count_beyond() {
+        // 0 1 2 0 at horizon 3: the ring is full but nothing has fallen
+        // off, so the reread is a hit at capacity 3.
+        let c = CurveEngine::new().lru(&reads(&[0, 1, 2, 0]), 3);
+        assert_eq!((c.cold_loads(), c.loads(2), c.loads(3)), (3, 4, 3));
+        // 0 1 2 3 0: the fourth cell pushes 0 off the bottom, and its
+        // reread is a distance beyond the horizon, not a first touch.
+        let c = CurveEngine::new().lru(&reads(&[0, 1, 2, 3, 0]), 3);
+        assert_eq!(c.cold_loads(), 4);
+        assert_eq!(c.loads(3), 5);
+    }
+
+    #[test]
+    fn ring_of_horizon_one() {
+        let t = vec![
+            Access::read(0),
+            Access::read(0),
+            Access::write(1),
+            Access::read(1),
+            Access::read(0),
+            Access::read(0),
+        ];
+        let c = CurveEngine::new().lru(&t, 1);
+        assert_eq!(c.cold_loads(), 1);
+        assert_eq!(c.loads(1), 2);
+        assert_eq!(c.loads(1), lru_stats(1, &t).loads);
+    }
+
+    #[test]
+    fn ring_wraps_many_times_under_a_non_power_of_two_horizon() {
+        // Horizon 5 rounds the ring up to 8 slots. A pseudo-random walk over
+        // 11 cells with runs of reuse laps the ring hundreds of times.
+        let mut x = 7u64;
+        let t: Vec<Access> = (0..3000)
+            .map(|_| {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let r = x >> 33;
+                Access {
+                    cell: (r % 11) as usize,
+                    write: r.is_multiple_of(7),
+                }
+            })
+            .collect();
+        let c = CurveEngine::new().lru(&t, 5);
+        assert_eq!(c.cold_loads(), first_touch_reads(&t));
+        for s in 1..=5 {
+            assert_eq!(c.loads(s), lru_stats(s, &t).loads, "S={s}");
+        }
     }
 
     /// Regression (integer width): the reuse-distance Fenwick accumulated
