@@ -20,7 +20,7 @@ fn main() {
     println!("{}", "=".repeat(100));
     let mut report = run_sweep(default_sweep_kernels_at(SweepSize::Full));
     // Curve-engine scaling series (10⁶ → 10⁸ synthetic GEMM events,
-    // streaming sharded passes): recorded in meta, gated by `xtask gate`
+    // streaming passes): recorded in meta, gated by `xtask gate`
     // against >2× wall-time regressions of the largest point.
     report.scaling = measure_scaling_series();
     print!("{}", render_sweep_table(&report));

@@ -1,6 +1,7 @@
 //! Curve-engine scaling series: synthetic GEMM-class traces in closed
-//! form, priced by the streaming sharded engines without ever
-//! materializing the trace.
+//! form, priced by the streaming engine without ever materializing the
+//! trace (LRU feeds the chunks to one recency ring; OPT shards its
+//! summary pass, then streams one priority stack).
 //!
 //! The sweep's shipped kernels top out around 10⁶ trace events — far too
 //! small to exercise the out-of-core machinery. This module provides the
@@ -115,7 +116,7 @@ pub fn scaling_series(targets: &[u64]) -> Vec<ScalingPoint> {
         let accesses = trace.len();
         for policy in [SpillPolicy::Lru, SpillPolicy::MinNextUse] {
             let t = Instant::now();
-            // Cap 0: every point streams through the sharded engine, the
+            // Cap 0: every point goes to the streaming engine, the
             // one whose throughput the series records.
             let [curve] = price_curves(&trace, [policy], SCALING_HORIZON, 0, &token)
                 .expect("ungoverned scaling pass");

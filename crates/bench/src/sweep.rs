@@ -86,8 +86,9 @@ const POLICIES: [SpillPolicy; 2] = [SpillPolicy::Lru, SpillPolicy::MinNextUse];
 /// [`CurveEngine`]; longer traces stream through [`ShardedCurveEngine`].
 /// On one worker the materialized engine is the faster of the two (release
 /// build on a 2-vCPU shared Xeon host, mgs M=512,N=32, 2.1·10⁶ events,
-/// medians of 5 in two rounds: LRU 12–17 vs 247–296 ms, OPT 58–79 vs
-/// 423–457 ms), and a trace at the cap is 32 MiB packed. The name is
+/// medians of 5 in four rounds: LRU 11–16 vs 18–22 ms, the streamed pass
+/// feeding the same recency ring from the CDAG reader; OPT 55–68 vs
+/// 372–455 ms), and a trace at the cap is 32 MiB packed. The name is
 /// kept from when it bounded a run-time cross-check of the two engines;
 /// that equivalence is now a test (`crates/bench/tests/curve_engines.rs`).
 pub const CROSS_CHECK_CAP: u64 = 1 << 22;
@@ -418,7 +419,7 @@ impl SweepRow {
 }
 
 /// One point of the curve-engine scaling series: wall time of one
-/// streaming sharded pass over a synthetic GEMM-class trace (see
+/// streaming pass over a synthetic GEMM-class trace (see
 /// [`crate::scale`]). Volatile by nature — recorded only in the report's
 /// `meta` object, never in the comparable sections.
 #[derive(Debug, Clone)]

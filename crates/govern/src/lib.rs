@@ -327,8 +327,8 @@ pub enum Seam {
     Instances,
     /// `build_cdag` cell-table / CSR fill.
     CdagFill,
-    /// LRU stack-distance pass (recency ring, or the sharded engine's
-    /// Fenwick merge).
+    /// LRU stack-distance pass (the recency ring, fed the whole trace or
+    /// one chunk at a time).
     LruPass,
     /// OPT stack-distance pass (displacement-chain repair).
     OptPass,

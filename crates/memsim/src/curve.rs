@@ -11,16 +11,24 @@
 //! `loads(S)` for **all** capacities at once, replacing a per-`S` replay
 //! loop of [`LruSim`]/[`BeladySim`] with a single traversal:
 //!
-//! * [`CurveEngine::lru`] — LRU stack distances on a recency ring that
-//!   holds only the top `horizon` entries of the LRU stack, plus one state
-//!   byte per cell: O(min(d, horizon)) time for an access at distance `d`
-//!   and O(cells + horizon) memory;
+//! * [`CurveEngine::lru`] — LRU stack distances on a recency ring
+//!   (`LruRing`) that holds only the top `horizon` entries of the LRU
+//!   stack, plus one state byte per cell: O(min(d, horizon)) time for an
+//!   access at distance `d` and O(cells + horizon) memory;
 //! * [`CurveEngine::opt`] — OPT stack distances via a priority-by-next-use
-//!   stack simulation. Next uses come from the same reverse-pass chain
-//!   threading as [`BeladySim`], a value's *pending overwrite* kills it
-//!   exactly like the simulator's dead set, and the priority stack is
-//!   repaired per access with the Mattson displacement chain over a
-//!   horizon-bounded dense slab, scanned a block of slots at a time.
+//!   stack simulation (`OptStack`). Next uses come from the same
+//!   reverse-pass chain threading as [`BeladySim`], a value's *pending
+//!   overwrite* kills it exactly like the simulator's dead set, and the
+//!   priority stack is repaired per access with the Mattson displacement
+//!   chain over a horizon-bounded dense slab, scanned a block of slots at
+//!   a time.
+//!
+//! The ring and the priority stack are the per-access steps of the two
+//! policies. They are generic over the width of their words
+//! (`StackWord`): this materialized engine runs them at `u32`, and the
+//! streaming engine ([`crate::stream`]) feeds the same two steps at `u64`
+//! from a chunked source, so only the way each engine learns an access's
+//! next use differs between them.
 //!
 //! Both passes accept a capacity *horizon*: distances beyond it are lumped
 //! into a single always-miss bucket, which bounds both stacks (and the
@@ -109,73 +117,19 @@ impl MissCurve {
     }
 }
 
-/// Fenwick (binary indexed) tree over trace positions; marks last-access
-/// positions so a range count yields "distinct cells accessed since". The
-/// sharded streaming engine ([`crate::stream`]) resolves its LRU reuses
-/// with it.
-///
-/// Counters are 64-bit: the old `u32` tree silently wrapped once a trace
-/// crossed 2³² accesses (`wrapping_add` hid the overflow). Debug builds
-/// additionally check every update; release builds wrap, which at 64 bits
-/// is unreachable for any materializable trace.
-#[derive(Debug, Default)]
-pub(crate) struct Fenwick {
-    tree: Vec<u64>,
-}
-
-impl Fenwick {
-    pub(crate) fn reset(&mut self, n: usize) {
-        self.tree.clear();
-        self.tree.resize(n + 1, 0);
-    }
-
-    #[inline]
-    pub(crate) fn add(&mut self, pos: usize, delta: i64) {
-        let mut i = pos + 1;
-        while i < self.tree.len() {
-            #[cfg(debug_assertions)]
-            {
-                self.tree[i] = self.tree[i]
-                    .checked_add_signed(delta)
-                    .expect("Fenwick counter overflow");
-            }
-            #[cfg(not(debug_assertions))]
-            {
-                self.tree[i] = self.tree[i].wrapping_add(delta as u64);
-            }
-            i += i & i.wrapping_neg();
-        }
-    }
-
-    /// Sum of marks at positions `0..=pos`.
-    #[inline]
-    pub(crate) fn prefix(&self, pos: usize) -> u64 {
-        let mut i = pos + 1;
-        let mut s = 0u64;
-        while i > 0 {
-            s = s.wrapping_add(self.tree[i]);
-            i -= i & i.wrapping_neg();
-        }
-        s
-    }
-}
-
 /// Priority value of a stack slot: the next-use position of its cell, or
 /// [`DEAD`] when the value is never read again before being overwritten
 /// (the farthest possible priority — dead values sink and drop first).
 const DEAD: u32 = <u32 as StackWord>::DEAD;
-/// Priority of an empty slot of the priority slab (below every real
-/// priority; real next-use positions are ≥ 1 because a next use is
-/// strictly later than the access that set it).
-const EMPTY: u32 = 0;
 /// LRU cell state: never accessed.
 const UNSEEN: u8 = 0;
 /// LRU cell state: sank below the horizon and fell off the recency ring.
 const EVICTED: u8 = 1;
 /// LRU cell state: on the recency ring.
 const RESIDENT: u8 = 2;
-/// `idx_of` marker: cell sank below the horizon and was dropped.
-const DROPPED: u32 = u32::MAX - 1;
+/// `idx_of` marker: cell sank below the horizon and was dropped. Like
+/// [`NIL`], it marks a stack *slot*, so both engines share it.
+pub(crate) const DROPPED: u32 = u32::MAX - 1;
 
 /// Ceiling of the materialized engine's 32-bit id space: [`DEAD`],
 /// [`DROPPED`], and [`NIL`] all live at the top of the `u32` range, so a
@@ -212,16 +166,8 @@ pub struct CurveEngine {
     // Next-use chain threading (shared machinery with `BeladySim`).
     chain: Vec<u32>,
     head: Vec<u32>,
-    // LRU pass: the recency ring and each cell's [`UNSEEN`] /
-    // [`EVICTED`] / [`RESIDENT`] state.
-    ring: Vec<u32>,
-    state: Vec<u8>,
-    // OPT pass.
-    stack: Vec<u32>,
-    pri: Vec<u32>,
-    idx_of: Vec<u32>,
-    // Shared distance histogram (`hist[d]`, 1-indexed distances).
-    hist: Vec<u64>,
+    lru: LruRing<u32>,
+    opt: OptStack<u32>,
 }
 
 impl CurveEngine {
@@ -232,15 +178,7 @@ impl CurveEngine {
 
     /// LRU miss curve of a trace, exact for capacities `1..=horizon`.
     pub fn lru(&mut self, trace: &[Access], horizon: usize) -> MissCurve {
-        ungoverned(self.lru_by(
-            trace.len(),
-            horizon,
-            |t| {
-                let a = trace[t];
-                (a.cell, a.write)
-            },
-            None,
-        ))
+        ungoverned(self.lru_by(trace.len(), horizon, access_at(trace), None))
     }
 
     /// [`lru`](CurveEngine::lru) on a packed trace (`(cell << 1) | write`).
@@ -265,15 +203,7 @@ impl CurveEngine {
     /// OPT (Belady MIN) miss curve of a trace, exact for capacities
     /// `1..=horizon` — bitwise [`BeladySim`](crate::BeladySim)'s loads.
     pub fn opt(&mut self, trace: &[Access], horizon: usize) -> MissCurve {
-        ungoverned(self.opt_by(
-            trace.len(),
-            horizon,
-            |t| {
-                let a = trace[t];
-                (a.cell, a.write)
-            },
-            None,
-        ))
+        ungoverned(self.opt_by(trace.len(), horizon, access_at(trace), None))
     }
 
     /// [`opt`](CurveEngine::opt) on a packed trace (`(cell << 1) | write`).
@@ -294,14 +224,8 @@ impl CurveEngine {
         self.opt_by(packed.len(), horizon, packed_at(packed), Some(token))
     }
 
-    /// LRU stack distances on a recency ring holding the top `horizon`
-    /// entries of the LRU stack, most recent on top. A resident cell is
-    /// found by walking down from the top, each entry passed moving one
-    /// slot deeper, so an access at depth `k` costs `k + 1` slot moves and
-    /// records distance `k + 1`. A cell that is not on the ring has never
-    /// been accessed ([`UNSEEN`]: a cold miss) or sank below the horizon
-    /// ([`EVICTED`]: a distance beyond it); either way it is pushed on top,
-    /// and once the ring holds `horizon` cells the bottom one falls off.
+    /// The whole trace fed to one [`LruRing`], sized for its cell universe
+    /// up front.
     fn lru_by(
         &mut self,
         len: usize,
@@ -312,22 +236,131 @@ impl CurveEngine {
         assert!(horizon >= 1, "curve horizon must be positive");
         let cells = cell_universe(len, &at);
         guard_sentinels(len, cells)?;
-        // The stack never holds more than `cells` entries, so a horizon
-        // past the universe needs no larger ring (and never evicts).
-        let slots = horizon.min(cells).max(1).next_power_of_two();
-        let mask = slots - 1;
+        self.lru.reset(horizon, cells);
+        self.lru.feed(len, at, token)?;
+        Ok(self.lru.curve(len as u64))
+    }
+
+    /// OPT stack distances on one [`OptStack`]. Next uses come from the
+    /// reverse-pass chain threading: the priority after an access is the
+    /// next-use position, except that a pending overwrite (or no further
+    /// use) kills the value — it re-materializes for free at its next
+    /// write, so every capacity evicts it first. Mirrors `BeladySim`'s dead
+    /// set.
+    fn opt_by(
+        &mut self,
+        len: usize,
+        horizon: usize,
+        at: impl Fn(usize) -> (usize, bool),
+        token: Option<&CancelToken>,
+    ) -> Result<MissCurve, AnalysisError> {
+        assert!(horizon >= 1, "curve horizon must be positive");
+        // The guard runs before any cell-sized allocation.
+        let cells = cell_universe(len, &at);
+        guard_sentinels(len, cells)?;
+        thread_next_use(len, cells, &at, &mut self.chain, &mut self.head);
+        self.opt.reset(horizon, cells);
+        for t in 0..len {
+            if t & POLL_MASK == 0 {
+                if let Some(token) = token {
+                    token.check(Seam::OptPass)?;
+                }
+            }
+            let (cell, write) = at(t);
+            let nu = self.chain[t];
+            let new_pri = if nu == NIL || at(nu as usize).1 {
+                DEAD
+            } else {
+                nu
+            };
+            self.opt.step(cell, write, new_pri);
+        }
+        Ok(self.opt.curve(len as u64))
+    }
+}
+
+/// Positions between two token polls of a pass (every 4096, and the
+/// first).
+pub(crate) const POLL_MASK: usize = 0xFFF;
+
+/// LRU stack distances on a recency ring holding the top `horizon`
+/// entries of the LRU stack, most recent on top, plus one state byte per
+/// cell. A resident cell is found by walking down from the top, each
+/// entry passed moving one slot deeper, so an access at depth `k` costs
+/// `k + 1` slot moves and records distance `k + 1`. A cell that is not on
+/// the ring has never been accessed ([`UNSEEN`]: a cold miss) or sank
+/// below the horizon ([`EVICTED`]: a distance beyond it); either way it
+/// is pushed on top, and once the ring holds `horizon` cells the bottom
+/// one falls off.
+///
+/// The ring needs no next-use information and no memory the size of the
+/// trace, so one ring serves both engines: the materialized one feeds it
+/// the whole trace, the streaming one ([`crate::stream`]) feeds it one
+/// chunk at a time and [`grow`](LruRing::grow)s the state table to each
+/// chunk's largest cell first.
+#[derive(Debug, Default)]
+pub(crate) struct LruRing<W> {
+    /// Power-of-two ring of cell ids: depth `k` at index `top − k`,
+    /// wrapping from index 0 to the last one.
+    ring: Vec<W>,
+    /// Each cell's [`UNSEEN`] / [`EVICTED`] / [`RESIDENT`] state.
+    state: Vec<u8>,
+    /// Ring index of the top entry, and the number of entries held.
+    top: usize,
+    held: usize,
+    horizon: usize,
+    /// `hist[d]`: reads at distance `d ≤ horizon` (1-indexed).
+    hist: Vec<u64>,
+    cold: u64,
+    beyond: u64,
+}
+
+impl<W: StackWord> LruRing<W> {
+    /// Empties the ring for a pass at `horizon` over cells `0..cells`.
+    pub(crate) fn reset(&mut self, horizon: usize, cells: usize) {
+        self.horizon = horizon;
         self.ring.clear();
-        self.ring.resize(slots, 0);
+        self.ring.push(W::EMPTY);
         self.state.clear();
-        self.state.resize(cells, UNSEEN);
+        (self.top, self.held) = (0, 0);
         self.hist.clear();
         self.hist.resize(horizon + 1, 0);
-        let (mut cold, mut beyond) = (0u64, 0u64);
-        // Ring index of the top entry, and the number of entries held.
-        let (mut top, mut held) = (0usize, 0usize);
+        (self.cold, self.beyond) = (0, 0);
+        self.grow(cells);
+    }
 
-        for t in 0..len {
-            if t & 0xFFF == 0 {
+    /// Admits cells `0..cells`. The stack never holds more entries than
+    /// there are cells, so the ring only needs `min(horizon, cells)` slots
+    /// (and a horizon past the universe never evicts). A ring that grows
+    /// is first unwrapped so the top sits at the end of its old slots:
+    /// every depth `k` then stays at index `top − k` in the larger ring.
+    pub(crate) fn grow(&mut self, cells: usize) {
+        if cells <= self.state.len() {
+            return;
+        }
+        self.state.resize(cells, UNSEEN);
+        let slots = self.horizon.min(cells).next_power_of_two();
+        if slots > self.ring.len() {
+            let mask = self.ring.len() - 1;
+            self.ring.rotate_left((self.top + 1) & mask);
+            self.top = self.ring.len() - 1;
+            self.ring.resize(slots, W::EMPTY);
+        }
+    }
+
+    /// Feeds accesses `at(0..n)`, whose cells must already be admitted,
+    /// polling `token` at [`Seam::LruPass`] every 4096 of them.
+    pub(crate) fn feed(
+        &mut self,
+        n: usize,
+        at: impl Fn(usize) -> (usize, bool),
+        token: Option<&CancelToken>,
+    ) -> Result<(), AnalysisError> {
+        let (horizon, mask) = (self.horizon, self.ring.len() - 1);
+        let (mut top, mut held) = (self.top, self.held);
+        let (mut cold, mut beyond) = (self.cold, self.beyond);
+        for t in 0..n {
+            if t & POLL_MASK == 0 {
                 if let Some(token) = token {
                     token.check(Seam::LruPass)?;
                 }
@@ -335,7 +368,7 @@ impl CurveEngine {
             let (cell, write) = at(t);
             match self.state[cell] {
                 RESIDENT => {
-                    let k = move_to_top(&mut self.ring, top, cell as u32);
+                    let k = move_to_top(&mut self.ring, top, W::from_cell(cell));
                     if !write {
                         self.hist[k + 1] += 1;
                     }
@@ -350,137 +383,23 @@ impl CurveEngine {
                     }
                     if held == horizon {
                         let bottom = self.ring[top.wrapping_sub(horizon - 1) & mask];
-                        self.state[bottom as usize] = EVICTED;
+                        self.state[bottom.index()] = EVICTED;
                     } else {
                         held += 1;
                     }
                     top = (top + 1) & mask;
-                    self.ring[top] = cell as u32;
+                    self.ring[top] = W::from_cell(cell);
                     self.state[cell] = RESIDENT;
                 }
             }
         }
-        Ok(MissCurve::from_histogram(
-            cold, beyond, &self.hist, len as u64,
-        ))
+        (self.top, self.held, self.cold, self.beyond) = (top, held, cold, beyond);
+        Ok(())
     }
 
-    /// OPT stack distances: the priority stack keeps cells ordered so that
-    /// the top `S` entries are exactly the residents of a capacity-`S`
-    /// MIN cache. An access to the cell at position `d` records distance
-    /// `d`, moves the cell to the top, and repairs positions `2..d` by the
-    /// Mattson displacement rule: a *carry* (initially the old top) walks
-    /// down and swaps with each successive cell whose next use is strictly
-    /// farther — precisely the victims the per-capacity caches evict. Cold
-    /// accesses displace through the whole stack and push the final carry
-    /// below everything (or drop it past the horizon).
-    ///
-    /// The repair walks the dense `u32` priority slab, which never
-    /// outgrows the horizon ([`chain_swaps`]). Most slots it passes do not
-    /// swap (on the regime traces an access reads 52–109 slots and swaps
-    /// 0.7–5.1 of them), so the walk finds each swap with [`first_farther`],
-    /// one wide compare per block of slots, and a swap itself costs a
-    /// register exchange, not a tree path update.
-    fn opt_by(
-        &mut self,
-        len: usize,
-        horizon: usize,
-        at: impl Fn(usize) -> (usize, bool),
-        token: Option<&CancelToken>,
-    ) -> Result<MissCurve, AnalysisError> {
-        assert!(horizon >= 1, "curve horizon must be positive");
-        // The guard runs before any cell-sized allocation.
-        let cells = cell_universe(len, &at);
-        guard_sentinels(len, cells)?;
-        thread_next_use(len, cells, &at, &mut self.chain, &mut self.head);
-        self.stack.clear();
-        self.pri.clear();
-        self.pri.resize(horizon, EMPTY);
-        self.idx_of.clear();
-        self.idx_of.resize(cells, NIL);
-        self.hist.clear();
-        self.hist.resize(horizon + 1, 0);
-        let (mut cold, mut beyond) = (0u64, 0u64);
-
-        for t in 0..len {
-            if t & 0xFFF == 0 {
-                if let Some(token) = token {
-                    token.check(Seam::OptPass)?;
-                }
-            }
-            let (cell, write) = at(t);
-            // Priority after this access: the next-use position, except
-            // that a pending overwrite (or no further use) kills the value
-            // — it re-materializes for free at its next write, so every
-            // capacity evicts it first. Mirrors `BeladySim`'s dead set.
-            let nu = self.chain[t];
-            let new_pri = if nu == NIL || at(nu as usize).1 {
-                DEAD
-            } else {
-                nu
-            };
-            let slot = self.idx_of[cell];
-            if slot == NIL || slot == DROPPED {
-                if !write {
-                    if slot == NIL {
-                        cold += 1;
-                    } else {
-                        beyond += 1;
-                    }
-                }
-                // Insert at the top; the displaced carry chains through
-                // the whole stack (a miss at every capacity) and the final
-                // carry becomes the new bottom — or drops off the horizon.
-                if self.stack.is_empty() {
-                    self.stack.push(cell as u32);
-                    self.idx_of[cell] = 0;
-                    self.pri[0] = new_pri;
-                } else {
-                    let hi = self.stack.len() - 1;
-                    let (carry, carry_pri) = chain_swaps(
-                        &mut self.stack,
-                        &mut self.pri,
-                        &mut self.idx_of,
-                        cell as u32,
-                        new_pri,
-                        hi,
-                    );
-                    if self.stack.len() < self.pri.len() {
-                        let bottom = self.stack.len();
-                        self.stack.push(carry);
-                        self.idx_of[carry as usize] = bottom as u32;
-                        self.pri[bottom] = carry_pri;
-                    } else {
-                        self.idx_of[carry as usize] = DROPPED;
-                    }
-                }
-            } else {
-                let slot = slot as usize;
-                let d = slot + 1;
-                if !write {
-                    debug_assert!(d <= horizon);
-                    self.hist[d] += 1;
-                }
-                if slot == 0 {
-                    self.pri[0] = new_pri;
-                } else {
-                    let (carry, carry_pri) = chain_swaps(
-                        &mut self.stack,
-                        &mut self.pri,
-                        &mut self.idx_of,
-                        cell as u32,
-                        new_pri,
-                        slot - 1,
-                    );
-                    self.stack[slot] = carry;
-                    self.idx_of[carry as usize] = slot as u32;
-                    self.pri[slot] = carry_pri;
-                }
-            }
-        }
-        Ok(MissCurve::from_histogram(
-            cold, beyond, &self.hist, len as u64,
-        ))
+    /// The curve of the `accesses` fed so far.
+    pub(crate) fn curve(&self, accesses: u64) -> MissCurve {
+        MissCurve::from_histogram(self.cold, self.beyond, &self.hist, accesses)
     }
 }
 
@@ -489,7 +408,7 @@ impl CurveEngine {
 /// returns the depth it was found at (0 = top). Depth `k` sits at ring
 /// index `top − k`, wrapping from index 0 to the last one.
 #[inline]
-fn move_to_top(ring: &mut [u32], top: usize, cell: u32) -> usize {
+fn move_to_top<W: StackWord>(ring: &mut [W], top: usize, cell: W) -> usize {
     let (near, far) = ring.split_at_mut(top + 1);
     let mut carry = cell;
     for (k, slot) in near
@@ -504,36 +423,153 @@ fn move_to_top(ring: &mut [u32], top: usize, cell: u32) -> usize {
         }
         carry = was;
     }
-    unreachable!("cell {cell} is marked resident but is not on the recency ring")
+    unreachable!(
+        "cell {} is marked resident but is not on the recency ring",
+        cell.index()
+    )
 }
 
-/// Width of the OPT priority stack's entries: `u32` cell ids and
-/// priorities in the materialized engine, `u64` in the streaming one
-/// ([`crate::stream`]). Both engines repair their stacks with the one
-/// [`chain_swaps`] below.
+/// The OPT priority stack of one pass: cells ordered so that the top `S`
+/// entries are exactly the residents of a capacity-`S` MIN cache, for
+/// every `S` up to the horizon. Each engine computes an access's new
+/// priority by its own next-use rule and hands it to
+/// [`step`](OptStack::step).
+#[derive(Debug, Default)]
+pub(crate) struct OptStack<W> {
+    stack: Vec<W>,
+    /// Dense priority slab, one slot per stack entry up to the horizon
+    /// ([`StackWord::EMPTY`] below the bottom).
+    pri: Vec<W>,
+    /// Each cell's stack slot, [`NIL`] before its first access, [`DROPPED`]
+    /// once it sank below the horizon.
+    idx_of: Vec<u32>,
+    /// `hist[d]`: reads at distance `d ≤ horizon` (1-indexed).
+    hist: Vec<u64>,
+    cold: u64,
+    beyond: u64,
+}
+
+impl<W: StackWord> OptStack<W> {
+    /// Empties the stack for a pass at `horizon` over cells `0..cells`.
+    pub(crate) fn reset(&mut self, horizon: usize, cells: usize) {
+        self.stack.clear();
+        self.pri.clear();
+        self.pri.resize(horizon, W::EMPTY);
+        self.idx_of.clear();
+        self.idx_of.resize(cells, NIL);
+        self.hist.clear();
+        self.hist.resize(horizon + 1, 0);
+        (self.cold, self.beyond) = (0, 0);
+    }
+
+    /// One access: the cell at position `d` records distance `d`, moves to
+    /// the top with priority `new_pri`, and positions `2..d` are repaired
+    /// by the Mattson displacement rule — a *carry* (initially the old
+    /// top) walks down and swaps with each successive cell whose next use
+    /// is strictly farther, precisely the victims the per-capacity caches
+    /// evict ([`chain_swaps`]). A cold or dropped cell displaces through
+    /// the whole stack, and the final carry becomes the new bottom or
+    /// drops off the horizon.
+    ///
+    /// The repair walks the dense priority slab, which never outgrows the
+    /// horizon. Most slots it passes do not swap (on the regime traces an
+    /// access reads 52–109 slots and swaps 0.7–5.1 of them), so the walk
+    /// finds each swap with [`first_farther`], one wide compare per block
+    /// of slots, and a swap itself costs a register exchange, not a tree
+    /// path update.
+    // `always`: with a plain hint the step stayed a call in both
+    // engines' per-access loops.
+    #[inline(always)]
+    pub(crate) fn step(&mut self, cell: usize, write: bool, new_pri: W) {
+        let slot = self.idx_of[cell];
+        // The slot the final carry fills: the cell's own, or one past the
+        // bottom for a cell that is not on the stack.
+        let dest = if slot == NIL || slot == DROPPED {
+            if !write {
+                if slot == NIL {
+                    self.cold += 1;
+                } else {
+                    self.beyond += 1;
+                }
+            }
+            self.stack.len()
+        } else {
+            if !write {
+                self.hist[slot as usize + 1] += 1;
+            }
+            slot as usize
+        };
+        if dest == 0 {
+            if self.stack.is_empty() {
+                self.stack.push(W::from_cell(cell));
+            }
+            self.idx_of[cell] = 0;
+            self.pri[0] = new_pri;
+            return;
+        }
+        let (carry, carry_pri) = chain_swaps(
+            &mut self.stack,
+            &mut self.pri,
+            &mut self.idx_of,
+            W::from_cell(cell),
+            new_pri,
+            dest - 1,
+        );
+        if dest == self.pri.len() {
+            self.idx_of[carry.index()] = DROPPED;
+            return;
+        }
+        if dest == self.stack.len() {
+            self.stack.push(carry);
+        } else {
+            self.stack[dest] = carry;
+        }
+        self.idx_of[carry.index()] = dest as u32;
+        self.pri[dest] = carry_pri;
+    }
+
+    /// The curve of the `accesses` fed so far.
+    pub(crate) fn curve(&self, accesses: u64) -> MissCurve {
+        MissCurve::from_histogram(self.cold, self.beyond, &self.hist, accesses)
+    }
+}
+
+/// Width of the stacks' entries: `u32` cell ids and priorities in the
+/// materialized engine, `u64` in the streaming one ([`crate::stream`]).
+/// Both engines run the one [`LruRing`] and [`OptStack`] at their width.
 pub(crate) trait StackWord: Copy + Ord {
     /// Priority of a value never read again before being overwritten:
     /// the farthest possible, so nothing is strictly farther.
     const DEAD: Self;
+    /// Priority of an empty slot of the priority slab (below every real
+    /// priority; real next-use positions are ≥ 1 because a next use is
+    /// strictly later than the access that set it).
+    const EMPTY: Self;
     /// The word as an index into a cell-sized table.
     fn index(self) -> usize;
+    /// A cell id as a word (the materialized engine's sentinel guard keeps
+    /// its ids inside `u32`).
+    fn from_cell(cell: usize) -> Self;
 }
 
-impl StackWord for u32 {
-    const DEAD: u32 = u32::MAX;
-    #[inline]
-    fn index(self) -> usize {
-        self as usize
-    }
+macro_rules! stack_word {
+    ($($word:ty),*) => {$(
+        impl StackWord for $word {
+            const DEAD: $word = <$word>::MAX;
+            const EMPTY: $word = 0;
+            #[inline]
+            fn index(self) -> usize {
+                self as usize
+            }
+            #[inline]
+            fn from_cell(cell: usize) -> $word {
+                cell as $word
+            }
+        }
+    )*};
 }
 
-impl StackWord for u64 {
-    const DEAD: u64 = u64::MAX;
-    #[inline]
-    fn index(self) -> usize {
-        self as usize
-    }
-}
+stack_word!(u32, u64);
 
 /// Slots [`first_farther`] tests with one branch-free compare.
 const SCAN_BLOCK: usize = 16;
@@ -594,9 +630,15 @@ pub(crate) fn chain_swaps<W: StackWord>(
     (carry, carry_pri)
 }
 
+/// Accessor closure over a struct trace.
+#[inline]
+fn access_at(trace: &[Access]) -> impl Fn(usize) -> (usize, bool) + '_ {
+    |t| (trace[t].cell, trace[t].write)
+}
+
 /// Accessor closure over a packed trace (`(cell << 1) | write`).
 #[inline]
-fn packed_at(packed: &[u64]) -> impl Fn(usize) -> (usize, bool) + '_ {
+pub(crate) fn packed_at(packed: &[u64]) -> impl Fn(usize) -> (usize, bool) + '_ {
     |t| {
         let p = packed[t];
         ((p >> 1) as usize, (p & 1) == 1)
@@ -632,6 +674,13 @@ pub(crate) mod tests {
 
     fn reads(cells: &[usize]) -> Vec<Access> {
         cells.iter().map(|&c| Access::read(c)).collect()
+    }
+
+    /// `t` as a packed trace (`(cell << 1) | write`).
+    pub(crate) fn pack(t: &[Access]) -> Vec<u64> {
+        t.iter()
+            .map(|a| ((a.cell as u64) << 1) | a.write as u64)
+            .collect()
     }
 
     #[test]
@@ -770,6 +819,25 @@ pub(crate) mod tests {
         t.iter().filter(|a| seen.insert(a.cell) && !a.write).count() as u64
     }
 
+    /// LRU curves of `t` at `horizon` from the materialized ring and from
+    /// the streamed one at chunk lengths 1 and 3, so every hand trace
+    /// below also runs across chunk boundaries and through the streamed
+    /// ring's growth.
+    fn ring_curves(t: &[Access], horizon: usize) -> [(&'static str, MissCurve); 3] {
+        let packed = pack(t);
+        let token = CancelToken::unlimited();
+        let streamed = |chunk| {
+            crate::ShardedCurveEngine::with_chunk_len(chunk)
+                .try_lru(&packed, horizon, &token)
+                .unwrap()
+        };
+        [
+            ("materialized", CurveEngine::new().lru(t, horizon)),
+            ("streamed, chunk 1", streamed(1)),
+            ("streamed, chunk 3", streamed(3)),
+        ]
+    }
+
     #[test]
     fn ring_write_to_a_resident_cell_moves_it_and_counts_nothing() {
         // 0 1 2 w0 1: the write lifts 0 over 2 and 1, so the last read of
@@ -781,25 +849,32 @@ pub(crate) mod tests {
             Access::write(0),
             Access::read(1),
         ];
-        let c = CurveEngine::new().lru(&t, 4);
-        assert_eq!(c.cold_loads(), 3);
-        assert_eq!(c.loads(1), 4);
-        assert_eq!(c.loads(2), 4);
-        assert_eq!(c.loads(3), 3);
-        assert_eq!(c.loads(4), 3);
+        for (engine, c) in ring_curves(&t, 4) {
+            assert_eq!(c.cold_loads(), 3, "{engine}");
+            assert_eq!(c.loads(1), 4, "{engine}");
+            assert_eq!(c.loads(2), 4, "{engine}");
+            assert_eq!(c.loads(3), 3, "{engine}");
+            assert_eq!(c.loads(4), 3, "{engine}");
+        }
     }
 
     #[test]
     fn ring_evicts_at_exactly_the_horizon_and_rereads_count_beyond() {
         // 0 1 2 0 at horizon 3: the ring is full but nothing has fallen
         // off, so the reread is a hit at capacity 3.
-        let c = CurveEngine::new().lru(&reads(&[0, 1, 2, 0]), 3);
-        assert_eq!((c.cold_loads(), c.loads(2), c.loads(3)), (3, 4, 3));
+        for (engine, c) in ring_curves(&reads(&[0, 1, 2, 0]), 3) {
+            assert_eq!(
+                (c.cold_loads(), c.loads(2), c.loads(3)),
+                (3, 4, 3),
+                "{engine}"
+            );
+        }
         // 0 1 2 3 0: the fourth cell pushes 0 off the bottom, and its
         // reread is a distance beyond the horizon, not a first touch.
-        let c = CurveEngine::new().lru(&reads(&[0, 1, 2, 3, 0]), 3);
-        assert_eq!(c.cold_loads(), 4);
-        assert_eq!(c.loads(3), 5);
+        for (engine, c) in ring_curves(&reads(&[0, 1, 2, 3, 0]), 3) {
+            assert_eq!(c.cold_loads(), 4, "{engine}");
+            assert_eq!(c.loads(3), 5, "{engine}");
+        }
     }
 
     #[test]
@@ -812,10 +887,11 @@ pub(crate) mod tests {
             Access::read(0),
             Access::read(0),
         ];
-        let c = CurveEngine::new().lru(&t, 1);
-        assert_eq!(c.cold_loads(), 1);
-        assert_eq!(c.loads(1), 2);
-        assert_eq!(c.loads(1), lru_stats(1, &t).loads);
+        for (engine, c) in ring_curves(&t, 1) {
+            assert_eq!(c.cold_loads(), 1, "{engine}");
+            assert_eq!(c.loads(1), 2, "{engine}");
+            assert_eq!(c.loads(1), lru_stats(1, &t).loads, "{engine}");
+        }
     }
 
     #[test]
@@ -835,35 +911,12 @@ pub(crate) mod tests {
                 }
             })
             .collect();
-        let c = CurveEngine::new().lru(&t, 5);
-        assert_eq!(c.cold_loads(), first_touch_reads(&t));
-        for s in 1..=5 {
-            assert_eq!(c.loads(s), lru_stats(s, &t).loads, "S={s}");
+        for (engine, c) in ring_curves(&t, 5) {
+            assert_eq!(c.cold_loads(), first_touch_reads(&t), "{engine}");
+            for s in 1..=5 {
+                assert_eq!(c.loads(s), lru_stats(s, &t).loads, "{engine} S={s}");
+            }
         }
-    }
-
-    /// Regression (integer width): the reuse-distance Fenwick accumulated
-    /// in `u32` with `wrapping_add`, so any count crossing 2³² wrapped
-    /// silently. Drive the counters past the old width directly — the
-    /// per-access loop would take hours of wall clock to get there — and
-    /// require exact 64-bit totals. Red on the old `u32` tree (the total
-    /// wraps to `5 << 30 mod 2³²`), green on the widened one.
-    #[test]
-    fn fenwick_counts_survive_the_u32_width() {
-        let mut f = Fenwick::default();
-        f.reset(8);
-        const STEP: i64 = 1 << 30;
-        for _ in 0..5 {
-            f.add(3, STEP); // 5 × 2³⁰ > u32::MAX
-        }
-        f.add(5, 7);
-        assert_eq!(f.prefix(2), 0);
-        assert_eq!(f.prefix(3), 5 * STEP as u64);
-        assert_eq!(f.prefix(7), 5 * STEP as u64 + 7);
-        for _ in 0..5 {
-            f.add(3, -STEP);
-        }
-        assert_eq!(f.prefix(7), 7, "negative deltas cancel exactly");
     }
 
     /// Sentinel-space audit: a trace whose value universe reaches the
@@ -900,7 +953,7 @@ pub(crate) mod tests {
         let _ = CurveEngine::new().lru_packed(&[(u32::MAX as u64) << 1], 4);
     }
 
-    fn arb_trace() -> impl Strategy<Value = Vec<Access>> {
+    pub(crate) fn arb_trace() -> impl Strategy<Value = Vec<Access>> {
         proptest::collection::vec((0usize..12, proptest::bool::ANY), 1..200).prop_map(|v| {
             v.into_iter()
                 .map(|(cell, write)| Access { cell, write })
@@ -977,10 +1030,7 @@ pub(crate) mod tests {
         /// Packed and struct traces produce identical curves.
         #[test]
         fn packed_matches_structs(t in arb_trace()) {
-            let packed: Vec<u64> = t
-                .iter()
-                .map(|a| ((a.cell as u64) << 1) | a.write as u64)
-                .collect();
+            let packed = pack(&t);
             let mut e = CurveEngine::new();
             prop_assert_eq!(e.lru(&t, 16), e.lru_packed(&packed, 16));
             prop_assert_eq!(e.opt(&t, 16), e.opt_packed(&packed, 16));

@@ -1,44 +1,32 @@
-//! Streaming, sharded stack-distance engines for out-of-core traces.
+//! Streaming stack-distance engines for out-of-core traces.
 //!
 //! The materialized [`CurveEngine`](crate::CurveEngine) walks one in-memory
-//! `&[u64]` slice with 32-bit position bookkeeping — exact and fast up to
-//! the `u32` sentinel ceiling, but it requires the whole trace resident
-//! and runs single-threaded. This module prices the same curves from a
-//! *pull* source ([`ChunkedTrace`]) without materializing the trace, in
-//! 64-bit id/position space, sharded across rayon workers:
+//! `&[u64]` slice with 32-bit id bookkeeping — exact and fast up to the
+//! `u32` sentinel ceiling, but it requires the whole trace resident. This
+//! module prices the same curves from a *pull* source ([`ChunkedTrace`])
+//! without materializing the trace, in 64-bit id/position space, one
+//! chunk at a time. Both engines run the same per-access stack step for
+//! each policy, at their own word width:
 //!
-//! * **LRU** ([`ShardedCurveEngine::try_lru`]) — exact PARDA-style
-//!   decomposition. The trace splits into fixed-size chunks; each worker
-//!   resolves every *within-chunk* reuse with a local Fenwick pass and
-//!   reports its chunk's distance-histogram delta plus two boundary
-//!   summaries (first-touch list, distinct cells ordered by last touch).
-//!   A sequential merge then replays only the boundary accesses over one
-//!   Fenwick tree whose universe is the chunk-last positions of all
-//!   chunks (coordinate-compressed, ≤ one entry per distinct cell per
-//!   chunk). **Chunk merge invariant:** while chunk `k` replays, every
-//!   cell's mark sits either at its last position in the most recent
-//!   earlier chunk that touched it (in the Fenwick) or, once re-touched
-//!   inside chunk `k`, in a plain per-chunk counter — so
-//!   `suffix(mark) + counter + 1` is *exactly* the access's global reuse
-//!   distance, and the merged histogram is bitwise the single-threaded
-//!   one.
-//! * **OPT** ([`ShardedCurveEngine::try_opt`]) — the priority stack is
-//!   inherently sequential (every displacement chain depends on all
-//!   history), so OPT streams instead of sharding the stack itself:
-//!   parallel workers extract per-chunk first/last summaries, one cheap
+//! * **LRU** ([`ShardedCurveEngine::try_lru`]) — the chunks are filled in
+//!   order and fed to one recency ring (`LruRing`) of at most `horizon`
+//!   cells, whose one-byte-per-cell state table grows to each chunk's
+//!   largest cell. The pass is sequential and needs O(cells + horizon +
+//!   one chunk) memory and no per-chunk summaries.
+//! * **OPT** ([`ShardedCurveEngine::try_opt`]) — an access's priority is
+//!   its next-use position, which a stream does not know ahead of time.
+//!   Parallel workers extract per-chunk first/last summaries, one cheap
 //!   backward sweep threads cross-chunk next-use positions through them,
-//!   and a forward pass runs the Mattson displacement stack chunk by
-//!   chunk in `u64` priority space, carrying the (≤ horizon) stack
-//!   between chunks. The stack is repaired by the materialized engine's
-//!   block-scanning `chain_swaps`, and the histogram is bitwise the
-//!   materialized engine's.
+//!   and a forward pass feeds each access, with the priority its chunk's
+//!   local threading gives, to one `u64` priority stack (`OptStack`)
+//!   carried across chunk boundaries.
 //!
 //! Both passes poll the governance token at the [`Seam::LruPass`] /
-//! [`Seam::OptPass`] seams inside every shard (every 4096 positions) and
-//! in the merge, so cancellation and deadlines land in bounded time no
-//! matter which worker is hot.
+//! [`Seam::OptPass`] seams every 4096 positions of every chunk (and at
+//! each chunk's start), so cancellation and deadlines land in bounded
+//! time.
 
-use crate::curve::{chain_swaps, Fenwick, MissCurve, StackWord};
+use crate::curve::{packed_at, LruRing, MissCurve, OptStack, StackWord, DROPPED, POLL_MASK};
 use iolb_govern::{AnalysisError, CancelToken, Seam};
 use rayon::prelude::*;
 use std::collections::HashMap;
@@ -117,25 +105,13 @@ impl<T: ChunkedTrace + ?Sized> ChunkedTrace for &T {
 
 /// "No position" marker in the 64-bit id space.
 const NONE64: u64 = u64::MAX;
-/// Priority of a value never read again before overwrite (64-bit twin of
-/// the materialized engine's `DEAD`).
-const DEAD64: u64 = <u64 as StackWord>::DEAD;
-/// Empty priority slot (real next-use positions are ≥ 1: a next use is
-/// strictly later than the access that set it).
-const EMPTY64: u64 = 0;
-/// `idx_of` sentinels — these mark stack *slots* (bounded by the
-/// horizon), not cell ids, so the streaming engine only requires
-/// `horizon < u32::MAX - 1` while cells and positions live in `u64`.
-const NIL32: u32 = u32::MAX;
-const DROPPED32: u32 = u32::MAX - 1;
 
-/// Poll cadence inside shard loops (positions between token checks).
-const POLL_MASK: usize = 0xFFF;
-
-/// Default shard length: 1 Mi events (8 MiB of buffer per worker).
+/// Default chunk length: 1 Mi events (8 MiB of buffer per worker).
 pub const DEFAULT_CHUNK_LEN: usize = 1 << 20;
 
-/// Sharded/streaming miss-curve engine over a [`ChunkedTrace`].
+/// Streaming miss-curve engine over a [`ChunkedTrace`]: the LRU pass
+/// feeds the chunks in order, and the OPT pass shards its summary pass
+/// across rayon workers.
 #[derive(Debug, Clone)]
 pub struct ShardedCurveEngine {
     chunk_len: usize,
@@ -145,22 +121,6 @@ impl Default for ShardedCurveEngine {
     fn default() -> ShardedCurveEngine {
         ShardedCurveEngine::new()
     }
-}
-
-/// Per-chunk output of the parallel LRU shard pass.
-struct LruChunk {
-    /// `(cell, first access is a write)` in first-touch order — the
-    /// boundary accesses the merge replays.
-    firsts: Vec<(u64, bool)>,
-    /// Distinct cells ordered by their last position in the chunk — the
-    /// chunk's slice of the merge Fenwick's compressed universe.
-    lasts: Vec<u64>,
-    /// Within-chunk finite-distance histogram delta (1-indexed).
-    hist: Vec<u64>,
-    /// Within-chunk beyond-horizon read reuses.
-    beyond: u64,
-    /// Largest cell id seen.
-    max_cell: u64,
 }
 
 /// Per-chunk output of the parallel OPT summary pass.
@@ -179,12 +139,12 @@ struct OptChunk {
 }
 
 impl ShardedCurveEngine {
-    /// Engine with the default shard length.
+    /// Engine with the default chunk length.
     pub fn new() -> ShardedCurveEngine {
         ShardedCurveEngine::with_chunk_len(DEFAULT_CHUNK_LEN)
     }
 
-    /// Engine with an explicit shard length (tests force tiny chunks so
+    /// Engine with an explicit chunk length (tests force tiny chunks so
     /// every boundary path is exercised on small traces).
     ///
     /// # Panics
@@ -196,11 +156,12 @@ impl ShardedCurveEngine {
 
     /// Exact LRU miss curve for capacities `1..=horizon`, bitwise equal
     /// to [`CurveEngine::lru_packed`](crate::CurveEngine::lru_packed) on
-    /// the materialized trace.
+    /// the materialized trace: the chunks, filled in order, feed one
+    /// recency ring.
     ///
     /// # Errors
     /// Cancellation/deadline from the token (polled at
-    /// [`Seam::LruPass`] inside every shard and per merge step).
+    /// [`Seam::LruPass`]).
     pub fn try_lru(
         &self,
         trace: &(impl ChunkedTrace + ?Sized),
@@ -209,64 +170,16 @@ impl ShardedCurveEngine {
     ) -> Result<MissCurve, AnalysisError> {
         assert!(horizon >= 1, "curve horizon must be positive");
         let len = trace.len();
-        if len == 0 {
-            return Ok(MissCurve::from_histogram(0, 0, &vec![0; horizon + 1], 0));
-        }
-        // Shard pass: each chunk resolves its internal reuses exactly and
-        // summarizes its boundary.
-        let chunks = self.map_chunks(len, |k, lo, buf| {
+        let mut ring = LruRing::<u64>::default();
+        ring.reset(horizon, 0);
+        let mut buf = self.chunk_buffer(len);
+        for (lo, n) in self.windows(len) {
+            let buf = &mut buf[..n];
             trace.fill(lo, buf);
-            lru_chunk_pass(k, buf, horizon, token)
-        })?;
-
-        // Sequential boundary merge over the compressed mark universe.
-        let cells = chunks.iter().map(|c| c.max_cell + 1).max().unwrap_or(0) as usize;
-        let universe: usize = chunks.iter().map(|c| c.lasts.len()).sum();
-        let mut bit = Fenwick::default();
-        bit.reset(universe);
-        let mut mark_idx: Vec<u64> = vec![NONE64; cells];
-        let mut total_marks = 0u64;
-        let mut hist = vec![0u64; horizon + 1];
-        let (mut cold, mut beyond) = (0u64, 0u64);
-        let mut base = 0u64;
-        for ch in &chunks {
-            token.check(Seam::LruPass)?;
-            for (replayed, &(cell, write)) in ch.firsts.iter().enumerate() {
-                let mi = mark_idx[cell as usize];
-                if mi == NONE64 {
-                    if !write {
-                        cold += 1;
-                    }
-                } else {
-                    // Marks strictly after the previous touch, plus every
-                    // distinct cell already replayed in this chunk — the
-                    // merge invariant (module docs).
-                    let between = (total_marks - bit.prefix(mi as usize)) + replayed as u64;
-                    let d = between + 1;
-                    if !write {
-                        if d as usize <= horizon {
-                            hist[d as usize] += 1;
-                        } else {
-                            beyond += 1;
-                        }
-                    }
-                    bit.add(mi as usize, -1);
-                    total_marks -= 1;
-                }
-            }
-            for (d, &h) in ch.hist.iter().enumerate() {
-                hist[d] += h;
-            }
-            beyond += ch.beyond;
-            for (rank, &cell) in ch.lasts.iter().enumerate() {
-                let idx = base + rank as u64;
-                bit.add(idx as usize, 1);
-                total_marks += 1;
-                mark_idx[cell as usize] = idx;
-            }
-            base += ch.lasts.len() as u64;
+            ring.grow(buf.iter().max().map_or(0, |&p| (p >> 1) as usize + 1));
+            ring.feed(buf.len(), packed_at(buf), Some(token))?;
         }
-        Ok(MissCurve::from_histogram(cold, beyond, &hist, len))
+        Ok(ring.curve(len))
     }
 
     /// Exact OPT (Belady MIN) miss curve for capacities `1..=horizon`,
@@ -286,22 +199,16 @@ impl ShardedCurveEngine {
         token: &CancelToken,
     ) -> Result<MissCurve, AnalysisError> {
         assert!(horizon >= 1, "curve horizon must be positive");
-        if horizon as u64 >= DROPPED32 as u64 {
+        if horizon as u64 >= DROPPED as u64 {
             return Err(AnalysisError::Refused(format!(
                 "sharded OPT: horizon {horizon} collides with the stack-slot \
                  sentinel space (max {})",
-                DROPPED32 - 1
+                DROPPED - 1
             )));
         }
         let len = trace.len();
-        if len == 0 {
-            return Ok(MissCurve::from_histogram(0, 0, &vec![0; horizon + 1], 0));
-        }
         // Parallel summary pass: per-chunk first/last touches.
-        let mut chunks = self.map_chunks(len, |k, lo, buf| {
-            trace.fill(lo, buf);
-            opt_chunk_pass(k, lo, buf, token)
-        })?;
+        let mut chunks = self.map_chunks(trace, |lo, buf| opt_chunk_pass(lo, buf, token))?;
 
         // Backward threading sweep: the next use after each chunk's last
         // touch of a cell is the first touch in the nearest later chunk.
@@ -323,21 +230,12 @@ impl ShardedCurveEngine {
         // Forward streaming stack pass (sequential — the Mattson
         // displacement chain is history-dependent), u64 priorities, the
         // stack (≤ horizon entries) carried across chunk boundaries.
-        let mut stack: Vec<u64> = Vec::new();
-        let mut pri: Vec<u64> = vec![EMPTY64; horizon];
-        let mut idx_of: Vec<u32> = vec![NIL32; cells];
-        let mut hist = vec![0u64; horizon + 1];
-        let (mut cold, mut beyond) = (0u64, 0u64);
-        let mut buf = vec![
-            0u64;
-            self.chunk_len
-                .min(usize::try_from(len).unwrap_or(usize::MAX))
-        ];
+        let mut opt = OptStack::<u64>::default();
+        opt.reset(horizon, cells);
+        let mut buf = self.chunk_buffer(len);
         let mut chain: Vec<u64> = Vec::new();
         let mut head: HashMap<u64, u32> = HashMap::new();
-        for (k, ch) in chunks.iter().enumerate() {
-            let lo = k as u64 * self.chunk_len as u64;
-            let n = self.chunk_len.min((len - lo) as usize);
+        for ((lo, n), ch) in self.windows(len).zip(&chunks) {
             let buf = &mut buf[..n];
             trace.fill(lo, buf);
             // Local next-use threading: a reverse sweep resolves
@@ -363,98 +261,53 @@ impl ShardedCurveEngine {
                 if t & POLL_MASK == 0 {
                     token.check(Seam::OptPass)?;
                 }
-                let (cell, write) = ((packed >> 1) as usize, packed & 1 == 1);
                 // Priority after this access: next-use position, DEAD on a
                 // pending overwrite or no further use (the red-white
                 // write-kill rule, identical to the materialized engine).
                 let nu = chain[t];
                 let new_pri = if nu == NONE64 || nu & 1 == 1 {
-                    DEAD64
+                    u64::DEAD
                 } else {
                     nu >> 1
                 };
-                let slot = idx_of[cell];
-                if slot == NIL32 || slot == DROPPED32 {
-                    if !write {
-                        if slot == NIL32 {
-                            cold += 1;
-                        } else {
-                            beyond += 1;
-                        }
-                    }
-                    if stack.is_empty() {
-                        stack.push(cell as u64);
-                        idx_of[cell] = 0;
-                        pri[0] = new_pri;
-                    } else {
-                        let hi = stack.len() - 1;
-                        let (carry, carry_pri) = chain_swaps(
-                            &mut stack,
-                            &mut pri,
-                            &mut idx_of,
-                            cell as u64,
-                            new_pri,
-                            hi,
-                        );
-                        if stack.len() < pri.len() {
-                            let bottom = stack.len();
-                            stack.push(carry);
-                            idx_of[carry as usize] = bottom as u32;
-                            pri[bottom] = carry_pri;
-                        } else {
-                            idx_of[carry as usize] = DROPPED32;
-                        }
-                    }
-                } else {
-                    let slot = slot as usize;
-                    let d = slot + 1;
-                    if !write {
-                        debug_assert!(d <= horizon);
-                        hist[d] += 1;
-                    }
-                    if slot == 0 {
-                        pri[0] = new_pri;
-                    } else {
-                        let (carry, carry_pri) = chain_swaps(
-                            &mut stack,
-                            &mut pri,
-                            &mut idx_of,
-                            cell as u64,
-                            new_pri,
-                            slot - 1,
-                        );
-                        stack[slot] = carry;
-                        idx_of[carry as usize] = slot as u32;
-                        pri[slot] = carry_pri;
-                    }
-                }
+                opt.step((packed >> 1) as usize, packed & 1 == 1, new_pri);
             }
         }
-        Ok(MissCurve::from_histogram(cold, beyond, &hist, len))
+        Ok(opt.curve(len))
     }
 
-    /// Runs `pass` over every chunk in parallel (rayon bridge), collecting
-    /// per-chunk summaries in chunk order; the first error wins.
+    /// `(start, length)` of each chunk of a `len`-event trace, in order.
+    fn windows(&self, len: u64) -> impl Iterator<Item = (u64, usize)> + '_ {
+        (0..len)
+            .step_by(self.chunk_len)
+            .map(move |lo| (lo, self.chunk_len.min((len - lo) as usize)))
+    }
+
+    /// One chunk's worth of event buffer (less for a shorter trace).
+    fn chunk_buffer(&self, len: u64) -> Vec<u64> {
+        vec![0; usize::try_from(len).map_or(self.chunk_len, |len| len.min(self.chunk_len))]
+    }
+
+    /// Fills every chunk of `trace` and runs `pass` over it in parallel
+    /// (rayon bridge), collecting per-chunk summaries in chunk order; the
+    /// first error wins.
     fn map_chunks<C: Send>(
         &self,
-        len: u64,
-        pass: impl Fn(usize, u64, &mut [u64]) -> Result<C, AnalysisError> + Sync,
+        trace: &(impl ChunkedTrace + ?Sized),
+        pass: impl Fn(u64, &[u64]) -> Result<C, AnalysisError> + Sync,
     ) -> Result<Vec<C>, AnalysisError> {
-        let n_chunks = usize::try_from(len.div_ceil(self.chunk_len as u64))
-            .expect("chunk count exceeds the address space");
-        (0..n_chunks)
+        self.windows(trace.len())
             .collect::<Vec<_>>()
             .into_par_iter()
-            .map(|k| {
-                let lo = k as u64 * self.chunk_len as u64;
-                let n = self.chunk_len.min((len - lo) as usize);
+            .map(|(lo, n)| {
                 // Panics are mapped to typed errors *inside* the chunk
                 // worker: the thread-scope bridge underneath would
                 // otherwise replace the payload with a generic "a scoped
                 // thread panicked".
                 iolb_govern::catch_analysis_mut(|| {
                     let mut buf = vec![0u64; n];
-                    pass(k, lo, &mut buf)
+                    trace.fill(lo, &mut buf);
+                    pass(lo, &buf)
                 })
             })
             .collect::<Vec<Result<C, AnalysisError>>>()
@@ -463,62 +316,8 @@ impl ShardedCurveEngine {
     }
 }
 
-/// Local LRU pass over one chunk: exact within-chunk reuse distances via
-/// a chunk-local Fenwick, plus the boundary summaries the merge needs.
-fn lru_chunk_pass(
-    _k: usize,
-    buf: &[u64],
-    horizon: usize,
-    token: &CancelToken,
-) -> Result<LruChunk, AnalysisError> {
-    let mut last: HashMap<u64, u32> = HashMap::new();
-    let mut firsts: Vec<(u64, bool)> = Vec::new();
-    let mut bit = Fenwick::default();
-    bit.reset(buf.len());
-    let mut hist = vec![0u64; horizon + 1];
-    let mut beyond = 0u64;
-    let mut max_cell = 0u64;
-    for (t, &packed) in buf.iter().enumerate() {
-        if t & POLL_MASK == 0 {
-            token.check(Seam::LruPass)?;
-        }
-        let (cell, write) = (packed >> 1, packed & 1 == 1);
-        max_cell = max_cell.max(cell);
-        match last.insert(cell, t as u32) {
-            Some(lp) => {
-                let between = bit.prefix(t - 1) - bit.prefix(lp as usize);
-                let d = between as usize + 1;
-                if !write {
-                    if d <= horizon {
-                        hist[d] += 1;
-                    } else {
-                        beyond += 1;
-                    }
-                }
-                bit.add(lp as usize, -1);
-            }
-            None => firsts.push((cell, write)),
-        }
-        bit.add(t, 1);
-    }
-    let mut by_last: Vec<(u32, u64)> = last.into_iter().map(|(cell, lp)| (lp, cell)).collect();
-    by_last.sort_unstable();
-    Ok(LruChunk {
-        firsts,
-        lasts: by_last.into_iter().map(|(_, cell)| cell).collect(),
-        hist,
-        beyond,
-        max_cell,
-    })
-}
-
 /// Summary pass over one chunk for the OPT threading phase.
-fn opt_chunk_pass(
-    _k: usize,
-    lo: u64,
-    buf: &[u64],
-    token: &CancelToken,
-) -> Result<OptChunk, AnalysisError> {
+fn opt_chunk_pass(lo: u64, buf: &[u64], token: &CancelToken) -> Result<OptChunk, AnalysisError> {
     let mut last: HashMap<u64, u32> = HashMap::new();
     let mut firsts: Vec<(u64, u64)> = Vec::new();
     let mut max_cell = 0u64;
@@ -543,28 +342,17 @@ fn opt_chunk_pass(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::curve::tests::{arb_wide_trace, wide_replays, WIDE_CASES, WIDE_HORIZONS};
+    use crate::curve::tests::{
+        arb_trace, arb_wide_trace, pack, wide_replays, WIDE_CASES, WIDE_HORIZONS,
+    };
     use crate::{Access, CurveEngine};
     use proptest::prelude::*;
 
-    fn pack(t: &[Access]) -> Vec<u64> {
-        t.iter()
-            .map(|a| ((a.cell as u64) << 1) | a.write as u64)
-            .collect()
-    }
-
-    fn arb_trace() -> impl Strategy<Value = Vec<Access>> {
-        proptest::collection::vec((0usize..12, proptest::bool::ANY), 1..200).prop_map(|v| {
-            v.into_iter()
-                .map(|(cell, write)| Access { cell, write })
-                .collect()
-        })
-    }
-
     #[test]
     fn sharded_lru_on_a_hand_trace_across_boundaries() {
-        // 0 1 2 0 with one event per chunk: every reuse crosses a chunk
-        // boundary, so the whole distance comes from the merge Fenwick.
+        // 0 1 2 0 with one event per chunk: every access is its own chunk,
+        // so the ring and its state table carry every distance across
+        // chunk boundaries, and the table grows at each new cell.
         let packed = pack(&[
             Access::read(0),
             Access::read(1),
@@ -587,8 +375,8 @@ mod tests {
         let empty: Vec<u64> = Vec::new();
         assert_eq!(e.try_lru(&empty, 3, &token).unwrap().loads(1), 0);
         assert_eq!(e.try_opt(&empty, 3, &token).unwrap().loads(1), 0);
-        // A trace smaller than one chunk still flows through the shard
-        // machinery (single chunk, trivial merge).
+        // A trace smaller than one chunk still flows through the chunk
+        // machinery (a single chunk).
         let one = pack(&[Access::write(5), Access::read(5)]);
         assert_eq!(e.try_lru(&one, 3, &token).unwrap().loads(1), 0);
         assert_eq!(e.try_opt(&one, 3, &token).unwrap().loads(1), 0);
@@ -604,9 +392,9 @@ mod tests {
         assert!(matches!(err, AnalysisError::Refused(_)), "{err:?}");
     }
 
-    /// Every shard honors the token: with single-event chunks a trip on
-    /// the first check surfaces as `Cancelled` from whichever worker hits
-    /// it first, for both policies, at their named seams.
+    /// Both passes honor the token: with single-event chunks a trip on
+    /// the first check surfaces as `Cancelled` (from whichever OPT summary
+    /// worker hits it first), for both policies, at their named seams.
     #[test]
     fn shards_honor_cancellation_at_their_seams() {
         let packed: Vec<u64> = (0..64u64).map(|c| c << 1).collect();
