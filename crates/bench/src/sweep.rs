@@ -3,9 +3,10 @@
 //!
 //! Every derived lower bound must sit at or below the loads of a real
 //! execution of the kernel at fast-memory size `S`. This module runs that
-//! check as a data-parallel matrix — kernels are prepared (CDAG
-//! construction) concurrently, then each kernel's trace is priced in
-//! **one pass** per policy column ([`price_curves`]) — and renders the
+//! check as a data-parallel matrix — kernels are priced concurrently
+//! (CDAG construction, engine profiles, then **one pass** per policy
+//! column over the kernel's trace, [`price_curves`]) and the priced
+//! kernels are read at their grids ([`PricedSweep::report`]) — and renders the
 //! outcome as both a table and a machine-readable
 //! `BENCH_pebble.json` so successive PRs have a recorded perf/soundness
 //! trajectory.
@@ -42,7 +43,8 @@ use iolb_cdag::SpillPolicy;
 pub use iolb_cdag::{try_build_cdag, Cdag};
 use iolb_core::report::{self, SplitBinding};
 use iolb_core::{
-    best_engine_bound, BoundProvenance, ClassicalBound, EngineCurve, EngineRegistry, HourglassBound,
+    best_engine_bound, BoundProvenance, ClassicalBound, EngineCurve, EngineProfile, EngineRegistry,
+    HourglassBound,
 };
 use iolb_govern::{catch_analysis_mut, AnalysisError, Budget, CancelToken, Degradation};
 use iolb_memsim::{ChunkedTrace, CurveEngine, MissCurve, ShardedCurveEngine};
@@ -326,20 +328,166 @@ pub fn default_sweep_kernels_at(size: SweepSize) -> Vec<SweepKernel> {
         .collect()
 }
 
-/// A prepared kernel: exact CDAG (the source of its program-order
-/// value-access trace) and its bounds.
-struct Prepared {
+/// One kernel priced for every S grid up to its horizon. Everything a
+/// sweep computes is independent of which S points the grid holds: the
+/// CDAG's facts, the derived bounds, each selected engine's profile, and
+/// the LRU and OPT miss curves, which are exact at every `S ≤ horizon`.
+/// The CDAG itself is dropped once the kernel is priced, and nothing here
+/// grows with the graph: the curves and the engine profiles are O(horizon).
+#[derive(Debug)]
+struct PricedKernel {
     name: String,
     params: Vec<i64>,
     env: Vec<(Var, i128)>,
-    s_values: Vec<usize>,
-    cdag: Cdag,
     classical: Option<ClassicalBound>,
     hourglass: Option<HourglassBound>,
-    /// Graph-level engine bounds, one curve per selected engine, indexed
-    /// in lockstep with `s_values`.
-    engine_curves: Vec<EngineCurve>,
+    /// Minimum feasible S (the CDAG's largest in-degree + 1); a grid's
+    /// offsets are added to it.
+    min_s: usize,
+    nodes: usize,
+    edges: usize,
+    /// Compute steps (trace writes).
+    computes: u64,
+    /// Largest S the kernel was priced for.
+    horizon: usize,
+    engines: Vec<EngineProfile>,
+    /// One curve per policy of [`POLICIES`], exact up to `horizon`.
+    curves: [MissCurve; 2],
     prep_ms: f64,
+    wall_ms: f64,
+}
+
+impl PricedKernel {
+    /// Whether every S of the grid `s_offsets` lies within the horizon.
+    fn covers(&self, s_offsets: &[usize]) -> bool {
+        s_offsets
+            .iter()
+            .all(|&off| self.min_s + off <= self.horizon)
+    }
+
+    /// The kernel's rows at the grid `s_offsets`, in (S, {LRU, MIN}) order:
+    /// the bounds evaluated and the curves read at each S.
+    ///
+    /// # Panics
+    /// Panics when the grid reaches past the horizon.
+    fn rows(&self, s_offsets: &[usize]) -> Vec<SweepRow> {
+        assert!(
+            self.covers(s_offsets),
+            "{}: grid {s_offsets:?} reaches past horizon {}",
+            self.name,
+            self.horizon
+        );
+        let s_values: Vec<usize> = s_offsets.iter().map(|&off| self.min_s + off).collect();
+        let engine_curves: Vec<EngineCurve> =
+            self.engines.iter().map(|e| e.curve(&s_values)).collect();
+        let mut rows = Vec::with_capacity(s_values.len() * POLICIES.len());
+        for (si, &s) in s_values.iter().enumerate() {
+            let lb_classical = self
+                .classical
+                .as_ref()
+                .map(|b| b.eval_floor(&self.env, s as i128))
+                .unwrap_or(0.0);
+            let lb_hourglass = self
+                .hourglass
+                .as_ref()
+                .map(|b| b.eval_floor(&self.env, s as i128))
+                .unwrap_or(0.0);
+            let engine_at = |prov: BoundProvenance| -> Option<u64> {
+                engine_curves
+                    .iter()
+                    .find(|c| c.provenance == prov)
+                    .and_then(|c| c.at(si))
+            };
+            // Winning provenance: strictly-greater replaces, so ties keep
+            // the earliest family (symbolic before graph-level, canonical
+            // engine order within graph-level).
+            let mut best = lb_classical;
+            let mut lb_provenance = BoundProvenance::Classical;
+            if lb_hourglass > best {
+                best = lb_hourglass;
+                lb_provenance = BoundProvenance::Hourglass;
+            }
+            if let Some((b, prov)) = best_engine_bound(&engine_curves, si) {
+                if b as f64 > best {
+                    best = b as f64;
+                    lb_provenance = prov;
+                }
+            }
+            for (curve, policy) in self.curves.iter().zip(POLICIES) {
+                let loads = curve.loads(s);
+                rows.push(SweepRow {
+                    kernel: self.name.clone(),
+                    params: self.params.clone(),
+                    nodes: self.nodes,
+                    edges: self.edges,
+                    s,
+                    policy,
+                    loads,
+                    computes: self.computes,
+                    lb_classical,
+                    lb_hourglass,
+                    lb_input: engine_at(BoundProvenance::InputFloor),
+                    lb_visit: engine_at(BoundProvenance::Visit),
+                    lb_spectral: engine_at(BoundProvenance::Spectral),
+                    lb_provenance,
+                    ratio: loads as f64 / best.max(1.0),
+                    prep_ms: self.prep_ms,
+                    wall_ms: self.wall_ms,
+                });
+            }
+        }
+        rows
+    }
+}
+
+/// Every kernel of a sweep priced ([`price_sweep`]), plus the pass's
+/// volatile facts; [`PricedSweep::report`] reads it at any grids within
+/// the kernels' horizons.
+#[derive(Debug)]
+pub struct PricedSweep {
+    /// The priced kernels, in input order.
+    kernels: Vec<PricedKernel>,
+    /// Wall time of the pricing pass (milliseconds).
+    total_wall_ms: f64,
+    /// Worker threads the pricing pass engaged.
+    threads: usize,
+}
+
+impl PricedSweep {
+    /// Whether the grid `s_offsets` lies within every kernel's horizon.
+    pub fn covers(&self, s_offsets: &[usize]) -> bool {
+        self.kernels.iter().all(|k| k.covers(s_offsets))
+    }
+
+    /// The sweep report with kernel `i` at grid `grids[i]`: the rows in
+    /// (kernel, S, {LRU, MIN}) order and every kernel at the full level
+    /// (callers that coarsened a grid overwrite the level afterwards).
+    ///
+    /// # Panics
+    /// Panics when a grid reaches past its kernel's horizon.
+    pub fn report(&self, grids: &[&[usize]]) -> SweepReport {
+        assert_eq!(grids.len(), self.kernels.len(), "one grid per kernel");
+        SweepReport {
+            rows: self
+                .kernels
+                .iter()
+                .zip(grids)
+                .flat_map(|(k, grid)| k.rows(grid))
+                .collect(),
+            degradation: self
+                .kernels
+                .iter()
+                .map(|k| DegradationRow {
+                    kernel: k.name.clone(),
+                    level: Degradation::Full,
+                })
+                .collect(),
+            failures: Vec::new(),
+            total_wall_ms: self.total_wall_ms,
+            threads: self.threads,
+            scaling: Vec::new(),
+        }
+    }
 }
 
 /// One `(kernel, S, policy)` cell of the validated matrix.
@@ -382,7 +530,7 @@ pub struct SweepRow {
     /// Measured loads over the best bound (≥ 1 for sound bounds).
     pub ratio: f64,
     /// One-time preparation cost of this cell's kernel (the CDAG build
-    /// unless the kernel arrived with its CDAG, + graph-engine curves,
+    /// unless the kernel arrived with its CDAG, + graph-engine profiles,
     /// milliseconds) — shared across the kernel's cells, not a per-cell
     /// cost.
     pub prep_ms: f64,
@@ -455,9 +603,9 @@ pub struct SweepReport {
     pub scaling: Vec<ScalingPoint>,
 }
 
-/// Runs the full matrix: kernels prepare concurrently, then each
-/// `(kernel, policy)` column is one concurrent stack-distance pass whose
-/// curve is read at every grid S.
+/// Runs the full matrix: kernels are priced concurrently, each
+/// `(kernel, policy)` column one stack-distance pass whose curve is read
+/// at every grid S.
 ///
 /// Ungoverned compatibility wrapper over [`try_run_sweep`] — unlimited
 /// budget, no cancellation.
@@ -499,13 +647,14 @@ pub fn try_run_sweep(
 }
 
 /// [`try_run_sweep`] with an explicit graph-level engine selection and
-/// curve-pricing strategy — the full-control entry point the service
-/// pipeline drives. Each kernel's curves are priced once through
+/// curve-pricing strategy: [`price_sweep`], then [`PricedSweep::report`]
+/// at each kernel's own grid. Each kernel's curves are priced once through
 /// [`price_curves`], at [`CROSS_CHECK_CAP`] under
 /// [`CurveStrategy::Streaming`].
 ///
-/// Engine curves are evaluated during stage-1 preparation on the exact
-/// CDAG at every grid `S`. They are deliberately *not* charged against the
+/// Engine profiles are prepared on the exact CDAG over every capacity from
+/// the kernel's minimum S to its horizon, and read at each grid `S`. They
+/// are deliberately *not* charged against the
 /// work budget: the engines are cheap by construction (the visit profile
 /// is one sort of the compute in-degrees, the spectral profile refuses
 /// graphs above [`iolb_cdag::SPECTRAL_NODE_CAP`] nodes), so selecting
@@ -525,7 +674,7 @@ pub fn try_run_sweep_opts(
 
 /// [`try_run_sweep_opts`] with the size rule's cap as a plain argument, so
 /// tests reach the streaming branch on traces far below
-/// [`CROSS_CHECK_CAP`].
+/// [`CROSS_CHECK_CAP`]: the kernels priced, then read at their own grids.
 fn sweep_at_cap(
     kernels: Vec<SweepKernel>,
     budget: &Budget,
@@ -533,150 +682,104 @@ fn sweep_at_cap(
     registry: &EngineRegistry,
     cap: u64,
 ) -> Result<SweepReport, AnalysisError> {
+    let grids: Vec<Vec<usize>> = kernels.iter().map(|k| k.s_offsets.clone()).collect();
+    let priced = price_at_cap(kernels, budget, token, registry, cap)?;
+    let grids: Vec<&[usize]> = grids.iter().map(Vec::as_slice).collect();
+    Ok(priced.report(&grids))
+}
+
+/// The grid-independent half of [`try_run_sweep_opts`]: every kernel
+/// priced up to the horizon of its own `s_offsets`, ready for
+/// [`PricedSweep::report`] at that grid or any other within the horizon.
+///
+/// # Errors
+/// The first typed error any kernel's pricing produced.
+pub fn price_sweep(
+    kernels: Vec<SweepKernel>,
+    budget: &Budget,
+    token: &CancelToken,
+    registry: &EngineRegistry,
+    strategy: CurveStrategy,
+) -> Result<PricedSweep, AnalysisError> {
+    price_at_cap(kernels, budget, token, registry, strategy.cap())
+}
+
+/// [`price_sweep`] with the size rule's cap as a plain argument.
+fn price_at_cap(
+    kernels: Vec<SweepKernel>,
+    budget: &Budget,
+    token: &CancelToken,
+    registry: &EngineRegistry,
+    cap: u64,
+) -> Result<PricedSweep, AnalysisError> {
     let t_total = Instant::now();
     // Scoped worker accounting: `meta.threads` must describe THIS sweep,
     // not whatever parallel stage ran earlier in the process.
     let workers = rayon::worker_scope();
-    // Stage 1: per-kernel preparation (CDAG + engine curves) in parallel.
-    // The symbolic bounds arrive derived on the kernel, and so does the
-    // CDAG when the caller already built it.
-    let prepared: Vec<Prepared> = kernels
+    let kernels = kernels
         .into_par_iter()
-        .map(|k| -> Result<Prepared, AnalysisError> {
-            // Convert panics to typed errors inside the worker closure —
-            // the thread-scope bridge underneath would otherwise replace
-            // the payload with a generic "a scoped thread panicked".
-            catch_analysis_mut(|| {
-                let t = Instant::now();
-                let env = k.env();
-                let cdag = match k.cdag {
-                    Some(cdag) => cdag,
-                    None => try_build_cdag(&k.program, &k.params, budget, token)?,
-                };
-                // Trace length is known from the CSR alone — charge the
-                // budget before anything prices or materializes it.
-                let trace_len = (cdag.num_edges() + cdag.num_computes()) as u64;
-                if trace_len > budget.max_trace_len {
-                    return Err(AnalysisError::BudgetExceeded {
-                        resource: "trace_len",
-                        needed: trace_len,
-                        limit: budget.max_trace_len,
-                    });
-                }
-                let min_s = cdag.max_in_degree() + 1;
-                let s_values: Vec<usize> = k.s_offsets.iter().map(|&off| min_s + off).collect();
-                let engine_curves = registry.evaluate(&cdag, &s_values);
-                Ok(Prepared {
-                    name: k.name,
-                    params: k.params,
-                    env,
-                    s_values,
-                    cdag,
-                    classical: k.classical,
-                    hourglass: k.hourglass,
-                    engine_curves,
-                    prep_ms: t.elapsed().as_secs_f64() * 1e3,
-                })
-            })
-        })
-        .collect::<Vec<Result<Prepared, AnalysisError>>>()
+        // Convert panics to typed errors inside the worker closure — the
+        // thread-scope bridge underneath would otherwise replace the
+        // payload with a generic "a scoped thread panicked".
+        .map(|k| catch_analysis_mut(|| price_kernel(k, budget, token, registry, cap)))
+        .collect::<Vec<Result<PricedKernel, AnalysisError>>>()
         .into_iter()
-        .collect::<Result<Vec<Prepared>, AnalysisError>>()?;
-
-    // Stage 2: each kernel's LRU and OPT curves, priced once per policy
-    // on the engine its trace length calls for.
-    let curves: Vec<([MissCurve; 2], f64)> = prepared
-        .par_iter()
-        .map(|p| -> Result<([MissCurve; 2], f64), AnalysisError> {
-            catch_analysis_mut(|| {
-                let horizon = p.s_values.iter().copied().max().unwrap_or(1);
-                let t = Instant::now();
-                let curves =
-                    price_curves(&p.cdag.program_order_trace(), POLICIES, horizon, cap, token)?;
-                Ok((curves, t.elapsed().as_secs_f64() * 1e3))
-            })
-        })
-        .collect::<Vec<Result<([MissCurve; 2], f64), AnalysisError>>>()
-        .into_iter()
-        .collect::<Result<Vec<([MissCurve; 2], f64)>, AnalysisError>>()?;
-
-    // Assemble rows in (kernel, S, {LRU, MIN}) order from the curves.
-    let mut rows = Vec::new();
-    for (p, (kernel_curves, wall_ms)) in prepared.iter().zip(&curves) {
-        for (si, &s) in p.s_values.iter().enumerate() {
-            for (curve, policy) in kernel_curves.iter().zip(POLICIES) {
-                let loads = curve.loads(s);
-                let lb_classical = p
-                    .classical
-                    .as_ref()
-                    .map(|b| b.eval_floor(&p.env, s as i128))
-                    .unwrap_or(0.0);
-                let lb_hourglass = p
-                    .hourglass
-                    .as_ref()
-                    .map(|b| b.eval_floor(&p.env, s as i128))
-                    .unwrap_or(0.0);
-                let engine_at = |prov: BoundProvenance| -> Option<u64> {
-                    p.engine_curves
-                        .iter()
-                        .find(|c| c.provenance == prov)
-                        .and_then(|c| c.at(si))
-                };
-                // Winning provenance: strictly-greater replaces, so ties
-                // keep the earliest family (symbolic before graph-level,
-                // canonical engine order within graph-level).
-                let mut best = lb_classical;
-                let mut lb_provenance = BoundProvenance::Classical;
-                if lb_hourglass > best {
-                    best = lb_hourglass;
-                    lb_provenance = BoundProvenance::Hourglass;
-                }
-                if let Some((b, prov)) = best_engine_bound(&p.engine_curves, si) {
-                    if b as f64 > best {
-                        best = b as f64;
-                        lb_provenance = prov;
-                    }
-                }
-                rows.push(SweepRow {
-                    kernel: p.name.clone(),
-                    params: p.params.clone(),
-                    nodes: p.cdag.len(),
-                    edges: p.cdag.num_edges(),
-                    s,
-                    policy,
-                    loads,
-                    computes: p.cdag.num_computes() as u64,
-                    lb_classical,
-                    lb_hourglass,
-                    lb_input: engine_at(BoundProvenance::InputFloor),
-                    lb_visit: engine_at(BoundProvenance::Visit),
-                    lb_spectral: engine_at(BoundProvenance::Spectral),
-                    lb_provenance,
-                    ratio: loads as f64 / best.max(1.0),
-                    prep_ms: p.prep_ms,
-                    wall_ms: *wall_ms,
-                });
-            }
-        }
-    }
-
-    // Every kernel that reached this point ran its full requested grid;
-    // callers that coarsened the grid overwrite the level afterwards.
-    let degradation = prepared
-        .iter()
-        .map(|p| DegradationRow {
-            kernel: p.name.clone(),
-            level: Degradation::Full,
-        })
-        .collect();
-
-    Ok(SweepReport {
-        rows,
-        degradation,
-        failures: Vec::new(),
+        .collect::<Result<Vec<PricedKernel>, AnalysisError>>()?;
+    Ok(PricedSweep {
+        kernels,
         total_wall_ms: t_total.elapsed().as_secs_f64() * 1e3,
         threads: workers.max_workers_used(),
-        scaling: Vec::new(),
+    })
+}
+
+/// Prices one kernel: its CDAG (built here unless the kernel arrived with
+/// one), the trace-length charge, the engine profiles over
+/// `[min_s, horizon]`, and one curve pass per policy on the engine the
+/// trace length calls for. The CDAG is dropped on return.
+fn price_kernel(
+    k: SweepKernel,
+    budget: &Budget,
+    token: &CancelToken,
+    registry: &EngineRegistry,
+    cap: u64,
+) -> Result<PricedKernel, AnalysisError> {
+    let t = Instant::now();
+    let env = k.env();
+    let cdag = match k.cdag {
+        Some(cdag) => cdag,
+        None => try_build_cdag(&k.program, &k.params, budget, token)?,
+    };
+    // Trace length is known from the CSR alone — charge the budget before
+    // anything prices or materializes it.
+    let trace_len = (cdag.num_edges() + cdag.num_computes()) as u64;
+    if trace_len > budget.max_trace_len {
+        return Err(AnalysisError::BudgetExceeded {
+            resource: "trace_len",
+            needed: trace_len,
+            limit: budget.max_trace_len,
+        });
+    }
+    let min_s = cdag.max_in_degree() + 1;
+    let horizon = k.s_offsets.iter().max().map_or(1, |&off| min_s + off);
+    let engines = registry.prepare(&cdag, min_s..=horizon);
+    let prep_ms = t.elapsed().as_secs_f64() * 1e3;
+    let t = Instant::now();
+    let curves = price_curves(&cdag.program_order_trace(), POLICIES, horizon, cap, token)?;
+    Ok(PricedKernel {
+        name: k.name,
+        params: k.params,
+        env,
+        classical: k.classical,
+        hourglass: k.hourglass,
+        min_s,
+        nodes: cdag.len(),
+        edges: cdag.num_edges(),
+        computes: cdag.num_computes() as u64,
+        horizon,
+        engines,
+        curves,
+        prep_ms,
+        wall_ms: t.elapsed().as_secs_f64() * 1e3,
     })
 }
 

@@ -62,15 +62,19 @@ pub fn input_floor(cdag: &Cdag) -> u64 {
 /// `|preds(E)| · δ ≥ Σ_{v∈E} indeg(v) ≥ P[T]`, where `δ` is the maximum
 /// out-degree over all nodes and `P[T]` is the sum of the `T` *smallest*
 /// compute in-degrees. So every segment of `T` computes satisfies
-/// `|InSet| ≥ ⌈P[T]/δ⌉ − T`, independent of the execution order.
+/// `|InSet| ≥ m(T) = ⌈P[T]/δ⌉ − T`, independent of the execution order,
+/// and the bound at capacity `s` is the best `T` of
+/// `⌊n_c/T⌋ · max(0, m(T) − s)`.
+///
+/// Segment lengths with the same segment count `q = ⌊n_c/T⌋` only compete
+/// through their largest `m(T)`, and there are at most `2√n_c` distinct
+/// counts, so the profile keeps one `(q, max m)` line per count instead of
+/// the in-degree prefix sums.
 #[derive(Debug, Clone)]
 pub struct VisitProfile {
-    /// `prefix[t]` = sum of the `t` smallest compute in-degrees.
-    prefix: Vec<u64>,
-    /// Maximum out-degree over all nodes (≥ 1 once there is any edge).
-    outdeg_max: u64,
-    /// Number of compute nodes.
-    n_c: usize,
+    /// `(q, m)`: segment count `q = ⌊n_c/T⌋` and the largest guaranteed
+    /// in-set `m(T)` over the lengths `T` sharing it, by descending `q`.
+    lines: Vec<(u64, u64)>,
     /// Largest guaranteed in-set over every segment length `T`: the bound
     /// is 0 at every capacity `s ≥ peak`.
     peak: u64,
@@ -84,53 +88,45 @@ impl VisitProfile {
             .map(|v| cdag.preds(v).len() as u64)
             .collect();
         indegs.sort_unstable();
-        let mut prefix = Vec::with_capacity(indegs.len() + 1);
-        prefix.push(0u64);
-        let mut acc = 0u64;
-        for d in &indegs {
-            acc += d;
-            prefix.push(acc);
-        }
         let outdeg_max = (0..cdag.len() as u32)
             .map(|v| cdag.succs(crate::graph::NodeId(v)).len() as u64)
             .max()
             .unwrap_or(0)
             .max(1);
-        let mut profile = VisitProfile {
-            prefix,
-            outdeg_max,
-            n_c: cdag.num_computes(),
-            peak: 0,
-        };
-        profile.peak = (1..=profile.n_c)
-            .map(|t| profile.min_inset(t))
-            .max()
-            .unwrap_or(0);
-        profile
+        let n_c = indegs.len() as u64;
+        let mut lines: Vec<(u64, u64)> = Vec::new();
+        let mut prefix = 0u64;
+        for (t, d) in (1..=n_c).zip(&indegs) {
+            prefix += d;
+            let inset = prefix.div_ceil(outdeg_max).saturating_sub(t);
+            let q = n_c / t;
+            match lines.last_mut() {
+                Some((last_q, m)) if *last_q == q => *m = (*m).max(inset),
+                _ => lines.push((q, inset)),
+            }
+        }
+        let peak = lines.iter().map(|&(_, m)| m).max().unwrap_or(0);
+        VisitProfile { lines, peak }
     }
 
-    /// Guaranteed in-set size of *any* set of exactly `t` computes.
-    fn min_inset(&self, t: usize) -> u64 {
-        let loaded = self.prefix[t].div_ceil(self.outdeg_max);
-        loaded.saturating_sub(t as u64)
+    /// The largest guaranteed in-set: the bound is 0 at every capacity
+    /// from here on.
+    pub fn peak(&self) -> u64 {
+        self.peak
     }
 
     /// Lower bound on loads at capacity `s`: the best segment length `T`
-    /// of `⌊n_c/T⌋ · max(0, min_inset(T) − s)`. Every slack is 0 once `s`
+    /// of `⌊n_c/T⌋ · max(0, m(T) − s)`. Every slack is 0 once `s`
     /// reaches the profile's peak in-set, so the scan is skipped there.
     pub fn bound(&self, s: usize) -> u64 {
         if self.peak <= s as u64 {
             return 0;
         }
-        let mut best = 0u64;
-        for t in 1..=self.n_c {
-            let slack = self.min_inset(t).saturating_sub(s as u64);
-            if slack == 0 {
-                continue;
-            }
-            best = best.max((self.n_c / t) as u64 * slack);
-        }
-        best
+        self.lines
+            .iter()
+            .map(|&(q, m)| q * m.saturating_sub(s as u64))
+            .max()
+            .unwrap_or(0)
     }
 }
 
@@ -466,11 +462,23 @@ mod tests {
         assert_eq!(VisitProfile::new(&empty).bound(1), 0);
     }
 
-    /// [`VisitProfile::bound`] without the peak short-circuit: the scan
-    /// over every segment length.
-    fn unshortened_bound(p: &VisitProfile, s: usize) -> u64 {
-        (1..=p.n_c)
-            .map(|t| (p.n_c / t) as u64 * p.min_inset(t).saturating_sub(s as u64))
+    /// The visit bound of `g` at capacity `s` by the definition, without
+    /// the profile's lines or its peak short-circuit: in-degree prefix
+    /// sums, then a scan over every segment length.
+    fn unshortened_bound(g: &Cdag, s: usize) -> u64 {
+        let mut indegs: Vec<u64> = g.compute_nodes().map(|v| g.preds(v).len() as u64).collect();
+        indegs.sort_unstable();
+        let outdeg_max = (0..g.len() as u32)
+            .map(|v| g.succs(NodeId(v)).len() as u64)
+            .max()
+            .unwrap_or(0)
+            .max(1);
+        let n_c = indegs.len();
+        (1..=n_c)
+            .map(|t| {
+                let inset = indegs[..t].iter().sum::<u64>().div_ceil(outdeg_max);
+                (n_c / t) as u64 * inset.saturating_sub(t as u64).saturating_sub(s as u64)
+            })
             .max()
             .unwrap_or(0)
     }
@@ -502,7 +510,7 @@ mod tests {
         let p = VisitProfile::new(&g);
         assert_eq!(p.peak, 5 * n_c as u64);
         for s in [1, 4, 16, 59, 60, 61, 64, 256] {
-            assert_eq!(p.bound(s), unshortened_bound(&p, s), "S={s}");
+            assert_eq!(p.bound(s), unshortened_bound(&g, s), "S={s}");
         }
         assert!(p.bound(59) > 0, "below the peak the scan runs");
         assert_eq!(p.bound(60), 0, "at the peak the scan is skipped");
@@ -523,7 +531,7 @@ mod tests {
             let p = VisitProfile::new(&g);
             let peak = p.peak as usize;
             for s in [1, 2, 3, 5, 8, 13, 21, 34, peak.saturating_sub(1).max(1), peak.max(1), peak + 1] {
-                proptest::prop_assert_eq!(p.bound(s), unshortened_bound(&p, s), "S={}", s);
+                proptest::prop_assert_eq!(p.bound(s), unshortened_bound(&g, s), "S={}", s);
             }
         }
     }

@@ -9,11 +9,14 @@
 //! [`BoundProvenance`].
 //!
 //! Engine math lives in [`iolb_cdag::bound`]; this module owns the typed
-//! API: provenance, trait, registry, selection parsing, and batch
-//! evaluation over an S grid.
+//! API: provenance, trait, registry, selection parsing, and evaluation
+//! over an S grid. Evaluation is two steps: each engine first prepares a
+//! [`Profile`] over a band of capacities, whose state never grows with the
+//! graph, and the grid then reads it at each S.
 
 use iolb_cdag::bound::{input_floor, SpectralProfile, VisitProfile};
 use iolb_cdag::Cdag;
+use std::ops::RangeInclusive;
 
 /// Where a reported lower bound came from. Serialized stably (snake_case
 /// via [`BoundProvenance::as_str`]) in pebble-sweep/v5 rows — replaces the
@@ -82,10 +85,54 @@ pub trait BoundEngine: Send + Sync {
     /// does not apply to this graph (e.g. above a size cap).
     fn bound(&self, cdag: &Cdag, s: usize) -> Option<u64>;
 
-    /// Batch evaluation over an S grid; engines override this to share
-    /// per-graph preparation across the grid.
-    fn bounds(&self, cdag: &Cdag, s_values: &[usize]) -> Vec<Option<u64>> {
-        s_values.iter().map(|&s| self.bound(cdag, s)).collect()
+    /// The engine's bounds at every capacity of `band`, prepared once per
+    /// graph: [`Profile::at`] equals [`BoundEngine::bound`] there, and the
+    /// profile keeps no per-node state.
+    fn prepare(&self, cdag: &Cdag, band: RangeInclusive<usize>) -> Profile;
+}
+
+/// One engine's S-independent state: its bound at every capacity of the
+/// band it was prepared over, in O(1) or O(band) space, never O(nodes).
+#[derive(Debug, Clone)]
+pub enum Profile {
+    /// The same bound at every capacity (`None`: the engine does not
+    /// apply to the graph).
+    Constant(Option<u64>),
+    /// `values[i]` is the bound at capacity `first + i`, and the bound is
+    /// 0 at every capacity from `zero_from` on.
+    Table {
+        /// First capacity of the band.
+        first: usize,
+        /// Capacity from which the bound is 0.
+        zero_from: usize,
+        /// Bounds on `first..first + values.len()`.
+        values: Vec<u64>,
+    },
+    /// The spectral engine's constant-size profile, read per capacity.
+    Spectral(SpectralProfile),
+}
+
+impl Profile {
+    /// The bound at capacity `s` (`None` when the engine does not apply).
+    ///
+    /// # Panics
+    /// Panics when `s` lies outside the band a table was prepared over and
+    /// below its zero point.
+    pub fn at(&self, s: usize) -> Option<u64> {
+        match self {
+            Profile::Constant(bound) => *bound,
+            Profile::Table {
+                first,
+                zero_from,
+                values,
+            } => Some(if s >= *zero_from {
+                0
+            } else {
+                let i = s.checked_sub(*first).filter(|&i| i < values.len());
+                values[i.unwrap_or_else(|| panic!("capacity {s} outside the prepared band"))]
+            }),
+            Profile::Spectral(profile) => Some(profile.bound(s)),
+        }
     }
 }
 
@@ -106,9 +153,8 @@ impl BoundEngine for InputFloorEngine {
         Some(input_floor(cdag))
     }
 
-    fn bounds(&self, cdag: &Cdag, s_values: &[usize]) -> Vec<Option<u64>> {
-        let floor = input_floor(cdag);
-        vec![Some(floor); s_values.len()]
+    fn prepare(&self, cdag: &Cdag, _band: RangeInclusive<usize>) -> Profile {
+        Profile::Constant(Some(input_floor(cdag)))
     }
 }
 
@@ -129,9 +175,19 @@ impl BoundEngine for VisitEngine {
         Some(VisitProfile::new(cdag).bound(s))
     }
 
-    fn bounds(&self, cdag: &Cdag, s_values: &[usize]) -> Vec<Option<u64>> {
+    /// Tabulates the bound from the band's start up to the profile's peak
+    /// (empty when the peak is at or below the start: 0 everywhere), so
+    /// the [`VisitProfile`] itself is dropped here.
+    fn prepare(&self, cdag: &Cdag, band: RangeInclusive<usize>) -> Profile {
         let profile = VisitProfile::new(cdag);
-        s_values.iter().map(|&s| Some(profile.bound(s))).collect()
+        let zero_from = usize::try_from(profile.peak()).unwrap_or(usize::MAX);
+        let first = *band.start();
+        let end = zero_from.min(band.end().saturating_add(1));
+        Profile::Table {
+            first,
+            zero_from,
+            values: (first..end).map(|s| profile.bound(s)).collect(),
+        }
     }
 }
 
@@ -153,10 +209,26 @@ impl BoundEngine for SpectralEngine {
         SpectralProfile::new(cdag).map(|p| p.bound(s))
     }
 
-    fn bounds(&self, cdag: &Cdag, s_values: &[usize]) -> Vec<Option<u64>> {
-        match SpectralProfile::new(cdag) {
-            Some(profile) => s_values.iter().map(|&s| Some(profile.bound(s))).collect(),
-            None => vec![None; s_values.len()],
+    fn prepare(&self, cdag: &Cdag, _band: RangeInclusive<usize>) -> Profile {
+        SpectralProfile::new(cdag).map_or(Profile::Constant(None), Profile::Spectral)
+    }
+}
+
+/// One selected engine's [`Profile`], tagged with its provenance.
+#[derive(Debug, Clone)]
+pub struct EngineProfile {
+    /// Which engine prepared the profile.
+    pub provenance: BoundProvenance,
+    /// The engine's bounds over the prepared band.
+    pub profile: Profile,
+}
+
+impl EngineProfile {
+    /// The profile read at every S of a grid.
+    pub fn curve(&self, s_values: &[usize]) -> EngineCurve {
+        EngineCurve {
+            provenance: self.provenance,
+            bounds: s_values.iter().map(|&s| self.profile.at(s)).collect(),
         }
     }
 }
@@ -275,14 +347,26 @@ impl EngineRegistry {
         self.engines.is_empty()
     }
 
-    /// Evaluates every selected engine over the S grid.
-    pub fn evaluate(&self, cdag: &Cdag, s_values: &[usize]) -> Vec<EngineCurve> {
+    /// Prepares every selected engine's profile over the capacities
+    /// `band`.
+    pub fn prepare(&self, cdag: &Cdag, band: RangeInclusive<usize>) -> Vec<EngineProfile> {
         self.engines
             .iter()
-            .map(|e| EngineCurve {
+            .map(|e| EngineProfile {
                 provenance: e.provenance(),
-                bounds: e.bounds(cdag, s_values),
+                profile: e.prepare(cdag, band.clone()),
             })
+            .collect()
+    }
+
+    /// Evaluates every selected engine over the S grid: the profiles,
+    /// prepared over the grid's span, read at each S.
+    pub fn evaluate(&self, cdag: &Cdag, s_values: &[usize]) -> Vec<EngineCurve> {
+        let lo = s_values.iter().copied().min().unwrap_or(0);
+        let hi = s_values.iter().copied().max().unwrap_or(0);
+        self.prepare(cdag, lo..=hi)
+            .iter()
+            .map(|p| p.curve(s_values))
             .collect()
     }
 }
@@ -393,16 +477,65 @@ mod tests {
     #[test]
     fn batch_and_single_evaluation_agree() {
         let g = tiny_graph();
-        let s_values = [1usize, 3, 8];
         for engine in [
             Box::new(InputFloorEngine) as Box<dyn BoundEngine>,
             Box::new(VisitEngine),
             Box::new(SpectralEngine),
         ] {
-            let batch = engine.bounds(&g, &s_values);
-            for (i, &s) in s_values.iter().enumerate() {
-                assert_eq!(batch[i], engine.bound(&g, s), "{} S={s}", engine.name());
+            let profile = engine.prepare(&g, 1..=8);
+            for s in 1..=8 {
+                assert_eq!(
+                    profile.at(s),
+                    engine.bound(&g, s),
+                    "{} S={s}",
+                    engine.name()
+                );
             }
         }
+    }
+
+    /// A chain of computes, each reading its predecessor and one fresh
+    /// input: out-degree 1, so the visit bound stays positive well past
+    /// small capacities.
+    fn chain(len: usize) -> Cdag {
+        let mut kinds = Vec::new();
+        let mut edges = Vec::new();
+        for i in 0..len as u32 {
+            kinds.push(NodeSpec::Input {
+                array: ArrayId(0),
+                flat: i as usize,
+            });
+            kinds.push(NodeSpec::Compute {
+                stmt: StmtId(0),
+                iv: Box::new([i as i32]),
+            });
+            edges.push((2 * i, 2 * i + 1));
+            if i > 0 {
+                edges.push((2 * i - 1, 2 * i + 1));
+            }
+        }
+        Cdag::from_edges(kinds, edges)
+    }
+
+    /// The visit table covers the band up to the profile's peak and is 0
+    /// beyond it; a capacity past the band below the peak is refused.
+    #[test]
+    fn visit_table_matches_the_bound_inside_its_band() {
+        let g = chain(40);
+        let peak = VisitProfile::new(&g).peak() as usize;
+        assert!(peak > 12, "peak {peak}");
+        let table = VisitEngine.prepare(&g, 2..=12);
+        for s in (2..=12).chain([peak, peak + 5]) {
+            assert_eq!(table.at(s), VisitEngine.bound(&g, s), "S={s}");
+        }
+        let past = std::panic::catch_unwind(|| table.at(13));
+        assert!(
+            past.is_err(),
+            "S=13 lies beyond the band and below the peak"
+        );
+        let Profile::Table { values, .. } = VisitEngine.prepare(&g, peak..=peak + 50) else {
+            panic!("the visit engine tabulates");
+        };
+        assert!(values.is_empty(), "no entry at or past the peak");
     }
 }

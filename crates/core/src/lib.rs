@@ -31,7 +31,10 @@ pub mod theorems;
 pub use iolb_govern as govern;
 
 pub use classical::ClassicalBound;
-pub use engine::{best_engine_bound, BoundEngine, BoundProvenance, EngineCurve, EngineRegistry};
+pub use engine::{
+    best_engine_bound, BoundEngine, BoundProvenance, EngineCurve, EngineProfile, EngineRegistry,
+    Profile,
+};
 pub use hourglass::{HourglassBound, HourglassPattern};
 pub use phi::PhiSet;
 

@@ -62,8 +62,9 @@ OPTIONS:
                           immediately (default 64)
     --batch N             max connections served per dispatch cycle on
                           the rayon pool (default 16)
-    --cache-cap N         report-cache entry bound; least-recently-used
-                          reports are evicted past it (default 512,
+    --cache-cap N         entry bound of the report cache and of the
+                          priced (grid-independent) cache; least-recently-
+                          used entries are evicted past it (default 512,
                           0 = unbounded)
     --store DIR           persistent report store: finished reports are
                           journaled to DIR and served byte-identical
@@ -90,9 +91,10 @@ ENDPOINTS:
                           \"engines\": …}); a query string or a body
                           that is not such an object is answered 400
     GET  /healthz         liveness probe
-    GET  /stats           request counters, cache hit/miss/eviction
-                          counters, queue depth, persistent-store and
-                          recovery counters (serve-stats/v3)
+    GET  /stats           request counters, /analyze error counters per
+                          class, cache hit/miss/eviction counters per
+                          layer, queue depth, persistent-store and
+                          recovery counters (serve-stats/v4)
     POST /shutdown        graceful drain: stop accepting, finish queued +
                           in-flight requests under --drain-deadline-ms,
                           flush the store journal, exit (SIGTERM does the
@@ -108,7 +110,7 @@ pub struct ServerOptions {
     pub queue: usize,
     /// Max connections per dispatch cycle.
     pub batch: usize,
-    /// Report-cache entry bound (0 = unbounded).
+    /// Entry bound of the report and priced cache layers (0 = unbounded).
     pub cache_cap: usize,
     /// Persistent report store directory (`None` = no persistence).
     pub store: Option<String>,
@@ -241,6 +243,9 @@ pub struct ServerState {
     pub requests: AtomicU64,
     /// `/analyze` requests served.
     pub analyzed: AtomicU64,
+    /// `/analyze` requests answered with an error, per class in
+    /// [`ERROR_CLASSES`] order.
+    pub errors: [AtomicU64; ERROR_CLASSES.len()],
     /// Connections refused with 503 because the accept queue was full.
     pub overloaded: AtomicU64,
     /// Connections currently sitting in the accept queue.
@@ -296,6 +301,7 @@ pub fn serve_listener(listener: TcpListener, opts: &ServerOptions) -> Result<(),
         shutdown: AtomicBool::new(false),
         requests: AtomicU64::new(0),
         analyzed: AtomicU64::new(0),
+        errors: Default::default(),
         overloaded: AtomicU64::new(0),
         queued: AtomicU64::new(0),
         started: Instant::now(),
@@ -319,10 +325,16 @@ pub fn serve_listener(listener: TcpListener, opts: &ServerOptions) -> Result<(),
             Ok(s) => s,
             Err(_) => continue,
         };
-        match tx.try_send(stream) {
-            Ok(()) => {
-                state.queued.fetch_add(1, Ordering::Relaxed);
-            }
+        // Count the connection as queued before the dispatcher can see it:
+        // incremented after the send, the dispatcher's decrement could run
+        // first and wrap the counter. A refused send takes it back.
+        state.queued.fetch_add(1, Ordering::Relaxed);
+        let sent = tx.try_send(stream);
+        if sent.is_err() {
+            state.queued.fetch_sub(1, Ordering::Relaxed);
+        }
+        match sent {
+            Ok(()) => {}
             Err(TrySendError::Full(mut s)) => {
                 // Backpressure: the bounded queue is the admission control
                 // of the transport layer — refuse immediately, don't
@@ -579,7 +591,11 @@ fn handle(state: &ServerState, req: &Request) -> HandlerResult {
 /// without its options.
 fn handle_analyze(state: &ServerState, req: &Request) -> HandlerResult {
     state.analyzed.fetch_add(1, Ordering::Relaxed);
-    let bad = |msg: String| (400, Vec::new(), error_body_raw("parse", 2, &msg).into());
+    let count = |class: usize| state.errors[class].fetch_add(1, Ordering::Relaxed);
+    let bad = |msg: String| {
+        count(0); // the parse class
+        (400, Vec::new(), error_body_raw("parse", 2, &msg).into())
+    };
     if let Some(query) = &req.query {
         return bad(format!(
             "query string `{query}` is not accepted; {TYPED_BODY}"
@@ -606,7 +622,32 @@ fn handle_analyze(state: &ServerState, req: &Request) -> HandlerResult {
             );
             (200, vec![cache_header], answer.body)
         }
-        Err(e) => (status_for(&e), Vec::new(), error_body(&e).into()),
+        Err(e) => {
+            count(error_class(&e));
+            (status_for(&e), Vec::new(), error_body(&e).into())
+        }
+    }
+}
+
+/// The `/analyze` error classes `/stats` counts, in its order.
+pub const ERROR_CLASSES: [&str; 6] = [
+    "parse",
+    "refused",
+    "budget_exceeded",
+    "deadline",
+    "cancelled",
+    "internal",
+];
+
+/// Index of `e`'s class in [`ERROR_CLASSES`].
+fn error_class(e: &AnalysisError) -> usize {
+    match e {
+        AnalysisError::Parse(_) => 0,
+        AnalysisError::Refused(_) => 1,
+        AnalysisError::BudgetExceeded { .. } => 2,
+        AnalysisError::Deadline { .. } => 3,
+        AnalysisError::Cancelled => 4,
+        AnalysisError::Internal(_) => 5,
     }
 }
 
@@ -639,20 +680,29 @@ fn error_body_raw(class: &str, exit_class: u8, message: &str) -> String {
     w.finish()
 }
 
-/// `/stats` body (`serve-stats/v3`): request counters, both cache
-/// layers' counters, the live queue depth, and — when a `--store` is
-/// attached — the persistent store's append/hit/compaction counters plus
-/// what recovery found at startup.
+/// `/stats` body (`serve-stats/v4`): request counters, `/analyze` error
+/// counters per class, the three cache layers' counters, the live queue
+/// depth, and — when a `--store` is attached — the persistent store's
+/// append/hit/compaction counters plus what recovery found at startup.
 fn stats_body(state: &ServerState) -> String {
     let cache = state.pipeline.cache();
     let layers = cache.stats();
     let load = |n: &AtomicU64| n.load(Ordering::Relaxed);
     let mut w = Writer::default();
-    members!(w.obj(Lines), "schema": str("hourglass-iolb/serve-stats/v3"),
+    members!(w.obj(Lines), "schema": str("hourglass-iolb/serve-stats/v4"),
         "requests": int(load(&state.requests)), "analyzed": int(load(&state.analyzed)),
-        "overloaded": int(load(&state.overloaded)), "queue_depth": int(load(&state.queued)),
-        "cache": obj(Lines));
-    for (k, l) in [("parse", layers.parse), ("report", layers.report)] {
+        "errors": obj(Inline));
+    for (class, n) in ERROR_CLASSES.iter().zip(&state.errors) {
+        w.key(class).int(load(n));
+    }
+    members!(w.end(), "overloaded": int(load(&state.overloaded)),
+        "queue_depth": int(load(&state.queued)), "cache": obj(Lines));
+    let layers = [
+        ("parse", layers.parse),
+        ("priced", layers.priced),
+        ("report", layers.report),
+    ];
+    for (k, l) in layers {
         members!(w.key(k), {"hits": int(l.hits), "misses": int(l.misses), "evictions": int(l.evictions)});
     }
     members!(w.end(), "report_entries": int(cache.report_entries()),

@@ -169,7 +169,19 @@ fn error_class_exchanges_match_golden_snapshots() {
         "analyze_derive_only.http",
         &exchange(addr, &analyze(&kernel("gemm_tiled.iolb"), GEMM_DERIVE)),
     );
+    // A body the switchboard refuses is a parse-class error too.
+    let response = exchange(addr, &analyze("x", &[("frobnicate", "1")]));
+    assert!(response.starts_with("HTTP/1.1 400"), "{response}");
 
+    // `/stats` counts each answered error under its class.
+    let stats = exchange(addr, &get("/stats"));
+    assert!(
+        stats.contains(
+            "\"errors\": {\"parse\": 2, \"refused\": 1, \"budget_exceeded\": 1, \
+             \"deadline\": 1, \"cancelled\": 0, \"internal\": 0}"
+        ),
+        "{stats}"
+    );
     shutdown(addr, handle);
 }
 
@@ -218,7 +230,7 @@ fn cache_hits_surface_in_header_and_stats() {
         "{stats}"
     );
     assert!(
-        stats.contains("\"schema\": \"hourglass-iolb/serve-stats/v3\""),
+        stats.contains("\"schema\": \"hourglass-iolb/serve-stats/v4\""),
         "{stats}"
     );
     assert!(stats.contains("\"report_capacity\": 512"), "{stats}");

@@ -1063,10 +1063,15 @@ pub(crate) mod tests {
         #[test]
         fn wide_stacks_match_replays_at_every_capacity(t in arb_wide_trace()) {
             let replays = wide_replays(&t);
+            let cold = crate::cold_loads(&t);
             let mut e = CurveEngine::new();
             for horizon in WIDE_HORIZONS {
                 let lru = e.lru(&t, horizon);
                 let opt = e.opt(&t, horizon);
+                // A read past the horizon is a beyond miss, never a cold
+                // one: `loads(S)` alone cannot tell the two apart.
+                prop_assert_eq!(lru.cold_loads(), cold, "lru h={}", horizon);
+                prop_assert_eq!(opt.cold_loads(), cold, "opt h={}", horizon);
                 for s in 1..=horizon {
                     let (lru_loads, opt_loads) = replays[s - 1];
                     prop_assert_eq!(lru.loads(s), lru_loads, "lru h={} S={}", horizon, s);

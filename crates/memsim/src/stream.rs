@@ -489,11 +489,16 @@ mod tests {
         fn wide_stacks_match_replays_across_shards(t in arb_wide_trace(), chunk in 1usize..64) {
             let packed = pack(&t);
             let replays = wide_replays(&t);
+            let cold = crate::cold_loads(&t);
             let token = CancelToken::unlimited();
             let sharded = ShardedCurveEngine::with_chunk_len(chunk);
             for horizon in WIDE_HORIZONS {
                 let lru = sharded.try_lru(&packed, horizon, &token).unwrap();
                 let opt = sharded.try_opt(&packed, horizon, &token).unwrap();
+                // A read past the horizon is a beyond miss, never a cold
+                // one: `loads(S)` alone cannot tell the two apart.
+                prop_assert_eq!(lru.cold_loads(), cold, "lru h={}", horizon);
+                prop_assert_eq!(opt.cold_loads(), cold, "opt h={}", horizon);
                 for s in 1..=horizon {
                     let (lru_loads, opt_loads) = replays[s - 1];
                     prop_assert_eq!(lru.loads(s), lru_loads, "lru h={} S={}", horizon, s);

@@ -5,30 +5,39 @@
 //! infinitely cacheable: the cache key is the 128-bit FNV-1a hash of the
 //! *canonicalized* kernel text (pretty-print round-trip, so
 //! formatting-only variants of the same kernel collide on purpose)
-//! crossed with the option fingerprint. Two layers:
+//! crossed with the option fingerprint. Three layers:
 //!
 //! * **parse layer** — raw source hash → canonical text + canonical
 //!   hash, so a byte-identical resubmission skips the parser entirely;
+//! * **priced layer** — (canonical hash, option fingerprint without its
+//!   `grid=` segment) → the request's grid-independent step
+//!   (`Priced`: bounds, CDAG facts, engine
+//!   profiles, and the LRU/OPT miss curves up to their horizon), so a
+//!   request that changes only its S grid skips the CDAG, the derivation
+//!   and both curve passes. Only `no_tightness` requests at the full rung
+//!   use it;
 //! * **report layer** — (canonical hash, option fingerprint) → finished
 //!   [`AnalysisOutcome`](crate::pipeline::AnalysisOutcome), plus its
 //!   rendered `serve/v1` body once the daemon has served it.
 //!
-//! Both layers are sharded (16 independent mutexes chosen by key hash)
+//! Every layer is sharded (16 independent mutexes chosen by key hash)
 //! so concurrent requests on the rayon pool never serialize on one lock,
-//! and both deduplicate *in-flight* computations: the first requester of
+//! and each deduplicates *in-flight* computations: the first requester of
 //! a key computes while later requesters block on the shard's condvar
 //! and then count as hits. That makes the hit/miss counters
 //! deterministic — for any request multiset, misses = distinct keys —
-//! which the concurrency tests assert.
+//! which the concurrency tests assert. (The priced layer also counts a
+//! miss when a grid reaches past an entry's horizon and the entry is
+//! priced again.)
 //!
 //! A cache built with [`ShardedCache::with_capacity`] additionally bounds
 //! its entry count: each shard holds at most ⌈capacity / shards⌉ finished
 //! entries and evicts its least-recently-touched one (a monotone global
 //! touch tick, never an in-flight `Pending` marker) when an insert would
 //! exceed that. Evictions are counted and surfaced through
-//! [`LayerStats::evictions`] — the daemon's report layer uses this to keep
-//! a long-lived process from growing without bound, while the parse layer
-//! (tiny entries) stays unbounded.
+//! [`LayerStats::evictions`] — the daemon's report and priced layers use
+//! this to keep a long-lived process from growing without bound, while the
+//! parse layer (tiny entries) stays unbounded.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -74,11 +83,14 @@ impl LayerStats {
     }
 }
 
-/// Snapshot of both layers, served verbatim by the daemon's `/stats`.
+/// Snapshot of the three layers, served verbatim by the daemon's `/stats`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
     /// Raw-source → canonical-text layer.
     pub parse: LayerStats,
+    /// Canonical-hash × options without the grid → grid-independent
+    /// analysis layer.
+    pub priced: LayerStats,
     /// Canonical-hash × options → finished-report layer.
     pub report: LayerStats,
 }
@@ -167,20 +179,36 @@ impl<K: std::hash::Hash + Eq + Clone, V> ShardedCache<K, V> {
     /// # Errors
     /// Whatever `f` returned; waiting threads re-race on the key.
     pub fn get_or_compute<E>(&self, key: K, f: impl FnOnce() -> Result<V, E>) -> Result<Arc<V>, E> {
+        self.get_fitting_or_compute(key, |_| true, f)
+    }
+
+    /// [`get_or_compute`](ShardedCache::get_or_compute), except that a
+    /// finished entry `fits` rejects is computed again and replaced: the
+    /// request counts as a miss, and if the new computation fails the key
+    /// is left empty. A replaced entry is not counted as an eviction.
+    ///
+    /// # Errors
+    /// Whatever `f` returned; waiting threads re-race on the key.
+    pub fn get_fitting_or_compute<E>(
+        &self,
+        key: K,
+        fits: impl Fn(&V) -> bool,
+        f: impl FnOnce() -> Result<V, E>,
+    ) -> Result<Arc<V>, E> {
         let shard = self.shard(&key);
         {
             let mut map = shard.map.lock().unwrap_or_else(|e| e.into_inner());
             loop {
                 match map.get_mut(&key) {
-                    None => {
-                        map.insert(key.clone(), Slot::Pending);
-                        self.misses.fetch_add(1, Ordering::Relaxed);
-                        break;
-                    }
-                    Some(Slot::Ready(v, touched)) => {
+                    Some(Slot::Ready(v, touched)) if fits(v) => {
                         *touched = self.tick.fetch_add(1, Ordering::Relaxed);
                         self.hits.fetch_add(1, Ordering::Relaxed);
                         return Ok(Arc::clone(v));
+                    }
+                    None | Some(Slot::Ready(..)) => {
+                        map.insert(key.clone(), Slot::Pending);
+                        self.misses.fetch_add(1, Ordering::Relaxed);
+                        break;
                     }
                     Some(Slot::Pending) => {
                         map = shard.cv.wait(map).unwrap_or_else(|e| e.into_inner());
@@ -380,6 +408,41 @@ mod tests {
             .get_or_compute(3, || Ok::<_, &str>("ok".to_string()))
             .unwrap();
         assert_eq!(*v, "ok");
+    }
+
+    #[test]
+    fn an_entry_that_does_not_fit_is_recomputed_and_replaced() {
+        let cache: ShardedCache<u128, u64> = ShardedCache::default();
+        let covers = |need: u64| move |v: &u64| *v >= need;
+        cache
+            .get_fitting_or_compute(5, covers(10), || Ok::<_, ()>(16))
+            .unwrap();
+        // A request the entry covers hits without computing.
+        let hit = cache
+            .get_fitting_or_compute(5, covers(12), || -> Result<u64, ()> {
+                panic!("recomputed")
+            })
+            .unwrap();
+        assert_eq!(*hit, 16);
+        // One it does not cover computes again and replaces the entry.
+        let wider = cache
+            .get_fitting_or_compute(5, covers(40), || Ok::<_, ()>(64))
+            .unwrap();
+        assert_eq!(*wider, 64);
+        assert_eq!(cache.peek(&5).as_deref(), Some(&64));
+        assert_eq!(
+            cache.stats(),
+            LayerStats {
+                hits: 1,
+                misses: 2,
+                evictions: 0
+            }
+        );
+        assert_eq!(cache.len(), 1);
+        // A failed replacement leaves the key empty.
+        let err = cache.get_fitting_or_compute(5, covers(99), || Err::<u64, _>("boom"));
+        assert_eq!(err.unwrap_err(), "boom");
+        assert!(cache.peek(&5).is_none());
     }
 
     /// Same shard-selection arithmetic as [`ShardedCache::shard`], exposed

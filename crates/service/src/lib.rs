@@ -5,11 +5,13 @@
 //! miss-curve sweep → tightness), lifted out of the front-end into a
 //! [`Pipeline`] of composable, individually-callable stages, each
 //! threaded through the `govern` budget/cancellation seams. Because the
-//! pipeline is deterministic, finished reports sit behind a two-layer
+//! pipeline is deterministic, finished reports sit behind a three-layer
 //! content-hash [`ResultCache`]: raw source → canonical text (the
 //! pretty-printed round-trip, so formatting variants share an entry),
-//! and (canonical hash × option fingerprint) → finished
-//! [`AnalysisOutcome`] plus, once served, its rendered `serve/v1` body.
+//! (canonical hash × option fingerprint without the S grid) → the
+//! request's grid-independent step, and (canonical hash ×
+//! option fingerprint) → finished [`AnalysisOutcome`] plus, once served,
+//! its rendered `serve/v1` body.
 //!
 //! Front-ends stay thin: the `iolb` CLI renders outcomes as text/JSON,
 //! the `iolbd` daemon serves them over HTTP. Both drive the same

@@ -205,6 +205,20 @@ impl AnalysisOptions {
     /// resolution order) and sorted, so permuted but equivalent requests
     /// share a key.
     pub fn fingerprint(&self) -> String {
+        let grid: Vec<String> = self.s_offsets.iter().map(|o| o.to_string()).collect();
+        self.fingerprint_with(&format!("grid={};", grid.join(",")))
+    }
+
+    /// [`fingerprint`](AnalysisOptions::fingerprint) without its `grid=`
+    /// segment: the key of everything a request computes independently of
+    /// which S points its grid holds.
+    pub fn grid_free_fingerprint(&self) -> String {
+        self.fingerprint_with("")
+    }
+
+    /// The fingerprint with `grid` (a whole `grid=…;` segment, or nothing)
+    /// in the grid's place.
+    fn fingerprint_with(&self, grid: &str) -> String {
         let mut resolved: Vec<(String, i64)> = Vec::new();
         for (n, v) in &self.params_override {
             if !resolved.iter().any(|(rn, _)| rn == n) {
@@ -213,14 +227,12 @@ impl AnalysisOptions {
         }
         resolved.sort();
         let params: Vec<String> = resolved.iter().map(|(n, v)| format!("{n}={v}")).collect();
-        let grid: Vec<String> = self.s_offsets.iter().map(|o| o.to_string()).collect();
         let b = &self.budget;
         format!(
-            "params={};stmt={};grid={};engines={};tight={};derive={};nodeg={};curve={};\
+            "params={};stmt={};{grid}engines={};tight={};derive={};nodeg={};curve={};\
              budget={},{},{},{},{},{},{}",
             params.join(","),
             self.stmt_override.as_deref().unwrap_or(""),
-            grid.join(","),
             self.engines,
             u8::from(!self.no_tightness),
             u8::from(self.derive_only),
@@ -318,5 +330,29 @@ mod tests {
         let mut g = a.clone();
         g.set("engines", "input-floor,visit,spectral").unwrap();
         assert_eq!(a.fingerprint(), g.fingerprint());
+    }
+
+    #[test]
+    fn the_grid_free_fingerprint_drops_only_the_grid_segment() {
+        let mut a = AnalysisOptions::default();
+        a.set("params", "N=8").unwrap();
+        a.set("s-grid", "0,4,16").unwrap();
+        assert_eq!(
+            a.fingerprint(),
+            "params=N=8;stmt=;grid=0,4,16;engines=all;tight=1;derive=0;nodeg=0;\
+             curve=streaming;budget=18446744073709551615,18446744073709551615,\
+             18446744073709551615,18446744073709551615,18446744073709551615,\
+             18446744073709551615,0"
+        );
+        assert_eq!(
+            a.grid_free_fingerprint(),
+            a.fingerprint().replace("grid=0,4,16;", "")
+        );
+        let mut b = a.clone();
+        b.set("s-grid", "0,1,2,256").unwrap();
+        assert_ne!(a.fingerprint(), b.fingerprint());
+        assert_eq!(a.grid_free_fingerprint(), b.grid_free_fingerprint());
+        b.no_tightness = true;
+        assert_ne!(a.grid_free_fingerprint(), b.grid_free_fingerprint());
     }
 }

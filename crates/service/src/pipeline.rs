@@ -5,20 +5,24 @@
 //! derivation → CDAG + miss-curve sweep → tightness measurement. When the
 //! sweep runs, [`analyze_uncached`] builds the request's one CDAG right
 //! after admission: that build certifies the accesses, and the hourglass
-//! certification and the sweep both use it. Every
+//! certification and the sweep both use it. The chain splits into a
+//! grid-independent step (everything up to the priced curves, exact at
+//! every S up to their horizon) and a grid step that reads it at the
+//! request's S points. Every
 //! stage is threaded through the `govern` seams ([`Budget`] ceilings and
 //! a polled [`CancelToken`]), every front-end (CLI batch, `iolbd`
 //! daemon) drives the same [`Pipeline::analyze_with_token`], and the
 //! whole chain is deterministic — which is why [`Pipeline`] can sit
 //! behind a content-hash [`ResultCache`](crate::cache) and serve repeat
-//! requests as lookups.
+//! requests as lookups, and a request that changes only its grid from
+//! the grid-independent step.
 
 use crate::cache::{CacheStats, ShardedCache};
 use crate::options::AnalysisOptions;
 use crate::store::{ReportStore, StoreKey};
 use iolb_bench::sweep::{
-    coarse_s_offsets, try_build_cdag, try_run_sweep_opts, Cdag, CurveStrategy, SweepKernel,
-    SweepReport,
+    coarse_s_offsets, price_sweep, try_build_cdag, try_run_sweep_opts, Cdag, CurveStrategy,
+    PricedSweep, SweepKernel, SweepReport, SweepRow,
 };
 use iolb_bench::tightness::{try_run_tightness, KernelTightness, TightnessJob};
 use iolb_core::classical::ClassicalBound;
@@ -128,11 +132,7 @@ pub fn admission_stage(
 ) -> Result<(CostEstimate, Degradation), AnalysisError> {
     let estimate = iolb_ir::admission::estimate(program, params, &opts.budget, token)?;
     estimate.check(&opts.budget)?;
-    let degradation = estimate.degradation(
-        &opts.budget,
-        opts.s_offsets.len() as u64,
-        coarse_s_offsets().len() as u64,
-    );
+    let degradation = rung(&estimate, opts);
     if opts.no_degrade && degradation != Degradation::Full {
         return Err(AnalysisError::BudgetExceeded {
             resource: "work",
@@ -143,6 +143,17 @@ pub fn admission_stage(
         });
     }
     Ok((estimate, degradation))
+}
+
+/// The degradation rung a request takes: a pure function of the kernel's
+/// cost estimate, the work budget and the grid's length, so a priced
+/// entry's stored estimate gives a later grid its rung without admission.
+fn rung(estimate: &CostEstimate, opts: &AnalysisOptions) -> Degradation {
+    estimate.degradation(
+        &opts.budget,
+        opts.s_offsets.len() as u64,
+        coarse_s_offsets().len() as u64,
+    )
 }
 
 /// Access certification: one walk evaluates every declared access of
@@ -236,7 +247,8 @@ fn derive_on(
 /// MIN/LRU miss-curve validation of the derived bounds on `cdag`, the
 /// exact CDAG of `program` at `params` built under `budget` and `token`,
 /// over the S grid, with the request's graph-level engine selection
-/// evaluated per grid point. The sweep evaluates `derived`'s bounds as
+/// evaluated per grid point: the kernel priced up to the grid's horizon,
+/// then read at the grid. The sweep evaluates `derived`'s bounds as
 /// they are; it derives nothing and builds no graph, it sweeps a clone of
 /// `program`, and it drops `cdag` when it returns.
 ///
@@ -260,6 +272,27 @@ pub fn sweep_derived_stage(
     registry: &EngineRegistry,
     strategy: CurveStrategy,
 ) -> Result<SweepReport, AnalysisError> {
+    let priced = price_derived(
+        name, program, params, derived, cdag, s_offsets, budget, token, registry, strategy,
+    )?;
+    Ok(priced.report(&[s_offsets]))
+}
+
+/// The grid-independent half of [`sweep_derived_stage`]: the kernel priced
+/// for every grid up to the horizon of `s_offsets`.
+#[allow(clippy::too_many_arguments)]
+fn price_derived(
+    name: &str,
+    program: &Program,
+    params: &[i64],
+    derived: &Derived,
+    cdag: Cdag,
+    s_offsets: &[usize],
+    budget: &Budget,
+    token: &CancelToken,
+    registry: &EngineRegistry,
+    strategy: CurveStrategy,
+) -> Result<PricedSweep, AnalysisError> {
     let sweep = SweepKernel {
         name: name.to_string(),
         program: program.clone(),
@@ -270,7 +303,7 @@ pub fn sweep_derived_stage(
         s_offsets: s_offsets.to_vec(),
         cdag: Some(cdag),
     };
-    try_run_sweep_opts(vec![sweep], budget, token, registry, strategy)
+    price_sweep(vec![sweep], budget, token, registry, strategy)
 }
 
 /// [`sweep_derived_stage`] for a caller without a [`Derived`] or a CDAG:
@@ -437,14 +470,189 @@ pub struct AnalysisOutcome {
     pub sound: bool,
 }
 
-/// Runs the full uncached chain on (canonical) kernel text.
+/// The grid-independent half of one request: everything
+/// [`analyze_uncached`] computes before it reads the S grid's points. It
+/// holds the display summaries, the certified count, the cost estimate and
+/// the priced kernel (the CDAG's facts, the bounds and their env, each
+/// selected engine's profile, and the LRU and OPT curves up to their
+/// horizon), so [`Priced::outcome`] answers any grid whose rung is the one
+/// it was priced at and whose S values the horizon covers.
+#[derive(Debug)]
+pub(crate) struct Priced {
+    name: String,
+    params: Vec<(String, i64)>,
+    certified: u64,
+    estimate: CostEstimate,
+    stmt: String,
+    classical: Option<ClassicalSummary>,
+    split: Option<SplitSummary>,
+    hourglass: Option<HourglassSummary>,
+    /// `None` under `derive_only` or the bounds-only rung.
+    sweep: Option<PricedSweep>,
+}
+
+impl Priced {
+    /// Whether the priced curves reach every S of the grid `s_offsets`
+    /// (vacuously true when nothing was swept).
+    fn covers(&self, s_offsets: &[usize]) -> bool {
+        self.sweep.as_ref().is_none_or(|p| p.covers(s_offsets))
+    }
+
+    /// The grid step: the outcome at `opts`' grid, without tightness. The
+    /// sweep reads the priced kernel at the grid the rung calls for (the
+    /// coarse grid on the coarse rung).
+    ///
+    /// # Panics
+    /// Panics when that grid reaches past the horizon.
+    fn outcome(&self, opts: &AnalysisOptions) -> AnalysisOutcome {
+        let degradation = rung(&self.estimate, opts);
+        let degrade = (degradation != Degradation::Full).then(|| DegradeInfo {
+            work_needed: self
+                .estimate
+                .trace_len
+                .saturating_mul(opts.s_offsets.len() as u64),
+            max_work: opts.budget.max_work,
+            coarse_points: coarse_s_offsets().len(),
+        });
+        let sweep = self.sweep.as_ref().map(|priced| {
+            let mut report = priced.report(&[&swept_offsets(degradation, opts)]);
+            for row in &mut report.degradation {
+                row.level = degradation;
+            }
+            report
+        });
+        AnalysisOutcome {
+            name: self.name.clone(),
+            params: self.params.clone(),
+            certified_instances: self.certified,
+            stmt: self.stmt.clone(),
+            classical: self.classical.clone(),
+            split: self.split.clone(),
+            hourglass: self.hourglass.clone(),
+            degradation,
+            degrade,
+            sound: sweep
+                .as_ref()
+                .is_none_or(|r| r.rows.iter().all(SweepRow::sound)),
+            sweep,
+            tightness: None,
+        }
+    }
+}
+
+/// The grid a request sweeps on its rung: the coarse grid on the coarse
+/// rung, else its own.
+fn swept_offsets(degradation: Degradation, opts: &AnalysisOptions) -> Vec<usize> {
+    match degradation {
+        Degradation::Coarse => coarse_s_offsets(),
+        _ => opts.s_offsets.clone(),
+    }
+}
+
+/// A request's kernel parsed, its parameters resolved, and admitted.
+struct Admitted {
+    kernel: KernelFile,
+    params: Vec<i64>,
+    estimate: CostEstimate,
+    degradation: Degradation,
+}
+
+/// Parses `src`, resolves the request's parameters and runs admission.
+fn admit(
+    src: &str,
+    opts: &AnalysisOptions,
+    token: &CancelToken,
+) -> Result<Admitted, AnalysisError> {
+    let kernel = parse_stage(src)?;
+    let params = resolve_params(&kernel, &opts.params_override)?;
+    let (estimate, degradation) = admission_stage(&kernel.program, &params, opts, token)?;
+    Ok(Admitted {
+        kernel,
+        params,
+        estimate,
+        degradation,
+    })
+}
+
+/// The grid-independent step on an admitted kernel: the request's one
+/// CDAG (unless no sweep follows), certification, the derivation and the
+/// priced sweep. Returns the derivation too, for the tuner.
 ///
-/// When the sweep will run, the request's exact CDAG is built once, right
-/// after admission, under the request's budget and token: the build
-/// certifies the accesses (in place of [`certify_stage`]), the derivation
-/// certifies the hourglass pattern on it, and the sweep prices it and
-/// drops it before the tuner runs. Without a sweep, [`certify_stage`] and
-/// [`derive_stage`] run as they are.
+/// When the sweep will run, the exact CDAG is built once, right after
+/// admission, under the request's budget and token: the build certifies
+/// the accesses (in place of [`certify_stage`]), the derivation certifies
+/// the hourglass pattern on it, and the pricing drops it. Without a sweep,
+/// [`certify_stage`] and [`derive_stage`] run as they are.
+fn price(
+    admitted: &Admitted,
+    opts: &AnalysisOptions,
+    token: &CancelToken,
+) -> Result<(Priced, Derived), AnalysisError> {
+    let Admitted {
+        kernel,
+        params,
+        estimate,
+        degradation,
+    } = admitted;
+    let (program, degradation) = (&kernel.program, *degradation);
+    let cdag = if opts.derive_only || degradation == Degradation::BoundsOnly {
+        None
+    } else {
+        Some(try_build_cdag(program, params, &opts.budget, token)?)
+    };
+    let certified = match &cdag {
+        Some(cdag) => cdag.num_computes() as u64,
+        None => certify_stage(program, params)?,
+    };
+    let derived = derive_on(kernel, params, opts.stmt_override.as_deref(), cdag.as_ref())?;
+    let sweep = match cdag {
+        None => None,
+        Some(cdag) => {
+            let registry = opts.registry().map_err(AnalysisError::Refused)?;
+            Some(price_derived(
+                &program.name,
+                program,
+                params,
+                &derived,
+                cdag,
+                &swept_offsets(degradation, opts),
+                &opts.budget,
+                token,
+                &registry,
+                opts.curve_strategy,
+            )?)
+        }
+    };
+    let priced = Priced {
+        name: program.name.clone(),
+        params: program.params.iter().cloned().zip(params.clone()).collect(),
+        certified,
+        estimate: *estimate,
+        stmt: derived.stmt_name.clone(),
+        classical: derived.classical.as_ref().map(|b| ClassicalSummary {
+            sigma: b.sigma.to_string(),
+            m: b.m.to_string(),
+            expr: b.expr.to_string(),
+        }),
+        split: derived.applied_split.as_ref().map(|b| SplitSummary {
+            var: b.var.name().to_string(),
+            expr: b.expr.to_string(),
+        }),
+        hourglass: derived.hourglass.as_ref().map(|b| HourglassSummary {
+            chains: derived.chains,
+            w_min: b.w_min.to_string(),
+            w_max: b.w_max.to_string(),
+            main_tool: b.main_tool.to_string(),
+        }),
+        sweep,
+    };
+    Ok((priced, derived))
+}
+
+/// Runs the full uncached chain on (canonical) kernel text: the
+/// grid-independent step, the grid step (which reads the priced sweep at
+/// the request's grid), then the tuner when tightness is on, the rung is
+/// full and a sweep ran.
 ///
 /// # Errors
 /// Every failure is a typed [`AnalysisError`].
@@ -453,114 +661,31 @@ pub fn analyze_uncached(
     opts: &AnalysisOptions,
     token: &CancelToken,
 ) -> Result<AnalysisOutcome, AnalysisError> {
-    let kernel = parse_stage(src)?;
-    let program = &kernel.program;
-    let params = resolve_params(&kernel, &opts.params_override)?;
-    let named: Vec<(String, i64)> = program.params.iter().cloned().zip(params.clone()).collect();
-
-    let (estimate, degradation) = admission_stage(program, &params, opts, token)?;
-    let cdag = if opts.derive_only || degradation == Degradation::BoundsOnly {
-        None
-    } else {
-        Some(try_build_cdag(program, &params, &opts.budget, token)?)
-    };
-    let certified = match &cdag {
-        Some(cdag) => cdag.num_computes() as u64,
-        None => certify_stage(program, &params)?,
-    };
-    let derived = derive_on(
-        &kernel,
-        &params,
-        opts.stmt_override.as_deref(),
-        cdag.as_ref(),
-    )?;
-
-    let classical = derived.classical.as_ref().map(|b| ClassicalSummary {
-        sigma: b.sigma.to_string(),
-        m: b.m.to_string(),
-        expr: b.expr.to_string(),
-    });
-    let split = derived.applied_split.as_ref().map(|b| SplitSummary {
-        var: b.var.name().to_string(),
-        expr: b.expr.to_string(),
-    });
-    let hourglass = derived.hourglass.as_ref().map(|b| HourglassSummary {
-        chains: derived.chains,
-        w_min: b.w_min.to_string(),
-        w_max: b.w_max.to_string(),
-        main_tool: b.main_tool.to_string(),
-    });
-    let degrade = (degradation != Degradation::Full).then(|| DegradeInfo {
-        work_needed: estimate
-            .trace_len
-            .saturating_mul(opts.s_offsets.len() as u64),
-        max_work: opts.budget.max_work,
-        coarse_points: coarse_s_offsets().len(),
-    });
-
-    let mut outcome = AnalysisOutcome {
-        name: program.name.clone(),
-        params: named.clone(),
-        certified_instances: certified,
-        stmt: derived.stmt_name.clone(),
-        classical,
-        split,
-        hourglass,
-        degradation,
-        degrade,
-        sweep: None,
-        tightness: None,
-        sound: true,
-    };
-    let Some(cdag) = cdag else {
+    let admitted = admit(src, opts, token)?;
+    let (priced, derived) = price(&admitted, opts, token)?;
+    let mut outcome = priced.outcome(opts);
+    if opts.no_tightness || outcome.degradation != Degradation::Full || outcome.sweep.is_none() {
         return Ok(outcome);
-    };
-    let s_offsets = match degradation {
-        Degradation::Coarse => coarse_s_offsets(),
-        _ => opts.s_offsets.clone(),
-    };
-
-    let registry = opts.registry().map_err(AnalysisError::Refused)?;
-    let mut report = sweep_derived_stage(
+    }
+    let mut env: Vec<(Var, i128)> = outcome
+        .params
+        .iter()
+        .map(|(n, v)| (Var::new(n), *v as i128))
+        .collect();
+    if let Some(b) = &derived.applied_split {
+        env.push((b.var, b.eval(&outcome.params)));
+    }
+    outcome.tightness = Some(tightness_stage(
         &outcome.name,
-        program,
-        &params,
+        src,
+        &admitted.kernel,
+        &admitted.params,
+        env,
         &derived,
-        cdag,
-        &s_offsets,
+        &opts.s_offsets,
         &opts.budget,
         token,
-        &registry,
-        opts.curve_strategy,
-    )?;
-    for row in &mut report.degradation {
-        row.level = degradation;
-    }
-    outcome.sound = report.rows.iter().all(iolb_bench::sweep::SweepRow::sound);
-
-    outcome.tightness = if opts.no_tightness || degradation != Degradation::Full {
-        None
-    } else {
-        let mut env: Vec<(Var, i128)> = named
-            .iter()
-            .map(|(n, v)| (Var::new(n), *v as i128))
-            .collect();
-        if let Some(b) = &derived.applied_split {
-            env.push((b.var, b.eval(&named)));
-        }
-        Some(tightness_stage(
-            &outcome.name,
-            src,
-            &kernel,
-            &params,
-            env,
-            &derived,
-            &s_offsets,
-            &opts.budget,
-            token,
-        )?)
-    };
-    outcome.sweep = Some(report);
+    )?);
     Ok(outcome)
 }
 
@@ -578,11 +703,13 @@ pub struct CanonEntry {
     pub hash: u128,
 }
 
-/// Default bound on finished report entries. Reports are the heavy
-/// layer: an entry holds a full sweep + tightness outcome and, once
-/// `serve` has asked for it, its rendered `serve/v1` body (about 12 KB on
-/// the shipped kernels). The parse layer stores only canonical text and
-/// stays unbounded.
+/// Default bound on finished report entries, and on priced entries.
+/// Reports are the heavy layer: an entry holds a full sweep + tightness
+/// outcome and, once `serve` has asked for it, its rendered `serve/v1` body
+/// (about 12 KB on the shipped kernels). A priced entry holds two miss
+/// curves up to their horizon, the engine profiles and the symbolic
+/// bounds (6–24 KB on the shipped kernels at the dense grid's horizon).
+/// The parse layer stores only canonical text and stays unbounded.
 pub const DEFAULT_REPORT_CAPACITY: usize = 512;
 
 /// One finished entry of the report layer: the outcome, and its
@@ -608,12 +735,16 @@ impl ReportEntry {
     }
 }
 
-/// The two-layer result cache (see the [`crate::cache`] docs for the
+/// The three-layer result cache (see the [`crate::cache`] docs for the
 /// sharding, in-flight-dedup, and LRU-capacity story). A report-layer
 /// entry keeps the outcome and, after the first `serve`, its rendered
-/// body, so a memory hit hands out stored bytes and renders nothing.
+/// body, so a memory hit hands out stored bytes and renders nothing. A
+/// priced-layer entry keeps a request's grid-independent step
+/// (`Priced`), so a report-layer miss that differs from an earlier
+/// request only in its grid skips straight to the grid step.
 pub struct ResultCache {
     parse: ShardedCache<u128, CanonEntry>,
+    priced: ShardedCache<(u128, String), Priced>,
     report: ShardedCache<(u128, String), ReportEntry>,
 }
 
@@ -624,22 +755,29 @@ impl Default for ResultCache {
 }
 
 impl ResultCache {
-    /// A cache whose report layer is bounded to roughly `capacity`
-    /// finished entries (0 = unbounded), evicting least-recently-used
-    /// entries past that.
+    /// A cache whose report and priced layers are each bounded to roughly
+    /// `capacity` finished entries (0 = unbounded), evicting
+    /// least-recently-used entries past that.
     pub fn with_report_capacity(capacity: usize) -> ResultCache {
         ResultCache {
             parse: ShardedCache::default(),
+            priced: ShardedCache::with_capacity(capacity),
             report: ShardedCache::with_capacity(capacity),
         }
     }
 
-    /// Counter snapshot of both layers.
+    /// Counter snapshot of the three layers.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             parse: self.parse.stats(),
+            priced: self.priced.stats(),
             report: self.report.stats(),
         }
+    }
+
+    /// Finished priced-layer entries currently cached.
+    pub fn priced_entries(&self) -> usize {
+        self.priced.len()
     }
 
     /// Finished report entries currently cached.
@@ -678,7 +816,9 @@ pub struct ServedAnalysis {
 /// Which layer produced a [`ServedAnalysis`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServeSource {
-    /// The pipeline ran (a miss everywhere).
+    /// The report layer and the store missed, and the body was rendered
+    /// from a fresh outcome: the whole uncached chain ran, or only its grid
+    /// step on a priced-layer entry.
     Computed,
     /// The in-memory report cache answered.
     Memory,
@@ -687,16 +827,18 @@ pub enum ServeSource {
 }
 
 impl ServedAnalysis {
-    /// Whether the answer came from a cache layer (memory or disk) rather
-    /// than a fresh pipeline run — the daemon's `X-Iolb-Cache` header.
+    /// Whether the report layer or the store answered, so no body was
+    /// rendered — the daemon's `X-Iolb-Cache` header. An answer the priced
+    /// layer made possible is not cached in this sense: its outcome was
+    /// assembled and rendered fresh.
     pub fn cached(&self) -> bool {
         self.source != ServeSource::Computed
     }
 }
 
-/// The analysis service core: the staged pipeline behind the two-layer
+/// The analysis service core: the staged pipeline behind the three-layer
 /// content-hash cache, with an optional persistent store as write-behind
-/// third layer. Cheap to share (`&Pipeline` is `Sync`); one instance per
+/// fourth layer. Cheap to share (`&Pipeline` is `Sync`); one instance per
 /// daemon / batch run.
 #[derive(Default)]
 pub struct Pipeline {
@@ -711,8 +853,8 @@ impl Pipeline {
         Pipeline::default()
     }
 
-    /// A pipeline whose report cache is bounded to roughly `capacity`
-    /// entries (0 = unbounded).
+    /// A pipeline whose report and priced layers are each bounded to
+    /// roughly `capacity` entries (0 = unbounded).
     pub fn with_report_capacity(capacity: usize) -> Pipeline {
         Pipeline {
             cache: ResultCache::with_report_capacity(capacity),
@@ -766,10 +908,10 @@ impl Pipeline {
     /// [`Pipeline::analyze_with_token`] and [`Pipeline::serve`]:
     /// fault-injection requests run uncached (their purpose is to exercise
     /// the pipeline); everything else goes raw hash → canonical entry →
-    /// report entry, computing on a miss. With a `store`, a key the report
-    /// layer does not hold is looked up there first, by a non-counting
-    /// peek, so a disk answer leaves the memory counters untouched (the
-    /// store keeps its own hit counter).
+    /// report entry, computing on a miss ([`Pipeline::compute`]). With a
+    /// `store`, a key the report layer does not hold is looked up there
+    /// first, by a non-counting peek, so a disk answer leaves the memory
+    /// counters untouched (the store keeps its own hit counter).
     fn lookup(
         &self,
         src: &str,
@@ -797,7 +939,7 @@ impl Pipeline {
         let computed = Cell::new(false);
         let entry = self.cache.report.get_or_compute(key.clone(), || {
             computed.set(true);
-            let outcome = catch_analysis_mut(|| analyze_uncached(&canon.text, opts, token))?;
+            let outcome = catch_analysis_mut(|| self.compute(&canon, opts, token))?;
             Ok::<_, AnalysisError>(ReportEntry {
                 outcome: Arc::new(outcome),
                 body: OnceLock::new(),
@@ -808,6 +950,57 @@ impl Pipeline {
             entry,
             computed: computed.get(),
         })
+    }
+
+    /// A report-layer miss. A request that tunes nothing
+    /// (`no_tightness`, not `derive_only`) goes through the priced layer,
+    /// keyed by the canonical hash and the fingerprint without `grid=`,
+    /// when its rung is full: the rung comes from the entry's stored
+    /// estimate, or from admission when there is no entry (the pricing
+    /// then starts from that admission, so the kernel is parsed and
+    /// admitted once). An entry whose
+    /// horizon the grid reaches past is priced again and replaced. A miss
+    /// prices under the same in-flight dedup as the other layers, and only
+    /// a full-rung, error-free pricing is admitted. Every other request
+    /// runs the whole uncached chain. Either way the outcome is the one
+    /// [`analyze_uncached`] returns, byte for byte.
+    fn compute(
+        &self,
+        canon: &CanonEntry,
+        opts: &AnalysisOptions,
+        token: &CancelToken,
+    ) -> Result<AnalysisOutcome, AnalysisError> {
+        if !opts.no_tightness || opts.derive_only {
+            return analyze_uncached(&canon.text, opts, token);
+        }
+        let key = (canon.hash, opts.grid_free_fingerprint());
+        let admitted = match self.cache.priced.peek(&key) {
+            Some(entry) if rung(&entry.estimate, opts) != Degradation::Full => {
+                return analyze_uncached(&canon.text, opts, token);
+            }
+            Some(_) => None,
+            None => {
+                let admitted = admit(&canon.text, opts, token)?;
+                if admitted.degradation != Degradation::Full {
+                    return Ok(price(&admitted, opts, token)?.0.outcome(opts));
+                }
+                Some(admitted)
+            }
+        };
+        let priced = self.cache.priced.get_fitting_or_compute(
+            key,
+            |entry| entry.covers(&opts.s_offsets),
+            || {
+                catch_analysis_mut(|| {
+                    let admitted = match admitted {
+                        Some(admitted) => admitted,
+                        None => admit(&canon.text, opts, token)?,
+                    };
+                    Ok(price(&admitted, opts, token)?.0)
+                })
+            },
+        )?;
+        Ok(priced.outcome(opts))
     }
 
     /// [`Pipeline::analyze_with_token`] with a token built from the

@@ -3,8 +3,10 @@
 //! N workers hammering one shared [`Pipeline`] with the same kernel
 //! batch must produce reports bitwise-identical to a sequential run on a
 //! fresh pipeline, and the hit/miss counters must be *deterministic*:
-//! in-flight deduplication guarantees misses = distinct (kernel ×
-//! options) keys no matter how the threads interleave.
+//! in-flight deduplication guarantees misses = distinct keys on every
+//! layer — raw sources on the parse layer, (kernel × options) on the
+//! report layer, (kernel × options without the grid) on the priced
+//! layer — no matter how the threads interleave.
 
 use iolb_bench::sweep::sweep_report_json;
 use iolb_service::{AnalysisOptions, Pipeline, ShardedCache};
@@ -14,23 +16,31 @@ fn kernels_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../kernels")
 }
 
-/// The batch: small fixed sizes so the full pipeline (sweep included)
-/// stays fast, `no_tightness` to skip the tuner.
+/// Kernels of the batch: small fixed sizes so the full pipeline (sweep
+/// included) stays fast.
+const KERNELS: [(&str, &str); 4] = [
+    ("gemm_tiled.iolb", "M=8,N=8,K=8"),
+    ("cholesky.iolb", "N=10"),
+    ("mgs.iolb", "M=10,N=6"),
+    ("syrk.iolb", "N=9,K=5"),
+];
+
+/// The batch: every kernel on two grids of one horizon, `no_tightness`
+/// to skip the tuner, so each kernel is two report keys and one priced
+/// key.
 fn batch() -> Vec<(String, AnalysisOptions)> {
-    let mk = |file: &str, params: &str| {
+    let mk = |file: &str, params: &str, grid: &str| {
         let src = std::fs::read_to_string(kernels_dir().join(file)).expect("kernel");
         let mut opts = AnalysisOptions::default();
         opts.set("params", params).expect("params");
-        opts.set("s-grid", "0,8,32").expect("grid");
+        opts.set("s-grid", grid).expect("grid");
         opts.set("no-tightness", "").expect("flag");
         (src, opts)
     };
-    vec![
-        mk("gemm_tiled.iolb", "M=8,N=8,K=8"),
-        mk("cholesky.iolb", "N=10"),
-        mk("mgs.iolb", "M=10,N=6"),
-        mk("syrk.iolb", "N=9,K=5"),
-    ]
+    ["0,8,32", "0,4,32"]
+        .iter()
+        .flat_map(|grid| KERNELS.iter().map(|(file, params)| mk(file, params, grid)))
+        .collect()
 }
 
 /// Serializes one analysis answer to its deterministic byte form.
@@ -98,14 +108,22 @@ fn concurrent_workers_match_sequential_bitwise_with_deterministic_counters() {
     }
 
     // Deterministic counters: misses = distinct keys, everything else a
-    // hit — regardless of scheduling.
+    // hit — regardless of scheduling. The priced layer sees only report
+    // misses: one per report key, two per priced key.
     let stats = pipeline.cache().stats();
     assert_eq!(stats.report.misses, batch.len() as u64);
     assert_eq!(
         stats.report.hits,
         (WORKERS * batch.len()) as u64 - batch.len() as u64
     );
-    assert_eq!(stats.parse.misses, batch.len() as u64);
+    assert_eq!(stats.priced.misses, KERNELS.len() as u64);
+    assert_eq!(stats.priced.hits, (batch.len() - KERNELS.len()) as u64);
+    assert_eq!(pipeline.cache().priced_entries(), KERNELS.len());
+    assert_eq!(stats.parse.misses, KERNELS.len() as u64);
+    assert_eq!(
+        stats.parse.hits,
+        (WORKERS * batch.len()) as u64 - KERNELS.len() as u64
+    );
     assert_eq!(pipeline.cache().report_entries(), batch.len());
 }
 

@@ -19,7 +19,7 @@
 //! against the committed baselines and fails on
 //!
 //! * **a schema the emitters no longer write** — anything but
-//!   pebble-sweep/v5, tightness/v3 and serve-bench/v2, on either side;
+//!   pebble-sweep/v5, tightness/v3 and serve-bench/v3, on either side;
 //! * **soundness loss** — any fresh pebble cell with `sound: false`;
 //! * **coverage loss** — a baseline cell/point missing from the fresh run
 //!   (a kernel or S value silently dropped from the suite);
@@ -94,17 +94,19 @@ USAGE:
 
 `gate` diffs <DIR>/BENCH_pebble.json, <DIR>/BENCH_tightness.json and
 <DIR>/BENCH_serve.json between the two directories and exits nonzero on a
-schema other than pebble-sweep/v5, tightness/v3 or serve-bench/v2,
+schema other than pebble-sweep/v5, tightness/v3 or serve-bench/v3,
 soundness loss, coverage loss, tightness-ratio regression beyond the
 tolerance, a changed tightness upper bound, schedule or load count, a
 failed kernel row, a kernel degraded below its baseline fidelity rung, a
 curve-engine scaling regression, or engine-coverage loss.
-The fresh daemon bench must match the CLI on its cold pass and keep the
-warm cache hit rate at or above 0.99.
+The fresh daemon bench must match the CLI on its cold and re-grid passes
+and keep the warm cache hit rate at or above 0.99.
 
 `serve-bench` starts the `iolbd` daemon on an ephemeral loopback port,
-replays every kernel cold and warm, verifies the cold responses against
-the `iolb` CLI row for row, and writes the BENCH_serve.json report.
+replays every kernel cold, on a second grid of the same horizon (answered
+by the priced cache layer), and warm, verifies the cold and re-grid
+responses against the `iolb` CLI row for row, and writes the
+BENCH_serve.json report.
 
 `crash-smoke` starts `iolbd` against a scratch persistent store, kills it
 with SIGKILL in the middle of a write burst, restarts it against the same
@@ -836,6 +838,7 @@ mod tests {
             ("hourglass-iolb/pebble-sweep/v4", PEBBLE_SCHEMA),
             ("hourglass-iolb/tightness/v2", TIGHTNESS_SCHEMA),
             ("hourglass-iolb/serve-bench/v1", serve_bench::SERVE_SCHEMA),
+            ("hourglass-iolb/serve-bench/v2", serve_bench::SERVE_SCHEMA),
             ("hourglass-iolb/pebble-sweep/v99", PEBBLE_SCHEMA),
         ] {
             let mut v = Vec::new();

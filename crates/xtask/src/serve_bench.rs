@@ -9,16 +9,20 @@
 //!   for value, the rows the `iolb` CLI emits for the same kernels and
 //!   options — the proof that fronting the pipeline with a daemon changed
 //!   nothing about the analysis;
+//! * a **re-grid** pass on a second grid with the cold grid's horizon:
+//!   every response is again a `miss`, answered by the priced cache layer
+//!   (its hit counter must rise by one per kernel), and its rows must
+//!   equal the CLI's on that grid;
 //! * several **warm** passes whose responses must all be cache hits and
 //!   whose bodies must be byte-identical to the cold bodies.
 //!
 //! It then writes `BENCH_serve.json` (schema
-//! `hourglass-iolb/serve-bench/v2`) with the warm hit rate, the
-//! cold-vs-CLI verdict, throughput / latency percentiles, and the
-//! persistent-store counters of the bench daemon's scratch store. The
-//! hit rate, the verdict, and the store's corruption counter are
-//! deterministic and gated; the timing numbers are volatile and
-//! reported for trend-watching only.
+//! `hourglass-iolb/serve-bench/v3`) with the warm hit rate, the
+//! cold-vs-CLI and re-grid-vs-CLI verdicts, throughput / latency
+//! percentiles, and the persistent-store counters of the bench daemon's
+//! scratch store. The hit rate, the verdicts, and the store's corruption
+//! counter are deterministic and gated; the timing numbers are volatile
+//! and reported for trend-watching only.
 
 use iolb_service::json::Layout::{Inline, Lines};
 use iolb_service::json::{self, members, Value, Writer};
@@ -59,6 +63,10 @@ impl Default for ServeBenchOpts {
 /// so the batch completes in seconds. Both sides — the daemon's typed
 /// request body and the CLI flags — are derived from these constants.
 const S_GRID: &str = "0,16,64";
+
+/// The re-grid pass's grid: other S points, the same horizon as
+/// [`S_GRID`].
+const REGRID: &str = "0,4,64";
 
 pub fn parse_serve_bench_args(args: &[String]) -> Result<ServeBenchOpts, String> {
     let mut opts = ServeBenchOpts::default();
@@ -233,17 +241,22 @@ pub(crate) fn list_kernels(dir: &Path) -> Result<Vec<(String, String)>, String> 
         .collect()
 }
 
-/// Runs the CLI over the whole batch with the bench options and returns
-/// its combined sweep report.
+/// Runs the CLI over the whole batch with the bench options on `grid` and
+/// returns its combined sweep report.
 fn cli_reference(
     iolb: &Path,
     kernels_dir: &Path,
     batch: &[(String, String)],
     tmp: &Path,
+    grid: &str,
 ) -> Result<Value, String> {
-    let out = tmp.join("serve_bench_cli.json");
+    let out = tmp.join(format!(
+        "serve_bench_cli_{}_{}.json",
+        std::process::id(),
+        grid.replace(',', "_")
+    ));
     let mut cmd = Command::new(iolb);
-    cmd.args(["--s-grid", S_GRID, "--no-tightness", "--json"])
+    cmd.args(["--s-grid", grid, "--no-tightness", "--json"])
         .arg(&out);
     cmd.args(
         batch
@@ -257,7 +270,30 @@ fn cli_reference(
         return Err(format!("CLI reference run failed with {status}"));
     }
     let src = std::fs::read_to_string(&out).map_err(|e| format!("{}: {e}", out.display()))?;
+    let _ = std::fs::remove_file(&out);
     json::parse(&src).map_err(|e| format!("CLI report: {e}"))
+}
+
+/// The daemon's `/stats` document.
+fn stats(addr: &str) -> Result<Value, String> {
+    let raw = exchange(addr, &get("/stats"))?;
+    let body = body_of(&raw).ok_or("malformed /stats response")?;
+    json::parse(body).map_err(|_| "/stats body is not JSON".to_string())
+}
+
+/// [`rows_match`] for every kernel of the batch against its response
+/// body; returns the number of rows compared.
+fn rows_match_all(
+    cli: &Value,
+    batch: &[(String, String)],
+    bodies: &[String],
+) -> Result<usize, String> {
+    let mut compared = 0;
+    for ((name, _), body) in batch.iter().zip(bodies) {
+        let doc = json::parse(body).map_err(|e| format!("{name}: daemon body: {e}"))?;
+        compared += rows_match(cli, name, &doc)?;
+    }
+    Ok(compared)
 }
 
 /// Compares the daemon's embedded sweep rows for `kernel` against the
@@ -335,12 +371,13 @@ impl Phase {
     }
 }
 
-/// Replays the batch once; checks every response is a 200 with the
-/// expected cache disposition and (optionally) records/cross-checks the
-/// response bodies.
+/// Replays the batch once on `grid`; checks every response is a 200 with
+/// the expected cache disposition and (optionally) records/cross-checks
+/// the response bodies.
 fn replay(
     addr: &str,
     batch: &[(String, String)],
+    grid: &str,
     expect: &str,
     bodies: &mut Vec<String>,
     check_bodies: bool,
@@ -353,7 +390,7 @@ fn replay(
     };
     let start = Instant::now();
     for (i, (name, src)) in batch.iter().enumerate() {
-        let body = AnalyzeRequest::body(src, &[("s-grid", S_GRID), ("no-tightness", "true")]);
+        let body = AnalyzeRequest::body(src, &[("s-grid", grid), ("no-tightness", "true")]);
         let request = post("/analyze", &body);
         let t = Instant::now();
         let response = exchange(addr, &request)?;
@@ -404,7 +441,9 @@ fn serve_bench(opts: &ServeBenchOpts) -> Result<(), String> {
     );
 
     // Reference: the CLI on the same batch with the same options.
-    let cli = cli_reference(&opts.iolb, &opts.kernels, &batch, &std::env::temp_dir())?;
+    let tmp = std::env::temp_dir();
+    let cli = cli_reference(&opts.iolb, &opts.kernels, &batch, &tmp, S_GRID)?;
+    let cli_regrid = cli_reference(&opts.iolb, &opts.kernels, &batch, &tmp, REGRID)?;
 
     // The bench daemon runs with a scratch persistent store, so the
     // report carries the store counters a production deployment would
@@ -416,15 +455,34 @@ fn serve_bench(opts: &ServeBenchOpts) -> Result<(), String> {
 
     // Cold pass: all misses; capture bodies.
     let mut bodies: Vec<String> = Vec::new();
-    let cold = replay(&addr, &batch, "miss", &mut bodies, false)?;
+    let cold = replay(&addr, &batch, S_GRID, "miss", &mut bodies, false)?;
 
     // Cold bodies vs the CLI: every sweep row identical.
-    let mut rows_compared = 0usize;
-    for ((name, _), body) in batch.iter().zip(&bodies) {
-        let doc = json::parse(body).map_err(|e| format!("{name}: daemon body: {e}"))?;
-        rows_compared += rows_match(&cli, name, &doc)?;
-    }
+    let rows_compared = rows_match_all(&cli, &batch, &bodies)?;
     println!("serve-bench: cold pass matches CLI ({rows_compared} sweep rows compared, all equal)");
+
+    // Re-grid pass: the same kernels on other S points at the same
+    // horizon. Each request misses the report layer and is answered by
+    // the priced layer, whose hits must account for every one of them.
+    let mut regrid_bodies: Vec<String> = Vec::new();
+    let regrid = replay(&addr, &batch, REGRID, "miss", &mut regrid_bodies, false)?;
+    let rows_compared = rows_match_all(&cli_regrid, &batch, &regrid_bodies)?;
+    let priced_hits = stats(&addr)?
+        .get("cache")
+        .and_then(|c| c.get("priced"))
+        .and_then(|p| p.get("hits"))
+        .and_then(Value::num)
+        .ok_or("/stats has no `cache.priced.hits`")?;
+    if priced_hits != batch.len() as f64 {
+        return Err(format!(
+            "re-grid pass: the priced layer answered {priced_hits} of {} requests",
+            batch.len()
+        ));
+    }
+    println!(
+        "serve-bench: re-grid pass ({REGRID}) answered by the priced layer and matches CLI \
+         ({rows_compared} sweep rows compared, all equal)"
+    );
 
     // Warm passes: all hits, bodies byte-identical to cold.
     let mut warm = Phase {
@@ -434,7 +492,7 @@ fn serve_bench(opts: &ServeBenchOpts) -> Result<(), String> {
         misses: 0,
     };
     for _ in 0..opts.warm_passes {
-        let pass = replay(&addr, &batch, "hit", &mut bodies, true)?;
+        let pass = replay(&addr, &batch, S_GRID, "hit", &mut bodies, true)?;
         warm.latencies_ms.extend(pass.latencies_ms);
         warm.wall_ms += pass.wall_ms;
         warm.hits += pass.hits;
@@ -442,18 +500,21 @@ fn serve_bench(opts: &ServeBenchOpts) -> Result<(), String> {
     }
 
     // Store counters straight from the daemon before it drains.
-    let stats_raw = exchange(&addr, &get("/stats"))?;
-    let stats_doc = body_of(&stats_raw)
-        .ok_or("malformed /stats response")
-        .and_then(|b| json::parse(b).map_err(|_| "/stats body is not JSON"))?;
+    let stats_doc = stats(&addr)?;
     // The report carries the daemon's store counters as /stats has them.
     let store = stats_doc.get("store").and_then(Value::obj);
     let store = store.ok_or("/stats store missing — daemon ran without --store?")?;
     let mut w = Writer::default();
     members!(w.obj(Lines), "schema": str(SERVE_SCHEMA), "meta": obj(Inline),
-        "kernels": int(batch.len()), "warm_passes": int(opts.warm_passes), "s_grid": str(S_GRID));
-    members!(w.end(), "cold_matches_cli": bool(true), "warm_hit_rate": num(warm.hit_rate()));
+        "kernels": int(batch.len()), "warm_passes": int(opts.warm_passes), "s_grid": str(S_GRID),
+        "regrid_s_grid": str(REGRID));
+    members!(w.end(), "cold_matches_cli": bool(true), "regrid_matches_cli": bool(true),
+        "warm_hit_rate": num(warm.hit_rate()));
     cold.write(&mut w, "cold");
+    let mut sorted = regrid.latencies_ms.clone();
+    sorted.sort_by(f64::total_cmp);
+    members!(w.key("regrid"), {"requests": int(sorted.len()),
+        "p50_ms": fixed(percentile(&sorted, 0.50), 3)});
     warm.write(&mut w, "warm");
     w.key("store").obj(Inline);
     for (field, n) in store {
@@ -482,11 +543,14 @@ fn serve_bench(opts: &ServeBenchOpts) -> Result<(), String> {
 /// absolutely (they do not regress by degrees), the timing fields are
 /// volatile and ignored — consistent with how the pebble/tightness gates
 /// treat wall times.
-pub const SERVE_SCHEMA: &str = "hourglass-iolb/serve-bench/v2";
+pub const SERVE_SCHEMA: &str = "hourglass-iolb/serve-bench/v3";
 
 pub fn gate_serve(base: &Value, new: &Value, violations: &mut Vec<String>) {
     if new.get("cold_matches_cli").and_then(Value::bool) != Some(true) {
         violations.push("serve: fresh cold pass does not match the CLI output".to_string());
+    }
+    if new.get("regrid_matches_cli").and_then(Value::bool) != Some(true) {
+        violations.push("serve: fresh re-grid pass does not match the CLI output".to_string());
     }
     match new.get("warm_hit_rate").and_then(Value::num) {
         Some(rate) if rate >= 0.99 => {}
@@ -542,10 +606,11 @@ pub fn gate_serve(base: &Value, new: &Value, violations: &mut Vec<String>) {
 mod tests {
     use super::*;
 
-    const CLEAN: &str = r#"{"schema": "hourglass-iolb/serve-bench/v2",
-        "meta": {"kernels": 2, "warm_passes": 5, "s_grid": "0,16,64"},
-        "cold_matches_cli": true, "warm_hit_rate": 1.0,
+    const CLEAN: &str = r#"{"schema": "hourglass-iolb/serve-bench/v3",
+        "meta": {"kernels": 2, "warm_passes": 5, "s_grid": "0,16,64", "regrid_s_grid": "0,4,64"},
+        "cold_matches_cli": true, "regrid_matches_cli": true, "warm_hit_rate": 1.0,
         "cold": {"requests": 2, "wall_ms": 10.0, "p50_ms": 5.0, "p99_ms": 6.0, "throughput_rps": 200.0},
+        "regrid": {"requests": 2, "p50_ms": 0.8},
         "warm": {"requests": 10, "wall_ms": 5.0, "p50_ms": 0.5, "p99_ms": 0.9, "throughput_rps": 2000.0},
         "store": {"entries": 2, "appends": 2, "append_errors": 0, "persisted_hits": 0,
                   "compactions": 0, "recovered_records": 0, "snapshot_records": 0,
@@ -570,7 +635,20 @@ mod tests {
         .unwrap();
         let mut v = Vec::new();
         gate_serve(&clean, &mismatch, &mut v);
-        assert!(v.iter().any(|m| m.contains("does not match")), "{v:?}");
+        assert!(
+            v.iter().any(|m| m.contains("cold pass does not match")),
+            "{v:?}"
+        );
+
+        let regrid_mismatch = json::parse(&CLEAN.replace(
+            "\"regrid_matches_cli\": true",
+            "\"regrid_matches_cli\": false",
+        ))
+        .unwrap();
+        let mut v = Vec::new();
+        gate_serve(&clean, &regrid_mismatch, &mut v);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].contains("re-grid pass does not match"), "{v:?}");
 
         let lukewarm =
             json::parse(&CLEAN.replace("\"warm_hit_rate\": 1.0", "\"warm_hit_rate\": 0.5"))
@@ -610,8 +688,8 @@ mod tests {
 
         // A report without store counters fails on either side.
         let storeless = json::parse(
-            r#"{"schema": "hourglass-iolb/serve-bench/v2",
-                "cold_matches_cli": true, "warm_hit_rate": 1.0,
+            r#"{"schema": "hourglass-iolb/serve-bench/v3",
+                "cold_matches_cli": true, "regrid_matches_cli": true, "warm_hit_rate": 1.0,
                 "kernels": ["a", "b"]}"#,
         )
         .unwrap();
