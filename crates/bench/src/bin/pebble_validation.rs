@@ -12,13 +12,19 @@
 
 use iolb_bench::scale::measure_scaling_series;
 use iolb_bench::sweep::{
-    default_sweep_kernels_at, render_sweep_table, run_sweep, sweep_report_json, SweepSize,
+    default_sweep_kernels_at, render_sweep_table, sweep_report_json, try_run_sweep, SweepSize,
 };
+use iolb_core::govern::{Budget, CancelToken};
 
 fn main() {
     println!("Validation sweep: max(LB) must be ≤ the measured miss curve at every S");
     println!("{}", "=".repeat(100));
-    let mut report = run_sweep(default_sweep_kernels_at(SweepSize::Full));
+    let mut report = try_run_sweep(
+        default_sweep_kernels_at(SweepSize::Full),
+        &Budget::unlimited(),
+        &CancelToken::unlimited(),
+    )
+    .unwrap_or_else(|e| panic!("sweep: {e}"));
     // Curve-engine scaling series (10⁶ → 10⁸ synthetic GEMM events,
     // streaming passes): recorded in meta, gated by `xtask gate`
     // against >2× wall-time regressions of the largest point.

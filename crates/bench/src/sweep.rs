@@ -3,13 +3,15 @@
 //!
 //! Every derived lower bound must sit at or below the loads of a real
 //! execution of the kernel at fast-memory size `S`. This module runs that
-//! check as a data-parallel matrix — kernels are priced concurrently
-//! (CDAG construction, engine profiles, then **one pass** per policy
-//! column over the kernel's trace, [`price_curves`]) and the priced
-//! kernels are read at their grids ([`PricedSweep::report`]) — and renders the
-//! outcome as both a table and a machine-readable
-//! `BENCH_pebble.json` so successive PRs have a recorded perf/soundness
-//! trajectory.
+//! check as a data-parallel matrix in two steps. [`price_sweep`] prices
+//! the kernels concurrently (CDAG construction, engine profiles, then
+//! **one pass** per policy column over the kernel's trace,
+//! [`price_curves`]); [`PricedSweep::report`] reads the priced kernels at
+//! any grids within their horizons. Every caller goes through these two,
+//! [`try_run_sweep`] included, which reads each kernel at its own grid.
+//! The outcome renders as both a table and a machine-readable
+//! `BENCH_pebble.json` so successive changes have a recorded
+//! perf/soundness trajectory.
 //!
 //! The measured executions are exact cache simulations of the kernel's
 //! program-order *value-access trace* (each compute reads its CDAG
@@ -43,8 +45,8 @@ use iolb_cdag::SpillPolicy;
 pub use iolb_cdag::{try_build_cdag, Cdag};
 use iolb_core::report::{self, SplitBinding};
 use iolb_core::{
-    best_engine_bound, BoundProvenance, ClassicalBound, EngineCurve, EngineProfile, EngineRegistry,
-    HourglassBound,
+    best_engine_bound, BoundProvenance, ClassicalBound, ClassicalFloor, EngineCurve, EngineProfile,
+    EngineRegistry, HourglassBound, HourglassFloor,
 };
 use iolb_govern::{catch_analysis_mut, AnalysisError, Budget, CancelToken, Degradation};
 use iolb_memsim::{ChunkedTrace, CurveEngine, MissCurve, ShardedCurveEngine};
@@ -72,8 +74,9 @@ pub enum CurveStrategy {
 }
 
 impl CurveStrategy {
-    /// The largest trace (events) this strategy materializes.
-    fn cap(self) -> u64 {
+    /// The largest trace (events) this strategy materializes: the `cap`
+    /// [`price_sweep`] takes.
+    pub fn cap(self) -> u64 {
         match self {
             CurveStrategy::Streaming => CROSS_CHECK_CAP,
             CurveStrategy::Materialized => u64::MAX,
@@ -86,6 +89,9 @@ const POLICIES: [SpillPolicy; 2] = [SpillPolicy::Lru, SpillPolicy::MinNextUse];
 
 /// Largest trace (events) production materializes and prices on
 /// [`CurveEngine`]; longer traces stream through [`ShardedCurveEngine`].
+/// It is the `cap` that [`price_sweep`] receives from [`try_run_sweep`]
+/// and from the default [`CurveStrategy`], and the one the tuner and
+/// [`crate::sweep_tiled`] pass to [`price_curves`].
 /// On one worker the materialized engine is the faster of the two (release
 /// build on a 2-vCPU shared Xeon host, mgs M=512,N=32, 2.1·10⁶ events,
 /// medians of 5 in four rounds: LRU 11–16 vs 18–22 ms, the streamed pass
@@ -330,17 +336,17 @@ pub fn default_sweep_kernels_at(size: SweepSize) -> Vec<SweepKernel> {
 
 /// One kernel priced for every S grid up to its horizon. Everything a
 /// sweep computes is independent of which S points the grid holds: the
-/// CDAG's facts, the derived bounds, each selected engine's profile, and
-/// the LRU and OPT miss curves, which are exact at every `S ≤ horizon`.
-/// The CDAG itself is dropped once the kernel is priced, and nothing here
-/// grows with the graph: the curves and the engine profiles are O(horizon).
+/// CDAG's facts, the derived bounds bound to the kernel's parameters,
+/// each selected engine's profile, and the LRU and OPT miss curves, which
+/// are exact at every `S ≤ horizon`. The CDAG itself is dropped once the
+/// kernel is priced, and nothing here grows with the graph: the curves and
+/// the engine profiles are O(horizon), the bound floors a few numbers.
 #[derive(Debug)]
 struct PricedKernel {
     name: String,
     params: Vec<i64>,
-    env: Vec<(Var, i128)>,
-    classical: Option<ClassicalBound>,
-    hourglass: Option<HourglassBound>,
+    classical: Option<ClassicalFloor>,
+    hourglass: Option<HourglassFloor>,
     /// Minimum feasible S (the CDAG's largest in-degree + 1); a grid's
     /// offsets are added to it.
     min_s: usize,
@@ -382,16 +388,8 @@ impl PricedKernel {
             self.engines.iter().map(|e| e.curve(&s_values)).collect();
         let mut rows = Vec::with_capacity(s_values.len() * POLICIES.len());
         for (si, &s) in s_values.iter().enumerate() {
-            let lb_classical = self
-                .classical
-                .as_ref()
-                .map(|b| b.eval_floor(&self.env, s as i128))
-                .unwrap_or(0.0);
-            let lb_hourglass = self
-                .hourglass
-                .as_ref()
-                .map(|b| b.eval_floor(&self.env, s as i128))
-                .unwrap_or(0.0);
+            let lb_classical = self.classical.map_or(0.0, |b| b.at(s as i128));
+            let lb_hourglass = self.hourglass.map_or(0.0, |b| b.at(s as i128));
             let engine_at = |prov: BoundProvenance| -> Option<u64> {
                 engine_curves
                     .iter()
@@ -603,22 +601,35 @@ pub struct SweepReport {
     pub scaling: Vec<ScalingPoint>,
 }
 
-/// Runs the full matrix: kernels are priced concurrently, each
-/// `(kernel, policy)` column one stack-distance pass whose curve is read
-/// at every grid S.
+/// Runs the full matrix at each kernel's own grid ([`SweepKernel::s_offsets`])
+/// with every graph-level engine and the production size rule:
+/// [`price_sweep`] at [`CROSS_CHECK_CAP`], then [`PricedSweep::report`].
 ///
-/// Ungoverned compatibility wrapper over [`try_run_sweep`] — unlimited
-/// budget, no cancellation.
-///
-/// # Panics
-/// Panics when a kernel's derivation fails (the governed path returns the
-/// error instead).
-pub fn run_sweep(kernels: Vec<SweepKernel>) -> SweepReport {
-    try_run_sweep(kernels, &Budget::unlimited(), &CancelToken::unlimited())
-        .unwrap_or_else(|e| panic!("sweep: {e}"))
+/// # Errors
+/// The first typed error any kernel's pricing produced.
+pub fn try_run_sweep(
+    kernels: Vec<SweepKernel>,
+    budget: &Budget,
+    token: &CancelToken,
+) -> Result<SweepReport, AnalysisError> {
+    let grids: Vec<Vec<usize>> = kernels.iter().map(|k| k.s_offsets.clone()).collect();
+    let priced = price_sweep(
+        kernels,
+        budget,
+        token,
+        &EngineRegistry::all(),
+        CROSS_CHECK_CAP,
+    )?;
+    let grids: Vec<&[usize]> = grids.iter().map(Vec::as_slice).collect();
+    Ok(priced.report(&grids))
 }
 
-/// [`run_sweep`] under a resource budget and a cancellation token.
+/// Prices every kernel concurrently, each up to the horizon of its own
+/// `s_offsets`, ready for [`PricedSweep::report`] at that grid or any other
+/// within the horizon. Each kernel's curves are priced once through
+/// [`price_curves`] at `cap` ([`CurveStrategy::cap`]; production passes
+/// [`CROSS_CHECK_CAP`]), one stack-distance pass per policy column whose
+/// curve is read at every grid S.
 ///
 /// Preparation refusals surface as [`AnalysisError::Refused`], CDAG
 /// materialization is admission-checked cell table by cell table
@@ -630,82 +641,17 @@ pub fn run_sweep(kernels: Vec<SweepKernel>) -> SweepReport {
 /// isolation is the CLI batch layer's job, which calls this with one
 /// kernel at a time.
 ///
-/// # Errors
-/// The first typed error any stage produced.
-pub fn try_run_sweep(
-    kernels: Vec<SweepKernel>,
-    budget: &Budget,
-    token: &CancelToken,
-) -> Result<SweepReport, AnalysisError> {
-    try_run_sweep_opts(
-        kernels,
-        budget,
-        token,
-        &EngineRegistry::all(),
-        CurveStrategy::default(),
-    )
-}
-
-/// [`try_run_sweep`] with an explicit graph-level engine selection and
-/// curve-pricing strategy: [`price_sweep`], then [`PricedSweep::report`]
-/// at each kernel's own grid. Each kernel's curves are priced once through
-/// [`price_curves`], at [`CROSS_CHECK_CAP`] under
-/// [`CurveStrategy::Streaming`].
-///
 /// Engine profiles are prepared on the exact CDAG over every capacity from
 /// the kernel's minimum S to its horizon, and read at each grid `S`. They
-/// are deliberately *not* charged against the
-/// work budget: the engines are cheap by construction (the visit profile
-/// is one sort of the compute in-degrees, the spectral profile refuses
-/// graphs above [`iolb_cdag::SPECTRAL_NODE_CAP`] nodes), so selecting
-/// them never changes the degradation level a kernel is admitted at.
-///
-/// # Errors
-/// The first typed error any stage produced.
-pub fn try_run_sweep_opts(
-    kernels: Vec<SweepKernel>,
-    budget: &Budget,
-    token: &CancelToken,
-    registry: &EngineRegistry,
-    strategy: CurveStrategy,
-) -> Result<SweepReport, AnalysisError> {
-    sweep_at_cap(kernels, budget, token, registry, strategy.cap())
-}
-
-/// [`try_run_sweep_opts`] with the size rule's cap as a plain argument, so
-/// tests reach the streaming branch on traces far below
-/// [`CROSS_CHECK_CAP`]: the kernels priced, then read at their own grids.
-fn sweep_at_cap(
-    kernels: Vec<SweepKernel>,
-    budget: &Budget,
-    token: &CancelToken,
-    registry: &EngineRegistry,
-    cap: u64,
-) -> Result<SweepReport, AnalysisError> {
-    let grids: Vec<Vec<usize>> = kernels.iter().map(|k| k.s_offsets.clone()).collect();
-    let priced = price_at_cap(kernels, budget, token, registry, cap)?;
-    let grids: Vec<&[usize]> = grids.iter().map(Vec::as_slice).collect();
-    Ok(priced.report(&grids))
-}
-
-/// The grid-independent half of [`try_run_sweep_opts`]: every kernel
-/// priced up to the horizon of its own `s_offsets`, ready for
-/// [`PricedSweep::report`] at that grid or any other within the horizon.
+/// are deliberately *not* charged against the work budget: the engines are
+/// cheap by construction (the visit profile is one sort of the compute
+/// in-degrees, the spectral profile refuses graphs above
+/// [`iolb_cdag::SPECTRAL_NODE_CAP`] nodes), so selecting them never changes
+/// the degradation level a kernel is admitted at.
 ///
 /// # Errors
 /// The first typed error any kernel's pricing produced.
 pub fn price_sweep(
-    kernels: Vec<SweepKernel>,
-    budget: &Budget,
-    token: &CancelToken,
-    registry: &EngineRegistry,
-    strategy: CurveStrategy,
-) -> Result<PricedSweep, AnalysisError> {
-    price_at_cap(kernels, budget, token, registry, strategy.cap())
-}
-
-/// [`price_sweep`] with the size rule's cap as a plain argument.
-fn price_at_cap(
     kernels: Vec<SweepKernel>,
     budget: &Budget,
     token: &CancelToken,
@@ -734,8 +680,9 @@ fn price_at_cap(
 
 /// Prices one kernel: its CDAG (built here unless the kernel arrived with
 /// one), the trace-length charge, the engine profiles over
-/// `[min_s, horizon]`, and one curve pass per policy on the engine the
-/// trace length calls for. The CDAG is dropped on return.
+/// `[min_s, horizon]`, the bounds bound to the kernel's parameters, and one
+/// curve pass per policy on the engine the trace length calls for. The CDAG
+/// is dropped on return.
 fn price_kernel(
     k: SweepKernel,
     budget: &Budget,
@@ -765,12 +712,12 @@ fn price_kernel(
     let prep_ms = t.elapsed().as_secs_f64() * 1e3;
     let t = Instant::now();
     let curves = price_curves(&cdag.program_order_trace(), POLICIES, horizon, cap, token)?;
+    let wall_ms = t.elapsed().as_secs_f64() * 1e3;
     Ok(PricedKernel {
         name: k.name,
         params: k.params,
-        env,
-        classical: k.classical,
-        hourglass: k.hourglass,
+        classical: k.classical.map(|b| b.bind(&env)),
+        hourglass: k.hourglass.map(|b| b.bind(&env)),
         min_s,
         nodes: cdag.len(),
         edges: cdag.num_edges(),
@@ -779,7 +726,7 @@ fn price_kernel(
         engines,
         curves,
         prep_ms,
-        wall_ms: t.elapsed().as_secs_f64() * 1e3,
+        wall_ms,
     })
 }
 
@@ -921,6 +868,11 @@ mod tests {
     use super::*;
     use iolb_govern::{Fault, FaultKind, Seam};
 
+    /// The ungoverned sweep at each kernel's own grid.
+    fn sweep(kernels: Vec<SweepKernel>) -> SweepReport {
+        try_run_sweep(kernels, &Budget::unlimited(), &CancelToken::unlimited()).expect("sweep")
+    }
+
     /// Small-size sweep: the full matrix machinery on fast cases, asserting
     /// soundness (bound ≤ measured loads) and the MIN ≤ LRU invariant per
     /// cell pair. The shrunken sizes come from the same data table as the
@@ -928,7 +880,7 @@ mod tests {
     #[test]
     fn small_sweep_is_sound_and_min_beats_lru() {
         let kernels = default_sweep_kernels_at(SweepSize::Small);
-        let report = run_sweep(kernels);
+        let report = sweep(kernels);
         assert_eq!(report.rows.len(), 6 * dense_s_offsets().len() * 2);
         let mut nontrivial = 0;
         for r in &report.rows {
@@ -1030,14 +982,15 @@ mod tests {
         let mut kernels = default_sweep_kernels_at(SweepSize::Small);
         kernels.truncate(1);
         kernels[0].s_offsets = coarse_s_offsets();
-        let report = try_run_sweep_opts(
+        let report = price_sweep(
             kernels,
             &Budget::unlimited(),
             &CancelToken::unlimited(),
             &EngineRegistry::none(),
-            CurveStrategy::default(),
+            CROSS_CHECK_CAP,
         )
-        .expect("sweep");
+        .expect("sweep")
+        .report(&[&coarse_s_offsets()]);
         assert!(!report.rows.is_empty());
         for r in &report.rows {
             assert_eq!(r.lb_graph(), None);
@@ -1076,7 +1029,7 @@ mod tests {
         let mut kernels = default_sweep_kernels_at(SweepSize::Small);
         kernels.truncate(1);
         kernels[0].s_offsets = coarse_s_offsets();
-        let report = run_sweep(kernels);
+        let report = sweep(kernels);
         assert!(
             (1..=2).contains(&report.threads),
             "one-kernel sweep reported {} threads (process high-water {})",
@@ -1095,23 +1048,27 @@ mod tests {
         kernels
     }
 
+    /// [`price_sweep`] of [`two_small_kernels`] at `cap`, read at the
+    /// coarse grid.
+    fn two_small_at_cap(cap: u64, token: &CancelToken) -> Result<SweepReport, AnalysisError> {
+        let priced = price_sweep(
+            two_small_kernels(),
+            &Budget::unlimited(),
+            token,
+            &EngineRegistry::all(),
+            cap,
+        )?;
+        let coarse = coarse_s_offsets();
+        Ok(priced.report(&[&coarse, &coarse]))
+    }
+
     /// Production reaches the streaming branch of the size rule only above
     /// `CROSS_CHECK_CAP` events, far beyond any tier-1 trace; cap 0 sends
     /// every trace through it, and the rows must match the materialized
     /// branch's row for row.
     #[test]
     fn curve_strategies_agree_cell_for_cell() {
-        let registry = EngineRegistry::all();
-        let run = |cap| {
-            sweep_at_cap(
-                two_small_kernels(),
-                &Budget::unlimited(),
-                &CancelToken::unlimited(),
-                &registry,
-                cap,
-            )
-            .expect("sweep")
-        };
+        let run = |cap| two_small_at_cap(cap, &CancelToken::unlimited()).expect("sweep");
         let streamed = run(0);
         let materialized = run(u64::MAX);
         assert_eq!(streamed.rows.len(), materialized.rows.len());
@@ -1133,14 +1090,8 @@ mod tests {
                 kind: FaultKind::Deadline,
                 seam,
             });
-            let err = sweep_at_cap(
-                two_small_kernels(),
-                &Budget::unlimited(),
-                &token,
-                &EngineRegistry::all(),
-                0,
-            )
-            .expect_err("a deadline at a curve-pass seam must abort the sweep");
+            let err = two_small_at_cap(0, &token)
+                .expect_err("a deadline at a curve-pass seam must abort the sweep");
             assert!(
                 matches!(err, AnalysisError::Deadline { .. }),
                 "{seam:?}: got {err}"
@@ -1155,7 +1106,7 @@ mod tests {
         let mut kernels = default_sweep_kernels_at(SweepSize::Small);
         kernels.truncate(1);
         kernels[0].s_offsets = coarse_s_offsets();
-        let mut report = run_sweep(kernels);
+        let mut report = sweep(kernels);
         report.scaling = vec![ScalingPoint {
             accesses: 1_000_188,
             policy: SpillPolicy::Lru,

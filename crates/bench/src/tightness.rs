@@ -130,20 +130,8 @@ struct Candidate {
     tiles: Option<Vec<TileSpec>>,
 }
 
-/// Runs the tightness measurement for every job concurrently.
-///
-/// Ungoverned compatibility wrapper over [`try_run_tightness`] —
-/// unlimited budget, no cancellation, errors stringified.
-///
-/// # Errors
-/// Propagates tiling failures, reference-pass failures (an out-of-range
-/// declared access among them), and measurement-invariant violations.
-pub fn run_tightness(jobs: Vec<TightnessJob>) -> Result<TightnessReport, String> {
-    try_run_tightness(jobs, &Budget::unlimited(), &CancelToken::unlimited())
-        .map_err(|e| e.to_string())
-}
-
-/// [`run_tightness`] under a resource budget and a cancellation token.
+/// Runs the tightness measurement for every job concurrently, under a
+/// resource budget and a cancellation token.
 ///
 /// The auto-tuner polls the token between candidates ([`Seam::Tuner`]),
 /// the reference pass is a governed enumeration charged against
@@ -153,7 +141,9 @@ pub fn run_tightness(jobs: Vec<TightnessJob>) -> Result<TightnessReport, String>
 /// isolation is the CLI batch layer's job.
 ///
 /// # Errors
-/// The first typed error any kernel produced.
+/// The first typed error any kernel produced: tiling failures,
+/// reference-pass failures (an out-of-range declared access among them),
+/// measurement-invariant violations, budget refusals and cancellation.
 pub fn try_run_tightness(
     jobs: Vec<TightnessJob>,
     budget: &Budget,
@@ -907,6 +897,11 @@ pub fn write_tightness_report(w: &mut Writer, report: &TightnessReport, redact: 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The ungoverned tightness run.
+    fn tightness(jobs: Vec<TightnessJob>) -> TightnessReport {
+        try_run_tightness(jobs, &Budget::unlimited(), &CancelToken::unlimited()).expect("tightness")
+    }
     use iolb_core::Analysis;
 
     fn job_from_src(src: &str, params: Vec<i64>, stmt: &str) -> TightnessJob {
@@ -965,7 +960,7 @@ kernel gemm_mini(M, N, K) {
     #[test]
     fn tuner_beats_or_matches_program_order_and_stays_sound() {
         let job = job_from_src(GEMM_TILED, vec![12, 12, 12], "SU");
-        let report = run_tightness(vec![job]).expect("tightness");
+        let report = tightness(vec![job]);
         assert_eq!(report.kernels.len(), 1);
         let k = &report.kernels[0];
         assert_eq!(k.points.len(), 3);
@@ -1009,7 +1004,7 @@ kernel plain(N) {
 }
 ";
         let job = job_from_src(src, vec![32], "S");
-        let report = run_tightness(vec![job]).expect("tightness");
+        let report = tightness(vec![job]);
         let k = &report.kernels[0];
         for t in &k.points {
             assert_eq!(t.upper_schedule, "program-order");
@@ -1047,7 +1042,7 @@ kernel carried(T, N) {
 }
 ";
         let job = job_from_src(src, vec![6, 24], "S");
-        let report = run_tightness(vec![job]).expect("tightness");
+        let report = tightness(vec![job]);
         let k = &report.kernels[0];
         assert!(!k.points.is_empty());
         for t in &k.points {
@@ -1296,7 +1291,7 @@ kernel carried(T, N) {
                 "S",
             ),
         ];
-        let report = run_tightness(jobs).expect("tightness");
+        let report = tightness(jobs);
         assert_eq!(report.kernels[0].kernel, "aaa", "sorted by name");
         let a = tightness_report_json(&report, true);
         let jobs = vec![
@@ -1307,7 +1302,7 @@ kernel carried(T, N) {
                 "S",
             ),
         ];
-        let b = tightness_report_json(&run_tightness(jobs).expect("tightness"), true);
+        let b = tightness_report_json(&tightness(jobs), true);
         assert_eq!(a, b, "same inputs produce byte-identical redacted JSON");
     }
 }

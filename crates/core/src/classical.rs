@@ -101,9 +101,41 @@ fn wrap_expr(volume: &Poly, sigma: Rational, m: Rational) -> Expr {
 }
 
 impl ClassicalBound {
-    /// Exact (floored) Theorem-1 evaluation at concrete parameters: maximize
-    /// `T·⌊|V| / (K/m)^σ⌋` over a grid of `K = S + T`. This is the form to
-    /// compare against pebble-game plays — never above the real bound.
+    /// The bound at concrete parameters, ready to floor at any `S`: the
+    /// volume evaluated at `env` once, with `σ` and `m`.
+    pub fn bind(&self, env: &[(iolb_symbolic::Var, i128)]) -> ClassicalFloor {
+        ClassicalFloor {
+            volume: self.volume.eval(&|v| {
+                env.iter()
+                    .find(|(w, _)| *w == v)
+                    .map(|(_, x)| Rational::int(*x))
+            }),
+            sigma: self.sigma,
+            m: self.m,
+        }
+    }
+
+    /// Exact (floored) Theorem-1 evaluation at concrete parameters:
+    /// [`ClassicalFloor::at`] of [`ClassicalBound::bind`].
+    pub fn eval_floor(&self, env: &[(iolb_symbolic::Var, i128)], s: i128) -> f64 {
+        self.bind(env).at(s)
+    }
+}
+
+/// A classical bound bound to concrete parameters ([`ClassicalBound::bind`]):
+/// the three values its floor reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ClassicalFloor {
+    /// `|V|` at the bound parameters.
+    volume: Rational,
+    sigma: Rational,
+    m: Rational,
+}
+
+impl ClassicalFloor {
+    /// Maximize `T·⌊|V| / (K/m)^σ⌋` over a grid of `K = S + T`. This is the
+    /// form to compare against pebble-game plays — never above the real
+    /// bound.
     ///
     /// The set count `⌊|V| / (K/m)^σ⌋` is computed exactly: with
     /// `σ = p/q`, it is the largest `t ≥ 0` with `t^q·K^p ≤ |V|^q·m^p`,
@@ -113,12 +145,8 @@ impl ClassicalBound {
     /// overshoot the true bound beyond 2^53. Product overflow at
     /// astronomically large parameters resolves conservatively — see
     /// `floored_set_count`.
-    pub fn eval_floor(&self, env: &[(iolb_symbolic::Var, i128)], s: i128) -> f64 {
-        let vol = self.volume.eval(&|v| {
-            env.iter()
-                .find(|(w, _)| *w == v)
-                .map(|(_, x)| Rational::int(*x))
-        });
+    pub fn at(&self, s: i128) -> f64 {
+        let vol = self.volume;
         if !vol.is_positive() {
             return 0.0;
         }

@@ -488,24 +488,15 @@ pub fn derive(
 }
 
 impl HourglassBound {
-    /// Exact floored Theorem-1 evaluation at concrete parameters (the form
-    /// compared against pebble plays): `max` of the `K = 2S` branch
-    /// `S·⌊|V|/U(2S)⌋` and the `K = W` branch `(W−S)·⌊|V'|/(2W)⌋`.
-    ///
-    /// Every intermediate (`|V|`, `W`, `U(2S)`, the floors) is evaluated in
-    /// exact [`iolb_numeric::Rational`] arithmetic; beyond 2^53 an `f64`
-    /// pipeline rounds the volume *before* flooring and can push the result
-    /// above the true bound, breaking the "never above a legal play"
-    /// contract (see the `exact_floor_beats_f64_at_scale` regression test).
+    /// The bound at concrete parameters, ready to floor at any `S`: `W_min`,
+    /// `R`, `|V|` and `|V'|` (the volume without the dropped iteration)
+    /// evaluated at `env` once, in exact [`iolb_numeric::Rational`]
+    /// arithmetic.
     ///
     /// # Panics
     /// Panics when the exact arithmetic overflows `i128` (the workspace
     /// treats silent wrapping of a bound as a hard logic error).
-    pub fn eval_floor_exact(
-        &self,
-        env: &[(iolb_symbolic::Var, i128)],
-        s: i128,
-    ) -> iolb_numeric::Rational {
+    pub fn bind(&self, env: &[(iolb_symbolic::Var, i128)]) -> HourglassFloor {
         use iolb_numeric::Rational;
         let ev = |p: &Poly| -> Rational {
             p.eval(&|v| {
@@ -514,12 +505,59 @@ impl HourglassBound {
                     .map(|(_, x)| Rational::int(*x))
             })
         };
-        let (w, r, vol, vol_nd) = (
-            ev(&self.w_min),
-            ev(&self.r_factor),
-            ev(&self.volume),
-            ev(&self.volume_nodrop),
-        );
+        HourglassFloor {
+            w_min: ev(&self.w_min),
+            r_factor: ev(&self.r_factor),
+            volume: ev(&self.volume),
+            volume_nodrop: ev(&self.volume_nodrop),
+        }
+    }
+
+    /// Exact floored Theorem-1 evaluation at concrete parameters:
+    /// [`HourglassFloor::at_exact`] of [`HourglassBound::bind`].
+    ///
+    /// # Panics
+    /// Panics when the exact arithmetic overflows `i128`.
+    pub fn eval_floor_exact(
+        &self,
+        env: &[(iolb_symbolic::Var, i128)],
+        s: i128,
+    ) -> iolb_numeric::Rational {
+        self.bind(env).at_exact(s)
+    }
+
+    /// [`Self::eval_floor_exact`] converted to `f64` as the very last step
+    /// (the only lossy operation; error ≤ 1 ulp of the exact value).
+    pub fn eval_floor(&self, env: &[(iolb_symbolic::Var, i128)], s: i128) -> f64 {
+        self.bind(env).at(s)
+    }
+}
+
+/// An hourglass bound bound to concrete parameters
+/// ([`HourglassBound::bind`]): the four values its floor reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HourglassFloor {
+    w_min: iolb_numeric::Rational,
+    r_factor: iolb_numeric::Rational,
+    volume: iolb_numeric::Rational,
+    volume_nodrop: iolb_numeric::Rational,
+}
+
+impl HourglassFloor {
+    /// Exact floored Theorem-1 value at `S` (the form compared against
+    /// pebble plays): `max` of the `K = 2S` branch `S·⌊|V|/U(2S)⌋` and the
+    /// `K = W` branch `(W−S)·⌊|V'|/(2W)⌋`.
+    ///
+    /// Every intermediate (`U(2S)`, the floors) is exact; beyond 2^53 an
+    /// `f64` pipeline rounds the volume *before* flooring and can push the
+    /// result above the true bound, breaking the "never above a legal play"
+    /// contract (see the `exact_floor_beats_f64_at_scale` regression test).
+    ///
+    /// # Panics
+    /// Panics when the exact arithmetic overflows `i128`.
+    pub fn at_exact(&self, s: i128) -> iolb_numeric::Rational {
+        use iolb_numeric::Rational;
+        let (w, r, vol, vol_nd) = (self.w_min, self.r_factor, self.volume, self.volume_nodrop);
         let s_r = Rational::int(s);
         let mut best = Rational::ZERO;
         if w.is_positive() && vol.is_positive() {
@@ -538,10 +576,9 @@ impl HourglassBound {
         best
     }
 
-    /// [`Self::eval_floor_exact`] converted to `f64` as the very last step
-    /// (the only lossy operation; error ≤ 1 ulp of the exact value).
-    pub fn eval_floor(&self, env: &[(iolb_symbolic::Var, i128)], s: i128) -> f64 {
-        self.eval_floor_exact(env, s).to_f64()
+    /// [`Self::at_exact`] converted to `f64` as the very last step.
+    pub fn at(&self, s: i128) -> f64 {
+        self.at_exact(s).to_f64()
     }
 }
 

@@ -30,12 +30,12 @@ pub mod theorems;
 /// crate directly.
 pub use iolb_govern as govern;
 
-pub use classical::ClassicalBound;
+pub use classical::{ClassicalBound, ClassicalFloor};
 pub use engine::{
     best_engine_bound, BoundEngine, BoundProvenance, EngineCurve, EngineProfile, EngineRegistry,
     Profile,
 };
-pub use hourglass::{HourglassBound, HourglassPattern};
+pub use hourglass::{HourglassBound, HourglassFloor, HourglassPattern};
 pub use phi::PhiSet;
 
 use iolb_ir::{deps, Program, StmtId};

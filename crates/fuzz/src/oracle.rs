@@ -32,8 +32,9 @@
 //! binding) are not violations — the pipeline is allowed to decline a
 //! bound; it is never allowed to overshoot one.
 
-use iolb_bench::tightness::{run_tightness, TightnessJob};
+use iolb_bench::tightness::{try_run_tightness, TightnessJob};
 use iolb_cdag::{build_cdag, Cdag, CdagBuilder};
+use iolb_core::govern::{Budget, CancelToken};
 use iolb_core::report::{derive_with_split, observation_sizes};
 use iolb_core::{hourglass, Analysis, EngineRegistry};
 use iolb_ir::{
@@ -307,7 +308,7 @@ impl Oracle {
         }
 
         // 6. Tightness harness: schedule legality and
-        // `lower bound ≤ best measured schedule` (the `run_tightness`
+        // `lower bound ≤ best measured schedule` (the `try_run_tightness`
         // internals reject version-map-breaking enumerations and error on
         // any inverted measurement invariant).
         if self.tightness {
@@ -322,7 +323,8 @@ impl Oracle {
                 s_offsets: self.s_offsets.clone(),
             };
             let report =
-                run_tightness(vec![job]).map_err(|e| Violation::new("tightness-invariant", e))?;
+                try_run_tightness(vec![job], &Budget::unlimited(), &CancelToken::unlimited())
+                    .map_err(|e| Violation::new("tightness-invariant", e.to_string()))?;
             // The tuner counts min S and the input floor in its own
             // reference pass; both must be this CDAG's.
             let points: Vec<_> = report.kernels.iter().flat_map(|k| &k.points).collect();

@@ -11,11 +11,11 @@
 //! `loads(S)` for **all** capacities at once, replacing a per-`S` replay
 //! loop of [`LruSim`]/[`BeladySim`] with a single traversal:
 //!
-//! * [`CurveEngine::lru`] — LRU stack distances on a recency ring
+//! * [`CurveEngine::lru_packed`] — LRU stack distances on a recency ring
 //!   (`LruRing`) that holds only the top `horizon` entries of the LRU
 //!   stack, plus one state byte per cell: O(min(d, horizon)) time for an
 //!   access at distance `d` and O(cells + horizon) memory;
-//! * [`CurveEngine::opt`] — OPT stack distances via a priority-by-next-use
+//! * [`CurveEngine::opt_packed`] — OPT stack distances via a priority-by-next-use
 //!   stack simulation (`OptStack`). Next uses come from the same
 //!   reverse-pass chain threading as [`BeladySim`], a value's *pending
 //!   overwrite* kills it exactly like the simulator's dead set, and the
@@ -41,7 +41,7 @@
 //! [`LruSim`]: crate::LruSim
 //! [`BeladySim`]: crate::BeladySim
 
-use crate::{cell_universe, thread_next_use, Access, NIL};
+use crate::{cell_of, cell_universe, is_write, thread_next_use, NIL};
 use iolb_govern::{AnalysisError, CancelToken, Seam};
 
 /// Exact miss curve of one trace under one stack policy: `loads(S)` (read
@@ -176,14 +176,10 @@ impl CurveEngine {
         CurveEngine::default()
     }
 
-    /// LRU miss curve of a trace, exact for capacities `1..=horizon`.
-    pub fn lru(&mut self, trace: &[Access], horizon: usize) -> MissCurve {
-        ungoverned(self.lru_by(trace.len(), horizon, access_at(trace), None))
-    }
-
-    /// [`lru`](CurveEngine::lru) on a packed trace (`(cell << 1) | write`).
+    /// LRU miss curve of a packed trace (`(cell << 1) | write`), exact for
+    /// capacities `1..=horizon` — bitwise [`LruSim`](crate::LruSim)'s loads.
     pub fn lru_packed(&mut self, packed: &[u64], horizon: usize) -> MissCurve {
-        ungoverned(self.lru_by(packed.len(), horizon, packed_at(packed), None))
+        ungoverned(self.lru_by(packed, horizon, None))
     }
 
     /// Governed [`lru_packed`](CurveEngine::lru_packed): polls `token` at
@@ -197,18 +193,13 @@ impl CurveEngine {
         horizon: usize,
         token: &CancelToken,
     ) -> Result<MissCurve, AnalysisError> {
-        self.lru_by(packed.len(), horizon, packed_at(packed), Some(token))
+        self.lru_by(packed, horizon, Some(token))
     }
 
-    /// OPT (Belady MIN) miss curve of a trace, exact for capacities
+    /// OPT (Belady MIN) miss curve of a packed trace, exact for capacities
     /// `1..=horizon` — bitwise [`BeladySim`](crate::BeladySim)'s loads.
-    pub fn opt(&mut self, trace: &[Access], horizon: usize) -> MissCurve {
-        ungoverned(self.opt_by(trace.len(), horizon, access_at(trace), None))
-    }
-
-    /// [`opt`](CurveEngine::opt) on a packed trace (`(cell << 1) | write`).
     pub fn opt_packed(&mut self, packed: &[u64], horizon: usize) -> MissCurve {
-        ungoverned(self.opt_by(packed.len(), horizon, packed_at(packed), None))
+        ungoverned(self.opt_by(packed, horizon, None))
     }
 
     /// Governed [`opt_packed`](CurveEngine::opt_packed): polls `token` at
@@ -221,24 +212,23 @@ impl CurveEngine {
         horizon: usize,
         token: &CancelToken,
     ) -> Result<MissCurve, AnalysisError> {
-        self.opt_by(packed.len(), horizon, packed_at(packed), Some(token))
+        self.opt_by(packed, horizon, Some(token))
     }
 
     /// The whole trace fed to one [`LruRing`], sized for its cell universe
     /// up front.
     fn lru_by(
         &mut self,
-        len: usize,
+        packed: &[u64],
         horizon: usize,
-        at: impl Fn(usize) -> (usize, bool),
         token: Option<&CancelToken>,
     ) -> Result<MissCurve, AnalysisError> {
         assert!(horizon >= 1, "curve horizon must be positive");
-        let cells = cell_universe(len, &at);
-        guard_sentinels(len, cells)?;
+        let cells = cell_universe(packed);
+        guard_sentinels(packed.len(), cells)?;
         self.lru.reset(horizon, cells);
-        self.lru.feed(len, at, token)?;
-        Ok(self.lru.curve(len as u64))
+        self.lru.feed(packed, token)?;
+        Ok(self.lru.curve(packed.len() as u64))
     }
 
     /// OPT stack distances on one [`OptStack`]. Next uses come from the
@@ -249,33 +239,31 @@ impl CurveEngine {
     /// set.
     fn opt_by(
         &mut self,
-        len: usize,
+        packed: &[u64],
         horizon: usize,
-        at: impl Fn(usize) -> (usize, bool),
         token: Option<&CancelToken>,
     ) -> Result<MissCurve, AnalysisError> {
         assert!(horizon >= 1, "curve horizon must be positive");
         // The guard runs before any cell-sized allocation.
-        let cells = cell_universe(len, &at);
-        guard_sentinels(len, cells)?;
-        thread_next_use(len, cells, &at, &mut self.chain, &mut self.head);
+        let cells = cell_universe(packed);
+        guard_sentinels(packed.len(), cells)?;
+        thread_next_use(packed, cells, &mut self.chain, &mut self.head);
         self.opt.reset(horizon, cells);
-        for t in 0..len {
+        for (t, &p) in packed.iter().enumerate() {
             if t & POLL_MASK == 0 {
                 if let Some(token) = token {
                     token.check(Seam::OptPass)?;
                 }
             }
-            let (cell, write) = at(t);
             let nu = self.chain[t];
-            let new_pri = if nu == NIL || at(nu as usize).1 {
+            let new_pri = if nu == NIL || is_write(packed[nu as usize]) {
                 DEAD
             } else {
                 nu
             };
-            self.opt.step(cell, write, new_pri);
+            self.opt.step(cell_of(p), is_write(p), new_pri);
         }
-        Ok(self.opt.curve(len as u64))
+        Ok(self.opt.curve(packed.len() as u64))
     }
 }
 
@@ -348,24 +336,23 @@ impl<W: StackWord> LruRing<W> {
         }
     }
 
-    /// Feeds accesses `at(0..n)`, whose cells must already be admitted,
-    /// polling `token` at [`Seam::LruPass`] every 4096 of them.
+    /// Feeds the packed events `packed`, whose cells must already be
+    /// admitted, polling `token` at [`Seam::LruPass`] every 4096 of them.
     pub(crate) fn feed(
         &mut self,
-        n: usize,
-        at: impl Fn(usize) -> (usize, bool),
+        packed: &[u64],
         token: Option<&CancelToken>,
     ) -> Result<(), AnalysisError> {
         let (horizon, mask) = (self.horizon, self.ring.len() - 1);
         let (mut top, mut held) = (self.top, self.held);
         let (mut cold, mut beyond) = (self.cold, self.beyond);
-        for t in 0..n {
+        for (t, &p) in packed.iter().enumerate() {
             if t & POLL_MASK == 0 {
                 if let Some(token) = token {
                     token.check(Seam::LruPass)?;
                 }
             }
-            let (cell, write) = at(t);
+            let (cell, write) = (cell_of(p), is_write(p));
             match self.state[cell] {
                 RESIDENT => {
                     let k = move_to_top(&mut self.ring, top, W::from_cell(cell));
@@ -630,21 +617,6 @@ pub(crate) fn chain_swaps<W: StackWord>(
     (carry, carry_pri)
 }
 
-/// Accessor closure over a struct trace.
-#[inline]
-fn access_at(trace: &[Access]) -> impl Fn(usize) -> (usize, bool) + '_ {
-    |t| (trace[t].cell, trace[t].write)
-}
-
-/// Accessor closure over a packed trace (`(cell << 1) | write`).
-#[inline]
-pub(crate) fn packed_at(packed: &[u64]) -> impl Fn(usize) -> (usize, bool) + '_ {
-    |t| {
-        let p = packed[t];
-        ((p >> 1) as usize, (p & 1) == 1)
-    }
-}
-
 /// Unwraps a pass run without a token: no cancellation source exists, so
 /// the only reachable error is the sentinel-space refusal, which the
 /// panicking convenience APIs surface as a panic.
@@ -653,41 +625,29 @@ fn ungoverned(r: Result<MissCurve, AnalysisError>) -> MissCurve {
     r.unwrap_or_else(|e| panic!("ungoverned curve pass failed: {e}"))
 }
 
-/// Convenience: full-horizon LRU miss curve (exact at every capacity).
-/// The horizon is the trace length, so an access costs O(d) at distance
-/// `d`; the tests use it as the whole-curve reference, and production
-/// prices at the S grid's horizon instead.
-pub fn lru_miss_curve(trace: &[Access]) -> MissCurve {
-    CurveEngine::new().lru(trace, trace.len().max(1))
-}
-
-/// Convenience: full-horizon OPT miss curve (exact at every capacity).
-pub fn opt_miss_curve(trace: &[Access]) -> MissCurve {
-    CurveEngine::new().opt(trace, trace.len().max(1))
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::{lru_stats, min_stats};
+    use crate::tests::{arb_trace, cold_loads, lru_stats, min_stats, r, reads, w};
     use proptest::prelude::*;
 
-    fn reads(cells: &[usize]) -> Vec<Access> {
-        cells.iter().map(|&c| Access::read(c)).collect()
+    /// Full-horizon LRU curve of `t` (exact at every capacity): an access
+    /// costs O(d) at distance `d`, so only the tests price at the trace
+    /// length.
+    fn full_lru(t: &[u64]) -> MissCurve {
+        CurveEngine::new().lru_packed(t, t.len().max(1))
     }
 
-    /// `t` as a packed trace (`(cell << 1) | write`).
-    pub(crate) fn pack(t: &[Access]) -> Vec<u64> {
-        t.iter()
-            .map(|a| ((a.cell as u64) << 1) | a.write as u64)
-            .collect()
+    /// Full-horizon OPT curve of `t`.
+    fn full_opt(t: &[u64]) -> MissCurve {
+        CurveEngine::new().opt_packed(t, t.len().max(1))
     }
 
     #[test]
     fn lru_curve_on_a_hand_trace() {
         // 0 1 2 0: distances ∞ ∞ ∞ 3 → loads(2) = 4, loads(3) = 3.
         let t = reads(&[0, 1, 2, 0]);
-        let c = lru_miss_curve(&t);
+        let c = full_lru(&t);
         assert_eq!(c.loads(1), 4);
         assert_eq!(c.loads(2), 4);
         assert_eq!(c.loads(3), 3);
@@ -699,8 +659,8 @@ pub(crate) mod tests {
     #[test]
     fn opt_curve_beats_lru_curve_on_looping_scan() {
         let t = reads(&[0, 1, 2, 0, 1, 2, 0, 1, 2]);
-        let lru = lru_miss_curve(&t);
-        let opt = opt_miss_curve(&t);
+        let lru = full_lru(&t);
+        let opt = full_opt(&t);
         assert_eq!(lru.loads(2), 9, "LRU thrashes the cyclic scan");
         assert!(opt.loads(2) < 9);
         assert_eq!(opt.loads(2), min_stats(2, &t).loads);
@@ -709,8 +669,8 @@ pub(crate) mod tests {
     #[test]
     fn horizon_truncates_but_stays_exact_below() {
         let t = reads(&[0, 1, 2, 3, 4, 0, 1, 2, 3, 4]);
-        let full = opt_miss_curve(&t);
-        let capped = CurveEngine::new().opt(&t, 3);
+        let full = full_opt(&t);
+        let capped = CurveEngine::new().opt_packed(&t, 3);
         for s in 1..=3 {
             assert_eq!(capped.loads(s), full.loads(s), "S={s}");
         }
@@ -721,36 +681,36 @@ pub(crate) mod tests {
     #[should_panic(expected = "beyond curve horizon")]
     fn querying_past_a_truncated_horizon_panics() {
         let t = reads(&[0, 1, 2, 3, 4, 0]);
-        let capped = CurveEngine::new().lru(&t, 2);
+        let capped = CurveEngine::new().lru_packed(&t, 2);
         let _ = capped.loads(5);
     }
 
     #[test]
     fn empty_trace_makes_an_empty_curve() {
-        let c = lru_miss_curve(&[]);
+        let c = full_lru(&[]);
         assert_eq!(c.loads(1), 0);
-        assert_eq!(opt_miss_curve(&[]).loads(1), 0);
+        assert_eq!(full_opt(&[]).loads(1), 0);
         assert_eq!(c.cold_loads(), 0);
         assert_eq!(c.accesses(), 0);
-        // The convenience constructors clamp the horizon to ≥ 1, so an
-        // empty trace still answers capacity 1.
+        // The full-horizon helpers clamp the horizon to ≥ 1, so an empty
+        // trace still answers capacity 1.
         assert_eq!(c.horizon(), 1);
     }
 
     #[test]
     fn single_element_traces() {
         // A single read is one cold miss at every capacity.
-        let read = reads(&[5]);
+        let read = [r(5)];
         let mut e = CurveEngine::new();
-        for curve in [e.lru(&read, 4), e.opt(&read, 4)] {
+        for curve in [e.lru_packed(&read, 4), e.opt_packed(&read, 4)] {
             assert_eq!(curve.loads(1), 1);
             assert_eq!(curve.loads(4), 1);
             assert_eq!(curve.cold_loads(), 1);
             assert_eq!(curve.accesses(), 1);
         }
         // A single write is free in the red-white model: zero loads.
-        let write = vec![Access::write(5)];
-        for curve in [e.lru(&write, 4), e.opt(&write, 4)] {
+        let write = [w(5)];
+        for curve in [e.lru_packed(&write, 4), e.opt_packed(&write, 4)] {
             assert_eq!(curve.loads(1), 0);
             assert_eq!(curve.cold_loads(), 0);
         }
@@ -759,31 +719,31 @@ pub(crate) mod tests {
     #[test]
     #[should_panic(expected = "cache capacity must be positive")]
     fn capacity_zero_is_rejected() {
-        let _ = lru_miss_curve(&reads(&[0, 1])).loads(0);
+        let _ = full_lru(&reads(&[0, 1])).loads(0);
     }
 
     #[test]
     #[should_panic(expected = "curve horizon must be positive")]
     fn lru_horizon_zero_is_rejected() {
-        let _ = CurveEngine::new().lru(&reads(&[0, 1]), 0);
+        let _ = CurveEngine::new().lru_packed(&reads(&[0, 1]), 0);
     }
 
     #[test]
     #[should_panic(expected = "curve horizon must be positive")]
     fn opt_horizon_zero_is_rejected() {
-        let _ = CurveEngine::new().opt(&reads(&[0, 1]), 0);
+        let _ = CurveEngine::new().opt_packed(&reads(&[0, 1]), 0);
     }
 
     #[test]
     fn capacity_one_equals_per_access_misses_without_immediate_reuse() {
         // With S = 1 every alternating access misses under both policies.
         let t = reads(&[0, 1, 0, 1, 0]);
-        assert_eq!(lru_miss_curve(&t).loads(1), 5);
-        assert_eq!(opt_miss_curve(&t).loads(1), 5);
+        assert_eq!(full_lru(&t).loads(1), 5);
+        assert_eq!(full_opt(&t).loads(1), 5);
         // Immediate reuse hits even at S = 1.
         let t = reads(&[7, 7, 7]);
-        assert_eq!(lru_miss_curve(&t).loads(1), 1);
-        assert_eq!(opt_miss_curve(&t).loads(1), 1);
+        assert_eq!(full_lru(&t).loads(1), 1);
+        assert_eq!(full_opt(&t).loads(1), 1);
     }
 
     #[test]
@@ -791,8 +751,8 @@ pub(crate) mod tests {
         // No reuse at all: every policy pays exactly the cold misses at
         // every capacity, so the curves are flat and identical.
         let t = reads(&[0, 1, 2, 3, 4, 5, 6, 7]);
-        let lru = lru_miss_curve(&t);
-        let opt = opt_miss_curve(&t);
+        let lru = full_lru(&t);
+        let opt = full_opt(&t);
         for s in 1..=t.len() {
             assert_eq!(lru.loads(s), t.len() as u64, "S={s}");
             assert_eq!(opt.loads(s), t.len() as u64, "S={s}");
@@ -805,34 +765,26 @@ pub(crate) mod tests {
     fn engine_buffers_are_reusable() {
         let mut e = CurveEngine::new();
         let t1 = reads(&[0, 1, 2, 0, 1, 2]);
-        let a = e.opt(&t1, 6);
-        let b = e.opt(&t1, 6);
+        let a = e.opt_packed(&t1, 6);
+        let b = e.opt_packed(&t1, 6);
         assert_eq!(a, b);
-        let t2 = vec![Access::write(9), Access::read(9)];
-        let c = e.lru(&t2, 2);
+        let c = e.lru_packed(&[w(9), r(9)], 2);
         assert_eq!(c.loads(1), 0, "write allocates, read hits");
-    }
-
-    /// First-touch reads of `t`: the cold loads of every capacity.
-    fn first_touch_reads(t: &[Access]) -> u64 {
-        let mut seen = std::collections::HashSet::new();
-        t.iter().filter(|a| seen.insert(a.cell) && !a.write).count() as u64
     }
 
     /// LRU curves of `t` at `horizon` from the materialized ring and from
     /// the streamed one at chunk lengths 1 and 3, so every hand trace
     /// below also runs across chunk boundaries and through the streamed
     /// ring's growth.
-    fn ring_curves(t: &[Access], horizon: usize) -> [(&'static str, MissCurve); 3] {
-        let packed = pack(t);
+    fn ring_curves(t: &[u64], horizon: usize) -> [(&'static str, MissCurve); 3] {
         let token = CancelToken::unlimited();
         let streamed = |chunk| {
             crate::ShardedCurveEngine::with_chunk_len(chunk)
-                .try_lru(&packed, horizon, &token)
+                .try_lru(t, horizon, &token)
                 .unwrap()
         };
         [
-            ("materialized", CurveEngine::new().lru(t, horizon)),
+            ("materialized", CurveEngine::new().lru_packed(t, horizon)),
             ("streamed, chunk 1", streamed(1)),
             ("streamed, chunk 3", streamed(3)),
         ]
@@ -842,13 +794,7 @@ pub(crate) mod tests {
     fn ring_write_to_a_resident_cell_moves_it_and_counts_nothing() {
         // 0 1 2 w0 1: the write lifts 0 over 2 and 1, so the last read of
         // 1 is at distance 3, not 2; the write itself is no load.
-        let t = vec![
-            Access::read(0),
-            Access::read(1),
-            Access::read(2),
-            Access::write(0),
-            Access::read(1),
-        ];
+        let t = [r(0), r(1), r(2), w(0), r(1)];
         for (engine, c) in ring_curves(&t, 4) {
             assert_eq!(c.cold_loads(), 3, "{engine}");
             assert_eq!(c.loads(1), 4, "{engine}");
@@ -879,14 +825,7 @@ pub(crate) mod tests {
 
     #[test]
     fn ring_of_horizon_one() {
-        let t = vec![
-            Access::read(0),
-            Access::read(0),
-            Access::write(1),
-            Access::read(1),
-            Access::read(0),
-            Access::read(0),
-        ];
+        let t = [r(0), r(0), w(1), r(1), r(0), r(0)];
         for (engine, c) in ring_curves(&t, 1) {
             assert_eq!(c.cold_loads(), 1, "{engine}");
             assert_eq!(c.loads(1), 2, "{engine}");
@@ -899,20 +838,17 @@ pub(crate) mod tests {
         // Horizon 5 rounds the ring up to 8 slots. A pseudo-random walk over
         // 11 cells with runs of reuse laps the ring hundreds of times.
         let mut x = 7u64;
-        let t: Vec<Access> = (0..3000)
+        let t: Vec<u64> = (0..3000)
             .map(|_| {
                 x = x
                     .wrapping_mul(6364136223846793005)
                     .wrapping_add(1442695040888963407);
                 let r = x >> 33;
-                Access {
-                    cell: (r % 11) as usize,
-                    write: r.is_multiple_of(7),
-                }
+                ((r % 11) << 1) | r.is_multiple_of(7) as u64
             })
             .collect();
         for (engine, c) in ring_curves(&t, 5) {
-            assert_eq!(c.cold_loads(), first_touch_reads(&t), "{engine}");
+            assert_eq!(c.cold_loads(), cold_loads(&t), "{engine}");
             for s in 1..=5 {
                 assert_eq!(c.loads(s), lru_stats(s, &t).loads, "{engine} S={s}");
             }
@@ -953,14 +889,6 @@ pub(crate) mod tests {
         let _ = CurveEngine::new().lru_packed(&[(u32::MAX as u64) << 1], 4);
     }
 
-    pub(crate) fn arb_trace() -> impl Strategy<Value = Vec<Access>> {
-        proptest::collection::vec((0usize..12, proptest::bool::ANY), 1..200).prop_map(|v| {
-            v.into_iter()
-                .map(|(cell, write)| Access { cell, write })
-                .collect()
-        })
-    }
-
     /// Horizons on both sides of the first three multiples of
     /// [`SCAN_BLOCK`], one far past them that still drops cells, and one
     /// above [`WIDE_CELLS`] that never does.
@@ -970,25 +898,22 @@ pub(crate) mod tests {
     pub(crate) const WIDE_CASES: u32 = 32;
 
     /// Cell universe of [`arb_wide_trace`].
-    const WIDE_CELLS: usize = 144;
+    const WIDE_CELLS: u64 = 144;
 
     /// Traces whose OPT stacks span many [`SCAN_BLOCK`]s: a universe of
     /// [`WIDE_CELLS`] cells and a write on one access in four, so most
     /// values stay live and the displacement chains run deep.
-    pub(crate) fn arb_wide_trace() -> impl Strategy<Value = Vec<Access>> {
+    pub(crate) fn arb_wide_trace() -> impl Strategy<Value = Vec<u64>> {
         proptest::collection::vec((0..WIDE_CELLS, 0u8..4), 300..900).prop_map(|v| {
             v.into_iter()
-                .map(|(cell, w)| Access {
-                    cell,
-                    write: w == 0,
-                })
+                .map(|(cell, k)| (cell << 1) | (k == 0) as u64)
                 .collect()
         })
     }
 
     /// `(LruSim, BeladySim)` loads of `t` at every capacity up to the
     /// largest of [`WIDE_HORIZONS`], indexed by `S − 1`.
-    pub(crate) fn wide_replays(t: &[Access]) -> Vec<(u64, u64)> {
+    pub(crate) fn wide_replays(t: &[u64]) -> Vec<(u64, u64)> {
         (1..=WIDE_HORIZONS[WIDE_HORIZONS.len() - 1])
             .map(|s| (lru_stats(s, t).loads, min_stats(s, t).loads))
             .collect()
@@ -999,7 +924,7 @@ pub(crate) mod tests {
         /// capacity — the Mattson stack property, checked exhaustively.
         #[test]
         fn lru_curve_matches_replay_at_every_capacity(t in arb_trace()) {
-            let curve = lru_miss_curve(&t);
+            let curve = full_lru(&t);
             for s in 1..=t.len() {
                 prop_assert_eq!(curve.loads(s), lru_stats(s, &t).loads, "S={}", s);
             }
@@ -1009,7 +934,7 @@ pub(crate) mod tests {
         /// EVERY capacity.
         #[test]
         fn opt_curve_matches_replay_at_every_capacity(t in arb_trace()) {
-            let curve = opt_miss_curve(&t);
+            let curve = full_opt(&t);
             for s in 1..=t.len() {
                 prop_assert_eq!(curve.loads(s), min_stats(s, &t).loads, "S={}", s);
             }
@@ -1019,29 +944,20 @@ pub(crate) mod tests {
         #[test]
         fn truncated_curves_stay_exact(t in arb_trace(), horizon in 1usize..16) {
             let mut e = CurveEngine::new();
-            let lru = e.lru(&t, horizon);
-            let opt = e.opt(&t, horizon);
+            let lru = e.lru_packed(&t, horizon);
+            let opt = e.opt_packed(&t, horizon);
             for s in 1..=horizon.min(t.len().max(1)) {
                 prop_assert_eq!(lru.loads(s), lru_stats(s, &t).loads, "lru S={}", s);
                 prop_assert_eq!(opt.loads(s), min_stats(s, &t).loads, "opt S={}", s);
             }
         }
 
-        /// Packed and struct traces produce identical curves.
-        #[test]
-        fn packed_matches_structs(t in arb_trace()) {
-            let packed = pack(&t);
-            let mut e = CurveEngine::new();
-            prop_assert_eq!(e.lru(&t, 16), e.lru_packed(&packed, 16));
-            prop_assert_eq!(e.opt(&t, 16), e.opt_packed(&packed, 16));
-        }
-
         /// OPT is optimal: its curve sits at or below LRU's pointwise, and
         /// both decrease monotonically to the cold floor.
         #[test]
         fn curves_are_ordered_and_monotone(t in arb_trace()) {
-            let lru = lru_miss_curve(&t);
-            let opt = opt_miss_curve(&t);
+            let lru = full_lru(&t);
+            let opt = full_opt(&t);
             let mut prev = u64::MAX;
             for s in 1..=t.len() {
                 prop_assert!(opt.loads(s) <= lru.loads(s));
@@ -1063,11 +979,11 @@ pub(crate) mod tests {
         #[test]
         fn wide_stacks_match_replays_at_every_capacity(t in arb_wide_trace()) {
             let replays = wide_replays(&t);
-            let cold = crate::cold_loads(&t);
+            let cold = cold_loads(&t);
             let mut e = CurveEngine::new();
             for horizon in WIDE_HORIZONS {
-                let lru = e.lru(&t, horizon);
-                let opt = e.opt(&t, horizon);
+                let lru = e.lru_packed(&t, horizon);
+                let opt = e.opt_packed(&t, horizon);
                 // A read past the horizon is a beyond miss, never a cold
                 // one: `loads(S)` alone cannot tell the two apart.
                 prop_assert_eq!(lru.cold_loads(), cold, "lru h={}", horizon);

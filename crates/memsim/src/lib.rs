@@ -2,18 +2,24 @@
 //!
 //! The paper's model (§2) has a small fast memory of size `S` and an
 //! unbounded slow memory; the I/O cost of a schedule is the number of
-//! transfers. This crate measures exactly that for concrete access traces:
+//! transfers. This crate measures exactly that for concrete access traces.
+//! A trace is one packed event per `u64`, `(cell << 1) | write` — the
+//! encoding of the CDAG program-order trace and the tuner's candidate
+//! traces — held in a slice, or pulled chunk by chunk from a
+//! [`ChunkedTrace`]:
 //!
-//! * [`LruSim`] — fully-associative LRU replacement, O(1) per access,
-//!   streaming (no trace materialization needed),
+//! * [`LruSim`] — fully-associative LRU replacement at one capacity, O(1)
+//!   per access,
 //! * [`BeladySim`] — Belady's MIN (optimal offline replacement for a fixed
-//!   schedule), one reverse pass to thread next-use chains through the
-//!   trace, then one forward pass over a hierarchical-bitmap "farthest
-//!   resident position" structure — no per-access allocation, and all
-//!   working buffers are reused across runs,
+//!   schedule) at one capacity, one reverse pass to thread next-use chains
+//!   through the trace, then one forward pass over a hierarchical-bitmap
+//!   "farthest resident position" structure — no per-access allocation,
+//!   and all working buffers are reused across runs,
 //! * [`CurveEngine`] — one-pass stack-distance profilers producing the
-//!   exact [`MissCurve`] `loads(S)` of a trace for *every* capacity at
-//!   once, for both policies (see [`curve`]),
+//!   exact [`MissCurve`] `loads(S)` of a trace slice for *every* capacity
+//!   at once, for both policies (see [`curve`]), and
+//!   [`ShardedCurveEngine`], the same curves from a [`ChunkedTrace`]
+//!   without materializing it (see [`stream`]),
 //! * write semantics follow the red-white pebble game: a write *produces*
 //!   the value in fast memory (no load on a write miss); evicting a dirty
 //!   element counts a writeback. Because an overwrite re-materializes the
@@ -33,28 +39,8 @@
 pub mod curve;
 pub mod stream;
 
-pub use curve::{lru_miss_curve, opt_miss_curve, CurveEngine, MissCurve};
+pub use curve::{CurveEngine, MissCurve};
 pub use stream::{ChunkedTrace, ShardedCurveEngine, DEFAULT_CHUNK_LEN};
-
-/// One memory access in a trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Access {
-    /// Global element id.
-    pub cell: usize,
-    /// True for writes.
-    pub write: bool,
-}
-
-impl Access {
-    /// Read access.
-    pub fn read(cell: usize) -> Access {
-        Access { cell, write: false }
-    }
-    /// Write access.
-    pub fn write(cell: usize) -> Access {
-        Access { cell, write: true }
-    }
-}
 
 /// I/O statistics of one simulated execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -78,11 +64,23 @@ impl IoStats {
 
 pub(crate) const NIL: u32 = u32::MAX;
 
-/// Cell-id universe size of a trace: one past its largest cell id, 0 for
-/// an empty trace. One read of the trace, taken before any cell-sized
-/// table is allocated.
-pub(crate) fn cell_universe(len: usize, at: &impl Fn(usize) -> (usize, bool)) -> usize {
-    (0..len).map(|t| at(t).0 + 1).max().unwrap_or(0)
+/// The cell of a packed event.
+#[inline]
+pub(crate) fn cell_of(packed: u64) -> usize {
+    (packed >> 1) as usize
+}
+
+/// Whether a packed event is a write.
+#[inline]
+pub(crate) fn is_write(packed: u64) -> bool {
+    packed & 1 == 1
+}
+
+/// Cell-id universe size of a packed trace: one past its largest cell id,
+/// 0 for an empty trace. One read of the trace, taken before any
+/// cell-sized table is allocated.
+pub(crate) fn cell_universe(packed: &[u64]) -> usize {
+    packed.iter().map(|&p| cell_of(p) + 1).max().unwrap_or(0)
 }
 
 /// Reverse-pass next-use threading shared by [`BeladySim`] and the
@@ -90,18 +88,17 @@ pub(crate) fn cell_universe(len: usize, at: &impl Fn(usize) -> (usize, bool)) ->
 /// the next position accessing the same cell as position `t` ([`NIL`]
 /// when there is none). `cells` is the trace's [`cell_universe`].
 pub(crate) fn thread_next_use(
-    len: usize,
+    packed: &[u64],
     cells: usize,
-    at: &impl Fn(usize) -> (usize, bool),
     chain: &mut Vec<u32>,
     head: &mut Vec<u32>,
 ) {
     chain.clear();
-    chain.resize(len, NIL);
+    chain.resize(packed.len(), NIL);
     head.clear();
     head.resize(cells, NIL);
-    for t in (0..len).rev() {
-        let (cell, _) = at(t);
+    for (t, &p) in packed.iter().enumerate().rev() {
+        let cell = cell_of(p);
         chain[t] = head[cell];
         head[cell] = t as u32;
     }
@@ -162,95 +159,52 @@ impl LruSim {
         self.slot_of[cell]
     }
 
-    /// Processes one access.
-    #[inline]
-    pub fn access(&mut self, a: Access) {
-        self.stats.accesses += 1;
-        self.access_uncounted(a);
+    /// Runs a packed trace (`(cell << 1) | write` per event, the encoding
+    /// of the CDAG program-order trace and the tuner's candidate traces).
+    /// Successive runs continue from the cache state the last one left.
+    pub fn run_packed(&mut self, packed: &[u64]) -> IoStats {
+        self.stats.accesses += packed.len() as u64;
+        for &p in packed {
+            self.access(cell_of(p), is_write(p));
+        }
+        self.stats
     }
 
-    /// Access without the `accesses` counter (bulk paths count once).
+    /// Processes one access.
     #[inline]
-    fn access_uncounted(&mut self, a: Access) {
-        let slot = self.slot_entry(a.cell);
+    fn access(&mut self, cell: usize, write: bool) {
+        let slot = self.slot_entry(cell);
         if slot != NIL {
             // Hit: refresh recency (no-op when already most recent).
             if self.head != slot {
                 self.unlink(slot);
                 self.push_front(slot);
             }
-            if a.write {
+            if write {
                 self.slots[slot as usize].dirty = 1;
             }
             return;
         }
         // Miss.
-        if !a.write {
+        if !write {
             self.stats.loads += 1;
         }
         let slot = if self.resident == self.capacity {
-            self.recycle_lru(a.cell, a.write)
+            self.recycle_lru(cell, write)
         } else {
             self.resident += 1;
             self.stats.peak_resident = self.stats.peak_resident.max(self.resident);
             let slot = self.slots.len() as u32;
             self.slots.push(Slot {
-                cell: a.cell as u32,
+                cell: cell as u32,
                 prev: NIL,
                 next: NIL,
-                dirty: a.write as u32,
+                dirty: write as u32,
             });
             slot
         };
         self.push_front(slot);
-        self.slot_of[a.cell] = slot;
-    }
-
-    /// Processes a read.
-    #[inline]
-    pub fn read(&mut self, cell: usize) {
-        self.access(Access::read(cell));
-    }
-
-    /// Processes a write.
-    #[inline]
-    pub fn write(&mut self, cell: usize) {
-        self.access(Access::write(cell));
-    }
-
-    /// Runs a whole trace.
-    pub fn run<'a>(&mut self, trace: impl IntoIterator<Item = &'a Access>) -> IoStats {
-        for a in trace {
-            self.access(*a);
-        }
-        self.stats
-    }
-
-    /// Bulk entry point: runs a materialized trace slice.
-    ///
-    /// Identical semantics to calling [`access`](LruSim::access) per
-    /// element; the slice form lets the compiler unroll the dispatch-free
-    /// inner loop.
-    pub fn run_trace(&mut self, trace: &[Access]) -> IoStats {
-        self.stats.accesses += trace.len() as u64;
-        for &a in trace {
-            self.access_uncounted(a);
-        }
-        self.stats
-    }
-
-    /// Runs a packed trace (`(cell << 1) | write` per event, the encoding
-    /// of the CDAG program-order trace and the tuner's candidate traces)
-    /// without decoding into [`Access`] structs.
-    pub fn run_packed(&mut self, packed: &[u64]) -> IoStats {
-        self.stats.accesses += packed.len() as u64;
-        for &p in packed {
-            self.access_uncounted(Access {
-                cell: (p >> 1) as usize,
-                write: (p & 1) == 1,
-            });
-        }
-        self.stats
+        self.slot_of[cell] = slot;
     }
 
     /// Statistics so far (without final flush).
@@ -414,8 +368,8 @@ impl MaxPosSet {
 /// *exactly* optimal under the red-white cost model; without it, MIN
 /// pointlessly retains values whose next event is their own overwrite.
 ///
-/// All buffers are reused across [`run`](BeladySim::run) calls on the same
-/// simulator.
+/// All buffers are reused across [`run_packed`](BeladySim::run_packed)
+/// calls on the same simulator.
 #[derive(Debug)]
 pub struct BeladySim {
     capacity: usize,
@@ -448,30 +402,13 @@ impl BeladySim {
         }
     }
 
-    /// Simulates the trace under optimal replacement.
-    pub fn run(&mut self, trace: &[Access]) -> IoStats {
-        self.run_by(trace.len(), |t| {
-            let a = trace[t];
-            (a.cell, a.write)
-        })
-    }
-
     /// Simulates a packed trace (`(cell << 1) | write` per event, the
     /// encoding of the CDAG program-order trace and the tuner's candidate
-    /// traces) without decoding it into [`Access`] structs first.
+    /// traces) under optimal replacement.
     pub fn run_packed(&mut self, packed: &[u64]) -> IoStats {
-        self.run_by(packed.len(), |t| {
-            let p = packed[t];
-            ((p >> 1) as usize, (p & 1) == 1)
-        })
-    }
-
-    /// Core simulation, monomorphized over the trace accessor
-    /// (`at(t) -> (cell, write)` must be pure).
-    fn run_by(&mut self, len: usize, at: impl Fn(usize) -> (usize, bool)) -> IoStats {
         // Reverse pass: chain[t] = next position accessing the same cell.
-        let cells = cell_universe(len, &at);
-        thread_next_use(len, cells, &at, &mut self.chain, &mut self.head);
+        let (len, cells) = (packed.len(), cell_universe(packed));
+        thread_next_use(packed, cells, &mut self.chain, &mut self.head);
 
         // Forward pass state, all dense by cell or position.
         self.next_pos.clear();
@@ -485,13 +422,13 @@ impl BeladySim {
 
         let mut stats = IoStats::default();
         let mut resident = 0usize;
-        for t in 0..len {
-            let (cell, write) = at(t);
+        for (t, &p) in packed.iter().enumerate() {
+            let (cell, write) = (cell_of(p), is_write(p));
             stats.accesses += 1;
             let nu = self.chain[t];
             // The value is dead after this access when it is never read
             // again before its next overwrite (write-kill rule).
-            let goes_dead = nu == NIL || at(nu as usize).1;
+            let goes_dead = nu == NIL || is_write(packed[nu as usize]);
             if self.is_resident[cell] {
                 // Hit: reposition by new next use. The cell was tracked
                 // alive exactly when this access is a read (a pending
@@ -529,7 +466,7 @@ impl BeladySim {
                     None => {
                         let pos = self.alive.max().expect("resident set not empty");
                         self.alive.clear(pos);
-                        at(pos).0
+                        cell_of(packed[pos])
                     }
                 };
                 self.is_resident[victim] = false;
@@ -555,46 +492,55 @@ impl BeladySim {
     }
 }
 
-/// Convenience: LRU stats for a trace (with final dirty flush).
-pub fn lru_stats(capacity: usize, trace: &[Access]) -> IoStats {
-    let mut sim = LruSim::new(capacity);
-    sim.run_trace(trace);
-    sim.finish()
-}
-
-/// Convenience: MIN (optimal) stats for a trace.
-pub fn min_stats(capacity: usize, trace: &[Access]) -> IoStats {
-    BeladySim::new(capacity).run(trace)
-}
-
-/// Number of distinct cells read before being written (cold loads — the
-/// unavoidable input loads of any schedule).
-pub fn cold_loads(trace: &[Access]) -> u64 {
-    let max_cell = trace.iter().map(|a| a.cell).max().unwrap_or(0);
-    // 0 = unseen, 1 = written first, 2 = counted as cold read.
-    let mut state = vec![0u8; max_cell + 1];
-    let mut loads = 0;
-    for a in trace {
-        let s = &mut state[a.cell];
-        if a.write {
-            if *s == 0 {
-                *s = 1;
-            }
-        } else if *s == 0 {
-            *s = 2;
-            loads += 1;
-        }
-    }
-    loads
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn reads(cells: &[usize]) -> Vec<Access> {
-        cells.iter().map(|&c| Access::read(c)).collect()
+    /// A read of `cell` as a packed event.
+    pub(crate) fn r(cell: u64) -> u64 {
+        cell << 1
+    }
+
+    /// A write of `cell` as a packed event.
+    pub(crate) fn w(cell: u64) -> u64 {
+        (cell << 1) | 1
+    }
+
+    /// A trace reading `cells` in order.
+    pub(crate) fn reads(cells: &[u64]) -> Vec<u64> {
+        cells.iter().map(|&c| r(c)).collect()
+    }
+
+    /// LRU stats of a trace at `capacity`, with the final dirty flush.
+    pub(crate) fn lru_stats(capacity: usize, trace: &[u64]) -> IoStats {
+        let mut sim = LruSim::new(capacity);
+        sim.run_packed(trace);
+        sim.finish()
+    }
+
+    /// MIN (optimal) stats of a trace at `capacity`.
+    pub(crate) fn min_stats(capacity: usize, trace: &[u64]) -> IoStats {
+        BeladySim::new(capacity).run_packed(trace)
+    }
+
+    /// Distinct cells read before being written: the cold loads of every
+    /// capacity, and the loads of an unbounded cache.
+    pub(crate) fn cold_loads(trace: &[u64]) -> u64 {
+        let mut seen = std::collections::HashSet::new();
+        trace
+            .iter()
+            .filter(|&&p| seen.insert(cell_of(p)) && !is_write(p))
+            .count() as u64
+    }
+
+    /// Up to 200 events over 12 cells, reads and writes equally likely.
+    pub(crate) fn arb_trace() -> impl Strategy<Value = Vec<u64>> {
+        proptest::collection::vec((0u64..12, proptest::bool::ANY), 1..200).prop_map(|v| {
+            v.into_iter()
+                .map(|(c, write)| (c << 1) | write as u64)
+                .collect()
+        })
     }
 
     #[test]
@@ -618,7 +564,7 @@ mod tests {
 
     #[test]
     fn write_miss_costs_no_load() {
-        let t = vec![Access::write(0), Access::read(0)];
+        let t = vec![w(0), r(0)];
         let s = lru_stats(4, &t);
         assert_eq!(s.loads, 0);
         // Final flush writes the dirty cell back once.
@@ -628,10 +574,20 @@ mod tests {
     #[test]
     fn dirty_eviction_counts_writeback() {
         // capacity 1: write 0, read 1 → 0 evicted dirty.
-        let t = vec![Access::write(0), Access::read(1)];
+        let t = vec![w(0), r(1)];
         let s = lru_stats(1, &t);
         assert_eq!(s.loads, 1);
         assert_eq!(s.writebacks, 1);
+    }
+
+    /// Successive runs on one `LruSim` continue from the cache state the
+    /// last one left, and count every access.
+    #[test]
+    fn lru_runs_continue_where_the_last_left_off() {
+        let mut sim = LruSim::new(2);
+        assert_eq!(sim.run_packed(&reads(&[0, 1])).loads, 2);
+        let s = sim.run_packed(&reads(&[1, 0, 2]));
+        assert_eq!((s.loads, s.accesses), (3, 5));
     }
 
     /// The write-kill rule: a resident value whose next access is its own
@@ -646,14 +602,7 @@ mod tests {
         // A next read at 5 and B next *written* at 3: killing B keeps A
         // resident and costs 3 loads total. Next-access-greedy would evict
         // A (5 > 3) and pay a 4th load for the rA at the end.
-        let t = vec![
-            Access::read(0),
-            Access::read(1),
-            Access::read(2),
-            Access::write(1),
-            Access::read(1),
-            Access::read(0),
-        ];
+        let t = vec![r(0), r(1), r(2), w(1), r(1), r(0)];
         assert_eq!(min_stats(2, &t).loads, 3);
     }
 
@@ -680,45 +629,18 @@ mod tests {
     fn belady_buffers_are_reusable() {
         let mut sim = BeladySim::new(2);
         let t1 = reads(&[0, 1, 2, 0, 1, 2]);
-        let a = sim.run(&t1);
-        let b = sim.run(&t1);
+        let a = sim.run_packed(&t1);
+        let b = sim.run_packed(&t1);
         assert_eq!(a, b, "same trace twice through one simulator");
         // A different (shorter, different cells) trace after the first.
-        let t2 = vec![Access::write(7), Access::read(7)];
-        let c = sim.run(&t2);
+        let c = sim.run_packed(&[w(7), r(7)]);
         assert_eq!(c.loads, 0);
         assert_eq!(c.writebacks, 1);
     }
 
     #[test]
-    fn packed_trace_matches_access_structs() {
-        let t: Vec<Access> = vec![
-            Access::write(3),
-            Access::read(0),
-            Access::read(3),
-            Access::read(1),
-            Access::read(0),
-        ];
-        let packed: Vec<u64> = t
-            .iter()
-            .map(|a| ((a.cell as u64) << 1) | a.write as u64)
-            .collect();
-        for cap in 1..4 {
-            let via_structs = BeladySim::new(cap).run(&t);
-            let via_packed = BeladySim::new(cap).run_packed(&packed);
-            assert_eq!(via_structs, via_packed, "cap={cap}");
-        }
-    }
-
-    #[test]
     fn cold_loads_skips_written_cells() {
-        let t = vec![
-            Access::write(1),
-            Access::read(1),
-            Access::read(2),
-            Access::read(2),
-        ];
-        assert_eq!(cold_loads(&t), 1);
+        assert_eq!(cold_loads(&[w(1), r(1), r(2), r(2)]), 1);
     }
 
     #[test]
@@ -733,40 +655,41 @@ mod tests {
     /// eviction key of a value that is never read again before its next
     /// overwrite is `+∞` (the write-kill rule: a write miss costs nothing,
     /// so dead values are always the cheapest victims).
-    fn min_stats_reference(capacity: usize, trace: &[Access]) -> IoStats {
+    fn min_stats_reference(capacity: usize, trace: &[u64]) -> IoStats {
         use std::collections::{BTreeSet, HashMap};
         const INF_POS: usize = usize::MAX;
         let mut next_use = vec![INF_POS; trace.len()];
         let mut last_seen: HashMap<usize, usize> = HashMap::new();
-        for (t, a) in trace.iter().enumerate().rev() {
-            if let Some(&n) = last_seen.get(&a.cell) {
+        for (t, &p) in trace.iter().enumerate().rev() {
+            if let Some(&n) = last_seen.get(&cell_of(p)) {
                 next_use[t] = n;
             }
-            last_seen.insert(a.cell, t);
+            last_seen.insert(cell_of(p), t);
         }
         let mut stats = IoStats::default();
         let mut resident: BTreeSet<(usize, usize)> = BTreeSet::new();
         let mut resident_key: HashMap<usize, usize> = HashMap::new();
         let mut dirty: HashMap<usize, bool> = HashMap::new();
-        for (t, a) in trace.iter().enumerate() {
+        for (t, &p) in trace.iter().enumerate() {
+            let (cell, write) = (cell_of(p), is_write(p));
             stats.accesses += 1;
             // Dead (key +∞) when never accessed again or next access is a
             // write — the overwrite re-materializes the value for free.
             let nu = match next_use[t] {
                 INF_POS => INF_POS,
-                n if trace[n].write => INF_POS,
+                n if is_write(trace[n]) => INF_POS,
                 n => n,
             };
-            if let Some(&key) = resident_key.get(&a.cell) {
-                resident.remove(&(key, a.cell));
-                resident.insert((nu, a.cell));
-                resident_key.insert(a.cell, nu);
-                if a.write {
-                    dirty.insert(a.cell, true);
+            if let Some(&key) = resident_key.get(&cell) {
+                resident.remove(&(key, cell));
+                resident.insert((nu, cell));
+                resident_key.insert(cell, nu);
+                if write {
+                    dirty.insert(cell, true);
                 }
                 continue;
             }
-            if !a.write {
+            if !write {
                 stats.loads += 1;
             }
             if resident.len() == capacity {
@@ -777,9 +700,9 @@ mod tests {
                     stats.writebacks += 1;
                 }
             }
-            resident.insert((nu, a.cell));
-            resident_key.insert(a.cell, nu);
-            dirty.insert(a.cell, a.write);
+            resident.insert((nu, cell));
+            resident_key.insert(cell, nu);
+            dirty.insert(cell, write);
             stats.peak_resident = stats.peak_resident.max(resident.len());
         }
         stats.writebacks += resident_key
@@ -787,14 +710,6 @@ mod tests {
             .filter(|c| dirty.get(c).copied().unwrap_or(false))
             .count() as u64;
         stats
-    }
-
-    fn arb_trace() -> impl Strategy<Value = Vec<Access>> {
-        proptest::collection::vec((0usize..12, proptest::bool::ANY), 1..200).prop_map(|v| {
-            v.into_iter()
-                .map(|(cell, write)| Access { cell, write })
-                .collect()
-        })
     }
 
     proptest! {

@@ -26,7 +26,8 @@
 //! each chunk's start), so cancellation and deadlines land in bounded
 //! time.
 
-use crate::curve::{packed_at, LruRing, MissCurve, OptStack, StackWord, DROPPED, POLL_MASK};
+use crate::curve::{LruRing, MissCurve, OptStack, StackWord, DROPPED, POLL_MASK};
+use crate::{cell_of, cell_universe, is_write};
 use iolb_govern::{AnalysisError, CancelToken, Seam};
 use rayon::prelude::*;
 use std::collections::HashMap;
@@ -176,8 +177,8 @@ impl ShardedCurveEngine {
         for (lo, n) in self.windows(len) {
             let buf = &mut buf[..n];
             trace.fill(lo, buf);
-            ring.grow(buf.iter().max().map_or(0, |&p| (p >> 1) as usize + 1));
-            ring.feed(buf.len(), packed_at(buf), Some(token))?;
+            ring.grow(cell_universe(buf));
+            ring.feed(buf, Some(token))?;
         }
         Ok(ring.curve(len))
     }
@@ -270,7 +271,7 @@ impl ShardedCurveEngine {
                 } else {
                     nu >> 1
                 };
-                opt.step((packed >> 1) as usize, packed & 1 == 1, new_pri);
+                opt.step(cell_of(packed), is_write(packed), new_pri);
             }
         }
         Ok(opt.curve(len))
@@ -342,10 +343,9 @@ fn opt_chunk_pass(lo: u64, buf: &[u64], token: &CancelToken) -> Result<OptChunk,
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::curve::tests::{
-        arb_trace, arb_wide_trace, pack, wide_replays, WIDE_CASES, WIDE_HORIZONS,
-    };
-    use crate::{Access, CurveEngine};
+    use crate::curve::tests::{arb_wide_trace, wide_replays, WIDE_CASES, WIDE_HORIZONS};
+    use crate::tests::{arb_trace, cold_loads, r, reads, w};
+    use crate::CurveEngine;
     use proptest::prelude::*;
 
     #[test]
@@ -353,12 +353,7 @@ mod tests {
         // 0 1 2 0 with one event per chunk: every access is its own chunk,
         // so the ring and its state table carry every distance across
         // chunk boundaries, and the table grows at each new cell.
-        let packed = pack(&[
-            Access::read(0),
-            Access::read(1),
-            Access::read(2),
-            Access::read(0),
-        ]);
+        let packed = reads(&[0, 1, 2, 0]);
         let token = CancelToken::unlimited();
         let sharded = ShardedCurveEngine::with_chunk_len(1);
         let c = sharded.try_lru(&packed, 4, &token).unwrap();
@@ -377,7 +372,7 @@ mod tests {
         assert_eq!(e.try_opt(&empty, 3, &token).unwrap().loads(1), 0);
         // A trace smaller than one chunk still flows through the chunk
         // machinery (a single chunk).
-        let one = pack(&[Access::write(5), Access::read(5)]);
+        let one = vec![w(5), r(5)];
         assert_eq!(e.try_lru(&one, 3, &token).unwrap().loads(1), 0);
         assert_eq!(e.try_opt(&one, 3, &token).unwrap().loads(1), 0);
     }
@@ -385,7 +380,7 @@ mod tests {
     #[test]
     fn sharded_opt_refuses_horizon_in_sentinel_space() {
         let token = CancelToken::unlimited();
-        let packed = pack(&[Access::read(0)]);
+        let packed = vec![r(0)];
         let err = ShardedCurveEngine::new()
             .try_opt(&packed, u32::MAX as usize, &token)
             .unwrap_err();
@@ -436,12 +431,11 @@ mod tests {
         /// EVERY capacity, for chunk lengths that force many boundaries.
         #[test]
         fn sharded_lru_matches_materialized(t in arb_trace(), chunk in 1usize..24) {
-            let packed = pack(&t);
             let token = CancelToken::unlimited();
             let horizon = t.len().max(1);
-            let want = CurveEngine::new().lru_packed(&packed, horizon);
+            let want = CurveEngine::new().lru_packed(&t, horizon);
             let got = ShardedCurveEngine::with_chunk_len(chunk)
-                .try_lru(&packed, horizon, &token)
+                .try_lru(&t, horizon, &token)
                 .unwrap();
             prop_assert_eq!(got, want);
         }
@@ -450,12 +444,11 @@ mod tests {
         /// EVERY capacity.
         #[test]
         fn streaming_opt_matches_materialized(t in arb_trace(), chunk in 1usize..24) {
-            let packed = pack(&t);
             let token = CancelToken::unlimited();
             let horizon = t.len().max(1);
-            let want = CurveEngine::new().opt_packed(&packed, horizon);
+            let want = CurveEngine::new().opt_packed(&t, horizon);
             let got = ShardedCurveEngine::with_chunk_len(chunk)
-                .try_opt(&packed, horizon, &token)
+                .try_opt(&t, horizon, &token)
                 .unwrap();
             prop_assert_eq!(got, want);
         }
@@ -463,17 +456,16 @@ mod tests {
         /// Truncated horizons agree too (the beyond-bucket path).
         #[test]
         fn sharded_truncated_horizons_agree(t in arb_trace(), chunk in 1usize..16, horizon in 1usize..8) {
-            let packed = pack(&t);
             let token = CancelToken::unlimited();
             let mut e = CurveEngine::new();
             let sharded = ShardedCurveEngine::with_chunk_len(chunk);
             prop_assert_eq!(
-                sharded.try_lru(&packed, horizon, &token).unwrap(),
-                e.lru_packed(&packed, horizon)
+                sharded.try_lru(&t, horizon, &token).unwrap(),
+                e.lru_packed(&t, horizon)
             );
             prop_assert_eq!(
-                sharded.try_opt(&packed, horizon, &token).unwrap(),
-                e.opt_packed(&packed, horizon)
+                sharded.try_opt(&t, horizon, &token).unwrap(),
+                e.opt_packed(&t, horizon)
             );
         }
     }
@@ -487,14 +479,13 @@ mod tests {
         /// both curves equal the simulator replays at every capacity.
         #[test]
         fn wide_stacks_match_replays_across_shards(t in arb_wide_trace(), chunk in 1usize..64) {
-            let packed = pack(&t);
             let replays = wide_replays(&t);
-            let cold = crate::cold_loads(&t);
+            let cold = cold_loads(&t);
             let token = CancelToken::unlimited();
             let sharded = ShardedCurveEngine::with_chunk_len(chunk);
             for horizon in WIDE_HORIZONS {
-                let lru = sharded.try_lru(&packed, horizon, &token).unwrap();
-                let opt = sharded.try_opt(&packed, horizon, &token).unwrap();
+                let lru = sharded.try_lru(&t, horizon, &token).unwrap();
+                let opt = sharded.try_opt(&t, horizon, &token).unwrap();
                 // A read past the horizon is a beyond miss, never a cold
                 // one: `loads(S)` alone cannot tell the two apart.
                 prop_assert_eq!(lru.cold_loads(), cold, "lru h={}", horizon);

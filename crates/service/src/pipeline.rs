@@ -21,8 +21,8 @@ use crate::cache::{CacheStats, ShardedCache};
 use crate::options::AnalysisOptions;
 use crate::store::{ReportStore, StoreKey};
 use iolb_bench::sweep::{
-    coarse_s_offsets, price_sweep, try_build_cdag, try_run_sweep_opts, Cdag, CurveStrategy,
-    PricedSweep, SweepKernel, SweepReport, SweepRow,
+    coarse_s_offsets, price_sweep, try_build_cdag, Cdag, CurveStrategy, PricedSweep, SweepKernel,
+    SweepReport, SweepRow,
 };
 use iolb_bench::tightness::{try_run_tightness, KernelTightness, TightnessJob};
 use iolb_core::classical::ClassicalBound;
@@ -244,74 +244,19 @@ fn derive_on(
     })
 }
 
-/// MIN/LRU miss-curve validation of the derived bounds on `cdag`, the
-/// exact CDAG of `program` at `params` built under `budget` and `token`,
-/// over the S grid, with the request's graph-level engine selection
-/// evaluated per grid point: the kernel priced up to the grid's horizon,
-/// then read at the grid. The sweep evaluates `derived`'s bounds as
-/// they are; it derives nothing and builds no graph, it sweeps a clone of
-/// `program`, and it drops `cdag` when it returns.
+/// MIN/LRU miss-curve validation of the bounds of statement `stmt` over
+/// the S grid, for a caller without a [`Derived`] or a CDAG: re-parses
+/// `canon_src`, derives the bounds ([`SweepKernel::derive`], `split`
+/// overriding the midpoint binding), prices the kernel through
+/// [`price_sweep`], building the CDAG itself, and reads it at the grid.
+/// The request's graph-level engine selection is evaluated per grid point.
+/// [`analyze_uncached`] does not use it — its sweep reuses the derivation
+/// stage's bounds, the parsed program and the request's CDAG.
 ///
 /// `strategy` picks the curve engines: the size rule (default; traces up
 /// to `CROSS_CHECK_CAP` events on the materialized engine, longer ones
 /// streamed through the sharded engine) or the materialized engine for
 /// every trace.
-///
-/// # Errors
-/// The first typed error any sweep stage produced.
-#[allow(clippy::too_many_arguments)]
-pub fn sweep_derived_stage(
-    name: &str,
-    program: &Program,
-    params: &[i64],
-    derived: &Derived,
-    cdag: Cdag,
-    s_offsets: &[usize],
-    budget: &Budget,
-    token: &CancelToken,
-    registry: &EngineRegistry,
-    strategy: CurveStrategy,
-) -> Result<SweepReport, AnalysisError> {
-    let priced = price_derived(
-        name, program, params, derived, cdag, s_offsets, budget, token, registry, strategy,
-    )?;
-    Ok(priced.report(&[s_offsets]))
-}
-
-/// The grid-independent half of [`sweep_derived_stage`]: the kernel priced
-/// for every grid up to the horizon of `s_offsets`.
-#[allow(clippy::too_many_arguments)]
-fn price_derived(
-    name: &str,
-    program: &Program,
-    params: &[i64],
-    derived: &Derived,
-    cdag: Cdag,
-    s_offsets: &[usize],
-    budget: &Budget,
-    token: &CancelToken,
-    registry: &EngineRegistry,
-    strategy: CurveStrategy,
-) -> Result<PricedSweep, AnalysisError> {
-    let sweep = SweepKernel {
-        name: name.to_string(),
-        program: program.clone(),
-        params: params.to_vec(),
-        classical: derived.classical.clone(),
-        hourglass: derived.hourglass.clone(),
-        split: derived.applied_split.clone(),
-        s_offsets: s_offsets.to_vec(),
-        cdag: Some(cdag),
-    };
-    price_sweep(vec![sweep], budget, token, registry, strategy)
-}
-
-/// [`sweep_derived_stage`] for a caller without a [`Derived`] or a CDAG:
-/// re-parses `canon_src`, derives the bounds of `stmt`
-/// ([`SweepKernel::derive`], `split` overriding the midpoint binding),
-/// then sweeps, building the CDAG itself. [`analyze_uncached`] does not
-/// use it — its sweep reuses the derivation stage's bounds, the parsed
-/// program and the request's CDAG.
 ///
 /// # Errors
 /// The derivation's refusal, or the first typed error any sweep stage
@@ -337,7 +282,8 @@ pub fn sweep_stage(
         split,
         s_offsets.to_vec(),
     )?;
-    try_run_sweep_opts(vec![sweep], budget, token, registry, strategy)
+    let priced = price_sweep(vec![sweep], budget, token, registry, strategy.cap())?;
+    Ok(priced.report(&[s_offsets]))
 }
 
 /// Tightness: the best measured blocked upper bound per S (the file's
@@ -473,10 +419,10 @@ pub struct AnalysisOutcome {
 /// The grid-independent half of one request: everything
 /// [`analyze_uncached`] computes before it reads the S grid's points. It
 /// holds the display summaries, the certified count, the cost estimate and
-/// the priced kernel (the CDAG's facts, the bounds and their env, each
-/// selected engine's profile, and the LRU and OPT curves up to their
-/// horizon), so [`Priced::outcome`] answers any grid whose rung is the one
-/// it was priced at and whose S values the horizon covers.
+/// the priced kernel (the CDAG's facts, the bounds bound to the kernel's
+/// parameters, each selected engine's profile, and the LRU and OPT curves
+/// up to their horizon), so [`Priced::outcome`] answers any grid whose rung
+/// is the one it was priced at and whose S values the horizon covers.
 #[derive(Debug)]
 pub(crate) struct Priced {
     name: String,
@@ -609,17 +555,23 @@ fn price(
         None => None,
         Some(cdag) => {
             let registry = opts.registry().map_err(AnalysisError::Refused)?;
-            Some(price_derived(
-                &program.name,
-                program,
-                params,
-                &derived,
-                cdag,
-                &swept_offsets(degradation, opts),
+            let sweep = SweepKernel {
+                name: program.name.clone(),
+                program: program.clone(),
+                params: params.clone(),
+                classical: derived.classical.clone(),
+                hourglass: derived.hourglass.clone(),
+                split: derived.applied_split.clone(),
+                s_offsets: swept_offsets(degradation, opts),
+                cdag: Some(cdag),
+            };
+            let cap = opts.curve_strategy.cap();
+            Some(price_sweep(
+                vec![sweep],
                 &opts.budget,
                 token,
                 &registry,
-                opts.curve_strategy,
+                cap,
             )?)
         }
     };
@@ -707,8 +659,8 @@ pub struct CanonEntry {
 /// Reports are the heavy layer: an entry holds a full sweep + tightness
 /// outcome and, once `serve` has asked for it, its rendered `serve/v1` body
 /// (about 12 KB on the shipped kernels). A priced entry holds two miss
-/// curves up to their horizon, the engine profiles and the symbolic
-/// bounds (6–24 KB on the shipped kernels at the dense grid's horizon).
+/// curves up to their horizon, the engine profiles and the bound floors
+/// (about 5.5–5.8 KB on the shipped kernels at the dense grid's horizon).
 /// The parse layer stores only canonical text and stays unbounded.
 pub const DEFAULT_REPORT_CAPACITY: usize = 512;
 

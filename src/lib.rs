@@ -49,7 +49,7 @@ pub mod prelude {
     pub use iolb_core::report::KernelReport;
     pub use iolb_core::{Analysis, ClassicalBound, HourglassBound};
     pub use iolb_ir::{parse_kernel, Program, ProgramBuilder};
-    pub use iolb_memsim::{lru_stats, min_stats, Access, IoStats};
+    pub use iolb_memsim::IoStats;
     pub use iolb_numeric::Rational;
     pub use iolb_symbolic::{Expr, Poly, Var};
 }
